@@ -9,8 +9,8 @@
 use crate::manager::{CheopsRequest, CheopsResponse, LeaseKind};
 use crate::map::{Layout, LogicalObjectId, Redundancy};
 use bytes::{ByteRope, Bytes};
-use nasd_fm::{DriveFleet, FmError};
-use nasd_net::{CallOptions, Channel, RetryPolicy, RpcError};
+use nasd_fm::{DriveFleet, FmError, ManagerLink};
+use nasd_net::{CallOptions, Channel, RetryPolicy};
 use nasd_proto::{Capability, NasdStatus, Reply, ReplyBody, RequestBody, Rights};
 use std::sync::Arc;
 
@@ -58,7 +58,7 @@ pub struct CheopsClient {
     id: u64,
     mgr: Channel<CheopsRequest, CheopsResponse>,
     fleet: Arc<DriveFleet>,
-    opts: CallOptions,
+    link: ManagerLink,
 }
 
 impl CheopsClient {
@@ -74,7 +74,7 @@ impl CheopsClient {
             id,
             mgr,
             fleet,
-            opts: CallOptions::retry(RetryPolicy::control()),
+            link: ManagerLink::default(),
         }
     }
 
@@ -87,27 +87,17 @@ impl CheopsClient {
     /// Replace the manager-path retry policy (any attached call stats
     /// are kept).
     pub fn set_retry(&mut self, policy: RetryPolicy) {
-        let stats = self.opts.stats.take();
-        self.opts = CallOptions::retry(policy);
-        self.opts.stats = stats;
+        self.link.set_retry(policy);
     }
 
     /// Replace the full manager-path call options (policy, per-attempt
     /// timeout and stats) in one shot.
     pub fn set_call_options(&mut self, opts: CallOptions) {
-        self.opts = opts;
+        self.link.set_call_options(opts);
     }
 
-    /// Call the manager per the client's [`CallOptions`]; disconnection
-    /// fails fast (managers do not restart).
     fn call_mgr(&self, req: CheopsRequest) -> Result<CheopsResponse, FmError> {
-        match self.mgr.call_with(req, &self.opts) {
-            Ok(resp) => Ok(resp),
-            Err(RpcError::TimedOut) => Err(FmError::Unavailable {
-                attempts: self.opts.policy.max_attempts.max(1),
-            }),
-            Err(RpcError::Disconnected) => Err(FmError::Transport),
-        }
+        self.link.call(&self.mgr, req)
     }
 
     /// Create a logical object.
@@ -286,22 +276,7 @@ impl CheopsClient {
                     .fleet
                     .by_id(col.primary.drive)
                     .ok_or(FmError::Transport)
-                    .and_then(|ep| {
-                        ep.call(
-                            retry_cap,
-                            RequestBody::Read {
-                                partition: col.primary.partition,
-                                object: col.primary.object,
-                                offset: run.local_offset,
-                                len: run.len,
-                            },
-                            Bytes::new(),
-                        )
-                    })
-                    .and_then(|body| match body {
-                        ReplyBody::Data(d) => Ok(d),
-                        _ => Err(FmError::Drive(NasdStatus::DriveError)),
-                    }),
+                    .and_then(|ep| ep.read(retry_cap, run.local_offset, run.len)),
             };
             let data = match primary {
                 Ok(d) => d,
@@ -310,19 +285,7 @@ impl CheopsClient {
                     // reconstruction.
                     if let (Some(m), Some(mcap)) = (col.mirror, file.mirror_cap(run.column)) {
                         let ep = self.fleet.by_id(m.drive).ok_or(FmError::Transport)?;
-                        match ep.call(
-                            mcap,
-                            RequestBody::Read {
-                                partition: m.partition,
-                                object: m.object,
-                                offset: run.local_offset,
-                                len: run.len,
-                            },
-                            Bytes::new(),
-                        )? {
-                            ReplyBody::Data(d) => d,
-                            _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-                        }
+                        ep.read(mcap, run.local_offset, run.len)?
                     } else if file.layout.parity.is_some() {
                         self.reconstruct_run(file, run.column, run.local_offset, run.len)?
                     } else {
@@ -421,20 +384,7 @@ impl CheopsClient {
                     .fleet
                     .by_id(component.drive)
                     .ok_or(FmError::Transport)?;
-                let len = chunk.len() as u64;
-                match ep.call(
-                    cap,
-                    RequestBody::Write {
-                        partition: component.partition,
-                        object: component.object,
-                        offset: local_offset,
-                        len,
-                    },
-                    chunk,
-                )? {
-                    ReplyBody::Written(_) => {}
-                    _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-                }
+                ep.write(cap, local_offset, chunk)?;
             }
         }
         Ok(data.len() as u64)
@@ -454,19 +404,7 @@ impl CheopsClient {
             .fleet
             .by_id(component.drive)
             .ok_or(FmError::Transport)?;
-        let data = match ep.call(
-            cap,
-            RequestBody::Read {
-                partition: component.partition,
-                object: component.object,
-                offset,
-                len,
-            },
-            Bytes::new(),
-        )? {
-            ReplyBody::Data(d) => d,
-            _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-        };
+        let data = ep.read(cap, offset, len)?;
         let mut out = vec![0u8; len as usize];
         // Parity XOR needs an owned zero-padded buffer; degraded path only.
         data.copy_to(&mut out);
@@ -522,34 +460,11 @@ impl CheopsClient {
         }
 
         let ep = self.fleet.by_id(col.drive).ok_or(FmError::Transport)?;
-        match ep.call(
-            cap,
-            RequestBody::Write {
-                partition: col.partition,
-                object: col.object,
-                offset: local_offset,
-                len,
-            },
-            // nasd-lint: allow(hot-path-copy, "parity RMW write ingests the caller slice as owned request payload")
-            Bytes::copy_from_slice(new_data),
-        )? {
-            ReplyBody::Written(_) => {}
-            _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-        }
+        // nasd-lint: allow(hot-path-copy, "parity RMW write ingests the caller slice as owned request payload")
+        ep.write(cap, local_offset, Bytes::copy_from_slice(new_data))?;
         let pep = self.fleet.by_id(parity.drive).ok_or(FmError::Transport)?;
-        match pep.call(
-            pcap,
-            RequestBody::Write {
-                partition: parity.partition,
-                object: parity.object,
-                offset: local_offset,
-                len,
-            },
-            Bytes::from(new_parity),
-        )? {
-            ReplyBody::Written(_) => Ok(()),
-            _ => Err(FmError::Drive(NasdStatus::DriveError)),
-        }
+        pep.write(pcap, local_offset, Bytes::from(new_parity))?;
+        Ok(())
     }
 
     /// Logical size: the maximum logical extent implied by any column's
@@ -579,30 +494,19 @@ impl CheopsClient {
         let mut size = 0u64;
         for (column, rx) in pending.into_iter().enumerate() {
             let col = file.column(column)?;
-            let body = match rx.map(|rx| rx.recv()) {
-                Some(Ok(reply)) if !reply.status.is_transient() => Self::check(reply)?,
+            let attrs = match rx.map(|rx| rx.recv()) {
+                Some(Ok(reply)) if !reply.status.is_transient() => match Self::check(reply)? {
+                    ReplyBody::Attr(a) => a,
+                    _ => return Err(FmError::Drive(NasdStatus::DriveError)),
+                },
                 // Lost or bounced: re-issue through the retrying path.
-                _ => {
-                    let ep = self
-                        .fleet
-                        .by_id(col.primary.drive)
-                        .ok_or(FmError::Transport)?;
-                    ep.call(
-                        file.primary_cap(column)?,
-                        RequestBody::GetAttr {
-                            partition: col.primary.partition,
-                            object: col.primary.object,
-                        },
-                        Bytes::new(),
-                    )?
-                }
+                _ => self
+                    .fleet
+                    .by_id(col.primary.drive)
+                    .ok_or(FmError::Transport)?
+                    .get_attr(file.primary_cap(column)?)?,
             };
-            match body {
-                ReplyBody::Attr(a) => {
-                    size = size.max(file.layout.logical_size_from_component(column, a.size));
-                }
-                _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-            }
+            size = size.max(file.layout.logical_size_from_component(column, attrs.size));
         }
         Ok(size)
     }

@@ -18,10 +18,11 @@
 use crate::dirfmt::{decode_dir, DirRecord};
 use crate::drives::DriveFleet;
 use crate::handle::{FileHandle, FmAttrs, FmError};
+use crate::link::ManagerLink;
 use crate::nfs::DEFAULT_TTL;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, RpcError, ServiceHandle};
+use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
 use nasd_proto::{ByteRange, Capability, Rights, Version};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -417,7 +418,7 @@ pub struct AfsClient {
     callbacks: Receiver<CallbackEvent>,
     /// Local whole-file cache, validity guarded by callbacks (AFS-style).
     cache: Mutex<HashMap<FileHandle, Bytes>>,
-    opts: CallOptions,
+    link: ManagerLink,
 }
 
 impl AfsClient {
@@ -429,20 +430,18 @@ impl AfsClient {
         fm: Channel<AfsRequest, AfsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> Result<Self, FmError> {
-        let opts = CallOptions::retry(RetryPolicy::control());
+        let link = ManagerLink::default();
         let (tx, rx) = unbounded();
-        match fm.call_with(
-            AfsRequest::Register {
-                client: id,
-                sender: tx,
-            },
-            &opts,
-        )? {
+        let register = AfsRequest::Register {
+            client: id,
+            sender: tx,
+        };
+        match link.call(&fm, register)? {
             AfsResponse::Ok => {}
             AfsResponse::Err(e) => return Err(e),
             _ => return Err(FmError::Transport),
         }
-        let root = match fm.call_with(AfsRequest::GetRoot, &opts)? {
+        let root = match link.call(&fm, AfsRequest::GetRoot)? {
             AfsResponse::Root(fh) => fh,
             AfsResponse::Err(e) => return Err(e),
             _ => return Err(FmError::Transport),
@@ -454,7 +453,7 @@ impl AfsClient {
             root,
             callbacks: rx,
             cache: Mutex::new(HashMap::new()),
-            opts,
+            link,
         })
     }
 
@@ -467,27 +466,17 @@ impl AfsClient {
     /// Replace the control-path retry policy (any attached call stats
     /// are kept).
     pub fn set_retry(&mut self, policy: RetryPolicy) {
-        let stats = self.opts.stats.take();
-        self.opts = CallOptions::retry(policy);
-        self.opts.stats = stats;
+        self.link.set_retry(policy);
     }
 
     /// Replace the full control-path call options (policy, per-attempt
     /// timeout and stats) in one shot.
     pub fn set_call_options(&mut self, opts: CallOptions) {
-        self.opts = opts;
+        self.link.set_call_options(opts);
     }
 
-    /// Call the file manager per the client's [`CallOptions`];
-    /// disconnection fails fast (managers do not restart).
     fn call_fm(&self, req: AfsRequest) -> Result<AfsResponse, FmError> {
-        match self.fm.call_with(req, &self.opts) {
-            Ok(resp) => Ok(resp),
-            Err(RpcError::TimedOut) => Err(FmError::Unavailable {
-                attempts: self.opts.policy.max_attempts.max(1),
-            }),
-            Err(RpcError::Disconnected) => Err(FmError::Transport),
-        }
+        self.link.call(&self.fm, req)
     }
 
     /// Drain pending callback breaks, invalidating cached copies.
@@ -504,8 +493,8 @@ impl AfsClient {
     ///
     /// # Errors
     ///
-    /// [`FmError`]; a blocked callback surfaces as `Drive(AccessDenied)`
-    /// replacement — callers should retry after the returned time.
+    /// [`FmError`]; a fetch blocked on another client's callback
+    /// surfaces as [`FmError::Permission`] — callers should retry later.
     pub fn fetch_read(&self, fh: FileHandle) -> Result<(Capability, FmAttrs), FmError> {
         match self.call_fm(AfsRequest::FetchRead {
             client: self.id,

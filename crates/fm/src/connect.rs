@@ -94,3 +94,36 @@ impl FmConnect for Connector {
         AfsClient::attach(id, self.in_proc(fm), fleet)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{NasdAfs, NasdNfs};
+    use nasd_net::{FaultConfig, FaultPlan};
+    use nasd_object::DriveConfig;
+    use nasd_proto::PartitionId;
+
+    #[test]
+    fn timed_out_bootstrap_reads_as_unavailable() {
+        let fleet = Arc::new(
+            DriveFleet::spawn_memory(1, DriveConfig::small(), PartitionId(1), 16 << 20).unwrap(),
+        );
+        let drop_all = FaultConfig {
+            drop: 1.0,
+            ..FaultConfig::none()
+        };
+        let lossy = Connector::new().faults(FaultPlan::new(1).channel(9, drop_all));
+        // The very first manager exchange (`GetRoot` / `Register`) times
+        // out on every attempt: same error as any later call would give.
+        let (nfs, _h) = NasdNfs::new(Arc::clone(&fleet)).unwrap().spawn();
+        assert!(matches!(
+            lossy.nfs(nfs, Arc::clone(&fleet)),
+            Err(FmError::Unavailable { attempts: 3 })
+        ));
+        let (afs, _h) = NasdAfs::new(Arc::clone(&fleet), 1 << 20).unwrap().spawn();
+        assert!(matches!(
+            lossy.afs(1, afs, fleet),
+            Err(FmError::Unavailable { attempts: 3 })
+        ));
+    }
+}

@@ -14,12 +14,11 @@ use nasd_net::{
     spawn_service, BindAddr, CallOptions, Channel, ChannelFaults, Connector, FaultConfig,
     FaultPlan, RetryPolicy, Rpc, RpcError, ServiceHandle, WireServer,
 };
-use nasd_object::{DriveConfig, DriveFaultConfig, DriveSecurity, NasdDrive};
-use nasd_proto::wire::WireEncode;
+use nasd_object::{DriveConfig, DriveFaultConfig, NasdDrive};
 use nasd_proto::{
     ByteRange, Capability, CapabilityPublic, DriveId, NasdStatus, Nonce, ObjectAttributes,
     ObjectId, PartitionId, ProtectionLevel, Reply, ReplyBody, Request, RequestBody, Rights,
-    SecurityHeader, SetAttrMask, Version,
+    SetAttrMask, Version,
 };
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,8 +86,9 @@ impl DriveEndpoint {
     /// by `sign` with a fresh nonce, so a duplicate of an old attempt
     /// dies in the drive's replay window while the fresh one is
     /// accepted. Timeouts, disconnections (the drive may be restarting)
-    /// and transient [`NasdStatus::Busy`] bounces back off and retry.
-    fn call_signed(&self, mut sign: impl FnMut() -> Request) -> Result<Reply, FmError> {
+    /// and transient [`NasdStatus::Busy`] bounces back off and retry; any
+    /// other failure status ends the call as [`FmError::Drive`].
+    fn call_signed(&self, mut sign: impl FnMut() -> Request) -> Result<ReplyBody, FmError> {
         let policy = self.retry();
         let attempts = policy.max_attempts.max(1);
         for attempt in 0..attempts {
@@ -100,7 +100,8 @@ impl DriveEndpoint {
                 .call_with(sign(), &CallOptions::once(policy.timeout))
             {
                 Ok(reply) if reply.status.is_transient() => {}
-                Ok(reply) => return Ok(reply),
+                Ok(reply) if reply.status.is_ok() => return Ok(reply.body),
+                Ok(reply) => return Err(FmError::Drive(reply.status)),
                 Err(RpcError::TimedOut | RpcError::Disconnected) => {}
             }
         }
@@ -115,24 +116,14 @@ impl DriveEndpoint {
     /// `call_async` use — how the PFS client keeps all drives busy).
     #[must_use]
     pub fn sign(&self, cap: &Capability, body: RequestBody, data: Bytes) -> Request {
-        let nonce = self.next_nonce();
-        let digest = DriveSecurity::request_digest(
+        Request::signed(
             cap.private.as_bytes(),
-            nonce,
-            &body.to_wire(),
-            &data,
+            Some(cap.public.clone()),
             ProtectionLevel::ArgsIntegrity,
-        );
-        Request {
-            header: SecurityHeader {
-                protection: ProtectionLevel::ArgsIntegrity,
-                nonce,
-            },
-            capability: Some(cap.public.clone()),
+            self.next_nonce(),
             body,
-            digest,
             data,
-        }
+        )
     }
 
     /// Sign `body` + `data` under `cap` and call the drive, retrying
@@ -148,12 +139,7 @@ impl DriveEndpoint {
         body: RequestBody,
         data: Bytes,
     ) -> Result<ReplyBody, FmError> {
-        let reply = self.call_signed(|| self.sign(cap, body.clone(), data.clone()))?;
-        if reply.status.is_ok() {
-            Ok(reply.body)
-        } else {
-            Err(FmError::Drive(reply.status))
-        }
+        self.call_signed(|| self.sign(cap, body.clone(), data.clone()))
     }
 
     /// Mint a capability: the file-manager operation. `version` must be
@@ -169,19 +155,9 @@ impl DriveEndpoint {
         region: ByteRange,
         expires: u64,
     ) -> Capability {
-        let public = CapabilityPublic {
-            drive: self.id,
-            partition,
-            object,
-            version,
-            rights,
-            region,
-            expires,
-            key_kind: nasd_crypto::KeyKind::Gold,
-            min_protection: ProtectionLevel::ArgsIntegrity,
-        };
         let gold = self.hierarchy.partition_keys(partition.0, 0).gold;
-        public.mint(&gold)
+        CapabilityPublic::gold(self.id, partition, object, version, rights, region, expires)
+            .mint(&gold)
     }
 
     /// Mint a partition-level capability (create / list).
@@ -205,24 +181,14 @@ impl DriveEndpoint {
     /// Build an administratively signed request (drive-key authority)
     /// without sending it.
     fn sign_admin(&self, body: &RequestBody) -> Request {
-        let nonce = self.next_nonce();
-        let digest = DriveSecurity::request_digest(
+        Request::signed(
             self.hierarchy.drive().as_bytes(),
-            nonce,
-            &body.to_wire(),
-            &[],
+            None,
             ProtectionLevel::ArgsIntegrity,
-        );
-        Request {
-            header: SecurityHeader {
-                protection: ProtectionLevel::ArgsIntegrity,
-                nonce,
-            },
-            capability: None,
-            body: body.clone(),
-            digest,
-            data: Bytes::new(),
-        }
+            self.next_nonce(),
+            body.clone(),
+            Bytes::new(),
+        )
     }
 
     /// Administrative call authorized by the drive key, with the same
@@ -232,12 +198,7 @@ impl DriveEndpoint {
     ///
     /// Drive statuses and, after retries exhaust, [`FmError::Unavailable`].
     pub fn admin(&self, body: RequestBody) -> Result<ReplyBody, FmError> {
-        let reply = self.call_signed(|| self.sign_admin(&body))?;
-        if reply.status.is_ok() {
-            Ok(reply.body)
-        } else {
-            Err(FmError::Drive(reply.status))
-        }
+        self.call_signed(|| self.sign_admin(&body))
     }
 
     /// Cheap liveness probe: an administratively signed `ListObjects`
@@ -442,17 +403,24 @@ impl DriveEndpoint {
     }
 }
 
-/// Service loop for a drive: the shared `clock` is applied before every
-/// request (modelling loosely synchronized drive clocks).
+/// The drive service-loop body, in-proc and over sockets alike: apply the
+/// shared `clock` (modelling loosely synchronized drive clocks), then
+/// serve the request.
+fn serve_request<D: nasd_disk::BlockDevice>(
+    drive: &mut NasdDrive<D>,
+    clock: &AtomicU64,
+    req: &Request,
+) -> Reply {
+    drive.set_clock(clock.load(Ordering::Relaxed));
+    let (reply, _report) = drive.handle(req);
+    reply
+}
+
 fn spawn_rpc<D: nasd_disk::BlockDevice + 'static>(
     mut drive: NasdDrive<D>,
     clock: Arc<AtomicU64>,
 ) -> (Rpc<Request, Reply>, ServiceHandle) {
-    spawn_service(move |req: Request| {
-        drive.set_clock(clock.load(Ordering::Relaxed));
-        let (reply, _report) = drive.handle(&req);
-        reply
-    })
+    spawn_service(move |req: Request| serve_request(&mut drive, &clock, &req))
 }
 
 /// Spawn `drive` as a threaded service; the shared `clock` is applied to
@@ -511,10 +479,7 @@ pub fn serve_drive_socket<D: nasd_disk::BlockDevice + 'static>(
     let hierarchy = drive.hierarchy().clone();
     let guarded = Mutex::new(drive);
     let server = nasd_net::serve(addr, workers, move |req: Request| {
-        let mut d = guarded.lock();
-        d.set_clock(clock.load(Ordering::Relaxed));
-        let (reply, _report) = d.handle(&req);
-        reply
+        serve_request(&mut guarded.lock(), &clock, &req)
     })?;
     let channel = connector.dial(server.addr())?;
     Ok((server, DriveEndpoint::over(id, channel, hierarchy)))

@@ -130,12 +130,6 @@ impl From<NasdStatus> for FmError {
     }
 }
 
-impl From<nasd_net::RpcError> for FmError {
-    fn from(_: nasd_net::RpcError) -> Self {
-        FmError::Transport
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,6 +30,7 @@ mod connect;
 mod dirfmt;
 mod drives;
 mod handle;
+mod link;
 mod nfs;
 mod server;
 mod shard;
@@ -39,5 +40,6 @@ pub use connect::FmConnect;
 pub use dirfmt::{decode_dir, encode_dir, DirRecord};
 pub use drives::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet};
 pub use handle::{FileHandle, FileType, FmAttrs, FmError};
+pub use link::ManagerLink;
 pub use nfs::{CapCacheStats, NasdNfs, NfsClient, NfsFile, NfsRequest, NfsResponse};
 pub use server::{NfsServer, ServerRequest, ServerResponse};

@@ -10,9 +10,10 @@
 use crate::dirfmt::{decode_dir, encode_dir, DirRecord};
 use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
+use crate::link::ManagerLink;
 use crate::shard::FmShared;
 use bytes::{ByteRope, Bytes};
-use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, RpcError, ServiceHandle};
+use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
 use nasd_obs::{Counter, Registry};
 use nasd_proto::{
     route_hash, shard_index, ByteRange, Capability, NasdStatus, ObjectAttributes, RequestBody,
@@ -511,11 +512,16 @@ impl NasdNfs {
         }
     }
 
+    /// One service loop over the shared manager — the body every shard
+    /// (and the unsharded manager, which is one shard) runs.
+    fn serve(self: Arc<Self>) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
+        spawn_service(move |req| self.handle(req))
+    }
+
     /// Spawn the manager as a threaded service.
     #[must_use]
     pub fn spawn(self) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
-        let fm = Arc::new(self);
-        spawn_service(move |req| fm.handle(req))
+        Arc::new(self).serve()
     }
 
     /// Spawn the manager as `shards` independent service loops sharing
@@ -531,12 +537,7 @@ impl NasdNfs {
         shards: usize,
     ) -> (Vec<Rpc<NfsRequest, NfsResponse>>, Vec<ServiceHandle>) {
         let fm = Arc::new(self);
-        (0..shards.max(1))
-            .map(|_| {
-                let fm = Arc::clone(&fm);
-                spawn_service(move |req| fm.handle(req))
-            })
-            .unzip()
+        (0..shards.max(1)).map(|_| Arc::clone(&fm).serve()).unzip()
     }
 }
 
@@ -685,7 +686,7 @@ pub struct NfsClient {
     shards: Vec<Channel<NfsRequest, NfsResponse>>,
     fleet: Arc<DriveFleet>,
     root: FileHandle,
-    opts: CallOptions,
+    link: ManagerLink,
     cache: Option<CapCache>,
 }
 
@@ -706,9 +707,9 @@ impl NfsClient {
         shards: Vec<Channel<NfsRequest, NfsResponse>>,
         fleet: Arc<DriveFleet>,
     ) -> Result<Self, FmError> {
-        let opts = CallOptions::retry(RetryPolicy::control());
+        let link = ManagerLink::default();
         let first = shards.first().ok_or(FmError::Transport)?;
-        let root = match first.call_with(NfsRequest::GetRoot, &opts)? {
+        let root = match link.call(first, NfsRequest::GetRoot)? {
             NfsResponse::Root(fh, _) => fh,
             NfsResponse::Err(e) => return Err(e),
             _ => return Err(FmError::Transport),
@@ -717,7 +718,7 @@ impl NfsClient {
             shards,
             fleet,
             root,
-            opts,
+            link,
             cache: None,
         })
     }
@@ -770,15 +771,13 @@ impl NfsClient {
     /// Replace the control-path retry policy (any attached call stats
     /// are kept).
     pub fn set_retry(&mut self, policy: RetryPolicy) {
-        let stats = self.opts.stats.take();
-        self.opts = CallOptions::retry(policy);
-        self.opts.stats = stats;
+        self.link.set_retry(policy);
     }
 
     /// Replace the full control-path call options (policy, per-attempt
     /// timeout and stats) in one shot.
     pub fn set_call_options(&mut self, opts: CallOptions) {
-        self.opts = opts;
+        self.link.set_call_options(opts);
     }
 
     fn call(&self, req: NfsRequest) -> Result<NfsResponse, FmError> {
@@ -788,14 +787,9 @@ impl NfsClient {
             .get(shard)
             .or_else(|| self.shards.first())
             .ok_or(FmError::Transport)?;
-        match ch.call_with(req, &self.opts) {
-            Ok(NfsResponse::Err(e)) => Err(e),
-            Ok(other) => Ok(other),
-            Err(RpcError::TimedOut) => Err(FmError::Unavailable {
-                attempts: self.opts.policy.max_attempts.max(1),
-            }),
-            // A manager, unlike a drive, does not restart: fail fast.
-            Err(RpcError::Disconnected) => Err(FmError::Transport),
+        match self.link.call(ch, req)? {
+            NfsResponse::Err(e) => Err(e),
+            other => Ok(other),
         }
     }
 

@@ -70,8 +70,8 @@ const SPECS: &[Spec] = &[
                 label: "wire encode (impl WireEncode)",
                 kind: RegionKind::ImplFor("WireEncode"),
             },
-            // The borrowed `impl WireDecode` is a thin copy-in wrapper;
-            // the real decode arms live in `ReplyBody::decode_owned`.
+            // Replies decode only from an owned receive buffer: the
+            // decode arms live in `ReplyBody::decode_owned`.
             Region {
                 label: "wire decode (ReplyBody::decode_owned)",
                 kind: RegionKind::Fn("decode_owned"),

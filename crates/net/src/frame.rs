@@ -15,7 +15,7 @@
 //!
 //! Copy discipline: the receive path reads each frame into exactly one
 //! buffer and hands it out as [`Bytes`], so decoders can take O(1)
-//! slice views of it ([`Reply::decode_owned`]). The send path never
+//! slice views of it ([`Reply::from_wire_shared`]). The send path never
 //! glues: [`FrameBuf`] carries the 12-byte header, the encoded head and
 //! the payload segments as separate pieces, and [`write_frames`] pushes
 //! them (batched across frames) through a single vectored

@@ -7,20 +7,19 @@
 //! message flow (every byte still crosses a serialized channel as a
 //! `Request`/`Reply` value) without the 1998 protocol stack.
 //!
-//! The transport is fault-aware: an [`Rpc`] handle built with
-//! [`Rpc::with_faults`] consults its [`ChannelFaults`] injector on every
-//! call and can lose, duplicate, or delay messages per the seeded
-//! [`crate::FaultPlan`]. A lost message surfaces as
-//! [`RpcError::TimedOut`] — the client cannot distinguish a dropped
+//! [`Rpc`] carries no fault logic: seeded message loss, duplication and
+//! delay are applied by the decorator behind
+//! [`Channel::with_faults`](crate::Channel::with_faults), identically
+//! over this transport and over sockets. A lost message surfaces there
+//! as [`RpcError::TimedOut`] — the client cannot distinguish a dropped
 //! request from a dropped reply, exactly as on a real network.
 
-use crate::fault::{ChannelFaults, FaultAction};
 use crate::options::CallOptions;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::transport::Transport;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Transport-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,14 +50,12 @@ enum Envelope<Req, Resp> {
 /// Client handle to a threaded service. Cloneable; calls from any thread.
 pub struct Rpc<Req, Resp> {
     tx: Sender<Envelope<Req, Resp>>,
-    faults: Option<Arc<ChannelFaults>>,
 }
 
 impl<Req, Resp> Clone for Rpc<Req, Resp> {
     fn clone(&self) -> Self {
         Rpc {
             tx: self.tx.clone(),
-            faults: self.faults.clone(),
         }
     }
 }
@@ -69,89 +66,7 @@ impl<Req, Resp> fmt::Debug for Rpc<Req, Resp> {
     }
 }
 
-/// Fate of a dispatched request, after fault injection.
-enum Ticket<Resp> {
-    /// Request delivered; wait on this receiver.
-    Wait(Receiver<Resp>),
-    /// Request delivered but the reply will be discarded (lost on the
-    /// way back); wait so the service finishes, then report a timeout.
-    WaitDiscard(Receiver<Resp>),
-    /// Request lost before delivery.
-    Lost,
-}
-
-impl<Req, Resp> Rpc<Req, Resp> {
-    /// A handle that consults `faults` on every call. The underlying
-    /// service is shared with `self`; only this handle's traffic is
-    /// subject to injection.
-    #[must_use]
-    pub fn with_faults(&self, faults: Arc<ChannelFaults>) -> Rpc<Req, Resp> {
-        Rpc {
-            tx: self.tx.clone(),
-            faults: Some(faults),
-        }
-    }
-}
-
 impl<Req: Send + Clone + 'static, Resp: Send + 'static> Rpc<Req, Resp> {
-    fn dispatch(&self, req: Req) -> Result<Ticket<Resp>, RpcError> {
-        let action = match &self.faults {
-            Some(f) => f.next_action(),
-            None => FaultAction::Deliver,
-        };
-        match action {
-            FaultAction::DropRequest => Ok(Ticket::Lost),
-            FaultAction::DelayMicros(us) => {
-                crate::pacing::pace(Duration::from_micros(us));
-                self.send_one(req).map(Ticket::Wait)
-            }
-            FaultAction::Duplicate => {
-                // Two independent deliveries of the same message; the
-                // caller listens to the first. For signed drive traffic
-                // the second delivery trips the replay window.
-                let rx = self.send_one(req.clone())?;
-                // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller waits on the first delivery")
-                let _ = self.send_one(req);
-                Ok(Ticket::Wait(rx))
-            }
-            FaultAction::DropReply => self.send_one(req).map(Ticket::WaitDiscard),
-            FaultAction::Deliver => self.send_one(req).map(Ticket::Wait),
-        }
-    }
-
-    fn send_one(&self, req: Req) -> Result<Receiver<Resp>, RpcError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx
-            .send(Envelope::Call(req, reply_tx))
-            .map_err(|_| RpcError::Disconnected)?;
-        Ok(reply_rx)
-    }
-
-    /// One transport attempt: dispatch through fault injection, then wait
-    /// for the reply — bounded by `timeout` when given, forever otherwise.
-    pub(crate) fn attempt_once(
-        &self,
-        req: Req,
-        timeout: Option<Duration>,
-    ) -> Result<Resp, RpcError> {
-        let wait = |rx: Receiver<Resp>| match timeout {
-            None => rx.recv().map_err(|_| RpcError::Disconnected),
-            Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-                RecvTimeoutError::Timeout => RpcError::TimedOut,
-                RecvTimeoutError::Disconnected => RpcError::Disconnected,
-            }),
-        };
-        match self.dispatch(req)? {
-            Ticket::Wait(rx) => wait(rx),
-            Ticket::WaitDiscard(rx) => {
-                // nasd-lint: allow(swallowed-error, "fault injection: the reply is discarded by design; waiting only sequences the service")
-                let _ = wait(rx);
-                Err(RpcError::TimedOut)
-            }
-            Ticket::Lost => Err(RpcError::TimedOut),
-        }
-    }
-
     /// The unified call path: attempts, backoff, per-attempt timeout and
     /// metrics all come from `opts`. Timeouts are retried (when the
     /// policy grants more attempts); [`RpcError::Disconnected`] is
@@ -163,57 +78,25 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Rpc<Req, Resp> {
     ///
     /// # Errors
     ///
-    /// [`RpcError::TimedOut`] when every attempt timed out (or injected
-    /// faults lost a single blocking attempt's message);
+    /// [`RpcError::TimedOut`] when every attempt timed out;
     /// [`RpcError::Disconnected`] as soon as the service is gone.
     pub fn call_with(&self, req: Req, opts: &CallOptions) -> Result<Resp, RpcError> {
-        crate::transport::retry_loop(req, opts, false, |r, t| self.attempt_once(r, t))
+        crate::transport::retry_loop(req, opts, false, |r, t| self.attempt(r, t))
     }
 
     /// Fire a request without waiting; returns a receiver for the reply
     /// (lets a client pipeline requests to many services — how the PFS
     /// client reads all stripe units of a request in parallel).
     ///
-    /// Under fault injection a lost message yields a receiver whose
-    /// reply never arrives (its sender is gone) — receive with a timeout
-    /// when faults may be active.
-    ///
     /// # Errors
     ///
     /// [`RpcError::Disconnected`] if the service has stopped.
     pub fn call_async(&self, req: Req) -> Result<Receiver<Resp>, RpcError> {
-        let action = match &self.faults {
-            Some(f) => f.next_action(),
-            None => FaultAction::Deliver,
-        };
-        match action {
-            FaultAction::Deliver => self.send_one(req),
-            FaultAction::DelayMicros(us) => {
-                crate::pacing::pace(Duration::from_micros(us));
-                self.send_one(req)
-            }
-            FaultAction::Duplicate => {
-                let rx = self.send_one(req.clone())?;
-                // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller waits on the first delivery")
-                let _ = self.send_one(req);
-                Ok(rx)
-            }
-            FaultAction::DropRequest => {
-                // Never sent: hand back a receiver whose sender is gone.
-                let (_, rx) = bounded(1);
-                Ok(rx)
-            }
-            FaultAction::DropReply => {
-                // Delivered and processed, but the reply channel the
-                // caller holds is not the one the service answers on.
-                let (reply_tx, _) = bounded(1);
-                self.tx
-                    .send(Envelope::Call(req, reply_tx))
-                    .map_err(|_| RpcError::Disconnected)?;
-                let (_, rx) = bounded(1);
-                Ok(rx)
-            }
-        }
+        let (reply_tx, reply_rx) = bounded(1);
+        self.tx
+            .send(Envelope::Call(req, reply_tx))
+            .map_err(|_| RpcError::Disconnected)?;
+        Ok(reply_rx)
     }
 }
 
@@ -307,7 +190,7 @@ where
     });
     let stop_tx = tx.clone();
     (
-        Rpc { tx, faults: None },
+        Rpc { tx },
         ServiceHandle {
             stop: Some(Box::new(move || {
                 // nasd-lint: allow(swallowed-error, "failure means the loop already exited; shutdown's join still observes the thread's fate")
@@ -323,6 +206,8 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
+    use crate::transport::Channel;
+    use std::time::Duration;
 
     #[test]
     fn call_roundtrip() {
@@ -446,39 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_requests_surface_as_timeouts_and_retry_recovers() {
-        let plan = FaultPlan::new(42);
-        let config = FaultConfig {
-            drop: 0.5,
-            ..FaultConfig::none()
-        };
-        let (rpc, _h) = spawn_service(|x: u64| x + 1);
-        let faulty = rpc.with_faults(plan.channel(1, config));
-        let policy = RetryPolicy {
-            max_attempts: 32,
-            timeout: Duration::from_millis(100),
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        };
-        let mut timeouts = 0;
-        for i in 0..50 {
-            // Every individual call either succeeds or times out...
-            match faulty.call_with(i, &CallOptions::blocking()) {
-                Ok(v) => assert_eq!(v, i + 1),
-                Err(RpcError::TimedOut) => timeouts += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-            // ...and the retry wrapper always gets through at 50% loss.
-            assert_eq!(
-                faulty.call_with(i, &CallOptions::retry(policy)).unwrap(),
-                i + 1
-            );
-        }
-        assert!(timeouts > 0, "the seed should drop some of 50 calls");
-        assert!(!plan.trace().is_empty());
-    }
-
-    #[test]
     fn call_with_records_stats() {
         use nasd_obs::Registry;
         let registry = Registry::new();
@@ -488,7 +340,7 @@ mod tests {
             ..FaultConfig::none()
         };
         let (rpc, _h) = spawn_service(|x: u64| x + 1);
-        let faulty = rpc.with_faults(plan.channel(1, config));
+        let faulty = Channel::in_proc(rpc).with_faults(plan.channel(1, config));
         let opts = CallOptions::retry(RetryPolicy {
             max_attempts: 32,
             timeout: Duration::from_millis(100),
@@ -527,30 +379,6 @@ mod tests {
             rpc.call_with(1, &CallOptions::retry(RetryPolicy::standard())),
             Err(RpcError::Disconnected)
         );
-    }
-
-    #[test]
-    fn duplicated_calls_still_answer_the_caller() {
-        let plan = FaultPlan::new(7);
-        let config = FaultConfig {
-            duplicate: 1.0,
-            ..FaultConfig::none()
-        };
-        let (rpc, _h) = spawn_service({
-            let mut hits = 0u64;
-            move |(): ()| {
-                hits += 1;
-                hits
-            }
-        });
-        let faulty = rpc.with_faults(plan.channel(1, config));
-        // Every call is duplicated: the service sees two deliveries but
-        // the caller gets exactly one answer.
-        let first = faulty.call_with((), &CallOptions::blocking()).unwrap();
-        assert_eq!(first, 1);
-        // Drain: by the next exchange the duplicate has also run.
-        let second = rpc.call_with((), &CallOptions::blocking()).unwrap();
-        assert!(second >= 3, "duplicate delivery should have run: {second}");
     }
 
     #[test]

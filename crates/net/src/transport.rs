@@ -174,7 +174,7 @@ pub(crate) fn retry_loop<Req: Clone, Resp>(
 
 impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp> for Rpc<Req, Resp> {
     fn attempt(&self, req: Req, timeout: Option<Duration>) -> Result<Resp, RpcError> {
-        self.attempt_once(req, timeout)
+        Transport::call_async(self, req)?.wait(timeout)
     }
 
     fn call_async(&self, req: Req) -> Result<Pending<Resp>, RpcError> {
@@ -229,8 +229,7 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Channel<Req, Resp> {
     /// A handle whose traffic is subject to seeded connection-level
     /// fault injection. Works over any transport: the decorator drops,
     /// duplicates and delays whole requests/replies per the plan's
-    /// deterministic schedule, exactly as [`Rpc::with_faults`] always
-    /// did for in-process channels.
+    /// deterministic schedule — the stack's only fault injector.
     #[must_use]
     pub fn with_faults(&self, faults: Arc<ChannelFaults>) -> Self {
         Channel {
@@ -280,9 +279,8 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Channel<Req, Resp> {
 }
 
 /// Connection-level fault decorator: applies one seeded [`FaultAction`]
-/// per request, then delegates to the wrapped transport. Mirrors the
-/// in-channel injection [`Rpc`] performs, so the same plan produces the
-/// same realized schedule over any transport.
+/// per request, then delegates to the wrapped transport, so the same
+/// plan produces the same realized schedule over any transport.
 struct FaultTransport<Req, Resp> {
     inner: Arc<dyn Transport<Req, Resp>>,
     faults: Arc<ChannelFaults>,
@@ -417,34 +415,6 @@ mod tests {
         }
         assert!(timeouts > 0, "the seed should drop some of 50 calls");
         assert!(!plan.trace().is_empty());
-    }
-
-    #[test]
-    fn channel_fault_schedule_matches_rpc_fault_schedule() {
-        // The decorator consults the same (seed, target, seq) stream as
-        // the legacy in-channel injection, so a chaos seed produces the
-        // identical realized schedule through either path.
-        let config = FaultConfig::lossy(1.0);
-        let via_rpc = {
-            let plan = FaultPlan::new(9);
-            let (rpc, _h) = spawn_service(|x: u64| x);
-            let faulty = rpc.with_faults(plan.channel(3, config));
-            for i in 0..100 {
-                // Outcome irrelevant: the consumed fault schedule is the point.
-                let _ = faulty.call_with(i, &CallOptions::once(Duration::from_millis(50)));
-            }
-            plan.trace()
-        };
-        let via_channel = {
-            let plan = FaultPlan::new(9);
-            let (rpc, _h) = spawn_service(|x: u64| x);
-            let ch = Channel::in_proc(rpc).with_faults(plan.channel(3, config));
-            for i in 0..100 {
-                let _ = ch.call_with(i, &CallOptions::once(Duration::from_millis(50)));
-            }
-            plan.trace()
-        };
-        assert_eq!(via_rpc, via_channel);
     }
 
     #[test]

@@ -34,11 +34,11 @@ pub struct DriveConfig {
     pub cache_blocks: usize,
     /// Whether capability verification is enforced.
     pub security_enabled: bool,
-    /// Write-through durability: checkpoint drive metadata and flush the
-    /// cache after every successful mutating request, so an acknowledged
-    /// write survives a power cycle ([`DriveBuilder::open`] recovers it).
-    /// Costs a metadata write per mutation; meant for crash testing and
-    /// durability-critical deployments, not throughput runs.
+    /// Durability: selects WAL commit-before-ack. Every successful
+    /// mutating request group-commits its write-ahead log records before
+    /// the reply leaves the drive, so an acknowledged write survives a
+    /// power cycle ([`DriveBuilder::open`] replays the log). Off, the
+    /// drive persists only at an explicit [`NasdDrive::checkpoint`].
     pub durable_writes: bool,
 }
 
@@ -68,7 +68,7 @@ impl DriveConfig {
         }
     }
 
-    /// This configuration with write-through durability enabled.
+    /// This configuration with WAL commit-before-ack enabled.
     #[must_use]
     pub fn durable(mut self) -> Self {
         self.durable_writes = true;
@@ -256,7 +256,7 @@ impl DriveBuilder {
         self
     }
 
-    /// Enable write-through durability (see [`DriveConfig::durable_writes`]).
+    /// Enable WAL commit-before-ack (see [`DriveConfig::durable_writes`]).
     #[must_use]
     pub fn durable(mut self) -> Self {
         self.config.durable_writes = true;
@@ -500,13 +500,6 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         self.faults.as_ref().map_or(0, |f| f.injected)
     }
 
-    /// Whether `body` changes drive state (used for write-through
-    /// durability). Delegates to the protocol-level mutation matrix,
-    /// which nasd-lint keeps exhaustive per variant.
-    fn is_mutating(body: &RequestBody) -> bool {
-        body.mutates()
-    }
-
     /// Handle one wire request — the drive's single entry point.
     pub fn handle(&mut self, req: &Request) -> (Reply, ServiceReport) {
         if let Some(state) = &mut self.faults {
@@ -544,7 +537,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         }
         let mut trace = IoTrace::default();
         let (mut reply, kind, bytes) = self.dispatch(req, &mut trace);
-        if self.durable_writes && reply.status.is_ok() && Self::is_mutating(&req.body) {
+        if self.durable_writes && reply.status.is_ok() && req.body.mutates() {
             // Ack implies durable: group-commit the op's write-ahead log
             // records (write payloads travel inside their records, so
             // replay regenerates the data blocks) before the reply
@@ -635,9 +628,13 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
                                 id.encode(&mut w);
                             }
                             let encoded = Bytes::from(w.into_vec());
-                            let start = (*offset as usize).min(encoded.len());
-                            let end = (*offset + *len).min(encoded.len() as u64) as usize;
-                            let window = encoded.slice(start..end.max(start));
+                            // Wire integers: clamp in u64 before narrowing,
+                            // so a hostile offset/len neither wraps nor
+                            // truncates; `start <= end <= encoded.len()`.
+                            let total = encoded.len() as u64;
+                            let start = (*offset).min(total);
+                            let end = offset.saturating_add(*len).min(total);
+                            let window = encoded.slice(start as usize..end as usize);
                             let n = window.len() as u64;
                             (
                                 Reply::ok(ReplyBody::Data(ByteRope::from(window))),
@@ -836,7 +833,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
                 kind,
                 wrapped_key,
             } => {
-                if let Err(s) = self.security.verify_setkey(req, now) {
+                if let Err(s) = self.security.verify_setkey(req) {
                     return (Reply::error(s), OpKind::Control, 0);
                 }
                 let Ok(bytes): Result<[u8; 32], _> = wrapped_key.as_slice().try_into() else {
@@ -892,43 +889,28 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         preallocate: u64,
     ) -> Result<ObjectId, NasdStatus> {
         let cap = self.issue_partition_capability(p, Rights::CREATE, 3_600);
-        let client = self.client(cap);
-        let (reply, _) = self.handle(&client.build(
-            RequestBody::Create {
-                partition: p,
-                preallocate,
-                cluster_with: None,
-            },
-            Bytes::new(),
-        ));
-        match (reply.status, reply.body) {
-            (NasdStatus::Ok, ReplyBody::Created(id)) => Ok(id),
-            (s, _) if !s.is_ok() => Err(s),
+        let body = RequestBody::Create {
+            partition: p,
+            preallocate,
+            cluster_with: None,
+        };
+        match self.client(cap).call(self, body, Bytes::new())? {
+            ReplyBody::Created(id) => Ok(id),
             _ => Err(NasdStatus::DriveError),
         }
+    }
+
+    /// Sign a capability-less control request under `key` as `signer`.
+    fn keyed_request(&self, signer: u64, key: &SecretKey, body: RequestBody) -> Request {
+        let nonce = Nonce::new(signer, self.issue_nonce.replace(self.issue_nonce.get() + 1));
+        let protection = ProtectionLevel::ArgsIntegrity;
+        Request::signed(key.as_bytes(), None, protection, nonce, body, Bytes::new())
     }
 
     /// Build a drive-key-authorized administrative request.
     #[must_use]
     pub fn admin_request(&self, body: RequestBody) -> Request {
-        let nonce = Nonce::new(0xad31, self.issue_nonce.replace(self.issue_nonce.get() + 1));
-        let digest = DriveSecurity::request_digest(
-            self.hierarchy.drive().as_bytes(),
-            nonce,
-            &body.to_wire(),
-            &[],
-            ProtectionLevel::ArgsIntegrity,
-        );
-        Request {
-            header: nasd_proto::SecurityHeader {
-                protection: ProtectionLevel::ArgsIntegrity,
-                nonce,
-            },
-            capability: None,
-            body,
-            digest,
-            data: Bytes::new(),
-        }
+        self.keyed_request(0xad31, self.hierarchy.drive(), body)
     }
 
     /// Build a partition-key-authorized `SetKey` request.
@@ -941,24 +923,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
             wrapped_key: new_key.as_bytes().to_vec(),
         };
         let keys = self.hierarchy.partition_keys(p.0, 0);
-        let nonce = Nonce::new(0xad32, self.issue_nonce.replace(self.issue_nonce.get() + 1));
-        let digest = DriveSecurity::request_digest(
-            keys.partition.as_bytes(),
-            nonce,
-            &body.to_wire(),
-            &[],
-            ProtectionLevel::ArgsIntegrity,
-        );
-        Request {
-            header: nasd_proto::SecurityHeader {
-                protection: ProtectionLevel::ArgsIntegrity,
-                nonce,
-            },
-            capability: None,
-            body,
-            digest,
-            data: Bytes::new(),
-        }
+        self.keyed_request(0xad32, &keys.partition, body)
     }
 
     /// Mint a capability for an object, as the file manager would: rights
@@ -987,17 +952,8 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         ttl_secs: u64,
     ) -> Capability {
         let version = self.store.object_version(p, object).unwrap_or(Version(0));
-        let public = CapabilityPublic {
-            drive: self.id,
-            partition: p,
-            object,
-            version,
-            rights,
-            region,
-            expires: self.clock + ttl_secs,
-            key_kind: KeyKind::Gold,
-            min_protection: ProtectionLevel::ArgsIntegrity,
-        };
+        let expires = self.clock + ttl_secs;
+        let public = CapabilityPublic::gold(self.id, p, object, version, rights, region, expires);
         let key = self
             .security
             .working_key(p, KeyKind::Gold)
@@ -1007,7 +963,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
     }
 
     /// Mint a partition-level capability (create / list), which addresses
-    /// `ObjectId(0)` by convention.
+    /// the never-allocated `ObjectId(0)` (hence version 0) by convention.
     #[must_use]
     pub fn issue_partition_capability(
         &self,
@@ -1015,23 +971,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         rights: Rights,
         ttl_secs: u64,
     ) -> Capability {
-        let public = CapabilityPublic {
-            drive: self.id,
-            partition: p,
-            object: ObjectId(0),
-            version: Version(0),
-            rights,
-            region: ByteRange::FULL,
-            expires: self.clock + ttl_secs,
-            key_kind: KeyKind::Gold,
-            min_protection: ProtectionLevel::ArgsIntegrity,
-        };
-        let key = self
-            .security
-            .working_key(p, KeyKind::Gold)
-            .cloned()
-            .unwrap_or_else(|| self.hierarchy.partition_keys(p.0, 0).gold);
-        public.mint(&key)
+        self.issue_capability_region(p, ObjectId(0), rights, ByteRange::FULL, ttl_secs)
     }
 
     /// Create a client handle that signs requests with `capability`.
@@ -1089,23 +1029,14 @@ impl ClientHandle {
     #[must_use]
     pub fn build(&self, body: RequestBody, data: Bytes) -> Request {
         let nonce = Nonce::new(self.client_id, self.counter.replace(self.counter.get() + 1));
-        let digest = DriveSecurity::request_digest(
+        Request::signed(
             self.capability.private.as_bytes(),
-            nonce,
-            &body.to_wire(),
-            &data,
+            Some(self.capability.public.clone()),
             self.protection,
-        );
-        Request {
-            header: nasd_proto::SecurityHeader {
-                protection: self.protection,
-                nonce,
-            },
-            capability: Some(self.capability.public.clone()),
+            nonce,
             body,
-            digest,
             data,
-        }
+        )
     }
 
     fn target(&self) -> (PartitionId, ObjectId) {
@@ -1113,6 +1044,22 @@ impl ClientHandle {
             self.capability.public.partition,
             self.capability.public.object,
         )
+    }
+
+    /// Sign `body` + `data`, run them through the drive's full request
+    /// path, and split the reply on its status.
+    fn call<D: nasd_disk::BlockDevice>(
+        &self,
+        drive: &mut NasdDrive<D>,
+        body: RequestBody,
+        data: Bytes,
+    ) -> Result<ReplyBody, NasdStatus> {
+        let (reply, _) = drive.handle(&self.build(body, data));
+        if reply.status.is_ok() {
+            Ok(reply.body)
+        } else {
+            Err(reply.status)
+        }
     }
 
     /// Read object data through the drive's full request path. The
@@ -1130,19 +1077,14 @@ impl ClientHandle {
         len: u64,
     ) -> Result<ByteRope, NasdStatus> {
         let (partition, object) = self.target();
-        let req = self.build(
-            RequestBody::Read {
-                partition,
-                object,
-                offset,
-                len,
-            },
-            Bytes::new(),
-        );
-        let (reply, _) = drive.handle(&req);
-        match (reply.status, reply.body) {
-            (NasdStatus::Ok, ReplyBody::Data(d)) => Ok(d),
-            (s, _) if !s.is_ok() => Err(s),
+        let body = RequestBody::Read {
+            partition,
+            object,
+            offset,
+            len,
+        };
+        match self.call(drive, body, Bytes::new())? {
+            ReplyBody::Data(d) => Ok(d),
             _ => Err(NasdStatus::DriveError),
         }
     }
@@ -1159,20 +1101,15 @@ impl ClientHandle {
         data: &[u8],
     ) -> Result<u64, NasdStatus> {
         let (partition, object) = self.target();
-        let req = self.build(
-            RequestBody::Write {
-                partition,
-                object,
-                offset,
-                len: data.len() as u64,
-            },
-            // nasd-lint: allow(hot-path-copy, "client write ingest: borrowed caller slice becomes the owned request payload")
-            Bytes::copy_from_slice(data),
-        );
-        let (reply, _) = drive.handle(&req);
-        match (reply.status, reply.body) {
-            (NasdStatus::Ok, ReplyBody::Written(n)) => Ok(n),
-            (s, _) if !s.is_ok() => Err(s),
+        let body = RequestBody::Write {
+            partition,
+            object,
+            offset,
+            len: data.len() as u64,
+        };
+        // nasd-lint: allow(hot-path-copy, "client write ingest: borrowed caller slice becomes the owned request payload")
+        match self.call(drive, body, Bytes::copy_from_slice(data))? {
+            ReplyBody::Written(n) => Ok(n),
             _ => Err(NasdStatus::DriveError),
         }
     }
@@ -1187,11 +1124,12 @@ impl ClientHandle {
         drive: &mut NasdDrive<D>,
     ) -> Result<nasd_proto::ObjectAttributes, NasdStatus> {
         let (partition, object) = self.target();
-        let req = self.build(RequestBody::GetAttr { partition, object }, Bytes::new());
-        let (reply, _) = drive.handle(&req);
-        match (reply.status, reply.body) {
-            (NasdStatus::Ok, ReplyBody::Attr(a)) => Ok(a),
-            (s, _) if !s.is_ok() => Err(s),
+        match self.call(
+            drive,
+            RequestBody::GetAttr { partition, object },
+            Bytes::new(),
+        )? {
+            ReplyBody::Attr(a) => Ok(a),
             _ => Err(NasdStatus::DriveError),
         }
     }
@@ -1379,24 +1317,14 @@ mod tests {
             partition: PartitionId(9),
             quota: 1,
         };
-        let nonce = Nonce::new(5, 1);
-        let digest = DriveSecurity::request_digest(
+        let req = Request::signed(
             b"not the drive key",
-            nonce,
-            &body.to_wire(),
-            &[],
+            None,
             ProtectionLevel::ArgsIntegrity,
-        );
-        let req = Request {
-            header: nasd_proto::SecurityHeader {
-                protection: ProtectionLevel::ArgsIntegrity,
-                nonce,
-            },
-            capability: None,
+            Nonce::new(5, 1),
             body,
-            digest,
-            data: Bytes::new(),
-        };
+            Bytes::new(),
+        );
         let (reply, _) = d.handle(&req);
         assert_eq!(reply.status, NasdStatus::AccessDenied);
     }
@@ -1459,6 +1387,53 @@ mod tests {
         let cap = d.issue_capability(P, obj, Rights::NONE, 0);
         let c = ClientHandle::new(7, cap);
         assert!(c.read(&mut d, 0, 0).is_ok());
+    }
+
+    /// A security-off drive (the paper's §5.1 measurement configuration)
+    /// holding one 12-byte object, plus a handle whose capability the
+    /// drive will not check — so hostile wire integers reach the store.
+    fn unchecked_drive() -> (NasdDrive, ClientHandle) {
+        let mut config = DriveConfig::small();
+        config.security_enabled = false;
+        let mut d = NasdDrive::builder(1).config(config).build();
+        d.admin_create_partition(P, 1 << 20).unwrap();
+        let obj = d.admin_create_object(P, 0).unwrap();
+        let c = ClientHandle::new(7, d.issue_capability(P, obj, Rights::NONE, 0));
+        c.write(&mut d, 0, b"twelve bytes").unwrap();
+        (d, c)
+    }
+
+    #[test]
+    fn security_off_read_with_overflowing_len_is_clamped() {
+        let (mut d, c) = unchecked_drive();
+        assert_eq!(c.read(&mut d, 1, u64::MAX).unwrap(), b"welve bytes");
+    }
+
+    #[test]
+    fn security_off_write_past_u64_max_is_a_typed_error() {
+        let (mut d, c) = unchecked_drive();
+        // `offset + len` overflows; one byte short of it, the block
+        // count times the block size does.
+        for offset in [u64::MAX, u64::MAX - 1] {
+            assert_eq!(
+                c.write(&mut d, offset, b"x").unwrap_err(),
+                NasdStatus::NoSpace
+            );
+        }
+        // No state change: the object reads back as before.
+        assert_eq!(c.get_attr(&mut d).unwrap().size, 12);
+        assert_eq!(c.read(&mut d, 0, 64).unwrap(), b"twelve bytes");
+    }
+
+    #[test]
+    fn security_off_object_list_read_with_huge_offset_is_empty() {
+        let (mut d, _) = unchecked_drive();
+        let cap = d.issue_capability(P, nasd_proto::WELL_KNOWN_OBJECT_LIST, Rights::NONE, 0);
+        let c = ClientHandle::new(8, cap);
+        assert!(c.read(&mut d, u64::MAX, 2).unwrap().is_empty());
+        assert!(c.read(&mut d, 1 << 40, u64::MAX).unwrap().is_empty());
+        // In-range windows still come back.
+        assert_eq!(c.read(&mut d, 0, u64::MAX).unwrap().len(), 4 + 8);
     }
 
     #[test]

@@ -9,10 +9,7 @@
 
 use nasd_crypto::{DriveKeys, KeyKind, SecretKey};
 use nasd_proto::wire::WireEncode;
-use nasd_proto::{
-    DriveId, NasdStatus, Nonce, PartitionId, ProtectionLevel, Request, RequestDigest, Rights,
-    Version,
-};
+use nasd_proto::{DriveId, NasdStatus, PartitionId, Request, RequestDigest, Rights, Version};
 use std::collections::HashMap;
 
 /// Anti-replay window for one client, IPsec-style: a high-water counter
@@ -127,26 +124,29 @@ impl DriveSecurity {
         Ok(())
     }
 
-    /// Expected digest for a request: `HMAC(key, nonce || args [|| data])`.
-    /// Data is covered when the protection level demands it.
-    #[must_use]
-    pub fn request_digest(
+    /// The tail every verifier shares: recompute the digest under `key`,
+    /// then consult the replay window — last, so only genuine requests
+    /// consume nonces.
+    fn digest_then_replay(
+        replay: &mut HashMap<u64, ReplayWindow>,
         key: &[u8],
-        nonce: Nonce,
-        args: &[u8],
-        data: &[u8],
-        protection: ProtectionLevel,
-    ) -> RequestDigest {
-        let mut mac = nasd_crypto::HmacSha256::new(key);
-        // Identical bytes to `nonce.to_wire()` (two big-endian u64s),
-        // absorbed from the stack so the hot path does not allocate.
-        mac.update(&nonce.client.to_be_bytes());
-        mac.update(&nonce.counter.to_be_bytes());
-        mac.update(args);
-        if protection >= ProtectionLevel::DataIntegrity {
-            mac.update(data);
+        req: &Request,
+    ) -> Result<(), NasdStatus> {
+        let expected = RequestDigest::compute(
+            key,
+            req.header.nonce,
+            &req.body.to_wire(),
+            &req.data,
+            req.header.protection,
+        );
+        if !expected.verify(&req.digest) {
+            return Err(NasdStatus::AccessDenied);
         }
-        RequestDigest(mac.finalize())
+        let window = replay.entry(req.header.nonce.client).or_default();
+        if !window.accept(req.header.nonce.counter) {
+            return Err(NasdStatus::Replay);
+        }
+        Ok(())
     }
 
     /// Verify a capability-authorized request.
@@ -209,23 +209,7 @@ impl DriveSecurity {
             .working_key(cap.partition, cap.key_kind)
             .ok_or(NasdStatus::NoSuchPartition)?;
         let private = cap.private_under(key);
-        let expected = Self::request_digest(
-            private.as_bytes(),
-            req.header.nonce,
-            &req.body.to_wire(),
-            &req.data,
-            req.header.protection,
-        );
-        if !expected.verify(&req.digest) {
-            return Err(NasdStatus::AccessDenied);
-        }
-
-        // Replay window last: only genuine requests consume nonces.
-        let window = self.replay.entry(req.header.nonce.client).or_default();
-        if !window.accept(req.header.nonce.counter) {
-            return Err(NasdStatus::Replay);
-        }
-        Ok(())
+        Self::digest_then_replay(&mut self.replay, private.as_bytes(), req)
     }
 
     /// Verify a partition-administration request (`CreatePartition`,
@@ -242,21 +226,7 @@ impl DriveSecurity {
         if req.capability.is_some() {
             return Err(NasdStatus::BadRequest);
         }
-        let expected = Self::request_digest(
-            self.drive_key.as_bytes(),
-            req.header.nonce,
-            &req.body.to_wire(),
-            &req.data,
-            req.header.protection,
-        );
-        if !expected.verify(&req.digest) {
-            return Err(NasdStatus::AccessDenied);
-        }
-        let window = self.replay.entry(req.header.nonce.client).or_default();
-        if !window.accept(req.header.nonce.counter) {
-            return Err(NasdStatus::Replay);
-        }
-        Ok(())
+        Self::digest_then_replay(&mut self.replay, self.drive_key.as_bytes(), req)
     }
 
     /// Verify a `SetKey` request, which is authorized by the partition key
@@ -265,34 +235,18 @@ impl DriveSecurity {
     /// # Errors
     ///
     /// [`NasdStatus`] on verification failure.
-    pub fn verify_setkey(&mut self, req: &Request, now: u64) -> Result<(), NasdStatus> {
-        let _ = now;
+    pub fn verify_setkey(&mut self, req: &Request) -> Result<(), NasdStatus> {
         if !self.enabled {
             return Ok(());
         }
         if req.capability.is_some() {
             return Err(NasdStatus::BadRequest);
         }
-        let p = req.body.partition();
         let keys = self
             .partition_keys
-            .get(&p)
+            .get(&req.body.partition())
             .ok_or(NasdStatus::NoSuchPartition)?;
-        let expected = Self::request_digest(
-            keys.partition.as_bytes(),
-            req.header.nonce,
-            &req.body.to_wire(),
-            &req.data,
-            req.header.protection,
-        );
-        if !expected.verify(&req.digest) {
-            return Err(NasdStatus::AccessDenied);
-        }
-        let window = self.replay.entry(req.header.nonce.client).or_default();
-        if !window.accept(req.header.nonce.counter) {
-            return Err(NasdStatus::Replay);
-        }
-        Ok(())
+        Self::digest_then_replay(&mut self.replay, keys.partition.as_bytes(), req)
     }
 }
 

@@ -667,7 +667,9 @@ impl<D: BlockDevice> ObjectStore<D> {
             self.read_scratch = blocks;
             return Ok(ByteRope::new());
         }
-        let end = (offset + len).min(size);
+        // Wire integers: the window is clamped to the object anyway, so
+        // saturate rather than overflow on a hostile `len`.
+        let end = offset.saturating_add(len).min(size);
         let mut out = ByteRope::with_capacity((end - offset).div_ceil(bs as u64) as usize + 1);
         let mut pos = offset;
         while pos < end {
@@ -714,7 +716,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             return Ok(());
         }
         let grow = need_blocks - have;
-        if grow * bs > quota_room {
+        if grow.saturating_mul(bs) > quota_room {
             return Err(StoreError::NoSpace);
         }
         let new_blocks = self.allocate_blocks(grow, hint, trace)?;
@@ -747,7 +749,11 @@ impl<D: BlockDevice> ObjectStore<D> {
             return Ok(0);
         }
         let bs = self.block_size;
-        let end = offset + data.len() as u64;
+        // Wire integer: an end past u64::MAX can never be backed by
+        // capacity. Rejected before any state changes.
+        let end = offset
+            .checked_add(data.len() as u64)
+            .ok_or(StoreError::NoSpace)?;
         let (old_size, old_cap) = {
             let meta = self.object_mut(p, o)?;
             (meta.attrs.size, meta.blocks.len() as u64 * bs as u64)

@@ -78,6 +78,32 @@ pub struct CapabilityPublic {
 }
 
 impl CapabilityPublic {
+    /// The public portion every issuer in this stack grants: minted
+    /// under the gold working key, demanding argument integrity only
+    /// (the paper's measured mode).
+    #[must_use]
+    pub fn gold(
+        drive: DriveId,
+        partition: PartitionId,
+        object: ObjectId,
+        version: Version,
+        rights: Rights,
+        region: ByteRange,
+        expires: u64,
+    ) -> Self {
+        CapabilityPublic {
+            drive,
+            partition,
+            object,
+            version,
+            rights,
+            region,
+            expires,
+            key_kind: KeyKind::Gold,
+            min_protection: ProtectionLevel::ArgsIntegrity,
+        }
+    }
+
     /// Compute the private portion under `working_key`:
     /// `HMAC(working_key, encode(public))`.
     #[must_use]
@@ -160,10 +186,8 @@ impl Capability {
     /// `HMAC(private, nonce || args)`.
     #[must_use]
     pub fn sign_request(&self, nonce: Nonce, args: &[u8]) -> RequestDigest {
-        let mut keyed = nasd_crypto::HmacSha256::new(self.private.as_bytes());
-        keyed.update(&nonce.to_wire());
-        keyed.update(args);
-        RequestDigest(keyed.finalize())
+        let protection = ProtectionLevel::ArgsIntegrity;
+        RequestDigest::compute(self.private.as_bytes(), nonce, args, &[], protection)
     }
 }
 
@@ -182,6 +206,30 @@ impl fmt::Debug for Capability {
 pub struct RequestDigest(pub Digest);
 
 impl RequestDigest {
+    /// The request MAC of Figure 5: `HMAC(key, nonce || args [|| data])`.
+    /// Data is covered when the protection level demands it. `key` is a
+    /// capability's private field, or the drive / partition key for
+    /// administrative requests.
+    #[must_use]
+    pub fn compute(
+        key: &[u8],
+        nonce: Nonce,
+        args: &[u8],
+        data: &[u8],
+        protection: ProtectionLevel,
+    ) -> Self {
+        let mut mac = nasd_crypto::HmacSha256::new(key);
+        // Identical bytes to `nonce.to_wire()` (two big-endian u64s),
+        // absorbed from the stack so the hot path does not allocate.
+        mac.update(&nonce.client.to_be_bytes());
+        mac.update(&nonce.counter.to_be_bytes());
+        mac.update(args);
+        if protection >= ProtectionLevel::DataIntegrity {
+            mac.update(data);
+        }
+        RequestDigest(mac.finalize())
+    }
+
     /// Constant-time comparison with another digest.
     #[must_use]
     pub fn verify(&self, other: &RequestDigest) -> bool {

@@ -285,7 +285,7 @@ impl<'a> WireReader<'a> {
 /// as O(1) [`Bytes::slice`] windows of the one receive buffer instead of
 /// being re-copied.
 #[derive(Debug, Clone)]
-pub struct OwnedReader {
+pub(crate) struct OwnedReader {
     buf: bytes::Bytes,
     pos: usize,
 }
@@ -297,15 +297,8 @@ impl OwnedReader {
         OwnedReader { buf, pos: 0 }
     }
 
-    /// Bytes consumed so far.
-    #[must_use]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

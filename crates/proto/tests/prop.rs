@@ -253,25 +253,24 @@ proptest! {
     #[test]
     fn truncated_requests_error_cleanly(req in arb_request(), cut in any::<u64>()) {
         let wire = req.to_wire();
-        prop_assert_eq!(Request::from_wire(&wire).unwrap(), req);
+        prop_assert_eq!(Request::from_wire_shared(Bytes::from(wire.clone())).unwrap(), req);
         let cut = (cut % wire.len() as u64) as usize;
-        prop_assert!(Request::from_wire(&wire[..cut]).is_err());
+        prop_assert!(Request::from_wire_shared(Bytes::copy_from_slice(&wire[..cut])).is_err());
     }
 
     /// Same for replies: round-trip plus clean truncation failures.
     #[test]
     fn truncated_replies_error_cleanly(reply in arb_reply(), cut in any::<u64>()) {
         let wire = reply.to_wire();
-        prop_assert_eq!(Reply::from_wire(&wire).unwrap(), reply);
+        prop_assert_eq!(Reply::from_wire_shared(Bytes::from(wire.clone())).unwrap(), reply);
         let cut = (cut % wire.len() as u64) as usize;
-        prop_assert!(Reply::from_wire(&wire[..cut]).is_err());
+        prop_assert!(Reply::from_wire_shared(Bytes::copy_from_slice(&wire[..cut])).is_err());
     }
 
-    /// The zero-copy shared-buffer decoders agree with the borrowed ones
-    /// on every message, and Data payloads come out as O(1) views of the
-    /// receive buffer rather than fresh copies.
+    /// The shared-buffer decoders — the ones the sockets run — hand out
+    /// Data payloads as O(1) views of the receive buffer, never copies.
     #[test]
-    fn shared_decode_matches_borrowed(req in arb_request(), reply in arb_reply()) {
+    fn shared_decode_copies_no_payload(req in arb_request(), reply in arb_reply()) {
         let req_buf = Bytes::from(req.to_wire());
         prop_assert_eq!(Request::from_wire_shared(req_buf).unwrap(), req);
 
@@ -298,7 +297,7 @@ proptest! {
         let mut wire = req.to_wire();
         let i = (byte % wire.len() as u64) as usize;
         wire[i] ^= 1 << bit;
-        if let Ok(decoded) = Request::from_wire(&wire) {
+        if let Ok(decoded) = Request::from_wire_shared(Bytes::from(wire.clone())) {
             prop_assert_eq!(decoded.to_wire(), wire);
         }
     }
@@ -313,7 +312,7 @@ proptest! {
         let mut wire = reply.to_wire();
         let i = (byte % wire.len() as u64) as usize;
         wire[i] ^= 1 << bit;
-        if let Ok(decoded) = Reply::from_wire(&wire) {
+        if let Ok(decoded) = Reply::from_wire_shared(Bytes::from(wire.clone())) {
             prop_assert_eq!(decoded.to_wire(), wire);
         }
     }
@@ -322,8 +321,8 @@ proptest! {
     /// corrupt length prefixes must not force huge allocations).
     #[test]
     fn garbage_bytes_never_panic(buf in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Request::from_wire(&buf);
-        let _ = Reply::from_wire(&buf);
+        let _ = Request::from_wire_shared(Bytes::from(buf.clone()));
+        let _ = Reply::from_wire_shared(Bytes::from(buf.clone()));
         let _ = RequestBody::from_wire(&buf);
         let _ = CapabilityPublic::from_wire(&buf);
     }

@@ -205,7 +205,7 @@ fn nfs_workload_survives_seeded_chaos() {
         plan.set_enabled(false);
         fleet.set_faults(&plan, FaultConfig::lossy(0.4));
         let (fm, _h) = NasdNfs::new(Arc::clone(&fleet)).unwrap().spawn();
-        let fm = fm.with_faults(plan.channel(
+        let connector = Connector::new().faults(plan.channel(
             1_000,
             FaultConfig::delay_only(0.3, Duration::from_micros(400)),
         ));
@@ -214,9 +214,10 @@ fn nfs_workload_survives_seeded_chaos() {
         let mut joins = Vec::new();
         for t in 0..3u64 {
             let fm = fm.clone();
+            let connector = connector.clone();
             let fleet = Arc::clone(&fleet);
             joins.push(std::thread::spawn(move || {
-                let client = Connector::new().nfs(fm, fleet).unwrap();
+                let client = connector.nfs(fm, fleet).unwrap();
                 let dir = format!("/w{t}");
                 client.mkdir(&dir, 0o755, t as u32).unwrap();
                 for i in 0..4u64 {
@@ -276,19 +277,13 @@ fn afs_callbacks_survive_seeded_chaos() {
         plan.set_enabled(false);
         fleet.set_faults(&plan, FaultConfig::lossy(1.0));
         let (afs, _h) = NasdAfs::new(Arc::clone(&fleet), 8 << 20).unwrap().spawn();
-        let afs = afs.with_faults(plan.channel(
+        let connector = Connector::new().faults(plan.channel(
             2_000,
             FaultConfig::delay_only(0.25, Duration::from_micros(400)),
         ));
-        let writer = Connector::new()
-            .afs(1, afs.clone(), Arc::clone(&fleet))
-            .unwrap();
+        let writer = connector.afs(1, afs.clone(), Arc::clone(&fleet)).unwrap();
         let readers: Vec<AfsClient> = (2..5)
-            .map(|i| {
-                Connector::new()
-                    .afs(i, afs.clone(), Arc::clone(&fleet))
-                    .unwrap()
-            })
+            .map(|i| connector.afs(i, afs.clone(), Arc::clone(&fleet)).unwrap())
             .collect();
         plan.set_enabled(true);
 

@@ -4,11 +4,10 @@
 
 use bytes::Bytes;
 use nasd::crypto::SecretKey;
-use nasd::object::{ClientHandle, DriveSecurity, NasdDrive};
-use nasd::proto::wire::WireEncode;
+use nasd::object::{ClientHandle, NasdDrive};
 use nasd::proto::{
     ByteRange, CapabilityPublic, NasdStatus, Nonce, ObjectId, PartitionId, ProtectionLevel,
-    Request, RequestBody, Rights, SecurityHeader, Version,
+    Request, RequestBody, Rights, Version,
 };
 
 const P: PartitionId = PartitionId(1);
@@ -152,24 +151,15 @@ fn data_integrity_mode_detects_payload_tampering() {
         offset: 0,
         len: 8,
     };
-    let nonce = Nonce::new(51, 1);
-    let digest = DriveSecurity::request_digest(
+    let mut tampered = Request::signed(
         ep_cap.private.as_bytes(),
-        nonce,
-        &body.to_wire(),
-        b"original",
+        Some(ep_cap.public.clone()),
         ProtectionLevel::DataIntegrity,
-    );
-    let tampered = Request {
-        header: SecurityHeader {
-            protection: ProtectionLevel::DataIntegrity,
-            nonce,
-        },
-        capability: Some(ep_cap.public.clone()),
+        Nonce::new(51, 1),
         body,
-        digest,
-        data: Bytes::from_static(b"evil-byte"),
-    };
+        Bytes::from_static(b"original"),
+    );
+    tampered.data = Bytes::from_static(b"evil-byte");
     let (reply, _) = d.handle(&tampered);
     assert!(!reply.status.is_ok());
 }
