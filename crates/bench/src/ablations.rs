@@ -15,6 +15,7 @@
 //! 4. **Drive controller speed** (§4.4): the 200 MHz estimate is
 //!    "more than adequate" — service times across controller speeds.
 
+use crate::testbed;
 use nasd::disk::specs;
 use nasd::net::RpcCostModel;
 use nasd::object::{CostMeter, OpKind};
@@ -85,7 +86,7 @@ pub struct StripeAblationRow {
 #[must_use]
 pub fn stripe_sweep() -> Vec<StripeAblationRow> {
     let meter = CostMeter::new();
-    let drive_cpu = CpuModel::new(133.0, 2.2);
+    let drive_cpu = testbed::drive_cpu();
     let client_cpu_per_byte = 15.0; // receive + count, as in fig9
     let media_pair = 2.0 * specs::MEDALLIST.media_mb_s * 1e6; // bytes/s
     [64u64, 128, 256, 512, 1024, 2048]
@@ -128,7 +129,7 @@ pub struct SecurityAblationRow {
 /// function on a simple core); hardware keeps up with media rate.
 #[must_use]
 pub fn security_sweep() -> Vec<SecurityAblationRow> {
-    let cpu = CpuModel::new(200.0, 2.2);
+    let cpu = testbed::projected_drive_cpu();
     let meter = CostMeter::new();
     let piece = 512.0 * 1024.0;
     let base = meter

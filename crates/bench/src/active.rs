@@ -12,12 +12,12 @@
 //! megabytes; (b) the scan-rate model comparing the two configurations'
 //! effective bandwidth, network demand and hardware.
 
+use crate::testbed;
 use nasd::active::{on_drive::FrequentItemsCounter, ActiveDrive};
 use nasd::disk::specs;
 use nasd::mining::TransactionGenerator;
 use nasd::object::{DriveConfig, NasdDrive};
 use nasd::proto::{PartitionId, Rights};
-use nasd::sim::CpuModel;
 
 /// Drives in the comparison (the Figure 9 testbed).
 pub const NDRIVES: usize = 8;
@@ -45,7 +45,7 @@ fn pair_media_mb_s() -> f64 {
 /// The two configurations of §6.
 #[must_use]
 pub fn run() -> Vec<ActiveRow> {
-    let drive_cpu = CpuModel::new(133.0, 2.2);
+    let drive_cpu = testbed::drive_cpu();
     // On-drive counting rate: the 133 MHz drive CPU scanning at ~5
     // instructions/byte.
     let count_rate_mb_s = drive_cpu.mhz * 1e6 / drive_cpu.cpi / COUNT_INSTR_PER_BYTE / 1e6;

@@ -13,6 +13,7 @@
 //! the Figure 9 server costs), since 1998 wall-clock times cannot be
 //! measured on a simulator host.
 
+use crate::testbed;
 use bytes::Bytes;
 use nasd::fm::{DriveFleet, FmConnect, NasdNfs, NfsServer, ServerRequest, ServerResponse};
 use nasd::net::{CallOptions, Connector};
@@ -216,7 +217,7 @@ fn run_server(ndisks: usize) -> OpCounts {
 /// manager + drives and the NFS server ran on Alpha 3000/400-class
 /// hardware in §5.1 (unlike Figure 9's big server).
 fn serving_cpu() -> CpuModel {
-    CpuModel::new(133.0, 2.2)
+    testbed::drive_cpu()
 }
 
 /// Modeled elapsed time for the NASD-NFS run: control operations at the

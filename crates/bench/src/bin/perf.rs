@@ -13,51 +13,13 @@
 //! harness into a CI tripwire: exit non-zero when a cached 64 KiB read
 //! (in-proc or over the real UDS transport) allocates more than the
 //! committed budget.
-//!
-//! The counting allocator lives here, not in the library: installing a
-//! `#[global_allocator]` requires `unsafe impl GlobalAlloc`, and every
-//! library crate in this workspace carries `#![forbid(unsafe_code)]`.
-//! The `benchjson` binary hosts an identical twin for baseline runs.
 
 use nasd_bench::{perf, report};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-// SAFETY: defers entirely to `System`; the counter bumps do not allocate
-// and relaxed ordering is fine for monotonic tallies read after the fact.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn probe() -> (u64, u64) {
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::probe;
 
 fn flag_arg(flag: &str) -> Option<f64> {
     let mut args = std::env::args().skip(1);

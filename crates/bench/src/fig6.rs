@@ -22,6 +22,7 @@
 //!   reason "NASD is better tuned for disk access (~5 MB/s versus
 //!   ~2.5 MB/s on reads that miss in the cache)".
 
+use crate::testbed;
 use nasd::disk::{specs, DiskModel, StripedModel};
 use nasd::object::{CostMeter, OpKind};
 use nasd::sim::{CpuModel, SimTime};
@@ -54,7 +55,7 @@ fn prototype_disks() -> StripedModel {
 }
 
 fn host_cpu() -> CpuModel {
-    CpuModel::new(133.0, 2.2)
+    testbed::drive_cpu()
 }
 
 /// Copy time for `bytes` over `passes` passes, with L2 degradation when

@@ -15,12 +15,10 @@
 //! receive path. The client CPU is the bottleneck, exactly as the paper
 //! observes.
 
+use crate::testbed::{self, DataPath};
 use nasd::net::RpcCostModel;
 use nasd::object::{CostMeter, OpKind};
-use nasd::sim::{BandwidthShare, CpuModel};
-use nasd::sim::{FifoResource, SimTime, Simulator, Throughput};
-use std::cell::RefCell;
-use std::rc::Rc;
+use nasd::sim::SimTime;
 
 /// Drives in the testbed.
 pub const NDRIVES: usize = 13;
@@ -60,102 +58,47 @@ pub struct Fig7Row {
     pub drive_idle_pct: f64,
 }
 
-struct World {
-    drive_cpu: Vec<FifoResource>,
-    drive_up: Vec<BandwidthShare>,
-    client_down: Vec<BandwidthShare>,
-    client_cpu: Vec<FifoResource>,
-    delivered: Throughput,
-    drive_service: SimTime,
-    client_service_per_piece: SimTime,
-}
-
 fn simulate(nclients: usize) -> Fig7Row {
-    let oc3 = 155.0e6 / 8.0;
-    let drive_cpu_model = CpuModel::new(133.0, 2.2);
-    let client_cpu_model = CpuModel::new(233.0, 2.2);
-    let meter = CostMeter::new();
-
     // Drive-side cost of serving one cached 512 KB read (Table 1 warm).
-    let drive_cost = meter.estimate(OpKind::Read, PIECE, 0);
-    let drive_service = drive_cost.time_on(&drive_cpu_model);
+    let drive_service = CostMeter::new()
+        .estimate(OpKind::Read, PIECE, 0)
+        .time_on(&testbed::drive_cpu());
     // Client-side receive processing per piece.
-    let client_instr = client_rpc().instructions(PIECE);
-    let client_service = client_cpu_model.time_for_instructions(client_instr);
+    let client_service =
+        testbed::client_cpu().time_for_instructions(client_rpc().instructions(PIECE));
 
-    let world = Rc::new(RefCell::new(World {
-        drive_cpu: (0..NDRIVES)
-            .map(|i| FifoResource::new(format!("drive-cpu-{i}")))
-            .collect(),
-        drive_up: (0..NDRIVES)
-            .map(|i| BandwidthShare::new(format!("drive-up-{i}"), oc3))
-            .collect(),
-        client_down: (0..nclients)
-            .map(|i| BandwidthShare::new(format!("client-down-{i}"), oc3))
-            .collect(),
-        client_cpu: (0..nclients)
-            .map(|i| FifoResource::new(format!("client-cpu-{i}")))
-            .collect(),
-        delivered: Throughput::new(),
-        drive_service,
-        client_service_per_piece: client_service,
-    }));
-
-    let mut sim = Simulator::new();
-
-    fn issue(sim: &mut Simulator, world: &Rc<RefCell<World>>, client: usize, request_no: u64) {
-        let completion = {
-            let mut w = world.borrow_mut();
-            let now = sim.now() + SimTime::from_micros(500); // request msgs
+    let run = testbed::closed_loop(
+        DataPath::new(NDRIVES, NDRIVES, nclients),
+        nclients,
+        window(),
+        move |path, now, client, request_no| {
+            let start = now + SimTime::from_micros(500); // request msgs
             let pieces = (REQUEST / PIECE) as usize;
-            let mut done = now;
+            let mut done = start;
             for p in 0..pieces {
                 // Client `c` stripes over drives c*4.. (mod NDRIVES);
                 // sequential pieces round-robin those four.
                 let drive = (client * STRIPE_WIDTH + (request_no as usize * pieces + p)) % NDRIVES;
-                let ds = w.drive_service;
-                let (_, t1) = w.drive_cpu[drive].reserve(now, ds);
-                let (_, t2) = w.drive_up[drive].transfer(t1, PIECE);
-                let (_, t3) = w.client_down[client].transfer(t2, PIECE);
-                let cs = w.client_service_per_piece;
-                let (_, t4) = w.client_cpu[client].reserve(t3, cs);
-                done = done.max(t4);
+                let arrived = path.transfer(
+                    start,
+                    (drive, drive),
+                    client,
+                    drive_service,
+                    PIECE,
+                    client_service,
+                );
+                done = done.max(arrived);
             }
-            done
-        };
-        let world2 = Rc::clone(world);
-        sim.schedule_at(completion, move |sim| {
-            if sim.now() <= window() {
-                let now = sim.now();
-                world2.borrow_mut().delivered.record(now, REQUEST);
-                issue(sim, &world2, client, request_no + 1);
-            }
-        });
-    }
+            (done, REQUEST)
+        },
+    );
 
-    for c in 0..nclients {
-        let w = Rc::clone(&world);
-        sim.schedule_at(SimTime::ZERO, move |sim| issue(sim, &w, c, 0));
-    }
-    sim.run_until(window());
-
-    let w = world.borrow();
     let elapsed = window();
-    let client_busy: f64 = w
-        .client_cpu
-        .iter()
-        .map(|c| c.utilization(elapsed))
-        .sum::<f64>()
-        / nclients as f64;
-    let drive_busy: f64 = w
-        .drive_cpu
-        .iter()
-        .map(|c| c.utilization(elapsed))
-        .sum::<f64>()
-        / NDRIVES as f64;
+    let client_busy = testbed::mean_utilization(&run.world.client_cpu, elapsed);
+    let drive_busy = testbed::mean_utilization(&run.world.serving_cpu, elapsed);
     Fig7Row {
         clients: nclients,
-        aggregate_mb_s: w.delivered.mbytes_per_sec(elapsed),
+        aggregate_mb_s: run.delivered.mbytes_per_sec(elapsed),
         client_idle_pct: (1.0 - client_busy) * 100.0,
         drive_idle_pct: (1.0 - drive_busy) * 100.0,
     }

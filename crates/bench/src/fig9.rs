@@ -19,11 +19,10 @@
 //! client CPU (DCE-RPC receive + itemset counting). Four outstanding
 //! pieces per client reproduce the "four producer threads" structure.
 
+use crate::testbed::{self, DataPath};
 use nasd::disk::{specs, DiskModel, StripedModel};
 use nasd::object::{CostMeter, OpKind};
-use nasd::sim::{BandwidthShare, CpuModel, FifoResource, SimTime, Simulator, Throughput};
-use std::cell::RefCell;
-use std::rc::Rc;
+use nasd::sim::{FifoResource, SimTime};
 
 /// Stripe unit and request size (512 KB in the paper's configuration).
 pub const PIECE: u64 = 512 * 1024;
@@ -43,13 +42,13 @@ fn measurement_window() -> SimTime {
 /// AlphaStation.
 fn client_service() -> SimTime {
     let instr = 35_000.0 + 15.0 * PIECE as f64;
-    CpuModel::new(233.0, 2.2).time_for_instructions(instr as u64)
+    testbed::client_cpu().time_for_instructions(instr as u64)
 }
 
 /// NASD drive CPU cost per piece (Table 1 warm 512 KB read) at 133 MHz.
 fn drive_service() -> SimTime {
     let cost = CostMeter::new().estimate(OpKind::Read, PIECE, 0);
-    cost.time_on(&CpuModel::new(133.0, 2.2))
+    cost.time_on(&testbed::drive_cpu())
 }
 
 /// NFS server CPU cost per piece: the store-and-forward path (disk DMA
@@ -60,7 +59,7 @@ fn drive_service() -> SimTime {
 fn server_service(single_file: bool) -> SimTime {
     let per_byte = if single_file { 11.3 } else { 10.4 };
     let instr = 35_000.0 + per_byte * PIECE as f64;
-    CpuModel::new(500.0, 2.2).time_for_instructions(instr as u64)
+    testbed::server_cpu().time_for_instructions(instr as u64)
 }
 
 /// One row of Figure 9.
@@ -80,11 +79,7 @@ pub struct Fig9Row {
 
 struct NasdWorld {
     drives: Vec<StripedModel>,
-    drive_cpu: Vec<FifoResource>,
-    drive_up: Vec<BandwidthShare>,
-    client_down: Vec<BandwidthShare>,
-    client_cpu: Vec<FifoResource>,
-    delivered: Throughput,
+    path: DataPath,
 }
 
 /// Piece index → (drive, local offset) for a file striped over `n`
@@ -93,9 +88,18 @@ fn locate(unit: u64, n: usize) -> (usize, u64) {
     ((unit % n as u64) as usize, (unit / n as u64) * PIECE)
 }
 
+/// The file unit producer `producer` of `client` (one of `nclients`)
+/// fetches `seq`-th: producer `p` of client `c` handles chunks
+/// c + (p + 4k)·nclients; its pieces are the units of those chunks in
+/// order, wrapping around the dataset for steady-state measurement.
+fn unit_of(nclients: usize, client: usize, producer: usize, seq: u64) -> u64 {
+    let units_per_chunk = CHUNK / PIECE;
+    let chunk = client as u64 + (producer as u64 + 4 * (seq / units_per_chunk)) * nclients as u64;
+    (chunk * units_per_chunk + seq % units_per_chunk) % (DATASET / PIECE)
+}
+
 fn simulate_nasd(n: usize) -> f64 {
-    let oc3 = 155.0e6 / 8.0;
-    let world = Rc::new(RefCell::new(NasdWorld {
+    let world = NasdWorld {
         drives: (0..n)
             .map(|_| {
                 StripedModel::new(
@@ -107,78 +111,31 @@ fn simulate_nasd(n: usize) -> f64 {
                 )
             })
             .collect(),
-        drive_cpu: (0..n)
-            .map(|i| FifoResource::new(format!("dcpu{i}")))
-            .collect(),
-        drive_up: (0..n)
-            .map(|i| BandwidthShare::new(format!("dup{i}"), oc3))
-            .collect(),
-        client_down: (0..n)
-            .map(|i| BandwidthShare::new(format!("cdown{i}"), oc3))
-            .collect(),
-        client_cpu: (0..n)
-            .map(|i| FifoResource::new(format!("ccpu{i}")))
-            .collect(),
-        delivered: Throughput::new(),
-    }));
-
-    let total_units = DATASET / PIECE;
-    let units_per_chunk = CHUNK / PIECE;
-
-    // Producer `p` of client `c` handles chunks c + (p + 4k)·n; its
-    // pieces are the units of those chunks in order, wrapping around the
-    // dataset for steady-state measurement.
-    fn issue(
-        sim: &mut Simulator,
-        world: &Rc<RefCell<NasdWorld>>,
-        n: usize,
-        client: usize,
-        producer: usize,
-        seq: u64,
-    ) {
-        let total_units = DATASET / PIECE;
-        let units_per_chunk = CHUNK / PIECE;
-        let chunk_of_producer =
-            client as u64 + (producer as u64 + 4 * (seq / units_per_chunk)) * n as u64;
-        let unit = (chunk_of_producer * units_per_chunk + seq % units_per_chunk) % total_units;
-        let (drive, local) = locate(unit, n);
-
-        let completion = {
-            let mut w = world.borrow_mut();
-            let t0 = sim.now() + SimTime::from_micros(500);
+        path: DataPath::new(n, n, n),
+    };
+    let (drive_service, client_service) = (drive_service(), client_service());
+    // Actor `a` is producer `a % WINDOW` of client `a / WINDOW`.
+    let run = testbed::closed_loop(
+        world,
+        n * WINDOW,
+        measurement_window(),
+        move |w, now, actor, seq| {
+            let (client, producer) = (actor / WINDOW, actor % WINDOW);
+            let (drive, local) = locate(unit_of(n, client, producer, seq), n);
+            let t0 = now + SimTime::from_micros(500);
             let t1 = w.drives[drive].read(t0, local, PIECE);
-            let ds = drive_service();
-            let (_, t2) = w.drive_cpu[drive].reserve(t1, ds);
-            let (_, t3) = w.drive_up[drive].transfer(t2, PIECE);
-            let (_, t4) = w.client_down[client].transfer(t3, PIECE);
-            let cs = client_service();
-            let (_, t5) = w.client_cpu[client].reserve(t4, cs);
-            t5
-        };
-        let world2 = Rc::clone(world);
-        sim.schedule_at(completion, move |sim| {
-            if sim.now() <= measurement_window() {
-                let now = sim.now();
-                world2.borrow_mut().delivered.record(now, PIECE);
-                issue(sim, &world2, n, client, producer, seq + 1);
-            }
-        });
-    }
-    let _ = (total_units, units_per_chunk);
-
-    let mut sim = Simulator::new();
-    for c in 0..n {
-        for p in 0..WINDOW {
-            let w = Rc::clone(&world);
-            sim.schedule_at(SimTime::ZERO, move |sim| issue(sim, &w, n, c, p, 0));
-        }
-    }
-    sim.run_until(measurement_window());
-    let mb_s = world
-        .borrow()
-        .delivered
-        .mbytes_per_sec(measurement_window());
-    mb_s
+            let done = w.path.transfer(
+                t1,
+                (drive, drive),
+                client,
+                drive_service,
+                PIECE,
+                client_service,
+            );
+            (done, PIECE)
+        },
+    );
+    run.delivered.mbytes_per_sec(measurement_window())
 }
 
 // ----------------------------------------------------------------- NFS
@@ -187,12 +144,8 @@ struct NfsWorld {
     /// Per-disk service (FIFO); single-file mode models the failed
     /// prefetching with per-cluster positioning.
     disks: Vec<FifoResource>,
-    server_cpu: FifoResource,
-    server_links: Vec<BandwidthShare>,
-    client_down: Vec<BandwidthShare>,
-    client_cpu: Vec<FifoResource>,
-    delivered: Throughput,
-    disk_service: SimTime,
+    /// One server CPU behind two OC-3 links.
+    path: DataPath,
 }
 
 /// Disk service time per 512 KB piece when prefetching works: pure
@@ -212,100 +165,55 @@ fn disk_service_thrashed() -> SimTime {
 }
 
 fn simulate_nfs(ndisks: usize, single_file: bool) -> f64 {
-    let oc3 = 155.0e6 / 8.0;
     // Single-file mode: the paper's 10 clients. Parallel mode: one client
     // per disk, each on its own replica.
     let nclients = if single_file { 10 } else { ndisks };
-    let world = Rc::new(RefCell::new(NfsWorld {
+    let world = NfsWorld {
         disks: (0..ndisks)
             .map(|i| FifoResource::new(format!("disk{i}")))
             .collect(),
-        server_cpu: FifoResource::new("server-cpu"),
-        server_links: (0..2)
-            .map(|i| BandwidthShare::new(format!("slink{i}"), oc3))
-            .collect(),
-        client_down: (0..nclients)
-            .map(|i| BandwidthShare::new(format!("cdown{i}"), oc3))
-            .collect(),
-        client_cpu: (0..nclients)
-            .map(|i| FifoResource::new(format!("ccpu{i}")))
-            .collect(),
-        delivered: Throughput::new(),
-        disk_service: if single_file {
-            disk_service_thrashed()
-        } else {
-            disk_service_sequential()
+        path: DataPath::new(1, 2, nclients),
+    };
+    let disk_service = if single_file {
+        disk_service_thrashed()
+    } else {
+        disk_service_sequential()
+    };
+    let (server_service, client_service) = (server_service(single_file), client_service());
+    let run = testbed::closed_loop(
+        world,
+        nclients * WINDOW,
+        measurement_window(),
+        move |w, now, actor, seq| {
+            let (client, producer) = (actor / WINDOW, actor % WINDOW);
+            let disk = if single_file {
+                // Pieces of the striped file round-robin the disks. The
+                // server's own stripe placement is not aligned to the 2 MB
+                // distribution chunks (its RAID unit differs), so clients at
+                // different file positions land on different disks. Ten
+                // drifting streams hit the disks effectively at random; a
+                // deterministic hash models that without lockstep-convoy
+                // artifacts whenever the disk count divides the chunk size.
+                let unit = unit_of(nclients, client, producer, seq);
+                (unit.wrapping_mul(2_654_435_761) ^ (client as u64).wrapping_mul(0x9E37_79B9))
+                    % ndisks as u64
+            } else {
+                client as u64 % ndisks as u64
+            } as usize;
+            let t0 = now + SimTime::from_micros(500);
+            let (_, t1) = w.disks[disk].reserve(t0, disk_service);
+            let done = w.path.transfer(
+                t1,
+                (0, client % 2),
+                client,
+                server_service,
+                PIECE,
+                client_service,
+            );
+            (done, PIECE)
         },
-    }));
-
-    fn issue(
-        sim: &mut Simulator,
-        world: &Rc<RefCell<NfsWorld>>,
-        ndisks: usize,
-        single_file: bool,
-        client: usize,
-        producer: usize,
-        seq: u64,
-    ) {
-        let disk = if single_file {
-            // Pieces of the striped file round-robin the disks. The
-            // server's own stripe placement is not aligned to the 2 MB
-            // distribution chunks (its RAID unit differs), so clients at
-            // different file positions land on different disks — the
-            // `client` term breaks the otherwise-degenerate alignment
-            // when the disk count divides the chunk size.
-            let nclients = 10u64;
-            let units_per_chunk = CHUNK / PIECE;
-            let chunk = client as u64 + (producer as u64 + 4 * (seq / units_per_chunk)) * nclients;
-            let unit = (chunk * units_per_chunk + seq % units_per_chunk) % (DATASET / PIECE);
-            // Ten drifting streams hit the disks effectively at random;
-            // a deterministic hash models that without lockstep-convoy
-            // artifacts whenever the disk count divides the chunk size.
-            (unit.wrapping_mul(2_654_435_761) ^ (client as u64).wrapping_mul(0x9E37_79B9))
-                % ndisks as u64
-        } else {
-            client as u64 % ndisks as u64
-        } as usize;
-
-        let completion = {
-            let mut w = world.borrow_mut();
-            let t0 = sim.now() + SimTime::from_micros(500);
-            let ds = w.disk_service;
-            let (_, t1) = w.disks[disk].reserve(t0, ds);
-            let ss = server_service(single_file);
-            let (_, t2) = w.server_cpu.reserve(t1, ss);
-            let link = client % 2;
-            let (_, t3) = w.server_links[link].transfer(t2, PIECE);
-            let (_, t4) = w.client_down[client].transfer(t3, PIECE);
-            let cs = client_service();
-            let (_, t5) = w.client_cpu[client].reserve(t4, cs);
-            t5
-        };
-        let world2 = Rc::clone(world);
-        sim.schedule_at(completion, move |sim| {
-            if sim.now() <= measurement_window() {
-                let now = sim.now();
-                world2.borrow_mut().delivered.record(now, PIECE);
-                issue(sim, &world2, ndisks, single_file, client, producer, seq + 1);
-            }
-        });
-    }
-
-    let mut sim = Simulator::new();
-    for c in 0..nclients {
-        for p in 0..WINDOW {
-            let w = Rc::clone(&world);
-            sim.schedule_at(SimTime::ZERO, move |sim| {
-                issue(sim, &w, ndisks, single_file, c, p, 0);
-            });
-        }
-    }
-    sim.run_until(measurement_window());
-    let mb_s = world
-        .borrow()
-        .delivered
-        .mbytes_per_sec(measurement_window());
-    mb_s
+    );
+    run.delivered.mbytes_per_sec(measurement_window())
 }
 
 /// Run the 1–8 disk sweep for all three lines.

@@ -22,6 +22,10 @@
 //! | [`backup`] | dedup backup lifecycle: full, incremental, restore, GC |
 //! | [`scale`] | Fig 7 extended 10–100×: 13–128 drives × 100–1000 clients |
 //!
+//! `fig7`, `fig9` and `scale` are one simulated installation measured
+//! three ways; the private `testbed` module owns its hardware, its
+//! closed-loop engine and its data path once.
+//!
 //! Every binary also accepts `--json <path>` and writes a versioned
 //! [`nasd::obs::BenchReport`](nasd::obs) built by the [`report`] module;
 //! the `benchjson` binary regenerates and validates the checked-in
@@ -45,3 +49,4 @@ pub mod report;
 pub mod scale;
 pub mod table;
 pub mod table1;
+mod testbed;

@@ -392,36 +392,6 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
     rows
 }
 
-/// The dispatch-comparison rows alone — the CI kernel tripwire
-/// measurement (new kernel and `BinaryHeap` baseline at 10^5 pending).
-#[must_use]
-pub fn dispatch_rows(probe: Option<AllocProbe>) -> (PerfRow, PerfRow) {
-    (
-        row(
-            "dispatch_cal_100k",
-            0,
-            &best_of(3, || dispatch_parked(probe, 100_000, 100_000)),
-        ),
-        row(
-            "dispatch_heap_100k",
-            0,
-            &best_of(3, || dispatch_parked_heap(probe, 100_000, 100_000)),
-        ),
-    )
-}
-
-/// The `cached_read` row alone — the CI tripwire measurement.
-#[must_use]
-pub fn cached_read_row(probe: Option<AllocProbe>) -> PerfRow {
-    row("cached_read", 65_536, &cached_read(probe, 65_536, 2_000))
-}
-
-/// The `socket_read` row alone — the transport-smoke CI tripwire.
-#[must_use]
-pub fn socket_read_row(probe: Option<AllocProbe>) -> PerfRow {
-    row("socket_read", 65_536, &socket_read(probe, 65_536, 1_000))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

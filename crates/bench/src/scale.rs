@@ -7,15 +7,17 @@
 //! drives against 100/400/1000 clients — the scales §5.2 argues a
 //! file-manager-per-server design cannot reach.
 //!
-//! The model keeps Figure 7's discrete-event skeleton (per-component
-//! FIFO service centers on the calendar-queue kernel) and adds the two
-//! pieces a scaled installation needs:
+//! The model runs on Figure 7's testbed (`crate::testbed`: the same
+//! closed-loop engine, hardware and data path) and adds the two pieces
+//! a scaled installation needs:
 //!
 //! * **File-manager shards.** Capability issue is a contended FM
 //!   resource; shards scale with the fleet (one per 16 drives). A
 //!   capability-cache *miss* costs a trip through the object's home
 //!   shard before the drive transfer can start; a *hit* goes straight
-//!   to the drive, exactly like the real `NfsClient` cache.
+//!   to the drive. The cache is the real `NfsClient` policy
+//!   ([`LeaseCache`]: capacity, epoch eviction, hit/miss counters)
+//!   instantiated over object indices.
 //! * **Generated traffic.** Each client is a closed-loop user from
 //!   `nasd-workload`: zipf-popular objects (θ = 0.99), the paper's
 //!   read/getattr-heavy op mix, exponential think times. Zipf skew is
@@ -29,12 +31,11 @@
 //! outgrows the population's demand.
 
 use crate::fig7;
+use crate::testbed::{self, DataPath};
+use nasd::fm::{LeaseCache, CAP_CACHE_CAPACITY};
 use nasd::object::{CostMeter, OpKind as DriveOp};
-use nasd::sim::{BandwidthShare, CpuModel, FifoResource, SimTime, Simulator, Throughput};
+use nasd::sim::{FifoResource, SimTime};
 use nasd::workload::{ClosedLoop, OpKind, RequestStream, WorkloadSpec};
-use std::cell::RefCell;
-use std::collections::HashSet;
-use std::rc::Rc;
 
 /// Drive-count axis of the matrix (13 = the paper's testbed).
 pub const DRIVE_MATRIX: [usize; 4] = [13, 32, 64, 128];
@@ -46,9 +47,6 @@ pub const TRANSFER: u64 = 64 * 1024;
 const ATTR_BYTES: u64 = 512;
 /// Distinct objects per drive in the namespace.
 const OBJECTS_PER_DRIVE: usize = 64;
-/// Per-client capability-cache capacity (entries), matching the real
-/// `NfsClient` cache the `Connector` enables.
-const CAP_CACHE_CAP: usize = 4096;
 /// Hot ranks each client already holds capabilities for at t = 0. The
 /// measurement window is seconds, not the hours a real installation
 /// runs; pre-warming the head of each client's working set measures
@@ -98,28 +96,20 @@ pub struct ScaleRow {
 struct Client {
     stream: RequestStream,
     think: ClosedLoop,
-    // Epoch-cleared capability set, mirroring `CapCache`'s eviction.
-    caps: HashSet<usize>,
+    /// Objects this client holds a capability for. The simulated
+    /// capabilities never expire inside the 2 s window.
+    caps: LeaseCache<usize, ()>,
 }
 
 struct World {
-    drive_cpu: Vec<FifoResource>,
-    drive_link: Vec<BandwidthShare>,
-    client_link: Vec<BandwidthShare>,
-    client_cpu: Vec<FifoResource>,
+    path: DataPath,
     fm_shard: Vec<FifoResource>,
     clients: Vec<Client>,
-    delivered: Throughput,
-    ops: u64,
-    cap_hits: u64,
-    cap_misses: u64,
     drive_service_read: SimTime,
     drive_service_write: SimTime,
     drive_service_attr: SimTime,
     client_service_data: SimTime,
     cap_issue: SimTime,
-    ndrives: usize,
-    nshards: usize,
     nobjects: usize,
 }
 
@@ -143,179 +133,122 @@ fn object_of(client: usize, rank: usize, nobjects: usize) -> usize {
     (rank * 193 + client * 7919) % nobjects
 }
 
-fn issue(sim: &mut Simulator, world: &Rc<RefCell<World>>, client: usize) {
-    let (completion, bytes) = {
-        let mut w = world.borrow_mut();
-        let req = w.clients[client].stream.next_request();
-        let think = w.clients[client].think.think();
-        let now = sim.now() + think;
-        let nobjects = w.nobjects;
-        let object = object_of(client, req.object, nobjects);
+/// One closed-loop operation of `client`, thinking from `now`.
+fn step(w: &mut World, now: SimTime, client: usize, _seq: u64) -> (SimTime, u64) {
+    let (ndrives, nshards) = (w.path.serving_cpu.len(), w.fm_shard.len());
+    let c = &mut w.clients[client];
+    let req = c.stream.next_request();
+    let now = now + c.think.think();
+    let object = object_of(client, req.object, w.nobjects);
 
-        // Capability check: a miss detours through the object's home
-        // FM shard before the drive will accept the request.
-        let cached = w.clients[client].caps.contains(&object);
-        let mut start = now;
-        if cached {
-            w.cap_hits += 1;
-        } else {
-            w.cap_misses += 1;
-            let shard = place(object, w.nshards);
-            let issue_cost = w.cap_issue;
-            let (_, t) = w.fm_shard[shard].reserve(now, issue_cost);
-            start = t;
-            if w.clients[client].caps.len() >= CAP_CACHE_CAP {
-                w.clients[client].caps.clear();
-            }
-            w.clients[client].caps.insert(object);
-        }
+    // Capability check: a miss detours through the object's home
+    // FM shard before the drive will accept the request.
+    let mut start = now;
+    if c.caps.get(&object, 0).is_none() {
+        let (_, issued) = w.fm_shard[place(object, nshards)].reserve(now, w.cap_issue);
+        start = issued;
+        c.caps.put(object, (), u64::MAX);
+    }
 
-        // Data path: drive CPU, drive link, client link, client CPU.
-        // Links are full-duplex; writes charge the same serialization
-        // in the opposite direction.
-        let drive = place(object, w.ndrives);
-        let (service, wire) = match req.op {
-            OpKind::Read => (w.drive_service_read, req.bytes),
-            OpKind::Write => (w.drive_service_write, req.bytes),
-            OpKind::GetAttr => (w.drive_service_attr, ATTR_BYTES),
-        };
-        let (_, t1) = w.drive_cpu[drive].reserve(start, service);
-        let (_, t2) = w.drive_link[drive].transfer(t1, wire);
-        let (_, t3) = w.client_link[client].transfer(t2, wire);
-        let client_service = match req.op {
-            OpKind::GetAttr => SimTime::from_micros(10),
-            _ => w.client_service_data,
-        };
-        let (_, t4) = w.client_cpu[client].reserve(t3, client_service);
-        (t4, req.bytes)
+    let drive = place(object, ndrives);
+    let (service, wire) = match req.op {
+        OpKind::Read => (w.drive_service_read, req.bytes),
+        OpKind::Write => (w.drive_service_write, req.bytes),
+        OpKind::GetAttr => (w.drive_service_attr, ATTR_BYTES),
     };
-    let world2 = Rc::clone(world);
-    sim.schedule_at(completion, move |sim| {
-        if sim.now() <= window() {
-            let now = sim.now();
-            {
-                let mut w = world2.borrow_mut();
-                w.delivered.record(now, bytes);
-                w.ops += 1;
-            }
-            issue(sim, &world2, client);
-        }
-    });
+    let client_service = match req.op {
+        OpKind::GetAttr => SimTime::from_micros(10),
+        _ => w.client_service_data,
+    };
+    let done = w
+        .path
+        .transfer(start, (drive, drive), client, service, wire, client_service);
+    (done, req.bytes)
 }
 
 /// Simulate one matrix point.
 #[must_use]
 pub fn simulate(ndrives: usize, nclients: usize) -> ScaleRow {
     let started = std::time::Instant::now();
-    let oc3 = 155.0e6 / 8.0;
     let nshards = shards_for(ndrives);
-    let drive_cpu_model = CpuModel::new(133.0, 2.2);
-    let client_cpu_model = CpuModel::new(233.0, 2.2);
-    // Shards run on server-class silicon (§5.2's file-manager host).
-    let fm_cpu_model = CpuModel::new(500.0, 2.2);
+    let drive_cpu = testbed::drive_cpu();
     let meter = CostMeter::new();
 
     let spec = WorkloadSpec::scale_default(ndrives * OBJECTS_PER_DRIVE);
-    let world = Rc::new(RefCell::new(World {
-        drive_cpu: (0..ndrives)
-            .map(|i| FifoResource::new(format!("drive-cpu-{i}")))
-            .collect(),
-        drive_link: (0..ndrives)
-            .map(|i| BandwidthShare::new(format!("drive-link-{i}"), oc3))
-            .collect(),
-        client_link: (0..nclients)
-            .map(|i| BandwidthShare::new(format!("client-link-{i}"), oc3))
-            .collect(),
-        client_cpu: (0..nclients)
-            .map(|i| FifoResource::new(format!("client-cpu-{i}")))
-            .collect(),
+    let world = World {
+        path: DataPath::new(ndrives, ndrives, nclients),
         fm_shard: (0..nshards)
             .map(|i| FifoResource::new(format!("fm-shard-{i}")))
             .collect(),
         clients: (0..nclients)
-            .map(|c| Client {
-                stream: RequestStream::new(&spec, 0x5CA1_E000 + c as u64),
-                think: ClosedLoop::new(think_mean(), 0x7417_0000 + c as u64),
-                caps: (0..CAP_PREWARM.min(spec.objects))
-                    .map(|rank| object_of(c, rank, spec.objects))
-                    .collect(),
+            .map(|c| {
+                let caps = LeaseCache::new(CAP_CACHE_CAPACITY, None);
+                for rank in 0..CAP_PREWARM.min(spec.objects) {
+                    caps.put(object_of(c, rank, spec.objects), (), u64::MAX);
+                }
+                Client {
+                    stream: RequestStream::new(&spec, 0x5CA1_E000 + c as u64),
+                    think: ClosedLoop::new(think_mean(), 0x7417_0000 + c as u64),
+                    caps,
+                }
             })
             .collect(),
-        delivered: Throughput::new(),
-        ops: 0,
-        cap_hits: 0,
-        cap_misses: 0,
         drive_service_read: meter
             .estimate(DriveOp::Read, TRANSFER, 0)
-            .time_on(&drive_cpu_model),
+            .time_on(&drive_cpu),
         drive_service_write: meter
             .estimate(DriveOp::Write, TRANSFER, 0)
-            .time_on(&drive_cpu_model),
-        drive_service_attr: meter
-            .estimate(DriveOp::GetAttr, 0, 0)
-            .time_on(&drive_cpu_model),
-        client_service_data: client_cpu_model
+            .time_on(&drive_cpu),
+        drive_service_attr: meter.estimate(DriveOp::GetAttr, 0, 0).time_on(&drive_cpu),
+        client_service_data: testbed::client_cpu()
             .time_for_instructions(fig7::client_rpc().instructions(TRANSFER)),
-        cap_issue: fm_cpu_model.time_for_instructions(CAP_ISSUE_INSTR),
-        ndrives,
-        nshards,
+        // Shards run on server-class silicon (§5.2's file-manager host).
+        cap_issue: testbed::server_cpu().time_for_instructions(CAP_ISSUE_INSTR),
         nobjects: spec.objects,
-    }));
+    };
 
-    let mut sim = Simulator::with_capacity(nclients + 16);
-    for c in 0..nclients {
-        let w = Rc::clone(&world);
-        sim.schedule_at(SimTime::ZERO, move |sim| issue(sim, &w, c));
-    }
-    sim.run_until(window());
+    let run = testbed::closed_loop(world, nclients, window(), step);
 
     let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let w = world.borrow();
+    let w = &run.world;
     let elapsed = window();
-    let mean = |it: &mut dyn Iterator<Item = f64>| {
-        let (sum, n) = it.fold((0.0, 0usize), |(s, n), u| (s + u, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    };
     let classes: [(&'static str, f64); 5] = [
         (
             "drive-cpu",
-            mean(&mut w.drive_cpu.iter().map(|r| r.utilization(elapsed))),
+            testbed::mean_utilization(&w.path.serving_cpu, elapsed),
         ),
         (
             "drive-link",
-            mean(&mut w.drive_link.iter().map(|r| r.fifo().utilization(elapsed))),
+            testbed::mean_link_utilization(&w.path.serving_link, elapsed),
         ),
         (
             "client-link",
-            mean(&mut w.client_link.iter().map(|r| r.fifo().utilization(elapsed))),
+            testbed::mean_link_utilization(&w.path.client_link, elapsed),
         ),
         (
             "client-cpu",
-            mean(&mut w.client_cpu.iter().map(|r| r.utilization(elapsed))),
+            testbed::mean_utilization(&w.path.client_cpu, elapsed),
         ),
-        (
-            "fm-shard",
-            mean(&mut w.fm_shard.iter().map(|r| r.utilization(elapsed))),
-        ),
+        ("fm-shard", testbed::mean_utilization(&w.fm_shard, elapsed)),
     ];
     let (bottleneck, util) = classes
         .iter()
         .copied()
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("five classes");
+    let (cap_hits, cap_lookups) = w.clients.iter().fold((0, 0), |(hits, lookups), c| {
+        let stats = c.caps.stats();
+        (hits + stats.hits, lookups + stats.hits + stats.misses)
+    });
 
     ScaleRow {
         drives: ndrives,
         clients: nclients,
         shards: nshards,
-        aggregate_mb_s: w.delivered.mbytes_per_sec(elapsed),
-        ops_per_sec: w.ops as f64 / elapsed.as_secs_f64(),
-        events_per_wall_sec: sim.events_run() as f64 / wall,
-        cap_hit_rate: w.cap_hits as f64 / (w.cap_hits + w.cap_misses).max(1) as f64,
+        aggregate_mb_s: run.delivered.mbytes_per_sec(elapsed),
+        ops_per_sec: run.delivered.ops_per_sec(elapsed),
+        events_per_wall_sec: run.events_run as f64 / wall,
+        cap_hit_rate: cap_hits as f64 / cap_lookups.max(1) as f64,
         bottleneck,
         bottleneck_util_pct: util * 100.0,
     }

@@ -6,11 +6,11 @@
 //! [`ServiceReport`](nasd::object::ServiceReport). Timings use the
 //! paper's 200 MHz / CPI 2.2 drive controller.
 
+use crate::testbed;
 use bytes::Bytes;
 use nasd::object::{DriveConfig, NasdDrive, OpKind};
 use nasd::obs::Registry;
 use nasd::proto::{PartitionId, RequestBody, Rights};
-use nasd::sim::CpuModel;
 use std::sync::Arc;
 
 /// One Table 1 cell, model vs paper.
@@ -148,7 +148,7 @@ pub fn run() -> Vec<Table1Row> {
 /// caller can inspect (or report) the drive-side counters afterwards.
 #[must_use]
 pub fn run_observed(registry: &Arc<Registry>) -> Vec<Table1Row> {
-    let cpu = CpuModel::new(200.0, 2.2);
+    let cpu = testbed::projected_drive_cpu();
     paper_cells()
         .into_iter()
         .map(|(op, cache, size, paper_instr, paper_pct, paper_ms)| {

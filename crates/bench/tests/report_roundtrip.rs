@@ -55,3 +55,41 @@ fn fig6_rows_expose_every_curve_of_the_figure() {
         }
     }
 }
+
+/// The oracle for every refactor of the simulated testbed: the
+/// SimTime-derived rows, config and derived fields of `fig7`, `fig9`
+/// and `scale` equal the checked-in `BENCH_baseline.json`. Only
+/// `events_per_wall_sec` (a host wall-clock measurement) is excluded.
+#[test]
+fn deterministic_reports_match_baseline() {
+    use nasd_bench::{fig7, fig9, scale};
+
+    fn without_wall_clock(mut r: BenchReport) -> String {
+        for row in &mut r.rows {
+            row.retain(|(k, _)| k != "events_per_wall_sec");
+        }
+        r.to_json_string()
+    }
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+    let text = std::fs::read_to_string(path).expect("read BENCH_baseline.json");
+    let baseline = BenchReport::suite_from_json(&Json::parse(&text).expect("baseline is JSON"))
+        .expect("baseline is a schema-valid suite");
+
+    for fresh in [
+        report::fig7_report(&fig7::run()),
+        report::fig9_report(&fig9::run()),
+        report::scale_report(&scale::run()),
+    ] {
+        let bench = fresh.bench.clone();
+        let golden = baseline
+            .iter()
+            .find(|r| r.bench == bench)
+            .unwrap_or_else(|| panic!("baseline has no {bench} report"));
+        assert_eq!(
+            without_wall_clock(fresh),
+            without_wall_clock(golden.clone()),
+            "{bench} drifted from BENCH_baseline.json"
+        );
+    }
+}

@@ -11,7 +11,7 @@ use crate::map::{Layout, LogicalObjectId, Redundancy};
 use bytes::{ByteRope, Bytes};
 use nasd_fm::{DriveFleet, FmError, ManagerLink};
 use nasd_net::{CallOptions, Channel, RetryPolicy};
-use nasd_proto::{Capability, NasdStatus, Reply, ReplyBody, RequestBody, Rights};
+use nasd_proto::{Capability, NasdStatus, ReplyBody, RequestBody, Rights};
 use std::sync::Arc;
 
 /// An open logical object: layout plus the capability set.
@@ -207,14 +207,6 @@ impl CheopsClient {
         }
     }
 
-    fn check(reply: Reply) -> Result<ReplyBody, FmError> {
-        if reply.status.is_ok() {
-            Ok(reply.body)
-        } else {
-            Err(FmError::Drive(reply.status))
-        }
-    }
-
     /// Read `len` bytes at logical `offset`, striping the request across
     /// all columns in parallel. Short at end-of-object.
     ///
@@ -233,7 +225,9 @@ impl CheopsClient {
                 .fleet
                 .by_id(col.primary.drive)
                 .ok_or(FmError::Transport)?;
-            let req = ep.sign(
+            // A crashed drive fails the send; recovery happens per-run
+            // below (signed retry, then mirror/parity fallback).
+            pending.push(ep.start(
                 cap,
                 RequestBody::Read {
                     partition: col.primary.partition,
@@ -242,10 +236,7 @@ impl CheopsClient {
                     len: run.len,
                 },
                 Bytes::new(),
-            );
-            // A crashed drive fails the send; recovery happens per-run
-            // below (signed retry, then mirror/parity fallback).
-            pending.push(ep.channel().call_async(req).ok());
+            ));
         }
 
         // Single-run reads (the common small-file case) pass the drive's
@@ -260,24 +251,12 @@ impl CheopsClient {
         };
         let mut rope = ByteRope::new();
         let mut delivered_end = 0u64;
-        for (run, rx) in runs.iter().zip(pending) {
+        for (run, started) in runs.iter().zip(pending) {
             let col = file.column(run.column)?;
-            let retry_cap = file.primary_cap(run.column)?;
-            let primary = match rx.map(|rx| rx.recv()) {
-                Some(Ok(reply)) if !reply.status.is_transient() => match Self::check(reply) {
-                    Ok(ReplyBody::Data(d)) => Ok(d),
-                    Ok(_) => Err(FmError::Drive(NasdStatus::DriveError)),
-                    Err(e) => Err(e),
-                },
-                // Reply lost in flight (fault injection, drive crash) or
-                // a transient bounce: re-issue synchronously — every
-                // retry attempt is freshly signed by the endpoint.
-                _ => self
-                    .fleet
-                    .by_id(col.primary.drive)
-                    .ok_or(FmError::Transport)
-                    .and_then(|ep| ep.read(retry_cap, run.local_offset, run.len)),
-            };
+            let primary = started.finish().and_then(|body| match body {
+                ReplyBody::Data(d) => Ok(d),
+                _ => Err(FmError::Drive(NasdStatus::DriveError)),
+            });
             let data = match primary {
                 Ok(d) => d,
                 Err(e) => {
@@ -353,7 +332,7 @@ impl CheopsClient {
                     .fleet
                     .by_id(component.drive)
                     .ok_or(FmError::Transport)?;
-                let req = ep.sign(
+                pending.push(ep.start(
                     cap,
                     RequestBody::Write {
                         partition: component.partition,
@@ -362,29 +341,15 @@ impl CheopsClient {
                         len: run.len,
                     },
                     chunk.clone(),
-                );
-                let rx = ep.channel().call_async(req).ok();
-                pending.push((rx, component, cap, run.local_offset, chunk.clone()));
+                ));
             }
         }
-        for (rx, component, cap, local_offset, chunk) in pending {
-            let done = match rx.map(|rx| rx.recv()) {
-                Some(Ok(reply)) if !reply.status.is_transient() => match Self::check(reply)? {
-                    ReplyBody::Written(_) => true,
-                    _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-                },
-                // Send failed, reply lost, or transient bounce: fall
-                // through to the signed synchronous retry below. A write
-                // is only counted as acked once some attempt's reply
-                // says `Written`, so this path never loses acked data.
-                _ => false,
-            };
-            if !done {
-                let ep = self
-                    .fleet
-                    .by_id(component.drive)
-                    .ok_or(FmError::Transport)?;
-                ep.write(cap, local_offset, chunk)?;
+        // A write is only counted as acked once some attempt's reply
+        // says `Written`, so a lost first attempt never loses acked data.
+        for started in pending {
+            match started.finish()? {
+                ReplyBody::Written(_) => {}
+                _ => return Err(FmError::Drive(NasdStatus::DriveError)),
             }
         }
         Ok(data.len() as u64)
@@ -481,30 +446,19 @@ impl CheopsClient {
                 .fleet
                 .by_id(col.primary.drive)
                 .ok_or(FmError::Transport)?;
-            let req = ep.sign(
+            pending.push(ep.start(
                 cap,
                 RequestBody::GetAttr {
                     partition: col.primary.partition,
                     object: col.primary.object,
                 },
                 Bytes::new(),
-            );
-            pending.push(ep.channel().call_async(req).ok());
+            ));
         }
         let mut size = 0u64;
-        for (column, rx) in pending.into_iter().enumerate() {
-            let col = file.column(column)?;
-            let attrs = match rx.map(|rx| rx.recv()) {
-                Some(Ok(reply)) if !reply.status.is_transient() => match Self::check(reply)? {
-                    ReplyBody::Attr(a) => a,
-                    _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-                },
-                // Lost or bounced: re-issue through the retrying path.
-                _ => self
-                    .fleet
-                    .by_id(col.primary.drive)
-                    .ok_or(FmError::Transport)?
-                    .get_attr(file.primary_cap(column)?)?,
+        for (column, started) in pending.into_iter().enumerate() {
+            let ReplyBody::Attr(attrs) = started.finish()? else {
+                return Err(FmError::Drive(NasdStatus::DriveError));
             };
             size = size.max(file.layout.logical_size_from_component(column, attrs.size));
         }

@@ -12,7 +12,7 @@ use nasd_crypto::KeyHierarchy;
 use nasd_disk::{MemDisk, SharedDisk};
 use nasd_net::{
     spawn_service, BindAddr, CallOptions, Channel, ChannelFaults, Connector, FaultConfig,
-    FaultPlan, RetryPolicy, Rpc, RpcError, ServiceHandle, WireServer,
+    FaultPlan, Pending, RetryPolicy, Rpc, RpcError, ServiceHandle, WireServer,
 };
 use nasd_object::{DriveConfig, DriveFaultConfig, NasdDrive};
 use nasd_proto::{
@@ -46,6 +46,35 @@ impl std::fmt::Debug for DriveEndpoint {
     }
 }
 
+/// A signed request in flight on one drive (see [`DriveEndpoint::start`]).
+pub struct Started<'a> {
+    ep: &'a DriveEndpoint,
+    cap: &'a Capability,
+    body: RequestBody,
+    data: Bytes,
+    reply: Option<Pending<Reply>>,
+}
+
+impl Started<'_> {
+    /// Wait for the reply. When the send failed, the reply was lost in
+    /// flight (fault injection, drive crash) or the drive bounced the
+    /// request with a transient status, the request is re-issued through
+    /// the retrying [`DriveEndpoint::call`] — every attempt freshly
+    /// signed — so an operation only counts as done once some attempt's
+    /// reply says so.
+    ///
+    /// # Errors
+    ///
+    /// As [`DriveEndpoint::call`].
+    pub fn finish(self) -> Result<ReplyBody, FmError> {
+        match self.reply.map(|rx| rx.recv()) {
+            Some(Ok(reply)) if reply.status.is_ok() => Ok(reply.body),
+            Some(Ok(reply)) if !reply.status.is_transient() => Err(FmError::Drive(reply.status)),
+            _ => self.ep.call(self.cap, self.body, self.data),
+        }
+    }
+}
+
 impl DriveEndpoint {
     /// The drive's id.
     #[must_use]
@@ -53,8 +82,8 @@ impl DriveEndpoint {
         self.id
     }
 
-    /// A snapshot of the transport channel (for custom or pipelined
-    /// requests via [`Channel::call_async`]). After a drive
+    /// A snapshot of the transport channel (for custom requests;
+    /// pipelined signed ones go through [`Self::start`]). After a drive
     /// crash/restart the endpoint is rewired, so take a fresh snapshot
     /// per batch rather than caching one across faults.
     #[must_use]
@@ -112,10 +141,8 @@ impl DriveEndpoint {
         Nonce::new(self.signer, self.counter.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Build a signed request without sending it (for pipelined
-    /// `call_async` use — how the PFS client keeps all drives busy).
-    #[must_use]
-    pub fn sign(&self, cap: &Capability, body: RequestBody, data: Bytes) -> Request {
+    /// Sign `body` + `data` under `cap` with a fresh nonce.
+    fn sign(&self, cap: &Capability, body: RequestBody, data: Bytes) -> Request {
         Request::signed(
             cap.private.as_bytes(),
             Some(cap.public.clone()),
@@ -140,6 +167,23 @@ impl DriveEndpoint {
         data: Bytes,
     ) -> Result<ReplyBody, FmError> {
         self.call_signed(|| self.sign(cap, body.clone(), data.clone()))
+    }
+
+    /// Send a signed request without waiting for the reply — how a
+    /// striping client keeps every drive busy. Collect the reply with
+    /// [`Started::finish`].
+    #[must_use]
+    pub fn start<'a>(&'a self, cap: &'a Capability, body: RequestBody, data: Bytes) -> Started<'a> {
+        let req = self.sign(cap, body.clone(), data.clone());
+        // A crashed drive fails the send; `finish` recovers.
+        let reply = self.channel().call_async(req).ok();
+        Started {
+            ep: self,
+            cap,
+            body,
+            data,
+            reply,
+        }
     }
 
     /// Mint a capability: the file-manager operation. `version` must be

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 mod afs;
+mod capcache;
 mod connect;
 mod dirfmt;
 mod drives;
@@ -36,10 +37,11 @@ mod server;
 mod shard;
 
 pub use afs::{AfsClient, AfsRequest, AfsResponse, CallbackEvent, NasdAfs};
+pub use capcache::{CapCacheStats, LeaseCache, CAP_CACHE_CAPACITY};
 pub use connect::FmConnect;
 pub use dirfmt::{decode_dir, encode_dir, DirRecord};
-pub use drives::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet};
+pub use drives::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet, Started};
 pub use handle::{FileHandle, FileType, FmAttrs, FmError};
 pub use link::ManagerLink;
-pub use nfs::{CapCacheStats, NasdNfs, NfsClient, NfsFile, NfsRequest, NfsResponse};
+pub use nfs::{NasdNfs, NfsClient, NfsFile, NfsRequest, NfsResponse};
 pub use server::{NfsServer, ServerRequest, ServerResponse};

@@ -7,6 +7,7 @@
 //! other requests are handled by the file manager. Capabilities are
 //! piggybacked on the file manager's response to lookup operations."
 
+use crate::capcache::{CapCacheStats, LeaseCache};
 use crate::dirfmt::{decode_dir, encode_dir, DirRecord};
 use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
@@ -14,13 +15,11 @@ use crate::link::ManagerLink;
 use crate::shard::FmShared;
 use bytes::{ByteRope, Bytes};
 use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
-use nasd_obs::{Counter, Registry};
+use nasd_obs::Registry;
 use nasd_proto::{
     route_hash, shard_index, ByteRange, Capability, NasdStatus, ObjectAttributes, RequestBody,
     Rights, Version,
 };
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -557,122 +556,11 @@ pub struct NfsFile {
     cap: Capability,
 }
 
-/// Observable totals of a client's capability-issue cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CapCacheStats {
-    /// Lookups answered from cache (no file-manager RPC).
-    pub hits: u64,
-    /// Lookups that went to the file manager (includes lease expiries).
-    pub misses: u64,
-    /// Revocation-driven refreshes (a drive rejected a cached/held
-    /// capability and the client re-fetched by handle).
-    pub refreshes: u64,
-}
-
-/// A cached lookup result: handle, attributes, and the piggybacked
-/// capability, valid until `expires` (drive-clock seconds).
-struct CachedCap {
-    fh: FileHandle,
-    attrs: FmAttrs,
-    cap: Capability,
-    expires: u64,
-}
-
-/// Client-side capability-issue cache, keyed by
-/// `(directory, name, want_write)`.
-///
-/// Leased: entries are served only while inside the capability's own
-/// expiry (minus a safety margin). Revocation-safe by construction —
-/// the drive, not the cache, is the authority: a revoked cached
-/// capability is rejected at the drive, the client refreshes by handle
-/// exactly once ([`NfsClient::read`]'s retry), and every entry for that
-/// handle is purged.
-struct CapCache {
-    map: Mutex<HashMap<(FileHandle, String, bool), CachedCap>>,
-    capacity: usize,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    refreshes: Arc<Counter>,
-}
-
-/// Don't serve a cached capability within this many seconds of expiry:
-/// it could expire mid-operation and burn a refresh round trip.
-const CAP_LEASE_MARGIN: u64 = 5;
-
-impl CapCache {
-    fn new(capacity: usize, registry: Option<&Registry>) -> Self {
-        let counter = |name: &str| match registry {
-            Some(r) => r.counter(name),
-            None => Arc::new(Counter::new()),
-        };
-        CapCache {
-            map: Mutex::new(HashMap::new()),
-            capacity: capacity.max(16),
-            hits: counter("capcache/hits"),
-            misses: counter("capcache/misses"),
-            refreshes: counter("capcache/refreshes"),
-        }
-    }
-
-    fn get(&self, dir: FileHandle, name: &str, want_write: bool, now: u64) -> Option<NfsFile> {
-        let key = (dir, name.to_string(), want_write);
-        let mut map = self.map.lock();
-        if let Some(e) = map.get(&key) {
-            if e.expires > now + CAP_LEASE_MARGIN {
-                self.hits.inc();
-                return Some(NfsFile {
-                    fh: e.fh,
-                    attrs: e.attrs,
-                    cap: e.cap.clone(),
-                });
-            }
-            // Lease expired: drop it and fall through to a miss.
-            map.remove(&key);
-        }
-        self.misses.inc();
-        None
-    }
-
-    fn put(&self, dir: FileHandle, name: &str, want_write: bool, file: &NfsFile) {
-        let mut map = self.map.lock();
-        if map.len() >= self.capacity {
-            // Epoch eviction: cheaper than tracking LRU order for a
-            // cache whose entries re-fill in one RPC each.
-            map.clear();
-        }
-        map.insert(
-            (dir, name.to_string(), want_write),
-            CachedCap {
-                fh: file.fh,
-                attrs: file.attrs,
-                cap: file.cap.clone(),
-                expires: file.cap.public.expires,
-            },
-        );
-    }
-
-    /// Drop every entry resolving to `fh` (after revocation or
-    /// namespace change).
-    fn purge_handle(&self, fh: FileHandle) {
-        self.map.lock().retain(|_, e| e.fh != fh);
-    }
-
-    /// Drop the entries for one directory entry name (both access
-    /// modes).
-    fn purge_name(&self, dir: FileHandle, name: &str) {
-        let mut map = self.map.lock();
-        map.remove(&(dir, name.to_string(), false));
-        map.remove(&(dir, name.to_string(), true));
-    }
-
-    fn stats(&self) -> CapCacheStats {
-        CapCacheStats {
-            hits: self.hits.value(),
-            misses: self.misses.value(),
-            refreshes: self.refreshes.value(),
-        }
-    }
-}
+/// The client's capability-issue cache: the shared [`LeaseCache`]
+/// policy keyed by `(directory, name, want_write)`, holding the lookup
+/// result (handle, attributes, piggybacked capability) until the
+/// capability's own expiry in drive-clock seconds.
+type CapCache = LeaseCache<(FileHandle, String, bool), NfsFile>;
 
 /// Client library for [`NasdNfs`]: control through the manager, data
 /// directly to the drives.
@@ -813,7 +701,8 @@ impl NfsClient {
     /// One lookup, served from the capability cache when possible.
     fn lookup(&self, dir: FileHandle, name: &str, want_write: bool) -> Result<NfsFile, FmError> {
         if let Some(cache) = &self.cache {
-            if let Some(file) = cache.get(dir, name, want_write, self.fleet.now()) {
+            let key = (dir, name.to_string(), want_write);
+            if let Some(file) = cache.get(&key, self.fleet.now()) {
                 return Ok(file);
             }
         }
@@ -828,12 +717,27 @@ impl NfsClient {
                     attrs,
                     cap: *cap,
                 };
-                if let Some(cache) = &self.cache {
-                    cache.put(dir, name, want_write, &file);
-                }
+                self.remember(dir, name, want_write, &file);
                 Ok(file)
             }
             _ => Err(FmError::Transport),
+        }
+    }
+
+    /// Cache a lookup result until its capability expires.
+    fn remember(&self, dir: FileHandle, name: &str, want_write: bool, file: &NfsFile) {
+        if let Some(cache) = &self.cache {
+            let key = (dir, name.to_string(), want_write);
+            cache.put(key, file.clone(), file.cap.public.expires);
+        }
+    }
+
+    /// Drop the cached entries for one directory entry name (both
+    /// access modes).
+    fn forget_name(&self, dir: FileHandle, name: &str) {
+        if let Some(cache) = &self.cache {
+            cache.remove(&(dir, name.to_string(), false));
+            cache.remove(&(dir, name.to_string(), true));
         }
     }
 
@@ -888,10 +792,8 @@ impl NfsClient {
                     },
                     cap: *cap,
                 };
-                if let Some(cache) = &self.cache {
-                    // The create capability has write rights.
-                    cache.put(dir, name, true, &file);
-                }
+                // The create capability has write rights.
+                self.remember(dir, name, true, &file);
                 Ok(file)
             }
             _ => Err(FmError::Transport),
@@ -930,9 +832,7 @@ impl NfsClient {
             name: name.to_string(),
         })? {
             NfsResponse::Ok => {
-                if let Some(cache) = &self.cache {
-                    cache.purge_name(dir, name);
-                }
+                self.forget_name(dir, name);
                 Ok(())
             }
             _ => Err(FmError::Transport),
@@ -956,10 +856,8 @@ impl NfsClient {
             to: to.to_string(),
         })? {
             NfsResponse::Ok => {
-                if let Some(cache) = &self.cache {
-                    cache.purge_name(from_dir, from);
-                    cache.purge_name(to_dir, to);
-                }
+                self.forget_name(from_dir, from);
+                self.forget_name(to_dir, to);
                 Ok(())
             }
             _ => Err(FmError::Transport),
@@ -1051,8 +949,8 @@ impl NfsClient {
             // The cached capability was rejected by a drive (revocation
             // or expiry): count the refresh and purge every cached
             // entry resolving to this handle so the next open re-issues.
-            cache.refreshes.inc();
-            cache.purge_handle(file.fh);
+            cache.note_refresh();
+            cache.retain(|cached| cached.fh != file.fh);
         }
         // A lookup needs the parent directory; NFS handles are stateless
         // so the client re-walks from the root. We retain the path-free

@@ -2,12 +2,13 @@
 //!
 //! Two planes, mirroring `nasd-disk`:
 //!
-//! * **Timing** ([`NetworkModel`]): a switched network — each node owns a
-//!   full-duplex link to a switch with "sufficient bisection bandwidth"
-//!   (§7), so contention happens only at the endpoints' links, plus a
-//!   protocol CPU-cost model ([`RpcCostModel`]) reproducing the paper's
-//!   observation that "DCE RPC cannot push more than 80 Mb/s through a
-//!   155 Mb/s ATM link before the receiving client saturates" (§4.3).
+//! * **Timing** ([`RpcCostModel`]): the protocol CPU cost at an
+//!   endpoint, reproducing the paper's observation that "DCE RPC cannot
+//!   push more than 80 Mb/s through a 155 Mb/s ATM link before the
+//!   receiving client saturates" (§4.3). Link contention is modeled by
+//!   `nasd_sim::BandwidthShare`, one per endpoint link — the switch has
+//!   "sufficient bisection bandwidth" (§7) — composed by the `nasd-bench`
+//!   testbed.
 //! * **Functional**: a unified [`Transport`] abstraction behind the
 //!   [`Channel`] handle every client holds — with two implementations:
 //!   the threaded in-process [`Rpc`] over crossbeam channels
@@ -37,7 +38,7 @@ pub use fault::{
 pub use frame::{
     classify_io, read_frame, write_frames, Frame, FrameBuf, FrameError, HEADER_LEN, MAX_FRAME_LEN,
 };
-pub use model::{LinkSpec, NetworkModel, NodeId, RpcCostModel};
+pub use model::RpcCostModel;
 pub use options::{CallOptions, CallStats};
 pub use pacing::{pace, RatePacer};
 pub use rpc::{spawn_service, Rpc, RpcError, ServiceHandle};

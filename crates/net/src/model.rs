@@ -1,202 +1,4 @@
-//! Switched-network timing model and protocol CPU costs.
-
-use nasd_obs::{Counter, Histogram, Registry};
-use nasd_sim::{BandwidthShare, SimTime};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Identifies a node (client, drive, or server) on the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub u64);
-
-impl std::fmt::Display for NodeId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node-{}", self.0)
-    }
-}
-
-/// Parameters of a node's link to the switch.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkSpec {
-    /// Usable bandwidth in megabits per second.
-    pub mbits_per_sec: f64,
-    /// One-way latency to the switch.
-    pub latency: SimTime,
-}
-
-impl LinkSpec {
-    /// OC-3 ATM as in the prototype testbed: 155 Mb/s.
-    #[must_use]
-    pub fn oc3_atm() -> Self {
-        LinkSpec {
-            mbits_per_sec: 155.0,
-            latency: SimTime::from_micros(20),
-        }
-    }
-
-    /// 10 Mb/s Ethernet (the Active Disks experiment's network, §6).
-    #[must_use]
-    pub fn ethernet_10() -> Self {
-        LinkSpec {
-            mbits_per_sec: 10.0,
-            latency: SimTime::from_micros(100),
-        }
-    }
-
-    /// Fast (100 Mb/s) Ethernet — the low-cost server NIC of Figure 4.
-    #[must_use]
-    pub fn fast_ethernet() -> Self {
-        LinkSpec {
-            mbits_per_sec: 100.0,
-            latency: SimTime::from_micros(50),
-        }
-    }
-
-    /// Gigabit Ethernet — the high-end server NIC of Figure 4.
-    #[must_use]
-    pub fn gigabit_ethernet() -> Self {
-        LinkSpec {
-            mbits_per_sec: 1000.0,
-            latency: SimTime::from_micros(20),
-        }
-    }
-}
-
-struct Duplex {
-    up: BandwidthShare,
-    down: BandwidthShare,
-    latency: SimTime,
-}
-
-struct NetMetrics {
-    messages: Arc<Counter>,
-    bytes: Arc<Counter>,
-    sizes: Arc<Histogram>,
-}
-
-/// A switched network with per-node full-duplex links and an
-/// uncontended fabric.
-///
-/// # Example
-///
-/// ```
-/// use nasd_net::{LinkSpec, NetworkModel, NodeId};
-/// use nasd_sim::SimTime;
-///
-/// let mut net = NetworkModel::new();
-/// let a = NodeId(1);
-/// let b = NodeId(2);
-/// net.add_node(a, LinkSpec::oc3_atm());
-/// net.add_node(b, LinkSpec::oc3_atm());
-/// // 2 MB at 155 Mb/s ≈ 108 ms per hop, two store-and-forward hops.
-/// let arrival = net.send(SimTime::ZERO, a, b, 2 << 20);
-/// assert!((210..225).contains(&arrival.as_millis()));
-/// ```
-#[derive(Default)]
-pub struct NetworkModel {
-    nodes: HashMap<NodeId, Duplex>,
-    metrics: Option<NetMetrics>,
-}
-
-impl NetworkModel {
-    /// An empty network.
-    #[must_use]
-    pub fn new() -> Self {
-        NetworkModel::default()
-    }
-
-    /// Attach `node` to the switch over `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is already attached.
-    pub fn add_node(&mut self, node: NodeId, link: LinkSpec) {
-        let bytes_per_sec = link.mbits_per_sec * 1e6 / 8.0;
-        let prev = self.nodes.insert(
-            node,
-            Duplex {
-                up: BandwidthShare::new(format!("{node}-up"), bytes_per_sec),
-                down: BandwidthShare::new(format!("{node}-down"), bytes_per_sec),
-                latency: link.latency,
-            },
-        );
-        assert!(prev.is_none(), "{node} already attached");
-    }
-
-    /// Whether `node` is attached.
-    #[must_use]
-    pub fn has_node(&self, node: NodeId) -> bool {
-        self.nodes.contains_key(&node)
-    }
-
-    /// Record every message into `registry` under `prefix`:
-    /// `prefix/messages` and `prefix/bytes` counters plus a
-    /// `prefix/message_bytes` size histogram.
-    pub fn observe(&mut self, registry: &Registry, prefix: &str) {
-        self.metrics = Some(NetMetrics {
-            messages: registry.counter(&format!("{prefix}/messages")),
-            bytes: registry.counter(&format!("{prefix}/bytes")),
-            sizes: registry.histogram(&format!("{prefix}/message_bytes")),
-        });
-    }
-
-    /// Send `bytes` from `from` to `to` starting at `now`; returns the
-    /// arrival time at `to`. Serializes on the sender's uplink, crosses
-    /// the switch, then serializes on the receiver's downlink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is not attached.
-    // nasd-lint: allow(transitive-panic, "sim-model contract: nodes attach at topology build time; a missing node is a harness bug, documented under Panics")
-    pub fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> SimTime {
-        if let Some(metrics) = &self.metrics {
-            metrics.messages.inc();
-            metrics.bytes.add(bytes);
-            metrics.sizes.record(bytes);
-        }
-        let (tx_end, tx_latency) = {
-            let src = self.nodes.get_mut(&from).unwrap_or_else(|| {
-                panic!("{from} not attached");
-            });
-            let (_, end) = src.up.transfer(now, bytes);
-            (end, src.latency)
-        };
-        let dst = self.nodes.get_mut(&to).unwrap_or_else(|| {
-            panic!("{to} not attached");
-        });
-        // The head of the message reaches the downlink after the uplink
-        // serialization of the first bytes + propagation; modelling at
-        // message granularity, the downlink starts no earlier than the
-        // uplink finishes plus propagation (store-and-forward switch).
-        let at_switch = tx_end + tx_latency;
-        let (_, rx_end) = dst.down.transfer(at_switch, bytes);
-        rx_end + dst.latency
-    }
-
-    /// Utilization of a node's downlink over `elapsed` (0–1).
-    #[must_use]
-    pub fn downlink_utilization(&self, node: NodeId, elapsed: SimTime) -> f64 {
-        self.nodes
-            .get(&node)
-            .map_or(0.0, |d| d.down.fifo().utilization(elapsed))
-    }
-
-    /// Utilization of a node's uplink over `elapsed` (0–1).
-    #[must_use]
-    pub fn uplink_utilization(&self, node: NodeId, elapsed: SimTime) -> f64 {
-        self.nodes
-            .get(&node)
-            .map_or(0.0, |d| d.up.fifo().utilization(elapsed))
-    }
-}
-
-impl std::fmt::Debug for NetworkModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetworkModel")
-            .field("nodes", &self.nodes.len())
-            .finish()
-    }
-}
+//! Protocol CPU costs at an RPC endpoint.
 
 /// CPU cost of the RPC protocol stack at an endpoint.
 ///
@@ -254,86 +56,6 @@ impl RpcCostModel {
 mod tests {
     use super::*;
 
-    fn two_node_net() -> NetworkModel {
-        let mut net = NetworkModel::new();
-        net.add_node(NodeId(1), LinkSpec::oc3_atm());
-        net.add_node(NodeId(2), LinkSpec::oc3_atm());
-        net
-    }
-
-    #[test]
-    fn transfer_time_matches_bandwidth() {
-        let mut net = two_node_net();
-        // 155 Mb/s = 19.375 MB/s; 19_375_000 bytes ≈ 1 s on each link,
-        // store-and-forward = 2 s + latency.
-        let arrival = net.send(SimTime::ZERO, NodeId(1), NodeId(2), 19_375_000);
-        let s = arrival.as_secs_f64();
-        assert!((1.99..2.02).contains(&s), "arrival at {s}s");
-    }
-
-    #[test]
-    fn senders_share_receiver_downlink() {
-        let mut net = NetworkModel::new();
-        for n in 1..=3u64 {
-            net.add_node(NodeId(n), LinkSpec::oc3_atm());
-        }
-        // Nodes 2 and 3 each send 1 MB to node 1 at t=0: the downlink
-        // serializes them.
-        let a1 = net.send(SimTime::ZERO, NodeId(2), NodeId(1), 1 << 20);
-        let a2 = net.send(SimTime::ZERO, NodeId(3), NodeId(1), 1 << 20);
-        assert!(a2 > a1, "second transfer must queue behind the first");
-        let one_mb_time = (1 << 20) as f64 / (155e6 / 8.0);
-        assert!((a2 - a1).as_secs_f64() >= one_mb_time * 0.99);
-    }
-
-    #[test]
-    fn distinct_receivers_do_not_contend() {
-        let mut net = NetworkModel::new();
-        for n in 1..=4u64 {
-            net.add_node(NodeId(n), LinkSpec::oc3_atm());
-        }
-        let a1 = net.send(SimTime::ZERO, NodeId(1), NodeId(3), 1 << 20);
-        let a2 = net.send(SimTime::ZERO, NodeId(2), NodeId(4), 1 << 20);
-        assert_eq!(a1, a2, "disjoint pairs ride the switch in parallel");
-    }
-
-    #[test]
-    fn utilization_reported() {
-        let mut net = two_node_net();
-        let arrival = net.send(SimTime::ZERO, NodeId(1), NodeId(2), 1_937_500);
-        let u_up = net.uplink_utilization(NodeId(1), arrival);
-        let u_down = net.downlink_utilization(NodeId(2), arrival);
-        assert!(u_up > 0.2 && u_up <= 1.0);
-        assert!(u_down > 0.2 && u_down <= 1.0);
-        assert_eq!(net.uplink_utilization(NodeId(9), arrival), 0.0);
-    }
-
-    #[test]
-    fn observed_network_counts_messages() {
-        let registry = Registry::new();
-        let mut net = two_node_net();
-        net.observe(&registry, "net");
-        net.send(SimTime::ZERO, NodeId(1), NodeId(2), 4096);
-        net.send(SimTime::ZERO, NodeId(2), NodeId(1), 100);
-        assert_eq!(registry.counter("net/messages").value(), 2);
-        assert_eq!(registry.counter("net/bytes").value(), 4196);
-        assert_eq!(registry.histogram("net/message_bytes").count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already attached")]
-    fn duplicate_node_panics() {
-        let mut net = two_node_net();
-        net.add_node(NodeId(1), LinkSpec::oc3_atm());
-    }
-
-    #[test]
-    #[should_panic(expected = "not attached")]
-    fn unknown_node_panics() {
-        let mut net = two_node_net();
-        net.send(SimTime::ZERO, NodeId(1), NodeId(9), 10);
-    }
-
     #[test]
     fn dce_rpc_saturates_near_80_mbits() {
         // §4.3: DCE RPC over OC-3 saturates the receiving client near
@@ -351,13 +73,5 @@ mod tests {
         let dce = RpcCostModel::dce_rpc().instructions(65_536);
         let lean = RpcCostModel::lean().instructions(65_536);
         assert!(lean * 5 < dce);
-    }
-
-    #[test]
-    fn link_presets() {
-        assert_eq!(LinkSpec::ethernet_10().mbits_per_sec, 10.0);
-        assert_eq!(LinkSpec::fast_ethernet().mbits_per_sec, 100.0);
-        assert_eq!(LinkSpec::gigabit_ethernet().mbits_per_sec, 1000.0);
-        assert!(!NetworkModel::new().has_node(NodeId(0)));
     }
 }

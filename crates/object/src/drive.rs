@@ -116,7 +116,6 @@ struct DriveFaultState {
     config: DriveFaultConfig,
     seed: u64,
     seq: u64,
-    injected: u64,
 }
 
 enum DriveFault {
@@ -137,7 +136,7 @@ impl DriveFaultState {
         self.seq += 1;
         let base = fault_mix(self.seed ^ seq.wrapping_mul(0xa076_1d64_78bd_642f));
         let roll = (base >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let fault = if roll < self.config.busy {
+        if roll < self.config.busy {
             Some(DriveFault::Busy)
         } else if roll < self.config.busy + self.config.slow_io && self.config.max_slow_micros > 0 {
             Some(DriveFault::SlowMicros(
@@ -145,11 +144,7 @@ impl DriveFaultState {
             ))
         } else {
             None
-        };
-        if fault.is_some() {
-            self.injected += 1;
         }
-        fault
     }
 }
 
@@ -485,19 +480,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
             config,
             seed,
             seq: 0,
-            injected: 0,
         });
-    }
-
-    /// Remove the fault injector; subsequent requests run clean.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
-    /// How many faults the injector has realized so far (diagnostic).
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.injected)
     }
 
     /// Handle one wire request — the drive's single entry point.
@@ -1423,6 +1406,22 @@ mod tests {
         // No state change: the object reads back as before.
         assert_eq!(c.get_attr(&mut d).unwrap().size, 12);
         assert_eq!(c.read(&mut d, 0, 64).unwrap(), b"twelve bytes");
+    }
+
+    #[test]
+    fn create_with_overflowing_preallocate_is_a_typed_error() {
+        // `preallocate` rounds up to 2^51 blocks; times the block size
+        // that is 2^64. A valid CREATE capability is all it takes.
+        let mut d = drive();
+        for preallocate in [u64::MAX, u64::MAX - 8_191] {
+            assert_eq!(
+                d.admin_create_object(P, preallocate).unwrap_err(),
+                NasdStatus::NoSpace
+            );
+        }
+        // No state change: the partition is empty and its quota whole.
+        let info = d.store().partition_stats(P).unwrap();
+        assert_eq!((info.used, info.objects), (0, 0));
     }
 
     #[test]

@@ -119,6 +119,28 @@ pub(crate) struct Partition {
     pub(crate) objects: HashMap<ObjectId, ObjectMeta>,
 }
 
+impl Partition {
+    /// The name for a new object: the next unissued one, or the `logged`
+    /// one on WAL replay. Either way it is never issued again.
+    fn claim(&mut self, logged: Option<ObjectId>) -> ObjectId {
+        let id = logged.unwrap_or(ObjectId(self.next_object));
+        self.next_object = self.next_object.max(id.0.saturating_add(1));
+        id
+    }
+
+    /// Quota consumed once `nblocks` more blocks of `bs` bytes are
+    /// charged. Block counts derive from wire integers, so the byte
+    /// count may overflow: that, like exceeding the quota, is
+    /// [`StoreError::NoSpace`] before any state change.
+    fn used_after(&self, nblocks: u64, bs: u64) -> Result<u64, StoreError> {
+        nblocks
+            .checked_mul(bs)
+            .and_then(|charge| self.used.checked_add(charge))
+            .filter(|&used| used <= self.quota)
+            .ok_or(StoreError::NoSpace)
+    }
+}
+
 /// The drive's object store.
 ///
 /// Generic over the [`BlockDevice`] holding the bytes; all metadata
@@ -393,30 +415,39 @@ impl<D: BlockDevice> ObjectStore<D> {
         now: u64,
         trace: &mut IoTrace,
     ) -> Result<ObjectId, StoreError> {
+        self.create_as(None, p, preallocate, cluster_with, now, trace)
+    }
+
+    /// The one create body. Live calls pass `logged: None` and the drive
+    /// assigns the next name; WAL replay passes the logged name, skips
+    /// an object that already exists, and never re-issues that name.
+    fn create_as(
+        &mut self,
+        logged: Option<ObjectId>,
+        p: PartitionId,
+        preallocate: u64,
+        cluster_with: Option<ObjectId>,
+        now: u64,
+        trace: &mut IoTrace,
+    ) -> Result<ObjectId, StoreError> {
         let bs = self.block_size as u64;
         let nblocks = preallocate.div_ceil(bs);
-
-        // Find the placement hint before borrowing mutably.
-        let hint = cluster_with.and_then(|c| {
-            self.partitions
-                .get(&p)
-                .and_then(|part| part.objects.get(&c))
-                .and_then(|m| m.blocks.first().copied())
-        });
-
-        let part = self.partition(p)?;
-        if part.used + nblocks * bs > part.quota {
-            return Err(StoreError::NoSpace);
+        let part = self.partition_mut(p)?;
+        if let Some(id) = logged.filter(|id| part.objects.contains_key(id)) {
+            return Ok(part.claim(Some(id)));
         }
+        let used = part.used_after(nblocks, bs)?;
+        let hint = cluster_with
+            .and_then(|c| part.objects.get(&c))
+            .and_then(|m| m.blocks.first().copied());
         let blocks = self.allocate_blocks(nblocks, hint, trace)?;
 
         let part = self.partition_mut(p)?;
-        let id = ObjectId(part.next_object);
-        part.next_object += 1;
+        let id = part.claim(logged);
         let mut attrs = ObjectAttributes::new_at(now);
         attrs.preallocated = preallocate;
         attrs.cluster_with = cluster_with;
-        part.used += nblocks * bs;
+        part.used = used;
         part.objects.insert(id, ObjectMeta { attrs, blocks });
         self.wal_log(
             &WalRecord::Create {
@@ -943,35 +974,36 @@ impl<D: BlockDevice> ObjectStore<D> {
         now: u64,
         trace: &mut IoTrace,
     ) -> Result<ObjectId, StoreError> {
+        self.snapshot_as(None, p, o, now, trace)
+    }
+
+    /// The one snapshot body; `logged` as in [`Self::create_as`].
+    fn snapshot_as(
+        &mut self,
+        logged: Option<ObjectId>,
+        p: PartitionId,
+        o: ObjectId,
+        now: u64,
+        trace: &mut IoTrace,
+    ) -> Result<ObjectId, StoreError> {
         let bs = self.block_size as u64;
-        let (attrs, blocks) = {
-            let part = self.partition(p)?;
-            let meta = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
-            (meta.attrs.clone(), meta.blocks.clone())
-        };
-        let part = self.partition(p)?;
-        let charge = blocks.len() as u64 * bs;
-        if part.used + charge > part.quota {
-            return Err(StoreError::NoSpace);
+        let part = self.partition_mut(p)?;
+        if let Some(id) = logged.filter(|id| part.objects.contains_key(id)) {
+            return Ok(part.claim(Some(id)));
         }
+        let src = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
+        let (mut attrs, blocks) = (src.attrs.clone(), src.blocks.clone());
+        part.used = part.used_after(blocks.len() as u64, bs)?;
+        let id = part.claim(logged);
+        attrs.create_time = now;
+        attrs.attr_modify_time = now;
+        attrs.version = Version(0);
         for &b in &blocks {
             *self.refcounts.entry(b).or_insert(1) += 1;
         }
-        let part = self.partition_mut(p)?;
-        part.used += charge;
-        let id = ObjectId(part.next_object);
-        part.next_object += 1;
-        let mut snap_attrs = attrs;
-        snap_attrs.create_time = now;
-        snap_attrs.attr_modify_time = now;
-        snap_attrs.version = Version(0);
-        part.objects.insert(
-            id,
-            ObjectMeta {
-                attrs: snap_attrs,
-                blocks,
-            },
-        );
+        self.partition_mut(p)?
+            .objects
+            .insert(id, ObjectMeta { attrs, blocks });
         self.wal_log(&WalRecord::Snapshot { p, o, id, now }, trace)?;
         Ok(id)
     }
@@ -1036,7 +1068,10 @@ impl<D: BlockDevice> ObjectStore<D> {
                 preallocate,
                 cluster_with,
                 now,
-            } => self.apply_create(p, id, preallocate, cluster_with, now, trace),
+            } => benign(
+                self.create_as(Some(id), p, preallocate, cluster_with, now, trace)
+                    .map(|_| ()),
+            ),
             WalRecord::Remove { p, o } => benign(self.remove_object(p, o, trace)),
             WalRecord::SetAttr {
                 p,
@@ -1069,99 +1104,10 @@ impl<D: BlockDevice> ObjectStore<D> {
                 new_size,
                 now,
             } => benign(self.resize(p, o, new_size, now, trace)),
-            WalRecord::Snapshot { p, o, id, now } => self.apply_snapshot(p, o, id, now),
-        }
-    }
-
-    /// Replay-side `create_object` with the logged (drive-assigned) id.
-    fn apply_create(
-        &mut self,
-        p: PartitionId,
-        id: ObjectId,
-        preallocate: u64,
-        cluster_with: Option<ObjectId>,
-        now: u64,
-        trace: &mut IoTrace,
-    ) -> Result<(), StoreError> {
-        let bs = self.block_size as u64;
-        let Some(part) = self.partitions.get(&p) else {
-            return Ok(()); // partition later removed: this create is moot
-        };
-        if !part.objects.contains_key(&id) {
-            let nblocks = preallocate.div_ceil(bs);
-            let hint = cluster_with.and_then(|c| {
-                self.partitions
-                    .get(&p)
-                    .and_then(|part| part.objects.get(&c))
-                    .and_then(|m| m.blocks.first().copied())
-            });
-            let part = self.partition(p)?;
-            if part.used + nblocks * bs > part.quota {
-                return Err(StoreError::NoSpace);
+            WalRecord::Snapshot { p, o, id, now } => {
+                benign(self.snapshot_as(Some(id), p, o, now, trace).map(|_| ()))
             }
-            let blocks = self.allocate_blocks(nblocks, hint, trace)?;
-            let part = self.partition_mut(p)?;
-            let mut attrs = ObjectAttributes::new_at(now);
-            attrs.preallocated = preallocate;
-            attrs.cluster_with = cluster_with;
-            part.used += nblocks * bs;
-            part.objects.insert(id, ObjectMeta { attrs, blocks });
         }
-        // The name counter must never re-issue a replayed id.
-        if let Some(part) = self.partitions.get_mut(&p) {
-            part.next_object = part.next_object.max(id.0 + 1);
-        }
-        Ok(())
-    }
-
-    /// Replay-side `snapshot` with the logged (drive-assigned) id.
-    fn apply_snapshot(
-        &mut self,
-        p: PartitionId,
-        o: ObjectId,
-        id: ObjectId,
-        now: u64,
-    ) -> Result<(), StoreError> {
-        let bs = self.block_size as u64;
-        let exists = match self.partitions.get(&p) {
-            None => return Ok(()),
-            Some(part) => part.objects.contains_key(&id),
-        };
-        if !exists {
-            let src = self
-                .partitions
-                .get(&p)
-                .and_then(|part| part.objects.get(&o));
-            let Some(src) = src else {
-                return Ok(()); // source later removed before any ack depended on it
-            };
-            let (attrs, blocks) = (src.attrs.clone(), src.blocks.clone());
-            let charge = blocks.len() as u64 * bs;
-            let part = self.partition(p)?;
-            if part.used + charge > part.quota {
-                return Err(StoreError::NoSpace);
-            }
-            for &b in &blocks {
-                *self.refcounts.entry(b).or_insert(1) += 1;
-            }
-            let part = self.partition_mut(p)?;
-            part.used += charge;
-            let mut snap_attrs = attrs;
-            snap_attrs.create_time = now;
-            snap_attrs.attr_modify_time = now;
-            snap_attrs.version = Version(0);
-            part.objects.insert(
-                id,
-                ObjectMeta {
-                    attrs: snap_attrs,
-                    blocks,
-                },
-            );
-        }
-        if let Some(part) = self.partitions.get_mut(&p) {
-            part.next_object = part.next_object.max(id.0 + 1);
-        }
-        Ok(())
     }
 
     fn object_mut(&mut self, p: PartitionId, o: ObjectId) -> Result<&mut ObjectMeta, StoreError> {

@@ -3,8 +3,10 @@
 //! The paper's evaluation ran on 1998 hardware (Alpha workstations, OC-3
 //! ATM, SCSI disks). This crate is the substrate that replaces that
 //! testbed: a single-threaded, deterministic event simulator plus the
-//! resource models the experiments need — FIFO service centers for links
-//! and busses, a CPU model that converts instruction counts to time, and
+//! resource models the experiments need — FIFO service centers
+//! ([`FifoResource`]), links and busses as FIFO servers of a fixed
+//! bandwidth ([`BandwidthShare`], the only link model), a CPU model that
+//! converts instruction counts to time ([`CpuModel`]), and
 //! time-weighted utilization statistics (the paper plots *client idle* and
 //! *drive CPU idle* in Figure 7).
 //!
@@ -41,7 +43,7 @@ mod kernel;
 mod resource;
 
 pub use kernel::{EventId, Simulator, WheelParams};
-pub use resource::{BandwidthShare, CpuModel, FifoResource, LinkModel};
+pub use resource::{BandwidthShare, CpuModel, FifoResource};
 // `SimTime` and the single-owner accounting helpers moved to `nasd-obs`
 // (the observability layer sits below the kernel so metrics can be keyed
 // on simulated time); re-exported here so downstream code is unchanged.

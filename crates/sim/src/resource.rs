@@ -1,4 +1,4 @@
-//! Resource models: FIFO service centers, CPUs, links and shared busses.
+//! Resource models: FIFO service centers, CPUs and shared serial media.
 //!
 //! The experiments model contention the way queueing analyses of storage
 //! systems do: each contended component (a network link, a SCSI bus, a
@@ -153,58 +153,6 @@ impl CpuModel {
     }
 }
 
-/// A point-to-point link: propagation latency plus serialization at a
-/// fixed bandwidth.
-///
-/// # Example
-///
-/// ```
-/// use nasd_sim::LinkModel;
-/// // OC-3 ATM: 155 Mb/s. 2 MB takes ~108 ms to serialize.
-/// let oc3 = LinkModel::from_megabits(155.0, nasd_sim::SimTime::from_micros(50));
-/// let t = oc3.transfer_time(2 << 20);
-/// assert!(t.as_millis() >= 105 && t.as_millis() <= 112);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkModel {
-    /// Usable bandwidth in bytes per second.
-    pub bytes_per_sec: f64,
-    /// One-way propagation latency.
-    pub latency: SimTime,
-}
-
-impl LinkModel {
-    /// From a bandwidth in megabits per second.
-    #[must_use]
-    pub fn from_megabits(mbits: f64, latency: SimTime) -> Self {
-        LinkModel {
-            bytes_per_sec: mbits * 1e6 / 8.0,
-            latency,
-        }
-    }
-
-    /// From a bandwidth in megabytes per second.
-    #[must_use]
-    pub fn from_megabytes(mbytes: f64, latency: SimTime) -> Self {
-        LinkModel {
-            bytes_per_sec: mbytes * 1e6,
-            latency,
-        }
-    }
-
-    /// Serialization time for `bytes` (excludes latency).
-    #[must_use]
-    pub fn transfer_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-    }
-
-    /// Latency plus serialization for `bytes`.
-    #[must_use]
-    pub fn delivery_time(&self, bytes: u64) -> SimTime {
-        self.latency + self.transfer_time(bytes)
-    }
-}
-
 /// A shared serial medium (SCSI bus, PCI bus, memory bus): a FIFO resource
 /// whose service time is derived from a byte count at fixed bandwidth.
 ///
@@ -332,21 +280,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn cpu_rejects_zero_clock() {
         let _ = CpuModel::new(0.0, 2.0);
-    }
-
-    #[test]
-    fn link_models() {
-        let enet = LinkModel::from_megabits(100.0, SimTime::from_micros(100));
-        // 100 Mb/s = 12.5 MB/s: 12.5 MB takes 1 s.
-        assert_eq!(enet.transfer_time(12_500_000).as_millis(), 1000);
-        assert_eq!(
-            enet.delivery_time(0),
-            SimTime::from_micros(100),
-            "latency only for empty payload"
-        );
-
-        let scsi = LinkModel::from_megabytes(40.0, SimTime::ZERO);
-        assert_eq!(scsi.transfer_time(40_000_000).as_millis(), 1000);
     }
 
     #[test]

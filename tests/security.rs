@@ -159,9 +159,10 @@ fn data_integrity_mode_detects_payload_tampering() {
         body,
         Bytes::from_static(b"original"),
     );
-    tampered.data = Bytes::from_static(b"evil-byte");
+    // Same length as the signed payload, so only the MAC can object.
+    tampered.data = Bytes::from_static(b"evilbyte");
     let (reply, _) = d.handle(&tampered);
-    assert!(!reply.status.is_ok());
+    assert_eq!(reply.status, NasdStatus::AccessDenied);
 }
 
 /// Working-key rotation revokes every capability minted under the old
