@@ -39,10 +39,9 @@
 
 pub mod on_drive;
 
-use bytes::Bytes;
 use nasd_disk::BlockDevice;
 use nasd_object::NasdDrive;
-use nasd_proto::{Capability, NasdStatus, ReplyBody, RequestBody};
+use nasd_proto::{Capability, NasdStatus};
 use std::fmt;
 
 /// A method executed at the drive over an object's data.
@@ -116,27 +115,11 @@ impl<D: BlockDevice> ActiveDrive<D> {
         function: &mut dyn DiskFunction,
     ) -> Result<ExecutionReport, NasdStatus> {
         let handle = nasd_object::ClientHandle::new(0xac71, cap.clone());
-        let (partition, object) = (cap.public.partition, cap.public.object);
         let granularity = function.read_granularity().max(1);
         let mut offset = 0u64;
         let mut scanned = 0u64;
         loop {
-            let req = handle.build(
-                RequestBody::Read {
-                    partition,
-                    object,
-                    offset,
-                    len: granularity,
-                },
-                Bytes::new(),
-            );
-            let (reply, _report) = self.drive.handle(&req);
-            if !reply.status.is_ok() {
-                return Err(reply.status);
-            }
-            let ReplyBody::Data(data) = reply.body else {
-                return Err(NasdStatus::DriveError);
-            };
+            let data = handle.read(&mut self.drive, offset, granularity)?;
             if data.is_empty() {
                 break;
             }

@@ -80,25 +80,15 @@ fn measure(op: &str, cache: &str, size: u64, registry: &Arc<Registry>) -> (f64, 
         .write(&mut drive, 0, &vec![0xa5u8; size as usize])
         .unwrap();
 
-    let build_target = |client: &nasd::object::ClientHandle| match op {
-        "read" => client.build(
-            RequestBody::Read {
-                partition: p,
-                object: obj,
-                offset: 0,
-                len: size,
-            },
-            Bytes::new(),
-        ),
-        _ => client.build(
-            RequestBody::Write {
-                partition: p,
-                object: obj,
-                offset: 0,
-                len: size,
-            },
-            Bytes::from(vec![0x5au8; size as usize]),
-        ),
+    let build_target = |client: &nasd::object::ClientHandle| {
+        let cap = &client.capability().public;
+        match op {
+            "read" => client.build(RequestBody::read(cap, 0, size), Bytes::new()),
+            _ => client.build(
+                RequestBody::write(cap, 0, size),
+                Bytes::from(vec![0x5au8; size as usize]),
+            ),
+        }
     };
 
     if cache == "cold" {

@@ -56,10 +56,13 @@ fn fig6_rows_expose_every_curve_of_the_figure() {
     }
 }
 
-/// The oracle for every refactor of the simulated testbed: the
-/// SimTime-derived rows, config and derived fields of `fig7`, `fig9`
-/// and `scale` equal the checked-in `BENCH_baseline.json`. Only
-/// `events_per_wall_sec` (a host wall-clock measurement) is excluded.
+/// The oracle for every refactor of the simulated testbed and of the
+/// drive's request pipeline: the SimTime-derived rows, config and
+/// derived fields of `fig7`, `fig9` and `scale`, and the per-request
+/// instruction accounting of `table1` (every cell is a live
+/// `NasdDrive::handle` call), equal the checked-in
+/// `BENCH_baseline.json`. Only `events_per_wall_sec` (a host wall-clock
+/// measurement) is excluded.
 #[test]
 fn deterministic_reports_match_baseline() {
     use nasd_bench::{fig7, fig9, scale};
@@ -80,6 +83,7 @@ fn deterministic_reports_match_baseline() {
         report::fig7_report(&fig7::run()),
         report::fig9_report(&fig9::run()),
         report::scale_report(&scale::run()),
+        report::table1_report(),
     ] {
         let bench = fresh.bench.clone();
         let golden = baseline

@@ -11,7 +11,7 @@ use crate::map::{Layout, LogicalObjectId, Redundancy};
 use bytes::{ByteRope, Bytes};
 use nasd_fm::{DriveFleet, FmError, ManagerLink};
 use nasd_net::{CallOptions, Channel, RetryPolicy};
-use nasd_proto::{Capability, NasdStatus, ReplyBody, RequestBody, Rights};
+use nasd_proto::{Capability, NasdStatus, RequestBody, Rights};
 use std::sync::Arc;
 
 /// An open logical object: layout plus the capability set.
@@ -227,16 +227,8 @@ impl CheopsClient {
                 .ok_or(FmError::Transport)?;
             // A crashed drive fails the send; recovery happens per-run
             // below (signed retry, then mirror/parity fallback).
-            pending.push(ep.start(
-                cap,
-                RequestBody::Read {
-                    partition: col.primary.partition,
-                    object: col.primary.object,
-                    offset: run.local_offset,
-                    len: run.len,
-                },
-                Bytes::new(),
-            ));
+            let body = RequestBody::read(&cap.public, run.local_offset, run.len);
+            pending.push(ep.start(cap, body, Bytes::new()));
         }
 
         // Single-run reads (the common small-file case) pass the drive's
@@ -253,11 +245,7 @@ impl CheopsClient {
         let mut delivered_end = 0u64;
         for (run, started) in runs.iter().zip(pending) {
             let col = file.column(run.column)?;
-            let primary = started.finish().and_then(|body| match body {
-                ReplyBody::Data(d) => Ok(d),
-                _ => Err(FmError::Drive(NasdStatus::DriveError)),
-            });
-            let data = match primary {
+            let data = match started.finish().and_then(|body| Ok(body.into_data()?)) {
                 Ok(d) => d,
                 Err(e) => {
                     // Degraded read: mirror first, then parity
@@ -332,25 +320,14 @@ impl CheopsClient {
                     .fleet
                     .by_id(component.drive)
                     .ok_or(FmError::Transport)?;
-                pending.push(ep.start(
-                    cap,
-                    RequestBody::Write {
-                        partition: component.partition,
-                        object: component.object,
-                        offset: run.local_offset,
-                        len: run.len,
-                    },
-                    chunk.clone(),
-                ));
+                let body = RequestBody::write(&cap.public, run.local_offset, run.len);
+                pending.push(ep.start(cap, body, chunk.clone()));
             }
         }
         // A write is only counted as acked once some attempt's reply
         // says `Written`, so a lost first attempt never loses acked data.
         for started in pending {
-            match started.finish()? {
-                ReplyBody::Written(_) => {}
-                _ => return Err(FmError::Drive(NasdStatus::DriveError)),
-            }
+            started.finish()?.into_written()?;
         }
         Ok(data.len() as u64)
     }
@@ -446,20 +423,11 @@ impl CheopsClient {
                 .fleet
                 .by_id(col.primary.drive)
                 .ok_or(FmError::Transport)?;
-            pending.push(ep.start(
-                cap,
-                RequestBody::GetAttr {
-                    partition: col.primary.partition,
-                    object: col.primary.object,
-                },
-                Bytes::new(),
-            ));
+            pending.push(ep.start(cap, RequestBody::get_attr(&cap.public), Bytes::new()));
         }
         let mut size = 0u64;
         for (column, started) in pending.into_iter().enumerate() {
-            let ReplyBody::Attr(attrs) = started.finish()? else {
-                return Err(FmError::Drive(NasdStatus::DriveError));
-            };
+            let attrs = started.finish()?.into_attr()?;
             size = size.max(file.layout.logical_size_from_component(column, attrs.size));
         }
         Ok(size)

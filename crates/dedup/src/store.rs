@@ -31,10 +31,13 @@ use crate::index::ChunkDigest;
 use crate::manifest::SnapshotManifest;
 use bytes::Bytes;
 use nasd_crypto::Sha256;
-use nasd_fm::{DriveEndpoint, DriveFleet};
+use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
 use nasd_obs::Registry;
 use nasd_proto::wire::{DecodeError, WireReader, WireWriter};
-use nasd_proto::{ByteRange, ObjectId, PartitionId, Rights, Version, FS_SPECIFIC_ATTR_LEN};
+use nasd_proto::{
+    ByteRange, NasdStatus, ObjectId, PartitionId, ReplyBody, RequestBody, Rights, Version,
+    FS_SPECIFIC_ATTR_LEN,
+};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -574,18 +577,13 @@ impl ChunkStore {
         let mut manifest_objs: Vec<(u32, ObjectId)> = Vec::new();
         for (di, ep) in self.fleet.endpoints().iter().enumerate() {
             let list_cap = ep.mint_partition(self.config.partition, Rights::GETATTR, self.expiry());
-            let ids = match ep.call(
-                &list_cap,
-                nasd_proto::RequestBody::ListObjects {
-                    partition: self.config.partition,
-                },
-                Bytes::new(),
-            ) {
-                Ok(nasd_proto::ReplyBody::Objects(ids)) => ids,
-                Ok(_) => Vec::new(),
-                // A real drive error aborts open: recovery must never
-                // silently proceed with a partial view of the store.
-                Err(e) => return Err(e.into()),
+            let list = RequestBody::ListObjects {
+                partition: self.config.partition,
+            };
+            // A drive error aborts open: recovery must never silently
+            // proceed with a partial view of the store.
+            let ReplyBody::Objects(ids) = ep.call(&list_cap, list, Bytes::new())? else {
+                return Err(FmError::Drive(NasdStatus::DriveError).into());
             };
             for id in ids {
                 let cap = self.ro_cap(ep, id);

@@ -11,9 +11,9 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// Default per-client capability-cache capacity (entries): what
-/// [`FmConnect::nfs_sharded`](crate::FmConnect::nfs_sharded) enables
-/// and what the scale matrix simulates.
+/// Per-client capability-cache capacity (entries): what
+/// [`NfsClient::enable_cap_cache`](crate::NfsClient::enable_cap_cache)
+/// builds and what the scale matrix simulates.
 pub const CAP_CACHE_CAPACITY: usize = 4096;
 
 /// Don't serve a cached capability within this many seconds of expiry:

@@ -12,7 +12,6 @@
 //! ```
 
 use crate::afs::{AfsClient, AfsRequest, AfsResponse};
-use crate::capcache::CAP_CACHE_CAPACITY;
 use crate::drives::DriveFleet;
 use crate::handle::FmError;
 use crate::nfs::{NfsClient, NfsRequest, NfsResponse};
@@ -82,7 +81,7 @@ impl FmConnect for Connector {
     ) -> Result<NfsClient, FmError> {
         let channels = fms.into_iter().map(|rpc| self.in_proc(rpc)).collect();
         let mut client = NfsClient::attach_sharded(channels, fleet)?;
-        client.enable_cap_cache(CAP_CACHE_CAPACITY, None);
+        client.enable_cap_cache(None);
         Ok(client)
     }
 

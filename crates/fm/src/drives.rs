@@ -17,7 +17,7 @@ use nasd_net::{
 use nasd_object::{DriveConfig, DriveFaultConfig, NasdDrive};
 use nasd_proto::{
     ByteRange, Capability, CapabilityPublic, DriveId, NasdStatus, Nonce, ObjectAttributes,
-    ObjectId, PartitionId, ProtectionLevel, Reply, ReplyBody, Request, RequestBody, Rights,
+    ObjectId, PartitionId, ProtectionLevel, Reply, ReplyBody, Request, RequestBody, Rights, Scope,
     SetAttrMask, Version,
 };
 use parking_lot::{Mutex, RwLock};
@@ -212,9 +212,10 @@ impl DriveEndpoint {
         rights: Rights,
         expires: u64,
     ) -> Capability {
+        let object = Scope::Partition.capability_object();
         self.mint(
             partition,
-            ObjectId(0),
+            object,
             Version(0),
             rights,
             ByteRange::FULL,
@@ -283,18 +284,12 @@ impl DriveEndpoint {
         expires: u64,
     ) -> Result<ObjectId, FmError> {
         let cap = self.mint_partition(partition, Rights::CREATE, expires);
-        match self.call(
-            &cap,
-            RequestBody::Create {
-                partition,
-                preallocate,
-                cluster_with,
-            },
-            Bytes::new(),
-        )? {
-            ReplyBody::Created(id) => Ok(id),
-            _ => Err(FmError::Drive(NasdStatus::DriveError)),
-        }
+        let body = RequestBody::Create {
+            partition,
+            preallocate,
+            cluster_with,
+        };
+        Ok(self.call(&cap, body, Bytes::new())?.into_created()?)
     }
 
     /// Read object data with `cap`. The payload is a scatter-gather
@@ -305,20 +300,8 @@ impl DriveEndpoint {
     ///
     /// Drive statuses and transport failures.
     pub fn read(&self, cap: &Capability, offset: u64, len: u64) -> Result<ByteRope, FmError> {
-        let (partition, object) = (cap.public.partition, cap.public.object);
-        match self.call(
-            cap,
-            RequestBody::Read {
-                partition,
-                object,
-                offset,
-                len,
-            },
-            Bytes::new(),
-        )? {
-            ReplyBody::Data(d) => Ok(d),
-            _ => Err(FmError::Drive(NasdStatus::DriveError)),
-        }
+        let body = RequestBody::read(&cap.public, offset, len);
+        Ok(self.call(cap, body, Bytes::new())?.into_data()?)
     }
 
     /// Write object data with `cap`.
@@ -327,21 +310,8 @@ impl DriveEndpoint {
     ///
     /// Drive statuses and transport failures.
     pub fn write(&self, cap: &Capability, offset: u64, data: Bytes) -> Result<u64, FmError> {
-        let (partition, object) = (cap.public.partition, cap.public.object);
-        let len = data.len() as u64;
-        match self.call(
-            cap,
-            RequestBody::Write {
-                partition,
-                object,
-                offset,
-                len,
-            },
-            data,
-        )? {
-            ReplyBody::Written(n) => Ok(n),
-            _ => Err(FmError::Drive(NasdStatus::DriveError)),
-        }
+        let body = RequestBody::write(&cap.public, offset, data.len() as u64);
+        Ok(self.call(cap, body, data)?.into_written()?)
     }
 
     /// Append object data at the drive-chosen end of data with `cap`;
@@ -353,17 +323,12 @@ impl DriveEndpoint {
     ///
     /// Drive statuses and transport failures.
     pub fn append(&self, cap: &Capability, data: Bytes) -> Result<u64, FmError> {
-        let (partition, object) = (cap.public.partition, cap.public.object);
-        let len = data.len() as u64;
-        match self.call(
-            cap,
-            RequestBody::Append {
-                partition,
-                object,
-                len,
-            },
-            data,
-        )? {
+        let body = RequestBody::Append {
+            partition: cap.public.partition,
+            object: cap.public.object,
+            len: data.len() as u64,
+        };
+        match self.call(cap, body, data)? {
             ReplyBody::Appended(offset) => Ok(offset),
             _ => Err(FmError::Drive(NasdStatus::DriveError)),
         }
@@ -375,15 +340,27 @@ impl DriveEndpoint {
     ///
     /// Drive statuses and transport failures.
     pub fn get_attr(&self, cap: &Capability) -> Result<ObjectAttributes, FmError> {
-        let (partition, object) = (cap.public.partition, cap.public.object);
-        match self.call(
-            cap,
-            RequestBody::GetAttr { partition, object },
-            Bytes::new(),
-        )? {
-            ReplyBody::Attr(a) => Ok(a),
-            _ => Err(FmError::Drive(NasdStatus::DriveError)),
-        }
+        let body = RequestBody::get_attr(&cap.public);
+        Ok(self.call(cap, body, Bytes::new())?.into_attr()?)
+    }
+
+    /// One `SetAttr` selecting `mask`, carrying `fs_specific`.
+    fn set_attr(
+        &self,
+        cap: &Capability,
+        mask: SetAttrMask,
+        fs_specific: [u8; nasd_proto::FS_SPECIFIC_ATTR_LEN],
+    ) -> Result<(), FmError> {
+        let body = RequestBody::SetAttr {
+            partition: cap.public.partition,
+            object: cap.public.object,
+            mask,
+            fs_specific: Box::new(fs_specific),
+            preallocated: 0,
+            cluster_with: None,
+        };
+        self.call(cap, body, Bytes::new())?;
+        Ok(())
     }
 
     /// Update the filesystem-specific attribute block with `cap`.
@@ -396,20 +373,7 @@ impl DriveEndpoint {
         cap: &Capability,
         fs_specific: [u8; nasd_proto::FS_SPECIFIC_ATTR_LEN],
     ) -> Result<(), FmError> {
-        let (partition, object) = (cap.public.partition, cap.public.object);
-        self.call(
-            cap,
-            RequestBody::SetAttr {
-                partition,
-                object,
-                mask: SetAttrMask::fs_specific_only(),
-                fs_specific: Box::new(fs_specific),
-                preallocated: 0,
-                cluster_with: None,
-            },
-            Bytes::new(),
-        )?;
-        Ok(())
+        self.set_attr(cap, SetAttrMask::fs_specific_only(), fs_specific)
     }
 
     /// Bump an object's version (capability revocation). Returns the new
@@ -419,19 +383,8 @@ impl DriveEndpoint {
     ///
     /// Drive statuses and transport failures.
     pub fn bump_version(&self, cap: &Capability) -> Result<Version, FmError> {
-        let (partition, object) = (cap.public.partition, cap.public.object);
-        self.call(
-            cap,
-            RequestBody::SetAttr {
-                partition,
-                object,
-                mask: SetAttrMask::bump_version_only(),
-                fs_specific: Box::new([0u8; nasd_proto::FS_SPECIFIC_ATTR_LEN]),
-                preallocated: 0,
-                cluster_with: None,
-            },
-            Bytes::new(),
-        )?;
+        let unused = [0u8; nasd_proto::FS_SPECIFIC_ATTR_LEN];
+        self.set_attr(cap, SetAttrMask::bump_version_only(), unused)?;
         Ok(cap.public.version.bumped())
     }
 

@@ -1,6 +1,6 @@
 //! File handles, attributes and file-manager errors.
 
-use nasd_proto::{DriveId, NasdStatus, ObjectId, PartitionId};
+use nasd_proto::{DriveId, NasdStatus, ObjectAttributes, ObjectId, PartitionId};
 use std::fmt;
 
 /// An NFS-style opaque-but-stateless file handle: it encodes where the
@@ -74,6 +74,26 @@ impl FmAttrs {
         let mode = u16::from_be_bytes(fs_specific.get(1..3)?.try_into().ok()?);
         let uid = u32::from_be_bytes(fs_specific.get(3..7)?.try_into().ok()?);
         Some((ft, mode, uid))
+    }
+
+    /// File attributes out of a drive's object attributes: length and
+    /// modify time are NASD-maintained, the policy fields come out of
+    /// the `fs_specific` block.
+    ///
+    /// # Errors
+    ///
+    /// [`NasdStatus::DriveError`] when no file manager stamped the
+    /// object.
+    pub fn from_object(obj: &ObjectAttributes) -> Result<FmAttrs, FmError> {
+        let (file_type, mode, uid) = Self::unpack_policy(obj.fs_specific.as_slice())
+            .ok_or(FmError::Drive(NasdStatus::DriveError))?;
+        Ok(FmAttrs {
+            file_type,
+            size: obj.size,
+            mtime: obj.data_modify_time,
+            mode,
+            uid,
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 //! other requests are handled by the file manager. Capabilities are
 //! piggybacked on the file manager's response to lookup operations."
 
-use crate::capcache::{CapCacheStats, LeaseCache};
+use crate::capcache::{CapCacheStats, LeaseCache, CAP_CACHE_CAPACITY};
 use crate::dirfmt::{decode_dir, encode_dir, DirRecord};
 use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
@@ -17,8 +17,8 @@ use bytes::{ByteRope, Bytes};
 use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
 use nasd_obs::Registry;
 use nasd_proto::{
-    route_hash, shard_index, ByteRange, Capability, NasdStatus, ObjectAttributes, RequestBody,
-    Rights, Version,
+    route_hash, shard_index, ByteRange, Capability, NasdStatus, RequestBody, RetryClass, Rights,
+    Version,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -209,21 +209,9 @@ impl NasdNfs {
         ep.set_fs_specific(&cap, fs_specific)
     }
 
-    fn attrs_of(&self, fh: FileHandle) -> Result<(FmAttrs, ObjectAttributes), FmError> {
+    fn attrs_of(&self, fh: FileHandle) -> Result<FmAttrs, FmError> {
         let (ep, cap) = self.own_cap(fh)?;
-        let obj_attrs = ep.get_attr(&cap)?;
-        let (file_type, mode, uid) = FmAttrs::unpack_policy(obj_attrs.fs_specific.as_slice())
-            .ok_or(FmError::Drive(NasdStatus::DriveError))?;
-        Ok((
-            FmAttrs {
-                file_type,
-                size: obj_attrs.size,
-                mtime: obj_attrs.data_modify_time,
-                mode,
-                uid,
-            },
-            obj_attrs,
-        ))
+        FmAttrs::from_object(&ep.get_attr(&cap)?)
     }
 
     fn read_dir(&self, dir: FileHandle) -> Result<Vec<DirRecord>, FmError> {
@@ -276,7 +264,7 @@ impl NasdNfs {
     fn handle_inner(&self, req: NfsRequest) -> Result<NfsResponse, FmError> {
         match req {
             NfsRequest::GetRoot => {
-                let (attrs, _) = self.attrs_of(self.root)?;
+                let attrs = self.attrs_of(self.root)?;
                 Ok(NfsResponse::Root(self.root, attrs))
             }
             NfsRequest::Lookup {
@@ -302,7 +290,7 @@ impl NasdNfs {
                         .ok_or_else(|| FmError::NotFound(name.clone()))?
                         .handle
                 };
-                let (attrs, _) = self.attrs_of(fh)?;
+                let attrs = self.attrs_of(fh)?;
                 if want_write && attrs.mode & 0o200 == 0 {
                     return Err(FmError::Permission);
                 }
@@ -452,7 +440,7 @@ impl NasdNfs {
                 Ok(NfsResponse::Entries(self.read_dir(dir)?))
             }
             NfsRequest::GetAttr { fh } => {
-                let (attrs, _) = self.attrs_of(fh)?;
+                let attrs = self.attrs_of(fh)?;
                 Ok(NfsResponse::Attrs(attrs))
             }
             NfsRequest::Rename {
@@ -498,7 +486,7 @@ impl NasdNfs {
                 // Serialize concurrent policy updates to one object
                 // across shards (stripe table reused by file handle).
                 let _g = self.shared.dir_locks.lock(fh);
-                let (mut attrs, _) = self.attrs_of(fh)?;
+                let mut attrs = self.attrs_of(fh)?;
                 attrs.mode = mode;
                 self.write_policy(fh, &attrs)?;
                 // Policy changed: revoke outstanding capabilities so
@@ -615,8 +603,8 @@ impl NfsClient {
     /// revocation-safe). With `registry`, the `capcache/hits`,
     /// `capcache/misses` and `capcache/refreshes` counters register
     /// there; otherwise they are private to [`Self::cap_cache_stats`].
-    pub fn enable_cap_cache(&mut self, capacity: usize, registry: Option<&Registry>) {
-        self.cache = Some(CapCache::new(capacity, registry));
+    pub fn enable_cap_cache(&mut self, registry: Option<&Registry>) {
+        self.cache = Some(CapCache::new(CAP_CACHE_CAPACITY, registry));
     }
 
     /// Totals of the capability-issue cache (zeros when disabled).
@@ -877,23 +865,34 @@ impl NfsClient {
         }
     }
 
+    /// Run `op` against the file's drive with its capability. When the
+    /// drive sends the client "back to the file manager"
+    /// ([`RetryClass::Refresh`]: revoked, expired or replayed), fetch a
+    /// fresh capability with one lookup and run `op` once more.
+    fn with_fresh_cap<T>(
+        &self,
+        file: &mut NfsFile,
+        want_write: bool,
+        op: impl Fn(&DriveEndpoint, &Capability) -> Result<T, FmError>,
+    ) -> Result<T, FmError> {
+        let ep = self.fleet.resolve(file.fh)?;
+        match op(ep, &file.cap) {
+            Err(FmError::Drive(status)) if status.retry_class() == RetryClass::Refresh => {
+                self.refresh(file, want_write)?;
+                op(ep, &file.cap)
+            }
+            other => other,
+        }
+    }
+
     /// Read file data — **directly from the drive**, no file manager
-    /// involvement. On a revoked/expired capability the client refreshes
-    /// via one lookup and retries once.
+    /// involvement (until a capability needs refreshing).
     ///
     /// # Errors
     ///
     /// Drive statuses after refresh.
     pub fn read(&self, file: &mut NfsFile, offset: u64, len: u64) -> Result<ByteRope, FmError> {
-        let ep = self.fleet.resolve(file.fh)?;
-        match ep.read(&file.cap, offset, len) {
-            Err(FmError::Drive(NasdStatus::AccessDenied)) => {
-                self.refresh(file, false)?;
-                let ep = self.fleet.resolve(file.fh)?;
-                ep.read(&file.cap, offset, len)
-            }
-            other => other,
-        }
+        self.with_fresh_cap(file, false, |ep, cap| ep.read(cap, offset, len))
     }
 
     /// Write file data — directly to the drive.
@@ -902,17 +901,9 @@ impl NfsClient {
     ///
     /// Drive statuses after refresh.
     pub fn write(&self, file: &mut NfsFile, offset: u64, data: &[u8]) -> Result<u64, FmError> {
-        let ep = self.fleet.resolve(file.fh)?;
         // nasd-lint: allow(hot-path-copy, "write ingest: the borrowed caller slice becomes the owned request payload")
         let bytes = Bytes::copy_from_slice(data);
-        match ep.write(&file.cap, offset, bytes.clone()) {
-            Err(FmError::Drive(NasdStatus::AccessDenied)) => {
-                self.refresh(file, true)?;
-                let ep = self.fleet.resolve(file.fh)?;
-                ep.write(&file.cap, offset, bytes)
-            }
-            other => other,
-        }
+        self.with_fresh_cap(file, true, |ep, cap| ep.write(cap, offset, bytes.clone()))
     }
 
     /// Attribute read — directly from the drive (§5.1 sends `getattr`
@@ -922,24 +913,8 @@ impl NfsClient {
     ///
     /// Drive statuses after refresh.
     pub fn getattr(&self, file: &mut NfsFile) -> Result<FmAttrs, FmError> {
-        let ep = self.fleet.resolve(file.fh)?;
-        let obj_attrs = match ep.get_attr(&file.cap) {
-            Err(FmError::Drive(NasdStatus::AccessDenied)) => {
-                self.refresh(file, false)?;
-                let ep = self.fleet.resolve(file.fh)?;
-                ep.get_attr(&file.cap)?
-            }
-            other => other?,
-        };
-        let (file_type, mode, uid) = FmAttrs::unpack_policy(obj_attrs.fs_specific.as_slice())
-            .ok_or(FmError::Drive(NasdStatus::DriveError))?;
-        Ok(FmAttrs {
-            file_type,
-            size: obj_attrs.size,
-            mtime: obj_attrs.data_modify_time,
-            mode,
-            uid,
-        })
+        let obj_attrs = self.with_fresh_cap(file, false, |ep, cap| ep.get_attr(cap))?;
+        FmAttrs::from_object(&obj_attrs)
     }
 
     /// Re-fetch the capability after revocation or expiry. NFS's
@@ -952,23 +927,19 @@ impl NfsClient {
             cache.note_refresh();
             cache.retain(|cached| cached.fh != file.fh);
         }
-        // A lookup needs the parent directory; NFS handles are stateless
-        // so the client re-walks from the root. We retain the path-free
-        // approach by asking the manager for a fresh capability via a
-        // degenerate lookup: scan the namespace. For simplicity and
-        // fidelity to handle-based NFS, the manager grants by handle:
+        // NFS handles are stateless, so the manager grants by handle: a
+        // lookup with an empty name re-issues for `dir` itself.
         match self.call(NfsRequest::Lookup {
             dir: file.fh,
             name: String::new(),
             want_write,
-        }) {
-            Ok(NfsResponse::Entry(_, attrs, cap)) => {
+        })? {
+            NfsResponse::Entry(_, attrs, cap) => {
                 file.attrs = attrs;
                 file.cap = *cap;
                 Ok(())
             }
-            Ok(_) => Err(FmError::Transport),
-            Err(e) => Err(e),
+            _ => Err(FmError::Transport),
         }
     }
 }
@@ -1243,7 +1214,7 @@ mod tests {
         use nasd_obs::Registry;
         let (mut client, _fleet) = setup_sharded(2, 2);
         let registry = Registry::new();
-        client.enable_cap_cache(1024, Some(&registry));
+        client.enable_cap_cache(Some(&registry));
 
         let mut f = client.create("/policy", 0o644, 0).unwrap();
         client.write(&mut f, 0, b"v1").unwrap();

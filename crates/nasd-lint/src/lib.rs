@@ -25,7 +25,8 @@
 //!   error in an obs metric.
 //! - **W1 wire exhaustiveness** — every `RequestBody`, `ReplyBody` and
 //!   `NasdStatus` variant must appear in the wire encode arms, the wire
-//!   decode arms, and the fault-injection matrices.
+//!   decode arms, the fault-injection matrices and (requests) the
+//!   authority table.
 //! - **L1 lock order** — nested `Mutex::lock()` acquisitions must form an
 //!   acyclic global order.
 //! - **L2 guard-across-blocking** — no lock guard may be held across
@@ -382,8 +383,10 @@ pub const RULES: &[RuleInfo] = &[
         title: "wire exhaustiveness",
         allow: None,
         rationale: "Every RequestBody/ReplyBody/NasdStatus variant must appear in \
-                    wire encode, wire decode and the fault-injection matrices; a \
-                    missing arm is a silent protocol hole. Unsuppressable.",
+                    wire encode, wire decode, the fault-injection matrices and \
+                    (requests) the authority table RequestBody::authority; a \
+                    missing arm is a silent protocol or access-policy hole. \
+                    Unsuppressable.",
     },
     RuleInfo {
         id: "L1",

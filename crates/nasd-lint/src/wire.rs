@@ -2,8 +2,9 @@
 //!
 //! Parses the watched protocol enums out of `crates/proto` and verifies
 //! every variant appears in the wire encode arms, the wire decode arms,
-//! and the fault-injection matrices (`NasdStatus::retry_class`,
-//! `RequestBody::mutates`). The enums are `#[non_exhaustive]`, so a new
+//! the fault-injection matrices (`NasdStatus::retry_class`,
+//! `RequestBody::mutates`) and the drive's access policy
+//! (`RequestBody::authority`). The enums are `#[non_exhaustive]`, so a new
 //! variant compiles even when a downstream `match` silently routes it
 //! through a `_` arm — this rule is what makes forgetting an arm a CI
 //! failure.
@@ -60,6 +61,10 @@ const SPECS: &[Spec] = &[
             Region {
                 label: "fault-injection mutation matrix (RequestBody::mutates)",
                 kind: RegionKind::Fn("mutates"),
+            },
+            Region {
+                label: "authority table (RequestBody::authority)",
+                kind: RegionKind::Fn("authority"),
             },
         ],
     },

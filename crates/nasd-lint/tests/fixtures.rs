@@ -65,6 +65,20 @@ fn w1_missing_matrix_arm_is_reported() {
 }
 
 #[test]
+fn w1_missing_authority_row_is_reported() {
+    let out = run_on("bad-w1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("RequestBody::Format") && stdout.contains("authority table"),
+        "bad-w1 should name the request kind with no declared authority\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("RequestBody::Read"),
+        "fully covered variants must not be flagged\n{stdout}"
+    );
+}
+
+#[test]
 fn l1_lock_order_cycle_is_reported() {
     expect_bad("bad-l1", "L1");
 }

@@ -1,11 +1,14 @@
-//! The NASD drive: request dispatch over the object store with security
-//! enforcement and cost metering.
+//! The NASD drive: the request pipeline over the object store, with
+//! security enforcement and cost metering.
 //!
 //! [`NasdDrive::handle`] is the drive's single entry point — the function
-//! a drive ASIC would run per request. It verifies the capability, runs
-//! the object-store operation, and returns both the wire [`Reply`] and a
-//! [`ServiceReport`] (instruction cost + physical I/O trace) that the
-//! simulation harnesses replay against CPU and disk models.
+//! a drive ASIC would run per request — in five phases: inject faults,
+//! **authorize** (the request's row of [`RequestBody::authority`] against
+//! its capability or key and the object's current state), **execute**
+//! (object-store calls only), commit (ack implies durable), account. It
+//! returns both the wire [`Reply`] and a [`ServiceReport`] (instruction
+//! cost + physical I/O trace) that the simulation harnesses replay
+//! against CPU and disk models.
 
 use crate::cache::IoTrace;
 use crate::cost::{CostMeter, OpCost, OpKind};
@@ -18,7 +21,8 @@ use nasd_obs::{Counter, Histogram, Registry, SimTime, TraceEvent, TraceSink};
 use nasd_proto::wire::WireEncode;
 use nasd_proto::{
     ByteRange, Capability, CapabilityPublic, DriveId, NasdStatus, Nonce, ObjectId, PartitionId,
-    ProtectionLevel, Reply, ReplyBody, Request, RequestBody, Rights, Version,
+    ProtectionLevel, Reply, ReplyBody, Request, RequestBody, Rights, Scope, Version,
+    WELL_KNOWN_OBJECT_LIST,
 };
 use std::cell::Cell;
 use std::sync::Arc;
@@ -193,6 +197,16 @@ fn op_label(kind: OpKind) -> &'static str {
     }
 }
 
+/// How an executed request is accounted.
+fn op_kind(body: &RequestBody) -> OpKind {
+    match body {
+        RequestBody::Read { .. } => OpKind::Read,
+        RequestBody::Write { .. } | RequestBody::Append { .. } => OpKind::Write,
+        RequestBody::GetAttr { .. } => OpKind::GetAttr,
+        _ => OpKind::Control,
+    }
+}
+
 /// What one request cost: instruction accounting plus the physical I/O
 /// performed, for replay against timing models.
 #[derive(Clone, Debug)]
@@ -215,7 +229,6 @@ pub struct NasdDrive<D = MemDisk> {
     clock: u64,
     next_client: u64,
     issue_nonce: Cell<u64>,
-    durable_writes: bool,
     faults: Option<DriveFaultState>,
     obs: Option<DriveObs>,
 }
@@ -287,17 +300,44 @@ impl DriveBuilder {
         self
     }
 
-    fn finish<D: nasd_disk::BlockDevice>(self, mut drive: NasdDrive<D>) -> NasdDrive<D> {
-        if let Some((seed, config)) = self.faults {
-            drive.set_faults(seed, config);
+    /// Assemble the drive around `store` — fresh or just replayed. The
+    /// partition keys are re-derived from the key hierarchy, with any
+    /// working key `SetKey` has rotated overlaid from the store.
+    fn mount<D: nasd_disk::BlockDevice>(self, mut store: ObjectStore<D>) -> NasdDrive<D> {
+        // Replay (if any) is done; from here on, durable drives log every
+        // mutation before acking it.
+        store.enable_wal(self.config.durable_writes);
+        let id = DriveId(self.drive_number);
+        let hierarchy = KeyHierarchy::new(SecretKey::from_bytes(self.master_seed), id.0);
+        let mut security =
+            DriveSecurity::new(id, hierarchy.drive().clone(), self.config.security_enabled);
+        for p in store.partition_ids() {
+            let mut keys = hierarchy.partition_keys(p.0, 0);
+            for &(kind, key) in store.rotated_keys(p) {
+                keys.set_working(kind, SecretKey::from_bytes(key));
+            }
+            security.install_partition_keys(p, keys);
         }
-        if self.metrics.is_some() || self.trace.is_some() {
-            // Tracing without metrics still routes through DriveObs; the
-            // throwaway registry just absorbs the unobserved counters.
-            let registry = self.metrics.unwrap_or_default();
-            drive.obs = Some(DriveObs::wire(&registry, drive.id.0, self.trace));
+        // Tracing without metrics still routes through DriveObs; the
+        // throwaway registry just absorbs the unobserved counters.
+        let obs = (self.metrics.is_some() || self.trace.is_some())
+            .then(|| DriveObs::wire(&self.metrics.unwrap_or_default(), id.0, self.trace));
+        NasdDrive {
+            id,
+            store,
+            security,
+            hierarchy,
+            meter: CostMeter::new(),
+            clock: 1,
+            next_client: 1,
+            issue_nonce: Cell::new(1),
+            faults: self.faults.map(|(seed, config)| DriveFaultState {
+                config,
+                seed,
+                seq: 0,
+            }),
+            obs,
         }
-        drive
     }
 
     /// Build over a fresh in-memory device sized by the config.
@@ -310,31 +350,21 @@ impl DriveBuilder {
     /// Build over `device` (formats it as a fresh drive).
     #[must_use]
     pub fn build_on<D: nasd_disk::BlockDevice>(self, device: D) -> NasdDrive<D> {
-        let drive = NasdDrive::init(
-            device,
-            self.config.clone(),
-            DriveId(self.drive_number),
-            self.master_seed,
-        );
-        self.finish(drive)
+        let store = ObjectStore::new(device, self.config.cache_blocks);
+        self.mount(store)
     }
 
     /// Remount a checkpointed `device` (see [`NasdDrive::checkpoint`]):
-    /// rebuilds the object store from the metadata area and re-derives
-    /// the partition keys from the key hierarchy, so capabilities minted
-    /// before the power cycle keep working.
+    /// rebuilds the object store from the metadata area and replays its
+    /// log, so capabilities minted before the power cycle keep working
+    /// and rotated working keys stay rotated.
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFormatted`] when the device holds no checkpoint.
     pub fn open<D: nasd_disk::BlockDevice>(self, device: D) -> Result<NasdDrive<D>, StoreError> {
-        let drive = NasdDrive::reopen(
-            device,
-            self.config.clone(),
-            DriveId(self.drive_number),
-            self.master_seed,
-        )?;
-        Ok(self.finish(drive))
+        let store = ObjectStore::open(device, self.config.cache_blocks)?;
+        Ok(self.mount(store))
     }
 }
 
@@ -355,57 +385,6 @@ impl NasdDrive<MemDisk> {
 }
 
 impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
-    fn init(device: D, config: DriveConfig, id: DriveId, master_seed: [u8; 32]) -> Self {
-        let hierarchy = KeyHierarchy::new(SecretKey::from_bytes(master_seed), id.0);
-        let security = DriveSecurity::new(id, hierarchy.drive().clone(), config.security_enabled);
-        let mut store = ObjectStore::new(device, config.cache_blocks);
-        store.enable_wal(config.durable_writes);
-        NasdDrive {
-            id,
-            store,
-            security,
-            hierarchy,
-            meter: CostMeter::new(),
-            clock: 1,
-            next_client: 1,
-            issue_nonce: Cell::new(1),
-            durable_writes: config.durable_writes,
-            faults: None,
-            obs: None,
-        }
-    }
-
-    fn reopen(
-        device: D,
-        config: DriveConfig,
-        id: DriveId,
-        master_seed: [u8; 32],
-    ) -> Result<Self, StoreError> {
-        let mut store = ObjectStore::open(device, config.cache_blocks)?;
-        // Replay is done; from here on, durable drives log every
-        // mutation before acking it.
-        store.enable_wal(config.durable_writes);
-        let hierarchy = KeyHierarchy::new(SecretKey::from_bytes(master_seed), id.0);
-        let mut security =
-            DriveSecurity::new(id, hierarchy.drive().clone(), config.security_enabled);
-        for p in store.partition_ids() {
-            security.install_partition_keys(p, hierarchy.partition_keys(p.0, 0));
-        }
-        Ok(NasdDrive {
-            id,
-            store,
-            security,
-            hierarchy,
-            meter: CostMeter::new(),
-            clock: 1,
-            next_client: 1,
-            issue_nonce: Cell::new(1),
-            durable_writes: config.durable_writes,
-            faults: None,
-            obs: None,
-        })
-    }
-
     /// Flush all data and persist the drive's metadata so the device can
     /// be remounted with [`DriveBuilder::open`].
     ///
@@ -459,252 +438,160 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         &self.hierarchy
     }
 
-    fn status_of(e: &StoreError) -> NasdStatus {
-        match e {
-            StoreError::NoSuchPartition(_) => NasdStatus::NoSuchPartition,
-            StoreError::PartitionExists(_) => NasdStatus::ObjectExists,
-            StoreError::PartitionNotEmpty(_) => NasdStatus::BadRequest,
-            StoreError::NoSuchObject(_) => NasdStatus::NoSuchObject,
-            StoreError::NoSpace | StoreError::QuotaBelowUsage { .. } => NasdStatus::NoSpace,
-            StoreError::NotFormatted => NasdStatus::DriveError,
-            StoreError::Corrupt(_) => NasdStatus::DriveError,
-            StoreError::Disk(_) => NasdStatus::DriveError,
-            StoreError::Internal(_) => NasdStatus::DriveError,
-        }
-    }
-
-    /// Install a seeded drive-level fault injector (see
-    /// [`DriveFaultConfig`]). Replaces any previous injector.
-    pub fn set_faults(&mut self, seed: u64, config: DriveFaultConfig) {
-        self.faults = Some(DriveFaultState {
-            config,
-            seed,
-            seq: 0,
-        });
-    }
-
-    /// Handle one wire request — the drive's single entry point.
+    /// Handle one wire request — the drive's single entry point, five
+    /// phases top to bottom: inject faults, authorize, execute, commit,
+    /// account.
     pub fn handle(&mut self, req: &Request) -> (Reply, ServiceReport) {
-        if let Some(state) = &mut self.faults {
-            match state.next() {
-                Some(DriveFault::Busy) => {
-                    // Bounced before verification: no nonce consumed, no
-                    // state touched; the client may re-sign and retry.
-                    let cost = self.meter.estimate(OpKind::Control, 0, 0);
-                    if let Some(obs) = &self.obs {
-                        obs.requests.inc();
-                        obs.busy_bounces.inc();
-                        if let Some(sink) = &obs.sink {
-                            sink.record(
-                                TraceEvent::new(SimTime::from_secs(self.clock), "control", "busy")
-                                    .with_drive(self.id.0),
-                            );
-                        }
-                    }
-                    return (
-                        Reply::error(NasdStatus::Busy),
-                        ServiceReport {
-                            kind: OpKind::Control,
-                            cost,
-                            trace: IoTrace::default(),
-                        },
-                    );
-                }
-                Some(DriveFault::SlowMicros(us)) => {
-                    // Pacing happens before any store lock is taken, so an
-                    // injected stall never extends a critical section.
-                    nasd_net::pace(std::time::Duration::from_micros(us));
-                }
-                None => {}
-            }
+        // 1. Inject faults.
+        if let Some(bounced) = self.inject_fault() {
+            return bounced;
         }
         let mut trace = IoTrace::default();
-        let (mut reply, kind, bytes) = self.dispatch(req, &mut trace);
-        if self.durable_writes && reply.status.is_ok() && req.body.mutates() {
-            // Ack implies durable: group-commit the op's write-ahead log
-            // records (write payloads travel inside their records, so
-            // replay regenerates the data blocks) before the reply
-            // leaves the drive. A failed commit voids the ack. The
-            // first commit on a fresh device writes a full checkpoint
-            // instead, formatting the superblock.
-            if self.store.wal_commit(&mut trace).is_err() {
-                reply = Reply::error(NasdStatus::DriveError);
-            }
+        // 2. Authorize, then 3. execute. A request refused before it was
+        // authorized touched nothing and is accounted as a bare control
+        // exchange.
+        let (mut reply, kind) = match self.authorize(req) {
+            Err(refused) => (Reply::error(refused), OpKind::Control),
+            Ok(()) => (
+                self.execute(req, &mut trace)
+                    .map_or_else(Reply::error, Reply::ok),
+                op_kind(&req.body),
+            ),
+        };
+        let bytes = match &reply.body {
+            ReplyBody::Data(data) => data.len() as u64,
+            ReplyBody::Written(_) | ReplyBody::Appended(_) => req.data.len() as u64,
+            _ => 0,
+        };
+        // 4. Commit. Ack implies durable: group-commit the op's
+        // write-ahead log records (write payloads travel inside their
+        // records, so replay regenerates the data blocks) before the
+        // reply leaves the drive. A failed commit voids the ack. The
+        // first commit on a fresh device writes a full checkpoint
+        // instead, formatting the superblock. A drive that is not
+        // durable logged nothing, and the commit returns at once.
+        if reply.status.is_ok() && req.body.mutates() && self.store.wal_commit(&mut trace).is_err()
+        {
+            reply = Reply::error(NasdStatus::DriveError);
         }
-        let cold_blocks = trace.misses;
-        let cost = self.meter.estimate(kind, bytes, cold_blocks);
+        // 5. Account.
+        let cost = self.meter.estimate(kind, bytes, trace.misses);
         let report = ServiceReport { kind, cost, trace };
-        if let Some(obs) = &self.obs {
-            obs.requests.inc();
-            if !reply.status.is_ok() {
-                obs.errors.inc();
-                if matches!(
-                    reply.status,
-                    NasdStatus::AccessDenied | NasdStatus::Replay | NasdStatus::RangeViolation
-                ) {
-                    obs.security_rejects.inc();
-                }
-            }
-            match report.kind {
-                OpKind::Read => obs.bytes_read.add(bytes),
-                OpKind::Write => obs.bytes_written.add(bytes),
-                OpKind::GetAttr | OpKind::Control => {}
-            }
-            obs.cache_hits.add(report.trace.hits);
-            obs.cache_misses.add(report.trace.misses);
-            obs.instructions.record(report.cost.total() as u64);
-            obs.request_bytes.record(bytes);
-            if let Some(sink) = &obs.sink {
-                let phase = if reply.status.is_ok() {
-                    "served"
-                } else {
-                    "error"
-                };
-                sink.record(
-                    TraceEvent::new(SimTime::from_secs(self.clock), op_label(report.kind), phase)
-                        .with_drive(self.id.0)
-                        .with_detail(format!("status={:?} bytes={bytes}", reply.status)),
-                );
-            }
-        }
+        self.account(&reply, &report, bytes);
         (reply, report)
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn dispatch(&mut self, req: &Request, trace: &mut IoTrace) -> (Reply, OpKind, u64) {
-        let now = self.clock;
-        macro_rules! verify {
-            ($rights:expr, $version:expr, $region:expr) => {
-                if let Err(status) = self.security.verify(req, $rights, $version, $region, now) {
-                    return (Reply::error(status), OpKind::Control, 0);
-                }
-            };
-        }
-        macro_rules! object_version {
-            ($p:expr, $o:expr) => {
-                match self.store.object_version($p, $o) {
-                    Ok(v) => v,
-                    Err(e) => return (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
-            };
-        }
-
-        match &req.body {
-            RequestBody::Read {
-                partition,
-                object,
-                offset,
-                len,
-            } => {
-                // "Objects with well-known names... enable filesystems to
-                // find a fixed starting point for an object hierarchy and
-                // a complete list of allocated object names" (§4.1): the
-                // object-list object is synthesized from the partition's
-                // namespace on every read.
-                if *object == nasd_proto::WELL_KNOWN_OBJECT_LIST {
-                    verify!(Rights::READ, Version(0), Some((*offset, *len)));
-                    return match self.store.list_objects(*partition) {
-                        Ok(ids) => {
-                            let mut w = nasd_proto::wire::WireWriter::new();
-                            w.u32(ids.len() as u32);
-                            for id in ids {
-                                id.encode(&mut w);
-                            }
-                            let encoded = Bytes::from(w.into_vec());
-                            // Wire integers: clamp in u64 before narrowing,
-                            // so a hostile offset/len neither wraps nor
-                            // truncates; `start <= end <= encoded.len()`.
-                            let total = encoded.len() as u64;
-                            let start = (*offset).min(total);
-                            let end = offset.saturating_add(*len).min(total);
-                            let window = encoded.slice(start as usize..end as usize);
-                            let n = window.len() as u64;
-                            (
-                                Reply::ok(ReplyBody::Data(ByteRope::from(window))),
-                                OpKind::Read,
-                                n,
-                            )
-                        }
-                        Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Read, 0),
-                    };
-                }
-                let version = object_version!(*partition, *object);
-                verify!(Rights::READ, version, Some((*offset, *len)));
-                match self
-                    .store
-                    .read(*partition, *object, *offset, *len, now, trace)
-                {
-                    Ok(data) => {
-                        let n = data.len() as u64;
-                        (Reply::ok(ReplyBody::Data(data)), OpKind::Read, n)
+    /// Phase 1: the seeded injector may bounce the request with `Busy`
+    /// — before authorization, so no nonce is consumed and no state
+    /// touched, and the client may re-sign and retry — or stall it.
+    fn inject_fault(&mut self) -> Option<(Reply, ServiceReport)> {
+        match self.faults.as_mut()?.next()? {
+            DriveFault::Busy => {
+                if let Some(obs) = &self.obs {
+                    obs.requests.inc();
+                    obs.busy_bounces.inc();
+                    if let Some(sink) = &obs.sink {
+                        sink.record(
+                            TraceEvent::new(SimTime::from_secs(self.clock), "control", "busy")
+                                .with_drive(self.id.0),
+                        );
                     }
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Read, 0),
                 }
+                let report = ServiceReport {
+                    kind: OpKind::Control,
+                    cost: self.meter.estimate(OpKind::Control, 0, 0),
+                    trace: IoTrace::default(),
+                };
+                Some((Reply::error(NasdStatus::Busy), report))
             }
-            RequestBody::Write {
-                partition,
+            DriveFault::SlowMicros(us) => {
+                // Pacing happens before any store lock is taken, so an
+                // injected stall never extends a critical section.
+                nasd_net::pace(std::time::Duration::from_micros(us));
+                None
+            }
+        }
+    }
+
+    /// Phase 2: check the request against its row of the authority
+    /// table ([`RequestBody::authority`]) and the drive state that row
+    /// refers to — the object's current version and end of data, read
+    /// without perturbing the object.
+    fn authorize(&mut self, req: &Request) -> Result<(), NasdStatus> {
+        if let RequestBody::Write { len, .. } | RequestBody::Append { len, .. } = &req.body {
+            if *len != req.data.len() as u64 {
+                return Err(NasdStatus::BadRequest);
+            }
+        }
+        let authority = req.body.authority();
+        let object = match authority.object() {
+            // The object-list object is synthesized on every read, never
+            // allocated, and so always version 0.
+            Some(WELL_KNOWN_OBJECT_LIST) if matches!(req.body, RequestBody::Read { .. }) => None,
+            Some(o) => Some(self.store.peek_attr(req.body.partition(), o)?),
+            None => None,
+        };
+        self.security.authorize(req, authority, object, self.clock)
+    }
+
+    /// Phase 3: the authorized operation itself — store calls only.
+    fn execute(&mut self, req: &Request, trace: &mut IoTrace) -> Result<ReplyBody, NasdStatus> {
+        let (p, now) = (req.body.partition(), self.clock);
+        Ok(match &req.body {
+            // "Objects with well-known names... enable filesystems to
+            // find a fixed starting point for an object hierarchy and
+            // a complete list of allocated object names" (§4.1).
+            RequestBody::Read {
+                object: WELL_KNOWN_OBJECT_LIST,
+                offset,
+                len,
+                ..
+            } => {
+                let ids = self.store.list_objects(p)?;
+                let mut w = nasd_proto::wire::WireWriter::new();
+                w.u32(ids.len() as u32);
+                for id in ids {
+                    id.encode(&mut w);
+                }
+                let encoded = Bytes::from(w.into_vec());
+                // Wire integers: clamp in u64 before narrowing, so a
+                // hostile offset/len neither wraps nor truncates;
+                // `start <= end <= encoded.len()`.
+                let total = encoded.len() as u64;
+                let start = (*offset).min(total);
+                let end = offset.saturating_add(*len).min(total);
+                ReplyBody::Data(ByteRope::from(encoded.slice(start as usize..end as usize)))
+            }
+            RequestBody::Read {
                 object,
                 offset,
                 len,
-            } => {
-                if *len != req.data.len() as u64 {
-                    return (Reply::error(NasdStatus::BadRequest), OpKind::Write, 0);
-                }
-                let version = object_version!(*partition, *object);
-                verify!(Rights::WRITE, version, Some((*offset, *len)));
-                match self
-                    .store
-                    .write(*partition, *object, *offset, &req.data, now, trace)
-                {
-                    Ok(n) => (Reply::ok(ReplyBody::Written(n)), OpKind::Write, n),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Write, 0),
-                }
+                ..
+            } => ReplyBody::Data(self.store.read(p, *object, *offset, *len, now, trace)?),
+            RequestBody::Write { object, offset, .. } => ReplyBody::Written(
+                self.store
+                    .write(p, *object, *offset, &req.data, now, trace)?,
+            ),
+            RequestBody::Append { object, .. } => {
+                // The drive chooses the offset: current end of data.
+                let offset = self.store.peek_attr(p, *object)?.size;
+                self.store
+                    .write(p, *object, offset, &req.data, now, trace)?;
+                ReplyBody::Appended(offset)
             }
-            RequestBody::Append {
-                partition,
-                object,
-                len,
-            } => {
-                if *len != req.data.len() as u64 {
-                    return (Reply::error(NasdStatus::BadRequest), OpKind::Write, 0);
-                }
-                let version = object_version!(*partition, *object);
-                // The drive chooses the offset: current end of data. The
-                // capability's region must cover the landing range, so an
-                // append-authorized client still cannot exceed its window.
-                let offset = match self.store.get_attr(*partition, *object, now) {
-                    Ok(attrs) => attrs.size,
-                    Err(e) => return (Reply::error(Self::status_of(&e)), OpKind::Write, 0),
-                };
-                verify!(Rights::WRITE, version, Some((offset, *len)));
-                match self
-                    .store
-                    .write(*partition, *object, offset, &req.data, now, trace)
-                {
-                    Ok(n) => (Reply::ok(ReplyBody::Appended(offset)), OpKind::Write, n),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Write, 0),
-                }
-            }
-            RequestBody::GetAttr { partition, object } => {
-                let version = object_version!(*partition, *object);
-                verify!(Rights::GETATTR, version, None);
-                match self.store.get_attr(*partition, *object, now) {
-                    Ok(attrs) => (Reply::ok(ReplyBody::Attr(attrs)), OpKind::GetAttr, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::GetAttr, 0),
-                }
+            RequestBody::GetAttr { object, .. } => {
+                ReplyBody::Attr(self.store.get_attr(p, *object, now)?)
             }
             RequestBody::SetAttr {
-                partition,
                 object,
                 mask,
                 fs_specific,
                 preallocated,
                 cluster_with,
+                ..
             } => {
-                let version = object_version!(*partition, *object);
-                verify!(Rights::SETATTR, version, None);
-                match self.store.set_attr(
-                    *partition,
+                self.store.set_attr(
+                    p,
                     *object,
                     *mask,
                     fs_specific,
@@ -712,127 +599,107 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
                     *cluster_with,
                     now,
                     trace,
-                ) {
-                    Ok(()) => (Reply::ok(ReplyBody::Empty), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+                )?;
+                ReplyBody::Empty
             }
             RequestBody::Create {
-                partition,
                 preallocate,
                 cluster_with,
-            } => {
-                verify!(Rights::CREATE, Version(0), None);
-                match self
-                    .store
-                    .create_object(*partition, *preallocate, *cluster_with, now, trace)
-                {
-                    Ok(id) => (Reply::ok(ReplyBody::Created(id)), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
-            }
-            RequestBody::Remove { partition, object } => {
-                let version = object_version!(*partition, *object);
-                verify!(Rights::REMOVE, version, None);
-                match self.store.remove_object(*partition, *object, trace) {
-                    Ok(()) => (Reply::ok(ReplyBody::Empty), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+                ..
+            } => ReplyBody::Created(self.store.create_object(
+                p,
+                *preallocate,
+                *cluster_with,
+                now,
+                trace,
+            )?),
+            RequestBody::Remove { object, .. } => {
+                self.store.remove_object(p, *object, trace)?;
+                ReplyBody::Empty
             }
             RequestBody::Resize {
-                partition,
-                object,
-                new_size,
+                object, new_size, ..
             } => {
-                let version = object_version!(*partition, *object);
-                verify!(Rights::RESIZE, version, Some((0, *new_size)));
-                match self
-                    .store
-                    .resize(*partition, *object, *new_size, now, trace)
-                {
-                    Ok(()) => (Reply::ok(ReplyBody::Empty), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+                self.store.resize(p, *object, *new_size, now, trace)?;
+                ReplyBody::Empty
             }
-            RequestBody::Snapshot { partition, object } => {
-                let version = object_version!(*partition, *object);
-                verify!(Rights::SNAPSHOT, version, None);
-                match self.store.snapshot(*partition, *object, now, trace) {
-                    Ok(id) => (Reply::ok(ReplyBody::Created(id)), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+            RequestBody::Snapshot { object, .. } => {
+                ReplyBody::Created(self.store.snapshot(p, *object, now, trace)?)
             }
-            RequestBody::Flush { partition, object } => {
-                let version = object_version!(*partition, *object);
-                verify!(Rights::WRITE, version, None);
-                match self.store.flush(trace) {
-                    Ok(()) => (Reply::ok(ReplyBody::Empty), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+            RequestBody::Flush { .. } => {
+                self.store.flush(trace)?;
+                ReplyBody::Empty
             }
-            RequestBody::ListObjects { partition } => {
-                verify!(Rights::GETATTR, Version(0), None);
-                match self.store.list_objects(*partition) {
-                    Ok(ids) => (Reply::ok(ReplyBody::Objects(ids)), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+            RequestBody::ListObjects { .. } => ReplyBody::Objects(self.store.list_objects(p)?),
+            RequestBody::CreatePartition { quota, .. } => {
+                self.store.create_partition(p, *quota)?;
+                let keys = self.hierarchy.partition_keys(p.0, 0);
+                self.security.install_partition_keys(p, keys);
+                ReplyBody::Empty
             }
-            RequestBody::CreatePartition { partition, quota } => {
-                if let Err(s) = self.security.verify_admin(req) {
-                    return (Reply::error(s), OpKind::Control, 0);
-                }
-                match self.store.create_partition(*partition, *quota) {
-                    Ok(()) => {
-                        let keys = self.hierarchy.partition_keys(partition.0, 0);
-                        self.security.install_partition_keys(*partition, keys);
-                        (Reply::ok(ReplyBody::Empty), OpKind::Control, 0)
-                    }
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+            RequestBody::ResizePartition { quota, .. } => {
+                self.store.resize_partition(p, *quota)?;
+                ReplyBody::Empty
             }
-            RequestBody::ResizePartition { partition, quota } => {
-                if let Err(s) = self.security.verify_admin(req) {
-                    return (Reply::error(s), OpKind::Control, 0);
-                }
-                match self.store.resize_partition(*partition, *quota) {
-                    Ok(()) => (Reply::ok(ReplyBody::Empty), OpKind::Control, 0),
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
-            }
-            RequestBody::RemovePartition { partition } => {
-                if let Err(s) = self.security.verify_admin(req) {
-                    return (Reply::error(s), OpKind::Control, 0);
-                }
-                match self.store.remove_partition(*partition) {
-                    Ok(()) => {
-                        self.security.remove_partition_keys(*partition);
-                        (Reply::ok(ReplyBody::Empty), OpKind::Control, 0)
-                    }
-                    Err(e) => (Reply::error(Self::status_of(&e)), OpKind::Control, 0),
-                }
+            RequestBody::RemovePartition { .. } => {
+                self.store.remove_partition(p)?;
+                self.security.remove_partition_keys(p);
+                ReplyBody::Empty
             }
             RequestBody::SetKey {
-                partition,
-                kind,
-                wrapped_key,
+                kind, wrapped_key, ..
             } => {
-                if let Err(s) = self.security.verify_setkey(req) {
-                    return (Reply::error(s), OpKind::Control, 0);
-                }
-                let Ok(bytes): Result<[u8; 32], _> = wrapped_key.as_slice().try_into() else {
-                    return (Reply::error(NasdStatus::BadRequest), OpKind::Control, 0);
-                };
-                match self
-                    .security
-                    .set_working_key(*partition, *kind, SecretKey::from_bytes(bytes))
-                {
-                    Ok(()) => (Reply::ok(ReplyBody::Empty), OpKind::Control, 0),
-                    Err(s) => (Reply::error(s), OpKind::Control, 0),
-                }
+                let key: [u8; 32] = wrapped_key
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| NasdStatus::BadRequest)?;
+                // A rotated key is drive state: logged like any other
+                // mutation, so the rotation still revokes after a
+                // power cycle.
+                self.store.set_working_key(p, *kind, key)?;
+                self.security
+                    .set_working_key(p, *kind, SecretKey::from_bytes(key))?;
+                ReplyBody::Empty
             }
             // The protocol enum is non-exhaustive; a drive must answer
             // requests it does not understand.
-            _ => (Reply::error(NasdStatus::BadRequest), OpKind::Control, 0),
+            _ => return Err(NasdStatus::BadRequest),
+        })
+    }
+
+    /// Phase 5: per-request counters, histograms and the trace event.
+    fn account(&self, reply: &Reply, report: &ServiceReport, bytes: u64) {
+        let Some(obs) = &self.obs else { return };
+        obs.requests.inc();
+        if !reply.status.is_ok() {
+            obs.errors.inc();
+            if matches!(
+                reply.status,
+                NasdStatus::AccessDenied | NasdStatus::Replay | NasdStatus::RangeViolation
+            ) {
+                obs.security_rejects.inc();
+            }
+        }
+        match report.kind {
+            OpKind::Read => obs.bytes_read.add(bytes),
+            OpKind::Write => obs.bytes_written.add(bytes),
+            OpKind::GetAttr | OpKind::Control => {}
+        }
+        obs.cache_hits.add(report.trace.hits);
+        obs.cache_misses.add(report.trace.misses);
+        obs.instructions.record(report.cost.total() as u64);
+        obs.request_bytes.record(bytes);
+        if let Some(sink) = &obs.sink {
+            let phase = if reply.status.is_ok() {
+                "served"
+            } else {
+                "error"
+            };
+            sink.record(
+                TraceEvent::new(SimTime::from_secs(self.clock), op_label(report.kind), phase)
+                    .with_drive(self.id.0)
+                    .with_detail(format!("status={:?} bytes={bytes}", reply.status)),
+            );
         }
     }
 
@@ -853,11 +720,9 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
             partition: p,
             quota,
         });
-        let (reply, _) = self.handle(&req);
-        if reply.status.is_ok() {
-            Ok(())
-        } else {
-            Err(reply.status)
+        match self.handle(&req).0.status {
+            NasdStatus::Ok => Ok(()),
+            refused => Err(refused),
         }
     }
 
@@ -877,10 +742,9 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
             preallocate,
             cluster_with: None,
         };
-        match self.client(cap).call(self, body, Bytes::new())? {
-            ReplyBody::Created(id) => Ok(id),
-            _ => Err(NasdStatus::DriveError),
-        }
+        self.client(cap)
+            .call(self, body, Bytes::new())?
+            .into_created()
     }
 
     /// Sign a capability-less control request under `key` as `signer`.
@@ -934,7 +798,10 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         region: ByteRange,
         ttl_secs: u64,
     ) -> Capability {
-        let version = self.store.object_version(p, object).unwrap_or(Version(0));
+        let version = self
+            .store
+            .peek_attr(p, object)
+            .map_or(Version(0), |attrs| attrs.version);
         let expires = self.clock + ttl_secs;
         let public = CapabilityPublic::gold(self.id, p, object, version, rights, region, expires);
         let key = self
@@ -945,8 +812,8 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         public.mint(&key)
     }
 
-    /// Mint a partition-level capability (create / list), which addresses
-    /// the never-allocated `ObjectId(0)` (hence version 0) by convention.
+    /// Mint a partition-level capability (create / list); see
+    /// [`Scope::capability_object`] for the object it names.
     #[must_use]
     pub fn issue_partition_capability(
         &self,
@@ -954,7 +821,8 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         rights: Rights,
         ttl_secs: u64,
     ) -> Capability {
-        self.issue_capability_region(p, ObjectId(0), rights, ByteRange::FULL, ttl_secs)
+        let object = Scope::Partition.capability_object();
+        self.issue_capability_region(p, object, rights, ByteRange::FULL, ttl_secs)
     }
 
     /// Create a client handle that signs requests with `capability`.
@@ -1022,13 +890,6 @@ impl ClientHandle {
         )
     }
 
-    fn target(&self) -> (PartitionId, ObjectId) {
-        (
-            self.capability.public.partition,
-            self.capability.public.object,
-        )
-    }
-
     /// Sign `body` + `data`, run them through the drive's full request
     /// path, and split the reply on its status.
     fn call<D: nasd_disk::BlockDevice>(
@@ -1059,17 +920,8 @@ impl ClientHandle {
         offset: u64,
         len: u64,
     ) -> Result<ByteRope, NasdStatus> {
-        let (partition, object) = self.target();
-        let body = RequestBody::Read {
-            partition,
-            object,
-            offset,
-            len,
-        };
-        match self.call(drive, body, Bytes::new())? {
-            ReplyBody::Data(d) => Ok(d),
-            _ => Err(NasdStatus::DriveError),
-        }
+        let body = RequestBody::read(&self.capability.public, offset, len);
+        self.call(drive, body, Bytes::new())?.into_data()
     }
 
     /// Write object data through the drive's full request path.
@@ -1083,18 +935,10 @@ impl ClientHandle {
         offset: u64,
         data: &[u8],
     ) -> Result<u64, NasdStatus> {
-        let (partition, object) = self.target();
-        let body = RequestBody::Write {
-            partition,
-            object,
-            offset,
-            len: data.len() as u64,
-        };
+        let body = RequestBody::write(&self.capability.public, offset, data.len() as u64);
         // nasd-lint: allow(hot-path-copy, "client write ingest: borrowed caller slice becomes the owned request payload")
-        match self.call(drive, body, Bytes::copy_from_slice(data))? {
-            ReplyBody::Written(n) => Ok(n),
-            _ => Err(NasdStatus::DriveError),
-        }
+        self.call(drive, body, Bytes::copy_from_slice(data))?
+            .into_written()
     }
 
     /// Read object attributes.
@@ -1106,15 +950,8 @@ impl ClientHandle {
         &self,
         drive: &mut NasdDrive<D>,
     ) -> Result<nasd_proto::ObjectAttributes, NasdStatus> {
-        let (partition, object) = self.target();
-        match self.call(
-            drive,
-            RequestBody::GetAttr { partition, object },
-            Bytes::new(),
-        )? {
-            ReplyBody::Attr(a) => Ok(a),
-            _ => Err(NasdStatus::DriveError),
-        }
+        let body = RequestBody::get_attr(&self.capability.public);
+        self.call(drive, body, Bytes::new())?.into_attr()
     }
 }
 
@@ -1511,6 +1348,146 @@ mod tests {
         // New objects continue from the persisted namespace.
         let next = d2.admin_create_object(P, 0).unwrap();
         assert!(next > obj);
+    }
+
+    #[test]
+    fn setkey_survives_power_cycle() {
+        let mut d = NasdDrive::builder(1).durable().build();
+        d.admin_create_partition(P, 16 << 20).unwrap();
+        let obj = d.admin_create_object(P, 0).unwrap();
+        let old = d.issue_capability(P, obj, Rights::READ | Rights::WRITE, 1_000);
+        ClientHandle::new(7, old.clone())
+            .write(&mut d, 0, b"keyed")
+            .unwrap();
+        let req = d.setkey_request(P, KeyKind::Gold, &SecretKey::random_from(b"rotation", 1));
+        assert!(d.handle(&req).0.status.is_ok());
+        let fresh = d.issue_capability(P, obj, Rights::READ, 1_000);
+
+        // "Power off" with no checkpoint: only the log holds the rotation.
+        let device = d.store().cache().device().clone();
+        drop(d);
+        let mut d2 = NasdDrive::builder(1)
+            .durable()
+            .open(device)
+            .expect("remount");
+        assert_eq!(
+            ClientHandle::new(8, old).read(&mut d2, 0, 5).unwrap_err(),
+            NasdStatus::AccessDenied,
+            "a revoked capability must stay revoked"
+        );
+        let c = ClientHandle::new(9, fresh);
+        assert_eq!(c.read(&mut d2, 0, 5).unwrap(), b"keyed");
+
+        // The rotation also rides the index checkpoint.
+        d2.checkpoint().unwrap();
+        let device = d2.store().cache().device().clone();
+        drop(d2);
+        let mut d3 = NasdDrive::builder(1)
+            .durable()
+            .open(device)
+            .expect("remount");
+        assert_eq!(c.read(&mut d3, 0, 5).unwrap(), b"keyed");
+    }
+
+    /// Ack implies durable, for every request kind that `mutates()`: on
+    /// a durable drive whose device is already formatted, an
+    /// acknowledged mutation has left a committed log record (or, with
+    /// the log full, a checkpoint). `Flush` logs nothing by design — it
+    /// changes no logical state.
+    #[test]
+    fn acked_mutations_reach_the_log() {
+        let mut d = NasdDrive::builder(1).durable().build();
+        // The first commit formats the device with a checkpoint.
+        d.admin_create_partition(P, 16 << 20).unwrap();
+        let obj = d.admin_create_object(P, 0).unwrap();
+        let cap = d.issue_capability(P, obj, Rights::ALL, 1_000);
+        let c = d.client(cap);
+        let part_cap = d.issue_partition_capability(P, Rights::CREATE, 1_000);
+        let pc = d.client(part_cap);
+        let q = PartitionId(2);
+        let key = SecretKey::random_from(b"rotation", 2);
+        let data = Bytes::from_static(b"logged");
+        let requests = vec![
+            c.build(
+                RequestBody::write(&c.capability().public, 0, 6),
+                data.clone(),
+            ),
+            c.build(
+                RequestBody::Append {
+                    partition: P,
+                    object: obj,
+                    len: 6,
+                },
+                data,
+            ),
+            c.build(
+                RequestBody::SetAttr {
+                    partition: P,
+                    object: obj,
+                    mask: nasd_proto::SetAttrMask::fs_specific_only(),
+                    fs_specific: Box::new([1u8; nasd_proto::FS_SPECIFIC_ATTR_LEN]),
+                    preallocated: 0,
+                    cluster_with: None,
+                },
+                Bytes::new(),
+            ),
+            c.build(
+                RequestBody::Resize {
+                    partition: P,
+                    object: obj,
+                    new_size: 3,
+                },
+                Bytes::new(),
+            ),
+            c.build(
+                RequestBody::Snapshot {
+                    partition: P,
+                    object: obj,
+                },
+                Bytes::new(),
+            ),
+            pc.build(
+                RequestBody::Create {
+                    partition: P,
+                    preallocate: 0,
+                    cluster_with: None,
+                },
+                Bytes::new(),
+            ),
+            d.setkey_request(P, KeyKind::Black, &key),
+            c.build(
+                RequestBody::Remove {
+                    partition: P,
+                    object: obj,
+                },
+                Bytes::new(),
+            ),
+            d.admin_request(RequestBody::CreatePartition {
+                partition: q,
+                quota: 1 << 20,
+            }),
+            d.admin_request(RequestBody::ResizePartition {
+                partition: q,
+                quota: 2 << 20,
+            }),
+            d.admin_request(RequestBody::RemovePartition { partition: q }),
+        ];
+        let mut kinds = std::collections::HashSet::new();
+        for req in &requests {
+            assert!(req.body.mutates());
+            kinds.insert(std::mem::discriminant(&req.body));
+            let logged = d.store().wal_durable_bytes();
+            let epoch = d.store().checkpoint_seq;
+            let (reply, _) = d.handle(req);
+            assert!(reply.status.is_ok(), "{:?}: {:?}", req.body, reply.status);
+            assert!(
+                d.store().wal_durable_bytes() > logged || d.store().checkpoint_seq > epoch,
+                "{:?} was acknowledged but never reached the log",
+                req.body
+            );
+        }
+        // Every mutating kind but `Flush` was exercised.
+        assert_eq!(kinds.len(), 11);
     }
 
     #[test]

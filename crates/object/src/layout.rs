@@ -27,8 +27,10 @@ use nasd_disk::BlockDevice;
 /// Magic stamped at the head of both superblock copies ("NASDSBLK").
 pub const SB_MAGIC: u64 = 0x4e41_5344_5342_4c4b;
 
-/// On-disk layout version this code reads and writes.
-pub const LAYOUT_VERSION: u32 = 2;
+/// On-disk layout version this code reads and writes. Version 3 added
+/// the per-partition rotated working keys to the index checkpoint and
+/// the `SetKey` record to the log.
+pub const LAYOUT_VERSION: u32 = 3;
 
 /// Per-bitmap-block trailer: epoch (8) + block index (8) + crc (8).
 const BITMAP_TRAILER: usize = 24;

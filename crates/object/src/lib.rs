@@ -8,10 +8,13 @@
 //! * [`ObjectStore`] — object access, disk space management and the block
 //!   cache (the paper's prototype implemented "its own internal object
 //!   access, cache, and disk space management modules");
-//! * [`DriveSecurity`] — capability verification against the four-level
-//!   key hierarchy, with anti-replay protection;
-//! * [`NasdDrive`] — the request handler tying the two together behind the
-//!   wire protocol of [`nasd_proto`];
+//! * [`DriveSecurity`] — the one `authorize` step: a request's declared
+//!   authority ([`nasd_proto::RequestBody::authority`]) checked against
+//!   its capability or key under the four-level key hierarchy, with
+//!   anti-replay protection;
+//! * [`NasdDrive`] — the request pipeline tying the two together behind
+//!   the wire protocol of [`nasd_proto`]: inject faults → authorize →
+//!   execute → commit → account;
 //! * [`CostMeter`] — instruction accounting for the request code paths,
 //!   calibrated against Table 1 of the paper.
 //!

@@ -34,7 +34,7 @@ use crate::cache::{BlockCache, IoRecord, IoTrace};
 use crate::layout::{bit_set, Superblock};
 use crate::layout::{checksum64, read_bitmap, read_region, write_bitmap, write_region, Layout};
 use crate::store::{ObjectMeta, ObjectStore, Partition, StoreError};
-use crate::wal::Wal;
+use crate::wal::{decode_working_key, Wal};
 use nasd_disk::BlockDevice;
 use nasd_proto::wire::{DecodeError, WireDecode, WireEncode, WireReader, WireWriter};
 use nasd_proto::{ObjectAttributes, ObjectId, PartitionId};
@@ -149,6 +149,11 @@ fn encode_store<D: BlockDevice>(store: &ObjectStore<D>) -> Vec<u8> {
     for (pid, part) in parts {
         pid.encode(&mut main);
         main.u64(part.quota).u64(part.used).u64(part.next_object);
+        // nasd-lint: allow(cast, "encode direction: at most one rotated key per KeyKind")
+        main.u8(part.rotated_keys.len() as u8);
+        for (kind, key) in &part.rotated_keys {
+            main.u8(kind.to_byte()).raw(key);
+        }
         let mut objs: Vec<_> = part.objects.iter().collect();
         objs.sort_by_key(|(oid, _)| **oid);
         // nasd-lint: allow(cast, "encode direction: in-memory object count is far below u32::MAX")
@@ -203,6 +208,9 @@ fn decode_store(payload: &[u8], max_blocks: u64) -> Result<DecodedState, DecodeE
         let quota = r.u64()?;
         let used = r.u64()?;
         let next_object = r.u64()?;
+        let rotated_keys = (0..r.u8()?)
+            .map(|_| decode_working_key(&mut r))
+            .collect::<Result<Vec<_>, _>>()?;
         let nobjects = usize::try_from(r.u32()?).unwrap_or(usize::MAX);
         let mut objects = HashMap::with_capacity(nobjects.min(DECODE_CAPACITY_HINT));
         for _ in 0..nobjects {
@@ -218,6 +226,7 @@ fn decode_store(payload: &[u8], max_blocks: u64) -> Result<DecodedState, DecodeE
                 used,
                 next_object,
                 objects,
+                rotated_keys,
             },
         );
     }

@@ -1,4 +1,4 @@
-//! Drive-side security: capability verification and replay defense.
+//! Drive-side security: request authorization and replay defense.
 //!
 //! The drive holds only its keys (§4.1): "because the drive knows its
 //! keys, receives the public fields of a capability with each request, and
@@ -6,10 +6,23 @@
 //! client's private field... If any field has been changed, including the
 //! object version number, the access fails and the client is sent back to
 //! the file manager." No per-capability state is stored.
+//!
+//! *What* a request needs is declared once, in `nasd-proto`
+//! ([`RequestBody::authority`]: a capability with these rights over this
+//! object or partition and this byte span, or the drive key, or the
+//! partition key); [`DriveSecurity::authorize`] is the one place that
+//! declaration is enforced. The keys themselves are drive state: the
+//! drive re-derives them from its hierarchy at mount and overlays the
+//! working keys `SetKey` has rotated, which the object store keeps
+//! durable.
+//!
+//! [`RequestBody::authority`]: nasd_proto::RequestBody::authority
 
 use nasd_crypto::{DriveKeys, KeyKind, SecretKey};
 use nasd_proto::wire::WireEncode;
-use nasd_proto::{DriveId, NasdStatus, PartitionId, Request, RequestDigest, Rights, Version};
+use nasd_proto::{
+    Authority, DriveId, NasdStatus, ObjectAttributes, PartitionId, Request, RequestDigest, Version,
+};
 use std::collections::HashMap;
 
 /// Anti-replay window for one client, IPsec-style: a high-water counter
@@ -124,14 +137,80 @@ impl DriveSecurity {
         Ok(())
     }
 
-    /// The tail every verifier shares: recompute the digest under `key`,
-    /// then consult the replay window — last, so only genuine requests
-    /// consume nonces.
-    fn digest_then_replay(
-        replay: &mut HashMap<u64, ReplayWindow>,
-        key: &[u8],
+    /// Authorize one request against its row of the authority table
+    /// ([`RequestBody::authority`]) — the only entry point. `object` is
+    /// the addressed object's attributes as they stand (its version and
+    /// end of data are what the capability is checked against); `None`
+    /// for partition-scoped and key-authorized requests and for objects
+    /// the drive synthesizes, which are all version 0.
+    ///
+    /// The order is structural checks (cheap) → request digest → replay
+    /// window, so only genuine requests consume nonces.
+    ///
+    /// # Errors
+    ///
+    /// The [`NasdStatus`] to return to the client. Security failures are
+    /// deliberately coarse-grained (`AccessDenied`), except replay and
+    /// region violations.
+    ///
+    /// [`RequestBody::authority`]: nasd_proto::RequestBody::authority
+    pub fn authorize(
+        &mut self,
         req: &Request,
+        authority: Authority,
+        object: Option<&ObjectAttributes>,
+        now: u64,
     ) -> Result<(), NasdStatus> {
+        if !self.enabled {
+            return Ok(());
+        }
+        let private;
+        let key: &[u8] = match (authority, &req.capability) {
+            (
+                Authority::Capability {
+                    rights,
+                    scope,
+                    span,
+                },
+                Some(cap),
+            ) => {
+                let version = object.map_or(Version(0), |attrs| attrs.version);
+                if cap.drive != self.drive_id
+                    || cap.partition != req.body.partition()
+                    || cap.object != scope.capability_object()
+                    || req.header.protection < cap.min_protection
+                    || cap.expires < now
+                    // Version bump = revocation (§4.1).
+                    || cap.version != version
+                    || !cap.rights.allows(rights)
+                {
+                    return Err(NasdStatus::AccessDenied);
+                }
+                let end_of_data = object.map_or(0, |attrs| attrs.size);
+                if let Some((offset, len)) = span.resolve(end_of_data) {
+                    if !cap.region.contains_range(offset, len) {
+                        return Err(NasdStatus::RangeViolation);
+                    }
+                }
+                // Recompute the private field the client signed with.
+                let working = self
+                    .working_key(cap.partition, cap.key_kind)
+                    .ok_or(NasdStatus::NoSuchPartition)?;
+                private = cap.private_under(working);
+                private.as_bytes()
+            }
+            (Authority::Capability { .. }, None) => return Err(NasdStatus::AccessDenied),
+            (Authority::DriveKey | Authority::PartitionKey, Some(_)) => {
+                return Err(NasdStatus::BadRequest)
+            }
+            (Authority::DriveKey, None) => self.drive_key.as_bytes(),
+            (Authority::PartitionKey, None) => self
+                .partition_keys
+                .get(&req.body.partition())
+                .ok_or(NasdStatus::NoSuchPartition)?
+                .partition
+                .as_bytes(),
+        };
         let expected = RequestDigest::compute(
             key,
             req.header.nonce,
@@ -142,111 +221,11 @@ impl DriveSecurity {
         if !expected.verify(&req.digest) {
             return Err(NasdStatus::AccessDenied);
         }
-        let window = replay.entry(req.header.nonce.client).or_default();
+        let window = self.replay.entry(req.header.nonce.client).or_default();
         if !window.accept(req.header.nonce.counter) {
             return Err(NasdStatus::Replay);
         }
         Ok(())
-    }
-
-    /// Verify a capability-authorized request.
-    ///
-    /// `required` is the rights the operation needs; `object_version` is
-    /// the object's current logical version (pass `Version(0)` for
-    /// operations on not-yet-existing objects such as `Create`);
-    /// `region_check` is the byte range the operation touches, if any.
-    ///
-    /// # Errors
-    ///
-    /// The [`NasdStatus`] to return to the client. Security failures are
-    /// deliberately coarse-grained (`AccessDenied`), except replay.
-    pub fn verify(
-        &mut self,
-        req: &Request,
-        required: Rights,
-        object_version: Version,
-        region_check: Option<(u64, u64)>,
-        now: u64,
-    ) -> Result<(), NasdStatus> {
-        if !self.enabled {
-            return Ok(());
-        }
-        let cap = req.capability.as_ref().ok_or(NasdStatus::AccessDenied)?;
-
-        // Structural checks first (cheap).
-        if cap.drive != self.drive_id {
-            return Err(NasdStatus::AccessDenied);
-        }
-        if cap.partition != req.body.partition() {
-            return Err(NasdStatus::AccessDenied);
-        }
-        if let Some(obj) = req.body.object() {
-            if cap.object != obj {
-                return Err(NasdStatus::AccessDenied);
-            }
-        }
-        if req.header.protection < cap.min_protection {
-            return Err(NasdStatus::AccessDenied);
-        }
-        if cap.expires < now {
-            return Err(NasdStatus::AccessDenied);
-        }
-        if cap.version != object_version {
-            // Version bump = revocation (§4.1).
-            return Err(NasdStatus::AccessDenied);
-        }
-        if !cap.rights.allows(required) {
-            return Err(NasdStatus::AccessDenied);
-        }
-        if let Some((offset, len)) = region_check {
-            if !cap.region.contains_range(offset, len) {
-                return Err(NasdStatus::RangeViolation);
-            }
-        }
-
-        // Cryptographic check: recompute the private field and the digest.
-        let key = self
-            .working_key(cap.partition, cap.key_kind)
-            .ok_or(NasdStatus::NoSuchPartition)?;
-        let private = cap.private_under(key);
-        Self::digest_then_replay(&mut self.replay, private.as_bytes(), req)
-    }
-
-    /// Verify a partition-administration request (`CreatePartition`,
-    /// `ResizePartition`, `RemovePartition`), which is authorized by the
-    /// drive key (level 2) rather than a capability.
-    ///
-    /// # Errors
-    ///
-    /// [`NasdStatus`] on verification failure.
-    pub fn verify_admin(&mut self, req: &Request) -> Result<(), NasdStatus> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if req.capability.is_some() {
-            return Err(NasdStatus::BadRequest);
-        }
-        Self::digest_then_replay(&mut self.replay, self.drive_key.as_bytes(), req)
-    }
-
-    /// Verify a `SetKey` request, which is authorized by the partition key
-    /// (level 3) rather than a capability.
-    ///
-    /// # Errors
-    ///
-    /// [`NasdStatus`] on verification failure.
-    pub fn verify_setkey(&mut self, req: &Request) -> Result<(), NasdStatus> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if req.capability.is_some() {
-            return Err(NasdStatus::BadRequest);
-        }
-        let keys = self
-            .partition_keys
-            .get(&req.body.partition())
-            .ok_or(NasdStatus::NoSuchPartition)?;
-        Self::digest_then_replay(&mut self.replay, keys.partition.as_bytes(), req)
     }
 }
 

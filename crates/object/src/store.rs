@@ -12,8 +12,9 @@ use crate::cache::{BlockCache, IoTrace};
 use crate::layout::Layout;
 use crate::wal::{Wal, WalRecord};
 use bytes::ByteRope;
+use nasd_crypto::KeyKind;
 use nasd_disk::{BlockDevice, DiskError};
-use nasd_proto::{ObjectAttributes, ObjectId, PartitionId, SetAttrMask, Version};
+use nasd_proto::{NasdStatus, ObjectAttributes, ObjectId, PartitionId, SetAttrMask, Version};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -94,6 +95,23 @@ impl From<DiskError> for StoreError {
     }
 }
 
+/// What a client is told when the store refuses or fails an operation.
+impl From<StoreError> for NasdStatus {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::NoSuchPartition(_) => NasdStatus::NoSuchPartition,
+            StoreError::PartitionExists(_) => NasdStatus::ObjectExists,
+            StoreError::PartitionNotEmpty(_) => NasdStatus::BadRequest,
+            StoreError::NoSuchObject(_) => NasdStatus::NoSuchObject,
+            StoreError::NoSpace | StoreError::QuotaBelowUsage { .. } => NasdStatus::NoSpace,
+            StoreError::NotFormatted
+            | StoreError::Corrupt(_)
+            | StoreError::Disk(_)
+            | StoreError::Internal(_) => NasdStatus::DriveError,
+        }
+    }
+}
+
 /// Usage summary of one partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartitionStats {
@@ -117,6 +135,10 @@ pub(crate) struct Partition {
     pub(crate) used: u64,
     pub(crate) next_object: u64,
     pub(crate) objects: HashMap<ObjectId, ObjectMeta>,
+    /// Working keys replaced by `SetKey`, at most one per kind. The
+    /// store only keeps them durable (log record, index checkpoint);
+    /// the drive overlays them on the keys it derives at mount.
+    pub(crate) rotated_keys: Vec<(KeyKind, [u8; 32])>,
 }
 
 impl Partition {
@@ -317,6 +339,7 @@ impl<D: BlockDevice> ObjectStore<D> {
                 used: 0,
                 next_object: FIRST_DYNAMIC_OBJECT,
                 objects: HashMap::new(),
+                rotated_keys: Vec::new(),
             },
         );
         self.wal_log(
@@ -383,6 +406,33 @@ impl<D: BlockDevice> ObjectStore<D> {
         let mut v: Vec<_> = self.partitions.keys().copied().collect();
         v.sort();
         v
+    }
+
+    /// Record a rotated working key for `p` (the `SetKey` operation),
+    /// replacing any earlier rotation of the same kind.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSuchPartition`] if it does not exist.
+    pub fn set_working_key(
+        &mut self,
+        p: PartitionId,
+        kind: KeyKind,
+        key: [u8; 32],
+    ) -> Result<(), StoreError> {
+        let rotated = &mut self.partition_mut(p)?.rotated_keys;
+        rotated.retain(|(k, _)| *k != kind);
+        rotated.push((kind, key));
+        self.wal_log(&WalRecord::SetKey { p, kind, key }, &mut IoTrace::default())
+    }
+
+    /// The working keys of `p` that `SetKey` has replaced (empty for an
+    /// unknown partition).
+    #[must_use]
+    pub fn rotated_keys(&self, p: PartitionId) -> &[(KeyKind, [u8; 32])] {
+        self.partitions
+            .get(&p)
+            .map_or(&[], |part| part.rotated_keys.as_slice())
     }
 
     fn partition(&self, p: PartitionId) -> Result<&Partition, StoreError> {
@@ -594,16 +644,17 @@ impl<D: BlockDevice> ObjectStore<D> {
         Ok(meta.attrs.clone())
     }
 
-    /// Current logical version of an object (used by capability checks
-    /// without perturbing access time).
+    /// Object attributes as they stand, without perturbing the access
+    /// time: authorization reads the version and the end of data here
+    /// before the request is allowed to touch anything.
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSuchObject`] / [`StoreError::NoSuchPartition`].
-    pub fn object_version(&self, p: PartitionId, o: ObjectId) -> Result<Version, StoreError> {
+    pub fn peek_attr(&self, p: PartitionId, o: ObjectId) -> Result<&ObjectAttributes, StoreError> {
         let part = self.partition(p)?;
         let meta = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
-        Ok(meta.attrs.version)
+        Ok(&meta.attrs)
     }
 
     /// Apply a `SetAttr` request: update the fields selected by `mask`.
@@ -1062,6 +1113,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             WalRecord::CreatePartition { p, quota } => benign(self.create_partition(p, quota)),
             WalRecord::ResizePartition { p, quota } => benign(self.resize_partition(p, quota)),
             WalRecord::RemovePartition { p } => benign(self.remove_partition(p)),
+            WalRecord::SetKey { p, kind, key } => benign(self.set_working_key(p, kind, key)),
             WalRecord::Create {
                 p,
                 id,
@@ -1394,7 +1446,7 @@ mod tests {
             &mut t(),
         )
         .unwrap();
-        assert_eq!(s.object_version(P, o).unwrap(), Version(1));
+        assert_eq!(s.peek_attr(P, o).unwrap().version, Version(1));
     }
 
     #[test]

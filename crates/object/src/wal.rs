@@ -29,6 +29,7 @@
 
 use crate::layout::{checksum64, Layout};
 use crate::store::StoreError;
+use nasd_crypto::KeyKind;
 use nasd_disk::BlockDevice;
 use nasd_proto::wire::{DecodeError, WireDecode, WireEncode, WireReader, WireWriter};
 use nasd_proto::{ObjectId, PartitionId, SetAttrMask, FS_SPECIFIC_ATTR_LEN};
@@ -134,6 +135,16 @@ pub enum WalRecord {
         /// Operation timestamp.
         now: u64,
     },
+    /// `set_working_key`: a rotated working key is drive state — an
+    /// acknowledged rotation must still revoke after a power cycle.
+    SetKey {
+        /// Partition id.
+        p: PartitionId,
+        /// Which working key was replaced.
+        kind: KeyKind,
+        /// The new key.
+        key: [u8; 32],
+    },
 }
 
 const TAG_CREATE_PARTITION: u8 = 1;
@@ -145,6 +156,7 @@ const TAG_SET_ATTR: u8 = 6;
 const TAG_WRITE: u8 = 7;
 const TAG_RESIZE: u8 = 8;
 const TAG_SNAPSHOT: u8 = 9;
+const TAG_SET_KEY: u8 = 10;
 
 fn encode_opt_id(w: &mut WireWriter, id: Option<ObjectId>) {
     match id {
@@ -166,6 +178,24 @@ fn decode_opt_id(r: &mut WireReader<'_>) -> Result<Option<ObjectId>, DecodeError
             value: u64::from(b),
         }),
     }
+}
+
+/// A `(kind byte, 32 raw key bytes)` pair, as the log and the index
+/// checkpoint both store a rotated working key.
+pub(crate) fn decode_working_key(
+    r: &mut WireReader<'_>,
+) -> Result<(KeyKind, [u8; 32]), DecodeError> {
+    let kb = r.u8()?;
+    let kind = KeyKind::from_byte(kb).ok_or(DecodeError::BadTag {
+        context: "working key kind",
+        value: u64::from(kb),
+    })?;
+    let raw = r.raw(32)?;
+    let key = raw.try_into().map_err(|_| DecodeError::Truncated {
+        needed: 32,
+        remaining: raw.len(),
+    })?;
+    Ok((kind, key))
 }
 
 impl WalRecord {
@@ -234,6 +264,9 @@ impl WalRecord {
             }
             WalRecord::Snapshot { p, o, id, now } => {
                 w.u8(TAG_SNAPSHOT).u16(p.0).u64(o.0).u64(id.0).u64(*now);
+            }
+            WalRecord::SetKey { p, kind, key } => {
+                w.u8(TAG_SET_KEY).u16(p.0).u8(kind.to_byte()).raw(key);
             }
         }
         w.into_vec()
@@ -311,6 +344,11 @@ impl WalRecord {
                 id: ObjectId(r.u64()?),
                 now: r.u64()?,
             },
+            TAG_SET_KEY => {
+                let p = PartitionId(r.u16()?);
+                let (kind, key) = decode_working_key(&mut r)?;
+                WalRecord::SetKey { p, kind, key }
+            }
             t => {
                 return Err(DecodeError::BadTag {
                     context: "wal record tag",
@@ -591,6 +629,11 @@ mod tests {
             },
             WalRecord::Remove { p, o },
             WalRecord::ResizePartition { p, quota: 2 << 20 },
+            WalRecord::SetKey {
+                p,
+                kind: KeyKind::Black,
+                key: [0x5c; 32],
+            },
             WalRecord::RemovePartition { p },
         ]
     }

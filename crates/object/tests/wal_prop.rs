@@ -14,8 +14,9 @@
 //!   model state at some operation prefix (never an invented state, and
 //!   never a loss of records before the damage).
 
+use nasd_crypto::KeyKind;
 use nasd_disk::{BlockDevice, MemDisk, SharedDisk};
-use nasd_object::{IoTrace, ObjectStore};
+use nasd_object::{IoTrace, ObjectStore, FIRST_DYNAMIC_OBJECT};
 use nasd_proto::{ObjectId, PartitionId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -45,6 +46,10 @@ enum Op {
     Snapshot {
         slot: usize,
     },
+    SetKey {
+        kind: KeyKind,
+        fill: u8,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -69,18 +74,37 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..8, 0u64..3_000).prop_map(|(slot, new_size)| Op::Resize { slot, new_size }),
         (0usize..8).prop_map(|slot| Op::Remove { slot }),
         (0usize..8).prop_map(|slot| Op::Snapshot { slot }),
+        (any::<bool>(), any::<u8>()).prop_map(|(black, fill)| Op::SetKey {
+            kind: if black { KeyKind::Black } else { KeyKind::Gold },
+            fill
+        }),
     ]
 }
 
+/// Object contents by name — plus the partition's rotated working keys,
+/// modelled under the reserved (never allocated) names below
+/// [`FIRST_DYNAMIC_OBJECT`].
 type Model = BTreeMap<ObjectId, Vec<u8>>;
+
+fn key_slot(kind: KeyKind) -> ObjectId {
+    ObjectId(u64::from(kind.to_byte()))
+}
 
 /// Apply one op to the durable store and the model. Slot indices pick
 /// among live objects; ops against an empty store fall back to Create.
 fn step(store: &mut ObjectStore<SharedDisk>, model: &mut Model, op: &Op) {
     let mut t = IoTrace::default();
-    let live: Vec<ObjectId> = model.keys().copied().collect();
+    let live: Vec<ObjectId> = model
+        .keys()
+        .copied()
+        .filter(|o| o.0 >= FIRST_DYNAMIC_OBJECT)
+        .collect();
     let pick = |slot: usize| live[slot % live.len()];
     match (op, live.is_empty()) {
+        (Op::SetKey { kind, fill }, _) => {
+            store.set_working_key(P, *kind, [*fill; 32]).unwrap();
+            model.insert(key_slot(*kind), vec![*fill; 32]);
+        }
         (Op::Create, _) | (_, true) => {
             let id = store.create_object(P, 0, None, 0, &mut t).unwrap();
             model.insert(id, Vec::new());
@@ -159,6 +183,9 @@ fn observed(store: &mut ObjectStore<SharedDisk>) -> Model {
         let len = store.get_attr(P, o, 0).unwrap().size;
         let data = store.read(P, o, 0, len, 0, &mut t).unwrap().to_vec();
         out.insert(o, data);
+    }
+    for (kind, key) in store.rotated_keys(P) {
+        out.insert(key_slot(*kind), key.to_vec());
     }
     out
 }

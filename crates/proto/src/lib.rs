@@ -42,7 +42,9 @@ pub use capability::{
     Capability, CapabilityPublic, ProtectionLevel, RequestDigest, SecurityHeader,
 };
 pub use ids::{ByteRange, DriveId, Nonce, ObjectId, PartitionId, Version};
-pub use message::{Reply, ReplyBody, Request, RequestBody, WELL_KNOWN_OBJECT_LIST};
+pub use message::{
+    Authority, Reply, ReplyBody, Request, RequestBody, Scope, Span, WELL_KNOWN_OBJECT_LIST,
+};
 pub use rights::Rights;
 pub use route::{route_hash, shard_index};
 pub use status::{NasdStatus, RetryClass};

@@ -8,6 +8,7 @@
 use crate::attr::{ObjectAttributes, SetAttrMask, FS_SPECIFIC_ATTR_LEN};
 use crate::capability::{CapabilityPublic, ProtectionLevel, RequestDigest, SecurityHeader};
 use crate::ids::{Nonce, ObjectId, PartitionId};
+use crate::rights::Rights;
 use crate::status::NasdStatus;
 use crate::wire::{DecodeError, OwnedReader, WireDecode, WireEncode, WireReader, WireWriter};
 use bytes::{ByteRope, Bytes};
@@ -155,7 +156,132 @@ pub enum RequestBody {
     },
 }
 
+/// Who must authorize a request: one row of the drive's access policy
+/// (§4.1 — every request proves its rights, object version and byte
+/// region before the drive acts). [`RequestBody::authority`] is the
+/// whole table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Authority {
+    /// A capability granting `rights` over `scope` whose byte region
+    /// covers `span`.
+    Capability {
+        /// Rights the capability must carry.
+        rights: Rights,
+        /// What the capability must name.
+        scope: Scope,
+        /// Bytes the capability's region must cover.
+        span: Span,
+    },
+    /// The drive key (level 2): partition administration. The request
+    /// carries no capability.
+    DriveKey,
+    /// The addressed partition's key (level 3): working-key rotation.
+    /// The request carries no capability.
+    PartitionKey,
+}
+
+impl Authority {
+    /// The object the request addresses, if it names one.
+    #[must_use]
+    pub fn object(self) -> Option<ObjectId> {
+        match self {
+            Authority::Capability {
+                scope: Scope::Object(object),
+                ..
+            } => Some(object),
+            _ => None,
+        }
+    }
+}
+
+/// What a capability must name to authorize a request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scope {
+    /// This object, at its current logical version.
+    Object(ObjectId),
+    /// The request's partition as a whole (create, list).
+    Partition,
+}
+
+impl Scope {
+    /// The object id a capability of this scope carries: the object
+    /// itself, or for a whole partition the never-allocated
+    /// `ObjectId(0)` (hence always version 0) by convention.
+    #[must_use]
+    pub fn capability_object(self) -> ObjectId {
+        match self {
+            Scope::Object(object) => object,
+            Scope::Partition => ObjectId(0),
+        }
+    }
+}
+
+/// The bytes of the object a request touches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Span {
+    /// No byte range (attributes, namespace).
+    None,
+    /// `len` bytes at `offset`.
+    At {
+        /// First byte touched.
+        offset: u64,
+        /// Number of bytes touched.
+        len: u64,
+    },
+    /// `len` bytes at the object's current end of data, which only the
+    /// drive knows.
+    AtEnd {
+        /// Number of bytes appended.
+        len: u64,
+    },
+}
+
+impl Span {
+    /// The `(offset, len)` a capability's region must cover, given the
+    /// object's current end of data.
+    #[must_use]
+    pub fn resolve(self, end_of_data: u64) -> Option<(u64, u64)> {
+        match self {
+            Span::None => None,
+            Span::At { offset, len } => Some((offset, len)),
+            Span::AtEnd { len } => Some((end_of_data, len)),
+        }
+    }
+}
+
 impl RequestBody {
+    /// Read `len` bytes at `offset` of the object `cap` names.
+    #[must_use]
+    pub fn read(cap: &CapabilityPublic, offset: u64, len: u64) -> Self {
+        RequestBody::Read {
+            partition: cap.partition,
+            object: cap.object,
+            offset,
+            len,
+        }
+    }
+
+    /// Write the accompanying `len` bytes at `offset` of the object
+    /// `cap` names.
+    #[must_use]
+    pub fn write(cap: &CapabilityPublic, offset: u64, len: u64) -> Self {
+        RequestBody::Write {
+            partition: cap.partition,
+            object: cap.object,
+            offset,
+            len,
+        }
+    }
+
+    /// Read the attributes of the object `cap` names.
+    #[must_use]
+    pub fn get_attr(cap: &CapabilityPublic) -> Self {
+        RequestBody::GetAttr {
+            partition: cap.partition,
+            object: cap.object,
+        }
+    }
+
     /// Partition the request addresses.
     #[must_use]
     pub fn partition(&self) -> PartitionId {
@@ -181,17 +307,62 @@ impl RequestBody {
     /// Object the request addresses, if it names one.
     #[must_use]
     pub fn object(&self) -> Option<ObjectId> {
+        self.authority().object()
+    }
+
+    /// Who must authorize the request — the drive's access policy, one
+    /// row per request kind, and the only place a request kind is tied
+    /// to a [`Rights`] constant. The drive checks the row against the
+    /// request's capability (or key), the object's current version and
+    /// end of data before it touches anything. nasd-lint (rule W1)
+    /// verifies every variant is listed here, so a new request kind
+    /// cannot reach the drive without a declared authority.
+    #[must_use]
+    pub fn authority(&self) -> Authority {
+        let on_object = |rights, object: &ObjectId, span| Authority::Capability {
+            rights,
+            scope: Scope::Object(*object),
+            span,
+        };
+        let on_partition = |rights| Authority::Capability {
+            rights,
+            scope: Scope::Partition,
+            span: Span::None,
+        };
+        let at = |offset: u64, len: u64| Span::At { offset, len };
         match self {
-            RequestBody::Read { object, .. }
-            | RequestBody::Write { object, .. }
-            | RequestBody::Append { object, .. }
-            | RequestBody::GetAttr { object, .. }
-            | RequestBody::SetAttr { object, .. }
-            | RequestBody::Remove { object, .. }
-            | RequestBody::Resize { object, .. }
-            | RequestBody::Snapshot { object, .. }
-            | RequestBody::Flush { object, .. } => Some(*object),
-            _ => None,
+            RequestBody::Read {
+                object,
+                offset,
+                len,
+                ..
+            } => on_object(Rights::READ, object, at(*offset, *len)),
+            RequestBody::Write {
+                object,
+                offset,
+                len,
+                ..
+            } => on_object(Rights::WRITE, object, at(*offset, *len)),
+            // The drive chooses the offset; the capability's region must
+            // still cover the landing range, so an append-authorized
+            // client cannot exceed its window.
+            RequestBody::Append { object, len, .. } => {
+                on_object(Rights::WRITE, object, Span::AtEnd { len: *len })
+            }
+            RequestBody::GetAttr { object, .. } => on_object(Rights::GETATTR, object, Span::None),
+            RequestBody::SetAttr { object, .. } => on_object(Rights::SETATTR, object, Span::None),
+            RequestBody::Remove { object, .. } => on_object(Rights::REMOVE, object, Span::None),
+            RequestBody::Resize {
+                object, new_size, ..
+            } => on_object(Rights::RESIZE, object, at(0, *new_size)),
+            RequestBody::Snapshot { object, .. } => on_object(Rights::SNAPSHOT, object, Span::None),
+            RequestBody::Flush { object, .. } => on_object(Rights::WRITE, object, Span::None),
+            RequestBody::Create { .. } => on_partition(Rights::CREATE),
+            RequestBody::ListObjects { .. } => on_partition(Rights::GETATTR),
+            RequestBody::CreatePartition { .. }
+            | RequestBody::ResizePartition { .. }
+            | RequestBody::RemovePartition { .. } => Authority::DriveKey,
+            RequestBody::SetKey { .. } => Authority::PartitionKey,
         }
     }
 
@@ -699,6 +870,57 @@ impl WireEncode for ReplyBody {
 }
 
 impl ReplyBody {
+    /// The read payload; any other shape is a drive protocol error.
+    ///
+    /// # Errors
+    ///
+    /// [`NasdStatus::DriveError`] when the body is not `Data`.
+    pub fn into_data(self) -> Result<ByteRope, NasdStatus> {
+        match self {
+            ReplyBody::Data(data) => Ok(data),
+            _ => Err(NasdStatus::DriveError),
+        }
+    }
+
+    /// The written byte count; any other shape is a drive protocol
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// [`NasdStatus::DriveError`] when the body is not `Written`.
+    pub fn into_written(self) -> Result<u64, NasdStatus> {
+        match self {
+            ReplyBody::Written(n) => Ok(n),
+            _ => Err(NasdStatus::DriveError),
+        }
+    }
+
+    /// The object attributes; any other shape is a drive protocol
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// [`NasdStatus::DriveError`] when the body is not `Attr`.
+    pub fn into_attr(self) -> Result<ObjectAttributes, NasdStatus> {
+        match self {
+            ReplyBody::Attr(attrs) => Ok(attrs),
+            _ => Err(NasdStatus::DriveError),
+        }
+    }
+
+    /// The new object's (or snapshot's) name; any other shape is a
+    /// drive protocol error.
+    ///
+    /// # Errors
+    ///
+    /// [`NasdStatus::DriveError`] when the body is not `Created`.
+    pub fn into_created(self) -> Result<ObjectId, NasdStatus> {
+        match self {
+            ReplyBody::Created(id) => Ok(id),
+            _ => Err(NasdStatus::DriveError),
+        }
+    }
+
     /// The reply-body decode arms (nasd-lint W1 checks them for
     /// variant coverage under this name).
     fn decode_owned(r: &mut OwnedReader) -> Result<Self, DecodeError> {
@@ -864,6 +1086,74 @@ mod tests {
     fn interface_is_under_20_requests() {
         // The paper: "this interface contains less than 20 requests".
         assert!(all_bodies().len() < 20);
+    }
+
+    #[test]
+    fn every_request_declares_its_authority() {
+        for body in all_bodies() {
+            match body.authority() {
+                Authority::Capability { rights, scope, .. } => {
+                    assert!(!rights.is_empty(), "{body:?} demands no right");
+                    // A capability that only lets its holder look must
+                    // never be enough to change drive state.
+                    assert!(
+                        !body.mutates() || !(Rights::READ | Rights::GETATTR).allows(rights),
+                        "{body:?} mutates on look-only rights"
+                    );
+                    assert_eq!(body.object().is_some(), scope != Scope::Partition);
+                }
+                Authority::DriveKey => assert!(matches!(
+                    body,
+                    RequestBody::CreatePartition { .. }
+                        | RequestBody::ResizePartition { .. }
+                        | RequestBody::RemovePartition { .. }
+                )),
+                Authority::PartitionKey => assert!(matches!(body, RequestBody::SetKey { .. })),
+            }
+        }
+        let keyed = |b: &RequestBody| !matches!(b.authority(), Authority::Capability { .. });
+        assert_eq!(all_bodies().iter().filter(|b| keyed(b)).count(), 4);
+    }
+
+    #[test]
+    fn typed_constructors_address_the_capability_target() {
+        let cap = CapabilityPublic::gold(
+            crate::ids::DriveId(1),
+            PartitionId(3),
+            ObjectId(7),
+            crate::ids::Version(0),
+            Rights::ALL,
+            crate::ids::ByteRange::FULL,
+            10,
+        );
+        for body in [
+            RequestBody::read(&cap, 1, 2),
+            RequestBody::write(&cap, 1, 2),
+            RequestBody::get_attr(&cap),
+        ] {
+            assert_eq!(body.partition(), cap.partition);
+            assert_eq!(body.object(), Some(cap.object));
+        }
+        assert_eq!(
+            RequestBody::read(&cap, 1, 2).authority(),
+            Authority::Capability {
+                rights: Rights::READ,
+                scope: Scope::Object(ObjectId(7)),
+                span: Span::At { offset: 1, len: 2 },
+            }
+        );
+        // Shape checks: the expected body comes out, anything else is a
+        // protocol error.
+        assert_eq!(ReplyBody::Written(5).into_written(), Ok(5));
+        assert_eq!(
+            ReplyBody::Created(ObjectId(9)).into_created(),
+            Ok(ObjectId(9))
+        );
+        assert_eq!(ReplyBody::Empty.into_data(), Err(NasdStatus::DriveError));
+        assert_eq!(
+            ReplyBody::Written(5).into_attr(),
+            Err(NasdStatus::DriveError)
+        );
     }
 
     #[test]

@@ -165,6 +165,41 @@ fn data_integrity_mode_detects_payload_tampering() {
     assert_eq!(reply.status, NasdStatus::AccessDenied);
 }
 
+/// Partition-scoped requests (`ListObjects`, `Create`) name no object, so
+/// an *object* capability — however broad its rights — must not
+/// authorize them: only a capability for the partition itself does.
+#[test]
+fn object_capability_cannot_act_on_the_partition() {
+    let (mut d, obj) = drive_with_object();
+
+    // What an NFS lookup grants for one file.
+    let lookup = d.issue_capability(P, obj, Rights::READ | Rights::GETATTR, 100);
+    let list = d
+        .client(lookup)
+        .build(RequestBody::ListObjects { partition: P }, Bytes::new());
+    assert_eq!(d.handle(&list).0.status, NasdStatus::AccessDenied);
+
+    // Every right there is, over one object.
+    let all = d.issue_capability(P, obj, Rights::ALL, 100);
+    let create = d.client(all).build(
+        RequestBody::Create {
+            partition: P,
+            preallocate: 0,
+            cluster_with: None,
+        },
+        Bytes::new(),
+    );
+    assert_eq!(d.handle(&create).0.status, NasdStatus::AccessDenied);
+    assert_eq!(d.store().partition_stats(P).unwrap().objects, 1);
+
+    // The partition's own capability still works.
+    let part = d.issue_partition_capability(P, Rights::GETATTR, 100);
+    let list = d
+        .client(part)
+        .build(RequestBody::ListObjects { partition: P }, Bytes::new());
+    assert!(d.handle(&list).0.status.is_ok());
+}
+
 /// Working-key rotation revokes every capability minted under the old
 /// key while leaving the other working key's capabilities intact.
 #[test]
