@@ -3,6 +3,7 @@
 //! ```text
 //! perf [--json <path>] [--max-allocs-per-cached-read <n>]
 //!      [--max-allocs-per-socket-read <n>]
+//!      [--max-alloc-bytes-per-durable-write <n>]
 //!      [--max-event-allocs-per-dispatch <n>] [--min-dispatch-speedup <x>]
 //! ```
 //!
@@ -12,7 +13,8 @@
 //! memcpied per operation. The `--max-allocs-per-*` flags turn the
 //! harness into a CI tripwire: exit non-zero when a cached 64 KiB read
 //! (in-proc or over the real UDS transport) allocates more than the
-//! committed budget.
+//! committed budget, or when a durable 64 KiB write allocates more bytes
+//! than its budget (a payload-sized buffer crept back into the log path).
 
 use nasd_bench::{perf, report};
 use std::process::ExitCode;
@@ -31,24 +33,31 @@ fn flag_arg(flag: &str) -> Option<f64> {
     None
 }
 
-/// Fail the run if `workload`'s allocs/op exceeds `budget`.
-fn tripwire(rows: &[perf::PerfRow], workload: &str, budget: f64) -> Result<(), ()> {
+/// Reads one per-op column of a row.
+type Metric = fn(&perf::PerfRow) -> f64;
+
+/// Fail the run if `workload`'s `what` per op (read by `metric`) exceeds
+/// `budget`.
+fn tripwire(
+    rows: &[perf::PerfRow],
+    workload: &str,
+    what: &str,
+    metric: Metric,
+    budget: f64,
+) -> Result<(), ()> {
     let row = rows
         .iter()
         .find(|r| r.workload == workload)
         .unwrap_or_else(|| panic!("{workload} row missing"));
-    if row.allocs_per_op > budget {
+    let got = metric(row);
+    if got > budget {
         eprintln!(
-            "perf: {workload} allocates {:.2}/op, budget is {budget} — \
-             the zero-copy data path regressed",
-            row.allocs_per_op
+            "perf: {workload} {what} {got:.2}/op, budget is {budget} — \
+             the zero-copy data path regressed"
         );
         return Err(());
     }
-    eprintln!(
-        "perf: {workload} allocs/op {:.2} within budget {budget}",
-        row.allocs_per_op
-    );
+    eprintln!("perf: {workload} {what}/op {got:.2} within budget {budget}");
     Ok(())
 }
 
@@ -86,11 +95,31 @@ fn main() -> ExitCode {
     report::emit(&report::perf_report(&rows, true));
 
     let mut ok = true;
-    if let Some(budget) = flag_arg("--max-allocs-per-cached-read") {
-        ok &= tripwire(&rows, "cached_read", budget).is_ok();
-    }
-    if let Some(budget) = flag_arg("--max-allocs-per-socket-read") {
-        ok &= tripwire(&rows, "socket_read", budget).is_ok();
+    let allocs: Metric = |r| r.allocs_per_op;
+    let alloc_bytes: Metric = |r| r.alloc_bytes_per_op;
+    for (flag, workload, what, metric) in [
+        (
+            "--max-allocs-per-cached-read",
+            "cached_read",
+            "allocs",
+            allocs,
+        ),
+        (
+            "--max-allocs-per-socket-read",
+            "socket_read",
+            "allocs",
+            allocs,
+        ),
+        (
+            "--max-alloc-bytes-per-durable-write",
+            "durable_write",
+            "allocated bytes",
+            alloc_bytes,
+        ),
+    ] {
+        if let Some(budget) = flag_arg(flag) {
+            ok &= tripwire(&rows, workload, what, metric, budget).is_ok();
+        }
     }
     if let Some(budget) = flag_arg("--max-event-allocs-per-dispatch") {
         // Steady-state calendar-queue dispatch must grow no event

@@ -20,12 +20,15 @@
 //!
 //! Run `cargo run --release -p nasd-bench --bin perf` for the table, add
 //! `--json perf.json` for the machine-readable report, and
-//! `--max-allocs-per-cached-read <n>` to turn it into a CI tripwire.
+//! `--max-allocs-per-cached-read <n>` (or
+//! `--max-alloc-bytes-per-durable-write <n>`) to turn it into a CI
+//! tripwire.
 
 use bytes::Bytes;
+use nasd::disk::MemDisk;
 use nasd::fm::{serve_drive_socket, DriveEndpoint};
 use nasd::net::{BindAddr, Connector, WireServer};
-use nasd::object::{DriveConfig, NasdDrive};
+use nasd::object::{ClientHandle, DriveConfig, NasdDrive};
 use nasd::obs::datapath;
 use nasd::proto::{ByteRange, PartitionId, RequestBody, Rights, Version};
 use nasd::sim::baseline::HeapSimulator;
@@ -42,7 +45,7 @@ pub type AllocProbe = fn() -> (u64, u64);
 /// One measured workload.
 #[derive(Debug, Clone)]
 pub struct PerfRow {
-    /// Workload name (`cached_read`, `seq_write`, `sweep_read`,
+    /// Workload name (`cached_read`, `seq_write`, `durable_write`, `sweep_read`,
     /// `socket_read`, `socket_write`, `sim_step`, and the
     /// `dispatch_{cal,heap}_{1k,100k}` old-vs-new kernel rows).
     pub workload: &'static str,
@@ -116,25 +119,34 @@ fn row(workload: &'static str, size: u64, m: &Measured) -> PerfRow {
 
 /// A drive big enough that every sweep size stays fully cached: 64 MB
 /// device, 8 MB cache.
-fn perf_drive() -> NasdDrive<nasd::disk::MemDisk> {
-    NasdDrive::builder(1)
-        .config(DriveConfig {
-            block_size: 8_192,
-            capacity_blocks: 8_192,
-            cache_blocks: 1_024,
-            security_enabled: true,
-            durable_writes: false,
-        })
-        .build()
+fn perf_config() -> DriveConfig {
+    DriveConfig {
+        block_size: 8_192,
+        capacity_blocks: 8_192,
+        cache_blocks: 1_024,
+        security_enabled: true,
+        durable_writes: false,
+    }
 }
 
-fn cached_read(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
-    let mut drive = perf_drive();
+fn perf_drive() -> NasdDrive<MemDisk> {
+    NasdDrive::builder(1).config(perf_config()).build()
+}
+
+/// A drive of `config` holding one empty object, and a full-rights
+/// client for it.
+fn drive_with_object(config: DriveConfig) -> (NasdDrive<MemDisk>, ClientHandle) {
+    let mut drive = NasdDrive::builder(1).config(config).build();
     let p = PartitionId(1);
-    drive.admin_create_partition(p, 1 << 25).expect("partition");
+    drive.admin_create_partition(p, 1 << 26).expect("partition");
     let obj = drive.admin_create_object(p, 0).expect("object");
     let cap = drive.issue_capability(p, obj, Rights::READ | Rights::WRITE, 1 << 40);
     let client = drive.client(cap);
+    (drive, client)
+}
+
+fn cached_read(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
+    let (mut drive, client) = drive_with_object(perf_config());
     let payload = vec![0xA5u8; size as usize];
     client.write(&mut drive, 0, &payload).expect("seed write");
     // Warm the cache so the measured loop never touches the device.
@@ -149,17 +161,35 @@ fn cached_read(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
 }
 
 fn seq_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
-    let mut drive = perf_drive();
-    let p = PartitionId(1);
-    drive.admin_create_partition(p, 1 << 26).expect("partition");
-    let obj = drive.admin_create_object(p, 0).expect("object");
-    let cap = drive.issue_capability(p, obj, Rights::READ | Rights::WRITE, 1 << 40);
-    let client = drive.client(cap);
+    let (mut drive, client) = drive_with_object(perf_config());
     let payload = vec![0x5Au8; size as usize];
     let mut offset = 0u64;
     measure(probe, ops, || {
         client.write(&mut drive, offset, &payload).expect("write");
         offset += size;
+    })
+}
+
+/// Overwrites of a laid-down, fully cached 4 MiB span on a durable
+/// drive: every op is logged and group-committed to the `MemDisk`
+/// before it returns, and the 1 MiB log fills into a checkpoint every
+/// ~15 ops at 64 KiB. Overwriting keeps `seq_write`'s block allocation
+/// out of the row, so it prices the log path alone.
+fn durable_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
+    const SPAN: u64 = 4 << 20;
+    let (mut drive, client) = drive_with_object(perf_config().durable());
+    let payload = vec![0x5Au8; size as usize];
+    for offset in (0..SPAN).step_by(size as usize) {
+        client
+            .write(&mut drive, offset, &payload)
+            .expect("lay down");
+    }
+    let mut offset = 0u64;
+    measure(probe, ops, || {
+        client
+            .write(&mut drive, offset, &payload)
+            .expect("durable write");
+        offset = (offset + size) % SPAN;
     })
 }
 
@@ -169,15 +199,7 @@ fn seq_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
 fn socket_fixture(size: u64) -> (WireServer, DriveEndpoint, nasd::proto::Capability) {
     let clock = Arc::new(AtomicU64::new(1));
     let (server, ep) = serve_drive_socket(
-        NasdDrive::builder(1)
-            .config(DriveConfig {
-                block_size: 8_192,
-                capacity_blocks: 8_192,
-                cache_blocks: 1_024,
-                security_enabled: true,
-                durable_writes: false,
-            })
-            .build(),
+        perf_drive(),
         clock,
         &BindAddr::uds_temp("perf"),
         2,
@@ -351,6 +373,11 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
     let mut rows = vec![
         row("cached_read", 65_536, &cached_read(probe, 65_536, 2_000)),
         row("seq_write", 65_536, &seq_write(probe, 65_536, 400)),
+        row(
+            "durable_write",
+            65_536,
+            &durable_write(probe, 65_536, 2_000),
+        ),
     ];
     for size in [8_192u64, 32_768, 131_072, 262_144] {
         let ops = (1 << 27) / size; // ~128 MB of payload per point
@@ -461,9 +488,10 @@ mod tests {
         let rows = [
             row("cached_read", 4_096, &cached_read(None, 4_096, 4)),
             row("seq_write", 4_096, &seq_write(None, 4_096, 4)),
+            row("durable_write", 4_096, &durable_write(None, 4_096, 4)),
             row("sim_step", 0, &sim_step(None, 16)),
         ];
         assert!(rows.iter().all(|r| r.ops > 0));
-        assert_eq!(rows[2].mb_s, 0.0);
+        assert_eq!(rows[3].mb_s, 0.0);
     }
 }

@@ -29,8 +29,9 @@ pub const SB_MAGIC: u64 = 0x4e41_5344_5342_4c4b;
 
 /// On-disk layout version this code reads and writes. Version 3 added
 /// the per-partition rotated working keys to the index checkpoint and
-/// the `SetKey` record to the log.
-pub const LAYOUT_VERSION: u32 = 3;
+/// the `SetKey` record to the log; version 4 changed [`checksum64`], and
+/// with it every checksum on the device, so nothing older can be read.
+pub const LAYOUT_VERSION: u32 = 4;
 
 /// Per-bitmap-block trailer: epoch (8) + block index (8) + crc (8).
 const BITMAP_TRAILER: usize = 24;
@@ -39,20 +40,137 @@ const BITMAP_TRAILER: usize = 24;
 /// + trailing checksum.
 const SB_BYTES: usize = 8 + 4 + 4 + 8 * 10 + 8;
 
-/// Checksum used by every on-disk metadata structure: FNV-1a over the
-/// bytes, then a splitmix64 finalizer so single-bit flips avalanche
-/// across the whole word. Not cryptographic — it detects torn writes and
-/// media corruption, not adversaries (capability MACs handle those).
+const PRIME1: u64 = 0x9e37_79b1_85eb_ca87;
+const PRIME2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const PRIME3: u64 = 0x1656_67b1_9e37_79f9;
+const PRIME4: u64 = 0x85eb_ca77_c2b2_ae63;
+const PRIME5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME1)
+}
+
+/// Streaming form of [`checksum64`], for structures whose summed fields
+/// are not contiguous in memory: any split of the input across
+/// [`update`](Checksum64::update) calls yields the one-shot value.
+struct Checksum64 {
+    lanes: [u64; 4],
+    /// Bytes seen that do not yet fill a 32-byte stripe.
+    stash: [u8; 32],
+    stashed: usize,
+    total: u64,
+}
+
+impl Default for Checksum64 {
+    fn default() -> Self {
+        Checksum64 {
+            lanes: [
+                PRIME1.wrapping_add(PRIME2),
+                PRIME2,
+                0,
+                PRIME1.wrapping_neg(),
+            ],
+            stash: [0; 32],
+            stashed: 0,
+            total: 0,
+        }
+    }
+}
+
+impl Checksum64 {
+    /// Mix one 32-byte stripe: four independent multiply-rotate lanes,
+    /// so the four dependency chains overlap in the pipeline.
+    fn stripe(lanes: &mut [u64; 4], stripe: &[u8; 32]) {
+        let (words, _) = stripe.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = round(*lane, u64::from_le_bytes(*word));
+        }
+    }
+
+    /// Feed the next bytes of the input.
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.total = self.total.wrapping_add(bytes.len() as u64);
+        if self.stashed > 0 {
+            let room = self.stash.get_mut(self.stashed..).unwrap_or_default();
+            let (head, rest) = bytes.split_at(room.len().min(bytes.len()));
+            for (dst, src) in room.iter_mut().zip(head) {
+                *dst = *src;
+            }
+            self.stashed += head.len();
+            bytes = rest;
+            if self.stashed < self.stash.len() {
+                return;
+            }
+            Self::stripe(&mut self.lanes, &self.stash);
+        }
+        let (stripes, tail) = bytes.as_chunks::<32>();
+        for stripe in stripes {
+            Self::stripe(&mut self.lanes, stripe);
+        }
+        for (dst, src) in self.stash.iter_mut().zip(tail) {
+            *dst = *src;
+        }
+        self.stashed = tail.len();
+    }
+
+    /// The checksum of everything fed so far.
+    fn finish(&self) -> u64 {
+        let [a, b, c, d] = self.lanes;
+        let mut h = if self.total >= 32 {
+            let mut h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            for lane in self.lanes {
+                h = (h ^ round(0, lane))
+                    .wrapping_mul(PRIME1)
+                    .wrapping_add(PRIME4);
+            }
+            h
+        } else {
+            PRIME5
+        };
+        h = h.wrapping_add(self.total);
+        let tail = self.stash.get(..self.stashed).unwrap_or(&self.stash);
+        let (words, mut rest) = tail.as_chunks::<8>();
+        for word in words {
+            h = (h ^ round(0, u64::from_le_bytes(*word)))
+                .rotate_left(27)
+                .wrapping_mul(PRIME1)
+                .wrapping_add(PRIME4);
+        }
+        if let Some((half, after)) = rest.split_first_chunk::<4>() {
+            h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME1))
+                .rotate_left(23)
+                .wrapping_mul(PRIME2)
+                .wrapping_add(PRIME3);
+            rest = after;
+        }
+        for &byte in rest {
+            h = (h ^ u64::from(byte).wrapping_mul(PRIME5))
+                .rotate_left(11)
+                .wrapping_mul(PRIME1);
+        }
+        h = (h ^ (h >> 33)).wrapping_mul(PRIME2);
+        h = (h ^ (h >> 29)).wrapping_mul(PRIME3);
+        h ^ (h >> 32)
+    }
+}
+
+/// Checksum used by every on-disk metadata structure and log frame:
+/// XXH64 with seed 0 (DESIGN.md §12 spells it out byte for byte). Four
+/// independent 64-bit lanes over 32-byte stripes, so it runs at memory
+/// speed where a byte-serial hash pays one dependent multiply per byte.
+/// Not cryptographic — it detects torn writes and media corruption, not
+/// adversaries (capability MACs handle those).
 #[must_use]
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    let mut sum = Checksum64::default();
+    sum.update(bytes);
+    sum.finish()
 }
 
 /// Computed region geometry for one device.
@@ -208,16 +326,17 @@ impl Superblock {
             Ok(m) if m == SB_MAGIC => {}
             _ => return Ok(None),
         }
+        // The version names the checksum the copy was summed with, so
+        // it is judged first: another version's device is refused as
+        // such rather than as a checksum failure.
+        if read_u32(buf, 8)? != LAYOUT_VERSION {
+            return Err(StoreError::Corrupt("unknown layout version"));
+        }
         let body = buf
             .get(..SB_BYTES - 8)
             .ok_or(StoreError::Corrupt("superblock shorter than its fields"))?;
-        let stored = read_u64(buf, SB_BYTES - 8)?;
-        if checksum64(body) != stored {
+        if checksum64(body) != read_u64(buf, SB_BYTES - 8)? {
             return Err(StoreError::Corrupt("superblock checksum mismatch"));
-        }
-        let version = read_u32(buf, 8)?;
-        if version != LAYOUT_VERSION {
-            return Err(StoreError::Corrupt("unknown layout version"));
         }
         let block_size = usize::try_from(read_u32(buf, 12)?)
             .map_err(|_| StoreError::Corrupt("superblock block size exceeds address space"))?;
@@ -322,6 +441,16 @@ pub(crate) fn bit_get(bits: &[u8], b: u64) -> bool {
         .is_some_and(|byte| byte & (1u8 << (b % 8)) != 0)
 }
 
+/// Checksum of one bitmap block: its payload bytes, then the epoch and
+/// block index that the trailer stores beside the sum.
+fn bitmap_crc(payload: &[u8], epoch: u64, index: u64) -> u64 {
+    let mut sum = Checksum64::default();
+    sum.update(payload);
+    sum.update(&epoch.to_be_bytes());
+    sum.update(&index.to_be_bytes());
+    sum.finish()
+}
+
 /// Write the allocation bitmap for `epoch` into that epoch's copy. Each
 /// block carries `(epoch, block index, crc)` in its trailer so a reader
 /// can tell this epoch's bits from a stale or torn copy.
@@ -336,39 +465,26 @@ pub(crate) fn write_bitmap<D: BlockDevice>(
     let base = layout.bitmap_copy_start(epoch);
     let mut block = vec![0u8; bs];
     for i in 0..layout.bitmap_blocks {
-        block.iter_mut().for_each(|b| *b = 0);
+        let (body, trailer) = block
+            .split_at_mut_checked(payload)
+            .ok_or(StoreError::Internal("bitmap block shorter than payload"))?;
         let lo = usize::try_from(i)
             .ok()
             .and_then(|i| i.checked_mul(payload))
             .ok_or(StoreError::Internal("bitmap extent exceeds address space"))?;
-        if lo < bits.len() {
-            let hi = lo.saturating_add(payload).min(bits.len());
-            let src = bits
-                .get(lo..hi)
-                .ok_or(StoreError::Internal("bitmap slice out of range"))?;
-            block
-                .get_mut(..src.len())
-                .ok_or(StoreError::Internal("bitmap block shorter than payload"))?
-                .copy_from_slice(src);
+        let src = bits.get(lo..).unwrap_or(&[]);
+        let src = src.get(..payload).unwrap_or(src);
+        let (used, unused) = body.split_at_mut(src.len());
+        used.copy_from_slice(src);
+        unused.fill(0);
+        let fields = [epoch, i, bitmap_crc(body, epoch, i)];
+        let (slots, _) = trailer.as_chunks_mut::<8>();
+        if slots.len() < fields.len() {
+            return Err(StoreError::Internal("bitmap trailer shorter than fields"));
         }
-        let mut crc_input = Vec::with_capacity(payload.saturating_add(16));
-        crc_input.extend_from_slice(block.get(..payload).unwrap_or(&block));
-        crc_input.extend_from_slice(&epoch.to_be_bytes());
-        crc_input.extend_from_slice(&i.to_be_bytes());
-        let crc = checksum64(&crc_input);
-        let trailer = block
-            .get_mut(payload..)
-            .ok_or(StoreError::Internal("bitmap block shorter than trailer"))?;
-        let fields: Vec<u8> = epoch
-            .to_be_bytes()
-            .into_iter()
-            .chain(i.to_be_bytes())
-            .chain(crc.to_be_bytes())
-            .collect();
-        trailer
-            .get_mut(..fields.len())
-            .ok_or(StoreError::Internal("bitmap trailer shorter than fields"))?
-            .copy_from_slice(&fields);
+        for (slot, field) in slots.iter_mut().zip(fields) {
+            *slot = field.to_be_bytes();
+        }
         device.write_block(base + i, &block)?;
     }
     Ok(())
@@ -391,17 +507,12 @@ pub(crate) fn read_bitmap<D: BlockDevice>(
     let mut block = vec![0u8; bs];
     for i in 0..layout.bitmap_blocks {
         device.read_block(base + i, &mut block)?;
-        let got_epoch = read_u64(&block, payload)
-            .map_err(|_| StoreError::Corrupt("bitmap block shorter than trailer"))?;
-        let got_index = read_u64(&block, payload.saturating_add(8))
-            .map_err(|_| StoreError::Corrupt("bitmap block shorter than trailer"))?;
-        let got_crc = read_u64(&block, payload.saturating_add(16))
-            .map_err(|_| StoreError::Corrupt("bitmap block shorter than trailer"))?;
-        let mut crc_input = Vec::with_capacity(payload.saturating_add(16));
-        crc_input.extend_from_slice(block.get(..payload).unwrap_or(&block));
-        crc_input.extend_from_slice(&epoch.to_be_bytes());
-        crc_input.extend_from_slice(&i.to_be_bytes());
-        if got_epoch != epoch || got_index != i || checksum64(&crc_input) != got_crc {
+        let short = |_| StoreError::Corrupt("bitmap block shorter than trailer");
+        let got_epoch = read_u64(&block, payload).map_err(short)?;
+        let got_index = read_u64(&block, payload.saturating_add(8)).map_err(short)?;
+        let got_crc = read_u64(&block, payload.saturating_add(16)).map_err(short)?;
+        let body = block.get(..payload).unwrap_or(&block);
+        if got_epoch != epoch || got_index != i || bitmap_crc(body, epoch, i) != got_crc {
             return Err(StoreError::Corrupt("bitmap block checksum mismatch"));
         }
         let take = payload.min(nbytes - bits.len());
@@ -468,14 +579,53 @@ mod tests {
     use nasd_disk::MemDisk;
 
     #[test]
+    fn checksum_matches_the_public_xxh64_vectors() {
+        // Seed-0 XXH64 known answers: the empty input, inputs shorter
+        // than one stripe (byte, 4-byte and 8-byte tail steps), and one
+        // that runs the four lanes and then every tail step.
+        for (input, want) in [
+            (&b""[..], 0xef46_db37_51d8_e999u64),
+            (b"a", 0xd24e_c4f1_a98c_6e5b),
+            (b"abc", 0x44bc_2cf5_ad77_0999),
+            (b"xxhash", 0x32dd_3895_2c4b_c720),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xfbce_a83c_8a37_8bf1,
+            ),
+        ] {
+            assert_eq!(checksum64(input), want, "{:?}", input);
+        }
+    }
+
+    #[test]
+    fn checksum_of_any_split_equals_the_one_shot() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in [0, 1, 31, 32, 33, 63, 64, 65, 200] {
+            let want = checksum64(&data[..len]);
+            for a in 0..=len {
+                for b in [a, (a + 1).min(len), (a + 32).min(len), len] {
+                    let mut sum = Checksum64::default();
+                    sum.update(&data[..a]);
+                    sum.update(&data[a..b]);
+                    sum.update(&data[b..len]);
+                    assert_eq!(sum.finish(), want, "len {len} split at {a},{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn checksum_avalanches_on_single_bit() {
-        let a = checksum64(b"hello world");
-        let mut flipped = b"hello world".to_vec();
-        flipped[3] ^= 1;
-        let b = checksum64(&flipped);
-        assert_ne!(a, b);
-        assert!((a ^ b).count_ones() > 8, "poor avalanche: {:x}", a ^ b);
-        assert_ne!(checksum64(b""), 0);
+        // Every bit of a 64 KiB payload-sized input is covered by some
+        // lane: sampled flips each change at least a byte's worth of sum.
+        let mut data: Vec<u8> = (0..65_536u32).map(|i| (i % 251) as u8).collect();
+        let base = checksum64(&data);
+        for at in (0..data.len()).step_by(997) {
+            data[at] ^= 1 << (at % 8);
+            let diff = base ^ checksum64(&data);
+            assert!(diff.count_ones() > 8, "poor avalanche at {at}: {diff:x}");
+            data[at] ^= 1 << (at % 8);
+        }
     }
 
     #[test]

@@ -388,7 +388,8 @@ impl<D: BlockDevice> ObjectStore<D> {
 
         // Construct early enough to reuse `in_use_bits`, but verify the
         // persisted bitmap before replay mutates anything.
-        let (wal, log_records) = Wal::recover(&device, &layout, sb.checkpoint_seq)?;
+        let log = Wal::read_log(&device, &layout)?;
+        let (wal, log_records) = Wal::recover(&log, &layout, sb.checkpoint_seq);
         let store_bits_stored = read_bitmap(&device, &layout, sb.checkpoint_seq)?;
         let mut store = ObjectStore {
             cache: BlockCache::new(device, cache_blocks),

@@ -311,11 +311,11 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// Append a record for an operation that just succeeded. When the
     /// log area is full, fall back to a checkpoint — it captures the
     /// operation's effect directly and logically empties the log.
-    fn wal_log(&mut self, rec: &WalRecord, trace: &mut IoTrace) -> Result<(), StoreError> {
+    fn wal_log(&mut self, rec: &WalRecord<'_>, trace: &mut IoTrace) -> Result<(), StoreError> {
         if !self.wal.enabled {
             return Ok(());
         }
-        if !self.wal.append(rec) {
+        if !self.wal.append(rec)? {
             self.checkpoint(trace)?;
         }
         Ok(())
@@ -694,21 +694,18 @@ impl<D: BlockDevice> ObjectStore<D> {
             meta.attrs.version = meta.attrs.version.bumped();
         }
         meta.attrs.attr_modify_time = now;
-        if self.wal.enabled {
-            self.wal_log(
-                &WalRecord::SetAttr {
-                    p,
-                    o,
-                    mask,
-                    fs_specific: Box::new(*fs_specific),
-                    preallocated,
-                    cluster_with,
-                    now,
-                },
-                trace,
-            )?;
-        }
-        Ok(())
+        self.wal_log(
+            &WalRecord::SetAttr {
+                p,
+                o,
+                mask,
+                fs_specific,
+                preallocated,
+                cluster_with,
+                now,
+            },
+            trace,
+        )
     }
 
     /// Read up to `len` bytes at `offset`. Reads past end-of-object are
@@ -883,19 +880,16 @@ impl<D: BlockDevice> ObjectStore<D> {
         let meta = self.object_mut(p, o)?;
         meta.attrs.size = meta.attrs.size.max(end);
         meta.attrs.data_modify_time = now;
-        if self.wal.enabled {
-            self.wal_log(
-                &WalRecord::Write {
-                    p,
-                    o,
-                    offset,
-                    // nasd-lint: allow(hot-path-copy, "WAL durability copy: the log record must own the payload it promises to replay")
-                    data: data.to_vec(),
-                    now,
-                },
-                trace,
-            )?;
-        }
+        self.wal_log(
+            &WalRecord::Write {
+                p,
+                o,
+                offset,
+                data,
+                now,
+            },
+            trace,
+        )?;
         Ok(data.len() as u64)
     }
 
@@ -1096,7 +1090,7 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// the skips described above, not failures.
     pub(crate) fn apply_wal(
         &mut self,
-        rec: WalRecord,
+        rec: WalRecord<'_>,
         trace: &mut IoTrace,
     ) -> Result<(), StoreError> {
         let benign = |r: Result<(), StoreError>| match r {
@@ -1137,7 +1131,7 @@ impl<D: BlockDevice> ObjectStore<D> {
                 p,
                 o,
                 mask,
-                &fs_specific,
+                fs_specific,
                 preallocated,
                 cluster_with,
                 now,
@@ -1149,7 +1143,7 @@ impl<D: BlockDevice> ObjectStore<D> {
                 offset,
                 data,
                 now,
-            } => benign(self.write(p, o, offset, &data, now, trace).map(|_| ())),
+            } => benign(self.write(p, o, offset, data, now, trace).map(|_| ())),
             WalRecord::Resize {
                 p,
                 o,

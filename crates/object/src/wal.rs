@@ -25,6 +25,11 @@
 //! block is rewritten from an in-memory image rather than
 //! read-modified.
 //!
+//! Copy budget: a logged payload is copied once, from the caller's
+//! buffer into the commit buffer as its frame is encoded there, summed
+//! once in place, and written once — whole blocks go to the device
+//! straight out of the commit buffer.
+//!
 //! [`ObjectStore::open`]: crate::store::ObjectStore::open
 
 use crate::layout::{checksum64, Layout};
@@ -41,8 +46,8 @@ const FRAME_OVERHEAD: usize = 28;
 /// One logged mutation. Carries everything needed to re-apply the
 /// operation absolutely (assigned ids included), so replaying a record
 /// twice is a no-op.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WalRecord {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WalRecord<'a> {
     /// `create_partition`.
     CreatePartition {
         /// Partition id.
@@ -91,7 +96,7 @@ pub enum WalRecord {
         /// Field-selection mask.
         mask: SetAttrMask,
         /// Opaque filesystem attribute block.
-        fs_specific: Box<[u8; FS_SPECIFIC_ATTR_LEN]>,
+        fs_specific: &'a [u8; FS_SPECIFIC_ATTR_LEN],
         /// Preallocation target in bytes.
         preallocated: u64,
         /// Clustering hint.
@@ -99,8 +104,9 @@ pub enum WalRecord {
         /// Operation timestamp.
         now: u64,
     },
-    /// `write` — the record owns the payload, so replay needs no other
-    /// source of the bytes.
+    /// `write` — the record borrows the payload: logging encodes it
+    /// straight into the commit buffer, replay reads it out of the log
+    /// image.
     Write {
         /// Partition id.
         p: PartitionId,
@@ -109,7 +115,7 @@ pub enum WalRecord {
         /// Byte offset.
         offset: u64,
         /// Payload.
-        data: Vec<u8>,
+        data: &'a [u8],
         /// Operation timestamp.
         now: u64,
     },
@@ -198,11 +204,29 @@ pub(crate) fn decode_working_key(
     Ok((kind, key))
 }
 
-impl WalRecord {
-    /// Encode the record body (tag + fields).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+impl<'a> WalRecord<'a> {
+    /// Byte length of the encoded body, so the log can judge capacity
+    /// and stamp the frame head before it encodes a byte.
+    fn body_len(&self) -> usize {
+        let opt_id_len = |id: &Option<ObjectId>| if id.is_some() { 9 } else { 1 };
+        // tag (1) + partition (2), then the variant's fields.
+        3 + match self {
+            WalRecord::RemovePartition { .. } => 0,
+            WalRecord::CreatePartition { .. }
+            | WalRecord::ResizePartition { .. }
+            | WalRecord::Remove { .. } => 8,
+            WalRecord::Resize { .. } | WalRecord::Snapshot { .. } => 24,
+            WalRecord::SetKey { .. } => 33,
+            WalRecord::Create { cluster_with, .. } => 24 + opt_id_len(cluster_with),
+            WalRecord::SetAttr { cluster_with, .. } => {
+                25 + FS_SPECIFIC_ATTR_LEN + opt_id_len(cluster_with)
+            }
+            WalRecord::Write { data, .. } => 28usize.saturating_add(data.len()),
+        }
+    }
+
+    /// Encode the record body (tag + fields) at the end of `w`.
+    pub fn encode(&self, w: &mut WireWriter) {
         match self {
             WalRecord::CreatePartition { p, quota } => {
                 w.u8(TAG_CREATE_PARTITION).u16(p.0).u64(*quota);
@@ -221,7 +245,7 @@ impl WalRecord {
                 now,
             } => {
                 w.u8(TAG_CREATE).u16(p.0).u64(id.0).u64(*preallocate);
-                encode_opt_id(&mut w, *cluster_with);
+                encode_opt_id(w, *cluster_with);
                 w.u64(*now);
             }
             WalRecord::Remove { p, o } => {
@@ -237,10 +261,10 @@ impl WalRecord {
                 now,
             } => {
                 w.u8(TAG_SET_ATTR).u16(p.0).u64(o.0);
-                mask.encode(&mut w);
+                mask.encode(w);
                 w.raw(fs_specific.as_slice());
                 w.u64(*preallocated);
-                encode_opt_id(&mut w, *cluster_with);
+                encode_opt_id(w, *cluster_with);
                 w.u64(*now);
             }
             WalRecord::Write {
@@ -269,7 +293,6 @@ impl WalRecord {
                 w.u8(TAG_SET_KEY).u16(p.0).u8(kind.to_byte()).raw(key);
             }
         }
-        w.into_vec()
     }
 
     /// Decode one record body.
@@ -278,7 +301,7 @@ impl WalRecord {
     ///
     /// [`DecodeError`] on truncation, unknown tag, or trailing bytes —
     /// replay treats any of these as the end of the valid log.
-    pub fn decode(body: &[u8]) -> Result<WalRecord, DecodeError> {
+    pub fn decode(body: &'a [u8]) -> Result<WalRecord<'a>, DecodeError> {
         let mut r = WireReader::new(body);
         let tag = r.u8()?;
         let rec = match tag {
@@ -309,16 +332,15 @@ impl WalRecord {
                 let o = ObjectId(r.u64()?);
                 let mask = SetAttrMask::decode(&mut r)?;
                 let raw = r.raw(FS_SPECIFIC_ATTR_LEN)?;
-                let fs: [u8; FS_SPECIFIC_ATTR_LEN] =
-                    raw.try_into().map_err(|_| DecodeError::Truncated {
-                        needed: FS_SPECIFIC_ATTR_LEN,
-                        remaining: raw.len(),
-                    })?;
+                let fs_specific = raw.try_into().map_err(|_| DecodeError::Truncated {
+                    needed: FS_SPECIFIC_ATTR_LEN,
+                    remaining: raw.len(),
+                })?;
                 WalRecord::SetAttr {
                     p,
                     o,
                     mask,
-                    fs_specific: Box::new(fs),
+                    fs_specific,
                     preallocated: r.u64()?,
                     cluster_with: decode_opt_id(&mut r)?,
                     now: r.u64()?,
@@ -328,8 +350,7 @@ impl WalRecord {
                 p: PartitionId(r.u16()?),
                 o: ObjectId(r.u64()?),
                 offset: r.u64()?,
-                // nasd-lint: allow(hot-path-copy, "WAL durability copy: the replayed record must own its payload")
-                data: r.bytes()?.to_vec(),
+                data: r.bytes()?,
                 now: r.u64()?,
             },
             TAG_RESIZE => WalRecord::Resize {
@@ -361,19 +382,6 @@ impl WalRecord {
     }
 }
 
-/// Frame a record for the log: length-prefixed, epoch- and LSN-stamped,
-/// checksummed.
-fn frame(rec: &WalRecord, epoch: u64, lsn: u64) -> Vec<u8> {
-    let body = rec.encode();
-    let mut inner = WireWriter::with_capacity(body.len().saturating_add(16));
-    inner.u64(epoch).u64(lsn).raw(&body);
-    let crc = checksum64(inner.as_slice());
-    let mut w = WireWriter::with_capacity(body.len().saturating_add(FRAME_OVERHEAD));
-    // nasd-lint: allow(cast, "encode direction: record bodies are fixed-layout, far below u32::MAX")
-    w.u32(body.len() as u32).raw(inner.as_slice()).u64(crc);
-    w.into_vec()
-}
-
 /// The in-memory side of the write-ahead log.
 pub(crate) struct Wal {
     /// When false (during replay, or for a non-durable drive) appends
@@ -385,7 +393,8 @@ pub(crate) struct Wal {
     durable_bytes: u64,
     /// In-memory image of the partial tail block (the first
     /// `durable_bytes % block_size` bytes are valid), so a commit
-    /// rewrites it without a device read.
+    /// rewrites it without a device read. Doubles as the one staging
+    /// buffer for the zero-padded partial blocks a commit writes.
     tail: Vec<u8>,
     /// Frames appended since the last commit (group commit buffer).
     pending: Vec<u8>,
@@ -432,19 +441,36 @@ impl Wal {
 
     /// Append a record to the group-commit buffer. Returns `false` when
     /// the log area cannot hold it — the caller checkpoints instead
-    /// (which logically empties the log).
-    pub(crate) fn append(&mut self, rec: &WalRecord) -> bool {
+    /// (which logically empties the log). The frame is encoded once,
+    /// straight into the buffer, and summed where it lies.
+    pub(crate) fn append(&mut self, rec: &WalRecord<'_>) -> Result<bool, StoreError> {
         if !self.enabled {
-            return true;
+            return Ok(true);
         }
-        let f = frame(rec, self.epoch, self.next_lsn);
-        let used = self.durable_bytes.saturating_add(self.pending.len() as u64);
-        if used.saturating_add(f.len() as u64) > self.capacity() {
-            return false;
+        let body_len = rec.body_len();
+        let head = u32::try_from(body_len)
+            .map_err(|_| StoreError::Internal("wal record body exceeds the frame length field"))?;
+        let frame_len = body_len.saturating_add(FRAME_OVERHEAD);
+        let start = self.pending.len();
+        let used = self.durable_bytes.saturating_add(start as u64);
+        if used.saturating_add(frame_len as u64) > self.capacity() {
+            return Ok(false);
+        }
+        self.pending.reserve(frame_len);
+        let mut w = WireWriter::from(std::mem::take(&mut self.pending));
+        w.u32(head).u64(self.epoch).u64(self.next_lsn);
+        rec.encode(&mut w);
+        let crc = checksum64(w.as_slice().get(start.saturating_add(4)..).unwrap_or(&[]));
+        w.u64(crc);
+        self.pending = w.into_vec();
+        if self.pending.len() != start.saturating_add(frame_len) {
+            // The head already promises `body_len`: a frame of any other
+            // size would poison everything logged after it.
+            self.pending.truncate(start);
+            return Err(StoreError::Internal("wal body_len out of step with encode"));
         }
         self.next_lsn += 1;
-        self.pending.extend(f);
-        true
+        Ok(true)
     }
 
     /// Whether uncommitted records are buffered.
@@ -455,50 +481,41 @@ impl Wal {
     /// Write every pending record to the device — straight to the
     /// media, bypassing the write-behind cache, because the entire point
     /// is that these bytes are durable before the operation is acked.
+    ///
+    /// The blocks covering `[durable_bytes - tail.len(), ...)` are
+    /// written in order: the partial tail block completed from the head
+    /// of `pending`, whole blocks straight out of `pending`, and a new
+    /// partial tail block — only the two partial ones are staged.
     pub(crate) fn commit<D: BlockDevice>(&mut self, device: &mut D) -> Result<(), StoreError> {
         if self.pending.is_empty() {
             return Ok(());
         }
         let bs = self.block_size;
-        // Stream = partial tail image + new frames, written over the
-        // blocks covering [durable_bytes - tail.len(), ...).
-        let mut stream = std::mem::take(&mut self.tail);
-        stream.extend(self.pending.iter().copied());
-        let first_block = self.log_start + self.durable_bytes / bs as u64;
-        let mut block = vec![0u8; bs];
-        for (i, chunk) in stream.chunks(bs).enumerate() {
-            if chunk.len() == bs {
-                device.write_block(first_block + i as u64, chunk)?;
-            } else {
-                block.iter_mut().for_each(|b| *b = 0);
-                block
-                    .get_mut(..chunk.len())
-                    .ok_or(StoreError::Internal("wal chunk longer than block"))?
-                    // nasd-lint: allow(hot-path-copy, "log serializer: staging the partial tail frame into a zero-padded sector image")
-                    .copy_from_slice(chunk);
-                device.write_block(first_block + i as u64, &block)?;
-            }
+        let mut block = self.log_start + self.durable_bytes / bs as u64;
+        let mut rest = self.pending.as_slice();
+        if !self.tail.is_empty() {
+            let (fill, after) = rest.split_at(rest.len().min(bs - self.tail.len()));
+            rest = after;
+            block += stage_block(device, block, &mut self.tail, fill, bs)?;
+        }
+        let (whole, partial) = rest.split_at(rest.len() - rest.len() % bs);
+        for chunk in whole.chunks_exact(bs) {
+            device.write_block(block, chunk)?;
+            block += 1;
+        }
+        if !partial.is_empty() {
+            stage_block(device, block, &mut self.tail, partial, bs)?;
         }
         self.durable_bytes += self.pending.len() as u64;
-        let tail_len = stream.len() % bs;
-        stream.drain(..stream.len() - tail_len);
-        self.tail = stream;
         self.pending.clear();
         Ok(())
     }
 
-    /// Read the log area and replay its valid prefix: records of the
-    /// right epoch, consecutive LSNs from 0, intact checksums. The first
-    /// violation — torn frame, stale epoch, bad crc, short area —
-    /// terminates the scan cleanly (that is where the crash happened).
-    ///
-    /// Returns the recovered `Wal` (positioned after the last valid
-    /// record, disabled) and the records to re-apply, in order.
-    pub(crate) fn recover<D: BlockDevice>(
+    /// Read the whole log area off the device, for [`Wal::recover`].
+    pub(crate) fn read_log<D: BlockDevice>(
         device: &D,
         layout: &Layout,
-        epoch: u64,
-    ) -> Result<(Wal, Vec<WalRecord>), StoreError> {
+    ) -> Result<Vec<u8>, StoreError> {
         let bs = layout.block_size;
         let area_bytes = usize::try_from(layout.log_blocks)
             .ok()
@@ -506,7 +523,23 @@ impl Wal {
             .ok_or(StoreError::Corrupt(
                 "wal log area exceeds the address space",
             ))?;
-        let image = crate::layout::read_region(device, layout.log_start, bs, area_bytes)?;
+        crate::layout::read_region(device, layout.log_start, bs, area_bytes)
+    }
+
+    /// Scan a log-area `image` for its valid prefix: records of the
+    /// right epoch, consecutive LSNs from 0, intact checksums. The first
+    /// violation — torn frame, stale epoch, bad crc, short area —
+    /// terminates the scan cleanly (that is where the crash happened).
+    ///
+    /// Returns the recovered `Wal` (positioned after the last valid
+    /// record, disabled) and the records to re-apply, in order; they
+    /// borrow their payloads from `image`.
+    pub(crate) fn recover<'a>(
+        image: &'a [u8],
+        layout: &Layout,
+        epoch: u64,
+    ) -> (Wal, Vec<WalRecord<'a>>) {
+        let bs = layout.block_size;
         let mut records = Vec::new();
         let mut pos = 0usize;
         let mut lsn = 0u64;
@@ -561,8 +594,28 @@ impl Wal {
         let tail_len = pos % bs;
         // nasd-lint: allow(hot-path-copy, "one-shot recovery: staging the partial tail block image")
         wal.tail = image.get(pos - tail_len..pos).unwrap_or(&[]).to_vec();
-        Ok((wal, records))
+        (wal, records)
     }
+}
+
+/// Append `bytes` to the partial-block image `tail`, write it to `block`
+/// zero-padded to `bs`, and leave `tail` holding what a later commit
+/// must rewrite: nothing once the block is full. Returns how many
+/// blocks were completed (0 or 1).
+fn stage_block<D: BlockDevice>(
+    device: &mut D,
+    block: u64,
+    tail: &mut Vec<u8>,
+    bytes: &[u8],
+    bs: usize,
+) -> Result<u64, StoreError> {
+    // nasd-lint: allow(hot-path-copy, "log serializer: staging a partial block into its zero-padded sector image")
+    tail.extend_from_slice(bytes);
+    let valid = tail.len();
+    tail.resize(bs, 0);
+    device.write_block(block, tail)?;
+    tail.truncate(valid % bs);
+    Ok((valid / bs) as u64)
 }
 
 impl std::fmt::Debug for Wal {
@@ -582,7 +635,17 @@ mod tests {
     use super::*;
     use nasd_disk::MemDisk;
 
-    fn sample_records() -> Vec<WalRecord> {
+    const PAYLOAD: [u8; 300] = {
+        let mut bytes = [0u8; 300];
+        let mut i = 0;
+        while i < bytes.len() {
+            bytes[i] = (i % 251) as u8;
+            i += 1;
+        }
+        bytes
+    };
+
+    fn sample_records() -> Vec<WalRecord<'static>> {
         let p = PartitionId(1);
         let o = ObjectId(0x100);
         vec![
@@ -598,7 +661,7 @@ mod tests {
                 p,
                 o,
                 offset: 7,
-                data: (0..300u32).map(|i| (i % 251) as u8).collect(),
+                data: &PAYLOAD,
                 now: 11,
             },
             WalRecord::SetAttr {
@@ -610,7 +673,7 @@ mod tests {
                     cluster_with: true,
                     bump_version: true,
                 },
-                fs_specific: Box::new([0xab; FS_SPECIFIC_ATTR_LEN]),
+                fs_specific: &[0xab; FS_SPECIFIC_ATTR_LEN],
                 preallocated: 0,
                 cluster_with: Some(ObjectId(0x101)),
                 now: 12,
@@ -638,99 +701,179 @@ mod tests {
         ]
     }
 
+    /// An enabled log at `epoch` over a 512 x 2048 device.
+    fn fresh(epoch: u64) -> (Layout, MemDisk, Wal) {
+        let layout = Layout::compute(512, 2048);
+        let mut wal = Wal::new(&layout);
+        wal.enabled = true;
+        wal.reset(epoch);
+        (layout, MemDisk::new(512, 2048), wal)
+    }
+
     #[test]
     fn record_bodies_roundtrip() {
         for rec in sample_records() {
-            let body = rec.encode();
+            let mut w = WireWriter::new();
+            rec.encode(&mut w);
+            let body = w.into_vec();
+            assert_eq!(body.len(), rec.body_len(), "{rec:?}");
             assert_eq!(WalRecord::decode(&body).unwrap(), rec, "{rec:?}");
             // Truncations error rather than panic.
             for cut in 0..body.len() {
-                assert!(WalRecord::decode(&body[..cut]).is_err() || cut == body.len());
+                assert!(WalRecord::decode(&body[..cut]).is_err());
             }
         }
     }
 
     #[test]
     fn append_commit_recover_roundtrip() {
-        let layout = Layout::compute(512, 2048);
-        let mut d = MemDisk::new(512, 2048);
-        let mut wal = Wal::new(&layout);
-        wal.enabled = true;
-        wal.reset(3);
+        let (layout, mut d, mut wal) = fresh(3);
         let recs = sample_records();
         // Two commit groups: durability batches along the way.
         for rec in &recs[..4] {
-            assert!(wal.append(rec));
+            assert!(wal.append(rec).unwrap());
         }
         wal.commit(&mut d).unwrap();
         for rec in &recs[4..] {
-            assert!(wal.append(rec));
+            assert!(wal.append(rec).unwrap());
         }
         wal.commit(&mut d).unwrap();
 
-        let (rewal, replayed) = Wal::recover(&d, &layout, 3).unwrap();
+        let log = Wal::read_log(&d, &layout).unwrap();
+        let (rewal, replayed) = Wal::recover(&log, &layout, 3);
         assert_eq!(replayed, recs);
         assert_eq!(rewal.durable_bytes(), wal.durable_bytes());
         // A different epoch sees an empty log (logical truncation).
-        let (_, none) = Wal::recover(&d, &layout, 4).unwrap();
+        let (_, none) = Wal::recover(&log, &layout, 4);
         assert!(none.is_empty());
     }
 
     #[test]
-    fn recovered_wal_appends_continue_the_stream() {
-        let layout = Layout::compute(512, 2048);
-        let mut d = MemDisk::new(512, 2048);
-        let mut wal = Wal::new(&layout);
-        wal.enabled = true;
-        wal.reset(1);
+    fn commit_groups_of_every_size_land_byte_exact() {
+        // Commit after every `group` records, so group boundaries fall
+        // at every alignment against the 512-byte blocks: partial block
+        // extended in place, completed exactly, crossed, and followed by
+        // whole blocks straight out of the buffer.
         let recs = sample_records();
-        assert!(wal.append(&recs[0]));
+        for group in 1..=recs.len() {
+            let (layout, mut d, mut wal) = fresh(9);
+            let mut stream = Vec::new();
+            let mut appended = Vec::new();
+            for chunk in recs.chunks(group).cycle().take(12) {
+                for rec in chunk {
+                    assert!(wal.append(rec).unwrap());
+                }
+                appended.extend_from_slice(chunk);
+                stream.extend_from_slice(&wal.pending);
+                wal.commit(&mut d).unwrap();
+            }
+            assert_eq!(wal.durable_bytes(), stream.len() as u64);
+            let log = Wal::read_log(&d, &layout).unwrap();
+            assert_eq!(&log[..stream.len()], &stream[..], "group {group}");
+            assert!(log[stream.len()..].iter().all(|&b| b == 0), "zero padding");
+            let (rewal, replayed) = Wal::recover(&log, &layout, 9);
+            assert_eq!(rewal.durable_bytes(), wal.durable_bytes());
+            assert_eq!(rewal.tail, wal.tail);
+            assert_eq!(replayed, appended);
+        }
+    }
+
+    #[test]
+    fn recovered_wal_appends_continue_the_stream() {
+        let (layout, mut d, mut wal) = fresh(1);
+        let recs = sample_records();
+        assert!(wal.append(&recs[0]).unwrap());
         wal.commit(&mut d).unwrap();
 
-        let (mut rewal, _) = Wal::recover(&d, &layout, 1).unwrap();
+        let log = Wal::read_log(&d, &layout).unwrap();
+        let (mut rewal, _) = Wal::recover(&log, &layout, 1);
         rewal.enabled = true;
-        assert!(rewal.append(&recs[1]));
+        assert!(rewal.append(&recs[1]).unwrap());
         rewal.commit(&mut d).unwrap();
 
-        let (_, all) = Wal::recover(&d, &layout, 1).unwrap();
+        let log = Wal::read_log(&d, &layout).unwrap();
+        let (_, all) = Wal::recover(&log, &layout, 1);
         assert_eq!(all, &recs[..2]);
     }
 
     #[test]
     fn torn_tail_is_ignored() {
-        let layout = Layout::compute(512, 2048);
-        let mut d = MemDisk::new(512, 2048);
-        let mut wal = Wal::new(&layout);
-        wal.enabled = true;
-        wal.reset(2);
+        let (layout, mut d, mut wal) = fresh(2);
         let recs = sample_records();
         for rec in &recs {
-            assert!(wal.append(rec));
+            assert!(wal.append(rec).unwrap());
         }
         wal.commit(&mut d).unwrap();
 
         // Corrupt a byte inside the *last* record's frame.
         let end = wal.durable_bytes() as usize;
-        let blk = layout.log_start + (end as u64 - 10) / 512;
-        let mut buf = vec![0u8; 512];
-        d.read_block(blk, &mut buf).unwrap();
-        buf[(end - 10) % 512] ^= 0x40;
-        d.write_block(blk, &buf).unwrap();
+        let mut log = Wal::read_log(&d, &layout).unwrap();
+        log[end - 10] ^= 0x40;
 
-        let (_, replayed) = Wal::recover(&d, &layout, 2).unwrap();
+        let (_, replayed) = Wal::recover(&log, &layout, 2);
         assert_eq!(replayed, &recs[..recs.len() - 1], "valid prefix survives");
     }
 
     #[test]
-    fn hostile_frame_length_stops_recovery_cleanly() {
-        let layout = Layout::compute(512, 2048);
-        let mut d = MemDisk::new(512, 2048);
+    fn damage_anywhere_in_a_64k_write_frame_stops_replay_before_it() {
+        // 8 KiB blocks: the default 1024-block log holds the frame.
+        let layout = Layout::compute(8_192, 65_536);
+        let mut d = MemDisk::new(8_192, 65_536);
         let mut wal = Wal::new(&layout);
         wal.enabled = true;
-        wal.reset(5);
+        wal.reset(6);
+        let payload: Vec<u8> = (0..65_536u32).map(|i| (i * 31 % 253) as u8).collect();
+        let before = WalRecord::Resize {
+            p: PartitionId(1),
+            o: ObjectId(0x100),
+            new_size: 5,
+            now: 1,
+        };
+        let big = WalRecord::Write {
+            p: PartitionId(1),
+            o: ObjectId(0x100),
+            offset: 4096,
+            data: &payload,
+            now: 2,
+        };
+        assert!(wal.append(&before).unwrap());
+        let frame_start = wal.pending.len();
+        assert!(wal.append(&big).unwrap());
+        wal.commit(&mut d).unwrap();
+        let frame_end = wal.durable_bytes() as usize;
+        let log = Wal::read_log(&d, &layout).unwrap();
+        let (_, intact) = Wal::recover(&log, &layout, 6);
+        assert_eq!(intact, [before, big]);
+
+        let stops_before_the_frame = |image: &[u8], what: &str, at: usize| {
+            let (rewal, replayed) = Wal::recover(image, &layout, 6);
+            assert_eq!(replayed, [before], "{what} at {at}");
+            assert_eq!(rewal.durable_bytes(), frame_start as u64, "{what} at {at}");
+            assert_eq!(rewal.tail, &log[..frame_start], "{what} at {at}");
+        };
+        // Every byte of the head and trailer, then a stride through the body.
+        let positions = (frame_start..frame_start + 40)
+            .chain((frame_start + 40..frame_end - 40).step_by(509))
+            .chain(frame_end - 40..frame_end);
+        for at in positions {
+            let mut flipped = log.clone();
+            flipped[at] ^= 1 << (at % 8);
+            stops_before_the_frame(&flipped, "bit flip", at);
+            // A torn write: nothing from `at` on reached the media...
+            let mut torn = log.clone();
+            torn[at..].fill(0);
+            stops_before_the_frame(&torn, "zeroed tail", at);
+            // ...or the area itself ends there.
+            stops_before_the_frame(&log[..at], "short area", at);
+        }
+    }
+
+    #[test]
+    fn hostile_frame_length_stops_recovery_cleanly() {
+        let (layout, mut d, mut wal) = fresh(5);
         let recs = sample_records();
         for rec in &recs[..2] {
-            assert!(wal.append(rec));
+            assert!(wal.append(rec).unwrap());
         }
         wal.commit(&mut d).unwrap();
 
@@ -739,24 +882,17 @@ mod tests {
         // length back into plausibility and steer the replay cursor;
         // recovery must instead stop cleanly at the valid prefix.
         let end = wal.durable_bytes() as usize;
-        let blk = layout.log_start + end as u64 / 512;
-        let mut buf = vec![0u8; 512];
-        d.read_block(blk, &mut buf).unwrap();
-        let off = end % 512;
-        buf[off..off + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        d.write_block(blk, &buf).unwrap();
+        let mut log = Wal::read_log(&d, &layout).unwrap();
+        log[end..end + 4].copy_from_slice(&u32::MAX.to_be_bytes());
 
-        let (rewal, replayed) = Wal::recover(&d, &layout, 5).unwrap();
+        let (rewal, replayed) = Wal::recover(&log, &layout, 5);
         assert_eq!(replayed, recs[..2], "valid prefix survives");
         assert_eq!(rewal.durable_bytes(), wal.durable_bytes());
 
         // Same planted head at the very start of the log: recovery of an
         // effectively-empty log must also terminate cleanly.
-        let mut head_blk = vec![0u8; 512];
-        d.read_block(layout.log_start, &mut head_blk).unwrap();
-        head_blk[..4].copy_from_slice(&u32::MAX.to_be_bytes());
-        d.write_block(layout.log_start, &head_blk).unwrap();
-        let (_, none) = Wal::recover(&d, &layout, 5).unwrap();
+        log[..4].copy_from_slice(&u32::MAX.to_be_bytes());
+        let (_, none) = Wal::recover(&log, &layout, 5);
         assert!(none.is_empty());
     }
 
@@ -771,22 +907,27 @@ mod tests {
             p: PartitionId(1),
             o: ObjectId(0x100),
             offset: 0,
-            data: vec![0u8; 1024],
+            data: &[0u8; 1024],
             now: 0,
         };
         let mut appended = 0;
-        while wal.append(&rec) {
+        while wal.append(&rec).unwrap() {
             appended += 1;
             assert!(appended < 100, "append never refused");
         }
-        assert!(appended >= 3, "several records fit first");
+        assert_eq!(appended, 3, "4096 bytes hold three 1083-byte frames");
+        // A refusal leaves no trace of the refused frame.
+        assert_eq!(wal.pending.len(), 3 * (rec.body_len() + FRAME_OVERHEAD));
+        assert_eq!(wal.next_lsn, 3);
     }
 
     #[test]
     fn disabled_wal_drops_appends() {
         let layout = Layout::compute(512, 2048);
         let mut wal = Wal::new(&layout);
-        assert!(wal.append(&WalRecord::RemovePartition { p: PartitionId(9) }));
+        assert!(wal
+            .append(&WalRecord::RemovePartition { p: PartitionId(9) })
+            .unwrap());
         assert!(!wal.has_pending());
     }
 }

@@ -221,6 +221,59 @@ fn bitmap_damage_detected_even_with_wal_tail_pending() {
     ));
 }
 
+/// The layout-version-3 checksum (FNV-1a then a splitmix64 finalizer),
+/// kept here only to forge a faithful v3 superblock.
+fn v3_checksum64(bytes: &[u8]) -> u64 {
+    let mut h = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+fn device_image(media: &SharedDisk) -> Vec<u8> {
+    let mut image = vec![0u8; BS * BLOCKS as usize];
+    for (b, block) in image.chunks_exact_mut(BS).enumerate() {
+        media.read_block(b as u64, block).unwrap();
+    }
+    image
+}
+
+/// A device formatted under layout version 3 — every checksum on it is
+/// the old function's — is refused as `Corrupt` by the store and by the
+/// drive: never `NotFormatted` (which invites a reformat), and not one
+/// byte of it is rewritten. So is a superblock that claims version 3
+/// under the current checksum: the version alone refuses it.
+#[test]
+fn layout_version_3_device_is_refused_and_left_untouched() {
+    for sum in [v3_checksum64, checksum64] {
+        let mut media = formatted_media();
+        let mut sb = vec![0u8; BS];
+        media.read_block(0, &mut sb).unwrap();
+        assert_eq!(sb[8..12], nasd_object::layout::LAYOUT_VERSION.to_be_bytes());
+        sb[8..12].copy_from_slice(&3u32.to_be_bytes());
+        let crc = sum(&sb[..SB_BYTES - 8]);
+        sb[SB_BYTES - 8..SB_BYTES].copy_from_slice(&crc.to_be_bytes());
+        media.write_block(0, &sb).unwrap();
+        media.write_block(1, &sb).unwrap();
+        let before = device_image(&media);
+
+        assert!(matches!(
+            ObjectStore::open(media.clone(), 32),
+            Err(StoreError::Corrupt(_))
+        ));
+        let drive = nasd_object::NasdDrive::builder(1)
+            .config(nasd_object::DriveConfig::small().durable())
+            .open(media.clone());
+        assert!(matches!(drive, Err(StoreError::Corrupt(_))));
+        assert!(
+            device_image(&media) == before,
+            "a refused device was written"
+        );
+    }
+}
+
 /// Sanity anchor for the digest helper: distinct formatted devices agree,
 /// and the digest actually depends on object bytes.
 #[test]

@@ -178,6 +178,14 @@ impl WireWriter {
     }
 }
 
+/// Continue an encoding at the end of `buf`: the bytes already there
+/// stay, so a caller can serialize straight into a buffer it reuses.
+impl From<Vec<u8>> for WireWriter {
+    fn from(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
+    }
+}
+
 /// Deserializer for the canonical format.
 #[derive(Debug, Clone)]
 pub struct WireReader<'a> {
