@@ -7,9 +7,9 @@
 //! stripe-column run so every drive works in parallel.
 
 use crate::manager::{CheopsRequest, CheopsResponse, LeaseKind};
-use crate::map::{Layout, LogicalObjectId, Redundancy};
+use crate::map::{xor_read, ColumnRun, ComponentSlot, Layout, LogicalObjectId, Redundancy};
 use bytes::{ByteRope, Bytes};
-use nasd_fm::{DriveFleet, FmError, ManagerLink};
+use nasd_fm::{DriveEndpoint, DriveFleet, FmError, ManagerLink, Started};
 use nasd_net::{CallOptions, Channel, RetryPolicy};
 use nasd_proto::{Capability, NasdStatus, RequestBody, Rights};
 use std::sync::Arc;
@@ -21,36 +21,8 @@ pub struct CheopsFile {
     pub id: LogicalObjectId,
     /// Striping/mirroring layout.
     pub layout: Layout,
-    /// Capability for each column's primary.
-    primary_caps: Vec<Capability>,
-    /// Capability for each column's mirror (when mirrored).
-    mirror_caps: Vec<Option<Capability>>,
-    /// Capability for the parity component (when parity-protected).
-    parity_cap: Option<Capability>,
-}
-
-impl CheopsFile {
-    /// Column `i` of the layout. A run can only refer past the layout if
-    /// the manager handed out an inconsistent map, which surfaces as a
-    /// drive error instead of a client panic.
-    fn column(&self, i: usize) -> Result<&crate::map::Column, FmError> {
-        self.layout
-            .columns
-            .get(i)
-            .ok_or(FmError::Drive(NasdStatus::DriveError))
-    }
-
-    /// Capability for column `i`'s primary component.
-    fn primary_cap(&self, i: usize) -> Result<&Capability, FmError> {
-        self.primary_caps
-            .get(i)
-            .ok_or(FmError::Drive(NasdStatus::DriveError))
-    }
-
-    /// Capability for column `i`'s mirror, when mirrored.
-    fn mirror_cap(&self, i: usize) -> Option<&Capability> {
-        self.mirror_caps.get(i).and_then(|c| c.as_ref())
-    }
+    /// One capability per component, in [`Layout::slots`] order.
+    caps: Vec<Capability>,
 }
 
 /// Client library handle.
@@ -97,7 +69,32 @@ impl CheopsClient {
     }
 
     fn call_mgr(&self, req: CheopsRequest) -> Result<CheopsResponse, FmError> {
-        self.link.call(&self.mgr, req)
+        match self.link.call(&self.mgr, req)? {
+            CheopsResponse::Err(e) => Err(e),
+            reply => Ok(reply),
+        }
+    }
+
+    /// The drive and capability behind `slot` of an open file. A slot
+    /// the layout lacks can only be asked for if the manager handed out
+    /// an inconsistent map, which surfaces as a drive error instead of a
+    /// client panic.
+    fn party<'a>(
+        &'a self,
+        file: &'a CheopsFile,
+        slot: ComponentSlot,
+    ) -> Result<(&'a DriveEndpoint, &'a Capability), FmError> {
+        let (component, cap) = file
+            .layout
+            .slots()
+            .zip(&file.caps)
+            .find_map(|((s, c), cap)| (s == slot).then_some((c, cap)))
+            .ok_or(FmError::Drive(NasdStatus::DriveError))?;
+        let ep = self
+            .fleet
+            .by_id(component.drive)
+            .ok_or(FmError::Transport)?;
+        Ok((ep, cap))
     }
 
     /// Create a logical object.
@@ -117,7 +114,6 @@ impl CheopsClient {
             redundancy,
         })? {
             CheopsResponse::Created(id) => Ok(id),
-            CheopsResponse::Err(e) => Err(e),
             _ => Err(FmError::Transport),
         }
     }
@@ -129,32 +125,13 @@ impl CheopsClient {
     /// `NotFound`, transport.
     pub fn open(&self, id: LogicalObjectId, rights: Rights) -> Result<CheopsFile, FmError> {
         match self.call_mgr(CheopsRequest::Open { id, rights })? {
-            CheopsResponse::Opened(layout, caps) => {
-                let mut primary_caps = Vec::with_capacity(layout.width());
-                let mut mirror_caps = Vec::with_capacity(layout.width());
-                let mut it = caps.into_iter();
-                for col in &layout.columns {
-                    primary_caps.push(it.next().ok_or(FmError::Transport)?);
-                    if col.mirror.is_some() {
-                        mirror_caps.push(Some(it.next().ok_or(FmError::Transport)?));
-                    } else {
-                        mirror_caps.push(None);
-                    }
-                }
-                let parity_cap = if layout.parity.is_some() {
-                    Some(it.next().ok_or(FmError::Transport)?)
-                } else {
-                    None
-                };
+            CheopsResponse::Opened(layout, caps) if caps.len() == layout.slots().count() => {
                 Ok(CheopsFile {
                     id,
                     layout: *layout,
-                    primary_caps,
-                    mirror_caps,
-                    parity_cap,
+                    caps,
                 })
             }
-            CheopsResponse::Err(e) => Err(e),
             _ => Err(FmError::Transport),
         }
     }
@@ -167,7 +144,6 @@ impl CheopsClient {
     pub fn remove(&self, id: LogicalObjectId) -> Result<(), FmError> {
         match self.call_mgr(CheopsRequest::Remove { id })? {
             CheopsResponse::Ok => Ok(()),
-            CheopsResponse::Err(e) => Err(e),
             _ => Err(FmError::Transport),
         }
     }
@@ -186,7 +162,6 @@ impl CheopsClient {
         })? {
             CheopsResponse::Leased { until } => Ok(until),
             CheopsResponse::LeaseBusy { .. } => Err(FmError::Permission),
-            CheopsResponse::Err(e) => Err(e),
             _ => Err(FmError::Transport),
         }
     }
@@ -202,7 +177,6 @@ impl CheopsClient {
             client: self.id,
         })? {
             CheopsResponse::Ok => Ok(()),
-            CheopsResponse::Err(e) => Err(e),
             _ => Err(FmError::Transport),
         }
     }
@@ -212,201 +186,140 @@ impl CheopsClient {
     ///
     /// # Errors
     ///
-    /// Drive failures (after mirror fallback for mirrored objects).
+    /// Drive failures (after the degraded fallback for protected objects).
     pub fn read(&self, file: &CheopsFile, offset: u64, len: u64) -> Result<ByteRope, FmError> {
         let runs = file.layout.split(offset, len);
         // Fire every run asynchronously: "clients again access storage
         // objects directly", all drives in parallel.
         let mut pending = Vec::with_capacity(runs.len());
         for run in &runs {
-            let col = file.column(run.column)?;
-            let cap = file.primary_cap(run.column)?;
-            let ep = self
-                .fleet
-                .by_id(col.primary.drive)
-                .ok_or(FmError::Transport)?;
+            let (ep, cap) = self.party(file, ComponentSlot::Primary(run.column))?;
             // A crashed drive fails the send; recovery happens per-run
-            // below (signed retry, then mirror/parity fallback).
+            // below (signed retry, then the XOR of the column's sources).
             let body = RequestBody::read(&cap.public, run.local_offset, run.len);
             pending.push(ep.start(cap, body, Bytes::new()));
         }
 
-        // Single-run reads (the common small-file case) pass the drive's
-        // rope straight through with zero copies. Reads striped across
-        // several columns are reassembled into one buffer below — the
-        // one place striping genuinely forces a gather copy.
-        let single_run = runs.len() == 1;
-        let mut out = if single_run {
-            Vec::new()
-        } else {
-            vec![0u8; len as usize]
-        };
-        let mut rope = ByteRope::new();
-        let mut delivered_end = 0u64;
-        for (run, started) in runs.iter().zip(pending) {
-            let col = file.column(run.column)?;
+        // Collect one run's bytes, cut to the run. Degraded read: when the
+        // column is gone the run is the XOR of its sources, if it has any.
+        let collect = |run: &ColumnRun, started: Started<'_>| {
             let data = match started.finish().and_then(|body| Ok(body.into_data()?)) {
                 Ok(d) => d,
                 Err(e) => {
-                    // Degraded read: mirror first, then parity
-                    // reconstruction.
-                    if let (Some(m), Some(mcap)) = (col.mirror, file.mirror_cap(run.column)) {
-                        let ep = self.fleet.by_id(m.drive).ok_or(FmError::Transport)?;
-                        ep.read(mcap, run.local_offset, run.len)?
-                    } else if file.layout.parity.is_some() {
-                        self.reconstruct_run(file, run.column, run.local_offset, run.len)?
-                    } else {
-                        return Err(e);
-                    }
+                    let column = ComponentSlot::Primary(run.column);
+                    self.read_xor(file, column, run.local_offset, run.len)?
+                        .ok_or(e)?
                 }
             };
             let n = data.len().min(run.len as usize);
-            if single_run {
-                rope = data.slice(..n);
-            } else {
-                let start = run.buf_offset as usize;
-                let dst = out
-                    .get_mut(start..start + n)
-                    .ok_or(FmError::Drive(NasdStatus::DriveError))?;
-                // Multi-column gather: striped runs land in one client buffer.
-                let copied = data.slice(..n).copy_to(dst);
-                if copied != n {
-                    return Err(FmError::Drive(NasdStatus::DriveError));
-                }
+            Ok::<_, FmError>(data.slice(..n))
+        };
+
+        // Single-run reads (the common small-file case) pass the drive's
+        // rope straight through with zero copies.
+        if let [run] = runs.as_slice() {
+            let started = pending.pop().ok_or(FmError::Transport)?;
+            return collect(run, started);
+        }
+        // Reads striped across several columns are reassembled into one
+        // buffer — the one place striping genuinely forces a gather copy,
+        // made straight into the allocation the returned rope shares.
+        let mut out: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
+        let gather = Arc::get_mut(&mut out).ok_or(FmError::Drive(NasdStatus::DriveError))?;
+        let mut delivered_end = 0;
+        for (run, started) in runs.iter().zip(pending) {
+            let data = collect(run, started)?;
+            let start = run.buf_offset as usize;
+            let dst = gather
+                .get_mut(start..start + data.len())
+                .ok_or(FmError::Drive(NasdStatus::DriveError))?;
+            if data.copy_to(dst) != data.len() {
+                return Err(FmError::Drive(NasdStatus::DriveError));
             }
-            if n > 0 {
-                delivered_end = delivered_end.max(run.buf_offset + n as u64);
+            if !data.is_empty() {
+                delivered_end = delivered_end.max(start + data.len());
             }
         }
-        if single_run {
-            return Ok(rope);
-        }
-        out.truncate(delivered_end as usize);
-        Ok(ByteRope::from(out))
+        Ok(Bytes::from_arc(out).slice(..delivered_end).into())
     }
 
-    /// Write `data` at logical `offset`, striping across columns (and to
-    /// mirrors) in parallel.
+    /// Write `data` at logical `offset`, striping across columns in
+    /// parallel and keeping every redundant slot that covers a column up
+    /// to date: an exact copy (mirror) takes the same bytes in the same
+    /// pipeline; an XOR of several columns (parity) is read-modify-written
+    /// (`slot' = slot ⊕ old_data ⊕ new_data`) one run at a time. Callers
+    /// serialize writers of such objects with an exclusive lease; the
+    /// read-modify-write itself is not atomic.
     ///
     /// # Errors
     ///
     /// Drive failures.
     pub fn write(&self, file: &CheopsFile, offset: u64, data: &[u8]) -> Result<u64, FmError> {
-        let runs = file.layout.split(offset, data.len() as u64);
-        if file.layout.redundancy == Redundancy::Parity {
-            for run in &runs {
-                let chunk = data
-                    .get(run.buf_offset as usize..(run.buf_offset + run.len) as usize)
-                    .ok_or(FmError::Drive(NasdStatus::DriveError))?;
-                self.write_run_with_parity(file, run.column, run.local_offset, chunk)?;
+        // A write is only counted as acked once some attempt's reply
+        // says `Written`, so a lost first attempt never loses acked data.
+        fn finish(pending: &mut Vec<Started<'_>>) -> Result<(), FmError> {
+            for started in pending.drain(..) {
+                started.finish()?.into_written()?;
             }
-            return Ok(data.len() as u64);
+            Ok(())
         }
         let mut pending = Vec::new();
-        for run in &runs {
-            let col = file.column(run.column)?;
+        for run in file.layout.split(offset, data.len() as u64) {
             // nasd-lint: allow(hot-path-copy, "write scatter: each striped column gets its own owned chunk of the caller buffer")
             let chunk = Bytes::copy_from_slice(
                 data.get(run.buf_offset as usize..(run.buf_offset + run.len) as usize)
                     .ok_or(FmError::Drive(NasdStatus::DriveError))?,
             );
-            let targets = std::iter::once((col.primary, file.primary_cap(run.column)?)).chain(
-                col.mirror
-                    .iter()
-                    .filter_map(|m| file.mirror_cap(run.column).map(|c| (*m, c))),
-            );
-            for (component, cap) in targets {
-                let ep = self
-                    .fleet
-                    .by_id(component.drive)
-                    .ok_or(FmError::Transport)?;
+            let start = |slot, payload| {
+                let (ep, cap) = self.party(file, slot)?;
                 let body = RequestBody::write(&cap.public, run.local_offset, run.len);
-                pending.push(ep.start(cap, body, chunk.clone()));
+                Ok::<_, FmError>(ep.start(cap, body, payload))
+            };
+            let column = ComponentSlot::Primary(run.column);
+            for check in file.layout.checks(run.column) {
+                let payload = if file.layout.is_xor(check) {
+                    // The next run may fold into the same bytes of
+                    // `check`: every write so far must land first.
+                    finish(&mut pending)?;
+                    // nasd-lint: allow(hot-path-copy, "parity read-modify-write folds old data and old parity into an owned copy of the new bytes")
+                    let mut folded = chunk.to_vec();
+                    let old = [self.party(file, check)?, self.party(file, column)?];
+                    xor_read(&mut folded, &old, run.local_offset)?;
+                    Bytes::from(folded)
+                } else {
+                    chunk.clone()
+                };
+                pending.push(start(check, payload)?);
             }
+            // Last, so that every fold above read the column's old bytes.
+            pending.push(start(column, chunk)?);
         }
-        // A write is only counted as acked once some attempt's reply
-        // says `Written`, so a lost first attempt never loses acked data.
-        for started in pending {
-            started.finish()?.into_written()?;
-        }
+        finish(&mut pending)?;
         Ok(data.len() as u64)
     }
 
-    /// Read `[offset, offset+len)` of one component, zero-padded to
-    /// exactly `len` bytes (unwritten object space reads as zero, which
-    /// is the XOR identity).
-    fn read_padded(
+    /// What `slot` holds over `[offset, offset+len)`, read as the XOR of
+    /// its sources; `None` when nothing protects it. Cut to the longest
+    /// extent a source held, so a single source — the mirror — reads
+    /// short at end-of-object like the slot it stands for.
+    fn read_xor(
         &self,
-        component: crate::map::Component,
-        cap: &Capability,
+        file: &CheopsFile,
+        slot: ComponentSlot,
         offset: u64,
         len: u64,
-    ) -> Result<Vec<u8>, FmError> {
-        let ep = self
-            .fleet
-            .by_id(component.drive)
-            .ok_or(FmError::Transport)?;
-        let data = ep.read(cap, offset, len)?;
-        let mut out = vec![0u8; len as usize];
-        // Parity XOR needs an owned zero-padded buffer; degraded path only.
-        data.copy_to(&mut out);
-        Ok(out)
-    }
-
-    /// Rebuild a lost column's bytes from the surviving columns and the
-    /// parity component: `lost = parity ⊕ (⊕ other columns)`.
-    fn reconstruct_run(
-        &self,
-        file: &CheopsFile,
-        lost_column: usize,
-        local_offset: u64,
-        len: u64,
-    ) -> Result<ByteRope, FmError> {
-        let parity = file.layout.parity.ok_or(FmError::Transport)?;
-        let pcap = file.parity_cap.as_ref().ok_or(FmError::Transport)?;
-        let mut acc = self.read_padded(parity, pcap, local_offset, len)?;
-        for (column, col) in file.layout.columns.iter().enumerate() {
-            if column == lost_column {
-                continue;
-            }
-            let survivor =
-                self.read_padded(col.primary, file.primary_cap(column)?, local_offset, len)?;
-            for (a, b) in acc.iter_mut().zip(survivor) {
-                *a ^= b;
-            }
-        }
-        Ok(ByteRope::from(acc))
-    }
-
-    /// Parity-maintaining write of one run: read-modify-write of the data
-    /// column and the parity component
-    /// (`parity' = parity ⊕ old_data ⊕ new_data`). Callers serialize
-    /// writers with an exclusive lease; the RMW itself is not atomic.
-    fn write_run_with_parity(
-        &self,
-        file: &CheopsFile,
-        column: usize,
-        local_offset: u64,
-        new_data: &[u8],
-    ) -> Result<(), FmError> {
-        let col = file.column(column)?.primary;
-        let cap = file.primary_cap(column)?;
-        let parity = file.layout.parity.ok_or(FmError::Transport)?;
-        let pcap = file.parity_cap.as_ref().ok_or(FmError::Transport)?;
-        let len = new_data.len() as u64;
-
-        let old_data = self.read_padded(col, cap, local_offset, len)?;
-        let mut new_parity = self.read_padded(parity, pcap, local_offset, len)?;
-        for ((p, o), n) in new_parity.iter_mut().zip(&old_data).zip(new_data) {
-            *p ^= o ^ n;
-        }
-
-        let ep = self.fleet.by_id(col.drive).ok_or(FmError::Transport)?;
-        // nasd-lint: allow(hot-path-copy, "parity RMW write ingests the caller slice as owned request payload")
-        ep.write(cap, local_offset, Bytes::copy_from_slice(new_data))?;
-        let pep = self.fleet.by_id(parity.drive).ok_or(FmError::Transport)?;
-        pep.write(pcap, local_offset, Bytes::from(new_parity))?;
-        Ok(())
+    ) -> Result<Option<ByteRope>, FmError> {
+        let Some(sources) = file.layout.sources(slot) else {
+            return Ok(None);
+        };
+        let parties = sources
+            .into_iter()
+            .map(|s| self.party(file, s))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut acc = vec![0u8; len as usize];
+        let extent = xor_read(&mut acc, &parties, offset)?;
+        acc.truncate(extent);
+        Ok(Some(ByteRope::from(acc)))
     }
 
     /// Logical size: the maximum logical extent implied by any column's
@@ -417,12 +330,8 @@ impl CheopsClient {
     /// Drive failures.
     pub fn size(&self, file: &CheopsFile) -> Result<u64, FmError> {
         let mut pending = Vec::with_capacity(file.layout.width());
-        for (column, col) in file.layout.columns.iter().enumerate() {
-            let cap = file.primary_cap(column)?;
-            let ep = self
-                .fleet
-                .by_id(col.primary.drive)
-                .ok_or(FmError::Transport)?;
+        for column in 0..file.layout.width() {
+            let (ep, cap) = self.party(file, ComponentSlot::Primary(column))?;
             pending.push(ep.start(cap, RequestBody::get_attr(&cap.public), Bytes::new()));
         }
         let mut size = 0u64;
@@ -490,14 +399,14 @@ mod tests {
 
     #[test]
     fn data_actually_lands_on_all_drives() {
-        let (client, fleet) = setup(4);
+        let (client, _fleet) = setup(4);
         let id = client.create(4, 8 * 1024, Redundancy::None).unwrap();
         let file = client.open(id, RW).unwrap();
         client.write(&file, 0, &vec![5u8; 256 * 1024]).unwrap();
         // Every component object holds 64 KB.
         for (column, col) in file.layout.columns.iter().enumerate() {
-            let ep = fleet.by_id(col.primary.drive).unwrap();
-            let cap = &file.primary_caps[column];
+            let (ep, cap) = client.party(&file, ComponentSlot::Primary(column)).unwrap();
+            assert_eq!(ep.id(), col.primary.drive);
             let attrs = ep.get_attr(cap).unwrap();
             assert_eq!(attrs.size, 64 * 1024, "column {column}");
         }
@@ -516,14 +425,14 @@ mod tests {
 
     #[test]
     fn mirrored_write_lands_on_both_copies() {
-        let (client, fleet) = setup(3);
+        let (client, _fleet) = setup(3);
         let id = client.create(2, 4 * 1024, Redundancy::Mirrored).unwrap();
         let file = client.open(id, RW).unwrap();
         client.write(&file, 0, &vec![9u8; 32 * 1024]).unwrap();
         for (column, col) in file.layout.columns.iter().enumerate() {
             let m = col.mirror.unwrap();
-            let ep = fleet.by_id(m.drive).unwrap();
-            let cap = file.mirror_caps[column].as_ref().unwrap();
+            let (ep, cap) = client.party(&file, ComponentSlot::Mirror(column)).unwrap();
+            assert_eq!(ep.id(), m.drive);
             let attrs = ep.get_attr(cap).unwrap();
             assert_eq!(attrs.size, 16 * 1024, "mirror of column {column}");
         }
@@ -553,6 +462,98 @@ mod tests {
         // Reads still succeed via the mirror.
         let back = client.read(&file, 0, data.len() as u64).unwrap();
         assert_eq!(back, data);
+    }
+
+    /// Reads a component's first `len` bytes raw, zero-padded.
+    fn raw(fleet: &DriveFleet, c: crate::map::Component, len: usize) -> Vec<u8> {
+        let ep = fleet.by_id(c.drive).unwrap();
+        let cap = ep.mint(
+            c.partition,
+            c.object,
+            nasd_proto::Version(0),
+            Rights::READ,
+            nasd_proto::ByteRange::FULL,
+            fleet.now() + 10,
+        );
+        let mut bytes = ep.read(&cap, 0, len as u64).unwrap().to_vec();
+        bytes.resize(len, 0);
+        bytes
+    }
+
+    /// The rule itself, against live drives: for every redundancy scheme
+    /// and every slot of a written object, the XOR of `sources(slot)`
+    /// equals the slot's bytes, and `Open` hands the capabilities out in
+    /// `slots()` order. Every caller leans on exactly these two facts.
+    #[test]
+    fn every_slot_is_the_xor_of_its_sources() {
+        const LEN: usize = 48 * 1024;
+        for redundancy in [Redundancy::None, Redundancy::Mirrored, Redundancy::Parity] {
+            let (client, fleet) = setup(5);
+            let id = client.create(3, 4 * 1024, redundancy).unwrap();
+            let file = client.open(id, RW).unwrap();
+            let data: Vec<u8> = (0..100_001u32).map(|i| (i % 233) as u8 + 1).collect();
+            client.write(&file, 0, &data).unwrap();
+
+            let slots: Vec<_> = file.layout.slots().collect();
+            assert_eq!(slots.len(), file.caps.len(), "{redundancy:?}");
+            for ((slot, component), cap) in slots.iter().zip(&file.caps) {
+                let named = (cap.public.drive, cap.public.partition, cap.public.object);
+                let held = (component.drive, component.partition, component.object);
+                assert_eq!(
+                    named, held,
+                    "{redundancy:?} {slot}: capability out of order"
+                );
+                assert_eq!(file.layout.component(*slot), Some(*component));
+
+                let Some(sources) = file.layout.sources(*slot) else {
+                    assert_eq!(redundancy, Redundancy::None, "{slot} unprotected");
+                    continue;
+                };
+                assert_ne!(redundancy, Redundancy::None, "{slot} protected by nothing");
+                assert!(!sources.contains(slot), "{slot} is its own source");
+                let parties: Vec<_> = sources
+                    .iter()
+                    .map(|s| client.party(&file, *s).unwrap())
+                    .collect();
+                let mut xor = vec![0u8; LEN];
+                xor_read(&mut xor, &parties, 0).unwrap();
+                assert!(
+                    xor == raw(&fleet, *component, LEN),
+                    "{redundancy:?}: {slot} is not the XOR of {sources:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn remove_with_a_drive_down_removes_every_reachable_component() {
+        let (client, fleet) = setup(3);
+        let id = client.create(2, 4 * 1024, Redundancy::Mirrored).unwrap();
+        let file = client.open(id, RW).unwrap();
+        client.write(&file, 0, &vec![7u8; 32 * 1024]).unwrap();
+
+        // Drive 0 holds column 0's primary only; the other three
+        // components live on drives that stay up.
+        fleet.crash(0);
+        let down = fleet.endpoint(0).id();
+        assert!(
+            client.remove(id).is_err(),
+            "the unreachable drive is reported"
+        );
+        assert!(matches!(client.open(id, RW), Err(FmError::NotFound(_))));
+        for (slot, component) in file.layout.slots() {
+            if component.drive == down {
+                continue;
+            }
+            let (ep, cap) = client.party(&file, slot).unwrap();
+            assert!(
+                matches!(
+                    ep.read(cap, 0, 1),
+                    Err(FmError::Drive(NasdStatus::NoSuchObject))
+                ),
+                "{slot} leaked on a live drive"
+            );
+        }
     }
 
     #[test]
@@ -647,16 +648,14 @@ mod parity_tests {
         // Verify via reconstruction: every column must be rebuildable.
         for lost in 0..3 {
             let direct = {
-                let col = file.layout.columns[lost].primary;
-                let ep = client.fleet.by_id(col.drive).unwrap();
-                let mut v = ep
-                    .read(&file.primary_caps[lost], 0, 16_384)
-                    .unwrap()
-                    .to_vec();
+                let (ep, cap) = client.party(&file, ComponentSlot::Primary(lost)).unwrap();
+                let mut v = ep.read(cap, 0, 16_384).unwrap().to_vec();
                 v.resize(16_384, 0);
                 v
             };
-            let rebuilt = client.reconstruct_run(&file, lost, 0, 16_384).unwrap();
+            let rebuilt = client.read_xor(&file, ComponentSlot::Primary(lost), 0, 16_384);
+            let mut rebuilt = rebuilt.unwrap().unwrap().to_vec();
+            rebuilt.resize(16_384, 0);
             assert_eq!(rebuilt, direct, "column {lost}");
         }
     }
@@ -684,6 +683,30 @@ mod parity_tests {
 
         let back = client.read(&file, 0, data.len() as u64).unwrap();
         assert_eq!(back, data, "reconstructed from parity");
+    }
+
+    #[test]
+    fn parity_object_opened_for_writing_only_can_be_written() {
+        let (client, _fleet) = setup(4);
+        let id = client.create(3, 8 * 1024, Redundancy::Parity).unwrap();
+        // The read-modify-write reads the old data column as well as the
+        // old parity: a writer's capabilities must cover both.
+        let writer = client.open(id, Rights::WRITE).unwrap();
+        let data: Vec<u8> = (0..70_000u32).map(|i| (i % 241) as u8).collect();
+        client.write(&writer, 0, &data).unwrap();
+        client.write(&writer, 5_000, &data[..9_000]).unwrap();
+        let reader = client.open(id, Rights::READ).unwrap();
+        let mut expect = data.clone();
+        expect[5_000..14_000].copy_from_slice(&data[..9_000]);
+        assert_eq!(
+            client.read(&reader, 0, expect.len() as u64).unwrap(),
+            expect
+        );
+        // Least privilege otherwise: a reader is not handed WRITE.
+        assert!(matches!(
+            client.write(&reader, 0, b"denied"),
+            Err(FmError::Drive(NasdStatus::AccessDenied))
+        ));
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub use connect::CheopsConnect;
 pub use manager::{
     CheopsManager, CheopsRequest, CheopsResponse, LeaseKind, RepairPhase, RepairRecord,
 };
-pub use map::{Column, Component, ComponentSlot, Layout, LogicalObjectId, Redundancy};
+pub use map::{xor_read, Column, Component, ComponentSlot, Layout, LogicalObjectId, Redundancy};

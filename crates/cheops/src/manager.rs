@@ -133,8 +133,8 @@ pub struct RepairRecord {
 pub enum CheopsResponse {
     /// New logical object.
     Created(LogicalObjectId),
-    /// Layout plus one capability per component (mirrors included, in
-    /// column order: primary₀, mirror₀?, primary₁, ...).
+    /// Layout plus one capability per component, in [`Layout::slots`]
+    /// order.
     Opened(Box<Layout>, Vec<Capability>),
     /// Lease granted until the given drive-clock time.
     Leased {
@@ -219,41 +219,28 @@ impl CheopsManager {
         }
         let p = self.fleet.partition();
         let expires = self.fleet.now() + self.ttl;
-        let mut columns = Vec::with_capacity(width);
-        for col in 0..width {
-            let ep = self.fleet.endpoint(col);
-            let object = ep.create_object(p, 0, None, expires)?;
-            let primary = Component {
+        let place = |drive: usize| -> Result<Component, FmError> {
+            let ep = self.fleet.endpoint(drive);
+            Ok(Component {
                 drive: ep.id(),
                 partition: p,
-                object,
-            };
-            let mirror = if redundancy == Redundancy::Mirrored {
-                // Mirror on the next drive (requires width < n for a
-                // distinct drive; same-drive mirroring defeats the point).
-                let mep = self.fleet.endpoint((col + 1) % n);
-                let mobj = mep.create_object(p, 0, None, expires)?;
-                Some(Component {
-                    drive: mep.id(),
-                    partition: p,
-                    object: mobj,
-                })
-            } else {
-                None
-            };
+                object: ep.create_object(p, 0, None, expires)?,
+            })
+        };
+        let mut columns = Vec::with_capacity(width);
+        for col in 0..width {
+            let primary = place(col)?;
+            // Mirror on the next drive (requires width < n for a distinct
+            // drive; same-drive mirroring defeats the point).
+            let mirror = (redundancy == Redundancy::Mirrored)
+                .then(|| place((col + 1) % n))
+                .transpose()?;
             columns.push(Column { primary, mirror });
         }
-        let parity = if redundancy == Redundancy::Parity {
-            let pep = self.fleet.endpoint(width); // the spare drive
-            let pobj = pep.create_object(p, 0, None, expires)?;
-            Some(Component {
-                drive: pep.id(),
-                partition: p,
-                object: pobj,
-            })
-        } else {
-            None
-        };
+        // Parity lives on the drive after the last column.
+        let parity = (redundancy == Redundancy::Parity)
+            .then(|| place(width))
+            .transpose()?;
         Ok(Layout {
             stripe_unit,
             columns,
@@ -305,19 +292,10 @@ impl CheopsManager {
                         .cloned()
                         .ok_or_else(|| FmError::NotFound(id.to_string()))?
                 };
-                let mut caps = Vec::new();
-                for col in &layout.columns {
-                    caps.push(self.mint_for(col.primary, rights)?);
-                    if let Some(m) = col.mirror {
-                        caps.push(self.mint_for(m, rights)?);
-                    }
-                }
-                if let Some(parity) = layout.parity {
-                    // Parity maintenance needs read-modify-write even for
-                    // writers, so grant read alongside the asked rights.
-                    let parity_rights = rights | Rights::READ;
-                    caps.push(self.mint_for(parity, parity_rights)?);
-                }
+                let caps = layout
+                    .slots()
+                    .map(|(slot, c)| self.mint_for(c, layout.rights(slot, rights)))
+                    .collect::<Result<_, _>>()?;
                 Ok(CheopsResponse::Opened(Box::new(layout), caps))
             }
             CheopsRequest::Remove { id } => {
@@ -329,19 +307,16 @@ impl CheopsManager {
                         .remove(&id)
                         .ok_or_else(|| FmError::NotFound(id.to_string()))?
                 };
-                for col in &layout.columns {
-                    for c in std::iter::once(col.primary).chain(col.mirror) {
-                        let cap = self.mint_for(c, Rights::REMOVE)?;
-                        let ep = self.fleet.by_id(c.drive).ok_or(FmError::Transport)?;
-                        ep.remove(&cap)?;
-                    }
+                // The map is gone, so nobody can retry this walk: remove
+                // every component that is reachable and only then report
+                // the first one that was not.
+                let mut outcome = Ok(());
+                for (_, c) in layout.slots() {
+                    let ep = self.fleet.by_id(c.drive).ok_or(FmError::Transport);
+                    let removed = ep.and_then(|ep| ep.remove(&self.mint_for(c, Rights::REMOVE)?));
+                    outcome = outcome.and(removed);
                 }
-                if let Some(c) = layout.parity {
-                    let cap = self.mint_for(c, Rights::REMOVE)?;
-                    let ep = self.fleet.by_id(c.drive).ok_or(FmError::Transport)?;
-                    ep.remove(&cap)?;
-                }
-                Ok(CheopsResponse::Ok)
+                outcome.map(|()| CheopsResponse::Ok)
             }
             CheopsRequest::Lease {
                 id,

@@ -1,6 +1,15 @@
-//! Logical-object layouts and the striping address math.
+//! Logical-object layouts: the striping address math and the redundancy
+//! rule, stated once: a layout's components are its
+//! [`slots`](Layout::slots), in one order, and a protected slot is the
+//! XOR of its [`sources`](Layout::sources) — one source is an exact copy
+//! (a mirror and its primary), several are parity math. [`xor_read`] is
+//! the one read of that XOR: a degraded read returns it, a parity write
+//! folds new data into it, rebuild writes it to a spare, scrub compares
+//! and rewrites it.
 
-use nasd_proto::{DriveId, ObjectId, PartitionId};
+use nasd_fm::{DriveEndpoint, FmError};
+use nasd_proto::{Capability, DriveId, ObjectId, PartitionId, Rights};
+use std::borrow::Borrow;
 
 /// Name of a Cheops logical object (the "second level of objects").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,6 +83,15 @@ pub enum ComponentSlot {
     Mirror(usize),
     /// The dedicated parity component.
     Parity,
+}
+
+impl ComponentSlot {
+    /// Whether the slot holds redundancy (a mirror, parity) rather than a
+    /// stripe column: the columns are authoritative when the two disagree.
+    #[must_use]
+    pub fn is_redundant(self) -> bool {
+        !matches!(self, ComponentSlot::Primary(_))
+    }
 }
 
 impl std::fmt::Display for ComponentSlot {
@@ -155,11 +173,7 @@ impl Layout {
     /// this layout.
     #[must_use]
     pub fn component(&self, slot: ComponentSlot) -> Option<Component> {
-        match slot {
-            ComponentSlot::Primary(i) => self.columns.get(i).map(|c| c.primary),
-            ComponentSlot::Mirror(i) => self.columns.get(i).and_then(|c| c.mirror),
-            ComponentSlot::Parity => self.parity,
-        }
+        self.slots().find_map(|(s, c)| (s == slot).then_some(c))
     }
 
     /// Replace the component behind `slot` with `new`. Returns `false`
@@ -167,29 +181,85 @@ impl Layout {
     /// on an unmirrored column, a column index past the width, or the
     /// parity slot of a layout without parity.
     pub fn set_component(&mut self, slot: ComponentSlot, new: Component) -> bool {
-        match slot {
-            ComponentSlot::Primary(i) => match self.columns.get_mut(i) {
-                Some(c) => {
-                    c.primary = new;
-                    true
+        let place = match slot {
+            ComponentSlot::Primary(i) => self.columns.get_mut(i).map(|c| &mut c.primary),
+            ComponentSlot::Mirror(i) => self.columns.get_mut(i).and_then(|c| c.mirror.as_mut()),
+            ComponentSlot::Parity => self.parity.as_mut(),
+        };
+        place.map(|held| *held = new).is_some()
+    }
+
+    /// Every component of the layout with the slot it occupies, in the
+    /// one enumeration order: `Primary(0)`, `Mirror(0)`, `Primary(1)`, …,
+    /// `Parity`. `Open`'s capability vector travels in this order.
+    pub fn slots(&self) -> impl Iterator<Item = (ComponentSlot, Component)> + '_ {
+        let columns = self.columns.iter().enumerate().flat_map(|(i, col)| {
+            let mirror = col.mirror.map(|m| (ComponentSlot::Mirror(i), m));
+            std::iter::once((ComponentSlot::Primary(i), col.primary)).chain(mirror)
+        });
+        columns.chain(self.parity.map(|p| (ComponentSlot::Parity, p)))
+    }
+
+    /// The slots whose XOR equals `slot`, or `None` when nothing protects
+    /// it (or it does not exist). A mirror and its primary are each
+    /// other's single source; under parity a column is the other columns
+    /// ⊕ parity, and parity is every column.
+    #[must_use]
+    pub fn sources(&self, slot: ComponentSlot) -> Option<Vec<ComponentSlot>> {
+        let columns = || (0..self.width()).map(ComponentSlot::Primary);
+        let sources: Vec<ComponentSlot> = match slot {
+            ComponentSlot::Primary(i) => match self.columns.get(i)?.mirror {
+                Some(_) => vec![ComponentSlot::Mirror(i)],
+                None => {
+                    self.parity?;
+                    columns()
+                        .filter(|s| *s != slot)
+                        .chain([ComponentSlot::Parity])
+                        .collect()
                 }
-                None => false,
             },
-            ComponentSlot::Mirror(i) => match self.columns.get_mut(i) {
-                Some(c) if c.mirror.is_some() => {
-                    c.mirror = Some(new);
-                    true
-                }
-                _ => false,
-            },
-            ComponentSlot::Parity => {
-                if self.parity.is_some() {
-                    self.parity = Some(new);
-                    true
-                } else {
-                    false
-                }
+            ComponentSlot::Mirror(i) => {
+                self.columns.get(i)?.mirror?;
+                vec![ComponentSlot::Primary(i)]
             }
+            ComponentSlot::Parity => {
+                self.parity?;
+                columns().collect()
+            }
+        };
+        (!sources.is_empty()).then_some(sources)
+    }
+
+    /// Whether `slot` is the XOR of several sources rather than a copy of
+    /// one: updating it (or a column it covers) is a read-modify-write.
+    #[must_use]
+    pub(crate) fn is_xor(&self, slot: ComponentSlot) -> bool {
+        self.sources(slot).is_some_and(|s| s.len() > 1)
+    }
+
+    /// The redundant slots a write to `column` must also update: its
+    /// mirror, the parity component.
+    pub(crate) fn checks(&self, column: usize) -> impl Iterator<Item = ComponentSlot> {
+        let mirror = self.columns.get(column).and_then(|c| c.mirror);
+        let mirror = mirror.map(|_| ComponentSlot::Mirror(column));
+        mirror
+            .into_iter()
+            .chain(self.parity.map(|_| ComponentSlot::Parity))
+    }
+
+    /// The rights a holder asking for `asked` gets on `slot`: a writer
+    /// must also read every slot its writes read-modify-write — an
+    /// XOR-maintained slot and each column it covers.
+    #[must_use]
+    pub(crate) fn rights(&self, slot: ComponentSlot, asked: Rights) -> Rights {
+        let rmw = match slot {
+            ComponentSlot::Primary(i) => self.checks(i).any(|c| self.is_xor(c)),
+            _ => self.is_xor(slot),
+        };
+        if rmw && asked.allows(Rights::WRITE) {
+            asked | Rights::READ
+        } else {
+            asked
         }
     }
 
@@ -197,23 +267,7 @@ impl Layout {
     /// Rebuild walks this list for each layout after a drive failure.
     #[must_use]
     pub fn slots_on_drive(&self, drive: DriveId) -> Vec<(ComponentSlot, Component)> {
-        let mut out = Vec::new();
-        for (i, col) in self.columns.iter().enumerate() {
-            if col.primary.drive == drive {
-                out.push((ComponentSlot::Primary(i), col.primary));
-            }
-            if let Some(m) = col.mirror {
-                if m.drive == drive {
-                    out.push((ComponentSlot::Mirror(i), m));
-                }
-            }
-        }
-        if let Some(p) = self.parity {
-            if p.drive == drive {
-                out.push((ComponentSlot::Parity, p));
-            }
-        }
-        out
+        self.slots().filter(|(_, c)| c.drive == drive).collect()
     }
 
     /// Logical size implied by a column's component size: the logical
@@ -232,6 +286,37 @@ impl Layout {
         let logical_unit = local_unit * n + column as u64;
         logical_unit * su + within + 1
     }
+}
+
+/// XOR `[offset, offset + acc.len())` of every source into `acc` and
+/// return the longest extent any source held. Bytes past a source's end
+/// leave `acc` alone — unwritten object space reads as zero, the XOR
+/// identity — so over a zeroed `acc` one source is an exact copy (as long
+/// as the extent) and several are their zero-padded XOR.
+///
+/// # Errors
+///
+/// The first source read that fails.
+pub fn xor_read<C: Borrow<Capability>>(
+    acc: &mut [u8],
+    sources: &[(&DriveEndpoint, C)],
+    offset: u64,
+) -> Result<usize, FmError> {
+    let mut extent = 0;
+    for (ep, cap) in sources {
+        let data = ep.read(cap.borrow(), offset, acc.len() as u64)?;
+        let mut rest = &mut *acc;
+        for seg in data.iter_slices() {
+            let n = seg.len().min(rest.len());
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            for (a, b) in head.iter_mut().zip(seg) {
+                *a ^= b;
+            }
+            rest = tail;
+        }
+        extent = extent.max(data.len().min(acc.len()));
+    }
+    Ok(extent)
 }
 
 #[cfg(test)]
@@ -254,6 +339,44 @@ mod tests {
             columns,
             redundancy: Redundancy::None,
             parity: None,
+        }
+    }
+
+    /// What a write to a column must also update, and what a writer
+    /// must be able to read, both follow from `sources` alone.
+    #[test]
+    fn checks_and_rights_follow_from_sources() {
+        let spare = |object| Component {
+            drive: DriveId(9),
+            partition: PartitionId(1),
+            object: ObjectId(object),
+        };
+        let mut mirrored = layout(3, 64);
+        for (i, col) in mirrored.columns.iter_mut().enumerate() {
+            col.mirror = Some(spare(0x200 + i as u64));
+        }
+        let parity = |n| Layout {
+            parity: Some(spare(0x300)),
+            ..layout(n, 64)
+        };
+        for l in [layout(3, 64), mirrored, parity(3), parity(1)] {
+            for i in 0..l.width() {
+                let column = ComponentSlot::Primary(i);
+                let covers = |s: &ComponentSlot| {
+                    s.is_redundant() && l.sources(*s).is_some_and(|src| src.contains(&column))
+                };
+                let covering: Vec<_> = l.slots().map(|(s, _)| s).filter(covers).collect();
+                assert_eq!(l.checks(i).collect::<Vec<_>>(), covering, "{column}");
+            }
+            for (slot, _) in l.slots() {
+                // Read-modify-write touches an XOR of several slots and the
+                // columns under it; a copy of one slot is just overwritten.
+                let rmw = l.is_xor(ComponentSlot::Parity)
+                    && matches!(slot, ComponentSlot::Primary(_) | ComponentSlot::Parity);
+                let granted = l.rights(slot, Rights::WRITE);
+                assert_eq!(granted.allows(Rights::READ), rmw, "{slot}");
+                assert_eq!(l.rights(slot, Rights::GETATTR), Rights::GETATTR);
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 //!    the manager so operators and the chaos suite can watch),
 //! 2. snapshot every layout and walk the slots living on the dead
 //!    drive; for each, under an exclusive lease on the logical object:
-//!    copy the mirror twin, or XOR the surviving columns with parity,
-//!    into a fresh object on the spare — chunked, throttled through the
-//!    rebuild [`nasd_net::RatePacer`],
+//!    write the XOR of the slot's sources (the mirror twin, or the
+//!    surviving columns ⊕ parity) into a fresh object on the spare —
+//!    chunked, throttled through the rebuild [`nasd_net::RatePacer`] —
 //!    then `SwapComponent` the layout slot to the new component (the
 //!    map swap is atomic under the manager's state lock; an `Open`
 //!    sees either the old component or the new one, never a torn
@@ -21,9 +21,10 @@
 //! all-zero chunks are skipped on write, so the spare's object reads
 //! back byte-identical: unwritten object space reads as zero.
 
-use crate::service::{all_zero, write_chunk, MgmtError, NasdMgmt, SourceReader};
-use nasd_cheops::{CheopsRequest, Component, ComponentSlot, Layout, LogicalObjectId, Redundancy};
-use nasd_proto::DriveId;
+use crate::service::{chunks, extent, MgmtError, NasdMgmt};
+use bytes::Bytes;
+use nasd_cheops::{xor_read, CheopsRequest, Component, ComponentSlot, Layout, LogicalObjectId};
+use nasd_proto::{DriveId, Rights};
 
 /// What happened to one layout slot during a rebuild.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -128,125 +129,73 @@ impl NasdMgmt {
 
     fn rebuild_onto(&self, failed: DriveId, spare: DriveId) -> Result<RebuildOutcome, MgmtError> {
         let mut outcome = RebuildOutcome::default();
-        for (id, layout) in self.layouts()? {
-            if layout.slots_on_drive(failed).is_empty() {
-                continue;
-            }
-            outcome.objects += 1;
-            let rebuilt = self.with_exclusive_lease(id, || {
-                // Re-snapshot under the lease: the layout may have been
-                // swapped or removed since the walk began.
-                let Some((_, layout)) = self.layouts()?.into_iter().find(|(other, _)| *other == id)
-                else {
-                    return Ok(Vec::new());
-                };
+        let walk = self.visit_leased(
+            |layout| !layout.slots_on_drive(failed).is_empty(),
+            |id, layout| {
                 let mut fates = Vec::new();
-                for (slot, _) in layout.slots_on_drive(failed) {
-                    fates.push((slot, self.rebuild_slot(id, &layout, slot, spare)?));
+                for (slot, dead) in layout.slots_on_drive(failed) {
+                    fates.push((slot, self.rebuild_slot(id, layout, slot, dead, spare)?));
                 }
                 Ok(fates)
-            })?;
-            match rebuilt {
-                None => outcome.busy.push(id),
-                Some(fates) => {
-                    for (slot, fate) in fates {
-                        match fate {
-                            SlotFate::Rebuilt { bytes } => {
-                                outcome.components += 1;
-                                outcome.bytes += bytes;
-                                self.obs.rebuild_components.inc();
-                            }
-                            SlotFate::Lost => outcome.lost.push((id, slot)),
-                        }
+            },
+        )?;
+        for (id, fates) in walk {
+            outcome.objects += 1;
+            let Some(fates) = fates else {
+                outcome.busy.push(id);
+                continue;
+            };
+            for (slot, fate) in fates {
+                match fate {
+                    SlotFate::Rebuilt { bytes } => {
+                        outcome.components += 1;
+                        outcome.bytes += bytes;
+                        self.obs.rebuild_components.inc();
                     }
+                    SlotFate::Lost => outcome.lost.push((id, slot)),
                 }
             }
         }
         Ok(outcome)
     }
 
-    /// Reconstruct one slot of `layout` onto `spare` and swap the map.
+    /// Write the XOR of `slot`'s sources to a fresh object on `spare` and
+    /// swap it into the map in place of `dead`.
     fn rebuild_slot(
         &self,
         id: LogicalObjectId,
         layout: &Layout,
         slot: ComponentSlot,
+        dead: Component,
         spare: DriveId,
     ) -> Result<SlotFate, MgmtError> {
-        // Pick the surviving sources. One source = plain copy; several =
-        // XOR reconstruction (parity math).
-        let sources: Vec<Component> = match slot {
-            ComponentSlot::Primary(i) => match layout.redundancy {
-                Redundancy::None => return Ok(SlotFate::Lost),
-                Redundancy::Mirrored => match layout.component(ComponentSlot::Mirror(i)) {
-                    Some(m) => vec![m],
-                    None => return Ok(SlotFate::Lost),
-                },
-                Redundancy::Parity => {
-                    let mut v: Vec<Component> = layout
-                        .columns
-                        .iter()
-                        .enumerate()
-                        .filter(|(c, _)| *c != i)
-                        .map(|(_, col)| col.primary)
-                        .collect();
-                    match layout.parity {
-                        Some(p) => v.push(p),
-                        None => return Ok(SlotFate::Lost),
-                    }
-                    v
-                }
-            },
-            ComponentSlot::Mirror(i) => match layout.component(ComponentSlot::Primary(i)) {
-                Some(p) => vec![p],
-                None => return Ok(SlotFate::Lost),
-            },
-            ComponentSlot::Parity => layout.columns.iter().map(|c| c.primary).collect(),
-        };
-        if sources.is_empty() {
+        let Some(sources) = self.sources_of(layout, slot)? else {
             return Ok(SlotFate::Lost);
-        }
-        let dead = layout.component(slot).ok_or(MgmtError::Protocol("slot"))?;
-        let readers: Vec<SourceReader> = sources
-            .into_iter()
-            .map(|c| self.reader(c))
-            .collect::<Result<_, _>>()?;
-        let mut len = 0u64;
-        for r in &readers {
-            len = len.max(r.size()?);
-        }
-        let (ep, cap, object) = self.writer(spare, dead.partition)?;
-        let chunk = self.config.rebuild_chunk.max(1);
-        let mut offset = 0u64;
+        };
+        let len = extent(&sources)?;
+        let spare_ep = self.fleet.by_id(spare).ok_or(MgmtError::Transport)?;
+        let expires = self.fleet.now() + self.config.lease_ttl;
+        let new = Component {
+            drive: spare,
+            object: spare_ep.create_object(dead.partition, 0, None, expires)?,
+            ..dead
+        };
+        let (ep, cap) = self.party(new, Rights::WRITE)?;
         let mut moved = 0u64;
-        while offset < len {
-            let n = chunk.min(len - offset);
+        for (offset, n) in chunks(len, self.config.rebuild_chunk) {
             // Throttle *before* the transfer: the token bucket meters
             // reconstruction progress, foreground traffic fills the gaps.
             self.rebuild_pacer.debit(n);
-            let mut acc = match readers.first() {
-                Some(r) => r.read_padded(offset, n)?,
-                None => return Ok(SlotFate::Lost),
-            };
-            for r in readers.iter().skip(1) {
-                crate::service::xor_into(&mut acc, &r.read_padded(offset, n)?);
-            }
-            if !all_zero(&acc) {
-                write_chunk(&ep, &cap, offset, acc)?;
+            let mut acc = vec![0u8; n as usize];
+            xor_read(&mut acc, &sources, offset)?;
+            // Unwritten object space already reads as zero.
+            if acc.iter().any(|b| *b != 0) {
+                ep.write(&cap, offset, Bytes::from(acc))?;
             }
             self.obs.rebuild_bytes.add(n);
             moved += n;
-            offset += n;
         }
-        self.mgr_ok(CheopsRequest::SwapComponent {
-            id,
-            slot,
-            new: Component {
-                drive: spare,
-                partition: dead.partition,
-                object,
-            },
-        })?;
+        self.mgr_ok(CheopsRequest::SwapComponent { id, slot, new })?;
         Ok(SlotFate::Rebuilt { bytes: moved })
     }
 }

@@ -1,21 +1,23 @@
 //! Periodic scrubbing: walk every stripe, verify redundancy agreement,
 //! repair latent errors before a failure turns them fatal.
 //!
-//! Parity layouts: the XOR of all data columns is recomputed chunk by
-//! chunk and compared with the parity component; mismatching chunks are
-//! rewritten from the recomputed value (columns are authoritative —
-//! they are what degraded reads reconstruct from). Mirrored layouts:
-//! each mirror is compared with its primary and rewritten from it on
-//! mismatch. Unprotected layouts have nothing to verify against and are
-//! skipped.
+//! A slot is the XOR of its sources ([`Layout::sources`]). Each
+//! redundant slot — a mirror, the parity component — is compared chunk
+//! by chunk with that XOR and mismatching chunks are rewritten from it:
+//! the columns are authoritative, they are what degraded reads
+//! reconstruct from. Unprotected layouts have nothing to verify against
+//! and are skipped.
 //!
-//! Each object is scrubbed under a short exclusive lease so a racing
-//! writer's read-modify-write can't read as a latent error; objects
-//! whose lease stays busy are skipped and picked up by the next pass.
-//! Scrub I/O is throttled through its own [`nasd_net::RatePacer`].
+//! Each object is scrubbed under a short exclusive lease, on the layout
+//! as it stands under that lease, so a racing writer's read-modify-write
+//! can't read as a latent error; objects whose lease stays busy are
+//! skipped and picked up by the next pass. Scrub I/O is throttled
+//! through its own [`nasd_net::RatePacer`].
 
-use crate::service::{write_chunk, xor_into, MgmtError, NasdMgmt};
-use nasd_cheops::{Component, Layout, LogicalObjectId, Redundancy};
+use crate::service::{chunks, extent, MgmtError, NasdMgmt};
+use bytes::Bytes;
+use nasd_cheops::{xor_read, Component, ComponentSlot, Layout, LogicalObjectId};
+use nasd_proto::Rights;
 
 /// What one scrub pass found and fixed.
 #[derive(Clone, Debug, Default)]
@@ -43,133 +45,68 @@ impl NasdMgmt {
     /// reachable).
     pub fn scrub(&self) -> Result<ScrubOutcome, MgmtError> {
         let mut outcome = ScrubOutcome::default();
-        for (id, layout) in self.layouts()? {
-            if layout.redundancy == Redundancy::None {
-                continue;
-            }
-            let scrubbed = self.with_exclusive_lease(id, || match layout.redundancy {
-                Redundancy::None => Ok((0, 0, 0)),
-                Redundancy::Mirrored => self.scrub_mirrored(&layout),
-                Redundancy::Parity => self.scrub_parity(&layout),
-            })?;
-            match scrubbed {
-                None => outcome.busy.push(id),
-                Some((bytes, mismatches, repairs)) => {
-                    outcome.objects += 1;
-                    outcome.bytes += bytes;
-                    outcome.mismatches += mismatches;
-                    outcome.repairs += repairs;
-                    self.obs.scrub_objects.inc();
-                    self.obs.scrub_bytes.add(bytes);
-                    self.obs.scrub_repairs.add(repairs);
-                    if mismatches > 0 {
-                        self.trace(
-                            "scrub-repair",
-                            None,
-                            format!("{id}: {mismatches} chunks repaired"),
-                        );
-                    }
+        let walk = self.visit_leased(
+            |layout| layout.slots().any(|(slot, _)| slot.is_redundant()),
+            |_, layout| {
+                let mut totals = (0u64, 0u64);
+                for (slot, held) in layout.slots().filter(|(slot, _)| slot.is_redundant()) {
+                    self.verify_slot(layout, slot, held, &mut totals)?;
                 }
+                Ok(totals)
+            },
+        )?;
+        for (id, scrubbed) in walk {
+            let Some((bytes, mismatches)) = scrubbed else {
+                outcome.busy.push(id);
+                continue;
+            };
+            outcome.objects += 1;
+            outcome.bytes += bytes;
+            outcome.mismatches += mismatches;
+            outcome.repairs += mismatches;
+            self.obs.scrub_objects.inc();
+            self.obs.scrub_bytes.add(bytes);
+            self.obs.scrub_repairs.add(mismatches);
+            if mismatches > 0 {
+                self.trace(
+                    "scrub-repair",
+                    None,
+                    format!("{id}: {mismatches} chunks repaired"),
+                );
             }
         }
         Ok(outcome)
     }
 
-    /// Compare every mirror against its primary; rewrite divergent
-    /// chunks from the primary. Returns (bytes, mismatches, repairs).
-    fn scrub_mirrored(&self, layout: &Layout) -> Result<(u64, u64, u64), MgmtError> {
-        let mut totals = (0u64, 0u64, 0u64);
-        for col in &layout.columns {
-            let Some(mirror) = col.mirror else {
-                continue;
-            };
-            self.verify_pair(col.primary, mirror, &mut totals)?;
-        }
-        Ok(totals)
-    }
-
-    /// Recompute the column XOR and compare with the parity component;
-    /// rewrite divergent parity chunks. Returns (bytes, mismatches,
-    /// repairs).
-    fn scrub_parity(&self, layout: &Layout) -> Result<(u64, u64, u64), MgmtError> {
-        let Some(parity) = layout.parity else {
-            return Ok((0, 0, 0));
+    /// Compare `slot` (held by `held`) with the XOR of its sources chunk
+    /// by chunk and rewrite the chunks that differ: the sources are
+    /// authoritative — they are what a degraded read returns. Adds
+    /// (bytes verified, chunks repaired) to `totals`.
+    fn verify_slot(
+        &self,
+        layout: &Layout,
+        slot: ComponentSlot,
+        held: Component,
+        totals: &mut (u64, u64),
+    ) -> Result<(), MgmtError> {
+        let Some(sources) = self.sources_of(layout, slot)? else {
+            return Ok(());
         };
-        let readers = layout
-            .columns
-            .iter()
-            .map(|c| self.reader(c.primary))
-            .collect::<Result<Vec<_>, _>>()?;
-        let pr = self.reader(parity)?;
-        let pep = self.endpoint(parity.drive)?;
-        let pcap = self.write_cap(parity)?;
-        let mut len = pr.size()?;
-        for r in &readers {
-            len = len.max(r.size()?);
-        }
-        let chunk = self.config.scrub_chunk.max(1);
-        let mut totals = (0u64, 0u64, 0u64);
-        let mut offset = 0u64;
-        while offset < len {
-            let n = chunk.min(len - offset);
+        let target = [self.party(held, Rights::READ | Rights::WRITE | Rights::GETATTR)?];
+        let len = extent(&sources)?.max(extent(&target)?);
+        for (offset, n) in chunks(len, self.config.scrub_chunk) {
             self.scrub_pacer.debit(n);
             let mut expect = vec![0u8; n as usize];
-            for r in &readers {
-                xor_into(&mut expect, &r.read_padded(offset, n)?);
-            }
-            let actual = pr.read_padded(offset, n)?;
+            xor_read(&mut expect, &sources, offset)?;
+            let mut actual = vec![0u8; n as usize];
+            xor_read(&mut actual, &target, offset)?;
             if expect != actual {
+                let [(ep, cap)] = &target;
+                ep.write(cap, offset, Bytes::from(expect))?;
                 totals.1 += 1;
-                write_chunk(&pep, &pcap, offset, expect)?;
-                totals.2 += 1;
             }
             totals.0 += n;
-            offset += n;
-        }
-        Ok(totals)
-    }
-
-    /// Compare `twin` against authoritative `source`; rewrite divergent
-    /// chunks of `twin` from `source`.
-    fn verify_pair(
-        &self,
-        source: Component,
-        twin: Component,
-        totals: &mut (u64, u64, u64),
-    ) -> Result<(), MgmtError> {
-        let sr = self.reader(source)?;
-        let tr = self.reader(twin)?;
-        let tep = self.endpoint(twin.drive)?;
-        let tcap = self.write_cap(twin)?;
-        let len = sr.size()?.max(tr.size()?);
-        let chunk = self.config.scrub_chunk.max(1);
-        let mut offset = 0u64;
-        while offset < len {
-            let n = chunk.min(len - offset);
-            self.scrub_pacer.debit(n);
-            let good = sr.read_padded(offset, n)?;
-            let seen = tr.read_padded(offset, n)?;
-            if good != seen {
-                totals.1 += 1;
-                write_chunk(&tep, &tcap, offset, good)?;
-                totals.2 += 1;
-            }
-            totals.0 += n;
-            offset += n;
         }
         Ok(())
-    }
-
-    /// A write capability for an existing component.
-    fn write_cap(&self, c: Component) -> Result<nasd_proto::Capability, MgmtError> {
-        let ep = self.endpoint(c.drive)?;
-        Ok(ep.mint(
-            c.partition,
-            c.object,
-            nasd_proto::Version(0),
-            nasd_proto::Rights::READ | nasd_proto::Rights::WRITE,
-            nasd_proto::ByteRange::FULL,
-            self.fleet.now() + self.config.lease_ttl,
-        ))
     }
 }

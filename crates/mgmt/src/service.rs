@@ -7,15 +7,14 @@ use crate::health::HealthMonitor;
 use crate::rebuild::RebuildOutcome;
 use crate::scrub::ScrubOutcome;
 use crate::spare::SparePool;
-use bytes::Bytes;
 use nasd_cheops::{
-    CheopsRequest, CheopsResponse, Component, Layout, LeaseKind, LogicalObjectId, RepairPhase,
-    RepairRecord,
+    CheopsRequest, CheopsResponse, Component, ComponentSlot, Layout, LeaseKind, LogicalObjectId,
+    RepairPhase, RepairRecord,
 };
 use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
 use nasd_net::{pace, spawn_service, CallOptions, Channel, RatePacer, Rpc, ServiceHandle};
 use nasd_obs::{Counter, Gauge, Registry, SimTime, TraceEvent, TraceSink, Utilization};
-use nasd_proto::{ByteRange, Capability, DriveId, ObjectId, Rights, Version};
+use nasd_proto::{ByteRange, Capability, DriveId, Rights, Version};
 use std::sync::Arc;
 
 /// Storage-management failures.
@@ -333,10 +332,36 @@ impl NasdMgmt {
         }
     }
 
+    /// Lease, re-snapshot, visit — the one walk rebuild and scrub share.
+    /// Every logical object whose layout is `wanted` is visited under an
+    /// exclusive lease (so a racing writer's read-modify-write can't read
+    /// as a latent error) on the layout as it stands *under* that lease:
+    /// it may have been swapped or removed since the walk began. `None`
+    /// marks an object left for a later pass: its lease stayed busy
+    /// through every retry, or it was removed meanwhile.
+    pub(crate) fn visit_leased<T>(
+        &self,
+        wanted: impl Fn(&Layout) -> bool,
+        mut visit: impl FnMut(LogicalObjectId, &Layout) -> Result<T, MgmtError>,
+    ) -> Result<Vec<(LogicalObjectId, Option<T>)>, MgmtError> {
+        let mut visited = Vec::new();
+        for (id, layout) in self.layouts()? {
+            if !wanted(&layout) {
+                continue;
+            }
+            let outcome = self.with_exclusive_lease(id, || {
+                let fresh = self.layouts()?.into_iter().find(|(other, _)| *other == id);
+                fresh.map(|(_, layout)| visit(id, &layout)).transpose()
+            })?;
+            visited.push((id, outcome.flatten()));
+        }
+        Ok(visited)
+    }
+
     /// Run `f` with an exclusive lease held on `id`. `Ok(None)` means
     /// the object was skipped: its lease stayed busy through every
     /// retry, or it was removed concurrently.
-    pub(crate) fn with_exclusive_lease<T>(
+    fn with_exclusive_lease<T>(
         &self,
         id: LogicalObjectId,
         f: impl FnOnce() -> Result<T, MgmtError>,
@@ -379,43 +404,35 @@ impl NasdMgmt {
 
     // ---- drive plumbing ----
 
-    pub(crate) fn endpoint(&self, drive: DriveId) -> Result<Arc<DriveEndpoint>, MgmtError> {
-        self.fleet.by_id(drive).cloned().ok_or(MgmtError::Transport)
-    }
-
-    /// A read handle (endpoint + capability) for `c`.
-    pub(crate) fn reader(&self, c: Component) -> Result<SourceReader, MgmtError> {
-        let ep = self.endpoint(c.drive)?;
+    /// The drive holding `c` and a capability for `rights` on it — the
+    /// one place storage management mints a component capability.
+    pub(crate) fn party(&self, c: Component, rights: Rights) -> Result<Party<'_>, MgmtError> {
+        let ep = self.fleet.by_id(c.drive).ok_or(MgmtError::Transport)?;
+        let expires = self.fleet.now() + self.config.lease_ttl;
         let cap = ep.mint(
             c.partition,
             c.object,
             Version(0),
-            Rights::READ | Rights::GETATTR,
-            ByteRange::FULL,
-            self.fleet.now() + self.config.lease_ttl,
-        );
-        Ok(SourceReader { ep, cap })
-    }
-
-    /// Create a fresh component object on `spare` and return a write
-    /// handle for it.
-    pub(crate) fn writer(
-        &self,
-        spare: DriveId,
-        partition: nasd_proto::PartitionId,
-    ) -> Result<(Arc<DriveEndpoint>, Capability, ObjectId), MgmtError> {
-        let ep = self.endpoint(spare)?;
-        let expires = self.fleet.now() + self.config.lease_ttl;
-        let object = ep.create_object(partition, 0, None, expires)?;
-        let cap = ep.mint(
-            partition,
-            object,
-            Version(0),
-            Rights::READ | Rights::WRITE | Rights::GETATTR,
+            rights,
             ByteRange::FULL,
             expires,
         );
-        Ok((ep, cap, object))
+        Ok((ep, cap))
+    }
+
+    /// Read parties for the slots whose XOR equals `slot`, or `None`
+    /// when nothing protects it.
+    pub(crate) fn sources_of(
+        &self,
+        layout: &Layout,
+        slot: ComponentSlot,
+    ) -> Result<Option<Vec<Party<'_>>>, MgmtError> {
+        let Some(sources) = layout.sources(slot) else {
+            return Ok(None);
+        };
+        let held = layout.slots().filter(|(s, _)| sources.contains(s));
+        let parties = held.map(|(_, c)| self.party(c, Rights::READ | Rights::GETATTR));
+        parties.collect::<Result<_, _>>().map(Some)
     }
 
     pub(crate) fn trace(&self, phase: &'static str, drive: Option<DriveId>, detail: String) {
@@ -433,59 +450,29 @@ impl NasdMgmt {
     }
 }
 
-/// An endpoint + capability pair for chunked reads of one component.
-pub(crate) struct SourceReader {
-    ep: Arc<DriveEndpoint>,
-    cap: Capability,
-}
+/// One component as a party to redundancy I/O: its drive and a
+/// capability for it.
+pub(crate) type Party<'a> = (&'a DriveEndpoint, Capability);
 
-impl SourceReader {
-    /// The component's current size in bytes.
-    pub(crate) fn size(&self) -> Result<u64, MgmtError> {
-        Ok(self.ep.get_attr(&self.cap)?.size)
+/// The longest of the parties' current sizes: how far their XOR extends.
+pub(crate) fn extent(parties: &[Party<'_>]) -> Result<u64, MgmtError> {
+    let mut len = 0;
+    for (ep, cap) in parties {
+        len = len.max(ep.get_attr(cap)?.size);
     }
-
-    /// Read `[offset, offset+len)`, zero-padding past end-of-object
-    /// (unwritten object space reads as zero, which is exactly what the
-    /// XOR math wants).
-    pub(crate) fn read_padded(&self, offset: u64, len: u64) -> Result<Vec<u8>, MgmtError> {
-        let data = self.ep.read(&self.cap, offset, len)?;
-        let mut out = vec![0u8; len as usize];
-        let n = data.len().min(out.len());
-        if data.copy_to(&mut out) != n {
-            return Err(MgmtError::Protocol("short copy from drive read"));
-        }
-        Ok(out)
-    }
+    Ok(len)
 }
 
-/// XOR `src` into `acc` (equal lengths by construction).
-pub(crate) fn xor_into(acc: &mut [u8], src: &[u8]) {
-    for (a, b) in acc.iter_mut().zip(src) {
-        *a ^= b;
-    }
-}
-
-/// Whether every byte is zero (all-zero chunks are skipped on rebuild:
-/// unwritten object space already reads as zero).
-pub(crate) fn all_zero(buf: &[u8]) -> bool {
-    buf.iter().all(|b| *b == 0)
-}
-
-/// Send `data` to `(ep, cap)` at `offset`.
-pub(crate) fn write_chunk(
-    ep: &DriveEndpoint,
-    cap: &Capability,
-    offset: u64,
-    data: Vec<u8>,
-) -> Result<(), MgmtError> {
-    ep.write(cap, offset, Bytes::from(data))?;
-    Ok(())
+/// `[0, len)` as `(offset, length)` transfers of at most `chunk` bytes.
+pub(crate) fn chunks(len: u64, chunk: u64) -> impl Iterator<Item = (u64, u64)> {
+    let chunk = chunk.max(1);
+    (0..len.div_ceil(chunk)).map(move |i| (i * chunk, chunk.min(len - i * chunk)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use nasd_cheops::{CheopsClient, CheopsConnect, CheopsManager, Redundancy};
     use nasd_net::Connector;
     use nasd_object::DriveConfig;

@@ -457,13 +457,16 @@ fn cheops_mirrored_file_survives_column_crash() {
 }
 
 /// One full crash → detect → rebuild → resume lifecycle for a parity
-/// stripe, as a function of the seed alone. With `chaos` set, the run
-/// injects seeded channel faults, crashes a column's drive mid-workload
+/// stripe, as a function of the seed and the crashed drive's index (a
+/// data column's drive, or the parity drive). With `chaos` set, the run
+/// injects seeded channel faults, crashes drive `crashed` mid-workload
 /// (degraded readers hammering throughout), waits for nasd-mgmt to
 /// reconstruct it onto the hot spare, then restarts traffic against the
 /// rebuilt layout. Without it, the identical logical workload runs on a
-/// healthy fleet. Both return the file's final bytes.
-fn rebuild_scenario(seed: u64, chaos: bool) -> Vec<u8> {
+/// healthy fleet. Either way the parity component must end up the XOR of
+/// the columns and a further data-column loss must still read
+/// byte-identical. Both return the file's final bytes.
+fn rebuild_scenario(seed: u64, chaos: bool, crashed: usize) -> Vec<u8> {
     const TOTAL: u64 = 192 * 1024;
     let fleet = Arc::new(
         DriveFleet::spawn_faulty(
@@ -520,9 +523,9 @@ fn rebuild_scenario(seed: u64, chaos: bool) -> Vec<u8> {
             })
         };
 
-        let failed = fleet.endpoint(1).id();
+        let failed = fleet.endpoint(crashed).id();
         let spare = fleet.endpoint(4).id();
-        fleet.crash(1);
+        fleet.crash(crashed);
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
             Channel::in_proc(mgr),
@@ -568,10 +571,45 @@ fn rebuild_scenario(seed: u64, chaos: bool) -> Vec<u8> {
         plan.set_enabled(false);
         assert!(!plan.trace().is_empty(), "seed {seed:#x} injected nothing");
     }
+
+    // Parity, wherever it lives now, is the XOR of the columns...
+    let raw = |c: nasd::cheops::Component| {
+        let ep = fleet.by_id(c.drive).unwrap();
+        let (rights, until) = (Rights::READ, fleet.now() + 10);
+        let cap = ep.mint(
+            c.partition,
+            c.object,
+            Version(0),
+            rights,
+            ByteRange::FULL,
+            until,
+        );
+        let mut bytes = ep.read(&cap, 0, TOTAL).unwrap().to_vec();
+        bytes.resize(TOTAL as usize, 0);
+        bytes
+    };
+    let mut xor = vec![0u8; TOTAL as usize];
+    for col in &file.layout.columns {
+        for (x, b) in xor.iter_mut().zip(raw(col.primary)) {
+            *x ^= b;
+        }
+    }
+    assert!(
+        raw(file.layout.parity.unwrap()) == xor,
+        "seed {seed:#x}, drive {crashed}: parity is not the XOR of the columns"
+    );
+    // ...so losing a data column now still reads byte-identical.
+    fleet.crash(0);
+    let degraded = client.read(&file, 0, TOTAL).unwrap();
+    assert!(
+        degraded == back,
+        "seed {seed:#x}, drive {crashed}: degraded read after the rebuild diverged"
+    );
     back.to_vec()
 }
 
-/// The nasd-mgmt headline scenario, per seed: crash a parity column's
+/// The nasd-mgmt headline scenario, per seed and per crash position (a
+/// data column's drive, index 1; the parity drive, index 3): crash the
 /// drive under seeded chaos with readers in flight, let nasd-mgmt detect
 /// it and reconstruct onto the hot spare, restart write traffic, and
 /// require the file's final bytes to be identical to the same logical
@@ -579,17 +617,19 @@ fn rebuild_scenario(seed: u64, chaos: bool) -> Vec<u8> {
 #[test]
 fn rebuilt_stripe_reads_byte_identical_to_fault_free_run() {
     for &seed in &SEEDS {
-        let clean = rebuild_scenario(seed, false);
-        let stormy = rebuild_scenario(seed, true);
-        assert_eq!(
-            clean.len(),
-            stormy.len(),
-            "seed {seed:#x}: rebuilt file changed size"
-        );
-        assert!(
-            clean == stormy,
-            "seed {seed:#x}: rebuilt file diverged from the fault-free run"
-        );
+        for crashed in [1, 3] {
+            let clean = rebuild_scenario(seed, false, crashed);
+            let stormy = rebuild_scenario(seed, true, crashed);
+            assert_eq!(
+                clean.len(),
+                stormy.len(),
+                "seed {seed:#x}, drive {crashed}: rebuilt file changed size"
+            );
+            assert!(
+                clean == stormy,
+                "seed {seed:#x}, drive {crashed}: rebuilt file diverged from the fault-free run"
+            );
+        }
     }
 }
 

@@ -172,3 +172,37 @@ fn quota_pressure_surfaces_cleanly_through_the_stack() {
     assert!(failed, "quota never enforced after writing {wrote} bytes");
     assert!(wrote > 0, "nothing written before quota hit");
 }
+
+/// The fault-free Cheops read path, pinned by the exact copy ledger on
+/// the client thread: a single-run read passes the drive's rope through
+/// untouched, and a read striped over several columns pays the one
+/// gather copy and nothing else.
+#[test]
+fn cheops_fault_free_read_copies_are_pinned() {
+    use nasd::obs::datapath;
+    let fleet = fleet(4);
+    let (mgr, _h) = CheopsManager::new(Arc::clone(&fleet)).spawn();
+    let client = Connector::new().cheops(1, mgr, Arc::clone(&fleet));
+    let id = client.create(4, 32 * 1024, Redundancy::None).unwrap();
+    let file = client.open(id, Rights::ALL).unwrap();
+    let data: Vec<u8> = (0..256 * 1024u32).map(|i| (i % 251) as u8).collect();
+    client.write(&file, 0, &data).unwrap();
+
+    datapath::reset();
+    let one = client.read(&file, 1_000, 8_192).unwrap();
+    assert_eq!(
+        datapath::bytes_copied(),
+        0,
+        "single-run read copied payload"
+    );
+    assert_eq!(one, &data[1_000..9_192]);
+
+    datapath::reset();
+    let all = client.read(&file, 0, data.len() as u64).unwrap();
+    assert_eq!(
+        datapath::bytes_copied(),
+        data.len() as u64,
+        "a read striped over 4 columns is one gather copy"
+    );
+    assert_eq!(all, data);
+}
