@@ -11,7 +11,7 @@
 //!    dedup ratio is ~1.
 //! 2. **incremental** — the same data with a handful of scattered byte
 //!    edits, backed up again. Unchanged chunks dedup against the first
-//!    snapshot; the ratio is the headline number (≥10× is the tripwire
+//!    snapshot; the ratio is the headline number (≥10× is the bound
 //!    CI watches).
 //! 3. **restore** — the incremental snapshot read back and verified
 //!    byte-identical through the checksum stream layer.
@@ -231,7 +231,7 @@ mod tests {
         let incr = &rows[1];
         assert!(
             incr.dedup_ratio >= 10.0,
-            "incremental dedup ratio {} under the 10x tripwire",
+            "incremental dedup ratio {} under the 10x bound",
             incr.dedup_ratio
         );
         let restore = &rows[2];

@@ -1,9 +1,10 @@
 //! The counting global allocator behind the perf rows' allocation
-//! columns, `#[path]`-included by the `perf` and `benchjson` binaries.
+//! columns.
 //!
-//! It lives with the binaries, not in the library: installing a
-//! `#[global_allocator]` requires `unsafe impl GlobalAlloc`, and every
-//! library crate in this workspace carries `#![forbid(unsafe_code)]`.
+//! It is a module of the `nasd-bench` binary, not of the library:
+//! installing a `#[global_allocator]` requires `unsafe impl GlobalAlloc`,
+//! and every library crate in this workspace carries
+//! `#![forbid(unsafe_code)]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

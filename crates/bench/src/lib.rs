@@ -2,9 +2,12 @@
 //! paper's evaluation (§3–§6).
 //!
 //! Each module owns one experiment and exposes a `run()` returning
-//! structured rows; the `src/bin/*` binaries print them as the paper's
-//! tables, and the module tests assert the *shape* results the paper
-//! claims (who wins, by roughly what factor, where the knees fall).
+//! structured rows; [`report`] turns them into a
+//! [`nasd::obs::BenchReport`](nasd::obs) and registers the experiment by
+//! name, and the one binary, `nasd-bench`, runs registry entries and
+//! prints, writes and gates their reports. The module tests assert the
+//! *shape* results the paper claims (who wins, by roughly what factor,
+//! where the knees fall).
 //!
 //! | module | reproduces |
 //! |---|---|
@@ -26,10 +29,15 @@
 //! three ways; the private `testbed` module owns its hardware, its
 //! closed-loop engine and its data path once.
 //!
-//! Every binary also accepts `--json <path>` and writes a versioned
-//! [`nasd::obs::BenchReport`](nasd::obs) built by the [`report`] module;
-//! the `benchjson` binary regenerates and validates the checked-in
-//! `BENCH_baseline.json` suite.
+//! ```text
+//! cargo run --release -p nasd-bench -- list
+//! cargo run --release -p nasd-bench -- fig7 --json fig7.json --min max_aggregate_mb_s=50
+//! cargo run --release -p nasd-bench -- all BENCH_baseline.json
+//! cargo run --release -p nasd-bench -- check fig7.json BENCH_baseline.json
+//! ```
+//!
+//! The text a run prints is [`table::render_report`] of the same report
+//! `--json` writes, so the two cannot disagree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,18 +11,17 @@
 //!
 //! * wall-clock time per operation (`std::time::Instant` — this crate is
 //!   not simulation-visible, so nasd-lint D1 does not apply);
-//! * a counting global allocator, installed only by the `perf` and
-//!   `benchjson` *binaries* (a `#[global_allocator]` needs `unsafe`,
-//!   which library crates forbid) and handed in as an [`AllocProbe`];
+//! * a counting global allocator, installed only by the `nasd-bench`
+//!   *binary* (a `#[global_allocator]` needs `unsafe`, which library
+//!   crates forbid) and handed in as an [`AllocProbe`];
 //! * the per-thread copy ledger in [`nasd::obs::datapath`]: every payload
 //!   memcpy on the data path flows through the `bytes` shim and is
 //!   recorded there, as is simulator event-infrastructure growth.
 //!
-//! Run `cargo run --release -p nasd-bench --bin perf` for the table, add
+//! Run `cargo run --release -p nasd-bench -- perf` for the table, add
 //! `--json perf.json` for the machine-readable report, and
-//! `--max-allocs-per-cached-read <n>` (or
-//! `--max-alloc-bytes-per-durable-write <n>`) to turn it into a CI
-//! tripwire.
+//! `--max cached_read_allocs_per_op=<n>` (or any other derived key of
+//! the report) to turn it into a CI gate.
 
 use bytes::Bytes;
 use nasd::disk::MemDisk;
@@ -337,7 +336,7 @@ fn dispatch_parked_heap(probe: Option<AllocProbe>, pending: u64, ops: u64) -> Me
 /// Best-of-`n` wrapper: re-run a whole measurement and keep the
 /// fastest batch. Micro-benchmark noise (scheduler preemption, a
 /// neighbouring tenant's cache pressure) only ever adds time, so the
-/// minimum is the robust estimator — it keeps the CI speedup tripwire
+/// minimum is the robust estimator — it keeps the CI speedup gate
 /// from tripping on a noisy run rather than a real regression.
 fn best_of(n: u32, mut measurement: impl FnMut() -> Measured) -> Measured {
     let mut best = measurement();
@@ -458,7 +457,7 @@ mod tests {
     #[test]
     fn dispatch_parked_runs_on_both_kernels() {
         // Small population keeps this a smoke test; the ns/op
-        // comparison lives in the release-mode CI tripwire.
+        // comparison lives in the release-mode CI gate.
         let cal = dispatch_parked(None, 512, 256);
         let heap = dispatch_parked_heap(None, 512, 256);
         assert_eq!(cal.ops, 256);

@@ -1,48 +1,19 @@
-//! Machine-readable bench output.
+//! The experiment registry and its machine-readable output.
 //!
-//! Every `src/bin/*` figure binary accepts `--json <path>` and writes a
-//! versioned [`BenchReport`] alongside its human-readable table; this
-//! module owns the CLI convention and one report builder per experiment
-//! so the JSON shape lives in exactly one place. The `benchjson` binary
-//! bundles all of them into the checked-in `BENCH_baseline.json` suite
-//! and re-validates such files against the schema.
+//! A [`BenchReport`] is the only thing an experiment produces. This
+//! module owns one report builder per experiment (so the JSON shape
+//! lives in exactly one place), [`REGISTRY`] — the only list of
+//! experiments, which `nasd-bench <name>`, `nasd-bench all` and
+//! `nasd-bench list` all read — and [`Gate`], the one pass/fail rule CI
+//! applies to a report's `derived` values.
 
+use nasd::cost::asic::{trident_total_gates, AsicBudget, TRIDENT_UNITS};
 use nasd::obs::{BenchReport, Json, Registry};
-use std::path::PathBuf;
-use std::sync::Arc;
 
 use crate::{
     ablations, active, andrew, backup, fig4, fig6, fig7, fig9, perf, rebuild, recovery, scale,
     table1,
 };
-
-/// Parse `--json <path>` from the process arguments.
-#[must_use]
-pub fn json_arg() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next().map(PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Write `report` to the `--json <path>` destination when one was given.
-///
-/// # Panics
-///
-/// When the destination cannot be written (a bench CLI failing to
-/// produce its requested artifact should abort loudly, not quietly
-/// print tables).
-pub fn emit(report: &BenchReport) {
-    if let Some(path) = json_arg() {
-        report
-            .write_to(&path)
-            .unwrap_or_else(|e| panic!("--json {}: {e}", path.display()));
-        eprintln!("wrote {} ({})", path.display(), report.bench);
-    }
-}
 
 fn num(v: f64) -> Json {
     Json::Num(v)
@@ -137,6 +108,26 @@ pub fn fig9_report(rows: &[fig9::Fig9Row]) -> BenchReport {
     r
 }
 
+/// Figure 3's drive-ASIC gate budget as a report: one row per Trident
+/// function unit, the shrink arithmetic as derived values.
+#[must_use]
+pub fn fig3_report() -> BenchReport {
+    let mut r = BenchReport::new("fig3");
+    for unit in &TRIDENT_UNITS {
+        r.push_row(vec![
+            ("unit", Json::str(unit.name)),
+            ("gates", Json::num_u64(u64::from(unit.gates))),
+        ]);
+    }
+    let b = AsicBudget::default();
+    r.with_derived("trident_total_gates", f64::from(trident_total_gates()))
+        .with_derived("freed_area_mm2", b.freed_area_mm2)
+        .with_derived("strongarm_area_mm2", b.strongarm_area_mm2)
+        .with_derived("leftover_gates", f64::from(b.leftover_gates))
+        .with_derived("crypto_gates", f64::from(b.crypto_gates))
+        .with_derived("remaining_gates", f64::from(b.remaining_gates()))
+}
+
 /// Figure 4 rows as a report.
 #[must_use]
 pub fn fig4_report(rows: &[fig4::Fig4Row]) -> BenchReport {
@@ -160,17 +151,10 @@ pub fn fig4_report(rows: &[fig4::Fig4Row]) -> BenchReport {
 pub fn table1_report() -> BenchReport {
     let registry = Registry::new();
     let rows = table1::run_observed(&registry);
-    table1_report_from(&rows, &registry)
-}
-
-/// Build the Table 1 report from rows already measured against
-/// `registry` (lets the binary print and report one run).
-#[must_use]
-pub fn table1_report_from(rows: &[table1::Table1Row], registry: &Arc<Registry>) -> BenchReport {
     let mut r = BenchReport::new("table1")
         .with_config("cpu_mhz", num(200.0))
         .with_config("cpi", num(2.2));
-    for row in rows {
+    for row in &rows {
         r.push_row(vec![
             ("op", Json::str(row.op)),
             ("cache", Json::str(row.cache)),
@@ -333,6 +317,12 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
                 cached.bytes_copied_per_op,
             );
     }
+    if let Some(durable) = rows.iter().find(|r| r.workload == "durable_write") {
+        r = r.with_derived(
+            "durable_write_alloc_bytes_per_op",
+            durable.alloc_bytes_per_op,
+        );
+    }
     if let Some(sock) = rows.iter().find(|r| r.workload == "socket_read") {
         r = r
             .with_derived("socket_read_allocs_per_op", sock.allocs_per_op)
@@ -442,32 +432,193 @@ pub fn backup_report(rows: &[backup::BackupRow]) -> BenchReport {
     r
 }
 
-/// Run every experiment and return all thirteen reports — the payload
-/// of `BENCH_baseline.json`. `probe` is the producing binary's counting
-/// allocator, when it installed one (see [`perf_report`]).
-#[must_use]
-pub fn suite_with(probe: Option<perf::AllocProbe>) -> Vec<BenchReport> {
-    vec![
-        fig4_report(&fig4::run()),
-        fig6_report(&fig6::run()),
-        fig7_report(&fig7::run()),
-        fig9_report(&fig9::run()),
-        table1_report(),
-        andrew_report(&andrew::run()),
-        active_report(&active::run()),
-        ablations_report(),
-        rebuild_report(&rebuild::run()),
-        perf_report(&perf::run(probe), probe.is_some()),
-        recovery_report(&recovery::run()),
-        backup_report(&backup::run()),
-        scale_report(&scale::run()),
-    ]
+/// What the command line hands an experiment: the counting allocator
+/// the binary installed (read by `perf`) and the `scale` matrix axes.
+#[derive(Debug, Clone)]
+pub struct RunArgs {
+    /// The embedding binary's allocator probe, when it installed one.
+    pub probe: Option<perf::AllocProbe>,
+    /// `scale`'s drive counts (`--drives`; the full matrix by default).
+    pub drives: Vec<usize>,
+    /// `scale`'s client counts (`--clients`; the full matrix by default).
+    pub clients: Vec<usize>,
 }
 
-/// [`suite_with`] without an allocator probe.
-#[must_use]
-pub fn suite() -> Vec<BenchReport> {
-    suite_with(None)
+impl Default for RunArgs {
+    fn default() -> Self {
+        RunArgs {
+            probe: None,
+            drives: scale::DRIVE_MATRIX.to_vec(),
+            clients: scale::CLIENT_MATRIX.to_vec(),
+        }
+    }
+}
+
+/// One registry entry: an experiment `nasd-bench` can run by name.
+pub struct Experiment {
+    /// Command-line name; equals the `bench` field of the report.
+    pub name: &'static str,
+    /// What the experiment reproduces, printed above the table.
+    pub title: &'static str,
+    /// The paper's claim to read the table against, printed below it
+    /// (empty when there is none).
+    pub notes: &'static str,
+    /// Run the experiment.
+    pub run: fn(&RunArgs) -> BenchReport,
+}
+
+/// Every experiment, in suite order. This is the only list: `all`
+/// iterates it, `list` prints it, a name on the command line indexes it.
+pub const REGISTRY: &[Experiment] = &[
+    Experiment {
+        name: "fig3",
+        title: "Figure 3: drive ASIC gate budget (Quantum Trident function units)",
+        notes: "paper: ~110,000 gates today; the 0.35 micron shrink frees ~40 mm2, a 200 MHz\n\
+                StrongARM takes 27 mm2 of it, and crypto support fits in the gates left over.",
+        run: |_| fig3_report(),
+    },
+    Experiment {
+        name: "fig4",
+        title: "Figure 4: server cost overhead at maximum bandwidth vs NASD's ~10% uplift",
+        notes: "paper: low-cost server 380% at 1 disk -> 80% at 6; high-end 1300% at 1 -> 115% at 14.",
+        run: |_| fig4_report(&fig4::run()),
+    },
+    Experiment {
+        name: "fig6",
+        title: "Figure 6: sequential apparent bandwidth (MB/s) vs request size",
+        notes: "paper: FFS hit ~48, NASD hit ~40, raw read ~5, NASD miss ~5, FFS miss ~2.5 MB/s;\n\
+                raw write (~7) appears faster than raw read; FFS acks writes <= 64 KB at once.",
+        run: |_| fig6_report(&fig6::run()),
+    },
+    Experiment {
+        name: "fig7",
+        title: "Figure 7: cached-read scaling, 13 NASD drives, OC-3 links, 2 MB reads over 4 drives",
+        notes: "paper: aggregate grows roughly linearly toward ~55 MB/s at 10 clients; clients\n\
+                saturate (the DCE RPC receive path) while drive CPUs stay idle.",
+        run: |_| fig7_report(&fig7::run()),
+    },
+    Experiment {
+        name: "fig9",
+        title: "Figure 9: parallel data mining over 300 MB; NASD n clients x n drives vs one NFS server",
+        notes: "paper: NASD scales linearly at 6.2 MB/s per client-drive pair to 45 MB/s;\n\
+                NFS bottlenecks at ~20.2 MB/s, NFS-parallel at ~22.5 MB/s.",
+        run: |_| fig9_report(&fig9::run()),
+    },
+    Experiment {
+        name: "table1",
+        title: "Table 1: measured instructions and estimated time per drive request (200 MHz, CPI 2.2)",
+        notes: "paper_* columns are the paper's cells; its Barracuda comparison is 0.3 / 2.2 ms.",
+        run: |_| table1_report(),
+    },
+    Experiment {
+        name: "andrew",
+        title: "Andrew-style benchmark (5.1): NASD-NFS vs NFS, live op counts through per-op cost models",
+        notes: "paper: benchmark times within 5% of each other at 1 and 8 drives.",
+        run: |_| andrew_report(&andrew::run()),
+    },
+    Experiment {
+        name: "active_disks",
+        title: "Active Disks (6): frequent-sets counting at the drives",
+        notes: "paper: 45 MB/s with 10 Mb/s ethernet and 1/3 of the hardware.",
+        run: |_| active_report(&active::run()),
+    },
+    Experiment {
+        name: "ablations",
+        title: "Ablations: RPC stack cost (4.3), Cheops stripe unit (5.2), drive crypto (4.1), controller MHz (4.4)",
+        notes: "the paper chose a 512 KB stripe unit; the prototype's media rate is 6.4 MB/s.",
+        run: |_| ablations_report(),
+    },
+    Experiment {
+        name: "rebuild",
+        title: "Rebuild throttle sweep: degraded reads while nasd-mgmt rebuilds a failed column onto a spare",
+        notes: "tighter throttles lengthen the repair window (second-failure exposure) in\n\
+                exchange for foreground bandwidth during the rebuild.",
+        run: |_| rebuild_report(&rebuild::run()),
+    },
+    Experiment {
+        name: "perf",
+        title: "Data-path / simulator perf: wall clock, heap allocations, payload bytes memcpied per op",
+        notes: "",
+        run: |args| perf_report(&perf::run(args.probe), args.probe.is_some()),
+    },
+    Experiment {
+        name: "recovery",
+        title: "Recovery: mount time vs WAL length (64 B durable writes, 8 objects, no checkpoint)",
+        notes: "replay cost is linear in log length; the checkpoint cadence picks the point on\n\
+                this curve a crash is allowed to leave behind.",
+        run: |_| recovery_report(&recovery::run()),
+    },
+    Experiment {
+        name: "backup",
+        title: "Backup lifecycle: full, incremental (a handful of byte edits), verified restore, prune+GC",
+        notes: "unchanged chunks cost an index lookup, not a write; the prune+gc row shows\n\
+                physical bytes before/after the sweep reclaimed the pruned snapshot.",
+        run: |_| backup_report(&backup::run()),
+    },
+    Experiment {
+        name: "scale",
+        title: "Scale-out saturation: Fig 7 extended to 13-128 drives x 100-1000 closed-loop clients",
+        notes: "paper's Fig 7 tops out at 13 drives x 10 clients (~55 MB/s); the matrix shows\n\
+                where each fleet size saturates and on what.",
+        run: |args| scale_report(&scale::run_matrix(&args.drives, &args.clients)),
+    },
+];
+
+/// One CI bound on a report: `--max key=bound` / `--min key=bound` over
+/// the report's `derived` values (plus whatever the caller adds, e.g.
+/// the CLI-measured `wall_secs`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    key: String,
+    bound: f64,
+    is_max: bool,
+}
+
+impl Gate {
+    /// Parse the `key=bound` operand of `flag` (`--max` or `--min`).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the operand when it is not `key=<number>`.
+    pub fn parse(flag: &str, spec: &str) -> Result<Gate, String> {
+        let parsed = spec
+            .split_once('=')
+            .and_then(|(key, bound)| Some((key, bound.parse::<f64>().ok()?)));
+        match parsed {
+            Some((key, bound)) if !key.is_empty() && !bound.is_nan() => Ok(Gate {
+                key: key.to_owned(),
+                bound,
+                is_max: flag == "--max",
+            }),
+            _ => Err(format!("{flag} {spec}: expected <key>=<number>")),
+        }
+    }
+
+    /// Judge `values`: `Ok` with the verdict when the bound holds, `Err`
+    /// naming key, value and bound when it is missed — or when no value
+    /// is called `key`, so a renamed metric cannot pass by vanishing.
+    ///
+    /// # Errors
+    ///
+    /// See above.
+    pub fn check(&self, values: &[(String, f64)]) -> Result<String, String> {
+        let Gate { key, bound, is_max } = self;
+        let flag = if *is_max { "--max" } else { "--min" };
+        let Some((_, value)) = values.iter().find(|(k, _)| k == key) else {
+            let known: Vec<&str> = values.iter().map(|(k, _)| k.as_str()).collect();
+            return Err(format!("{flag} {key}: no such value (has: {known:?})"));
+        };
+        let holds = if *is_max {
+            value <= bound
+        } else {
+            value >= bound
+        };
+        if holds {
+            Ok(format!("{key} = {value} within {flag} {bound}"))
+        } else {
+            Err(format!("{key} = {value} misses {flag} {bound}"))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -480,6 +631,75 @@ mod tests {
         let back = BenchReport::from_json_str(&report.to_json_string()).unwrap();
         assert_eq!(back.bench, "fig4");
         assert_eq!(back.rows.len(), report.rows.len());
+    }
+
+    #[test]
+    fn registry_names_are_unique() {
+        let names: std::collections::BTreeSet<_> = REGISTRY.iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), REGISTRY.len());
+    }
+
+    #[test]
+    fn cheap_entries_render_every_row_and_key() {
+        for name in ["fig3", "fig4", "fig6", "fig7", "fig9", "ablations"] {
+            let entry = REGISTRY.iter().find(|e| e.name == name).expect(name);
+            let report = (entry.run)(&RunArgs::default());
+            assert_eq!(report.bench, name);
+            assert!(!report.rows.is_empty(), "{name}: no rows");
+            let back = BenchReport::from_json_str(&report.to_json_string()).expect(name);
+            assert_eq!(back, report, "{name}: not schema-stable");
+
+            let text = crate::table::render_report(&report);
+            let lines: Vec<&str> = text.lines().collect();
+            let rules: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].starts_with("---"))
+                .collect();
+            let headers: Vec<&str> = rules
+                .iter()
+                .flat_map(|&i| lines[i - 1].split_whitespace())
+                .collect();
+            for (key, _) in report.rows.iter().flatten() {
+                assert!(headers.contains(&key.as_str()), "{name}: no {key} column");
+            }
+            // Name, config, a blank + header + rule per table and a line
+            // per row, then a blank and the derived values.
+            let derived = report.derived.len() + usize::from(!report.derived.is_empty());
+            let expected = 1 + report.config.len() + 3 * rules.len() + report.rows.len() + derived;
+            assert_eq!(lines.len(), expected, "{name}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn gate_bounds_are_inclusive_and_bite() {
+        let at = |v: f64| vec![("other".to_owned(), 0.0), ("k".to_owned(), v)];
+        let max = Gate::parse("--max", "k=8").unwrap();
+        assert!(max.check(&at(8.0)).is_ok());
+        assert!(max.check(&at(7.5)).is_ok());
+        let miss = max.check(&at(8.01)).unwrap_err();
+        assert!(
+            miss.contains('k') && miss.contains("8.01") && miss.contains("--max 8"),
+            "{miss}"
+        );
+
+        let min = Gate::parse("--min", "k=1e1").unwrap();
+        assert!(min.check(&at(10.0)).is_ok());
+        assert!(min.check(&at(32.2)).is_ok());
+        let miss = min.check(&at(9.99)).unwrap_err();
+        assert!(miss.contains("9.99") && miss.contains("--min 10"), "{miss}");
+    }
+
+    #[test]
+    fn gate_rejects_unknown_keys_and_malformed_operands() {
+        let values = vec![("k".to_owned(), 1.0)];
+        let unknown = Gate::parse("--max", "renamed=5").unwrap();
+        let err = unknown.check(&values).unwrap_err();
+        assert!(
+            err.contains("renamed") && err.contains("no such value"),
+            "{err}"
+        );
+        for spec in ["k", "k=", "=5", "k=five", "k=NaN", ""] {
+            assert!(Gate::parse("--min", spec).is_err(), "{spec:?} parsed");
+        }
     }
 
     #[test]
@@ -500,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn backup_report_derives_tripwire_ratios() {
+    fn backup_report_derives_gated_ratios() {
         let row = |phase, logical, stored| backup::BackupRow {
             phase,
             logical_bytes: logical,

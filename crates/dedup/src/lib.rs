@@ -24,7 +24,7 @@
 //!   against concurrent backups (sessions pin their chunks), idempotent
 //!   and restartable after a drive crash,
 //! - [`BackupClient`] drives full and incremental backup sessions and
-//!   byte-identical restores; `cargo run -p nasd-bench --bin backup`
+//!   byte-identical restores; `cargo run -p nasd-bench -- backup`
 //!   measures them.
 
 #![forbid(unsafe_code)]

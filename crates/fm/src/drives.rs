@@ -69,10 +69,19 @@ impl Started<'_> {
     pub fn finish(self) -> Result<ReplyBody, FmError> {
         match self.reply.map(|rx| rx.recv()) {
             Some(Ok(reply)) if reply.status.is_ok() => Ok(reply.body),
-            Some(Ok(reply)) if !reply.status.is_transient() => Err(FmError::Drive(reply.status)),
+            Some(Ok(reply)) if !resign(reply.status) => Err(FmError::Drive(reply.status)),
             _ => self.ep.call(self.cap, self.body, self.data),
         }
     }
+}
+
+/// Whether to sign an attempt again: the drive bounced it (`Busy`) or
+/// refused its nonce. Every attempt's nonce is drawn just before the
+/// send, so `Replay` on one means callers sharing this endpoint's
+/// counter got a window's width of later nonces to the drive first. A
+/// fresh nonce clears that; a duplicated *message* still dies there.
+fn resign(status: NasdStatus) -> bool {
+    status.is_transient() || status == NasdStatus::Replay
 }
 
 impl DriveEndpoint {
@@ -114,9 +123,10 @@ impl DriveEndpoint {
     /// Run one signed exchange with retries. Every attempt is re-signed
     /// by `sign` with a fresh nonce, so a duplicate of an old attempt
     /// dies in the drive's replay window while the fresh one is
-    /// accepted. Timeouts, disconnections (the drive may be restarting)
-    /// and transient [`NasdStatus::Busy`] bounces back off and retry; any
-    /// other failure status ends the call as [`FmError::Drive`].
+    /// accepted. Timeouts, disconnections (the drive may be restarting),
+    /// transient [`NasdStatus::Busy`] bounces and a fresh nonce refused
+    /// as stale (see [`resign`]) back off and retry; any other failure
+    /// status ends the call as [`FmError::Drive`].
     fn call_signed(&self, mut sign: impl FnMut() -> Request) -> Result<ReplyBody, FmError> {
         let policy = self.retry();
         let attempts = policy.max_attempts.max(1);
@@ -128,7 +138,7 @@ impl DriveEndpoint {
                 .channel()
                 .call_with(sign(), &CallOptions::once(policy.timeout))
             {
-                Ok(reply) if reply.status.is_transient() => {}
+                Ok(reply) if resign(reply.status) => {}
                 Ok(reply) if reply.status.is_ok() => return Ok(reply.body),
                 Ok(reply) => return Err(FmError::Drive(reply.status)),
                 Err(RpcError::TimedOut | RpcError::Disconnected) => {}
@@ -877,5 +887,75 @@ mod tests {
         let fresh = ep.mint(p, obj, v1, Rights::READ, ByteRange::FULL, 100);
         assert!(ep.read(&fresh, 0, 0).is_ok());
         f.shutdown();
+    }
+
+    /// Delivers everything except the first request it is handed, which
+    /// it holds between two meetings at `step`: "I hold it" and "let it
+    /// go", once the test has let later nonces overtake it.
+    struct HoldFirst {
+        inner: Channel<Request, Reply>,
+        first: std::sync::atomic::AtomicBool,
+        step: std::sync::Barrier,
+    }
+
+    impl nasd_net::Transport<Request, Reply> for HoldFirst {
+        fn attempt(&self, req: Request, timeout: Option<Duration>) -> Result<Reply, RpcError> {
+            self.call_async(req)?.wait(timeout)
+        }
+
+        fn call_async(&self, req: Request) -> Result<Pending<Reply>, RpcError> {
+            if self.first.swap(false, Ordering::SeqCst) {
+                self.step.wait();
+                self.step.wait();
+            }
+            self.inner.call_async(req)
+        }
+    }
+
+    /// One caller signs a request; before it is delivered, callers
+    /// sharing the endpoint (every client of a fleet does) get more than
+    /// a replay window of later nonces to the drive.
+    fn overtaken_by_a_window(op: fn(&DriveEndpoint, &Capability) -> Result<ReplyBody, FmError>) {
+        let f = fleet(1);
+        let ep = f.endpoint(0);
+        let p = f.partition();
+        let obj = ep.create_object(p, 0, None, 100).unwrap();
+        let cap = ep.mint(p, obj, Version(0), Rights::GETATTR, ByteRange::FULL, 100);
+        let hold = Arc::new(HoldFirst {
+            inner: ep.channel(),
+            first: std::sync::atomic::AtomicBool::new(true),
+            step: std::sync::Barrier::new(2),
+        });
+        ep.reconnect(Channel::new(hold.clone()));
+
+        let overtaken = std::thread::scope(|s| {
+            let slow = s.spawn(|| op(ep, &cap));
+            hold.step.wait();
+            for _ in 0..70 {
+                ep.get_attr(&cap).unwrap();
+            }
+            hold.step.wait();
+            slow.join().unwrap()
+        });
+        assert!(
+            matches!(overtaken, Ok(ReplyBody::Attr(_))),
+            "a never-before-sent request was refused: {overtaken:?}"
+        );
+        f.shutdown();
+    }
+
+    #[test]
+    fn call_overtaken_by_a_replay_window_is_resigned() {
+        overtaken_by_a_window(|ep, cap| {
+            ep.call(cap, RequestBody::get_attr(&cap.public), Bytes::new())
+        });
+    }
+
+    #[test]
+    fn started_request_overtaken_by_a_replay_window_is_resigned() {
+        overtaken_by_a_window(|ep, cap| {
+            ep.start(cap, RequestBody::get_attr(&cap.public), Bytes::new())
+                .finish()
+        });
     }
 }

@@ -18,7 +18,7 @@
 //! - rebuild I/O is throttled through a [`nasd_net::RatePacer`] token
 //!   bucket so foreground traffic degrades gracefully instead of
 //!   collapsing (the degraded-vs-rebuild trade-off is a measurable
-//!   curve: `cargo run -p nasd-bench --bin rebuild`),
+//!   curve: `cargo run -p nasd-bench -- rebuild`),
 //! - a scrubber walks stripes verifying parity/mirror agreement and
 //!   repairing latent errors before a second failure makes them fatal.
 //!

@@ -18,11 +18,10 @@
 //!   (request id, drive id, op, phase) with a JSONL dump for debugging
 //!   chaos-test failures.
 //! * [`BenchReport`] — the versioned machine-readable schema every
-//!   `nasd-bench` binary emits under `--json`, built on a dependency-free
+//!   `nasd-bench` experiment emits under `--json`, built on a dependency-free
 //!   [`Json`] value type (the workspace's serde is an offline no-op shim).
-//! * [`Throughput`] / [`UtilizationTracker`] — the original `nasd-sim`
-//!   accounting helpers, folded in here and re-exported from `nasd-sim`
-//!   for compatibility.
+//! * [`Throughput`] — the original `nasd-sim` bandwidth meter, folded
+//!   in here and re-exported from `nasd-sim` for compatibility.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +40,6 @@ pub use metrics::{
     UtilizationSnapshot,
 };
 pub use report::{BenchReport, SchemaError, BENCH_REPORT_SCHEMA, BENCH_SUITE_SCHEMA};
-pub use stats::{Throughput, UtilizationTracker};
+pub use stats::Throughput;
 pub use time::SimTime;
 pub use trace::{TraceEvent, TraceSink};

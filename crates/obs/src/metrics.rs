@@ -241,9 +241,8 @@ impl HistogramSnapshot {
 ///
 /// Overlapping and out-of-order intervals are coalesced into a sorted
 /// disjoint set, so concurrent reservations on a shared resource don't
-/// double-count busy time the way the scalar
-/// [`UtilizationTracker`](crate::UtilizationTracker) would. Inverted or
-/// empty intervals are ignored rather than panicking (P1).
+/// double-count busy time the way a scalar busy-time sum would.
+/// Inverted or empty intervals are ignored rather than panicking (P1).
 #[derive(Debug, Default)]
 pub struct Utilization {
     /// Sorted, pairwise-disjoint `[start, end)` intervals in nanoseconds.

@@ -1,6 +1,6 @@
 //! The versioned, machine-readable benchmark report.
 //!
-//! Every `nasd-bench` binary can emit its tables as a [`BenchReport`]
+//! Every `nasd-bench` experiment produces a [`BenchReport`], written
 //! under `--json <path>`, so reproduction results can be diffed, plotted
 //! and regression-checked without scraping ASCII tables. The schema is
 //! versioned (`nasd-bench-report/v1`); [`BenchReport::from_json`]
@@ -13,7 +13,7 @@ use crate::json::Json;
 
 /// Schema identifier for a single report.
 pub const BENCH_REPORT_SCHEMA: &str = "nasd-bench-report/v1";
-/// Schema identifier for a suite (the output of `benchjson baseline`).
+/// Schema identifier for a suite (the output of `nasd-bench all`).
 pub const BENCH_SUITE_SCHEMA: &str = "nasd-bench-suite/v1";
 
 /// A report failed schema validation.
@@ -212,7 +212,7 @@ impl BenchReport {
     }
 
     /// Bundle several reports into a suite object under
-    /// [`BENCH_SUITE_SCHEMA`] (what `benchjson baseline` emits).
+    /// [`BENCH_SUITE_SCHEMA`] (what `nasd-bench all` emits).
     #[must_use]
     pub fn suite_to_json(reports: &[BenchReport]) -> Json {
         Json::Obj(vec![

@@ -1,9 +1,8 @@
-//! Single-owner measurement helpers: throughput meters and busy/idle
-//! tracking.
+//! The single-owner throughput meter.
 //!
-//! These predate the shared [`Registry`](crate::Registry) and remain the
+//! It predates the shared [`Registry`](crate::Registry) and remains the
 //! right tool when one harness owns the meter (`&mut self`, no atomics);
-//! `nasd-sim` re-exports them for compatibility. For cross-thread or
+//! `nasd-sim` re-exports it for compatibility. For cross-thread or
 //! cross-subsystem accounting use [`Counter`](crate::Counter) /
 //! [`Utilization`](crate::Utilization) instead.
 
@@ -80,58 +79,6 @@ impl Throughput {
     }
 }
 
-/// Tracks the busy/idle timeline of an entity (a client or drive CPU) and
-/// reports percent idle, as plotted in Figure 7.
-///
-/// Busy intervals may be reported out of order but must not overlap —
-/// each entity is a single processor.
-#[derive(Debug, Clone, Default)]
-pub struct UtilizationTracker {
-    busy: SimTime,
-    horizon: SimTime,
-}
-
-impl UtilizationTracker {
-    /// Create a tracker with no recorded activity.
-    #[must_use]
-    pub fn new() -> Self {
-        UtilizationTracker::default()
-    }
-
-    /// Record a busy interval `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn record_busy(&mut self, start: SimTime, end: SimTime) {
-        assert!(end >= start, "busy interval ends before it starts");
-        self.busy += end - start;
-        self.horizon = self.horizon.max(end);
-    }
-
-    /// Total busy time recorded.
-    #[must_use]
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Latest time seen.
-    #[must_use]
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
-    /// Percent of `elapsed` spent idle (0–100).
-    #[must_use]
-    pub fn percent_idle(&self, elapsed: SimTime) -> f64 {
-        if elapsed == SimTime::ZERO {
-            return 100.0;
-        }
-        let busy_frac = (self.busy.as_secs_f64() / elapsed.as_secs_f64()).min(1.0);
-        (1.0 - busy_frac) * 100.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,29 +100,5 @@ mod tests {
         let t = Throughput::new();
         assert_eq!(t.mbytes_per_sec(SimTime::ZERO), 0.0);
         assert_eq!(t.ops_per_sec(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn idle_percentage() {
-        let mut u = UtilizationTracker::new();
-        u.record_busy(SimTime::from_millis(0), SimTime::from_millis(30));
-        u.record_busy(SimTime::from_millis(50), SimTime::from_millis(70));
-        assert_eq!(u.busy_time(), SimTime::from_millis(50));
-        assert!((u.percent_idle(SimTime::from_millis(100)) - 50.0).abs() < 1e-9);
-        assert_eq!(u.horizon(), SimTime::from_millis(70));
-    }
-
-    #[test]
-    fn idle_with_no_activity_is_100() {
-        let u = UtilizationTracker::new();
-        assert_eq!(u.percent_idle(SimTime::from_secs(1)), 100.0);
-        assert_eq!(u.percent_idle(SimTime::ZERO), 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "busy interval")]
-    fn inverted_interval_panics() {
-        let mut u = UtilizationTracker::new();
-        u.record_busy(SimTime::from_millis(2), SimTime::from_millis(1));
     }
 }

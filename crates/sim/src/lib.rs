@@ -44,7 +44,7 @@ mod resource;
 
 pub use kernel::{EventId, Simulator, WheelParams};
 pub use resource::{BandwidthShare, CpuModel, FifoResource};
-// `SimTime` and the single-owner accounting helpers moved to `nasd-obs`
+// `SimTime` and the single-owner throughput meter moved to `nasd-obs`
 // (the observability layer sits below the kernel so metrics can be keyed
 // on simulated time); re-exported here so downstream code is unchanged.
-pub use nasd_obs::{SimTime, Throughput, UtilizationTracker};
+pub use nasd_obs::{SimTime, Throughput};

@@ -1,4 +1,4 @@
-//! Arrival processes: when the next request is issued.
+//! The arrival process: when a closed-loop user issues its next request.
 
 use nasd_obs::SimTime;
 use rand::{Rng, SeedableRng, StdRng};
@@ -9,46 +9,6 @@ fn exp_sample(rng: &mut StdRng, mean_secs: f64) -> SimTime {
     // u in [0, 1); 1-u in (0, 1] so ln() is finite.
     let u: f64 = rng.gen();
     SimTime::from_secs_f64(-(1.0 - u).ln() * mean_secs)
-}
-
-/// Open-loop (Poisson) arrival process.
-///
-/// Requests arrive at a fixed offered rate regardless of how fast the
-/// system completes them — the regime of a storage service fronting a
-/// large, independent user population. Interarrival gaps are i.i.d.
-/// exponential with mean `1/rate`, so the counting process is Poisson.
-///
-/// Open-loop load is the stressful kind: when the system saturates, the
-/// queue grows without bound instead of the clients politely backing
-/// off. The scale bench uses it to find the saturation knee.
-#[derive(Debug)]
-pub struct OpenLoop {
-    mean_gap_secs: f64,
-    rng: StdRng,
-}
-
-impl OpenLoop {
-    /// An open-loop source issuing `rate_per_sec` requests per second
-    /// on average, seeded for reproducibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate_per_sec` is finite and positive.
-    pub fn new(rate_per_sec: f64, seed: u64) -> Self {
-        assert!(
-            rate_per_sec.is_finite() && rate_per_sec > 0.0,
-            "open-loop rate must be finite and positive"
-        );
-        OpenLoop {
-            mean_gap_secs: 1.0 / rate_per_sec,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Gap between the previous arrival and the next one.
-    pub fn next_gap(&mut self) -> SimTime {
-        exp_sample(&mut self.rng, self.mean_gap_secs)
-    }
 }
 
 /// Closed-loop arrival process.
@@ -88,25 +48,6 @@ impl ClosedLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn open_loop_mean_gap_matches_rate() {
-        let mut src = OpenLoop::new(1000.0, 42);
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| src.next_gap().as_secs_f64()).sum();
-        let mean = total / n as f64;
-        // Mean gap should be ~1ms; CLT gives a tight bound at n=20k.
-        assert!((mean - 1e-3).abs() < 1e-4, "mean gap {mean}");
-    }
-
-    #[test]
-    fn open_loop_is_deterministic_per_seed() {
-        let mut a = OpenLoop::new(50.0, 7);
-        let mut b = OpenLoop::new(50.0, 7);
-        for _ in 0..100 {
-            assert_eq!(a.next_gap(), b.next_gap());
-        }
-    }
 
     #[test]
     fn closed_loop_zero_think_is_back_to_back() {

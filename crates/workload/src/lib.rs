@@ -10,13 +10,10 @@
 //!   skewed; a Zipf(θ) distribution over object ranks reproduces the
 //!   hot-set behaviour that makes capability caching and FM sharding
 //!   matter.
-//! * [`OpenLoop`] — Poisson arrivals at a fixed offered rate,
-//!   independent of completions: the "millions of independent users"
-//!   regime where load does not back off when the system slows. Gaps
-//!   are exponential via inverse-transform sampling.
 //! * [`ClosedLoop`] — each simulated user issues, waits, thinks
-//!   (exponentially distributed), repeats: the benchmark-client regime
-//!   of the paper's own experiments.
+//!   (exponentially distributed, by inverse-transform sampling),
+//!   repeats: the benchmark-client regime of the paper's own
+//!   experiments, and the only one any driver here runs.
 //! * [`OpMix`] + [`RequestStream`] — weighted read/write/getattr
 //!   traffic over zipf-ranked objects, fully determined by a seed.
 //! * [`driver`] — applies a stream to a live fleet through the real
@@ -36,7 +33,7 @@ mod mix;
 mod stream;
 mod zipf;
 
-pub use arrival::{ClosedLoop, OpenLoop};
+pub use arrival::ClosedLoop;
 pub use mix::{OpKind, OpMix};
 pub use stream::{Request, RequestStream, WorkloadSpec};
 pub use zipf::Zipf;

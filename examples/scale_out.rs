@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("seeded replay reproduced the op mix exactly");
 
     println!("\n== where fleets saturate (the scale bench at full size) ==");
-    println!("cargo run --release -p nasd-bench --bin scale runs the");
+    println!("cargo run --release -p nasd-bench -- scale runs the");
     println!("13/32/64/128-drive x 100/400/1000-client matrix: 13 drives");
     println!("saturate drive-side at ~220 MB/s from 400 clients; 128");
     println!("drives reach ~1.8 GB/s; the FM shards never saturate first.");
