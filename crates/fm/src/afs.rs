@@ -15,15 +15,15 @@
 //!   object"; on relinquish the manager examines the object's size and
 //!   settles the quota books.
 
+use crate::core::FmCore;
 use crate::dirfmt::{decode_dir, DirRecord};
 use crate::drives::DriveFleet;
-use crate::handle::{FileHandle, FmAttrs, FmError};
+use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
 use crate::link::ManagerLink;
-use crate::nfs::DEFAULT_TTL;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
-use nasd_proto::{ByteRange, Capability, Rights, Version};
+use nasd_proto::{ByteRange, Capability, Rights};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -132,23 +132,51 @@ struct WriterGrant {
 }
 
 struct AfsState {
-    /// Per-file callback registrations.
+    /// Per-file callback holders, each client at most once.
     callbacks: HashMap<FileHandle, Vec<u64>>,
     /// Callback delivery channels.
     senders: HashMap<u64, Sender<CallbackEvent>>,
     /// Outstanding write capability per file.
     writers: HashMap<FileHandle, WriterGrant>,
-    /// Volume accounting.
+    /// Volume quota in bytes.
     quota: u64,
+    /// Bytes in use: every file's `charged` plus every outstanding
+    /// writer's escrow.
     used: u64,
+    /// Bytes each file's settled writes were charged, returned to the
+    /// volume when the file is removed.
+    charged: HashMap<FileHandle, u64>,
 }
 
-/// The NASD-AFS file manager. Uses the same NFS manager internally for
-/// namespace bootstrap (files and directories are the same NASD objects);
-/// what differs is the capability issuing discipline.
+impl AfsState {
+    /// Signal every callback holder of `fh` but `except`, and forget
+    /// them.
+    fn break_callbacks(&mut self, fh: FileHandle, except: u64) {
+        let Some(holders) = self.callbacks.remove(&fh) else {
+            return;
+        };
+        for holder in holders.iter().filter(|&&h| h != except) {
+            if let Some(tx) = self.senders.get(holder) {
+                if tx.send(CallbackEvent { fh }).is_err() {
+                    // The client's callback channel is dead: drop its
+                    // registration so future breaks stop signalling it.
+                    self.senders.remove(holder);
+                }
+            }
+        }
+        if holders.contains(&except) {
+            self.callbacks.insert(fh, vec![except]);
+        }
+    }
+}
+
+/// The NASD-AFS file manager: the AFS personality of the file-manager
+/// core (`core.rs`). Files and directories are the same NASD objects
+/// under the same namespace as NFS; what this adds is the capability
+/// issuing discipline — callbacks, writer blocks and quota escrow, all
+/// volatile by design.
 pub struct NasdAfs {
-    nfs: crate::nfs::NasdNfs,
-    fleet: Arc<DriveFleet>,
+    core: Arc<FmCore>,
     state: Mutex<AfsState>,
 }
 
@@ -160,67 +188,21 @@ impl NasdAfs {
     ///
     /// Drive failures during bootstrap.
     pub fn new(fleet: Arc<DriveFleet>, quota: u64) -> Result<Self, FmError> {
-        let nfs = crate::nfs::NasdNfs::new(Arc::clone(&fleet))?;
-        Ok(NasdAfs {
-            nfs,
-            fleet,
+        Ok(Self::over(Arc::new(FmCore::new(fleet)?), quota))
+    }
+
+    /// The AFS personality over an existing core.
+    pub(crate) fn over(core: Arc<FmCore>, quota: u64) -> Self {
+        NasdAfs {
+            core,
             state: Mutex::new(AfsState {
                 callbacks: HashMap::new(),
                 senders: HashMap::new(),
                 writers: HashMap::new(),
                 quota,
                 used: 0,
+                charged: HashMap::new(),
             }),
-        })
-    }
-
-    fn attrs_and_cap(
-        &self,
-        fh: FileHandle,
-        rights: Rights,
-        region: ByteRange,
-    ) -> Result<(Capability, FmAttrs), FmError> {
-        // Reuse the NFS manager's bookkeeping (versions) through its
-        // public request interface.
-        let resp = self.nfs.handle(crate::nfs::NfsRequest::GetAttr { fh });
-        let attrs = match resp {
-            crate::nfs::NfsResponse::Attrs(a) => a,
-            crate::nfs::NfsResponse::Err(e) => return Err(e),
-            _ => return Err(FmError::Transport),
-        };
-        let ep = self.fleet.resolve(fh)?;
-        let cap = ep.mint(
-            fh.partition,
-            fh.object,
-            Version(0),
-            rights,
-            region,
-            self.fleet.now() + DEFAULT_TTL,
-        );
-        Ok((cap, attrs))
-    }
-
-    fn break_callbacks(&self, state: &mut AfsState, fh: FileHandle, except: u64) {
-        if let Some(holders) = state.callbacks.remove(&fh) {
-            let mut keep = Vec::new();
-            for holder in holders {
-                if holder == except {
-                    keep.push(holder);
-                    continue;
-                }
-                let gone = match state.senders.get(&holder) {
-                    Some(tx) => tx.send(CallbackEvent { fh }).is_err(),
-                    None => false,
-                };
-                if gone {
-                    // The client's callback channel is dead: drop its
-                    // registration so future breaks stop signalling it.
-                    state.senders.remove(&holder);
-                }
-            }
-            if !keep.is_empty() {
-                state.callbacks.insert(fh, keep);
-            }
         }
     }
 
@@ -233,14 +215,15 @@ impl NasdAfs {
     }
 
     fn handle_inner(&self, req: AfsRequest) -> Result<AfsResponse, FmError> {
+        let core = &self.core;
         match req {
             AfsRequest::Register { client, sender } => {
                 self.state.lock().senders.insert(client, sender);
                 Ok(AfsResponse::Ok)
             }
-            AfsRequest::GetRoot => Ok(AfsResponse::Root(self.nfs.root())),
+            AfsRequest::GetRoot => Ok(AfsResponse::Root(core.root())),
             AfsRequest::FetchRead { client, fh } => {
-                let now = self.fleet.now();
+                let now = core.now();
                 {
                     let mut state = self.state.lock();
                     if let Some(w) = state.writers.get(&fh) {
@@ -251,14 +234,17 @@ impl NasdAfs {
                         }
                         state.writers.remove(&fh);
                     }
-                    state.callbacks.entry(fh).or_default().push(client);
+                    let holders = state.callbacks.entry(fh).or_default();
+                    if !holders.contains(&client) {
+                        holders.push(client);
+                    }
                 }
-                let (cap, attrs) =
-                    self.attrs_and_cap(fh, Rights::READ | Rights::GETATTR, ByteRange::FULL)?;
+                let attrs = core.attrs(fh)?;
+                let cap = core.grant(fh, Rights::READ | Rights::GETATTR, ByteRange::FULL)?;
                 Ok(AfsResponse::Granted(Box::new(cap), attrs))
             }
             AfsRequest::FetchWrite { client, fh, escrow } => {
-                let now = self.fleet.now();
+                let now = core.now();
                 // Quota escrow check first.
                 {
                     let mut state = self.state.lock();
@@ -274,118 +260,79 @@ impl NasdAfs {
                         return Err(FmError::QuotaExceeded);
                     }
                 }
+                let attrs = core.attrs(fh)?;
+                let cap = core.grant(
+                    fh,
+                    Rights::READ | Rights::WRITE | Rights::GETATTR | Rights::RESIZE,
+                    ByteRange::new(0, attrs.size + escrow),
+                )?;
                 // "The file manager no longer knows that a write operation
                 // arrived at a drive so must inform clients as soon as a
                 // write may occur": break callbacks at issue time.
-                let (_, attrs) = self.attrs_and_cap(fh, Rights::GETATTR, ByteRange::FULL)?;
-                let region = ByteRange::new(0, attrs.size + escrow);
-                let (cap, attrs) = self.attrs_and_cap(
+                let mut state = self.state.lock();
+                state.break_callbacks(fh, client);
+                state.writers.insert(
                     fh,
-                    Rights::READ | Rights::WRITE | Rights::GETATTR | Rights::RESIZE,
-                    region,
-                )?;
-                let expires = cap.public.expires;
-                {
-                    let mut state = self.state.lock();
-                    self.break_callbacks(&mut state, fh, client);
-                    state.writers.insert(
-                        fh,
-                        WriterGrant {
-                            client,
-                            escrow,
-                            base_size: attrs.size,
-                            expires,
-                        },
-                    );
-                    state.used += escrow;
-                }
+                    WriterGrant {
+                        client,
+                        escrow,
+                        base_size: attrs.size,
+                        expires: cap.public.expires,
+                    },
+                );
+                state.used += escrow;
                 Ok(AfsResponse::Granted(Box::new(cap), attrs))
             }
             AfsRequest::Relinquish { client, fh, write } => {
                 if write {
-                    let grant = {
-                        let mut state = self.state.lock();
-                        match state.writers.get(&fh) {
-                            Some(w) if w.client == client => state.writers.remove(&fh),
-                            _ => None,
-                        }
+                    // "The file manager can examine the object to
+                    // determine its new size and update the quota data
+                    // structures appropriately."
+                    let size = core.attrs(fh).map(|a| a.size);
+                    let mut state = self.state.lock();
+                    let grant = match state.writers.get(&fh) {
+                        Some(w) if w.client == client => state.writers.remove(&fh),
+                        _ => None,
                     };
                     if let Some(grant) = grant {
-                        // "The file manager can examine the object to
-                        // determine its new size and update the quota data
-                        // structures appropriately."
-                        let resp = self.nfs.handle(crate::nfs::NfsRequest::GetAttr { fh });
-                        let new_size = match resp {
-                            crate::nfs::NfsResponse::Attrs(a) => a.size,
-                            _ => grant.base_size,
-                        };
-                        let mut state = self.state.lock();
-                        state.used = state.used.saturating_sub(grant.escrow);
-                        let grown = new_size.saturating_sub(grant.base_size);
-                        state.used += grown;
+                        let grown = size.map_or(0, |s| s.saturating_sub(grant.base_size));
+                        state.used = state.used.saturating_sub(grant.escrow) + grown;
+                        *state.charged.entry(fh).or_default() += grown;
                     }
-                } else {
-                    let mut state = self.state.lock();
-                    if let Some(holders) = state.callbacks.get_mut(&fh) {
-                        holders.retain(|&c| c != client);
-                    }
+                } else if let Some(holders) = self.state.lock().callbacks.get_mut(&fh) {
+                    holders.retain(|&c| c != client);
                 }
                 Ok(AfsResponse::Ok)
             }
+            // Directory updates go through the manager; clients parse
+            // directories locally, so each one breaks the directory's
+            // callbacks.
             AfsRequest::Create {
                 dir,
                 name,
                 mode,
                 uid,
             } => {
-                let resp = self.nfs.handle(crate::nfs::NfsRequest::Create {
-                    dir,
-                    name,
-                    mode,
-                    uid,
-                });
-                match resp {
-                    crate::nfs::NfsResponse::Created(fh, _) => {
-                        // Directory contents changed: break directory
-                        // callbacks (clients parse directories locally).
-                        let mut state = self.state.lock();
-                        self.break_callbacks(&mut state, dir, u64::MAX);
-                        Ok(AfsResponse::Handle(fh))
-                    }
-                    crate::nfs::NfsResponse::Err(e) => Err(e),
-                    _ => Err(FmError::Transport),
-                }
+                let fh = core.add(dir, name, FileType::Regular, mode, uid)?;
+                self.state.lock().break_callbacks(dir, u64::MAX);
+                Ok(AfsResponse::Handle(fh))
             }
             AfsRequest::Mkdir { dir, name } => {
-                let resp = self.nfs.handle(crate::nfs::NfsRequest::Mkdir {
-                    dir,
-                    name,
-                    mode: 0o755,
-                    uid: 0,
-                });
-                match resp {
-                    crate::nfs::NfsResponse::Handle(fh) => {
-                        let mut state = self.state.lock();
-                        self.break_callbacks(&mut state, dir, u64::MAX);
-                        Ok(AfsResponse::Handle(fh))
-                    }
-                    crate::nfs::NfsResponse::Err(e) => Err(e),
-                    _ => Err(FmError::Transport),
-                }
+                let fh = core.add(dir, name, FileType::Directory, 0o755, 0)?;
+                self.state.lock().break_callbacks(dir, u64::MAX);
+                Ok(AfsResponse::Handle(fh))
             }
             AfsRequest::Remove { dir, name } => {
-                let resp = self
-                    .nfs
-                    .handle(crate::nfs::NfsRequest::Remove { dir, name });
-                match resp {
-                    crate::nfs::NfsResponse::Ok => {
-                        let mut state = self.state.lock();
-                        self.break_callbacks(&mut state, dir, u64::MAX);
-                        Ok(AfsResponse::Ok)
-                    }
-                    crate::nfs::NfsResponse::Err(e) => Err(e),
-                    _ => Err(FmError::Transport),
-                }
+                let gone = core.remove(dir, name)?.handle;
+                let mut state = self.state.lock();
+                state.break_callbacks(dir, u64::MAX);
+                // The victim's bytes, and any escrow still out on it, go
+                // back to the volume; nobody can hold a callback on it.
+                let freed = state.charged.remove(&gone).unwrap_or(0)
+                    + state.writers.remove(&gone).map_or(0, |w| w.escrow);
+                state.used = state.used.saturating_sub(freed);
+                state.callbacks.remove(&gone);
+                Ok(AfsResponse::Ok)
             }
             AfsRequest::VolumeStat => {
                 let state = self.state.lock();
@@ -644,6 +591,7 @@ impl std::fmt::Debug for AfsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::DEFAULT_TTL;
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;
 
@@ -785,5 +733,49 @@ mod tests {
             ep.write(&cap, 1_000, Bytes::from(vec![0u8; 1])),
             Err(FmError::Drive(nasd_proto::NasdStatus::RangeViolation))
         ));
+    }
+
+    #[test]
+    fn remove_returns_the_files_quota() {
+        let (rpc, fleet) = setup(10_000);
+        let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), fleet).unwrap();
+        let call = |req| rpc.call_with(req, &CallOptions::blocking()).unwrap();
+        let remove = |name: &str| AfsRequest::Remove {
+            dir: a.root(),
+            name: name.to_string(),
+        };
+
+        let fh = a.create(a.root(), "big").unwrap();
+        a.write_file(fh, &[7u8; 5_000]).unwrap();
+        let stat = call(AfsRequest::VolumeStat);
+        assert!(
+            matches!(stat, AfsResponse::Volume(10_000, 5_000)),
+            "{stat:?}"
+        );
+        assert!(matches!(call(remove("big")), AfsResponse::Ok));
+        let stat = call(AfsRequest::VolumeStat);
+        assert!(matches!(stat, AfsResponse::Volume(10_000, 0)), "{stat:?}");
+        // The volume is empty again: the same write fits on a fresh file.
+        let fresh = a.create(a.root(), "next").unwrap();
+        a.write_file(fresh, &[8u8; 5_000]).unwrap();
+
+        // Escrow still out on a removed file comes back with it.
+        a.fetch_write(fresh, 4_000).unwrap();
+        assert!(matches!(call(remove("next")), AfsResponse::Ok));
+        let stat = call(AfsRequest::VolumeStat);
+        assert!(matches!(stat, AfsResponse::Volume(10_000, 0)), "{stat:?}");
+    }
+
+    #[test]
+    fn one_holder_one_callback() {
+        let (rpc, fleet) = setup(1 << 20);
+        let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
+        let b = AfsClient::attach(2, Channel::in_proc(rpc), fleet).unwrap();
+        let fh = a.create(a.root(), "popular").unwrap();
+        for _ in 0..3 {
+            b.fetch_read(fh).unwrap();
+        }
+        a.write_file(fh, b"changed").unwrap();
+        assert_eq!(b.poll_callbacks(), vec![CallbackEvent { fh }]);
     }
 }

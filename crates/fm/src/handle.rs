@@ -49,6 +49,17 @@ pub struct FmAttrs {
 }
 
 impl FmAttrs {
+    /// Attributes of a just-created, still empty file or directory.
+    pub(crate) fn fresh(file_type: FileType, mode: u16, uid: u32) -> FmAttrs {
+        FmAttrs {
+            file_type,
+            size: 0,
+            mtime: 0,
+            mode,
+            uid,
+        }
+    }
+
     /// Pack the file-manager-policy fields into the head of an
     /// `fs_specific` attribute block.
     #[must_use]

@@ -4,14 +4,16 @@
 //! NASD objects... each file and each directory occupies exactly one NASD
 //! object, and offsets in files are the same as offsets in objects."
 //!
-//! This crate implements:
+//! This crate implements one file-manager core (`core.rs`: the
+//! namespace in directory objects, policy attributes, the revocation
+//! version table and the capability mint) and, over it:
 //!
-//! * [`NasdNfs`] — an NFS-style file manager: stateless, weak cache
+//! * [`NasdNfs`] — the NFS personality: stateless, weak cache
 //!   consistency; `lookup` piggybacks capabilities; data-moving
 //!   operations go client → drive directly; directory parsing stays at
 //!   the file manager.
 //! * [`NfsClient`] — the client library pairing with [`NasdNfs`].
-//! * [`NasdAfs`] — an AFS-style file manager: explicit capability
+//! * [`NasdAfs`] — the AFS personality: explicit capability
 //!   fetch/relinquish RPCs, callbacks broken when a write capability is
 //!   issued, and per-volume quota enforced by byte-range escrow.
 //! * [`NfsServer`] — the traditional store-and-forward NFS server
@@ -28,6 +30,7 @@
 mod afs;
 mod capcache;
 mod connect;
+mod core;
 mod dirfmt;
 mod drives;
 mod handle;

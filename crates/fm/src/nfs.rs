@@ -8,23 +8,16 @@
 //! piggybacked on the file manager's response to lookup operations."
 
 use crate::capcache::{CapCacheStats, LeaseCache, CAP_CACHE_CAPACITY};
-use crate::dirfmt::{decode_dir, encode_dir, DirRecord};
+use crate::core::FmCore;
+use crate::dirfmt::DirRecord;
 use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
 use crate::link::ManagerLink;
-use crate::shard::FmShared;
 use bytes::{ByteRope, Bytes};
 use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
 use nasd_obs::Registry;
-use nasd_proto::{
-    route_hash, shard_index, ByteRange, Capability, NasdStatus, RequestBody, RetryClass, Rights,
-    Version,
-};
-use std::sync::atomic::Ordering;
+use nasd_proto::{route_hash, shard_index, ByteRange, Capability, RetryClass, Rights};
 use std::sync::Arc;
-
-/// Default capability lifetime issued by the file manager (seconds).
-pub const DEFAULT_TTL: u64 = 3_600;
 
 /// Requests a client sends to the NFS file manager.
 #[derive(Clone, Debug)]
@@ -124,20 +117,17 @@ pub enum NfsResponse {
     Err(FmError),
 }
 
-/// The NASD-NFS file manager.
+/// The NASD-NFS file manager: the NFS personality of the file-manager
+/// core (`core.rs`) — this wire enum, and the rule that a capability
+/// rides on the `lookup`/`create` reply.
 ///
 /// One instance can serve any number of service loops (shards): all
-/// coherent state — revocation versions, directory locks, the placement
-/// cursor — lives in a shared table (`shard.rs`), so
+/// coherent state lives in the core, so
 /// [`spawn_sharded`](Self::spawn_sharded) is just N queues over the
 /// same manager. Clients route requests by handle hash; see
 /// [`FmConnect::nfs_sharded`](crate::FmConnect::nfs_sharded).
 pub struct NasdNfs {
-    fleet: Arc<DriveFleet>,
-    root: FileHandle,
-    /// Revocation versions, directory locks, placement cursor — shared
-    /// by every service loop of this manager.
-    shared: Arc<FmShared>,
+    core: Arc<FmCore>,
 }
 
 impl NasdNfs {
@@ -148,109 +138,27 @@ impl NasdNfs {
     ///
     /// Drive failures during bootstrap.
     pub fn new(fleet: Arc<DriveFleet>) -> Result<Self, FmError> {
-        let p = fleet.partition();
-        let ep = fleet.endpoint(0);
-        let expires = fleet.now() + DEFAULT_TTL;
-        let obj = ep.create_object(p, 0, None, expires)?;
-        let root = FileHandle {
-            drive: ep.id(),
-            partition: p,
-            object: obj,
-        };
-        let fm = NasdNfs {
-            fleet,
-            root,
-            shared: Arc::new(FmShared::new()),
-        };
-        // Stamp directory policy attributes.
-        let attrs = FmAttrs {
-            file_type: FileType::Directory,
-            size: 0,
-            mtime: 0,
-            mode: 0o755,
-            uid: 0,
-        };
-        fm.write_policy(root, &attrs)?;
-        Ok(fm)
+        Ok(Self::over(Arc::new(FmCore::new(fleet)?)))
+    }
+
+    /// The NFS personality over an existing core.
+    pub(crate) fn over(core: Arc<FmCore>) -> Self {
+        NasdNfs { core }
     }
 
     /// The root directory handle.
     #[must_use]
     pub fn root(&self) -> FileHandle {
-        self.root
+        self.core.root()
     }
 
-    fn version_of(&self, fh: FileHandle) -> Version {
-        self.shared.versions.get(fh)
-    }
-
-    /// Mint the manager's own full-rights capability for `fh`.
-    fn own_cap(&self, fh: FileHandle) -> Result<(Arc<DriveEndpoint>, Capability), FmError> {
-        let ep = Arc::clone(self.fleet.resolve(fh)?);
-        let cap = ep.mint(
-            fh.partition,
-            fh.object,
-            self.version_of(fh),
-            Rights::ALL,
-            ByteRange::FULL,
-            self.fleet.now() + DEFAULT_TTL,
-        );
-        Ok((ep, cap))
-    }
-
-    fn write_policy(&self, fh: FileHandle, attrs: &FmAttrs) -> Result<(), FmError> {
-        let (ep, cap) = self.own_cap(fh)?;
-        let mut fs_specific = [0u8; nasd_proto::FS_SPECIFIC_ATTR_LEN];
-        fs_specific
-            .get_mut(..8)
-            .ok_or(FmError::Drive(NasdStatus::DriveError))?
-            // nasd-lint: allow(hot-path-copy, "fixed-size fs-specific attribute block, not payload")
-            .copy_from_slice(&attrs.pack_policy());
-        ep.set_fs_specific(&cap, fs_specific)
-    }
-
-    fn attrs_of(&self, fh: FileHandle) -> Result<FmAttrs, FmError> {
-        let (ep, cap) = self.own_cap(fh)?;
-        FmAttrs::from_object(&ep.get_attr(&cap)?)
-    }
-
-    fn read_dir(&self, dir: FileHandle) -> Result<Vec<DirRecord>, FmError> {
-        let (ep, cap) = self.own_cap(dir)?;
-        // Directory decoding needs contiguous bytes: flatten here, at
-        // the consumer, not on the wire path.
-        let data = ep.read(&cap, 0, u64::MAX)?.flatten();
-        decode_dir(&data).map_err(|_| FmError::Drive(NasdStatus::DriveError))
-    }
-
-    fn write_dir(&self, dir: FileHandle, entries: &[DirRecord]) -> Result<(), FmError> {
-        let (ep, cap) = self.own_cap(dir)?;
-        let data = encode_dir(entries);
-        let new_len = data.len() as u64;
-        ep.write(&cap, 0, Bytes::from(data))?;
-        // Shrink if entries were removed.
-        ep.call(
-            &cap,
-            RequestBody::Resize {
-                partition: dir.partition,
-                object: dir.object,
-                new_size: new_len,
-            },
-            Bytes::new(),
-        )?;
-        Ok(())
-    }
-
-    fn pick_drive(&self) -> usize {
-        self.shared.next_drive.fetch_add(1, Ordering::Relaxed) % self.fleet.len()
-    }
-
-    /// Rights granted by a lookup reply.
-    fn grant_rights(want_write: bool) -> Rights {
-        let mut r = Rights::READ | Rights::GETATTR;
+    /// A capability with the rights a lookup or create reply carries.
+    fn grant(&self, fh: FileHandle, want_write: bool) -> Result<Box<Capability>, FmError> {
+        let mut rights = Rights::READ | Rights::GETATTR;
         if want_write {
-            r |= Rights::WRITE | Rights::RESIZE;
+            rights |= Rights::WRITE | Rights::RESIZE;
         }
-        r
+        Ok(Box::new(self.core.grant(fh, rights, ByteRange::FULL)?))
     }
 
     /// Handle one request (the service loop body).
@@ -262,11 +170,9 @@ impl NasdNfs {
     }
 
     fn handle_inner(&self, req: NfsRequest) -> Result<NfsResponse, FmError> {
-        match req {
-            NfsRequest::GetRoot => {
-                let attrs = self.attrs_of(self.root)?;
-                Ok(NfsResponse::Root(self.root, attrs))
-            }
+        let core = &self.core;
+        Ok(match req {
+            NfsRequest::GetRoot => NfsResponse::Root(core.root(), core.attrs(core.root())?),
             NfsRequest::Lookup {
                 dir,
                 name,
@@ -279,31 +185,13 @@ impl NasdNfs {
                 let fh = if name.is_empty() {
                     dir
                 } else {
-                    // Directory reads take the stripe lock so a sibling
-                    // shard's read-modify-write cycle is never observed
-                    // half-done.
-                    let _g = self.shared.dir_locks.lock(dir);
-                    let entries = self.read_dir(dir)?;
-                    entries
-                        .iter()
-                        .find(|e| e.name == name)
-                        .ok_or_else(|| FmError::NotFound(name.clone()))?
-                        .handle
+                    core.lookup(dir, &name)?
                 };
-                let attrs = self.attrs_of(fh)?;
+                let attrs = core.attrs(fh)?;
                 if want_write && attrs.mode & 0o200 == 0 {
                     return Err(FmError::Permission);
                 }
-                let ep = self.fleet.resolve(fh)?;
-                let cap = ep.mint(
-                    fh.partition,
-                    fh.object,
-                    self.version_of(fh),
-                    Self::grant_rights(want_write),
-                    ByteRange::FULL,
-                    self.fleet.now() + DEFAULT_TTL,
-                );
-                Ok(NfsResponse::Entry(fh, attrs, Box::new(cap)))
+                NfsResponse::Entry(fh, attrs, self.grant(fh, want_write)?)
             }
             NfsRequest::Create {
                 dir,
@@ -311,192 +199,35 @@ impl NasdNfs {
                 mode,
                 uid,
             } => {
-                // The whole read-check-create-write cycle runs under the
-                // directory's stripe lock: another shard creating the
-                // same name must lose, not corrupt the directory.
-                let _g = self.shared.dir_locks.lock(dir);
-                let mut entries = self.read_dir(dir)?;
-                if entries.iter().any(|e| e.name == name) {
-                    return Err(FmError::Exists(name));
-                }
-                let idx = self.pick_drive();
-                let ep = self.fleet.endpoint(idx);
-                let p = self.fleet.partition();
-                let expires = self.fleet.now() + DEFAULT_TTL;
-                let obj = ep.create_object(p, 0, None, expires)?;
-                let fh = FileHandle {
-                    drive: ep.id(),
-                    partition: p,
-                    object: obj,
-                };
-                self.write_policy(
-                    fh,
-                    &FmAttrs {
-                        file_type: FileType::Regular,
-                        size: 0,
-                        mtime: 0,
-                        mode,
-                        uid,
-                    },
-                )?;
-                entries.push(DirRecord {
-                    name,
-                    handle: fh,
-                    is_dir: false,
-                });
-                self.write_dir(dir, &entries)?;
-                let cap = ep.mint(
-                    fh.partition,
-                    fh.object,
-                    Version(0),
-                    Self::grant_rights(true),
-                    ByteRange::FULL,
-                    expires,
-                );
-                Ok(NfsResponse::Created(fh, Box::new(cap)))
+                let fh = core.add(dir, name, FileType::Regular, mode, uid)?;
+                NfsResponse::Created(fh, self.grant(fh, true)?)
             }
             NfsRequest::Mkdir {
                 dir,
                 name,
                 mode,
                 uid,
-            } => {
-                let _g = self.shared.dir_locks.lock(dir);
-                let mut entries = self.read_dir(dir)?;
-                if entries.iter().any(|e| e.name == name) {
-                    return Err(FmError::Exists(name));
-                }
-                // Directories stay on the parent's drive for locality.
-                let ep = self.fleet.resolve(dir)?;
-                let p = self.fleet.partition();
-                let obj =
-                    ep.create_object(p, 0, Some(dir.object), self.fleet.now() + DEFAULT_TTL)?;
-                let fh = FileHandle {
-                    drive: ep.id(),
-                    partition: p,
-                    object: obj,
-                };
-                self.write_policy(
-                    fh,
-                    &FmAttrs {
-                        file_type: FileType::Directory,
-                        size: 0,
-                        mtime: 0,
-                        mode,
-                        uid,
-                    },
-                )?;
-                entries.push(DirRecord {
-                    name,
-                    handle: fh,
-                    is_dir: true,
-                });
-                self.write_dir(dir, &entries)?;
-                Ok(NfsResponse::Handle(fh))
-            }
+            } => NfsResponse::Handle(core.add(dir, name, FileType::Directory, mode, uid)?),
             NfsRequest::Remove { dir, name } => {
-                // Removing a directory needs the victim's stripe too:
-                // the emptiness check is only meaningful while creates
-                // inside the victim (which lock by the victim's handle,
-                // not `dir`) are excluded. The victim is only known
-                // after reading `dir`, so: probe under the single lock,
-                // then acquire the pair in stripe order and revalidate.
-                const ATTEMPTS: u32 = 4;
-                for _ in 0..ATTEMPTS {
-                    let probe = {
-                        let _g = self.shared.dir_locks.lock(dir);
-                        self.read_dir(dir)?
-                    };
-                    let Some(victim) = probe.iter().find(|e| e.name == name).cloned() else {
-                        return Err(FmError::NotFound(name));
-                    };
-                    let _g = if victim.is_dir {
-                        self.shared.dir_locks.lock_pair(dir, victim.handle)
-                    } else {
-                        self.shared.dir_locks.lock(dir)
-                    };
-                    let mut entries = self.read_dir(dir)?;
-                    let Some(idx) = entries
-                        .iter()
-                        .position(|e| e.name == name && e.handle == victim.handle)
-                    else {
-                        // Lost a race between probe and lock; retry.
-                        continue;
-                    };
-                    if victim.is_dir && !self.read_dir(victim.handle)?.is_empty() {
-                        return Err(FmError::NotEmpty(name));
-                    }
-                    let (ep, cap) = self.own_cap(victim.handle)?;
-                    ep.remove(&cap)?;
-                    self.shared.versions.remove(victim.handle);
-                    entries.remove(idx);
-                    self.write_dir(dir, &entries)?;
-                    return Ok(NfsResponse::Ok);
-                }
-                Err(FmError::Unavailable { attempts: ATTEMPTS })
+                core.remove(dir, name)?;
+                NfsResponse::Ok
             }
-            NfsRequest::Readdir { dir } => {
-                let _g = self.shared.dir_locks.lock(dir);
-                Ok(NfsResponse::Entries(self.read_dir(dir)?))
-            }
-            NfsRequest::GetAttr { fh } => {
-                let attrs = self.attrs_of(fh)?;
-                Ok(NfsResponse::Attrs(attrs))
-            }
+            NfsRequest::Readdir { dir } => NfsResponse::Entries(core.list(dir)?),
+            NfsRequest::GetAttr { fh } => NfsResponse::Attrs(core.attrs(fh)?),
             NfsRequest::Rename {
                 from_dir,
                 from,
                 to_dir,
                 to,
             } => {
-                // Both directories' stripes, acquired in stripe order
-                // (deduplicated), for the duration of the two-directory
-                // read-modify-write cycle.
-                let _g = self.shared.dir_locks.lock_pair(from_dir, to_dir);
-                let mut src = self.read_dir(from_dir)?;
-                let idx = src
-                    .iter()
-                    .position(|e| e.name == from)
-                    .ok_or_else(|| FmError::NotFound(from.clone()))?;
-                if from_dir == to_dir {
-                    if src.iter().any(|e| e.name == to) {
-                        return Err(FmError::Exists(to));
-                    }
-                    src.get_mut(idx)
-                        .ok_or_else(|| FmError::NotFound(from.clone()))?
-                        .name = to;
-                    self.write_dir(from_dir, &src)?;
-                } else {
-                    let mut dst = self.read_dir(to_dir)?;
-                    if dst.iter().any(|e| e.name == to) {
-                        return Err(FmError::Exists(to));
-                    }
-                    let mut entry = src.remove(idx);
-                    entry.name = to;
-                    dst.push(entry);
-                    // Destination first: a crash between the two directory
-                    // writes leaves the entry reachable (possibly twice),
-                    // never lost.
-                    self.write_dir(to_dir, &dst)?;
-                    self.write_dir(from_dir, &src)?;
-                }
-                Ok(NfsResponse::Ok)
+                core.rename(from_dir, from, to_dir, to)?;
+                NfsResponse::Ok
             }
             NfsRequest::SetMode { fh, mode } => {
-                // Serialize concurrent policy updates to one object
-                // across shards (stripe table reused by file handle).
-                let _g = self.shared.dir_locks.lock(fh);
-                let mut attrs = self.attrs_of(fh)?;
-                attrs.mode = mode;
-                self.write_policy(fh, &attrs)?;
-                // Policy changed: revoke outstanding capabilities so
-                // clients re-fetch under the new policy.
-                let (ep, cap) = self.own_cap(fh)?;
-                let new_version = ep.bump_version(&cap)?;
-                self.shared.versions.insert(fh, new_version);
-                Ok(NfsResponse::Ok)
+                core.set_mode(fh, mode)?;
+                NfsResponse::Ok
             }
-        }
+        })
     }
 
     /// One service loop over the shared manager — the body every shard
@@ -513,7 +244,7 @@ impl NasdNfs {
 
     /// Spawn the manager as `shards` independent service loops sharing
     /// one namespace (striped directory locks and a shared revocation
-    /// table keep them coherent — see `shard.rs`). Clients route
+    /// table keep them coherent — see `core.rs`). Clients route
     /// requests across the returned queues by handle hash, so
     /// capability issue fans out instead of serializing on one thread.
     ///
@@ -530,7 +261,9 @@ impl NasdNfs {
 
 impl std::fmt::Debug for NasdNfs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NasdNfs").field("root", &self.root).finish()
+        f.debug_struct("NasdNfs")
+            .field("root", &self.root())
+            .finish()
     }
 }
 
@@ -771,13 +504,7 @@ impl NfsClient {
             NfsResponse::Created(fh, cap) => {
                 let file = NfsFile {
                     fh,
-                    attrs: FmAttrs {
-                        file_type: FileType::Regular,
-                        size: 0,
-                        mtime: 0,
-                        mode,
-                        uid,
-                    },
+                    attrs: FmAttrs::fresh(FileType::Regular, mode, uid),
                     cap: *cap,
                 };
                 // The create capability has write rights.
@@ -977,6 +704,7 @@ mod tests {
         let mut f2 = client.open("/hello.txt", false).unwrap();
         assert_eq!(client.read(&mut f2, 0, 8).unwrap(), b"nasd nfs");
         assert_eq!(f2.attrs.size, 8);
+        assert_eq!(f.cap.public.version, f2.cap.public.version);
     }
 
     #[test]

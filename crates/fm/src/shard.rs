@@ -1,12 +1,12 @@
-//! Shared state for sharded file-manager deployments.
+//! The striped tables behind the file-manager core (`core.rs`).
 //!
 //! A sharded [`NasdNfs`](crate::NasdNfs) runs N service loops over one
-//! manager instance; clients route each request to a shard by handle
-//! hash ([`nasd_proto::route_hash`]), so the hot capability-issue path
+//! core; clients route each request to a shard by handle hash
+//! ([`nasd_proto::route_hash`]), so the hot capability-issue path
 //! (lookups) fans out instead of serializing on one FM thread. Any
 //! shard can correctly serve any request — routing is load
 //! distribution, not ownership — because the state that must stay
-//! coherent lives here:
+//! coherent is one per core, in these types:
 //!
 //! * [`VersionTable`] — revocation versions, striped under mutexes so a
 //!   shard minting a capability always embeds the latest version no
@@ -16,14 +16,11 @@
 //!   mutating (or renaming across) the same directory must serialize.
 //!   Stripes are acquired in index order (deduplicated), so multi-lock
 //!   paths (cross-directory rename, directory remove) cannot deadlock.
-//! * the round-robin placement cursor, shared so file placement spreads
-//!   across drives fleet-wide rather than per shard.
 
 use crate::handle::FileHandle;
 use nasd_proto::{route_hash, shard_index, Version};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicUsize;
 
 /// Number of version-table stripes (power of two).
 const VERSION_STRIPES: usize = 16;
@@ -138,25 +135,6 @@ impl DirLocks {
         DirGuard {
             _first: first,
             _second: second,
-        }
-    }
-}
-
-/// State shared by every service loop of one (possibly sharded)
-/// file manager.
-pub(crate) struct FmShared {
-    pub(crate) versions: VersionTable,
-    pub(crate) dir_locks: DirLocks,
-    /// Round-robin file placement across drives, fleet-wide.
-    pub(crate) next_drive: AtomicUsize,
-}
-
-impl FmShared {
-    pub(crate) fn new() -> Self {
-        FmShared {
-            versions: VersionTable::new(),
-            dir_locks: DirLocks::new(),
-            next_drive: AtomicUsize::new(0),
         }
     }
 }

@@ -28,6 +28,7 @@ pub(crate) const P1_FILES: &[&str] = &[
     "crates/object/src/security.rs",
     "crates/fm/src/server.rs",
     "crates/fm/src/drives.rs",
+    "crates/fm/src/core.rs",
     "crates/fm/src/nfs.rs",
     "crates/fm/src/afs.rs",
     "crates/fm/src/handle.rs",
@@ -205,6 +206,7 @@ pub(crate) const E1_FILES: &[&str] = &[
     "crates/cheops/src/client.rs",
     "crates/fm/src/server.rs",
     "crates/fm/src/drives.rs",
+    "crates/fm/src/core.rs",
     "crates/fm/src/nfs.rs",
     "crates/fm/src/afs.rs",
     "crates/dedup/src/store.rs",
@@ -283,6 +285,7 @@ pub(crate) const H1_FILES: &[&str] = &[
     "crates/proto/src/message.rs",
     "crates/proto/src/wire.rs",
     "crates/fm/src/drives.rs",
+    "crates/fm/src/core.rs",
     "crates/fm/src/nfs.rs",
     "crates/fm/src/afs.rs",
     "crates/cheops/src/client.rs",

@@ -1,10 +1,9 @@
 //! One-call assembly of a complete NASD PFS installation: drives, Cheops
-//! manager, name service, and per-node clients — the Figure 8 stack.
+//! manager, file manager, and per-node clients — the Figure 8 stack.
 
-use crate::name::NameService;
 use crate::sio::PfsClient;
 use nasd_cheops::{CheopsConnect, CheopsManager, CheopsRequest, CheopsResponse};
-use nasd_fm::{DriveFleet, FmError};
+use nasd_fm::{DriveFleet, FmConnect, FmError, NasdNfs, NfsClient};
 use nasd_net::{Connector, Rpc, ServiceHandle};
 use nasd_object::DriveConfig;
 use nasd_proto::PartitionId;
@@ -14,7 +13,9 @@ use std::sync::Arc;
 pub struct PfsCluster {
     fleet: Arc<DriveFleet>,
     cheops: Rpc<CheopsRequest, CheopsResponse>,
-    names: Rpc<crate::name::NameRequest, crate::name::NameResponse>,
+    /// The file manager whose directories hold the PFS names; every
+    /// node's client shares this one attachment.
+    names: Arc<NfsClient>,
     stripe_unit: u64,
     _handles: Vec<ServiceHandle>,
 }
@@ -47,7 +48,8 @@ impl PfsCluster {
             1 << 32,
         )?);
         let (cheops, h1) = CheopsManager::new(Arc::clone(&fleet)).spawn();
-        let (names, h2) = NameService::new().spawn();
+        let (fm, h2) = NasdNfs::new(Arc::clone(&fleet))?.spawn();
+        let names = Arc::new(Connector::new().nfs(fm, Arc::clone(&fleet))?);
         Ok(PfsCluster {
             fleet,
             cheops,
@@ -81,11 +83,7 @@ impl PfsCluster {
     pub fn client(&self, node: u64) -> PfsClient {
         let connector = Connector::new();
         let storage = connector.cheops(node, self.cheops.clone(), Arc::clone(&self.fleet));
-        PfsClient::new(
-            connector.in_proc(self.names.clone()),
-            storage,
-            self.stripe_unit,
-        )
+        PfsClient::new(Arc::clone(&self.names), storage, self.stripe_unit)
     }
 }
 
@@ -197,5 +195,62 @@ mod tests {
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|p| p.len() == 1000));
         assert!(parts.iter().all(|p| p.to_vec().iter().all(|&b| b == 7)));
+    }
+
+    #[test]
+    fn names_are_directory_entries() {
+        let c = cluster(2);
+        let client = c.client(0);
+        client.create("/a", 2).unwrap();
+        // The file manager's own client sees the name as a regular file
+        // whose data is the logical object's id.
+        let names: Vec<String> = c
+            .names
+            .readdir("/")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, vec!["a"]);
+        let mut name = c.names.open("/a", false).unwrap();
+        let id = client.open("/a").unwrap().id;
+        assert_eq!(
+            c.names.read(&mut name, 0, 64).unwrap(),
+            id.0.to_be_bytes()[..]
+        );
+    }
+
+    #[test]
+    fn racing_creates_bind_one_name() {
+        let c = cluster(2);
+        let start = std::sync::Barrier::new(2);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|node| {
+                    let (c, start) = (&c, &start);
+                    s.spawn(move || {
+                        let client = c.client(node);
+                        start.wait();
+                        client.create("/same", 1).map(|f| f.id)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let won: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+        assert_eq!(won.len(), 1, "{results:?}");
+        assert!(
+            results.contains(&Err(crate::PfsError::Exists("/same".into()))),
+            "{results:?}"
+        );
+        // The loser destroyed the logical object it could not bind.
+        let listed = c
+            .cheops
+            .call_with(CheopsRequest::List, &nasd_net::CallOptions::blocking())
+            .unwrap();
+        match listed {
+            CheopsResponse::Objects(ids) => assert_eq!(&ids.iter().collect::<Vec<_>>(), &won),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

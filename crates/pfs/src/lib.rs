@@ -5,10 +5,13 @@
 //! filesystem interface \[Corbett96\] and employs Cheops as its storage
 //! management layer."
 //!
-//! The filesystem itself is thin by design: a name service and access
-//! control (inherited, as in the paper, from the filesystem layer) over
-//! logical objects whose striping Cheops manages and whose data clients
-//! move themselves, drive-direct and in parallel.
+//! The filesystem itself is thin by design: the name service, directory
+//! hierarchy and access controls are inherited, as in the paper, from
+//! the filesystem layer — a PFS name is a regular file in the
+//! [`nasd_fm::NasdNfs`] namespace whose data is the 8-byte id of a
+//! logical object — and the logical objects are ones whose striping
+//! Cheops manages and whose data clients move themselves, drive-direct
+//! and in parallel.
 //!
 //! # Example
 //!
@@ -27,9 +30,7 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod name;
 mod sio;
 
 pub use cluster::PfsCluster;
-pub use name::{NameRequest, NameResponse, NameService};
 pub use sio::{PfsClient, PfsError, PfsFile};

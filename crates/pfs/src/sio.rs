@@ -7,13 +7,12 @@
 //! is precisely what lets NASD PFS "pass the scalable bandwidth of
 //! network-attached storage on to applications".
 
-use crate::name::{NameRequest, NameResponse};
 use bytes::ByteRope;
 use nasd_cheops::{CheopsClient, CheopsFile, LogicalObjectId, Redundancy};
-use nasd_fm::FmError;
-use nasd_net::{CallOptions, Channel};
+use nasd_fm::{FmError, NfsClient};
 use nasd_proto::Rights;
 use std::fmt;
+use std::sync::Arc;
 
 /// PFS errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,10 +21,8 @@ pub enum PfsError {
     NotFound(String),
     /// Path already bound.
     Exists(String),
-    /// Storage layer failure.
+    /// Storage or file-manager failure.
     Storage(FmError),
-    /// Transport failure.
-    Transport,
 }
 
 impl fmt::Display for PfsError {
@@ -34,7 +31,6 @@ impl fmt::Display for PfsError {
             PfsError::NotFound(p) => write!(f, "not found: {p}"),
             PfsError::Exists(p) => write!(f, "already exists: {p}"),
             PfsError::Storage(e) => write!(f, "storage error: {e}"),
-            PfsError::Transport => f.write_str("transport failure"),
         }
     }
 }
@@ -51,12 +47,6 @@ impl std::error::Error for PfsError {
 impl From<FmError> for PfsError {
     fn from(e: FmError) -> Self {
         PfsError::Storage(e)
-    }
-}
-
-impl From<nasd_net::RpcError> for PfsError {
-    fn from(_: nasd_net::RpcError) -> Self {
-        PfsError::Transport
     }
 }
 
@@ -86,20 +76,28 @@ impl PfsFile {
 }
 
 /// A PFS client — one per compute node.
+///
+/// Names are the file manager's: a bound path is a regular file in its
+/// directory tree whose data is the 8-byte [`LogicalObjectId`].
 pub struct PfsClient {
-    names: Channel<NameRequest, NameResponse>,
+    names: Arc<NfsClient>,
     storage: CheopsClient,
     stripe_unit: u64,
+}
+
+/// A file-manager error about the name `path`, in PFS terms.
+fn name_error(e: FmError, path: &str) -> PfsError {
+    match e {
+        FmError::NotFound(_) => PfsError::NotFound(path.to_string()),
+        FmError::Exists(_) => PfsError::Exists(path.to_string()),
+        e => PfsError::Storage(e),
+    }
 }
 
 impl PfsClient {
     /// Assemble a client from its services.
     #[must_use]
-    pub fn new(
-        names: Channel<NameRequest, NameResponse>,
-        storage: CheopsClient,
-        stripe_unit: u64,
-    ) -> Self {
+    pub fn new(names: Arc<NfsClient>, storage: CheopsClient, stripe_unit: u64) -> Self {
         PfsClient {
             names,
             storage,
@@ -116,21 +114,35 @@ impl PfsClient {
         let id = self
             .storage
             .create(width, self.stripe_unit, Redundancy::None)?;
-        match self.names.call_with(
-            NameRequest::Bind {
-                path: path.to_string(),
-                id,
-            },
-            &CallOptions::blocking(),
-        )? {
-            NameResponse::Ok => {}
-            NameResponse::Exists => {
-                self.storage.remove(id)?;
-                return Err(PfsError::Exists(path.to_string()));
-            }
-            _ => return Err(PfsError::Transport),
+        if let Err(e) = self.bind(path, id) {
+            self.storage.remove(id)?;
+            return Err(name_error(e, path));
         }
         self.open(path)
+    }
+
+    /// Create the name file and store `id` in it; a name whose id could
+    /// not be written is removed again.
+    fn bind(&self, path: &str, id: LogicalObjectId) -> Result<(), FmError> {
+        let mut name = self.names.create(path, 0o644, 0)?;
+        if let Err(e) = self.names.write(&mut name, 0, &id.0.to_be_bytes()) {
+            self.names.remove(path)?;
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// The logical object `path` is bound to.
+    fn resolve(&self, path: &str) -> Result<LogicalObjectId, PfsError> {
+        let mut name = self
+            .names
+            .open(path, false)
+            .map_err(|e| name_error(e, path))?;
+        let data = self.names.read(&mut name, 0, 8)?.flatten();
+        // A name whose creator has not stored the id yet is not bound.
+        let id =
+            <[u8; 8]>::try_from(data.as_ref()).map_err(|_| PfsError::NotFound(path.to_string()))?;
+        Ok(LogicalObjectId(u64::from_be_bytes(id)))
     }
 
     /// Open a file by path, obtaining the layout and capability set.
@@ -139,16 +151,7 @@ impl PfsClient {
     ///
     /// `NotFound`, storage failures.
     pub fn open(&self, path: &str) -> Result<PfsFile, PfsError> {
-        let id = match self.names.call_with(
-            NameRequest::Lookup {
-                path: path.to_string(),
-            },
-            &CallOptions::blocking(),
-        )? {
-            NameResponse::Id(id) => id,
-            NameResponse::NotFound => return Err(PfsError::NotFound(path.to_string())),
-            _ => return Err(PfsError::Transport),
-        };
+        let id = self.resolve(path)?;
         let inner = self.storage.open(id, Rights::ALL)?;
         Ok(PfsFile {
             path: path.to_string(),
@@ -163,44 +166,24 @@ impl PfsClient {
     ///
     /// `NotFound`, storage failures.
     pub fn unlink(&self, path: &str) -> Result<(), PfsError> {
-        let id = match self.names.call_with(
-            NameRequest::Lookup {
-                path: path.to_string(),
-            },
-            &CallOptions::blocking(),
-        )? {
-            NameResponse::Id(id) => id,
-            NameResponse::NotFound => return Err(PfsError::NotFound(path.to_string())),
-            _ => return Err(PfsError::Transport),
-        };
-        match self.names.call_with(
-            NameRequest::Unbind {
-                path: path.to_string(),
-            },
-            &CallOptions::blocking(),
-        )? {
-            NameResponse::Ok => {}
-            _ => return Err(PfsError::Transport),
-        }
+        let id = self.resolve(path)?;
+        self.names.remove(path).map_err(|e| name_error(e, path))?;
         self.storage.remove(id)?;
         Ok(())
     }
 
-    /// List paths under a prefix.
+    /// List the paths bound in directory `dir` (`/` for the root).
     ///
     /// # Errors
     ///
-    /// Transport failures.
-    pub fn list(&self, prefix: &str) -> Result<Vec<String>, PfsError> {
-        match self.names.call_with(
-            NameRequest::List {
-                prefix: prefix.to_string(),
-            },
-            &CallOptions::blocking(),
-        )? {
-            NameResponse::Paths(p) => Ok(p),
-            _ => Err(PfsError::Transport),
-        }
+    /// `NotFound`, file-manager failures.
+    pub fn list(&self, dir: &str) -> Result<Vec<String>, PfsError> {
+        let entries = self.names.readdir(dir).map_err(|e| name_error(e, dir))?;
+        let dir = dir.trim_end_matches('/');
+        Ok(entries
+            .into_iter()
+            .map(|e| format!("{dir}/{}", e.name))
+            .collect())
     }
 
     /// Read at an explicit offset (SIO style; no file pointer).
