@@ -10,15 +10,15 @@
 //! trade repair time (the window a second failure is fatal in) against
 //! delivered bandwidth.
 //!
-//! Each row is one fresh fleet: write, crash a data drive, start the
-//! rebuild through the mgmt service RPC, and stream degraded reads
+//! Each row is one fresh fleet: write, crash a data drive, run
+//! `rebuild_drive` on a thread of its own, and stream degraded reads
 //! until the rebuild completes. The `no rebuild` row is the degraded
 //! baseline with no reconstruction running.
 
 use nasd::cheops::{CheopsClient, CheopsConnect, CheopsFile, CheopsManager, Redundancy};
 use nasd::fm::DriveFleet;
-use nasd::mgmt::{MgmtConfig, MgmtRequest, MgmtResponse, NasdMgmt};
-use nasd::net::{CallOptions, Channel, Connector};
+use nasd::mgmt::{MgmtConfig, NasdMgmt};
+use nasd::net::Connector;
 use nasd::object::DriveConfig;
 use nasd::proto::{PartitionId, Rights};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,8 +72,9 @@ fn measure(setting: &'static str, rate: Option<u64>) -> RebuildRow {
         DriveFleet::spawn_memory(WIDTH + 2, DriveConfig::small(), PartitionId(1), 24 << 20)
             .unwrap(),
     );
-    let (mgr, _mgr_handle) = CheopsManager::new(Arc::clone(&fleet)).spawn();
-    let client = Connector::new().cheops(1, mgr.clone(), Arc::clone(&fleet));
+    let mgr = Arc::new(CheopsManager::new(Arc::clone(&fleet)));
+    let (rpc, _mgr_handle) = mgr.serve();
+    let client = Connector::new().cheops(1, rpc, Arc::clone(&fleet));
     let id = client
         .create(WIDTH, STRIPE_UNIT, Redundancy::Parity)
         .unwrap();
@@ -101,35 +102,21 @@ fn measure(setting: &'static str, rate: Option<u64>) -> RebuildRow {
         };
     };
 
-    let mgmt = NasdMgmt::new(
-        Arc::clone(&fleet),
-        Channel::in_proc(mgr.clone()),
-        vec![spare],
-        MgmtConfig::standard().rebuild_rate(rate),
-    );
-    let (rpc, handle) = mgmt.spawn();
+    let config = MgmtConfig::standard().rebuild_rate(rate);
+    let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, vec![spare], config);
     let done = Arc::new(AtomicBool::new(false));
     let rebuilder = {
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             let t0 = Instant::now();
-            let resp = rpc
-                .call_with(
-                    MgmtRequest::Rebuild { drive: failed },
-                    &CallOptions::blocking(),
-                )
-                .unwrap();
+            let outcome = mgmt.rebuild_drive(failed);
             let secs = t0.elapsed().as_secs_f64();
             done.store(true, Ordering::SeqCst);
-            match resp {
-                MgmtResponse::Rebuild(outcome) => (secs, outcome.bytes),
-                other => panic!("unexpected mgmt response: {other:?}"),
-            }
+            (secs, outcome.unwrap().bytes)
         })
     };
     let (mb_s, _) = stream_reads(&client, &file, &done);
     let (rebuild_secs, rebuilt_bytes) = rebuilder.join().unwrap();
-    handle.shutdown();
     RebuildRow {
         setting,
         rate,

@@ -50,12 +50,6 @@ impl CheopsClient {
         }
     }
 
-    /// The drive fleet (shared with other layers).
-    #[must_use]
-    pub fn fleet(&self) -> &Arc<DriveFleet> {
-        &self.fleet
-    }
-
     /// Replace the manager-path retry policy (any attached call stats
     /// are kept).
     pub fn set_retry(&mut self, policy: RetryPolicy) {

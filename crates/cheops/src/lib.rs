@@ -15,6 +15,12 @@
 //! subsystem": all striping/mirroring work happens in the
 //! [`CheopsClient`] library; the [`CheopsManager`] only keeps maps and
 //! arbitrates concurrency with leases.
+//!
+//! There is one storage manager: clients reach it over the wire enum
+//! [`CheopsRequest`], and storage management (`nasd-mgmt`) is an engine
+//! over the same `Arc<CheopsManager>` calling its typed methods, so both
+//! see one set of maps, one lease table and one capability mint
+//! ([`CheopsManager::party`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,19 @@
-//! The Cheops storage manager service.
+//! The Cheops storage manager.
 //!
 //! Keeps the logical-object maps, creates/destroys component objects on
-//! the drives, mints component capability *sets*, and arbitrates
-//! multi-disk concurrency with expiring leases. It is deliberately thin:
-//! data never flows through it.
+//! the drives, mints component capability *sets*, arbitrates multi-disk
+//! concurrency with expiring leases and records drive repairs. It is
+//! deliberately thin: data never flows through it.
+//!
+//! Clients reach the state over the wire enum [`CheopsRequest`], whose
+//! arms call the typed methods; storage management (`nasd-mgmt`) holds
+//! the manager itself and calls them directly. None talks to a drive
+//! under the state lock: clone the layout, unlock, then mint and do I/O.
 
 use crate::map::{Column, Component, ComponentSlot, Layout, LogicalObjectId, Redundancy};
-use nasd_fm::{DriveFleet, FmError};
+use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
 use nasd_net::{spawn_service, Rpc, ServiceHandle};
-use nasd_proto::{ByteRange, Capability, DriveId, Rights, Version};
+use nasd_proto::{ByteRange, Capability, DriveId, NasdStatus, Rights, Version};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -67,42 +72,6 @@ pub enum CheopsRequest {
     },
     /// List all logical objects.
     List,
-    /// Report a drive as failed (storage management's failure detector).
-    /// Idempotent; a drive already under repair keeps its record.
-    ReportFailure {
-        /// The failed drive.
-        drive: DriveId,
-    },
-    /// Record that online reconstruction of `drive` onto `spare` began.
-    StartRebuild {
-        /// The failed drive being reconstructed.
-        drive: DriveId,
-        /// The hot spare receiving the rebuilt components.
-        spare: DriveId,
-    },
-    /// Record that reconstruction of `drive` finished; no layout
-    /// references the drive any more.
-    CompleteRebuild {
-        /// The repaired drive.
-        drive: DriveId,
-    },
-    /// Fetch every drive-repair record.
-    RebuildStatus,
-    /// Snapshot every logical object's layout (rebuild and the scrubber
-    /// walk these).
-    Layouts,
-    /// Atomically replace the component behind one layout slot. Issued by
-    /// the rebuild engine after the spare's component holds the
-    /// reconstructed bytes; subsequent `Open`s mint capabilities for the
-    /// new component.
-    SwapComponent {
-        /// Target logical object.
-        id: LogicalObjectId,
-        /// Which slot to swap.
-        slot: ComponentSlot,
-        /// The replacement component.
-        new: Component,
-    },
 }
 
 /// Where a failed drive is in its repair lifecycle.
@@ -148,10 +117,6 @@ pub enum CheopsResponse {
     },
     /// Logical object ids.
     Objects(Vec<LogicalObjectId>),
-    /// Layout snapshot, sorted by id.
-    Layouts(Vec<(LogicalObjectId, Layout)>),
-    /// Repair records, sorted by drive id.
-    Repairs(Vec<RepairRecord>),
     /// Success.
     Ok,
     /// Failure.
@@ -168,13 +133,9 @@ struct LeaseHolder {
     expires: u64,
 }
 
-struct LeaseState {
-    holders: Vec<LeaseHolder>,
-}
-
 struct ManagerState {
     maps: HashMap<LogicalObjectId, Layout>,
-    leases: HashMap<LogicalObjectId, LeaseState>,
+    leases: HashMap<LogicalObjectId, Vec<LeaseHolder>>,
     repairs: HashMap<DriveId, RepairRecord>,
     next_id: u64,
 }
@@ -211,11 +172,11 @@ impl CheopsManager {
     ) -> Result<Layout, FmError> {
         let n = self.fleet.len();
         if width == 0 || width > n || stripe_unit == 0 {
-            return Err(FmError::Drive(nasd_proto::NasdStatus::BadRequest));
+            return Err(FmError::Drive(NasdStatus::BadRequest));
         }
         // RAID-4-style parity needs a drive of its own.
         if redundancy == Redundancy::Parity && width >= n {
-            return Err(FmError::Drive(nasd_proto::NasdStatus::BadRequest));
+            return Err(FmError::Drive(NasdStatus::BadRequest));
         }
         let p = self.fleet.partition();
         let expires = self.fleet.now() + self.ttl;
@@ -249,19 +210,137 @@ impl CheopsManager {
         })
     }
 
-    fn mint_for(&self, c: Component, rights: Rights) -> Result<Capability, FmError> {
+    /// The drive holding `c` and a capability for `rights` on it: the one
+    /// component-capability mint, for `Open` sets, rebuild and scrub alike
+    /// ([`FmError::Transport`] when the fleet has no such drive).
+    pub fn party(
+        &self,
+        c: Component,
+        rights: Rights,
+    ) -> Result<(&DriveEndpoint, Capability), FmError> {
         let ep = self.fleet.by_id(c.drive).ok_or(FmError::Transport)?;
-        Ok(ep.mint(
+        let expires = self.fleet.now() + self.ttl;
+        let cap = ep.mint(
             c.partition,
             c.object,
             Version(0),
             rights,
             ByteRange::FULL,
-            self.fleet.now() + self.ttl,
-        ))
+            expires,
+        );
+        Ok((ep, cap))
     }
 
-    /// Handle one request.
+    /// Every logical object's layout, sorted by id.
+    #[must_use]
+    pub fn layouts(&self) -> Vec<(LogicalObjectId, Layout)> {
+        let state = self.state.lock();
+        let mut layouts: Vec<_> = state.maps.iter().map(|(id, l)| (*id, l.clone())).collect();
+        layouts.sort_by_key(|(id, _)| *id);
+        layouts
+    }
+
+    /// The layout of `id` as it stands now ([`FmError::NotFound`] for an
+    /// unknown or removed object).
+    pub fn layout(&self, id: LogicalObjectId) -> Result<Layout, FmError> {
+        let layout = self.state.lock().maps.get(&id).cloned();
+        layout.ok_or_else(|| FmError::NotFound(id.to_string()))
+    }
+
+    /// Ask for a `kind` lease on `id` for `client`, `ttl` drive-clock
+    /// seconds long, in the one table wire clients and storage management
+    /// share: `Ok(until)` granted, `Err(until)` busy until the conflicting
+    /// lease expires ([`FmError::NotFound`] for an unknown object).
+    pub fn lease(
+        &self,
+        id: LogicalObjectId,
+        client: u64,
+        kind: LeaseKind,
+        ttl: u64,
+    ) -> Result<Result<u64, u64>, FmError> {
+        let now = self.fleet.now();
+        let mut state = self.state.lock();
+        if !state.maps.contains_key(&id) {
+            return Err(FmError::NotFound(id.to_string()));
+        }
+        let holders = state.leases.entry(id).or_default();
+        // Expired holders evaporate individually; only live holders
+        // participate in conflict checks, so a stale client id can never
+        // renew past its own expiry.
+        holders.retain(|h| h.expires > now);
+        let busy_until = holders
+            .iter()
+            .filter(|h| h.client != client)
+            .filter(|h| kind == LeaseKind::Exclusive || h.kind == LeaseKind::Exclusive)
+            .map(|h| h.expires)
+            .max();
+        if let Some(until) = busy_until {
+            return Ok(Err(until));
+        }
+        holders.retain(|h| h.client != client);
+        holders.push(LeaseHolder {
+            client,
+            kind,
+            expires: now + ttl,
+        });
+        Ok(Ok(now + ttl))
+    }
+
+    /// Release `client`'s lease on `id` early (a no-op without one).
+    pub fn unlease(&self, id: LogicalObjectId, client: u64) {
+        if let Some(holders) = self.state.lock().leases.get_mut(&id) {
+            holders.retain(|h| h.client != client);
+        }
+    }
+
+    /// Atomically replace the component behind one layout slot, once the
+    /// replacement holds the reconstructed bytes; later `Open`s mint
+    /// capabilities for the new component. [`FmError::NotFound`] for an
+    /// unknown object; `BadRequest` (map untouched) for a slot the layout
+    /// does not have.
+    pub fn swap_component(
+        &self,
+        id: LogicalObjectId,
+        slot: ComponentSlot,
+        new: Component,
+    ) -> Result<(), FmError> {
+        let mut state = self.state.lock();
+        let layout = state.maps.get_mut(&id);
+        let layout = layout.ok_or_else(|| FmError::NotFound(id.to_string()))?;
+        if layout.set_component(slot, new) {
+            Ok(())
+        } else {
+            Err(FmError::Drive(NasdStatus::BadRequest))
+        }
+    }
+
+    /// Every drive-repair record, sorted by drive id.
+    #[must_use]
+    pub fn repairs(&self) -> Vec<RepairRecord> {
+        let mut repairs: Vec<_> = self.state.lock().repairs.values().copied().collect();
+        repairs.sort_by_key(|r| r.drive.0);
+        repairs
+    }
+
+    /// Move `drive`'s repair record to `phase` (`Failed → Rebuilding →
+    /// Rebuilt`), remembering `spare` once one is named. Reporting
+    /// `Failed` is idempotent: a drive already under repair keeps its
+    /// record.
+    pub fn set_repair(&self, drive: DriveId, phase: RepairPhase, spare: Option<DriveId>) {
+        let failed = RepairRecord {
+            drive,
+            phase: RepairPhase::Failed,
+            spare: None,
+        };
+        let mut state = self.state.lock();
+        let record = state.repairs.entry(drive).or_insert(failed);
+        if phase != RepairPhase::Failed {
+            record.phase = phase;
+            record.spare = spare.or(record.spare);
+        }
+    }
+
+    /// Handle one wire request.
     pub fn handle(&self, req: CheopsRequest) -> CheopsResponse {
         match self.handle_inner(req) {
             Ok(r) => r,
@@ -284,37 +363,27 @@ impl CheopsManager {
                 Ok(CheopsResponse::Created(id))
             }
             CheopsRequest::Open { id, rights } => {
-                let layout = {
-                    let state = self.state.lock();
-                    state
-                        .maps
-                        .get(&id)
-                        .cloned()
-                        .ok_or_else(|| FmError::NotFound(id.to_string()))?
-                };
+                let layout = self.layout(id)?;
                 let caps = layout
                     .slots()
-                    .map(|(slot, c)| self.mint_for(c, layout.rights(slot, rights)))
-                    .collect::<Result<_, _>>()?;
+                    .map(|(slot, c)| Ok(self.party(c, layout.rights(slot, rights))?.1))
+                    .collect::<Result<_, FmError>>()?;
                 Ok(CheopsResponse::Opened(Box::new(layout), caps))
             }
             CheopsRequest::Remove { id } => {
                 let layout = {
                     let mut state = self.state.lock();
                     state.leases.remove(&id);
-                    state
-                        .maps
-                        .remove(&id)
-                        .ok_or_else(|| FmError::NotFound(id.to_string()))?
+                    let layout = state.maps.remove(&id);
+                    layout.ok_or_else(|| FmError::NotFound(id.to_string()))?
                 };
                 // The map is gone, so nobody can retry this walk: remove
                 // every component that is reachable and only then report
                 // the first one that was not.
                 let mut outcome = Ok(());
                 for (_, c) in layout.slots() {
-                    let ep = self.fleet.by_id(c.drive).ok_or(FmError::Transport);
-                    let removed = ep.and_then(|ep| ep.remove(&self.mint_for(c, Rights::REMOVE)?));
-                    outcome = outcome.and(removed);
+                    let party = self.party(c, Rights::REMOVE);
+                    outcome = outcome.and(party.and_then(|(ep, cap)| ep.remove(&cap)));
                 }
                 outcome.map(|()| CheopsResponse::Ok)
             }
@@ -323,42 +392,12 @@ impl CheopsManager {
                 client,
                 kind,
                 ttl,
-            } => {
-                let now = self.fleet.now();
-                let mut state = self.state.lock();
-                if !state.maps.contains_key(&id) {
-                    return Err(FmError::NotFound(id.to_string()));
-                }
-                let lease = state.leases.entry(id).or_insert(LeaseState {
-                    holders: Vec::new(),
-                });
-                // Expired holders evaporate individually; only live
-                // holders participate in conflict checks, so a stale
-                // client id can never renew past its own expiry.
-                lease.holders.retain(|h| h.expires > now);
-                let busy_until = lease
-                    .holders
-                    .iter()
-                    .filter(|h| h.client != client)
-                    .filter(|h| kind == LeaseKind::Exclusive || h.kind == LeaseKind::Exclusive)
-                    .map(|h| h.expires)
-                    .max();
-                if let Some(until) = busy_until {
-                    return Ok(CheopsResponse::LeaseBusy { until });
-                }
-                lease.holders.retain(|h| h.client != client);
-                lease.holders.push(LeaseHolder {
-                    client,
-                    kind,
-                    expires: now + ttl,
-                });
-                Ok(CheopsResponse::Leased { until: now + ttl })
-            }
+            } => Ok(match self.lease(id, client, kind, ttl)? {
+                Ok(until) => CheopsResponse::Leased { until },
+                Err(until) => CheopsResponse::LeaseBusy { until },
+            }),
             CheopsRequest::Unlease { id, client } => {
-                let mut state = self.state.lock();
-                if let Some(lease) = state.leases.get_mut(&id) {
-                    lease.holders.retain(|h| h.client != client);
-                }
+                self.unlease(id, client);
                 Ok(CheopsResponse::Ok)
             }
             CheopsRequest::List => {
@@ -367,77 +406,21 @@ impl CheopsManager {
                 ids.sort();
                 Ok(CheopsResponse::Objects(ids))
             }
-            CheopsRequest::ReportFailure { drive } => {
-                let mut state = self.state.lock();
-                state.repairs.entry(drive).or_insert(RepairRecord {
-                    drive,
-                    phase: RepairPhase::Failed,
-                    spare: None,
-                });
-                Ok(CheopsResponse::Ok)
-            }
-            CheopsRequest::StartRebuild { drive, spare } => {
-                let mut state = self.state.lock();
-                state.repairs.insert(
-                    drive,
-                    RepairRecord {
-                        drive,
-                        phase: RepairPhase::Rebuilding,
-                        spare: Some(spare),
-                    },
-                );
-                Ok(CheopsResponse::Ok)
-            }
-            CheopsRequest::CompleteRebuild { drive } => {
-                let mut state = self.state.lock();
-                match state.repairs.get_mut(&drive) {
-                    Some(r) => r.phase = RepairPhase::Rebuilt,
-                    None => {
-                        state.repairs.insert(
-                            drive,
-                            RepairRecord {
-                                drive,
-                                phase: RepairPhase::Rebuilt,
-                                spare: None,
-                            },
-                        );
-                    }
-                }
-                Ok(CheopsResponse::Ok)
-            }
-            CheopsRequest::RebuildStatus => {
-                let state = self.state.lock();
-                let mut repairs: Vec<RepairRecord> = state.repairs.values().copied().collect();
-                repairs.sort_by_key(|r| r.drive.0);
-                Ok(CheopsResponse::Repairs(repairs))
-            }
-            CheopsRequest::Layouts => {
-                let state = self.state.lock();
-                let mut layouts: Vec<(LogicalObjectId, Layout)> =
-                    state.maps.iter().map(|(id, l)| (*id, l.clone())).collect();
-                layouts.sort_by_key(|(id, _)| *id);
-                Ok(CheopsResponse::Layouts(layouts))
-            }
-            CheopsRequest::SwapComponent { id, slot, new } => {
-                let mut state = self.state.lock();
-                let layout = state
-                    .maps
-                    .get_mut(&id)
-                    .ok_or_else(|| FmError::NotFound(id.to_string()))?;
-                if layout.set_component(slot, new) {
-                    Ok(CheopsResponse::Ok)
-                } else {
-                    Err(FmError::Drive(nasd_proto::NasdStatus::BadRequest))
-                }
-            }
         }
+    }
+
+    /// Serve the wire enum on a thread of its own, over a manager the
+    /// caller keeps hold of (storage management runs on the same state).
+    #[must_use]
+    pub fn serve(self: &Arc<Self>) -> (Rpc<CheopsRequest, CheopsResponse>, ServiceHandle) {
+        let mgr = Arc::clone(self);
+        spawn_service(move |req| mgr.handle(req))
     }
 
     /// Spawn as a threaded service.
     #[must_use]
     pub fn spawn(self) -> (Rpc<CheopsRequest, CheopsResponse>, ServiceHandle) {
-        let mgr = Arc::new(self);
-        spawn_service(move |req| mgr.handle(req))
+        Arc::new(self).serve()
     }
 }
 
@@ -454,11 +437,16 @@ mod tests {
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;
 
-    fn setup(n: usize) -> (Rpc<CheopsRequest, CheopsResponse>, Arc<DriveFleet>) {
+    fn manager(n: usize) -> (Arc<CheopsManager>, Arc<DriveFleet>) {
         let fleet = Arc::new(
             DriveFleet::spawn_memory(n, DriveConfig::small(), PartitionId(1), 32 << 20).unwrap(),
         );
-        let (rpc, _h) = CheopsManager::new(Arc::clone(&fleet)).spawn();
+        (Arc::new(CheopsManager::new(Arc::clone(&fleet))), fleet)
+    }
+
+    fn setup(n: usize) -> (Rpc<CheopsRequest, CheopsResponse>, Arc<DriveFleet>) {
+        let (mgr, fleet) = manager(n);
+        let (rpc, _h) = mgr.serve();
         (rpc, fleet)
     }
 
@@ -765,52 +753,24 @@ mod tests {
 
     #[test]
     fn repair_records_track_phases() {
-        let (rpc, _fleet) = setup(2);
+        let (mgr, _fleet) = manager(2);
         let d = DriveId(1);
         let s = DriveId(9);
-        rpc.call_with(
-            CheopsRequest::ReportFailure { drive: d },
-            &CallOptions::blocking(),
-        )
-        .unwrap();
+        mgr.set_repair(d, RepairPhase::Failed, None);
         // Reporting twice keeps the record.
-        rpc.call_with(
-            CheopsRequest::ReportFailure { drive: d },
-            &CallOptions::blocking(),
-        )
-        .unwrap();
-        let CheopsResponse::Repairs(r) = rpc
-            .call_with(CheopsRequest::RebuildStatus, &CallOptions::blocking())
-            .unwrap()
-        else {
-            panic!();
-        };
+        mgr.set_repair(d, RepairPhase::Failed, None);
         assert_eq!(
-            r,
+            mgr.repairs(),
             vec![RepairRecord {
                 drive: d,
                 phase: RepairPhase::Failed,
                 spare: None
             }]
         );
-        rpc.call_with(
-            CheopsRequest::StartRebuild { drive: d, spare: s },
-            &CallOptions::blocking(),
-        )
-        .unwrap();
-        rpc.call_with(
-            CheopsRequest::CompleteRebuild { drive: d },
-            &CallOptions::blocking(),
-        )
-        .unwrap();
-        let CheopsResponse::Repairs(r) = rpc
-            .call_with(CheopsRequest::RebuildStatus, &CallOptions::blocking())
-            .unwrap()
-        else {
-            panic!();
-        };
+        mgr.set_repair(d, RepairPhase::Rebuilding, Some(s));
+        mgr.set_repair(d, RepairPhase::Rebuilt, None);
         assert_eq!(
-            r,
+            mgr.repairs(),
             vec![RepairRecord {
                 drive: d,
                 phase: RepairPhase::Rebuilt,
@@ -821,7 +781,8 @@ mod tests {
 
     #[test]
     fn swap_component_changes_subsequent_opens() {
-        let (rpc, fleet) = setup(3);
+        let (mgr, fleet) = manager(3);
+        let (rpc, _h) = mgr.serve();
         let CheopsResponse::Created(id) = rpc
             .call_with(
                 CheopsRequest::Create {
@@ -845,28 +806,13 @@ mod tests {
             object: obj,
         };
         // A bogus slot is rejected without touching the map.
-        let CheopsResponse::Err(_) = rpc
-            .call_with(
-                CheopsRequest::SwapComponent {
-                    id,
-                    slot: ComponentSlot::Mirror(0),
-                    new,
-                },
-                &CallOptions::blocking(),
-            )
-            .unwrap()
-        else {
-            panic!("swap into a missing mirror slot must fail");
-        };
-        rpc.call_with(
-            CheopsRequest::SwapComponent {
-                id,
-                slot: ComponentSlot::Primary(1),
-                new,
-            },
-            &CallOptions::blocking(),
-        )
-        .unwrap();
+        assert!(
+            mgr.swap_component(id, ComponentSlot::Mirror(0), new)
+                .is_err(),
+            "swap into a missing mirror slot must fail"
+        );
+        mgr.swap_component(id, ComponentSlot::Primary(1), new)
+            .unwrap();
         let CheopsResponse::Opened(layout, caps) = rpc
             .call_with(
                 CheopsRequest::Open {

@@ -180,7 +180,7 @@ impl Layout {
     /// (and changes nothing) when the slot does not exist — a mirror slot
     /// on an unmirrored column, a column index past the width, or the
     /// parity slot of a layout without parity.
-    pub fn set_component(&mut self, slot: ComponentSlot, new: Component) -> bool {
+    pub(crate) fn set_component(&mut self, slot: ComponentSlot, new: Component) -> bool {
         let place = match slot {
             ComponentSlot::Primary(i) => self.columns.get_mut(i).map(|c| &mut c.primary),
             ComponentSlot::Mirror(i) => self.columns.get_mut(i).and_then(|c| c.mirror.as_mut()),

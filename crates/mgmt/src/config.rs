@@ -1,11 +1,23 @@
-//! Tunables for the storage-management service.
+//! Tunables for the storage-management engine.
 
 use std::time::Duration;
 
 /// The lease identity nasd-mgmt presents to the Cheops manager when it
 /// quiesces an object for rebuild or scrubbing. High enough that no
 /// test or application client id collides with it.
-pub const MGMT_CLIENT_ID: u64 = u64::MAX - 0x4D47; // "MG"
+pub(crate) const MGMT_CLIENT_ID: u64 = u64::MAX - 0x4D47; // "MG"
+/// Duration (drive-clock seconds) of that exclusive lease.
+pub(crate) const LEASE_TTL: u64 = 3_600;
+/// Re-asks for a busy lease, and the pause between them, before the
+/// object is left for a later pass.
+pub(crate) const LEASE_RETRIES: u32 = 10;
+pub(crate) const LEASE_RETRY_PAUSE: Duration = Duration::from_millis(5);
+/// Probe attempts per sweep; a drive is silent for a sweep only if every
+/// attempt times out (keeps one dropped message on a lossy channel from
+/// reading as a dead drive).
+pub(crate) const PROBE_ATTEMPTS: u32 = 3;
+/// Bytes verified per scrub I/O.
+pub(crate) const SCRUB_CHUNK: u64 = 256 << 10;
 
 /// Tunables for [`crate::NasdMgmt`]. All byte rates are bytes/second
 /// with `0` meaning unthrottled.
@@ -13,30 +25,14 @@ pub const MGMT_CLIENT_ID: u64 = u64::MAX - 0x4D47; // "MG"
 pub struct MgmtConfig {
     /// Per-attempt liveness-probe timeout.
     pub probe_timeout: Duration,
-    /// Probe attempts per sweep; a drive is silent for a sweep only if
-    /// every attempt times out (keeps one dropped message on a lossy
-    /// channel from reading as a dead drive).
-    pub probe_attempts: u32,
     /// Consecutive silent sweeps before a drive is declared failed.
     pub failure_threshold: u32,
     /// Bytes moved per rebuild I/O.
     pub rebuild_chunk: u64,
     /// Rebuild throttle (bytes/sec; 0 = unthrottled).
     pub rebuild_rate: u64,
-    /// Bytes verified per scrub I/O.
-    pub scrub_chunk: u64,
     /// Scrub throttle (bytes/sec; 0 = unthrottled).
     pub scrub_rate: u64,
-    /// Exclusive-lease duration (drive-clock seconds) taken per object
-    /// while it is rebuilt or scrubbed.
-    pub lease_ttl: u64,
-    /// How many times to re-ask for a busy lease before skipping the
-    /// object.
-    pub lease_retries: u32,
-    /// Pause between lease attempts.
-    pub lease_retry_pause: Duration,
-    /// Client id used for those leases.
-    pub client_id: u64,
 }
 
 impl MgmtConfig {
@@ -47,16 +43,10 @@ impl MgmtConfig {
     pub fn standard() -> Self {
         MgmtConfig {
             probe_timeout: Duration::from_millis(50),
-            probe_attempts: 3,
             failure_threshold: 2,
             rebuild_chunk: 256 << 10,
             rebuild_rate: 0,
-            scrub_chunk: 256 << 10,
             scrub_rate: 0,
-            lease_ttl: 3_600,
-            lease_retries: 10,
-            lease_retry_pause: Duration::from_millis(5),
-            client_id: MGMT_CLIENT_ID,
         }
     }
 

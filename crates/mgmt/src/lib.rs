@@ -22,9 +22,11 @@
 //! - a scrubber walks stripes verifying parity/mirror agreement and
 //!   repairing latent errors before a second failure makes them fatal.
 //!
-//! Like the Cheops manager itself, `nasd-mgmt` is control plane only:
-//! reconstruction data flows directly between the drives' RPC channels
-//! and this service, never through the manager.
+//! There is one storage manager (§5.2): [`NasdMgmt`] is an engine over
+//! the `Arc<CheopsManager>` whose wire enum the clients talk to, calling
+//! its typed methods directly — one set of maps, one lease table, one
+//! capability mint. The manager stays control plane only: reconstruction
+//! data flows between the drives and this engine, never through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,5 +42,5 @@ pub use config::MgmtConfig;
 pub use health::{DriveHealth, HealthMonitor};
 pub use rebuild::{RebuildOutcome, SlotFate};
 pub use scrub::ScrubOutcome;
-pub use service::{CheckReport, MgmtError, MgmtRequest, MgmtResponse, NasdMgmt};
+pub use service::{CheckReport, MgmtError, NasdMgmt};
 pub use spare::SparePool;

@@ -9,7 +9,7 @@
 //!    write the XOR of the slot's sources (the mirror twin, or the
 //!    surviving columns ⊕ parity) into a fresh object on the spare —
 //!    chunked, throttled through the rebuild [`nasd_net::RatePacer`] —
-//!    then `SwapComponent` the layout slot to the new component (the
+//!    then `swap_component` the layout slot to the new component (the
 //!    map swap is atomic under the manager's state lock; an `Open`
 //!    sees either the old component or the new one, never a torn
 //!    layout),
@@ -21,9 +21,11 @@
 //! all-zero chunks are skipped on write, so the spare's object reads
 //! back byte-identical: unwritten object space reads as zero.
 
+use crate::config::LEASE_TTL;
 use crate::service::{chunks, extent, MgmtError, NasdMgmt};
 use bytes::Bytes;
-use nasd_cheops::{xor_read, CheopsRequest, Component, ComponentSlot, Layout, LogicalObjectId};
+use nasd_cheops::{xor_read, Component, ComponentSlot, Layout, LogicalObjectId, RepairPhase};
+use nasd_fm::FmError;
 use nasd_proto::{DriveId, Rights};
 
 /// What happened to one layout slot during a rebuild.
@@ -78,19 +80,13 @@ impl NasdMgmt {
     pub fn rebuild_drive(&self, failed: DriveId) -> Result<RebuildOutcome, MgmtError> {
         // Resume onto a previously assigned spare if an earlier attempt
         // stalled or failed; otherwise claim a fresh one.
-        let assigned = self
-            .repairs()?
-            .into_iter()
-            .find(|r| r.drive == failed)
-            .and_then(|r| r.spare);
-        let spare = match assigned {
+        let assigned = self.mgr.repairs().into_iter().find(|r| r.drive == failed);
+        let spare = match assigned.and_then(|r| r.spare) {
             Some(s) => s,
             None => self.spares.take().ok_or(MgmtError::NoSpare)?,
         };
-        self.mgr_ok(CheopsRequest::StartRebuild {
-            drive: failed,
-            spare,
-        })?;
+        self.mgr
+            .set_repair(failed, RepairPhase::Rebuilding, Some(spare));
         self.obs.rebuilds_started.inc();
         self.obs.rebuild_active.add(1);
         let t0 = self.fleet.now();
@@ -107,7 +103,7 @@ impl NasdMgmt {
         let mut outcome = result?;
         outcome.spare = Some(spare);
         if outcome.busy.is_empty() {
-            self.mgr_ok(CheopsRequest::CompleteRebuild { drive: failed })?;
+            self.mgr.set_repair(failed, RepairPhase::Rebuilt, None);
             self.obs.rebuilds_completed.inc();
             self.trace(
                 "rebuild-done",
@@ -173,14 +169,14 @@ impl NasdMgmt {
             return Ok(SlotFate::Lost);
         };
         let len = extent(&sources)?;
-        let spare_ep = self.fleet.by_id(spare).ok_or(MgmtError::Transport)?;
-        let expires = self.fleet.now() + self.config.lease_ttl;
+        let spare_ep = self.fleet.by_id(spare).ok_or(FmError::Transport)?;
+        let expires = self.fleet.now() + LEASE_TTL;
         let new = Component {
             drive: spare,
             object: spare_ep.create_object(dead.partition, 0, None, expires)?,
             ..dead
         };
-        let (ep, cap) = self.party(new, Rights::WRITE)?;
+        let (ep, cap) = self.mgr.party(new, Rights::WRITE)?;
         let mut moved = 0u64;
         for (offset, n) in chunks(len, self.config.rebuild_chunk) {
             // Throttle *before* the transfer: the token bucket meters
@@ -195,7 +191,7 @@ impl NasdMgmt {
             self.obs.rebuild_bytes.add(n);
             moved += n;
         }
-        self.mgr_ok(CheopsRequest::SwapComponent { id, slot, new })?;
+        self.mgr.swap_component(id, slot, new)?;
         Ok(SlotFate::Rebuilt { bytes: moved })
     }
 }

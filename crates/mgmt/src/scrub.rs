@@ -14,6 +14,7 @@
 //! skipped and picked up by the next pass. Scrub I/O is throttled
 //! through its own [`nasd_net::RatePacer`].
 
+use crate::config::SCRUB_CHUNK;
 use crate::service::{chunks, extent, MgmtError, NasdMgmt};
 use bytes::Bytes;
 use nasd_cheops::{xor_read, Component, ComponentSlot, Layout, LogicalObjectId};
@@ -40,9 +41,8 @@ impl NasdMgmt {
     ///
     /// # Errors
     ///
-    /// Manager-channel failures and drive I/O errors (a scrub does not
-    /// run degraded: verifying redundancy needs every component
-    /// reachable).
+    /// Drive I/O errors (a scrub does not run degraded: verifying
+    /// redundancy needs every component reachable).
     pub fn scrub(&self) -> Result<ScrubOutcome, MgmtError> {
         let mut outcome = ScrubOutcome::default();
         let walk = self.visit_leased(
@@ -92,9 +92,10 @@ impl NasdMgmt {
         let Some(sources) = self.sources_of(layout, slot)? else {
             return Ok(());
         };
-        let target = [self.party(held, Rights::READ | Rights::WRITE | Rights::GETATTR)?];
+        let rights = Rights::READ | Rights::WRITE | Rights::GETATTR;
+        let target = [self.mgr.party(held, rights)?];
         let len = extent(&sources)?.max(extent(&target)?);
-        for (offset, n) in chunks(len, self.config.scrub_chunk) {
+        for (offset, n) in chunks(len, SCRUB_CHUNK) {
             self.scrub_pacer.debit(n);
             let mut expect = vec![0u8; n as usize];
             xor_read(&mut expect, &sources, offset)?;

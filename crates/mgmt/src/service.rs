@@ -1,20 +1,18 @@
-//! The storage-management service proper: failure handling policy,
-//! manager plumbing shared by the rebuild engine and the scrubber, and
-//! the threaded RPC front end.
+//! The storage-management engine proper: failure handling policy and
+//! the lease-and-visit walk shared by the rebuild engine and the
+//! scrubber.
 
-use crate::config::MgmtConfig;
+use crate::config::{
+    MgmtConfig, LEASE_RETRIES, LEASE_RETRY_PAUSE, LEASE_TTL, MGMT_CLIENT_ID, PROBE_ATTEMPTS,
+};
 use crate::health::HealthMonitor;
 use crate::rebuild::RebuildOutcome;
-use crate::scrub::ScrubOutcome;
 use crate::spare::SparePool;
-use nasd_cheops::{
-    CheopsRequest, CheopsResponse, Component, ComponentSlot, Layout, LeaseKind, LogicalObjectId,
-    RepairPhase, RepairRecord,
-};
+use nasd_cheops::{CheopsManager, ComponentSlot, Layout, LeaseKind, LogicalObjectId, RepairPhase};
 use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
-use nasd_net::{pace, spawn_service, CallOptions, Channel, RatePacer, Rpc, ServiceHandle};
+use nasd_net::{pace, RatePacer};
 use nasd_obs::{Counter, Gauge, Registry, SimTime, TraceEvent, TraceSink, Utilization};
-use nasd_proto::{ByteRange, Capability, DriveId, Rights, Version};
+use nasd_proto::{Capability, DriveId, Rights};
 use std::sync::Arc;
 
 /// Storage-management failures.
@@ -22,10 +20,6 @@ use std::sync::Arc;
 pub enum MgmtError {
     /// An underlying drive or manager operation failed.
     Fm(FmError),
-    /// The manager RPC channel is gone.
-    Transport,
-    /// The manager answered with an unexpected response variant.
-    Protocol(&'static str),
     /// A rebuild was needed but the spare pool is empty.
     NoSpare,
 }
@@ -40,58 +34,12 @@ impl std::fmt::Display for MgmtError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MgmtError::Fm(e) => write!(f, "storage error: {e}"),
-            MgmtError::Transport => f.write_str("manager channel disconnected"),
-            MgmtError::Protocol(what) => write!(f, "unexpected manager response to {what}"),
             MgmtError::NoSpare => f.write_str("spare pool exhausted"),
         }
     }
 }
 
 impl std::error::Error for MgmtError {}
-
-/// Requests to the storage-management service.
-#[derive(Clone, Debug)]
-pub enum MgmtRequest {
-    /// Run one management cycle: probe sweep, then any pending rebuilds.
-    Check,
-    /// Reconstruct `drive` onto a spare now, without waiting for probe
-    /// detection (an operator pulling a drive).
-    Rebuild {
-        /// The drive to reconstruct.
-        drive: DriveId,
-    },
-    /// Run one scrub pass over every logical object.
-    Scrub,
-    /// Add a hot spare to the pool.
-    AddSpare {
-        /// The new spare.
-        drive: DriveId,
-    },
-    /// Snapshot the spare pool and repair records.
-    Status,
-}
-
-/// Storage-management replies.
-#[derive(Clone, Debug)]
-pub enum MgmtResponse {
-    /// Result of a management cycle.
-    Check(CheckReport),
-    /// Result of a forced rebuild.
-    Rebuild(RebuildOutcome),
-    /// Result of a scrub pass.
-    Scrub(ScrubOutcome),
-    /// Pool and repair status.
-    Status {
-        /// Free spares, sorted by drive id.
-        spares: Vec<DriveId>,
-        /// Repair records, sorted by drive id.
-        repairs: Vec<RepairRecord>,
-    },
-    /// Success (for requests with nothing to report).
-    Ok,
-    /// Failure, rendered for the caller.
-    Err(String),
-}
 
 /// What one management cycle did.
 #[derive(Clone, Debug, Default)]
@@ -120,7 +68,6 @@ pub(crate) struct MgmtObs {
     pub(crate) scrub_objects: Arc<Counter>,
     pub(crate) scrub_bytes: Arc<Counter>,
     pub(crate) scrub_repairs: Arc<Counter>,
-    pub(crate) lease_release_failures: Arc<Counter>,
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
@@ -137,19 +84,18 @@ impl MgmtObs {
             scrub_objects: registry.counter("mgmt/scrub/objects"),
             scrub_bytes: registry.counter("mgmt/scrub/bytes"),
             scrub_repairs: registry.counter("mgmt/scrub/repairs"),
-            lease_release_failures: registry.counter("mgmt/lease/release-failures"),
             trace,
         }
     }
 }
 
-/// The storage-management service. Owns failure detection, the spare
-/// pool, and the rebuild/scrub engines; talks to the Cheops manager
-/// over its ordinary RPC channel (`ReportFailure`, `Layouts`,
-/// `SwapComponent`, ...) and to the drives directly.
+/// Storage management: failure detection, the spare pool, and the
+/// rebuild and scrub engines, run on the Cheops manager's own maps,
+/// lease table and repair records (its typed methods, called directly)
+/// and on the drives.
 pub struct NasdMgmt {
     pub(crate) fleet: Arc<DriveFleet>,
-    pub(crate) mgr: Channel<CheopsRequest, CheopsResponse>,
+    pub(crate) mgr: Arc<CheopsManager>,
     pub(crate) config: MgmtConfig,
     pub(crate) health: HealthMonitor,
     pub(crate) spares: SparePool,
@@ -167,41 +113,35 @@ impl std::fmt::Debug for NasdMgmt {
 }
 
 impl NasdMgmt {
-    /// Build a management service over `fleet`, talking to the Cheops
-    /// manager at `mgr`, with `spares` held in reserve. Metrics go to a
-    /// private registry until [`NasdMgmt::observed`] rewires them.
+    /// Storage management for `mgr`'s logical objects on `fleet` (the
+    /// fleet `mgr` was built over), with `spares` held in reserve. Metrics
+    /// go to a private registry until [`NasdMgmt::observed`] rewires them.
     #[must_use]
     pub fn new(
         fleet: Arc<DriveFleet>,
-        mgr: Channel<CheopsRequest, CheopsResponse>,
+        mgr: Arc<CheopsManager>,
         spares: Vec<DriveId>,
         config: MgmtConfig,
     ) -> Self {
         let registry = Registry::new();
         NasdMgmt {
+            fleet,
             health: HealthMonitor::new(config.failure_threshold),
             spares: SparePool::new(spares),
             rebuild_pacer: RatePacer::with_rate(config.rebuild_rate),
             scrub_pacer: RatePacer::with_rate(config.scrub_rate),
             obs: MgmtObs::wire(&registry, None),
-            fleet,
             mgr,
             config,
         }
     }
 
-    /// Re-home the service's counters in `registry` and mirror rebuild
+    /// Re-home the engine's counters in `registry` and mirror rebuild
     /// and scrub lifecycle events into `trace`.
     #[must_use]
     pub fn observed(mut self, registry: &Registry, trace: Option<Arc<TraceSink>>) -> Self {
         self.obs = MgmtObs::wire(registry, trace);
         self
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &MgmtConfig {
-        &self.config
     }
 
     /// Free spares, sorted by drive id.
@@ -217,21 +157,16 @@ impl NasdMgmt {
         self.spares.put(drive);
     }
 
-    /// One management cycle: sweep the fleet for failures, report new
-    /// ones to the manager, then run every pending reconstruction
+    /// One management cycle: sweep the fleet for failures, record new
+    /// ones with the manager, then run every pending reconstruction
     /// (including ones deferred by earlier cycles for want of a spare).
-    ///
-    /// # Errors
-    ///
-    /// Manager-channel failures. Per-drive rebuild problems do not
-    /// abort the cycle; they land in [`CheckReport::deferred`].
-    pub fn check_once(&self) -> Result<CheckReport, MgmtError> {
+    /// Per-drive rebuild problems do not abort the cycle; they land in
+    /// [`CheckReport::deferred`].
+    pub fn check_once(&self) -> CheckReport {
         let mut report = CheckReport::default();
-        let newly = self.health.sweep(
-            &self.fleet,
-            self.config.probe_timeout,
-            self.config.probe_attempts,
-        );
+        let newly = self
+            .health
+            .sweep(&self.fleet, self.config.probe_timeout, PROBE_ATTEMPTS);
         for drive in newly {
             if self.spares.remove(drive) {
                 self.trace("spare-lost", Some(drive), String::new());
@@ -239,12 +174,12 @@ impl NasdMgmt {
                 report.spares_lost.push(drive);
                 continue;
             }
-            self.mgr_ok(CheopsRequest::ReportFailure { drive })?;
+            self.mgr.set_repair(drive, RepairPhase::Failed, None);
             self.obs.failures.inc();
             self.trace("failure", Some(drive), String::new());
             report.newly_failed.push(drive);
         }
-        for record in self.repairs()? {
+        for record in self.mgr.repairs() {
             // `Failed` = detected, not yet attempted. `Rebuilding` = a
             // prior attempt stalled or errored mid-way; rebuild_drive is
             // idempotent per slot and resumes onto the recorded spare.
@@ -256,102 +191,29 @@ impl NasdMgmt {
                 Err(e) => report.deferred.push((record.drive, e.to_string())),
             }
         }
-        Ok(report)
+        report
     }
 
-    /// Spawn as a threaded service.
-    #[must_use]
-    pub fn spawn(self) -> (Rpc<MgmtRequest, MgmtResponse>, ServiceHandle) {
-        let svc = Arc::new(self);
-        spawn_service(move |req| svc.handle(req))
-    }
-
-    /// Handle one request (the service loop body; callable directly in
-    /// tests).
-    pub fn handle(&self, req: MgmtRequest) -> MgmtResponse {
-        match req {
-            MgmtRequest::Check => match self.check_once() {
-                Ok(r) => MgmtResponse::Check(r),
-                Err(e) => MgmtResponse::Err(e.to_string()),
-            },
-            MgmtRequest::Rebuild { drive } => match self.rebuild_drive(drive) {
-                Ok(o) => MgmtResponse::Rebuild(o),
-                Err(e) => MgmtResponse::Err(e.to_string()),
-            },
-            MgmtRequest::Scrub => match self.scrub() {
-                Ok(o) => MgmtResponse::Scrub(o),
-                Err(e) => MgmtResponse::Err(e.to_string()),
-            },
-            MgmtRequest::AddSpare { drive } => {
-                self.add_spare(drive);
-                MgmtResponse::Ok
-            }
-            MgmtRequest::Status => match self.repairs() {
-                Ok(repairs) => MgmtResponse::Status {
-                    spares: self.spares.free(),
-                    repairs,
-                },
-                Err(e) => MgmtResponse::Err(e.to_string()),
-            },
-        }
-    }
-
-    // ---- manager plumbing shared with rebuild.rs / scrub.rs ----
-
-    pub(crate) fn mgr_call(&self, req: CheopsRequest) -> Result<CheopsResponse, MgmtError> {
-        match self.mgr.call_with(req, &CallOptions::blocking()) {
-            Ok(CheopsResponse::Err(e)) => Err(MgmtError::Fm(e)),
-            Ok(r) => Ok(r),
-            Err(_) => Err(MgmtError::Transport),
-        }
-    }
-
-    pub(crate) fn mgr_ok(&self, req: CheopsRequest) -> Result<(), MgmtError> {
-        match self.mgr_call(req)? {
-            CheopsResponse::Ok => Ok(()),
-            _ => Err(MgmtError::Protocol("ok")),
-        }
-    }
-
-    pub(crate) fn layouts(&self) -> Result<Vec<(LogicalObjectId, Layout)>, MgmtError> {
-        match self.mgr_call(CheopsRequest::Layouts)? {
-            CheopsResponse::Layouts(v) => Ok(v),
-            _ => Err(MgmtError::Protocol("layouts")),
-        }
-    }
-
-    /// Repair records, sorted by drive id.
-    ///
-    /// # Errors
-    ///
-    /// Manager-channel failures.
-    pub fn repairs(&self) -> Result<Vec<RepairRecord>, MgmtError> {
-        match self.mgr_call(CheopsRequest::RebuildStatus)? {
-            CheopsResponse::Repairs(v) => Ok(v),
-            _ => Err(MgmtError::Protocol("rebuild status")),
-        }
-    }
-
-    /// Lease, re-snapshot, visit — the one walk rebuild and scrub share.
+    /// Lease, re-read, visit — the one walk rebuild and scrub share.
     /// Every logical object whose layout is `wanted` is visited under an
     /// exclusive lease (so a racing writer's read-modify-write can't read
     /// as a latent error) on the layout as it stands *under* that lease:
-    /// it may have been swapped or removed since the walk began. `None`
-    /// marks an object left for a later pass: its lease stayed busy
-    /// through every retry, or it was removed meanwhile.
+    /// it may have been swapped or removed since the walk's snapshot.
+    /// `None` marks an object left for a later pass: its lease stayed
+    /// busy through every retry, or it was removed meanwhile.
     pub(crate) fn visit_leased<T>(
         &self,
         wanted: impl Fn(&Layout) -> bool,
         mut visit: impl FnMut(LogicalObjectId, &Layout) -> Result<T, MgmtError>,
     ) -> Result<Vec<(LogicalObjectId, Option<T>)>, MgmtError> {
         let mut visited = Vec::new();
-        for (id, layout) in self.layouts()? {
+        for (id, layout) in self.mgr.layouts() {
             if !wanted(&layout) {
                 continue;
             }
             let outcome = self.with_exclusive_lease(id, || {
-                let fresh = self.layouts()?.into_iter().find(|(other, _)| *other == id);
-                fresh.map(|(_, layout)| visit(id, &layout)).transpose()
+                let fresh = self.mgr.layout(id).ok();
+                fresh.map(|layout| visit(id, &layout)).transpose()
             })?;
             visited.push((id, outcome.flatten()));
         }
@@ -368,56 +230,26 @@ impl NasdMgmt {
     ) -> Result<Option<T>, MgmtError> {
         let mut attempts = 0;
         loop {
-            let req = CheopsRequest::Lease {
-                id,
-                client: self.config.client_id,
-                kind: LeaseKind::Exclusive,
-                ttl: self.config.lease_ttl,
-            };
-            match self.mgr_call(req) {
-                Ok(CheopsResponse::Leased { .. }) => break,
-                Ok(CheopsResponse::LeaseBusy { .. }) => {
+            let asked = self
+                .mgr
+                .lease(id, MGMT_CLIENT_ID, LeaseKind::Exclusive, LEASE_TTL);
+            match asked {
+                Ok(Ok(_)) => break,
+                Ok(Err(_)) => {
                     attempts += 1;
-                    if attempts > self.config.lease_retries {
+                    if attempts > LEASE_RETRIES {
                         return Ok(None);
                     }
                     // Backoff with no lock held, via the sanctioned path.
-                    pace(self.config.lease_retry_pause);
+                    pace(LEASE_RETRY_PAUSE);
                 }
-                Err(MgmtError::Fm(FmError::NotFound(_))) => return Ok(None),
-                Ok(_) => return Err(MgmtError::Protocol("lease")),
-                Err(e) => return Err(e),
+                Err(FmError::NotFound(_)) => return Ok(None),
+                Err(e) => return Err(e.into()),
             }
         }
         let result = f();
-        // Best-effort release; expiry reclaims it anyway — but a failed
-        // release stalls other lessees for a full TTL, so count it.
-        if let Err(e) = self.mgr_call(CheopsRequest::Unlease {
-            id,
-            client: self.config.client_id,
-        }) {
-            self.obs.lease_release_failures.inc();
-            self.trace("unlease-failed", None, format!("object {}: {e}", id.0));
-        }
+        self.mgr.unlease(id, MGMT_CLIENT_ID);
         result.map(Some)
-    }
-
-    // ---- drive plumbing ----
-
-    /// The drive holding `c` and a capability for `rights` on it — the
-    /// one place storage management mints a component capability.
-    pub(crate) fn party(&self, c: Component, rights: Rights) -> Result<Party<'_>, MgmtError> {
-        let ep = self.fleet.by_id(c.drive).ok_or(MgmtError::Transport)?;
-        let expires = self.fleet.now() + self.config.lease_ttl;
-        let cap = ep.mint(
-            c.partition,
-            c.object,
-            Version(0),
-            rights,
-            ByteRange::FULL,
-            expires,
-        );
-        Ok((ep, cap))
     }
 
     /// Read parties for the slots whose XOR equals `slot`, or `None`
@@ -431,8 +263,8 @@ impl NasdMgmt {
             return Ok(None);
         };
         let held = layout.slots().filter(|(s, _)| sources.contains(s));
-        let parties = held.map(|(_, c)| self.party(c, Rights::READ | Rights::GETATTR));
-        parties.collect::<Result<_, _>>().map(Some)
+        let parties = held.map(|(_, c)| self.mgr.party(c, Rights::READ | Rights::GETATTR));
+        Ok(Some(parties.collect::<Result<_, _>>()?))
     }
 
     pub(crate) fn trace(&self, phase: &'static str, drive: Option<DriveId>, detail: String) {
@@ -451,7 +283,7 @@ impl NasdMgmt {
 }
 
 /// One component as a party to redundancy I/O: its drive and a
-/// capability for it.
+/// capability for it ([`CheopsManager::party`]).
 pub(crate) type Party<'a> = (&'a DriveEndpoint, Capability);
 
 /// The longest of the parties' current sizes: how far their XOR extends.
@@ -473,24 +305,20 @@ pub(crate) fn chunks(len: u64, chunk: u64) -> impl Iterator<Item = (u64, u64)> {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use nasd_cheops::{CheopsClient, CheopsConnect, CheopsManager, Redundancy};
+    use nasd_cheops::{CheopsClient, CheopsConnect, Redundancy, RepairRecord};
+    use nasd_fm::DriveFleet;
     use nasd_net::Connector;
     use nasd_object::DriveConfig;
-    use nasd_proto::PartitionId;
+    use nasd_proto::{ByteRange, PartitionId, Version};
     use std::time::Duration;
 
-    fn setup(
-        n: usize,
-    ) -> (
-        Arc<DriveFleet>,
-        Rpc<CheopsRequest, CheopsResponse>,
-        CheopsClient,
-    ) {
+    fn setup(n: usize) -> (Arc<DriveFleet>, Arc<CheopsManager>, CheopsClient) {
         let fleet = Arc::new(
             DriveFleet::spawn_memory(n, DriveConfig::small(), PartitionId(1), 64 << 20).unwrap(),
         );
-        let (mgr, _h) = CheopsManager::new(Arc::clone(&fleet)).spawn();
-        let client = Connector::new().cheops(77, mgr.clone(), Arc::clone(&fleet));
+        let mgr = Arc::new(CheopsManager::new(Arc::clone(&fleet)));
+        let (rpc, _h) = mgr.serve();
+        let client = Connector::new().cheops(77, rpc, Arc::clone(&fleet));
         (fleet, mgr, client)
     }
 
@@ -508,8 +336,8 @@ mod tests {
     /// report (the one that carried the rebuild).
     fn detect_and_rebuild(mgmt: &NasdMgmt) -> CheckReport {
         let mut last = CheckReport::default();
-        for _ in 0..mgmt.config().failure_threshold {
-            last = mgmt.check_once().unwrap();
+        for _ in 0..mgmt.config.failure_threshold {
+            last = mgmt.check_once();
         }
         last
     }
@@ -529,7 +357,7 @@ mod tests {
         let spare = fleet.endpoint(4).id();
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
+            Arc::clone(&mgr),
             vec![spare],
             quick_config(),
         );
@@ -543,7 +371,7 @@ mod tests {
         assert!(outcome.lost.is_empty() && outcome.busy.is_empty());
 
         // The manager records the repair...
-        let repairs = mgmt.repairs().unwrap();
+        let repairs = mgr.repairs();
         assert_eq!(repairs.len(), 1);
         assert_eq!(repairs[0].phase, RepairPhase::Rebuilt);
         assert_eq!(repairs[0].spare, Some(spare));
@@ -581,7 +409,7 @@ mod tests {
         let spare = fleet.endpoint(3).id();
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
+            Arc::clone(&mgr),
             vec![spare],
             quick_config(),
         );
@@ -618,12 +446,7 @@ mod tests {
         pep.write(&pcap, 4_000, Bytes::from(vec![0xAA; 2_000]))
             .unwrap();
 
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
         let outcome = mgmt.scrub().unwrap();
         assert_eq!(outcome.objects, 1);
         assert!(outcome.mismatches >= 1, "corruption must be found");
@@ -660,12 +483,7 @@ mod tests {
         );
         mep.write(&mcap, 100, Bytes::from(vec![0x55; 300])).unwrap();
 
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
         let outcome = mgmt.scrub().unwrap();
         assert!(outcome.mismatches >= 1);
         // The mirror again matches the primary: kill the primary's drive
@@ -687,12 +505,7 @@ mod tests {
 
         let failed = fleet.endpoint(1).id();
         fleet.crash(1);
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.newly_failed, vec![failed]);
         assert!(report.rebuilt.is_empty());
@@ -706,7 +519,7 @@ mod tests {
         // A spare arrives; the next cycle picks the pending record up.
         let spare = fleet.endpoint(3).id();
         mgmt.add_spare(spare);
-        let report = mgmt.check_once().unwrap();
+        let report = mgmt.check_once();
         assert!(report.newly_failed.is_empty(), "no re-detection");
         assert_eq!(report.rebuilt.len(), 1);
 
@@ -716,12 +529,65 @@ mod tests {
     }
 
     #[test]
+    fn lease_busy_object_stalls_the_rebuild_and_resumes_onto_the_same_spare() {
+        let (fleet, mgr, client) = setup(4);
+        let ids = [(); 2].map(|()| client.create(2, 32 << 10, Redundancy::Parity).unwrap());
+        let data = [pattern(96 << 10, 13), pattern(80 << 10, 17)];
+        for (id, bytes) in ids.iter().zip(&data) {
+            let file = client.open(*id, Rights::READ | Rights::WRITE).unwrap();
+            client.write(&file, 0, bytes).unwrap();
+        }
+        let [free, held] = ids;
+        // A client's exclusive *wire* lease sits on one object; the
+        // engine's typed lease must find it in the same table.
+        client.lease(held, LeaseKind::Exclusive, 3_600).unwrap();
+
+        let failed = fleet.endpoint(1).id();
+        fleet.crash(1);
+        let spare = fleet.endpoint(3).id();
+        let mgmt = NasdMgmt::new(
+            Arc::clone(&fleet),
+            Arc::clone(&mgr),
+            vec![spare],
+            quick_config(),
+        );
+        let outcome = mgmt.rebuild_drive(failed).unwrap();
+        assert_eq!(outcome.busy, vec![held]);
+        assert_eq!((outcome.objects, outcome.components), (2, 1));
+        // Stalled, not failed: the record keeps the spare, the spare stays
+        // claimed, and the object that could be leased is already swapped.
+        let stalled = RepairRecord {
+            drive: failed,
+            phase: RepairPhase::Rebuilding,
+            spare: Some(spare),
+        };
+        assert_eq!(mgr.repairs(), vec![stalled]);
+        assert!(mgmt.spares_free().is_empty(), "spare must not be returned");
+        let on_failed = |id| mgr.layout(id).unwrap().slots_on_drive(failed).len();
+        assert_eq!((on_failed(free), on_failed(held)), (0, 1));
+
+        client.unlease(held).unwrap();
+        let report = mgmt.check_once();
+        assert!(report.deferred.is_empty(), "{:?}", report.deferred);
+        let (drive, outcome) = &report.rebuilt[0];
+        assert_eq!((*drive, outcome.spare), (failed, Some(spare)));
+        assert_eq!((outcome.components, outcome.busy.len()), (1, 0));
+        assert_eq!(mgr.repairs()[0].phase, RepairPhase::Rebuilt);
+        for (id, bytes) in ids.iter().zip(&data) {
+            let file = client.open(*id, Rights::READ).unwrap();
+            assert!(file.layout.slots_on_drive(failed).is_empty());
+            let back = client.read(&file, 0, bytes.len() as u64).unwrap();
+            assert_eq!(&back, bytes, "rebuilt reads must be byte-identical");
+        }
+    }
+
+    #[test]
     fn failed_spare_is_dropped_not_rebuilt() {
         let (fleet, mgr, _client) = setup(3);
         let spare = fleet.endpoint(2).id();
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
+            Arc::clone(&mgr),
             vec![spare],
             quick_config(),
         );
@@ -730,69 +596,35 @@ mod tests {
         assert_eq!(report.spares_lost, vec![spare]);
         assert!(report.newly_failed.is_empty());
         assert!(mgmt.spares_free().is_empty());
-        assert!(
-            mgmt.repairs().unwrap().is_empty(),
-            "no repair record for a spare"
-        );
+        assert!(mgr.repairs().is_empty(), "no repair record for a spare");
     }
 
     #[test]
-    fn service_front_end_answers_status_and_check() {
+    fn fresh_rebuild_scrubs_clean() {
         let (fleet, mgr, client) = setup(4);
         let id = client.create(2, 32 << 10, Redundancy::Parity).unwrap();
         let file = client.open(id, Rights::READ | Rights::WRITE).unwrap();
         client.write(&file, 0, &pattern(32 << 10, 1)).unwrap();
 
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
-        let (rpc, handle) = mgmt.spawn();
-        let MgmtResponse::Ok = rpc
-            .call_with(
-                MgmtRequest::AddSpare { drive: spare },
-                &CallOptions::blocking(),
-            )
-            .unwrap()
-        else {
-            panic!("add spare failed");
-        };
-        let MgmtResponse::Status { spares, repairs } = rpc
-            .call_with(MgmtRequest::Status, &CallOptions::blocking())
-            .unwrap()
-        else {
-            panic!("status failed");
-        };
-        assert_eq!(spares, vec![spare]);
-        assert!(repairs.is_empty());
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
+        mgmt.add_spare(spare);
+        assert_eq!(mgmt.spares_free(), vec![spare]);
+        assert!(mgr.repairs().is_empty());
 
         let failed = fleet.endpoint(1).id();
         fleet.crash(1);
         let mut rebuilt = false;
         for _ in 0..4 {
-            let MgmtResponse::Check(report) = rpc
-                .call_with(MgmtRequest::Check, &CallOptions::blocking())
-                .unwrap()
-            else {
-                panic!("check failed");
-            };
+            let report = mgmt.check_once();
             if report.rebuilt.iter().any(|(d, _)| *d == failed) {
                 rebuilt = true;
                 break;
             }
         }
-        assert!(rebuilt, "service loop must drive the rebuild");
-        let MgmtResponse::Scrub(outcome) = rpc
-            .call_with(MgmtRequest::Scrub, &CallOptions::blocking())
-            .unwrap()
-        else {
-            panic!("scrub failed");
-        };
+        assert!(rebuilt, "check cycles must drive the rebuild");
+        let outcome = mgmt.scrub().unwrap();
         assert_eq!(outcome.mismatches, 0, "fresh rebuild scrubs clean");
-        handle.shutdown();
     }
 
     #[test]
@@ -808,7 +640,7 @@ mod tests {
         // roughly 250 ms (wall-clock assertions stay loose).
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
+            Arc::clone(&mgr),
             vec![spare],
             quick_config().rebuild_rate(1 << 20).rebuild_chunk(32 << 10),
         );
@@ -837,7 +669,7 @@ mod tests {
         let spare = fleet.endpoint(3).id();
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
+            Arc::clone(&mgr),
             vec![spare],
             quick_config(),
         )

@@ -274,6 +274,31 @@ mod tests {
     }
 
     #[test]
+    fn call_queued_behind_a_shutdown_is_disconnected() {
+        let (gate_tx, gate_rx) = unbounded::<()>();
+        let (rpc, mut handle) = spawn_service(move |x: u64| {
+            gate_rx.recv().expect("gate open");
+            x
+        });
+        // Queue, in order: a call the handler holds at the gate, the stop
+        // message, and a second call the loop will never reach.
+        let first = Transport::call_async(&rpc, 1).unwrap();
+        (handle.stop.take().expect("not yet stopped"))();
+        let second = Transport::call_async(&rpc, 2).unwrap();
+        gate_tx.send(()).unwrap();
+        assert_eq!(first.recv(), Ok(1));
+        // The reply sender queued in the dead channel must die with it
+        // (`rpc` still holds the channel open), or every untimed wait on
+        // `second` hangs; the bound only keeps a regression from hanging
+        // the suite.
+        assert_eq!(
+            second.wait(Some(Duration::from_secs(2))),
+            Err(RpcError::Disconnected)
+        );
+        handle.shutdown();
+    }
+
+    #[test]
     fn dropping_the_handle_detaches() {
         let (rpc, handle) = spawn_service(|(): ()| ());
         drop(handle); // detached; still serving

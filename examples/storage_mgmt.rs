@@ -1,7 +1,7 @@
-//! nasd-mgmt in action: a drive dies under a parity stripe, the
-//! management service detects it, reconstructs the lost column onto a
-//! hot spare (throttled), swaps the Cheops map, and a scrub pass later
-//! repairs a latent parity error before it can turn fatal.
+//! nasd-mgmt in action: a drive dies under a parity stripe, storage
+//! management detects it, reconstructs the lost column onto a hot spare
+//! (throttled), swaps the Cheops map, and a scrub pass later repairs a
+//! latent parity error before it can turn fatal.
 //!
 //! ```sh
 //! cargo run --example storage_mgmt
@@ -11,7 +11,7 @@ use nasd::cheops::CheopsConnect;
 use nasd::cheops::{CheopsManager, Redundancy, RepairPhase};
 use nasd::fm::DriveFleet;
 use nasd::mgmt::{MgmtConfig, NasdMgmt};
-use nasd::net::{Channel, Connector};
+use nasd::net::Connector;
 use nasd::object::DriveConfig;
 use nasd::proto::{ByteRange, PartitionId, Rights, Version};
 use std::sync::Arc;
@@ -26,8 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PartitionId(1),
         64 << 20,
     )?);
-    let (mgr, _h) = CheopsManager::new(Arc::clone(&fleet)).spawn();
-    let client = Connector::new().cheops(7, mgr.clone(), Arc::clone(&fleet));
+    // One storage manager: clients reach it over its wire enum, storage
+    // management runs on the same maps, leases and repair records.
+    let mgr = Arc::new(CheopsManager::new(Arc::clone(&fleet)));
+    let (rpc, _h) = mgr.serve();
+    let client = Connector::new().cheops(7, rpc, Arc::clone(&fleet));
 
     let id = client.create(3, 32 * 1024, Redundancy::Parity)?;
     let file = client.open(id, Rights::ALL)?;
@@ -47,28 +50,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(degraded, payload);
     println!("{failed} crashed; degraded read still byte-exact");
 
-    // The management service probes the fleet (any RPC reply means
+    // Storage management probes the fleet (any RPC reply means
     // alive; only transport silence counts), claims the spare, rebuilds
     // the lost column at 4 MiB/s, and swaps the map atomically.
     let spare = fleet.endpoint(4).id();
     let mgmt = NasdMgmt::new(
         Arc::clone(&fleet),
-        Channel::in_proc(mgr),
+        Arc::clone(&mgr),
         vec![spare],
         MgmtConfig::standard()
             .probe_timeout(Duration::from_millis(30))
             .rebuild_rate(4 << 20),
     );
-    let mut report = mgmt.check_once()?;
+    let mut report = mgmt.check_once();
     while report.rebuilt.is_empty() {
-        report = mgmt.check_once()?; // strikes accumulate to the threshold
+        report = mgmt.check_once(); // strikes accumulate to the threshold
     }
     let (drive, outcome) = &report.rebuilt[0];
     println!(
         "mgmt: {drive} detected dead, {} bytes reconstructed onto {} ({} component)",
         outcome.bytes, spare, outcome.components
     );
-    let repair = mgmt.repairs()?.into_iter().find(|r| r.drive == failed);
+    let repair = mgr.repairs().into_iter().find(|r| r.drive == failed);
     assert_eq!(repair.map(|r| r.phase), Some(RepairPhase::Rebuilt));
 
     // A fresh open mints capabilities for the spare; reads are whole

@@ -294,11 +294,17 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             state.receivers -= 1;
-            let disconnected = state.receivers == 0;
-            drop(state);
-            if disconnected {
-                self.shared.not_full.notify_all();
+            if state.receivers > 0 {
+                return;
             }
+            // Nobody can receive what is queued: discard it, as the real
+            // crate does, so a reply sender riding in a queued message
+            // disconnects its waiter. Dropped after the lock is released —
+            // a message's own `Drop` may touch another channel.
+            let orphaned = std::mem::take(&mut state.items);
+            drop(state);
+            drop(orphaned);
+            self.shared.not_full.notify_all();
         }
     }
 
@@ -330,6 +336,20 @@ pub mod channel {
             let (tx, rx) = unbounded::<u32>();
             drop(rx);
             assert!(tx.send(1).is_err());
+        }
+
+        #[test]
+        fn queued_messages_are_dropped_with_the_last_receiver() {
+            let (tx, rx) = unbounded();
+            let (reply_tx, reply_rx) = unbounded::<u32>();
+            tx.send(reply_tx).unwrap();
+            drop(rx);
+            // `tx` still holds the channel open; the queued reply sender
+            // must be gone all the same.
+            assert_eq!(
+                reply_rx.recv_timeout(Duration::from_millis(500)),
+                Err(RecvTimeoutError::Disconnected)
+            );
         }
 
         #[test]

@@ -19,14 +19,14 @@ use nasd::fm::{AfsClient, DriveFleet, FmError, NasdAfs, NasdNfs};
 use nasd::mgmt::{MgmtConfig, NasdMgmt};
 use nasd::mining::parallel::parallel_frequent_items;
 use nasd::mining::{apriori, TransactionGenerator, TransactionReader};
-use nasd::net::{Channel, Connector};
+use nasd::net::Connector;
 use nasd::net::{FaultConfig, FaultEvent, FaultPlan, RetryPolicy};
 use nasd::object::{DriveConfig, DriveFaultConfig};
 use nasd::pfs::PfsCluster;
 use nasd::proto::{ByteRange, PartitionId, Rights, Version};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Three distinct seeds; every scenario below runs (or can run) under
 /// each of them, and the determinism test proves each yields a stable
@@ -486,7 +486,8 @@ fn rebuild_scenario(seed: u64, chaos: bool, crashed: usize) -> Vec<u8> {
     if chaos {
         fleet.set_faults(&plan, FaultConfig::lossy(0.3));
     }
-    let (mgr, _mh) = CheopsManager::new(Arc::clone(&fleet)).spawn();
+    let storage = Arc::new(CheopsManager::new(Arc::clone(&fleet)));
+    let (mgr, _mh) = storage.serve();
     let client = Connector::new().cheops(1, mgr.clone(), Arc::clone(&fleet));
     // 3 data columns (drive idx 0..=2) + parity (idx 3); idx 4 is spare.
     let id = client.create(3, 32 * 1024, Redundancy::Parity).unwrap();
@@ -502,14 +503,15 @@ fn rebuild_scenario(seed: u64, chaos: bool, crashed: usize) -> Vec<u8> {
         // Readers keep hammering across the crash: degraded reads must
         // stay byte-exact while the column is reconstructed behind them.
         let stop = Arc::new(AtomicBool::new(false));
+        let reads = Arc::new(AtomicU64::new(0));
         let reader = {
             let client = Connector::new().cheops(2, mgr.clone(), Arc::clone(&fleet));
-            let stop = Arc::clone(&stop);
+            let (stop, reads) = (Arc::clone(&stop), Arc::clone(&reads));
             let phase1 = phase1.clone();
             std::thread::spawn(move || {
                 let file = client.open(id, Rights::READ).unwrap();
-                let mut i = 0u64;
                 while !stop.load(Ordering::SeqCst) {
+                    let i = reads.load(Ordering::SeqCst);
                     let off = (i * 13_313) % (TOTAL - 8_192);
                     let back = client.read(&file, off, 8_192).unwrap();
                     assert_eq!(
@@ -517,18 +519,33 @@ fn rebuild_scenario(seed: u64, chaos: bool, crashed: usize) -> Vec<u8> {
                         &phase1[off as usize..off as usize + 8_192],
                         "degraded read diverged at offset {off}"
                     );
-                    i += 1;
+                    reads.fetch_add(1, Ordering::SeqCst);
                 }
-                i
             })
         };
+        // Detection and rebuild take a few milliseconds (storage management
+        // calls the manager in-process) — less than a loaded box may take
+        // to schedule the reader — so the test waits (bounded, and never
+        // on a reader that died) for the reads it is about.
+        let await_reads = |at_least: u64| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while reads.load(Ordering::SeqCst) < at_least
+                && !reader.is_finished()
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
 
+        // Crash only once the reader is in flight.
+        await_reads(1);
         let failed = fleet.endpoint(crashed).id();
         let spare = fleet.endpoint(4).id();
+        let at_crash = reads.load(Ordering::SeqCst);
         fleet.crash(crashed);
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr),
+            Arc::clone(&storage),
             vec![spare],
             MgmtConfig::standard().probe_timeout(Duration::from_millis(30)),
         );
@@ -536,14 +553,13 @@ fn rebuild_scenario(seed: u64, chaos: bool, crashed: usize) -> Vec<u8> {
         // interrupted by injected faults resume on the next cycle.
         let mut rebuilt = false;
         for _ in 0..12 {
-            let report = mgmt.check_once().unwrap();
+            let report = mgmt.check_once();
             assert!(
                 !report.rebuilt.iter().any(|(d, _)| *d != failed),
                 "seed {seed:#x}: a live drive was falsely rebuilt: {report:?}"
             );
-            if mgmt
+            if storage
                 .repairs()
-                .unwrap()
                 .iter()
                 .any(|r| r.drive == failed && r.phase == RepairPhase::Rebuilt)
             {
@@ -552,9 +568,18 @@ fn rebuild_scenario(seed: u64, chaos: bool, crashed: usize) -> Vec<u8> {
             }
         }
         assert!(rebuilt, "seed {seed:#x}: rebuild did not complete");
+        // The reader holds its pre-crash open, so from here on whatever it
+        // reads of the dead drive's share is a reconstruction; of two more
+        // completed reads at least one began after the crash.
+        await_reads(at_crash + 2);
         stop.store(true, Ordering::SeqCst);
-        let reads = reader.join().expect("reader panicked across the rebuild");
-        assert!(reads > 0, "reader made no progress");
+        reader.join().expect("reader panicked across the rebuild");
+        let total = reads.load(Ordering::SeqCst);
+        assert!(
+            at_crash > 0 && total >= at_crash + 2,
+            "seed {seed:#x}: reader made no progress past the crash \
+             ({at_crash} reads before it, {total} in all)"
+        );
     }
 
     // Traffic restarts: a fresh open picks up the (possibly swapped)
