@@ -326,6 +326,7 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
     if let Some(sock) = rows.iter().find(|r| r.workload == "socket_read") {
         r = r
             .with_derived("socket_read_allocs_per_op", sock.allocs_per_op)
+            .with_derived("socket_read_bytes_copied_per_op", sock.bytes_copied_per_op)
             .with_derived("socket_read_ns_per_op", sock.ns_per_op);
     }
     // Old-vs-new kernel headline: dispatch speedup at 10^5 pending and

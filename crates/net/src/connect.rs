@@ -25,15 +25,16 @@ pub struct Connector {
 }
 
 impl Connector {
-    /// A connector with defaults: no fault injection, single-connection
-    /// pool.
+    /// A connector with defaults: no fault injection, one idle
+    /// connection kept.
     #[must_use]
     pub fn new() -> Self {
         Connector::default()
     }
 
-    /// Pool size for socket endpoints (clamped to at least one
-    /// connection; in-proc endpoints ignore it).
+    /// Idle connections a socket endpoint keeps for reuse (clamped to at
+    /// least one; calls beyond them dial their own; in-proc endpoints
+    /// ignore it).
     #[must_use]
     pub fn pool(mut self, connections: usize) -> Self {
         self.pool = connections;

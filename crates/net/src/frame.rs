@@ -7,24 +7,26 @@
 //! [ payload_len: u32 BE ][ tag: u64 BE ][ payload: payload_len bytes ]
 //! ```
 //!
-//! The `tag` correlates a reply with its request, which is what makes
-//! pipelining work: a client may have many requests in flight on one
-//! connection and replies may complete out of order. The payload is the
-//! existing canonical wire encoding (`Request`/`Reply` `to_wire` bytes),
-//! unchanged — the frame layer adds correlation and delimiting only.
+//! The server echoes each request's `tag` on its reply, and the client
+//! checks it: a connection carries one request at a time, so a reply
+//! under any other tag means the connection is out of step. The payload
+//! is the existing canonical wire encoding (`Request`/`Reply` `to_wire`
+//! bytes), unchanged — the frame layer adds correlation and delimiting
+//! only.
 //!
 //! Copy discipline: the receive path reads each frame into exactly one
 //! buffer and hands it out as [`Bytes`], so decoders can take O(1)
 //! slice views of it ([`Reply::from_wire_shared`]). The send path never
 //! glues: [`FrameBuf`] carries the 12-byte header, the encoded head and
 //! the payload segments as separate pieces, and [`write_frames`] pushes
-//! them (batched across frames) through a single vectored
-//! [`Write::write_vectored`] call per syscall round.
+//! them through a single vectored [`Write::write_vectored`] call per
+//! syscall round.
 
 use crate::rpc::RpcError;
 use bytes::Bytes;
 use nasd_proto::wire::WireReader;
 use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Bytes of frame header: u32 length + u64 tag.
 pub const HEADER_LEN: usize = 12;
@@ -165,11 +167,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload, false)?;
+    // Read straight into the allocation the returned `Bytes` shares:
+    // `Bytes::from(Vec)` would memcpy the whole payload once more.
+    let mut payload: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
+    // A just-collected `Arc` has no other owner, so this cannot fail.
+    let buf = Arc::get_mut(&mut payload).ok_or(FrameError::Io(io::ErrorKind::Other))?;
+    read_exact_or(r, buf, false)?;
     Ok(Frame {
         tag,
-        payload: Bytes::from(payload),
+        payload: Bytes::from_arc(payload),
     })
 }
 
@@ -243,10 +249,9 @@ impl FrameBuf {
     }
 }
 
-/// Write a batch of frames with vectored I/O and flush once. Batching
-/// across frames is the reply-coalescing path: a writer thread drains
-/// its queue and all the drained replies go out in as few syscalls as
-/// the OS allows.
+/// Write frames with vectored I/O and flush once: every piece of every
+/// frame goes out in as few syscalls as the OS allows. The transport
+/// writes one frame per call; a raw peer may pipeline several.
 ///
 /// # Errors
 ///
@@ -507,6 +512,15 @@ mod tests {
             FrameError::Io(io::ErrorKind::ConnectionReset).to_rpc(),
             RpcError::Disconnected
         );
+    }
+
+    #[test]
+    fn read_frame_copies_no_payload_bytes() {
+        let wire = frame_bytes(5, &[0x3c; 64 << 10]);
+        let before = bytes::stats::bytes_copied();
+        let f = read_frame(&mut wire.as_slice()).unwrap();
+        assert_eq!(bytes::stats::bytes_copied() - before, 0);
+        assert_eq!(f.payload.as_ref(), &[0x3c; 64 << 10][..]);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   the threaded in-process [`Rpc`] over crossbeam channels
 //!   ([`spawn_service`]), and a real TCP/UDS socket transport
 //!   ([`serve`], [`SocketClient`]) speaking the length-prefixed wire
-//!   protocol with tagged frames, request pipelining and reply
-//!   batching. [`Connector`] is how endpoints are built; `call_with`
-//!   ([`CallOptions`]) is the single call surface on both.
+//!   protocol with tagged frames, one request per connection at a time
+//!   and pipelining across pooled connections. [`Connector`] is how
+//!   endpoints are built; `call_with` ([`CallOptions`]) is the single
+//!   call surface on both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +43,5 @@ pub use model::RpcCostModel;
 pub use options::{CallOptions, CallStats};
 pub use pacing::{pace, RatePacer};
 pub use rpc::{spawn_service, Rpc, RpcError, ServiceHandle};
-pub use socket::{serve, BindAddr, ServerStats, SocketClient, WireServer, MAX_BATCH};
+pub use socket::{serve, BindAddr, ServerStats, SocketClient, WireServer};
 pub use transport::{Channel, Pending, Transport};

@@ -1,31 +1,30 @@
-//! Real sockets: a multi-threaded TCP/UDS drive server and a pooled,
-//! pipelining client — the paper's drive-on-the-network (§3) made
-//! concrete.
+//! Real sockets: a multi-threaded TCP/UDS drive server and a pooled
+//! client — the paper's drive-on-the-network (§3) made concrete.
+//!
+//! A connection carries one request at a time: the caller writes its
+//! frame and reads the reply on its own thread, so a reply's tag is
+//! checked, never demultiplexed. Requests in flight together — and
+//! replies completing out of order — ride separate connections, as each
+//! in-process call has its own reply slot.
 //!
 //! ## Server anatomy
 //!
-//! [`serve`] binds a [`BindAddr`] and spawns:
-//!
-//! - one **acceptor** thread looping on `accept`;
-//! - per connection, a **reader** thread (frame → decode →
-//!   [`Request`] → work queue) and a **writer** thread (reply queue →
-//!   batched [`write_frames`], coalescing up to [`MAX_BATCH`] replies
-//!   per `writev` round);
-//! - a shared pool of **worker** threads executing the service function
-//!   — requests from many connections interleave, which is what gives
-//!   one slow client no power to starve the rest.
-//!
-//! Graceful shutdown ([`WireServer::shutdown`]) closes every socket,
-//! lets readers/workers/writers drain, and joins all threads.
+//! [`serve`] binds a [`BindAddr`] and spawns one **acceptor** thread
+//! looping on `accept`, and per accepted connection one thread that
+//! reads a request, runs the service function holding one of `workers`
+//! permits, releases it, and writes the reply. A peer that stops reading
+//! stalls only its own connection, and holds no permit while it does.
+//! Graceful shutdown ([`WireServer::shutdown`]) closes every socket and
+//! joins every thread.
 //!
 //! ## Client anatomy
 //!
-//! [`SocketClient`] keeps a small pool of connections; each owns a
-//! reader thread demuxing tagged replies to per-request waiters, so any
-//! number of requests can be in flight per connection and complete out
-//! of order (pipelining). Dead connections are re-dialed lazily on the
-//! next attempt, which is why [`Transport::reconnects`] is `true` for
-//! this transport — `Disconnected` is retryable here.
+//! [`SocketClient`] keeps up to `pool` idle connections. A call checks
+//! one out — dialing when none is idle — writes, reads its reply and
+//! hands the connection back only after a clean exchange: a connection
+//! that failed or timed out is closed, so a late reply can never answer
+//! a later call. Because every call may dial, [`Transport::reconnects`]
+//! is `true` for this transport — `Disconnected` is retryable here.
 //!
 //! ## Copy discipline
 //!
@@ -36,11 +35,12 @@
 //! memcpied on the send side must be zero, and the perf harness holds
 //! that line.
 
-use crate::frame::{read_frame, write_frames, FrameBuf, FrameError};
+use crate::frame::{classify_io, read_frame, write_frames, FrameBuf, FrameError};
 use crate::rpc::RpcError;
 use crate::transport::{Pending, Transport};
 use bytes::stats as byte_stats;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use bytes::Bytes;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use nasd_obs::Counter;
 use nasd_proto::wire::WireWriter;
 use nasd_proto::{NasdStatus, Reply, Request};
@@ -50,13 +50,10 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Maximum replies a writer thread coalesces into one vectored write.
-pub const MAX_BATCH: usize = 32;
 
 /// Where a wire server listens / a client dials: TCP or a Unix-domain
 /// socket path. CI uses UDS (no ports to fight over); TCP is the
@@ -104,13 +101,21 @@ impl BindAddr {
 
 /// A connected stream of either flavor. `write_vectored` MUST delegate
 /// (the default `Write` impl falls back to plain `write`, which would
-/// silently defeat the `writev` batching this transport is built on).
+/// silently defeat the `writev` path this transport is built on).
+#[derive(Debug)]
 enum Stream {
     Tcp(TcpStream),
     Uds(UnixStream),
 }
 
 impl Stream {
+    fn dial(addr: &BindAddr) -> io::Result<Stream> {
+        Ok(match addr {
+            BindAddr::Tcp(a) => Stream::Tcp(TcpStream::connect(a)?),
+            BindAddr::Uds(p) => Stream::Uds(UnixStream::connect(p)?),
+        })
+    }
+
     fn try_clone(&self) -> io::Result<Stream> {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
@@ -118,8 +123,24 @@ impl Stream {
         }
     }
 
-    /// Best-effort full shutdown — used to unblock reader threads; a
-    /// failure means the peer beat us to it.
+    /// Bound each later read and write by `timeout`; `None` blocks.
+    fn set_timeout(&self, timeout: Option<Duration>) -> Result<(), RpcError> {
+        // std refuses a zero timeout (the OS reads it as "block"); the
+        // shortest real one stands in.
+        let timeout = timeout.map(|t| t.max(Duration::from_nanos(1)));
+        let set = match self {
+            Stream::Tcp(s) => s
+                .set_read_timeout(timeout)
+                .and_then(|()| s.set_write_timeout(timeout)),
+            Stream::Uds(s) => s
+                .set_read_timeout(timeout)
+                .and_then(|()| s.set_write_timeout(timeout)),
+        };
+        set.map_err(|e| classify_io(e.kind()))
+    }
+
+    /// Best-effort full shutdown — used to unblock a connection thread;
+    /// a failure means the peer beat us to it.
     fn shutdown_both(&self) {
         // nasd-lint: allow(swallowed-error, "shutdown races with the peer closing first; either way the socket is dead")
         let _ = match self {
@@ -195,6 +216,17 @@ impl Listener {
     }
 }
 
+/// Stage a message's `encode_frame` output as one frame under `tag`.
+fn frame(
+    tag: u64,
+    encode: impl FnOnce(&mut WireWriter, &mut Vec<Bytes>),
+) -> Result<FrameBuf, FrameError> {
+    let mut head = WireWriter::new();
+    let mut segments = Vec::new();
+    encode(&mut head, &mut segments);
+    FrameBuf::new(tag, head.into_vec(), segments)
+}
+
 /// Server-side counters, readable while the server runs.
 #[derive(Debug, Default)]
 pub struct ServerStats {
@@ -202,7 +234,7 @@ pub struct ServerStats {
     pub connections: Counter,
     /// Request frames successfully decoded and dispatched.
     pub frames_in: Counter,
-    /// Reply frames handed to writer threads.
+    /// Reply frames staged for writing.
     pub frames_out: Counter,
     /// Frames whose payload failed to decode as a [`Request`] (the
     /// client gets a [`NasdStatus::BadRequest`] reply, the connection
@@ -214,151 +246,98 @@ pub struct ServerStats {
     pub send_copies: Counter,
 }
 
-/// One unit of work: a decoded request, its correlation tag, and the
-/// reply queue of the connection it arrived on.
-struct Job {
-    tag: u64,
-    req: Request,
-    out: Sender<FrameBuf>,
+/// What every connection thread of one server shares.
+struct Shared<F> {
+    service: F,
+    stats: Arc<ServerStats>,
+    /// Room for `workers` tokens: a connection queues one before
+    /// `service` runs and takes one back after, so a full queue holds
+    /// further calls off.
+    permits: (Sender<()>, Receiver<()>),
+    /// A clone of each live connection by id, for the acceptor to close
+    /// at shutdown; a connection removes its own when it ends.
+    live: Mutex<HashMap<u64, Stream>>,
 }
 
-/// Encode a reply into a [`FrameBuf`], debiting any bytes the encode
-/// itself copied to the server's send-copy counter. Payload segments
-/// ride as shared handles, so for data replies this counts only the
-/// fixed head.
-fn encode_reply(tag: u64, reply: &Reply, stats: &ServerStats) -> Result<FrameBuf, FrameError> {
+/// Frame `reply` under `tag` and write it, debiting any bytes the
+/// encode or the write memcpied to the server's send-copy counter.
+/// Payload segments ride as shared handles, so for data replies this
+/// counts only the fixed head.
+fn send_reply(
+    stream: &mut Stream,
+    tag: u64,
+    reply: &Reply,
+    stats: &ServerStats,
+) -> Result<(), FrameError> {
     let before = byte_stats::bytes_copied();
-    let mut head = WireWriter::new();
-    let mut segments = Vec::new();
-    reply.encode_frame(&mut head, &mut segments);
+    // A reply too large to frame becomes an in-band error; the error
+    // reply itself is tiny and cannot fail to frame.
+    let out = frame(tag, |h, s| reply.encode_frame(h, s)).or_else(|_| {
+        frame(tag, |h, s| {
+            Reply::error(NasdStatus::DriveError).encode_frame(h, s);
+        })
+    })?;
+    stats.frames_out.inc();
+    let sent = write_frames(stream, std::slice::from_ref(&out));
     stats
         .send_copies
         .add(byte_stats::bytes_copied().saturating_sub(before));
-    FrameBuf::new(tag, head.into_vec(), segments)
+    sent
 }
 
-fn worker_loop<F>(work: &Receiver<Job>, service: &F, stats: &ServerStats)
+/// One server connection: read a request, run the service under a
+/// permit, write the reply, repeat. Malformed payloads get an in-band
+/// `BadRequest` reply; framing and write errors end the connection.
+fn serve_connection<F>(mut stream: Stream, shared: &Shared<F>)
 where
     F: Fn(Request) -> Reply,
 {
-    while let Ok(job) = work.recv() {
-        let reply = service(job.req);
-        let frame = match encode_reply(job.tag, &reply, stats) {
-            Ok(f) => f,
-            // A reply too large to frame becomes an in-band error; the
-            // error reply itself is tiny and cannot fail to frame.
-            Err(FrameError::Oversized(_)) => {
-                match encode_reply(job.tag, &Reply::error(NasdStatus::DriveError), stats) {
-                    Ok(f) => f,
-                    Err(_) => continue,
-                }
-            }
-            Err(_) => continue,
-        };
-        stats.frames_out.inc();
-        // A send failure means the connection's writer is gone; the
-        // client will see the disconnect.
-        // nasd-lint: allow(swallowed-error, "reply to a vanished connection; the disconnect is the client's signal")
-        let _ = job.out.send(frame);
-    }
-}
-
-/// Reader side of one server connection: frames in, requests decoded,
-/// jobs dispatched. Malformed payloads get an in-band `BadRequest`
-/// reply; framing errors end the connection.
-fn conn_reader(
-    mut stream: Stream,
-    work: &Sender<Job>,
-    out: &Sender<FrameBuf>,
-    stats: &ServerStats,
-) {
     while let Ok(frame) = read_frame(&mut stream) {
-        match Request::from_wire_shared(frame.payload) {
+        let reply = match Request::from_wire_shared(frame.payload) {
             Ok(req) => {
-                stats.frames_in.inc();
-                if work
-                    .send(Job {
-                        tag: frame.tag,
-                        req,
-                        out: out.clone(),
-                    })
-                    .is_err()
-                {
-                    break; // server shutting down
+                shared.stats.frames_in.inc();
+                // `shared` holds both ends of the permit set, so
+                // neither call can find it closed.
+                if shared.permits.0.send(()).is_err() {
+                    break;
                 }
+                let reply = (shared.service)(req);
+                if shared.permits.1.recv().is_err() {
+                    break;
+                }
+                reply
             }
             Err(_) => {
-                stats.decode_errors.inc();
-                if let Ok(f) = encode_reply(frame.tag, &Reply::error(NasdStatus::BadRequest), stats)
-                {
-                    if out.send(f).is_err() {
-                        break;
-                    }
-                }
+                shared.stats.decode_errors.inc();
+                Reply::error(NasdStatus::BadRequest)
             }
-        }
-    }
-    stream.shutdown_both();
-}
-
-/// Writer side of one connection: drain the reply queue, coalescing up
-/// to [`MAX_BATCH`] frames per vectored write. Write-side copies (there
-/// should be none beyond the 12-byte headers) are debited to the
-/// server's ledger column.
-fn conn_writer(mut stream: Stream, replies: &Receiver<FrameBuf>, stats: &ServerStats) {
-    let mut batch: Vec<FrameBuf> = Vec::with_capacity(MAX_BATCH);
-    while let Ok(first) = replies.recv() {
-        batch.clear();
-        batch.push(first);
-        while batch.len() < MAX_BATCH {
-            match replies.try_recv() {
-                Ok(f) => batch.push(f),
-                Err(_) => break,
-            }
-        }
-        let before = byte_stats::bytes_copied();
-        let result = write_frames(&mut stream, &batch);
-        stats
-            .send_copies
-            .add(byte_stats::bytes_copied().saturating_sub(before));
-        if result.is_err() {
+        };
+        if send_reply(&mut stream, frame.tag, &reply, &shared.stats).is_err() {
             break;
         }
     }
-    stream.shutdown_both();
 }
 
 /// A running wire server. Dropping it (or calling
 /// [`WireServer::shutdown`]) closes every connection and joins every
 /// thread.
+#[derive(Debug)]
 pub struct WireServer {
     addr: BindAddr,
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
-    work_tx: Option<Sender<Job>>,
-    threads: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<Stream>>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for WireServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WireServer")
-            .field("addr", &self.addr)
-            .field("threads", &self.threads.len())
-            .finish()
-    }
-}
-
-/// Start a wire server: bind `addr`, run `service` on a pool of
-/// `workers` threads (clamped to at least one), spawn
-/// reader/writer threads per accepted connection.
+/// Start a wire server: bind `addr` and serve each accepted connection
+/// on its own thread, running `service` on at most `workers` (clamped
+/// to at least one) requests at a time.
 ///
 /// The service function sees whole decoded [`Request`]s and returns
-/// whole [`Reply`]s; framing, decoding, tagging and batching are the
-/// server's business. Drive services wrap `NasdDrive::handle` here
-/// (behind a mutex — the drive itself is single-threaded by design,
-/// the concurrency win is overlapping I/O and framing across
-/// connections).
+/// whole [`Reply`]s; framing, decoding and tagging are the server's
+/// business. Drive services wrap `NasdDrive::handle` here (behind a
+/// mutex — the drive itself is single-threaded by design, the
+/// concurrency win is overlapping I/O and framing across connections).
 ///
 /// # Errors
 ///
@@ -370,61 +349,40 @@ where
     let (listener, resolved) = Listener::bind(addr)?;
     let stats = Arc::new(ServerStats::default());
     let stop = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<Stream>>> = Arc::new(Mutex::new(Vec::new()));
-    let (work_tx, work_rx) = unbounded::<Job>();
-    let service = Arc::new(service);
-    let mut threads = Vec::new();
+    let shared = Arc::new(Shared {
+        service,
+        stats: Arc::clone(&stats),
+        permits: bounded(workers.max(1)),
+        live: Mutex::new(HashMap::new()),
+    });
 
-    for _ in 0..workers.max(1) {
-        let rx = work_rx.clone();
-        let svc = Arc::clone(&service);
-        let st = Arc::clone(&stats);
-        threads.push(std::thread::spawn(move || {
-            worker_loop(&rx, svc.as_ref(), &st);
-        }));
-    }
-
-    {
+    let acceptor = {
         let stop = Arc::clone(&stop);
-        let stats = Arc::clone(&stats);
-        let conns = Arc::clone(&conns);
-        let work_tx = work_tx.clone();
-        threads.push(std::thread::spawn(move || {
-            let mut conn_threads = Vec::new();
-            loop {
-                let stream = match listener.accept() {
-                    Ok(s) => s,
-                    Err(_) => break,
-                };
+        std::thread::spawn(move || {
+            let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
+            let mut id = 0u64;
+            while let Ok(stream) = listener.accept() {
                 if stop.load(Ordering::SeqCst) {
                     // The wake-up dial from shutdown lands here.
-                    stream.shutdown_both();
                     break;
                 }
-                stats.connections.inc();
-                let (reader_stream, writer_stream, registered) =
-                    match (stream.try_clone(), stream.try_clone()) {
-                        (Ok(w), Ok(r)) => (stream, w, r),
-                        _ => {
-                            stream.shutdown_both();
-                            continue;
-                        }
-                    };
-                conns.lock().push(registered);
-                let (reply_tx, reply_rx) = unbounded::<FrameBuf>();
-                {
-                    let work = work_tx.clone();
-                    let st = Arc::clone(&stats);
-                    conn_threads.push(std::thread::spawn(move || {
-                        conn_reader(reader_stream, &work, &reply_tx, &st);
-                    }));
-                }
-                {
-                    let st = Arc::clone(&stats);
-                    conn_threads.push(std::thread::spawn(move || {
-                        conn_writer(writer_stream, &reply_rx, &st);
-                    }));
-                }
+                shared.stats.connections.inc();
+                conn_threads.retain(|t| !t.is_finished());
+                let Ok(registered) = stream.try_clone() else {
+                    continue;
+                };
+                id += 1;
+                shared.live.lock().insert(id, registered);
+                let shared = Arc::clone(&shared);
+                conn_threads.push(std::thread::spawn(move || {
+                    serve_connection(stream, &shared);
+                    shared.live.lock().remove(&id);
+                }));
+            }
+            // Every connection registered before the loop ended is in
+            // `live`: closing them returns their threads from `read`.
+            for conn in shared.live.lock().values() {
+                conn.shutdown_both();
             }
             for t in conn_threads {
                 // A panicking connection thread is a bug, but the
@@ -434,16 +392,14 @@ where
                 // nasd-lint: allow(swallowed-error, "join of connection threads at shutdown; panics surface via missing replies in tests")
                 let _ = t.join();
             }
-        }));
-    }
+        })
+    };
 
     Ok(WireServer {
         addr: resolved,
         stats,
         stop,
-        work_tx: Some(work_tx),
-        threads,
-        conns,
+        acceptor: Some(acceptor),
     })
 }
 
@@ -461,186 +417,80 @@ impl WireServer {
         &self.stats
     }
 
-    fn stop_inner(&mut self) {
+    /// Graceful shutdown: close sockets, join all threads, remove the
+    /// UDS socket file — what dropping the server does.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for WireServer {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the acceptor: it only checks the flag after accept
         // returns, so dial it once. Failure means it is already gone.
         // nasd-lint: allow(swallowed-error, "wake-up dial; if the listener is already closed the acceptor has already exited")
-        let _ = match &self.addr {
-            BindAddr::Tcp(a) => TcpStream::connect(a).map(Stream::Tcp).map(|s| {
-                s.shutdown_both();
-            }),
-            BindAddr::Uds(p) => UnixStream::connect(p).map(Stream::Uds).map(|s| {
-                s.shutdown_both();
-            }),
-        };
-        // Close every live connection: readers unblock and exit, their
-        // job/reply senders drop, workers and writers drain out.
-        for c in self.conns.lock().drain(..) {
-            c.shutdown_both();
-        }
-        // Dropping the server's clone of the work queue lets workers
-        // observe disconnect once the readers' clones are gone too.
-        self.work_tx = None;
-        for t in self.threads.drain(..) {
-            // nasd-lint: allow(swallowed-error, "thread join at teardown; a panicked worker shows up as test failure via dropped replies")
-            let _ = t.join();
+        let _ = Stream::dial(&self.addr);
+        if let Some(acceptor) = self.acceptor.take() {
+            // nasd-lint: allow(swallowed-error, "thread join at teardown; a panicked acceptor shows up as test failure via dropped replies")
+            let _ = acceptor.join();
         }
         if let BindAddr::Uds(p) = &self.addr {
             // nasd-lint: allow(swallowed-error, "socket-file cleanup; a missing file is the desired end state")
             let _ = std::fs::remove_file(p);
         }
     }
-
-    /// Graceful shutdown: close sockets, drain queues, join all
-    /// threads, remove the UDS socket file.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
 }
 
-impl Drop for WireServer {
-    fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            self.stop_inner();
+/// A client's connections to one address, idle between exchanges.
+#[derive(Debug)]
+struct Pool {
+    addr: BindAddr,
+    /// Idle connections kept; one beyond this is closed on check-in.
+    keep: usize,
+    idle: Mutex<Vec<Stream>>,
+}
+
+impl Pool {
+    /// An idle connection, or a freshly dialed one when none is.
+    fn check_out(&self) -> Result<Stream, RpcError> {
+        if let Some(stream) = self.idle.lock().pop() {
+            return Ok(stream);
         }
-    }
-}
-
-/// One pooled client connection: a writer queue, a demux map from tag
-/// to waiter, and a detached reader thread filling it.
-struct Conn {
-    tx: Sender<FrameBuf>,
-    pending: Arc<Mutex<HashMap<u64, Sender<Reply>>>>,
-    next_tag: AtomicU64,
-    alive: Arc<AtomicBool>,
-    stream: Stream,
-}
-
-impl Drop for Conn {
-    fn drop(&mut self) {
-        self.stream.shutdown_both();
-    }
-}
-
-impl Conn {
-    fn dial(addr: &BindAddr) -> io::Result<Arc<Conn>> {
-        let stream = match addr {
-            BindAddr::Tcp(a) => Stream::Tcp(TcpStream::connect(a)?),
-            BindAddr::Uds(p) => Stream::Uds(UnixStream::connect(p)?),
-        };
-        let mut reader = stream.try_clone()?;
-        let mut writer = stream.try_clone()?;
-        let pending: Arc<Mutex<HashMap<u64, Sender<Reply>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let alive = Arc::new(AtomicBool::new(true));
-        let (tx, rx) = unbounded::<FrameBuf>();
-
-        {
-            let pending = Arc::clone(&pending);
-            let alive = Arc::clone(&alive);
-            std::thread::spawn(move || {
-                while let Ok(frame) = read_frame(&mut reader) {
-                    let waiter = pending.lock().remove(&frame.tag);
-                    if let Some(w) = waiter {
-                        if let Ok(reply) = Reply::from_wire_shared(frame.payload) {
-                            // A waiter that timed out and left is fine.
-                            // nasd-lint: allow(swallowed-error, "late reply after the caller timed out; dropping it is the contract")
-                            let _ = w.send(reply);
-                        }
-                    }
-                    // No waiter: a reply to a request whose caller gave
-                    // up — dropped by design, same as Rpc's
-                    // replies_dropped path.
-                }
-                alive.store(false, Ordering::SeqCst);
-                // Every in-flight waiter sees Disconnected, not a hang.
-                pending.lock().clear();
-            });
-        }
-
-        {
-            let alive = Arc::clone(&alive);
-            let mut batch: Vec<FrameBuf> = Vec::with_capacity(MAX_BATCH);
-            std::thread::spawn(move || {
-                while let Ok(first) = rx.recv() {
-                    batch.clear();
-                    batch.push(first);
-                    while batch.len() < MAX_BATCH {
-                        match rx.try_recv() {
-                            Ok(f) => batch.push(f),
-                            Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    if write_frames(&mut writer, &batch).is_err() {
-                        break;
-                    }
-                }
-                alive.store(false, Ordering::SeqCst);
-                writer.shutdown_both();
-            });
-        }
-
-        Ok(Arc::new(Conn {
-            tx,
-            pending,
-            next_tag: AtomicU64::new(1),
-            alive,
-            stream,
-        }))
+        Stream::dial(&self.addr).map_err(|e| classify_io(e.kind()))
     }
 
-    /// Send `req` on this connection; the reply will arrive on the
-    /// returned receiver (capacity 1 — the reader never blocks on a
-    /// slow caller).
-    fn begin(&self, req: &Request) -> Result<(u64, Receiver<Reply>), RpcError> {
-        if !self.alive.load(Ordering::SeqCst) {
+    /// Read the reply to request `tag` off `stream`; only after a clean
+    /// exchange does the connection go back to the pool.
+    fn finish(&self, mut stream: Stream, tag: u64) -> Result<Reply, RpcError> {
+        let frame = read_frame(&mut stream).map_err(|e| e.to_rpc())?;
+        if frame.tag != tag {
             return Err(RpcError::Disconnected);
         }
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = bounded(1);
-        self.pending.lock().insert(tag, reply_tx);
-        let mut head = WireWriter::new();
-        let mut segments = Vec::new();
-        req.encode_frame(&mut head, &mut segments);
-        let frame = FrameBuf::new(tag, head.into_vec(), segments).map_err(|e| e.to_rpc())?;
-        if self.tx.send(frame).is_err() {
-            self.pending.lock().remove(&tag);
-            return Err(RpcError::Disconnected);
+        let reply = Reply::from_wire_shared(frame.payload).map_err(|_| RpcError::Disconnected)?;
+        let mut idle = self.idle.lock();
+        if idle.len() < self.keep {
+            idle.push(stream);
         }
-        Ok((tag, reply_rx))
-    }
-
-    fn forget(&self, tag: u64) {
-        self.pending.lock().remove(&tag);
+        Ok(reply)
     }
 }
 
-/// A pooled, pipelining socket client for drive traffic: the `Socket`
+/// A pooled socket client for drive traffic: the `Socket`
 /// implementation of [`Transport`]`<Request, Reply>`.
 ///
-/// Requests round-robin over a small connection pool; each connection
-/// supports unbounded in-flight requests with out-of-order completion
-/// (tagged frames). A connection that dies is re-dialed on the next
-/// attempt that lands on its pool slot, so [`Transport::reconnects`]
-/// is `true` and the [`Channel`](crate::Channel) retry loop treats
+/// Each exchange has a connection to itself; calls beyond the `pool`
+/// idle connections dial their own, so [`Transport::reconnects`] is
+/// `true` and the [`Channel`](crate::Channel) retry loop treats
 /// `Disconnected` as retryable.
+#[derive(Debug)]
 pub struct SocketClient {
-    addr: BindAddr,
-    pool: Vec<Mutex<Option<Arc<Conn>>>>,
-    next: AtomicUsize,
-}
-
-impl std::fmt::Debug for SocketClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SocketClient")
-            .field("addr", &self.addr)
-            .field("pool", &self.pool.len())
-            .finish()
-    }
+    pool: Arc<Pool>,
+    next_tag: AtomicU64,
 }
 
 impl SocketClient {
-    /// Dial `addr` with a pool of `pool` connections (clamped to at
+    /// Dial `addr`, keeping up to `pool` idle connections (clamped to at
     /// least one). The first connection is established eagerly so a bad
     /// address fails here, not on the first call.
     ///
@@ -648,72 +498,52 @@ impl SocketClient {
     ///
     /// The dial failure, verbatim.
     pub fn dial(addr: &BindAddr, pool: usize) -> io::Result<SocketClient> {
-        let pool_size = pool.max(1);
-        let first = Conn::dial(addr)?;
-        let mut slots = Vec::with_capacity(pool_size);
-        slots.push(Mutex::new(Some(first)));
-        for _ in 1..pool_size {
-            slots.push(Mutex::new(None));
-        }
+        let first = Stream::dial(addr)?;
         Ok(SocketClient {
-            addr: addr.clone(),
-            pool: slots,
-            next: AtomicUsize::new(1),
+            pool: Arc::new(Pool {
+                addr: addr.clone(),
+                keep: pool.max(1),
+                idle: Mutex::new(vec![first]),
+            }),
+            next_tag: AtomicU64::new(1),
         })
     }
 
     /// The dialed address.
     #[must_use]
     pub fn addr(&self) -> &BindAddr {
-        &self.addr
+        &self.pool.addr
     }
 
-    /// Pick the next pool slot (round-robin), re-dialing it if its
-    /// connection is absent or dead.
-    fn conn(&self) -> Result<Arc<Conn>, RpcError> {
-        let n = self.next.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = self.pool.get(n % self.pool.len().max(1)) else {
-            return Err(RpcError::Disconnected);
-        };
-        let mut guard = slot.lock();
-        if let Some(c) = guard.as_ref() {
-            if c.alive.load(Ordering::SeqCst) {
-                return Ok(Arc::clone(c));
-            }
-        }
-        match Conn::dial(&self.addr) {
-            Ok(c) => {
-                *guard = Some(Arc::clone(&c));
-                Ok(c)
-            }
-            Err(e) => {
-                *guard = None;
-                Err(crate::frame::classify_io(e.kind()))
-            }
-        }
+    /// Write `req` on a checked-out connection whose reads and writes
+    /// `timeout` bounds; returns the connection and the request's tag.
+    fn send(&self, req: &Request, timeout: Option<Duration>) -> Result<(Stream, u64), RpcError> {
+        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
+        let out = frame(tag, |h, s| req.encode_frame(h, s)).map_err(|e| e.to_rpc())?;
+        let mut stream = self.pool.check_out()?;
+        stream.set_timeout(timeout)?;
+        write_frames(&mut stream, std::slice::from_ref(&out)).map_err(|e| e.to_rpc())?;
+        Ok((stream, tag))
     }
 }
 
 impl Transport<Request, Reply> for SocketClient {
     fn attempt(&self, req: Request, timeout: Option<Duration>) -> Result<Reply, RpcError> {
-        let conn = self.conn()?;
-        let (tag, rx) = conn.begin(&req)?;
-        match timeout {
-            None => rx.recv().map_err(|_| RpcError::Disconnected),
-            Some(t) => rx.recv_timeout(t).map_err(|e| {
-                conn.forget(tag);
-                match e {
-                    RecvTimeoutError::Timeout => RpcError::TimedOut,
-                    RecvTimeoutError::Disconnected => RpcError::Disconnected,
-                }
-            }),
-        }
+        let (stream, tag) = self.send(&req, timeout)?;
+        self.pool.finish(stream, tag)
     }
 
     fn call_async(&self, req: Request) -> Result<Pending<Reply>, RpcError> {
-        let conn = self.conn()?;
-        let (_tag, rx) = conn.begin(&req)?;
-        Ok(Pending::new(rx))
+        let (stream, tag) = self.send(&req, None)?;
+        let pool = Arc::clone(&self.pool);
+        let mut unread = Some(stream);
+        Ok(Pending::new(move |timeout| {
+            // The first wait owns the exchange; a timed-out read left
+            // the connection mid-frame, so it is not read again.
+            let stream = unread.take().ok_or(RpcError::Disconnected)?;
+            stream.set_timeout(timeout)?;
+            pool.finish(stream, tag)
+        }))
     }
 
     fn reconnects(&self) -> bool {
@@ -731,7 +561,7 @@ mod tests {
     use crate::fault::{FaultConfig, FaultPlan};
     use crate::options::CallOptions;
     use crate::Connector;
-    use bytes::{ByteRope, Bytes};
+    use bytes::ByteRope;
     use nasd_crypto::Sha256;
     use nasd_proto::wire::WireEncode;
     use nasd_proto::{
@@ -772,6 +602,18 @@ mod tests {
         }
     }
 
+    /// `req` staged as a frame under `tag`, for raw-socket peers.
+    fn request_frame(tag: u64, req: &Request) -> FrameBuf {
+        frame(tag, |h, s| req.encode_frame(h, s)).unwrap()
+    }
+
+    fn uds_path(addr: &BindAddr) -> PathBuf {
+        match addr {
+            BindAddr::Uds(p) => p.clone(),
+            BindAddr::Tcp(_) => panic!("expected UDS"),
+        }
+    }
+
     #[test]
     fn uds_roundtrip_echoes_payload() {
         let server = serve(&BindAddr::uds_temp("echo"), 2, echo).unwrap();
@@ -807,8 +649,8 @@ mod tests {
     #[test]
     fn pipelined_requests_complete_out_of_order() {
         // The service stalls requests marked `1`; others return at once.
-        // With both in flight on ONE connection, the fast one must come
-        // back first — out-of-order completion over tagged frames.
+        // Both in flight from ONE client ride two connections, and the
+        // fast one must come back first — out-of-order completion.
         let service = |req: Request| {
             if req.body.object() == Some(ObjectId(1)) {
                 std::thread::sleep(Duration::from_millis(150));
@@ -820,7 +662,7 @@ mod tests {
         let slow = client.call_async(request(1, vec![1; 8])).unwrap();
         let fast = client.call_async(request(2, vec![2; 8])).unwrap();
         // The fast reply lands while the slow request is still parked in
-        // its worker; a blocked pipeline would time this out.
+        // the service; a blocked pipeline would time this out.
         let fast_reply = fast.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(reply_data(&fast_reply), vec![2; 8]);
         let slow_reply = slow.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -954,5 +796,110 @@ mod tests {
             assert_eq!(sock_plan.trace(), proc_plan.trace(), "seed {seed:#x}");
             server.shutdown();
         }
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_stalls_only_its_own_connection() {
+        // Every reply is 64 KiB. A raw peer asks for 32 of them and
+        // reads none, so its connection thread blocks writing once the
+        // socket buffer fills — while holding no permit, so even with
+        // one permit another client's calls still get through.
+        let big = |_req: Request| Reply::ok(ReplyBody::Data(ByteRope::from(vec![7u8; 64 << 10])));
+        let server = serve(&BindAddr::uds_temp("stalled"), 1, big).unwrap();
+        let mut hog = UnixStream::connect(uds_path(server.addr())).unwrap();
+        let asks: Vec<FrameBuf> = (0..32u64)
+            .map(|tag| request_frame(tag, &request(tag, Vec::new())))
+            .collect();
+        write_frames(&mut hog, &asks).unwrap();
+        let client = SocketClient::dial(server.addr(), 1).unwrap();
+        for i in 0..10u64 {
+            let reply = client
+                .attempt(request(i, Vec::new()), Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(reply_data(&reply).len(), 64 << 10, "call {i}");
+        }
+        drop(hog);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_late_reply_never_answers_the_next_call() {
+        // Request `1` outlives its attempt's timeout. The connection it
+        // went out on is closed, so its reply — when the service
+        // finishes — cannot be read as the answer to request `2`.
+        let service = |req: Request| {
+            if req.body.object() == Some(ObjectId(1)) {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            echo(req)
+        };
+        let server = serve(&BindAddr::uds_temp("late"), 2, service).unwrap();
+        let client = SocketClient::dial(server.addr(), 1).unwrap();
+        assert_eq!(
+            client
+                .attempt(request(1, vec![1; 8]), Some(Duration::from_millis(20)))
+                .map(|r| reply_data(&r)),
+            Err(RpcError::TimedOut)
+        );
+        let reply = client
+            .attempt(request(2, vec![2; 8]), Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(reply_data(&reply), vec![2; 8]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_under_another_tag_is_refused() {
+        // A fake server answers each request under its tag plus one.
+        let addr = BindAddr::uds_temp("mistagged");
+        let listener = UnixListener::bind(uds_path(&addr)).unwrap();
+        let fake = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let asked = read_frame(&mut stream).unwrap();
+            let reply = Reply::ok(ReplyBody::Data(ByteRope::from(vec![3u8; 8])));
+            let out = frame(asked.tag + 1, |h, s| reply.encode_frame(h, s)).unwrap();
+            write_frames(&mut stream, std::slice::from_ref(&out)).unwrap();
+        });
+        let client = SocketClient::dial(&addr, 1).unwrap();
+        assert_eq!(
+            client
+                .attempt(request(1, vec![1; 8]), Some(Duration::from_secs(5)))
+                .map(|r| reply_data(&r)),
+            Err(RpcError::Disconnected)
+        );
+        fake.join().unwrap();
+        std::fs::remove_file(uds_path(&addr)).unwrap();
+    }
+
+    #[test]
+    fn sequential_calls_reuse_one_pooled_connection() {
+        let server = serve(&BindAddr::uds_temp("reuse"), 1, echo).unwrap();
+        let client = SocketClient::dial(server.addr(), 1).unwrap();
+        for i in 0..100u64 {
+            client
+                .attempt(request(i, vec![1; 16]), Some(Duration::from_secs(5)))
+                .unwrap();
+        }
+        assert_eq!(server.stats().connections.value(), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn frames_pipelined_on_one_connection_are_answered_in_order() {
+        let server = serve(&BindAddr::uds_temp("in-order"), 2, echo).unwrap();
+        let mut stream = UnixStream::connect(uds_path(server.addr())).unwrap();
+        let tags = [90u64, 12, 55, 7, 31];
+        let asks: Vec<FrameBuf> = tags
+            .iter()
+            .map(|&tag| request_frame(tag, &request(tag, vec![tag as u8; 100])))
+            .collect();
+        write_frames(&mut stream, &asks).unwrap();
+        for tag in tags {
+            let frame = read_frame(&mut stream).unwrap();
+            assert_eq!(frame.tag, tag);
+            let reply = Reply::from_wire_shared(frame.payload).unwrap();
+            assert_eq!(reply_data(&reply), vec![tag as u8; 100]);
+        }
+        server.shutdown();
     }
 }

@@ -18,33 +18,46 @@
 use crate::fault::{ChannelFaults, FaultAction};
 use crate::options::CallOptions;
 use crate::rpc::{Rpc, RpcError};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
+use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A deferred read of one reply, called with each wait's timeout.
+type Read<Resp> = Box<dyn FnMut(Option<Duration>) -> Result<Resp, RpcError> + Send>;
+
 /// A reply that has been requested but not yet received — the handle a
 /// pipelining client holds while it issues more requests.
 ///
-/// Under fault injection (or over a dying socket) the reply may never
-/// arrive; receive with [`Pending::recv_timeout`] when faults may be
-/// active.
-#[derive(Debug)]
+/// A deferred read either transport builds: in-process it waits on the
+/// reply channel; over a socket the first wait reads the request's own
+/// connection. The reply may never arrive under fault injection (or
+/// over a dying socket); use [`Pending::recv_timeout`] then.
 pub struct Pending<Resp> {
-    rx: Receiver<Resp>,
+    read: Mutex<Read<Resp>>,
+}
+
+impl<Resp> fmt::Debug for Pending<Resp> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Pending { .. }")
+    }
 }
 
 impl<Resp> Pending<Resp> {
-    /// Wrap a reply receiver.
-    pub(crate) fn new(rx: Receiver<Resp>) -> Self {
-        Pending { rx }
+    /// Defer `read` until the caller waits.
+    pub(crate) fn new(
+        read: impl FnMut(Option<Duration>) -> Result<Resp, RpcError> + Send + 'static,
+    ) -> Self {
+        Pending {
+            read: Mutex::new(Box::new(read)),
+        }
     }
 
-    /// A pending reply that will never arrive (its sender is already
-    /// gone) — how a dropped request surfaces to an async caller.
-    pub(crate) fn dead() -> Self {
-        let (_tx, rx) = bounded(1);
-        Pending { rx }
+    /// A reply the network lost — it reads [`RpcError::TimedOut`], as a
+    /// lost message does in [`Transport::attempt`].
+    pub(crate) fn lost() -> Self {
+        Pending::new(|_| Err(RpcError::TimedOut))
     }
 
     /// Wait for the reply — bounded by `timeout` when given, until the
@@ -52,22 +65,19 @@ impl<Resp> Pending<Resp> {
     ///
     /// # Errors
     ///
-    /// [`RpcError::TimedOut`] when `timeout` expires first;
-    /// [`RpcError::Disconnected`] when the reply can no longer arrive.
+    /// [`RpcError::TimedOut`] when `timeout` expires first or the
+    /// message was lost; [`RpcError::Disconnected`] when the reply can
+    /// no longer arrive.
     pub fn wait(&self, timeout: Option<Duration>) -> Result<Resp, RpcError> {
-        match timeout {
-            None => self.rx.recv().map_err(|_| RpcError::Disconnected),
-            Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
-                RecvTimeoutError::Timeout => RpcError::TimedOut,
-                RecvTimeoutError::Disconnected => RpcError::Disconnected,
-            }),
-        }
+        let mut read = self.read.lock();
+        read(timeout)
     }
 
     /// Wait for the reply forever (see [`Pending::wait`]).
     ///
     /// # Errors
     ///
+    /// [`RpcError::TimedOut`] when the message was lost;
     /// [`RpcError::Disconnected`] when the reply can no longer arrive.
     pub fn recv(&self) -> Result<Resp, RpcError> {
         self.wait(None)
@@ -172,13 +182,26 @@ pub(crate) fn retry_loop<Req: Clone, Resp>(
     Err(last)
 }
 
+/// Wait on an in-process reply channel — bounded by `timeout` when
+/// given, until the service drops the reply sender otherwise.
+fn recv_reply<Resp>(rx: &Receiver<Resp>, timeout: Option<Duration>) -> Result<Resp, RpcError> {
+    match timeout {
+        None => rx.recv().map_err(|_| RpcError::Disconnected),
+        Some(t) => rx.recv_timeout(t).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RpcError::TimedOut,
+            RecvTimeoutError::Disconnected => RpcError::Disconnected,
+        }),
+    }
+}
+
 impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp> for Rpc<Req, Resp> {
     fn attempt(&self, req: Req, timeout: Option<Duration>) -> Result<Resp, RpcError> {
-        Transport::call_async(self, req)?.wait(timeout)
+        recv_reply(&Rpc::call_async(self, req)?, timeout)
     }
 
     fn call_async(&self, req: Req) -> Result<Pending<Resp>, RpcError> {
-        Rpc::call_async(self, req).map(Pending::new)
+        let rx = Rpc::call_async(self, req)?;
+        Ok(Pending::new(move |timeout| recv_reply(&rx, timeout)))
     }
 
     fn name(&self) -> &'static str {
@@ -328,14 +351,14 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp>
                 Ok(first)
             }
             // Never sent: the pending reply can never arrive.
-            FaultAction::DropRequest => Ok(Pending::dead()),
+            FaultAction::DropRequest => Ok(Pending::lost()),
             FaultAction::DropReply => {
                 // Delivered and processed, but the reply is lost: the
                 // caller's pending handle is not the one the service
                 // answers on.
                 // nasd-lint: allow(swallowed-error, "fault injection: the reply is discarded by design")
                 let _ = self.inner.call_async(req)?;
-                Ok(Pending::dead())
+                Ok(Pending::lost())
             }
         }
     }
@@ -466,8 +489,30 @@ mod tests {
     }
 
     #[test]
-    fn pending_dead_reads_as_disconnected() {
-        let p: Pending<u64> = Pending::dead();
-        assert_eq!(p.recv(), Err(RpcError::Disconnected));
+    fn lost_messages_read_as_timeouts_on_both_call_shapes() {
+        // A dropped request and a dropped reply look alike to the
+        // caller, and both are timeouts — never the disconnect that is
+        // terminal in-process.
+        let lost_request = FaultConfig {
+            drop: 1.0,
+            ..FaultConfig::none()
+        };
+        let lost_reply = FaultConfig {
+            drop_reply: 1.0,
+            ..FaultConfig::none()
+        };
+        for config in [lost_request, lost_reply] {
+            let (rpc, _h) = spawn_service(|x: u64| x);
+            let ch = Channel::in_proc(rpc).with_faults(FaultPlan::new(3).channel(1, config));
+            let wait = Duration::from_millis(20);
+            assert_eq!(
+                ch.call_with(1, &CallOptions::once(wait)),
+                Err(RpcError::TimedOut)
+            );
+            assert_eq!(
+                ch.call_async(2).unwrap().recv_timeout(wait),
+                Err(RpcError::TimedOut)
+            );
+        }
     }
 }

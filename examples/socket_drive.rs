@@ -15,9 +15,9 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 fn main() {
-    // Serve a real drive on a UDS path: an acceptor, per-connection
-    // reader/writer threads, and 2 worker threads behind them. The
-    // returned endpoint is a client already dialed back to the server.
+    // Serve a real drive on a UDS path: an acceptor and a thread per
+    // connection, at most 2 requests in the drive at once. The returned
+    // endpoint is a client already dialed back to the server.
     let clock = Arc::new(AtomicU64::new(1));
     let (server, drive) = serve_drive_socket(
         NasdDrive::builder(1).build(),
@@ -50,8 +50,8 @@ fn main() {
         3_600,
     );
 
-    // Every request below is framed, MACed, and pipelined over the
-    // socket; replies demux by tag.
+    // Every request below is framed, MACed, and sent over a pooled
+    // connection; each reply must echo its request's tag.
     let wrote = drive
         .write(&cap, 0, Bytes::from_static(b"hello over the wire"))
         .expect("write");
