@@ -25,7 +25,7 @@
 
 use bytes::Bytes;
 use nasd::disk::MemDisk;
-use nasd::fm::{serve_drive_socket, DriveEndpoint};
+use nasd::fm::{serve_drive_socket, spawn_drive, DriveEndpoint};
 use nasd::net::{BindAddr, Connector, WireServer};
 use nasd::object::{ClientHandle, DriveConfig, NasdDrive};
 use nasd::obs::datapath;
@@ -45,7 +45,7 @@ pub type AllocProbe = fn() -> (u64, u64);
 #[derive(Debug, Clone)]
 pub struct PerfRow {
     /// Workload name (`cached_read`, `seq_write`, `durable_write`, `sweep_read`,
-    /// `socket_read`, `socket_write`, `sim_step`, and the
+    /// `inproc_read`, `socket_read`, `socket_write`, `sim_step`, and the
     /// `dispatch_{cal,heap}_{1k,100k}` old-vs-new kernel rows).
     pub workload: &'static str,
     /// Payload bytes per operation (0 for `sim_step`).
@@ -192,19 +192,9 @@ fn durable_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
     })
 }
 
-/// A fully-provisioned drive served over a real UDS socket: server,
-/// endpoint, and a full-rights capability over one preallocated object
-/// holding `size` seeded bytes.
-fn socket_fixture(size: u64) -> (WireServer, DriveEndpoint, nasd::proto::Capability) {
-    let clock = Arc::new(AtomicU64::new(1));
-    let (server, ep) = serve_drive_socket(
-        perf_drive(),
-        clock,
-        &BindAddr::uds_temp("perf"),
-        2,
-        &Connector::new(),
-    )
-    .expect("serve drive over UDS");
+/// Provision the drive behind `ep`: a partition and a full-rights
+/// capability over one object holding `size` seeded bytes.
+fn provision(ep: &DriveEndpoint, size: u64) -> nasd::proto::Capability {
     let p = PartitionId(1);
     ep.admin(RequestBody::CreatePartition {
         partition: p,
@@ -222,6 +212,40 @@ fn socket_fixture(size: u64) -> (WireServer, DriveEndpoint, nasd::proto::Capabil
     );
     let payload = vec![0xA5u8; size as usize];
     ep.write(&cap, 0, Bytes::from(payload)).expect("seed write");
+    cap
+}
+
+/// Warm cached reads through an in-process drive (`spawn_drive` +
+/// `DriveEndpoint::read`): `hot_read`'s data hop without the file
+/// manager — sign, the in-process call, MAC verify, cache hit.
+fn inproc_read(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
+    let (ep, handle) = spawn_drive(perf_drive(), Arc::new(AtomicU64::new(1)));
+    let cap = provision(&ep, size);
+    for _ in 0..4 {
+        let got = ep.read(&cap, 0, size).expect("warm in-process read");
+        assert_eq!(got.len() as u64, size);
+    }
+    let m = measure(probe, ops, || {
+        let got = ep.read(&cap, 0, size).expect("in-process read");
+        debug_assert_eq!(got.len() as u64, size);
+    });
+    handle.shutdown();
+    m
+}
+
+/// A provisioned drive (see [`provision`]) served over a real UDS
+/// socket: server, endpoint and capability.
+fn socket_fixture(size: u64) -> (WireServer, DriveEndpoint, nasd::proto::Capability) {
+    let clock = Arc::new(AtomicU64::new(1));
+    let (server, ep) = serve_drive_socket(
+        perf_drive(),
+        clock,
+        &BindAddr::uds_temp("perf"),
+        2,
+        &Connector::new(),
+    )
+    .expect("serve drive over UDS");
+    let cap = provision(&ep, size);
     (server, ep, cap)
 }
 
@@ -383,6 +407,11 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
         rows.push(row("sweep_read", size, &cached_read(probe, size, ops)));
     }
     rows.push(row(
+        "inproc_read",
+        65_536,
+        &inproc_read(probe, 65_536, 2_000),
+    ));
+    rows.push(row(
         "socket_read",
         65_536,
         &socket_read(probe, 65_536, 1_000),
@@ -435,6 +464,13 @@ mod tests {
             per_op < 65_536.0 * 4.0,
             "cached 64 KiB read copies {per_op} bytes/op — data path regressed"
         );
+    }
+
+    #[test]
+    fn inproc_read_runs() {
+        let m = inproc_read(None, 65_536, 8);
+        assert_eq!(m.ops, 8);
+        assert_eq!(m.bytes_copied, 0, "in-process cached reads copy no payload");
     }
 
     #[test]

@@ -323,6 +323,11 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
             durable.alloc_bytes_per_op,
         );
     }
+    if let Some(inproc) = rows.iter().find(|r| r.workload == "inproc_read") {
+        r = r
+            .with_derived("inproc_read_allocs_per_op", inproc.allocs_per_op)
+            .with_derived("inproc_read_us", inproc.ns_per_op / 1_000.0);
+    }
     if let Some(sock) = rows.iter().find(|r| r.workload == "socket_read") {
         r = r
             .with_derived("socket_read_allocs_per_op", sock.allocs_per_op)

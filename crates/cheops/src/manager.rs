@@ -409,15 +409,16 @@ impl CheopsManager {
         }
     }
 
-    /// Serve the wire enum on a thread of its own, over a manager the
-    /// caller keeps hold of (storage management runs on the same state).
+    /// Serve the wire enum in-process, one call at a time on its caller's
+    /// thread, over a manager the caller keeps hold of (storage
+    /// management runs on the same state).
     #[must_use]
     pub fn serve(self: &Arc<Self>) -> (Rpc<CheopsRequest, CheopsResponse>, ServiceHandle) {
         let mgr = Arc::clone(self);
         spawn_service(move |req| mgr.handle(req))
     }
 
-    /// Spawn as a threaded service.
+    /// Serve in-process (see [`CheopsManager::serve`]).
     #[must_use]
     pub fn spawn(self) -> (Rpc<CheopsRequest, CheopsResponse>, ServiceHandle) {
         Arc::new(self).serve()

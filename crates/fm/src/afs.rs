@@ -341,7 +341,8 @@ impl NasdAfs {
         }
     }
 
-    /// Spawn as a threaded service.
+    /// Serve in-process: each call runs on its caller's thread, one at a
+    /// time.
     #[must_use]
     pub fn spawn(self) -> (Rpc<AfsRequest, AfsResponse>, ServiceHandle) {
         let fm = Arc::new(self);

@@ -19,7 +19,7 @@ use nasd_net::{Connector, Rpc};
 use std::sync::Arc;
 
 /// Build file-manager clients from a [`Connector`]. The manager side
-/// stays a spawned in-process service (manager RPCs have no wire
+/// stays an in-process service (manager RPCs have no wire
 /// codec); the connector contributes the transport policy — fault
 /// injection applies to the manager channel exactly as it does to
 /// drive channels.

@@ -11,8 +11,7 @@
 //! directory object, stamps or reads policy attributes, touches the
 //! version table, or mints a capability.
 //!
-//! Any number of service loops (shards) and personalities may share one
-//! core. Every directory read-modify-write cycle runs under that
+//! Any number of shards and personalities may share one core. Every directory read-modify-write cycle runs under that
 //! directory's stripe lock; paths that need two directories (rename,
 //! directory remove) take both stripes in stripe order (`shard.rs`).
 
@@ -28,8 +27,8 @@ use std::sync::Arc;
 /// Default capability lifetime issued by the file manager (seconds).
 pub(crate) const DEFAULT_TTL: u64 = 3_600;
 
-/// State and mechanism shared by every personality and service loop of
-/// one file manager.
+/// State and mechanism shared by every personality and shard of one
+/// file manager.
 pub(crate) struct FmCore {
     fleet: Arc<DriveFleet>,
     root: FileHandle,

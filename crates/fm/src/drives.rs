@@ -1,10 +1,12 @@
 //! Client-side plumbing for talking to a fleet of NASD drives.
 //!
-//! A [`DriveEndpoint`] wraps the RPC channel to one drive thread together
+//! A [`DriveEndpoint`] wraps the transport channel to one drive together
 //! with the key material a file manager obtains over the administrative
 //! channel, and signs requests the way any NASD client library must. A
-//! [`DriveFleet`] spawns and owns several drives — file managers, Cheops
-//! and the parallel filesystem are all built on these.
+//! [`DriveFleet`] builds and owns several in-process drives — file
+//! managers, Cheops and the parallel filesystem are all built on these.
+//! An in-process drive owns no thread: each call runs it on the caller's
+//! thread, one request at a time.
 
 use crate::handle::{FileHandle, FmError};
 use bytes::{ByteRope, Bytes};
@@ -56,8 +58,9 @@ pub struct Started<'a> {
 }
 
 impl Started<'_> {
-    /// Wait for the reply. When the send failed, the reply was lost in
-    /// flight (fault injection, drive crash) or the drive bounced the
+    /// Wait for the reply, at most the endpoint's retry timeout. When the
+    /// send failed, the reply was lost in flight or late (fault
+    /// injection, drive crash, a silent peer) or the drive bounced the
     /// request with a transient status, the request is re-issued through
     /// the retrying [`DriveEndpoint::call`] — every attempt freshly
     /// signed — so an operation only counts as done once some attempt's
@@ -67,7 +70,8 @@ impl Started<'_> {
     ///
     /// As [`DriveEndpoint::call`].
     pub fn finish(self) -> Result<ReplyBody, FmError> {
-        match self.reply.map(|rx| rx.recv()) {
+        let timeout = self.ep.retry().timeout;
+        match self.reply.map(|rx| rx.recv_timeout(timeout)) {
             Some(Ok(reply)) if reply.status.is_ok() => Ok(reply.body),
             Some(Ok(reply)) if !resign(reply.status) => Err(FmError::Drive(reply.status)),
             _ => self.ep.call(self.cap, self.body, self.data),
@@ -180,7 +184,8 @@ impl DriveEndpoint {
     }
 
     /// Send a signed request without waiting for the reply — how a
-    /// striping client keeps every drive busy. Collect the reply with
+    /// striping client keeps every socket drive busy (an in-process
+    /// drive serves it at once, on this thread). Collect the reply with
     /// [`Started::finish`].
     #[must_use]
     pub fn start<'a>(&'a self, cap: &'a Capability, body: RequestBody, data: Bytes) -> Started<'a> {
@@ -260,7 +265,7 @@ impl DriveEndpoint {
     /// exchange per attempt under a short `timeout`, bypassing the
     /// endpoint's retry policy (a health sweep must not inherit the data
     /// path's patience). Any reply — even an error status — proves the
-    /// drive's service loop is alive; only transport silence on every
+    /// drive is serving; only transport silence on every
     /// attempt (timeout or disconnection) counts as dead. Multiple
     /// attempts keep a single dropped message on a lossy channel from
     /// reading as a dead drive.
@@ -410,7 +415,7 @@ impl DriveEndpoint {
     }
 }
 
-/// The drive service-loop body, in-proc and over sockets alike: apply the
+/// The drive service body, in-proc and over sockets alike: apply the
 /// shared `clock` (modelling loosely synchronized drive clocks), then
 /// serve the request.
 fn serve_request<D: nasd_disk::BlockDevice>(
@@ -430,9 +435,9 @@ fn spawn_rpc<D: nasd_disk::BlockDevice + 'static>(
     spawn_service(move |req: Request| serve_request(&mut drive, &clock, &req))
 }
 
-/// Spawn `drive` as a threaded service; the shared `clock` is applied to
-/// the drive before every request (modelling loosely synchronized drive
-/// clocks).
+/// Serve `drive` in-process: each call runs it on the caller's thread,
+/// one request at a time. The shared `clock` is applied to the drive
+/// before every request (modelling loosely synchronized drive clocks).
 pub fn spawn_drive<D: nasd_disk::BlockDevice + 'static>(
     drive: NasdDrive<D>,
     clock: Arc<AtomicU64>,
@@ -507,8 +512,8 @@ struct DriveSlot {
     drive_faults: Option<(u64, DriveFaultConfig)>,
 }
 
-/// A set of spawned drives sharing a clock — the storage side of a NASD
-/// installation.
+/// A set of in-process drives sharing a clock — the storage side of a
+/// NASD installation.
 pub struct DriveFleet {
     endpoints: Vec<Arc<DriveEndpoint>>,
     slots: Vec<Mutex<DriveSlot>>,
@@ -600,10 +605,10 @@ impl DriveFleet {
         }
     }
 
-    /// Hard-stop drive `idx`'s service thread, as a power cut would:
-    /// unpersisted drive state dies with it, while the media (a
-    /// [`SharedDisk`]) survives for [`DriveFleet::restart`]. Clients
-    /// observe disconnections/timeouts until the restart.
+    /// Hard-stop drive `idx`, as a power cut would: a request in flight
+    /// finishes, then unpersisted drive state dies with the drive, while
+    /// the media (a [`SharedDisk`]) survives for [`DriveFleet::restart`].
+    /// Clients observe disconnections/timeouts until the restart.
     pub fn crash(&self, idx: usize) {
         // nasd-lint: allow(panic, "chaos-harness API: a bogus drive index is a test bug, not a request-path input")
         let handle = self.slots[idx].lock().handle.take();
@@ -612,7 +617,7 @@ impl DriveFleet {
         }
     }
 
-    /// Whether drive `idx` currently has a live service thread.
+    /// Whether drive `idx` is up (not crashed).
     #[must_use]
     pub fn is_up(&self, idx: usize) -> bool {
         // nasd-lint: allow(panic, "chaos-harness API: a bogus drive index is a test bug, not a request-path input")
@@ -731,7 +736,7 @@ impl DriveFleet {
             .ok_or_else(|| FmError::NotFound(fh.to_string()))
     }
 
-    /// Shut down all drive threads (drop RPC handles first).
+    /// Shut down every drive (drop the endpoints first).
     pub fn shutdown(self) {
         drop(self.endpoints);
         for slot in self.slots {
@@ -957,5 +962,68 @@ mod tests {
             ep.start(cap, RequestBody::get_attr(&cap.public), Bytes::new())
                 .finish()
         });
+    }
+
+    #[test]
+    fn started_request_to_a_silent_drive_gives_up() {
+        // A socket peer that accepts connections and reads requests but
+        // never answers one.
+        let addr = BindAddr::uds_temp("silent");
+        let BindAddr::Uds(path) = addr.clone() else {
+            panic!("expected UDS")
+        };
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let silent = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || {
+                let mut held = Vec::new();
+                for stream in listener.incoming() {
+                    let Ok(mut stream) = stream else { break };
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // Swallow the request; the connection stays open.
+                    let _ = nasd_net::read_frame(&mut stream);
+                    held.push(stream);
+                }
+            }
+        });
+        let channel = Connector::new().dial(&addr).unwrap();
+        let hierarchy = KeyHierarchy::new(nasd_crypto::SecretKey::from_bytes([7; 32]), 1);
+        let ep = Arc::new(DriveEndpoint::over(DriveId(1), channel, hierarchy));
+        ep.set_retry(RetryPolicy {
+            max_attempts: 2,
+            timeout: Duration::from_millis(50),
+            base_backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+        });
+        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        let caller = std::thread::spawn({
+            let ep = Arc::clone(&ep);
+            move || {
+                let cap = ep.mint(
+                    PartitionId(1),
+                    ObjectId(1),
+                    Version(0),
+                    Rights::GETATTR,
+                    ByteRange::FULL,
+                    100,
+                );
+                let body = RequestBody::get_attr(&cap.public);
+                done_tx.send(ep.start(&cap, body, Bytes::new()).finish())
+            }
+        });
+        // A wait that never ends fails here instead of hanging the suite.
+        let finished = done_rx.recv_timeout(Duration::from_secs(5));
+        assert!(
+            matches!(finished, Ok(Err(FmError::Unavailable { .. }))),
+            "a started request without a reply must give up: {finished:?}"
+        );
+        caller.join().unwrap().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        drop(std::os::unix::net::UnixStream::connect(&path));
+        silent.join().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -20,9 +20,11 @@
 //!   baseline (over the `nasd-ffs` filesystem) that Figure 9 compares
 //!   against.
 //!
-//! All managers and drives run as real threaded services over the
-//! `nasd-net` transport; every data byte a NASD client reads flows
-//! drive → client without touching the file manager.
+//! All managers and drives run as in-process services over the
+//! `nasd-net` transport — a call runs the service on the caller's
+//! thread, one request at a time per service, so none owns a thread;
+//! every data byte a NASD client reads flows drive → client without
+//! touching the file manager.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

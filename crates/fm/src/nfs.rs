@@ -121,10 +121,10 @@ pub enum NfsResponse {
 /// core (`core.rs`) — this wire enum, and the rule that a capability
 /// rides on the `lookup`/`create` reply.
 ///
-/// One instance can serve any number of service loops (shards): all
-/// coherent state lives in the core, so
-/// [`spawn_sharded`](Self::spawn_sharded) is just N queues over the
-/// same manager. Clients route requests by handle hash; see
+/// One instance can serve any number of shards: all coherent state
+/// lives in the core, so [`spawn_sharded`](Self::spawn_sharded) is just
+/// N locks over the same manager, each admitting one call at a time.
+/// Clients route requests by handle hash; see
 /// [`FmConnect::nfs_sharded`](crate::FmConnect::nfs_sharded).
 pub struct NasdNfs {
     core: Arc<FmCore>,
@@ -161,7 +161,7 @@ impl NasdNfs {
         Ok(Box::new(self.core.grant(fh, rights, ByteRange::FULL)?))
     }
 
-    /// Handle one request (the service loop body).
+    /// Handle one request (the service body).
     pub fn handle(&self, req: NfsRequest) -> NfsResponse {
         match self.handle_inner(req) {
             Ok(resp) => resp,
@@ -230,23 +230,26 @@ impl NasdNfs {
         })
     }
 
-    /// One service loop over the shared manager — the body every shard
-    /// (and the unsharded manager, which is one shard) runs.
+    /// One shard over the shared manager — what every shard (and the
+    /// unsharded manager, which is one shard) serves.
     fn serve(self: Arc<Self>) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
         spawn_service(move |req| self.handle(req))
     }
 
-    /// Spawn the manager as a threaded service.
+    /// Serve the manager in-process: each call runs on its caller's
+    /// thread, one at a time.
     #[must_use]
     pub fn spawn(self) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
         Arc::new(self).serve()
     }
 
-    /// Spawn the manager as `shards` independent service loops sharing
-    /// one namespace (striped directory locks and a shared revocation
-    /// table keep them coherent — see `core.rs`). Clients route
-    /// requests across the returned queues by handle hash, so
-    /// capability issue fans out instead of serializing on one thread.
+    /// Serve the manager as `shards` independent shards sharing one
+    /// namespace (striped directory locks and a shared revocation table
+    /// keep them coherent — see `core.rs`). A shard is one lock, not a
+    /// thread: it admits one call at a time. Clients route requests
+    /// across the returned handles by handle hash, so capability issue
+    /// from concurrent clients fans out instead of serializing on one
+    /// lock.
     ///
     /// `shards == 0` is treated as 1.
     #[must_use]
@@ -849,8 +852,8 @@ mod tests {
                 .unwrap(),
         );
         let fm = NasdNfs::new(Arc::clone(&fleet)).unwrap();
-        // Dropping the handles detaches the service loops; they exit
-        // when the client's channels drop.
+        // Dropping the handles leaves the shards serving; they drop with
+        // the client's channels.
         let (rpcs, _handles) = fm.spawn_sharded(nshards);
         let client = Connector::new()
             .nfs_sharded(rpcs, Arc::clone(&fleet))

@@ -170,7 +170,8 @@ impl NfsServer {
         }
     }
 
-    /// Spawn as a threaded service (the single server machine).
+    /// Serve in-process, one request at a time (the single server
+    /// machine).
     #[must_use]
     pub fn spawn(mut self) -> (Rpc<ServerRequest, ServerResponse>, ServiceHandle) {
         spawn_service(move |req| self.handle(req))

@@ -1,9 +1,10 @@
 //! The striped tables behind the file-manager core (`core.rs`).
 //!
-//! A sharded [`NasdNfs`](crate::NasdNfs) runs N service loops over one
-//! core; clients route each request to a shard by handle hash
-//! ([`nasd_proto::route_hash`]), so the hot capability-issue path
-//! (lookups) fans out instead of serializing on one FM thread. Any
+//! A sharded [`NasdNfs`](crate::NasdNfs) is N locks over one core, each
+//! admitting one call at a time; clients route each request to a shard
+//! by handle hash ([`nasd_proto::route_hash`]), so the hot
+//! capability-issue path (lookups) fans out instead of serializing on
+//! one FM lock. Any
 //! shard can correctly serve any request — routing is load
 //! distribution, not ownership — because the state that must stay
 //! coherent is one per core, in these types:

@@ -401,8 +401,8 @@ pub const RULES: &[RuleInfo] = &[
         allow: Some("lock-across-blocking"),
         rationale: "pace(..), .observe(..) and device I/O can block; holding a \
                     guard across them serializes every contender for the whole \
-                    call. Benign under today's in-process transport, a real stall \
-                    under the threaded TCP transport the ROADMAP plans.",
+                    call, and every in-process call runs on its caller's thread, \
+                    so the stall is real.",
     },
     RuleInfo {
         id: "F1",

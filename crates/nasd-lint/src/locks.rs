@@ -13,9 +13,9 @@
 //! sanctioned real-thread sleep), `.observe(..)` (histogram under its own
 //! lock) or device I/O (`.read_block(..)` / `.write_block(..)`) while any
 //! guard is live serializes every contender on that lock for the whole
-//! blocking call — benign today, a real stall once the threaded TCP
-//! transport lands (ROADMAP). Drop or scope the guard first, or justify
-//! with `allow(lock-across-blocking, "…")`.
+//! blocking call — a real stall, since every in-process call and every
+//! socket connection runs on its caller's own thread. Drop or scope the
+//! guard first, or justify with `allow(lock-across-blocking, "…")`.
 
 use crate::lexer::{matching, Tok, Token};
 use crate::{crate_of, RawFinding, Source};

@@ -7,8 +7,8 @@ use crate::{crate_of, RawFinding, Source};
 
 /// Crates whose behaviour is visible to the simulation. Wall-clock time,
 /// OS entropy and real-thread sleeps in these crates would make chaos-test
-/// replays diverge. `net` is included: its single legitimate pacing sleep
-/// carries an explicit suppression.
+/// replays diverge. `net` is included: its pacing sleep and the
+/// in-process call's deadline check each carry an explicit suppression.
 pub(crate) const D1_CRATES: &[&str] = &[
     "sim", "disk", "object", "proto", "cheops", "fm", "pfs", "net", "obs", "mgmt", "dedup",
     "workload",
@@ -43,6 +43,7 @@ pub(crate) const P1_FILES: &[&str] = &[
     "crates/obs/src/metrics.rs",
     "crates/obs/src/trace.rs",
     "crates/net/src/frame.rs",
+    "crates/net/src/rpc.rs",
     "crates/net/src/socket.rs",
     "crates/net/src/transport.rs",
     "crates/net/src/connect.rs",

@@ -15,7 +15,7 @@
 //! | [`proto`] | wire protocol: objects, rights, capabilities, requests |
 //! | [`object`] | **the NASD drive**: object store, security, cost meter |
 //! | [`disk`] | mechanical disk models and block devices |
-//! | [`net`] | switched-network model and the threaded RPC transport |
+//! | [`net`] | switched-network model; in-process (caller's-thread) and socket transports |
 //! | [`sim`] | deterministic discrete-event simulation kernel |
 //! | [`obs`] | sim-clock metrics registry, trace sink and bench reports |
 //! | [`ffs`] | the FFS-like local filesystem baseline |

@@ -2,8 +2,8 @@
 //!
 //! Mirrors the PR 3 `DriveBuilder` pattern: configuration accumulates
 //! on the builder (pool size, fault plan), then a terminal method
-//! produces the endpoint — [`Connector::in_proc`] for a channel over a
-//! threaded in-process service, [`Connector::dial`] for one over a real
+//! produces the endpoint — [`Connector::in_proc`] for a channel over an
+//! in-process service, [`Connector::dial`] for one over a real
 //! TCP/UDS socket. Higher layers add their own terminal methods via
 //! extension traits (`FmConnect::nfs/afs`, `CheopsConnect::cheops`, …)
 //! so every client in the stack is constructed the same way and none of

@@ -11,8 +11,8 @@
 //!   testbed.
 //! * **Functional**: a unified [`Transport`] abstraction behind the
 //!   [`Channel`] handle every client holds — with two implementations:
-//!   the threaded in-process [`Rpc`] over crossbeam channels
-//!   ([`spawn_service`]), and a real TCP/UDS socket transport
+//!   the in-process [`Rpc`] ([`spawn_service`]), whose calls run the
+//!   service on the caller's thread, and a real TCP/UDS socket transport
 //!   ([`serve`], [`SocketClient`]) speaking the length-prefixed wire
 //!   protocol with tagged frames, one request per connection at a time
 //!   and pipelining across pooled connections. [`Connector`] is how

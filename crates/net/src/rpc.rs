@@ -1,11 +1,18 @@
-//! A threaded in-process request/reply transport.
+//! The in-process request/reply transport: a call runs the service on
+//! the caller's thread.
 //!
 //! The functional stack (file managers, Cheops, PFS, examples) runs real
-//! services — drives and managers — each on its own thread, reached by a
-//! cloneable [`Rpc`] handle. The paper used DCE RPC over UDP/IP for the
-//! same role; an in-process channel transport exercises the identical
-//! message flow (every byte still crosses a serialized channel as a
-//! `Request`/`Reply` value) without the 1998 protocol stack.
+//! services — drives and managers — reached by a cloneable [`Rpc`]
+//! handle. The paper used DCE RPC over UDP/IP for the same role; here a
+//! call locks the service and runs it on the calling thread, so every
+//! request and reply still crosses as a whole `Request`/`Reply` value
+//! while the hop costs no thread switch. A service runs one request at
+//! a time, as a single-threaded server would.
+//!
+//! The timeout contract is the socket transport's: a reply that comes
+//! back after its attempt's deadline — waiting for the service counts —
+//! is discarded and reads [`RpcError::TimedOut`], though the service's
+//! effect stands.
 //!
 //! [`Rpc`] carries no fault logic: seeded message loss, duplication and
 //! delay are applied by the decorator behind
@@ -15,16 +22,18 @@
 //! request from a dropped reply, exactly as on a real network.
 
 use crate::options::CallOptions;
-use crate::transport::Transport;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::transport::{Pending, Transport};
+use parking_lot::Mutex;
+use std::any::Any;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Transport-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
-    /// The service thread has shut down.
+    /// The service has shut down (or crashed).
     Disconnected,
     /// No reply arrived in time — the request or its reply may have been
     /// lost, or the service is too slow. The caller cannot tell which.
@@ -42,20 +51,24 @@ impl fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-enum Envelope<Req, Resp> {
-    Call(Req, Sender<Resp>),
-    Stop,
+/// What an [`Rpc`] reaches: the service while it serves, the panic it
+/// died of, or nothing once shut down.
+enum State<Req, Resp> {
+    Serving(Box<dyn FnMut(Req) -> Resp + Send>),
+    Crashed(Box<dyn Any + Send>),
+    Stopped,
 }
 
-/// Client handle to a threaded service. Cloneable; calls from any thread.
+/// Client handle to an in-process service. Cloneable; a call from any
+/// thread runs the service on that thread, one call at a time.
 pub struct Rpc<Req, Resp> {
-    tx: Sender<Envelope<Req, Resp>>,
+    state: Arc<Mutex<State<Req, Resp>>>,
 }
 
 impl<Req, Resp> Clone for Rpc<Req, Resp> {
     fn clone(&self) -> Self {
         Rpc {
-            tx: self.tx.clone(),
+            state: Arc::clone(&self.state),
         }
     }
 }
@@ -66,11 +79,45 @@ impl<Req, Resp> fmt::Debug for Rpc<Req, Resp> {
     }
 }
 
+impl<Req, Resp> Rpc<Req, Resp> {
+    /// Run `req` on this thread once the service is free; returns the
+    /// reply and how long the call took, the wait for the service
+    /// included. A panicking service is stopped, and reads
+    /// [`RpcError::Disconnected`] from then on.
+    fn serve_here(&self, req: Req) -> Result<(Resp, Duration), RpcError> {
+        // nasd-lint: allow(wall-clock, "times a real-thread call against its caller's timeout; the reading only turns a late reply into TimedOut, as a socket read timeout does")
+        let start = Instant::now();
+        let mut state = self.state.lock();
+        let State::Serving(service) = &mut *state else {
+            return Err(RpcError::Disconnected);
+        };
+        match panic::catch_unwind(AssertUnwindSafe(|| service(req))) {
+            Ok(resp) => Ok((resp, start.elapsed())),
+            Err(payload) => {
+                *state = State::Crashed(payload);
+                Err(RpcError::Disconnected)
+            }
+        }
+    }
+}
+
+/// A reply as a caller bounded by `timeout` sees it: one that took
+/// longer is late, and a late reply is discarded.
+fn in_time<Resp>(
+    (resp, took): (Resp, Duration),
+    timeout: Option<Duration>,
+) -> Result<Resp, RpcError> {
+    match timeout {
+        Some(t) if took > t => Err(RpcError::TimedOut),
+        _ => Ok(resp),
+    }
+}
+
 impl<Req: Send + Clone + 'static, Resp: Send + 'static> Rpc<Req, Resp> {
     /// The unified call path: attempts, backoff, per-attempt timeout and
     /// metrics all come from `opts`. Timeouts are retried (when the
     /// policy grants more attempts); [`RpcError::Disconnected`] is
-    /// permanent on a fixed channel and returned immediately.
+    /// permanent on a fixed service and returned immediately.
     ///
     /// Retrying is only safe for requests that are idempotent or
     /// independently signed (drive traffic: each attempt carries a fresh
@@ -83,60 +130,44 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Rpc<Req, Resp> {
     pub fn call_with(&self, req: Req, opts: &CallOptions) -> Result<Resp, RpcError> {
         crate::transport::retry_loop(req, opts, false, |r, t| self.attempt(r, t))
     }
+}
 
-    /// Fire a request without waiting; returns a receiver for the reply
-    /// (lets a client pipeline requests to many services — how the PFS
-    /// client reads all stripe units of a request in parallel).
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Disconnected`] if the service has stopped.
-    pub fn call_async(&self, req: Req) -> Result<Receiver<Resp>, RpcError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx
-            .send(Envelope::Call(req, reply_tx))
-            .map_err(|_| RpcError::Disconnected)?;
-        Ok(reply_rx)
+impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp> for Rpc<Req, Resp> {
+    fn attempt(&self, req: Req, timeout: Option<Duration>) -> Result<Resp, RpcError> {
+        in_time(self.serve_here(req)?, timeout)
+    }
+
+    /// Runs `req` now; the [`Pending`] holds the reply, and a wait
+    /// bounded by less than the call took reads it as late.
+    fn call_async(&self, req: Req) -> Result<Pending<Resp>, RpcError> {
+        let mut done = Some(self.serve_here(req)?);
+        Ok(Pending::new(move |timeout| {
+            in_time(done.take().ok_or(RpcError::Disconnected)?, timeout)
+        }))
+    }
+
+    fn name(&self) -> &'static str {
+        "in-proc"
     }
 }
 
-/// Owner handle for a spawned service: stops the service loop and joins
-/// the thread on [`ServiceHandle::shutdown`].
+/// Owner handle for a service: stops it on [`ServiceHandle::shutdown`].
 pub struct ServiceHandle {
-    stop: Option<Box<dyn FnOnce() + Send + Sync>>,
-    thread: Option<JoinHandle<()>>,
-    replies_dropped: Arc<nasd_obs::Counter>,
+    stop: Box<dyn FnOnce() + Send + Sync>,
 }
 
 impl ServiceHandle {
-    /// Stop the service loop and join its thread. Clients holding [`Rpc`]
-    /// clones are not required to drop first: the loop exits on the stop
-    /// message, and later calls return [`RpcError::Disconnected`].
-    /// Dropping the handle without calling this detaches the thread (it
-    /// exits when the last [`Rpc`] clone drops).
+    /// Stop the service, waiting for a call in flight to finish. Clients
+    /// holding [`Rpc`] clones need not drop first: their later calls
+    /// return [`RpcError::Disconnected`]. Dropping the handle without
+    /// calling this leaves the service serving its clients.
     ///
     /// # Panics
     ///
     /// Re-raises the service closure's panic, if it had one — a crashed
     /// service must not look like a clean shutdown.
-    pub fn shutdown(mut self) {
-        if let Some(stop) = self.stop.take() {
-            stop();
-        }
-        if let Some(t) = self.thread.take() {
-            if let Err(payload) = t.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-
-    /// Replies the service computed but could not deliver because the
-    /// caller had already given up (timed out or dropped its receiver).
-    /// A steadily climbing value means callers' timeouts are shorter
-    /// than the service's latency.
-    #[must_use]
-    pub fn replies_dropped(&self) -> u64 {
-        self.replies_dropped.value()
+    pub fn shutdown(self) {
+        (self.stop)();
     }
 }
 
@@ -146,16 +177,9 @@ impl fmt::Debug for ServiceHandle {
     }
 }
 
-impl Drop for ServiceHandle {
-    fn drop(&mut self) {
-        // Detach: the thread exits when all Rpc senders drop.
-        self.stop = None;
-        self.thread = None;
-    }
-}
-
-/// Spawn `service` on its own thread; each incoming request invokes the
-/// closure and sends its return value back to the caller.
+/// Make `service` callable through an [`Rpc`]: each call invokes the
+/// closure on the caller's thread, one call at a time, and returns its
+/// value to the caller. No thread is spawned.
 ///
 /// # Example
 ///
@@ -164,40 +188,26 @@ impl Drop for ServiceHandle {
 /// let opts = nasd_net::CallOptions::blocking();
 /// assert_eq!(rpc.call_with(21, &opts).unwrap(), 42);
 /// ```
-pub fn spawn_service<Req, Resp, F>(mut service: F) -> (Rpc<Req, Resp>, ServiceHandle)
+pub fn spawn_service<Req, Resp, F>(service: F) -> (Rpc<Req, Resp>, ServiceHandle)
 where
     Req: Send + 'static,
     Resp: Send + 'static,
     F: FnMut(Req) -> Resp + Send + 'static,
 {
-    let (tx, rx) = unbounded::<Envelope<Req, Resp>>();
-    let replies_dropped = Arc::new(nasd_obs::Counter::new());
-    let dropped = Arc::clone(&replies_dropped);
-    let thread = std::thread::spawn(move || {
-        while let Ok(env) = rx.recv() {
-            match env {
-                Envelope::Call(req, reply_tx) => {
-                    let resp = service(req);
-                    // The caller may have given up; count the orphaned
-                    // reply instead of silently discarding it.
-                    if reply_tx.send(resp).is_err() {
-                        dropped.inc();
-                    }
-                }
-                Envelope::Stop => break,
-            }
+    let state = Arc::new(Mutex::new(State::Serving(Box::new(service))));
+    let owned = Arc::clone(&state);
+    let stop = move || {
+        // Taking the lock waits out a call in flight; the service is
+        // dropped after the lock is released.
+        let last = std::mem::replace(&mut *owned.lock(), State::Stopped);
+        if let State::Crashed(payload) = last {
+            panic::resume_unwind(payload);
         }
-    });
-    let stop_tx = tx.clone();
+    };
     (
-        Rpc { tx },
+        Rpc { state },
         ServiceHandle {
-            stop: Some(Box::new(move || {
-                // nasd-lint: allow(swallowed-error, "failure means the loop already exited; shutdown's join still observes the thread's fate")
-                let _ = stop_tx.send(Envelope::Stop);
-            })),
-            thread: Some(thread),
-            replies_dropped,
+            stop: Box::new(stop),
         },
     )
 }
@@ -207,7 +217,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
     use crate::transport::Channel;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn call_roundtrip() {
@@ -274,28 +284,33 @@ mod tests {
     }
 
     #[test]
-    fn call_queued_behind_a_shutdown_is_disconnected() {
-        let (gate_tx, gate_rx) = unbounded::<()>();
-        let (rpc, mut handle) = spawn_service(move |x: u64| {
-            gate_rx.recv().expect("gate open");
-            x
+    fn shutdown_waits_for_the_call_in_flight() {
+        let (entered_tx, entered_rx) = crossbeam::channel::unbounded::<()>();
+        let finished = Arc::new(AtomicBool::new(false));
+        let (rpc, handle) = spawn_service({
+            let finished = Arc::clone(&finished);
+            move |(): ()| {
+                entered_tx.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                finished.store(true, Ordering::SeqCst);
+            }
         });
-        // Queue, in order: a call the handler holds at the gate, the stop
-        // message, and a second call the loop will never reach.
-        let first = Transport::call_async(&rpc, 1).unwrap();
-        (handle.stop.take().expect("not yet stopped"))();
-        let second = Transport::call_async(&rpc, 2).unwrap();
-        gate_tx.send(()).unwrap();
-        assert_eq!(first.recv(), Ok(1));
-        // The reply sender queued in the dead channel must die with it
-        // (`rpc` still holds the channel open), or every untimed wait on
-        // `second` hangs; the bound only keeps a regression from hanging
-        // the suite.
+        let caller = {
+            let rpc = rpc.clone();
+            std::thread::spawn(move || rpc.call_with((), &CallOptions::blocking()))
+        };
+        entered_rx.recv().unwrap();
+        handle.shutdown();
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "shutdown returned while a call was still running"
+        );
+        // The call in flight completes; the next one finds no service.
+        assert_eq!(caller.join().unwrap(), Ok(()));
         assert_eq!(
-            second.wait(Some(Duration::from_secs(2))),
+            rpc.call_with((), &CallOptions::blocking()),
             Err(RpcError::Disconnected)
         );
-        handle.shutdown();
     }
 
     #[test]
@@ -317,26 +332,27 @@ mod tests {
     }
 
     #[test]
-    fn late_replies_to_departed_callers_are_counted() {
-        let (rpc, h) = spawn_service(|(): ()| {
-            std::thread::sleep(Duration::from_millis(50));
+    fn late_result_is_discarded_as_timeout() {
+        // The service sleeps the requested milliseconds, then counts.
+        let (rpc, _h) = spawn_service({
+            let mut count = 0u64;
+            move |pause: u64| {
+                std::thread::sleep(Duration::from_millis(pause));
+                count += 1;
+                count
+            }
         });
-        // The caller gives up long before the service answers; the
-        // orphaned reply must be counted, not silently discarded.
+        let bound = Duration::from_millis(5);
         assert_eq!(
-            rpc.call_with((), &CallOptions::once(Duration::from_millis(5))),
+            rpc.call_with(50, &CallOptions::once(bound)),
             Err(RpcError::TimedOut)
         );
-        for _ in 0..200 {
-            if h.replies_dropped() > 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(h.replies_dropped(), 1);
-        // A caller that waits is never counted.
-        assert!(rpc.call_with((), &CallOptions::blocking()).is_ok());
-        assert_eq!(h.replies_dropped(), 1);
+        assert_eq!(
+            rpc.call_async(50).unwrap().recv_timeout(bound),
+            Err(RpcError::TimedOut)
+        );
+        // Both late calls ran: their effect is visible to the next call.
+        assert_eq!(rpc.call_with(0, &CallOptions::blocking()), Ok(3));
     }
 
     #[test]

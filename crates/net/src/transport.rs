@@ -1,12 +1,12 @@
 //! The unified, transport-agnostic call surface.
 //!
-//! A [`Channel`] fronts any [`Transport`] — the in-process channel
-//! service ([`Rpc`]) or the pooled socket client
+//! A [`Channel`] fronts any [`Transport`] — the in-process service
+//! handle ([`Rpc`]) or the pooled socket client
 //! ([`SocketClient`](crate::SocketClient)) — behind the single call
 //! surface the rest of the stack uses: `call_with(&CallOptions)` plus
 //! `call_async` for pipelining. File managers, Cheops and PFS hold
 //! [`Channel`]s, not raw transports, so moving a drive from an
-//! in-process thread to a real socket changes construction
+//! in-process service to a real socket changes construction
 //! (see [`Connector`](crate::Connector)) and nothing else.
 //!
 //! Fault injection composes at this layer too: [`Channel::with_faults`]
@@ -18,7 +18,6 @@
 use crate::fault::{ChannelFaults, FaultAction};
 use crate::options::CallOptions;
 use crate::rpc::{Rpc, RpcError};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -30,10 +29,11 @@ type Read<Resp> = Box<dyn FnMut(Option<Duration>) -> Result<Resp, RpcError> + Se
 /// A reply that has been requested but not yet received — the handle a
 /// pipelining client holds while it issues more requests.
 ///
-/// A deferred read either transport builds: in-process it waits on the
-/// reply channel; over a socket the first wait reads the request's own
-/// connection. The reply may never arrive under fault injection (or
-/// over a dying socket); use [`Pending::recv_timeout`] then.
+/// A deferred read either transport builds: in-process it holds the
+/// reply of a call that already ran; over a socket the first wait reads
+/// the request's own connection. The reply may never arrive under fault
+/// injection (or over a dying socket); use [`Pending::recv_timeout`]
+/// then.
 pub struct Pending<Resp> {
     read: Mutex<Read<Resp>>,
 }
@@ -95,7 +95,7 @@ impl<Resp> Pending<Resp> {
 
 /// One concrete way to move a request to a service and its reply back.
 ///
-/// Implementations: [`Rpc`] (in-process channels),
+/// Implementations: [`Rpc`] (in-process, on the caller's thread),
 /// [`SocketClient`](crate::SocketClient) (framed TCP/UDS with
 /// pipelining), and the internal fault decorator behind
 /// [`Channel::with_faults`]. Every error a transport reports is one of
@@ -122,8 +122,8 @@ pub trait Transport<Req, Resp>: Send + Sync {
     fn call_async(&self, req: Req) -> Result<Pending<Resp>, RpcError>;
 
     /// Whether a later attempt may reach a *new* connection to the same
-    /// service. `false` for a fixed in-process channel (a disconnect is
-    /// permanent — the service thread is gone); `true` for a socket
+    /// service. `false` for a fixed in-process service (a disconnect is
+    /// permanent — the service is gone); `true` for a socket
     /// client that re-dials, which makes [`RpcError::Disconnected`]
     /// retryable in [`Channel::call_with`].
     fn reconnects(&self) -> bool {
@@ -182,33 +182,6 @@ pub(crate) fn retry_loop<Req: Clone, Resp>(
     Err(last)
 }
 
-/// Wait on an in-process reply channel — bounded by `timeout` when
-/// given, until the service drops the reply sender otherwise.
-fn recv_reply<Resp>(rx: &Receiver<Resp>, timeout: Option<Duration>) -> Result<Resp, RpcError> {
-    match timeout {
-        None => rx.recv().map_err(|_| RpcError::Disconnected),
-        Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RpcError::TimedOut,
-            RecvTimeoutError::Disconnected => RpcError::Disconnected,
-        }),
-    }
-}
-
-impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp> for Rpc<Req, Resp> {
-    fn attempt(&self, req: Req, timeout: Option<Duration>) -> Result<Resp, RpcError> {
-        recv_reply(&Rpc::call_async(self, req)?, timeout)
-    }
-
-    fn call_async(&self, req: Req) -> Result<Pending<Resp>, RpcError> {
-        let rx = Rpc::call_async(self, req)?;
-        Ok(Pending::new(move |timeout| recv_reply(&rx, timeout)))
-    }
-
-    fn name(&self) -> &'static str {
-        "in-proc"
-    }
-}
-
 /// A cloneable handle to a service over *some* transport — the type every
 /// client in the stack holds. Obtain one from a
 /// [`Connector`](crate::Connector) (or [`Channel::in_proc`] directly) and
@@ -240,8 +213,8 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Channel<Req, Resp> {
         Channel { inner: transport }
     }
 
-    /// A channel over an in-process [`Rpc`] handle — today's threaded
-    /// services, unchanged.
+    /// A channel over an in-process [`Rpc`] handle: each call runs the
+    /// service on the caller's thread.
     #[must_use]
     pub fn in_proc(rpc: Rpc<Req, Resp>) -> Self {
         Channel {
@@ -402,8 +375,8 @@ mod tests {
         let (rpc, h) = spawn_service(|x: u64| x);
         let ch = Channel::in_proc(rpc);
         h.shutdown();
-        // Even a retrying policy fails fast: the service thread is gone
-        // and no reconnect can bring it back.
+        // Even a retrying policy fails fast: the service is gone and no
+        // reconnect can bring it back.
         assert_eq!(
             ch.call_with(1, &CallOptions::retry(RetryPolicy::standard())),
             Err(RpcError::Disconnected)

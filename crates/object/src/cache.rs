@@ -128,8 +128,8 @@ struct Entry {
     /// copy-on-write when such a view is still alive.
     data: Arc<[u8]>,
     dirty: bool,
-    /// LRU clock: larger = more recent.
-    used: u64,
+    /// Index of this block's pair in [`BlockCache::recency`].
+    slot: usize,
 }
 
 impl Entry {
@@ -166,6 +166,12 @@ pub struct BlockCache<D> {
     device: D,
     capacity_blocks: usize,
     entries: HashMap<u64, Entry>,
+    /// `(last use, block)` for every resident block, densely packed so
+    /// that finding the LRU victim scans one contiguous array, not the
+    /// map: a 64 KiB write into a full thousand-block cache evicts eight
+    /// times.
+    recency: Vec<(u64, u64)>,
+    /// LRU clock: larger = more recent; every use gets a fresh value.
     clock: u64,
     stats: CacheStats,
 }
@@ -183,6 +189,7 @@ impl<D: BlockDevice> BlockCache<D> {
             device,
             capacity_blocks,
             entries: HashMap::new(),
+            recency: Vec::new(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -230,25 +237,48 @@ impl<D: BlockDevice> BlockCache<D> {
 
     fn touch(&mut self, block: u64) {
         self.clock += 1;
-        if let Some(e) = self.entries.get_mut(&block) {
-            e.used = self.clock;
+        if let Some(e) = self.entries.get(&block) {
+            if let Some(r) = self.recency.get_mut(e.slot) {
+                r.0 = self.clock;
+            }
         }
+    }
+
+    /// Make `block`, which is not resident, resident with `data` as the
+    /// most recently used.
+    fn insert(&mut self, block: u64, data: Arc<[u8]>, dirty: bool) {
+        debug_assert!(!self.entries.contains_key(&block));
+        self.clock += 1;
+        let slot = self.recency.len();
+        self.recency.push((self.clock, block));
+        self.entries.insert(block, Entry { data, dirty, slot });
+    }
+
+    /// Drop `block`'s entry, keeping `recency` dense: the last pair moves
+    /// into the freed slot.
+    fn remove(&mut self, block: u64) -> Option<Entry> {
+        let entry = self.entries.remove(&block)?;
+        if entry.slot < self.recency.len() {
+            self.recency.swap_remove(entry.slot);
+        }
+        if let Some(&(_, moved)) = self.recency.get(entry.slot) {
+            if let Some(e) = self.entries.get_mut(&moved) {
+                e.slot = entry.slot;
+            }
+        }
+        Some(entry)
     }
 
     /// Make room for one more entry, evicting the LRU entry if full.
     fn evict_if_full(&mut self, trace: &mut IoTrace) -> Result<(), DiskError> {
         while self.entries.len() >= self.capacity_blocks {
             // An empty cache can only be "full" at capacity zero; there is
-            // nothing to evict then.
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(&b, _)| b)
-            else {
+            // nothing to evict then. Clock values are unique, so the
+            // victim does not depend on the array's order.
+            let Some(&(_, victim)) = self.recency.iter().min_by_key(|(used, _)| *used) else {
                 break;
             };
-            let Some(entry) = self.entries.remove(&victim) else {
+            let Some(entry) = self.remove(victim) else {
                 break;
             };
             self.stats.evictions += 1;
@@ -314,15 +344,7 @@ impl<D: BlockDevice> BlockCache<D> {
             bytes::stats::record_copy(buf.len());
             self.stats.misses += 1;
             trace.push_read(block);
-            self.clock += 1;
-            self.entries.insert(
-                block,
-                Entry {
-                    data: Arc::from(buf),
-                    dirty: false,
-                    used: self.clock,
-                },
-            );
+            self.insert(block, Arc::from(buf), false);
         }
         Ok(())
     }
@@ -357,16 +379,8 @@ impl<D: BlockDevice> BlockCache<D> {
             self.touch(block);
         } else {
             self.evict_if_full(trace)?;
-            self.clock += 1;
             bytes::stats::record_copy(data.len());
-            self.entries.insert(
-                block,
-                Entry {
-                    data: Arc::from(data),
-                    dirty: true,
-                    used: self.clock,
-                },
-            );
+            self.insert(block, Arc::from(data), true);
             // A full-block overwrite needs no device read; count it as a
             // (write) hit for Table 1's warm/cold distinction.
             self.stats.hits += 1;
@@ -417,7 +431,7 @@ impl<D: BlockDevice> BlockCache<D> {
     /// Drop a block from the cache without writeback (used when the block
     /// is freed — its contents are dead).
     pub fn discard(&mut self, block: u64) {
-        self.entries.remove(&block);
+        self.remove(block);
     }
 
     /// Write all dirty blocks to the device.
@@ -547,6 +561,29 @@ mod tests {
         let mut buf = vec![0u8; 512];
         c.device().read_block(2, &mut buf).unwrap();
         assert_eq!(buf[0], 2);
+    }
+
+    #[test]
+    fn eviction_order_survives_discards() {
+        // Discarding block 1 moves block 3's recency pair into its slot;
+        // later evictions must still take the least recently used first.
+        let mut c = cache(4);
+        let mut t = IoTrace::default();
+        for b in 0..4u64 {
+            let _ = c.read(b, &mut t).unwrap();
+        }
+        c.discard(1);
+        let _ = c.read(3, &mut t).unwrap();
+        let _ = c.read(0, &mut t).unwrap();
+        let _ = c.read(4, &mut t).unwrap(); // use order now 2, 3, 0, 4
+        for (next, evicted) in [(5u64, 2u64), (6, 3), (7, 0)] {
+            let _ = c.read(next, &mut t).unwrap();
+            assert!(
+                !c.contains(evicted),
+                "reading {next} should evict {evicted}"
+            );
+        }
+        assert!((4..8).all(|b| c.contains(b)));
     }
 
     #[test]

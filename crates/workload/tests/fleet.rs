@@ -12,8 +12,8 @@ fn sharded_client(ndrives: usize, nshards: usize) -> (nasd_fm::NfsClient, Arc<Dr
         DriveFleet::spawn_memory(ndrives, DriveConfig::small(), PartitionId(1), 16 << 20).unwrap(),
     );
     let fm = NasdNfs::new(Arc::clone(&fleet)).unwrap();
-    // Dropping the handles detaches the shard service threads; they
-    // exit when the client's channels drop.
+    // Dropping the handles leaves the shards serving; they drop with
+    // the client's channels.
     let (rpcs, _handles) = fm.spawn_sharded(nshards);
     let client = Connector::new()
         .nfs_sharded(rpcs, Arc::clone(&fleet))

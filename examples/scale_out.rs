@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         32 << 20,
     )?);
     let fm = NasdNfs::new(Arc::clone(&fleet))?;
-    // Two service loops over one manager; clients route each request
-    // by handle hash, so hot capability issue fans out.
+    // Two shards (two locks) over one manager; clients route each
+    // request by handle hash, so hot capability issue fans out.
     let (rpcs, _handles) = fm.spawn_sharded(2);
     let client = Connector::new().nfs_sharded(rpcs, Arc::clone(&fleet))?;
     println!("4 drives, 2 FM shards, one namespace");
