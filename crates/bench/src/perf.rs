@@ -25,16 +25,19 @@
 
 use bytes::Bytes;
 use nasd::disk::MemDisk;
-use nasd::fm::{serve_drive_socket, spawn_drive, DriveEndpoint};
-use nasd::net::{BindAddr, Connector, WireServer};
+use nasd::fm::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet, FmConnect, NasdNfs};
+use nasd::net::{
+    BindAddr, CallOptions, CallStats, Channel, Connector, Pending, RetryPolicy, RpcError,
+    Transport, WireServer,
+};
 use nasd::object::{ClientHandle, DriveConfig, NasdDrive};
-use nasd::obs::datapath;
-use nasd::proto::{ByteRange, PartitionId, RequestBody, Rights, Version};
+use nasd::obs::{datapath, Registry};
+use nasd::proto::{ByteRange, PartitionId, Reply, Request, RequestBody, Rights, Version};
 use nasd::sim::baseline::HeapSimulator;
 use nasd::sim::{SimTime, Simulator};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Reads the harness allocator's `(allocations, bytes_allocated)`
 /// totals. `None` when the embedding binary installed no counting
@@ -45,7 +48,7 @@ pub type AllocProbe = fn() -> (u64, u64);
 #[derive(Debug, Clone)]
 pub struct PerfRow {
     /// Workload name (`cached_read`, `seq_write`, `durable_write`, `sweep_read`,
-    /// `inproc_read`, `socket_read`, `socket_write`, `sim_step`, and the
+    /// `inproc_read`, `socket_read`, `socket_write`, `nfs_open`, `sim_step`, and the
     /// `dispatch_{cal,heap}_{1k,100k}` old-vs-new kernel rows).
     pub workload: &'static str,
     /// Payload bytes per operation (0 for `sim_step`).
@@ -66,6 +69,10 @@ pub struct PerfRow {
     /// Simulator event-infrastructure allocations per operation (the
     /// `sim/event_allocs` counter; only `sim_step` exercises it).
     pub event_allocs_per_op: f64,
+    /// Exact per-operation counts only this workload measures, each
+    /// reported as the derived value `<workload>_<name>` (`nfs_open`:
+    /// `fm_calls`, `drive_requests`).
+    pub counters: Vec<(&'static str, f64)>,
 }
 
 struct Measured {
@@ -113,6 +120,7 @@ fn row(workload: &'static str, size: u64, m: &Measured) -> PerfRow {
         alloc_bytes_per_op: m.alloc_bytes as f64 / ops,
         bytes_copied_per_op: m.bytes_copied as f64 / ops,
         event_allocs_per_op: m.event_allocs as f64 / ops,
+        counters: Vec::new(),
     }
 }
 
@@ -287,6 +295,83 @@ fn socket_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
     m
 }
 
+/// A drive channel that counts the requests sent through it.
+struct Counted {
+    inner: Channel<Request, Reply>,
+    requests: Arc<AtomicU64>,
+}
+
+impl Transport<Request, Reply> for Counted {
+    fn attempt(&self, req: Request, timeout: Option<Duration>) -> Result<Reply, RpcError> {
+        self.call_async(req)?.wait(timeout)
+    }
+
+    fn call_async(&self, req: Request) -> Result<Pending<Reply>, RpcError> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.inner.call_async(req)
+    }
+}
+
+/// Files in `nfs_open`'s one directory — as many as a `meta_mix`
+/// directory holds.
+const NFS_OPEN_FILES: usize = 64;
+
+/// Two-level read-only opens (`/d/fNN`) through an NFS client without
+/// a capability cache, over four in-process drives: the control path a
+/// `meta_mix` op pays, with the manager calls and the drive requests
+/// per open as the row's counters.
+fn nfs_open(probe: Option<AllocProbe>, ops: u64) -> PerfRow {
+    let fleet = Arc::new(
+        DriveFleet::spawn_memory(4, DriveConfig::small(), PartitionId(1), 16 << 20)
+            .expect("drive fleet"),
+    );
+    let (fm, handle) = NasdNfs::new(Arc::clone(&fleet))
+        .expect("file manager")
+        .spawn();
+    let mut client = Connector::new()
+        .nfs(fm, Arc::clone(&fleet))
+        .expect("nfs client");
+    client.mkdir("/d", 0o755, 0).expect("mkdir");
+    let paths: Vec<String> = (0..NFS_OPEN_FILES).map(|f| format!("/d/f{f:02}")).collect();
+    for path in &paths {
+        client.create(path, 0o644, 0).expect("create");
+    }
+    let requests = Arc::new(AtomicU64::new(0));
+    for ep in fleet.endpoints() {
+        let counted = Counted {
+            inner: ep.channel(),
+            requests: Arc::clone(&requests),
+        };
+        ep.reconnect(Channel::new(Arc::new(counted)));
+    }
+    let stats = CallStats::in_registry(&Registry::new(), "fm");
+    client.set_call_options(CallOptions::retry(RetryPolicy::control()).with_stats(stats.clone()));
+
+    let mut next = 0;
+    let mut open = || {
+        next = (next + 1) % NFS_OPEN_FILES;
+        client.open(&paths[next], false).expect("open");
+    };
+    for _ in 0..NFS_OPEN_FILES {
+        open();
+    }
+    let calls_before = stats.calls.value();
+    let requests_before = requests.load(Ordering::Relaxed);
+    let m = measure(probe, ops, open);
+    let per_op = |n: u64| n as f64 / ops as f64;
+    let fm_calls = per_op(stats.calls.value() - calls_before);
+    let drive_requests = per_op(requests.load(Ordering::Relaxed) - requests_before);
+    drop(client);
+    handle.shutdown();
+    if let Ok(fleet) = Arc::try_unwrap(fleet) {
+        fleet.shutdown();
+    }
+    PerfRow {
+        counters: vec![("fm_calls", fm_calls), ("drive_requests", drive_requests)],
+        ..row("nfs_open", 0, &m)
+    }
+}
+
 /// Steady-state simulator stepping: each operation runs one completion
 /// event that cancels its paired timeout — the I/O-with-timeout pattern
 /// every simulated drive request follows.
@@ -421,6 +506,7 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
         65_536,
         &socket_write(probe, 65_536, 200),
     ));
+    rows.push(nfs_open(probe, 2_000));
     rows.push(row("sim_step", 0, &sim_step(probe, 100_000)));
     // Old-vs-new kernel dispatch at 10^3 and 10^5 pending events,
     // best-of-3 per row so the speedup ratio is noise-robust.
@@ -482,6 +568,16 @@ mod tests {
         assert!(m.nanos > 0);
         let w = socket_write(None, 8_192, 4);
         assert_eq!(w.ops, 4);
+    }
+
+    #[test]
+    fn nfs_open_is_one_manager_call_and_one_drive_request() {
+        let row = nfs_open(None, 32);
+        assert_eq!(row.ops, 32);
+        assert_eq!(
+            row.counters,
+            vec![("fm_calls", 1.0), ("drive_requests", 1.0)]
+        );
     }
 
     #[test]

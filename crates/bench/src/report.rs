@@ -334,6 +334,16 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
             .with_derived("socket_read_bytes_copied_per_op", sock.bytes_copied_per_op)
             .with_derived("socket_read_ns_per_op", sock.ns_per_op);
     }
+    if let Some(open) = rows.iter().find(|r| r.workload == "nfs_open") {
+        r = r
+            .with_derived("nfs_open_us", open.ns_per_op / 1_000.0)
+            .with_derived("nfs_open_allocs_per_op", open.allocs_per_op);
+    }
+    for row in rows {
+        for (name, per_op) in &row.counters {
+            r = r.with_derived(format!("{}_{name}", row.workload), *per_op);
+        }
+    }
     // Old-vs-new kernel headline: dispatch speedup at 10^5 pending and
     // the new kernel's steady-state event-infrastructure allocations.
     let cal = rows.iter().find(|r| r.workload == "dispatch_cal_100k");

@@ -183,16 +183,29 @@ impl KeyHierarchy {
     /// generation `gen`. Bumping `gen` models working-key rotation.
     #[must_use]
     pub fn partition_keys(&self, partition_id: u16, gen: u64) -> DriveKeys {
-        let partition = self
-            .drive
-            .derive(format!("nasd:part:{partition_id}").as_bytes());
-        let gold = partition.derive(format!("nasd:work:gold:{gen}").as_bytes());
-        let black = partition.derive(format!("nasd:work:black:{gen}").as_bytes());
+        let partition = self.partition_key(partition_id);
         DriveKeys {
+            gold: Self::work(&partition, KeyKind::Gold, gen),
+            black: Self::work(&partition, KeyKind::Black, gen),
             partition,
-            gold,
-            black,
         }
+    }
+
+    /// One working key of a partition at generation `gen` — the key
+    /// [`Self::partition_keys`] would report for `kind`, without deriving
+    /// the other one.
+    #[must_use]
+    pub fn working_key(&self, partition_id: u16, kind: KeyKind, gen: u64) -> SecretKey {
+        Self::work(&self.partition_key(partition_id), kind, gen)
+    }
+
+    fn partition_key(&self, partition_id: u16) -> SecretKey {
+        self.drive
+            .derive(format!("nasd:part:{partition_id}").as_bytes())
+    }
+
+    fn work(partition: &SecretKey, kind: KeyKind, gen: u64) -> SecretKey {
+        partition.derive(format!("nasd:work:{kind}:{gen}").as_bytes())
     }
 }
 
@@ -231,6 +244,19 @@ mod tests {
         assert_eq!(g0.partition, g1.partition);
         assert_ne!(g0.gold, g1.gold);
         assert_ne!(g0.black, g1.black);
+    }
+
+    #[test]
+    fn working_key_is_the_partition_keys_one() {
+        let h = hierarchy();
+        let keys = h.partition_keys(3, 2);
+        assert_eq!(h.working_key(3, KeyKind::Gold, 2), keys.gold);
+        assert_eq!(h.working_key(3, KeyKind::Black, 2), keys.black);
+        // The derivation labels are part of the key schedule: pinned.
+        let partition = h.drive().derive(b"nasd:part:3");
+        assert_eq!(keys.partition, partition);
+        assert_eq!(keys.gold, partition.derive(b"nasd:work:gold:2"));
+        assert_eq!(keys.black, partition.derive(b"nasd:work:black:2"));
     }
 
     #[test]

@@ -261,6 +261,10 @@ impl NasdAfs {
                     }
                 }
                 let attrs = core.attrs(fh)?;
+                // Directory objects are written by the manager alone.
+                if attrs.file_type == FileType::Directory {
+                    return Err(FmError::Permission);
+                }
                 let cap = core.grant(
                     fh,
                     Rights::READ | Rights::WRITE | Rights::GETATTR | Rights::RESIZE,
@@ -765,6 +769,28 @@ mod tests {
         assert!(matches!(call(remove("next")), AfsResponse::Ok));
         let stat = call(AfsRequest::VolumeStat);
         assert!(matches!(stat, AfsResponse::Volume(10_000, 0)), "{stat:?}");
+    }
+
+    #[test]
+    fn no_write_capability_on_a_directory() {
+        let (rpc, fleet) = setup(1 << 20);
+        let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), fleet).unwrap();
+        let mkdir = AfsRequest::Mkdir {
+            dir: a.root(),
+            name: "d".to_string(),
+        };
+        let AfsResponse::Handle(dir) = rpc.call_with(mkdir, &CallOptions::blocking()).unwrap()
+        else {
+            panic!("mkdir failed")
+        };
+        assert!(matches!(a.fetch_write(dir, 0), Err(FmError::Permission)));
+        assert!(matches!(
+            a.fetch_write(a.root(), 0),
+            Err(FmError::Permission)
+        ));
+        // Clients still read directories to parse them locally.
+        assert!(a.fetch_read(dir).is_ok());
+        assert!(a.lookup("/d").is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The client-side capability-cache policy, generic over what is cached.
 //!
 //! [`NfsClient`](crate::NfsClient) instantiates it over
-//! `(directory, name, want_write)` → open file; the `nasd-bench` scale
+//! `(path, want_write)` → open file; the `nasd-bench` scale
 //! matrix instantiates it over object indices, so a change to the
 //! policy here moves the simulated hit rates too.
 
@@ -94,14 +94,9 @@ impl<K: Hash + Eq, V: Clone> LeaseCache<K, V> {
         map.insert(key, (value, expires));
     }
 
-    /// Drop the entry under `key`.
-    pub(crate) fn remove(&self, key: &K) {
-        self.map.lock().remove(key);
-    }
-
     /// Keep only the entries `keep` accepts.
-    pub(crate) fn retain(&self, mut keep: impl FnMut(&V) -> bool) {
-        self.map.lock().retain(|_, (value, _)| keep(value));
+    pub(crate) fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) {
+        self.map.lock().retain(|key, (value, _)| keep(key, value));
     }
 
     /// Count one revocation-driven refresh.

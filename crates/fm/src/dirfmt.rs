@@ -59,6 +59,10 @@ impl WireDecode for DirRecord {
     }
 }
 
+/// Wire bytes of the smallest record (empty name): name length, drive,
+/// partition, object, kind.
+const MIN_RECORD: usize = 4 + 8 + 2 + 8 + 1;
+
 /// Serialize a directory's entries into object data.
 #[must_use]
 pub fn encode_dir(entries: &[DirRecord]) -> Vec<u8> {
@@ -70,22 +74,26 @@ pub fn encode_dir(entries: &[DirRecord]) -> Vec<u8> {
     w.into_vec()
 }
 
-/// Parse a directory object's data.
+/// Parse a directory object's data. The leading record count is
+/// authoritative: bytes after the last record are ignored, so a shrink
+/// whose `Resize` never landed (the object kept the tail of a longer
+/// listing) still reads as the listing that was written.
 ///
 /// # Errors
 ///
-/// [`DecodeError`] on corrupt data.
+/// [`DecodeError`] on corrupt data, including a listing cut short.
 pub fn decode_dir(data: &[u8]) -> Result<Vec<DirRecord>, DecodeError> {
     if data.is_empty() {
         return Ok(Vec::new());
     }
     let mut r = WireReader::new(data);
     let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
+    // Never pre-size past what the data can hold, whatever the count
+    // claims.
+    let mut out = Vec::with_capacity(n.min(data.len() / MIN_RECORD));
     for _ in 0..n {
         out.push(DirRecord::decode(&mut r)?);
     }
-    r.finish()?;
     Ok(out)
 }
 
@@ -123,6 +131,24 @@ mod tests {
     fn corrupt_rejected() {
         let mut data = encode_dir(&[rec("x", 1, false)]);
         data.truncate(data.len() - 1);
+        assert!(decode_dir(&data).is_err());
+    }
+
+    #[test]
+    fn stale_tail_ignored() {
+        let long = encode_dir(&[rec("keep", 1, false), rec("gone", 2, true)]);
+        let mut data = encode_dir(&[rec("keep", 1, false)]);
+        let written = data.len();
+        // The shorter listing over the longer one, never shrunk.
+        data.extend_from_slice(&long[written..]);
+        assert_eq!(decode_dir(&data).unwrap(), vec![rec("keep", 1, false)]);
+        assert_eq!(MIN_RECORD, encode_dir(&[rec("", 0, false)]).len() - 4);
+    }
+
+    #[test]
+    fn huge_count_does_not_preallocate() {
+        let mut data = encode_dir(&[rec("x", 1, false)]);
+        data[..4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(decode_dir(&data).is_err());
     }
 

@@ -10,7 +10,7 @@
 
 use crate::handle::{FileHandle, FmError};
 use bytes::{ByteRope, Bytes};
-use nasd_crypto::KeyHierarchy;
+use nasd_crypto::{KeyHierarchy, KeyKind, SecretKey};
 use nasd_disk::{MemDisk, SharedDisk};
 use nasd_net::{
     spawn_service, BindAddr, CallOptions, Channel, ChannelFaults, Connector, FaultConfig,
@@ -23,6 +23,7 @@ use nasd_proto::{
     SetAttrMask, Version,
 };
 use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,6 +36,9 @@ pub struct DriveEndpoint {
     id: DriveId,
     channel: RwLock<Channel<Request, Reply>>,
     hierarchy: KeyHierarchy,
+    /// Each partition's generation-0 gold working key, derived on the
+    /// partition's first mint: every later mint is one HMAC.
+    gold: RwLock<HashMap<PartitionId, SecretKey>>,
     signer: u64,
     counter: AtomicU64,
     retry: RwLock<RetryPolicy>,
@@ -202,7 +206,8 @@ impl DriveEndpoint {
     }
 
     /// Mint a capability: the file-manager operation. `version` must be
-    /// the object's current logical version.
+    /// the object's current logical version. Always under the
+    /// partition's generation-0 gold key.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn mint(
@@ -214,9 +219,18 @@ impl DriveEndpoint {
         region: ByteRange,
         expires: u64,
     ) -> Capability {
-        let gold = self.hierarchy.partition_keys(partition.0, 0).gold;
         CapabilityPublic::gold(self.id, partition, object, version, rights, region, expires)
-            .mint(&gold)
+            .mint(&self.gold_key(partition))
+    }
+
+    /// `partition`'s generation-0 gold working key, derived once.
+    fn gold_key(&self, partition: PartitionId) -> SecretKey {
+        if let Some(key) = self.gold.read().get(&partition) {
+            return key.clone();
+        }
+        let key = self.hierarchy.working_key(partition.0, KeyKind::Gold, 0);
+        self.gold.write().insert(partition, key.clone());
+        key
     }
 
     /// Mint a partition-level capability (create / list).
@@ -463,6 +477,7 @@ impl DriveEndpoint {
             id,
             channel: RwLock::new(channel),
             hierarchy,
+            gold: RwLock::new(HashMap::new()),
             signer: NEXT_SIGNER.fetch_add(1, Ordering::Relaxed),
             counter: AtomicU64::new(1),
             retry: RwLock::new(RetryPolicy::standard()),
@@ -774,6 +789,39 @@ mod tests {
         assert_eq!(ep.read(&cap, 5, 3).unwrap(), b"the");
         let attrs = ep.get_attr(&cap).unwrap();
         assert_eq!(attrs.size, 13);
+        f.shutdown();
+    }
+
+    #[test]
+    fn mint_signs_under_the_generation_zero_gold_key() {
+        let f = fleet(2);
+        for ep in f.endpoints() {
+            let keys = KeyHierarchy::new(SecretKey::from_bytes(FLEET_MASTER_SEED), ep.id().0);
+            for p in [PartitionId(1), PartitionId(9)] {
+                // Twice: the derivation on first use and the kept key.
+                for _ in 0..2 {
+                    let public = CapabilityPublic::gold(
+                        ep.id(),
+                        p,
+                        ObjectId(42),
+                        Version(3),
+                        Rights::READ,
+                        ByteRange::FULL,
+                        100,
+                    );
+                    let want = public.mint(&keys.partition_keys(p.0, 0).gold);
+                    let got = ep.mint(
+                        p,
+                        ObjectId(42),
+                        Version(3),
+                        Rights::READ,
+                        ByteRange::FULL,
+                        100,
+                    );
+                    assert_eq!(got.private.as_bytes(), want.private.as_bytes());
+                }
+            }
+        }
         f.shutdown();
     }
 

@@ -9,10 +9,11 @@
 //! version table and the capability mint) and, over it:
 //!
 //! * [`NasdNfs`] — the NFS personality: stateless, weak cache
-//!   consistency; `lookup` piggybacks capabilities; data-moving
-//!   operations go client → drive directly; directory parsing stays at
-//!   the file manager.
-//! * [`NfsClient`] — the client library pairing with [`NasdNfs`].
+//!   consistency; `lookup` resolves a whole path in one call and
+//!   piggybacks capabilities; data-moving operations go client → drive
+//!   directly; directory parsing stays at the file manager.
+//! * [`NfsClient`] — the client library pairing with [`NasdNfs`]: one
+//!   manager call per open, a capability cache keyed by path.
 //! * [`NasdAfs`] — the AFS personality: explicit capability
 //!   fetch/relinquish RPCs, callbacks broken when a write capability is
 //!   issued, and per-volume quota enforced by byte-range escrow.
@@ -24,7 +25,11 @@
 //! `nasd-net` transport — a call runs the service on the caller's
 //! thread, one request at a time per service, so none owns a thread;
 //! every data byte a NASD client reads flows drive → client without
-//! touching the file manager.
+//! touching the file manager. The core is the only writer of directory
+//! objects (no client is granted write rights on one), so it answers
+//! lookups from a write-through cache of the directories it wrote, and
+//! a mint is one HMAC: each [`DriveEndpoint`] derives a partition's
+//! working key once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

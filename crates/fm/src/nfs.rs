@@ -25,11 +25,13 @@ pub enum NfsRequest {
     /// Fetch the root directory handle.
     GetRoot,
     /// Look `name` up in `dir`; the reply piggybacks a capability with
-    /// read rights (plus write rights when `want_write`).
+    /// read rights (plus write rights when `want_write`; never on a
+    /// directory).
     Lookup {
         /// Directory to search.
         dir: FileHandle,
-        /// Entry name.
+        /// Entry name, or a `/`-separated path relative to `dir`
+        /// resolved in this one call; empty for `dir` itself.
         name: String,
         /// Also grant write/resize rights.
         want_write: bool,
@@ -178,17 +180,16 @@ impl NasdNfs {
                 name,
                 want_write,
             } => {
-                // An empty name is a by-handle refresh: NFS handles are
-                // stateless, so re-issuing a capability for a handle the
-                // client already holds is legitimate (subject to the same
-                // policy checks).
-                let fh = if name.is_empty() {
-                    dir
-                } else {
-                    core.lookup(dir, &name)?
-                };
+                // `name` may be a path: only its last component pays for
+                // attributes and a capability. An empty name is a
+                // by-handle refresh: NFS handles are stateless, so
+                // re-issuing a capability for a handle the client already
+                // holds is legitimate (subject to the same policy checks).
+                let fh = core.lookup(dir, &name)?;
                 let attrs = core.attrs(fh)?;
-                if want_write && attrs.mode & 0o200 == 0 {
+                // Directory objects are written by the manager alone.
+                let read_only = attrs.mode & 0o200 == 0 || attrs.file_type == FileType::Directory;
+                if want_write && read_only {
                     return Err(FmError::Permission);
                 }
                 NfsResponse::Entry(fh, attrs, self.grant(fh, want_write)?)
@@ -212,7 +213,9 @@ impl NasdNfs {
                 core.remove(dir, name)?;
                 NfsResponse::Ok
             }
-            NfsRequest::Readdir { dir } => NfsResponse::Entries(core.list(dir)?),
+            NfsRequest::Readdir { dir } => {
+                NfsResponse::Entries(core.list(dir)?.iter().cloned().collect())
+            }
             NfsRequest::GetAttr { fh } => NfsResponse::Attrs(core.attrs(fh)?),
             NfsRequest::Rename {
                 from_dir,
@@ -281,10 +284,36 @@ pub struct NfsFile {
 }
 
 /// The client's capability-issue cache: the shared [`LeaseCache`]
-/// policy keyed by `(directory, name, want_write)`, holding the lookup
-/// result (handle, attributes, piggybacked capability) until the
-/// capability's own expiry in drive-clock seconds.
-type CapCache = LeaseCache<(FileHandle, String, bool), NfsFile>;
+/// policy keyed by `(path, want_write)` — the path as [`canonical`]
+/// spells it — holding the lookup result (handle, attributes,
+/// piggybacked capability) until the capability's own expiry in
+/// drive-clock seconds.
+type CapCache = LeaseCache<(String, bool), NfsFile>;
+
+/// `path` as the client sends and caches it: absolute, components
+/// joined by single slashes; the root is the empty string.
+fn canonical(path: &str) -> String {
+    let mut out = String::with_capacity(path.len() + 1);
+    for comp in path.split('/').filter(|c| !c.is_empty()) {
+        out.push('/');
+        out.push_str(comp);
+    }
+    out
+}
+
+/// Whether canonical `path` is `top` or lies below it.
+fn within(path: &str, top: &str) -> bool {
+    path.strip_prefix(top)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
+/// Seedless FNV-1a of a path: the routing key of a path lookup, stable
+/// across processes like [`route_hash`].
+fn path_hash(path: &str) -> u64 {
+    path.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Client library for [`NasdNfs`]: control through the manager, data
 /// directly to the drives.
@@ -293,7 +322,8 @@ type CapCache = LeaseCache<(FileHandle, String, bool), NfsFile>;
 /// handle hash (directory handle for namespace operations, file handle
 /// for by-handle operations) — the same partition the shards' stripe
 /// locks use, so a single directory's updates serialize no matter how
-/// many shards serve it.
+/// many shards serve it. A path lookup, which always starts at the
+/// root, routes by the hash of its path instead.
 pub struct NfsClient {
     shards: Vec<Channel<NfsRequest, NfsResponse>>,
     fleet: Arc<DriveFleet>,
@@ -357,13 +387,16 @@ impl NfsClient {
         )
     }
 
-    /// Routing key per request: namespace operations route by the
-    /// directory they mutate/read, by-handle operations by the file
-    /// handle, renames by the source directory (the stripe locks, not
-    /// routing, serialize the destination).
+    /// Routing key per request: path lookups by their path, other
+    /// namespace operations by the directory they mutate/read, by-handle
+    /// operations by the file handle, renames by the source directory
+    /// (the stripe locks, not routing, serialize the destination).
     fn route(&self, req: &NfsRequest) -> usize {
         match req {
             NfsRequest::GetRoot => 0,
+            NfsRequest::Lookup { name, .. } if !name.is_empty() => {
+                shard_index(path_hash(name), self.shards.len())
+            }
             NfsRequest::Lookup { dir, .. }
             | NfsRequest::Create { dir, .. }
             | NfsRequest::Mkdir { dir, .. }
@@ -405,63 +438,70 @@ impl NfsClient {
         }
     }
 
-    /// Walk `path` (absolute, `/`-separated) to a directory handle.
+    /// Walk `path` (absolute, `/`-separated) to a directory handle: one
+    /// manager call, or none when the capability cache holds the path.
     ///
     /// # Errors
     ///
     /// Lookup failures along the path.
     pub fn walk_dir(&self, path: &str) -> Result<FileHandle, FmError> {
-        let mut cur = self.root;
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            let entry = self.lookup(cur, comp, false)?;
-            if entry.attrs.file_type != FileType::Directory {
-                return Err(FmError::NotADirectory(comp.to_string()));
-            }
-            cur = entry.fh;
+        let canon = canonical(path);
+        if canon.is_empty() {
+            return Ok(self.root);
         }
-        Ok(cur)
+        let dir = self.lookup(canon, false)?;
+        if dir.attrs.file_type != FileType::Directory {
+            let name = path.rsplit('/').find(|c| !c.is_empty()).unwrap_or_default();
+            return Err(FmError::NotADirectory(name.to_string()));
+        }
+        Ok(dir.fh)
     }
 
-    /// One lookup, served from the capability cache when possible.
-    fn lookup(&self, dir: FileHandle, name: &str, want_write: bool) -> Result<NfsFile, FmError> {
-        if let Some(cache) = &self.cache {
-            let key = (dir, name.to_string(), want_write);
-            if let Some(file) = cache.get(&key, self.fleet.now()) {
-                return Ok(file);
-            }
+    /// Resolve canonical `path` from the root in one manager call,
+    /// served from the capability cache when possible.
+    fn lookup(&self, path: String, want_write: bool) -> Result<NfsFile, FmError> {
+        let Some(cache) = &self.cache else {
+            return self.fetch(path, want_write);
+        };
+        let key = (path, want_write);
+        if let Some(file) = cache.get(&key, self.fleet.now()) {
+            return Ok(file);
         }
+        let file = self.fetch(key.0.clone(), want_write)?;
+        self.remember(key, &file);
+        Ok(file)
+    }
+
+    /// Ask the manager for canonical `path`.
+    fn fetch(&self, path: String, want_write: bool) -> Result<NfsFile, FmError> {
         match self.call(NfsRequest::Lookup {
-            dir,
-            name: name.to_string(),
+            dir: self.root,
+            name: path,
             want_write,
         })? {
-            NfsResponse::Entry(fh, attrs, cap) => {
-                let file = NfsFile {
-                    fh,
-                    attrs,
-                    cap: *cap,
-                };
-                self.remember(dir, name, want_write, &file);
-                Ok(file)
-            }
+            NfsResponse::Entry(fh, attrs, cap) => Ok(NfsFile {
+                fh,
+                attrs,
+                cap: *cap,
+            }),
             _ => Err(FmError::Transport),
         }
     }
 
-    /// Cache a lookup result until its capability expires.
-    fn remember(&self, dir: FileHandle, name: &str, want_write: bool, file: &NfsFile) {
+    /// Cache a lookup result under `(path, want_write)` until its
+    /// capability expires.
+    fn remember(&self, key: (String, bool), file: &NfsFile) {
         if let Some(cache) = &self.cache {
-            let key = (dir, name.to_string(), want_write);
             cache.put(key, file.clone(), file.cap.public.expires);
         }
     }
 
-    /// Drop the cached entries for one directory entry name (both
+    /// Drop every cached lookup of `path` or of anything below it (both
     /// access modes).
-    fn forget_name(&self, dir: FileHandle, name: &str) {
+    fn forget(&self, path: &str) {
         if let Some(cache) = &self.cache {
-            cache.remove(&(dir, name.to_string(), false));
-            cache.remove(&(dir, name.to_string(), true));
+            let top = canonical(path);
+            cache.retain(|(cached, _), _| !within(cached, &top));
         }
     }
 
@@ -478,16 +518,16 @@ impl NfsClient {
         Ok((if parent.is_empty() { "/" } else { parent }, name))
     }
 
-    /// Open a file by path. The returned [`NfsFile`] carries the
-    /// capability; subsequent reads/writes go straight to the drive.
+    /// Open a file by path with one manager call (none on a capability
+    /// cache hit). The returned [`NfsFile`] carries the capability;
+    /// subsequent reads/writes go straight to the drive.
     ///
     /// # Errors
     ///
     /// Lookup failures, permission errors.
     pub fn open(&self, path: &str, want_write: bool) -> Result<NfsFile, FmError> {
-        let (parent, name) = Self::split_parent(path)?;
-        let dir = self.walk_dir(parent)?;
-        self.lookup(dir, name, want_write)
+        Self::split_parent(path)?;
+        self.lookup(canonical(path), want_write)
     }
 
     /// Create a file, returning it opened for writing.
@@ -511,7 +551,7 @@ impl NfsClient {
                     cap: *cap,
                 };
                 // The create capability has write rights.
-                self.remember(dir, name, true, &file);
+                self.remember((canonical(path), true), &file);
                 Ok(file)
             }
             _ => Err(FmError::Transport),
@@ -550,7 +590,7 @@ impl NfsClient {
             name: name.to_string(),
         })? {
             NfsResponse::Ok => {
-                self.forget_name(dir, name);
+                self.forget(path);
                 Ok(())
             }
             _ => Err(FmError::Transport),
@@ -574,8 +614,8 @@ impl NfsClient {
             to: to.to_string(),
         })? {
             NfsResponse::Ok => {
-                self.forget_name(from_dir, from);
-                self.forget_name(to_dir, to);
+                self.forget(from_path);
+                self.forget(to_path);
                 Ok(())
             }
             _ => Err(FmError::Transport),
@@ -655,7 +695,7 @@ impl NfsClient {
             // or expiry): count the refresh and purge every cached
             // entry resolving to this handle so the next open re-issues.
             cache.note_refresh();
-            cache.retain(|cached| cached.fh != file.fh);
+            cache.retain(|_, cached| cached.fh != file.fh);
         }
         // NFS handles are stateless, so the manager grants by handle: a
         // lookup with an empty name re-issues for `dir` itself.
@@ -793,6 +833,88 @@ mod tests {
         assert!(matches!(client.open("/ro", true), Err(FmError::Permission)));
         // Read-only open works.
         assert!(client.open("/ro", false).is_ok());
+    }
+
+    #[test]
+    fn no_write_capability_on_a_directory() {
+        let (client, _fleet) = setup(1);
+        client.mkdir("/d", 0o777, 0).unwrap();
+        assert!(matches!(client.open("/d", true), Err(FmError::Permission)));
+        // The manager writes directory objects; clients may still read.
+        let dir = client.open("/d", false).unwrap();
+        assert_eq!(dir.attrs.file_type, FileType::Directory);
+    }
+
+    #[test]
+    fn an_open_is_one_manager_call() {
+        use nasd_net::CallStats;
+        let (mut client, _fleet) = setup(2);
+        client.mkdir("/a", 0o755, 0).unwrap();
+        client.mkdir("/a/b", 0o755, 0).unwrap();
+        let mut f = client.create("/a/b/deep", 0o644, 0).unwrap();
+        client.write(&mut f, 0, b"three levels").unwrap();
+        let stats = CallStats::in_registry(&Registry::new(), "fm");
+        client
+            .set_call_options(CallOptions::retry(RetryPolicy::control()).with_stats(stats.clone()));
+        let mut g = client.open("//a/b//deep", false).unwrap();
+        assert_eq!(stats.calls.value(), 1);
+        assert_eq!(client.read(&mut g, 0, 12).unwrap(), b"three levels");
+        assert!(matches!(
+            client.open("/a/b/deep/x", false),
+            Err(FmError::NotADirectory(n)) if n == "deep"
+        ));
+        assert!(matches!(
+            client.walk_dir("/a/b/deep"),
+            Err(FmError::NotADirectory(n)) if n == "deep"
+        ));
+        assert_eq!(
+            client.walk_dir("/a/b").unwrap(),
+            client.open("/a/b", false).unwrap().fh
+        );
+    }
+
+    #[test]
+    fn cap_cache_is_keyed_by_path_and_purged_below_a_rename() {
+        let (client, _fleet) = setup_sharded(2, 2);
+        client.mkdir("/a", 0o755, 0).unwrap();
+        let mut f = client.create("/a/x", 0o644, 0).unwrap();
+        client.write(&mut f, 0, b"moved with its dir").unwrap();
+        client.open("/a/x", false).unwrap();
+        let hits = client.cap_cache_stats().hits;
+        client.open("/a/x", false).unwrap();
+        assert_eq!(
+            client.cap_cache_stats().hits,
+            hits + 1,
+            "not cached by path"
+        );
+
+        client.rename("/a", "/b").unwrap();
+        assert!(matches!(
+            client.open("/a/x", false),
+            Err(FmError::NotFound(_))
+        ));
+        let mut moved = client.open("/b/x", false).unwrap();
+        assert_eq!(
+            client.read(&mut moved, 0, 18).unwrap(),
+            b"moved with its dir"
+        );
+
+        // Removing purges the path itself too.
+        client.remove("/b/x").unwrap();
+        assert!(matches!(
+            client.open("/b/x", false),
+            Err(FmError::NotFound(_))
+        ));
+    }
+
+    #[test]
+    fn path_helpers() {
+        assert_eq!(canonical("//a/b//c/"), "/a/b/c");
+        assert_eq!(canonical("/"), "");
+        assert!(within("/a/b", "/a") && within("/a", "/a"));
+        assert!(!within("/ab", "/a") && !within("/a", "/a/b"));
+        assert_eq!(path_hash("/a/b"), path_hash("/a/b"));
+        assert_ne!(path_hash("/a/b"), path_hash("/a/c"));
     }
 
     #[test]

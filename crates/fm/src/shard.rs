@@ -2,9 +2,9 @@
 //!
 //! A sharded [`NasdNfs`](crate::NasdNfs) is N locks over one core, each
 //! admitting one call at a time; clients route each request to a shard
-//! by handle hash ([`nasd_proto::route_hash`]), so the hot
-//! capability-issue path (lookups) fans out instead of serializing on
-//! one FM lock. Any
+//! by handle hash ([`nasd_proto::route_hash`]) — a path lookup by the
+//! hash of its path — so the hot capability-issue path (lookups) fans
+//! out instead of serializing on one FM lock. Any
 //! shard can correctly serve any request — routing is load
 //! distribution, not ownership — because the state that must stay
 //! coherent is one per core, in these types:
