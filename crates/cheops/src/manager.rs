@@ -409,9 +409,10 @@ impl CheopsManager {
         }
     }
 
-    /// Serve the wire enum in-process, one call at a time on its caller's
-    /// thread, over a manager the caller keeps hold of (storage
-    /// management runs on the same state).
+    /// Serve the wire enum in-process, each call on its caller's thread
+    /// and ordered only by the manager's own state lock, over a manager
+    /// the caller keeps hold of (storage management runs on the same
+    /// state).
     #[must_use]
     pub fn serve(self: &Arc<Self>) -> (Rpc<CheopsRequest, CheopsResponse>, ServiceHandle) {
         let mgr = Arc::clone(self);

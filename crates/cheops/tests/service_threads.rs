@@ -1,5 +1,5 @@
-//! In-process services own no threads: a drive fleet, a sharded NFS
-//! manager, an AFS manager and a Cheops manager, driven end to end, leave
+//! In-process services own no threads: a drive fleet, an NFS manager, an
+//! AFS manager and a Cheops manager, driven end to end, leave
 //! the process's thread count where it was. In its own test binary so no
 //! concurrent test moves the count.
 
@@ -27,10 +27,9 @@ fn services_run_on_their_callers_threads() {
         DriveFleet::spawn_memory(4, DriveConfig::small(), PartitionId(1), 32 << 20).unwrap(),
     );
 
-    let (shards, nfs_handles) = NasdNfs::new(Arc::clone(&fleet)).unwrap().spawn_sharded(2);
-    let nfs = Connector::new()
-        .nfs_sharded(shards, Arc::clone(&fleet))
-        .unwrap();
+    let (nfs_rpc, nfs_handle) = NasdNfs::new(Arc::clone(&fleet)).unwrap().spawn();
+    let mut nfs = Connector::new().nfs(nfs_rpc, Arc::clone(&fleet)).unwrap();
+    nfs.enable_cap_cache(None);
     let mut file = nfs.create("/notes", 0o644, 1).unwrap();
     nfs.write(&mut file, 0, b"nfs bytes").unwrap();
     assert_eq!(nfs.read(&mut file, 0, 9).unwrap(), b"nfs bytes");
@@ -57,9 +56,7 @@ fn services_run_on_their_callers_threads() {
         "building and driving in-process services started threads"
     );
     drop((nfs, afs, cheops));
-    for h in nfs_handles {
-        h.shutdown();
-    }
+    nfs_handle.shutdown();
     afs_handle.shutdown();
     cheops_handle.shutdown();
 }

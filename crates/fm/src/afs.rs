@@ -15,7 +15,7 @@
 //!   object"; on relinquish the manager examines the object's size and
 //!   settles the quota books.
 
-use crate::core::FmCore;
+use crate::core::{FmCore, DEFAULT_TTL};
 use crate::dirfmt::{decode_dir, DirRecord};
 use crate::drives::DriveFleet;
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
@@ -168,6 +168,13 @@ impl AfsState {
             self.callbacks.insert(fh, vec![except]);
         }
     }
+
+    /// Forget `fh`'s writer and return its escrow to the volume.
+    fn end_write(&mut self, fh: FileHandle) -> Option<WriterGrant> {
+        let grant = self.writers.remove(&fh)?;
+        self.used = self.used.saturating_sub(grant.escrow);
+        Some(grant)
+    }
 }
 
 /// The NASD-AFS file manager: the AFS personality of the file-manager
@@ -232,7 +239,7 @@ impl NasdAfs {
                             // an outstanding write capability are blocked."
                             return Ok(AfsResponse::Blocked { until: w.expires });
                         }
-                        state.writers.remove(&fh);
+                        state.end_write(fh);
                     }
                     let holders = state.callbacks.entry(fh).or_default();
                     if !holders.contains(&client) {
@@ -245,46 +252,53 @@ impl NasdAfs {
             }
             AfsRequest::FetchWrite { client, fh, escrow } => {
                 let now = core.now();
-                // Quota escrow check first.
+                // Reserve the writer slot and the escrow before the drive
+                // calls, so a concurrent fetch finds them: another writer
+                // of this file is blocked, and another file's escrow is
+                // checked against this one's.
                 {
                     let mut state = self.state.lock();
-                    if let Some(w) = state.writers.get(&fh) {
-                        if w.expires > now && w.client != client {
-                            return Ok(AfsResponse::Blocked { until: w.expires });
-                        }
+                    let other = |w: &&WriterGrant| w.expires > now && w.client != client;
+                    if let Some(w) = state.writers.get(&fh).filter(other) {
+                        return Ok(AfsResponse::Blocked { until: w.expires });
                     }
-                    if let Some(stale) = state.writers.remove(&fh) {
-                        state.used = state.used.saturating_sub(stale.escrow);
-                    }
+                    state.end_write(fh);
                     if state.used + escrow > state.quota {
                         return Err(FmError::QuotaExceeded);
                     }
+                    state.used += escrow;
+                    state.writers.insert(
+                        fh,
+                        WriterGrant {
+                            client,
+                            escrow,
+                            base_size: 0,
+                            expires: now + DEFAULT_TTL,
+                        },
+                    );
                 }
-                let attrs = core.attrs(fh)?;
-                // Directory objects are written by the manager alone.
-                if attrs.file_type == FileType::Directory {
-                    return Err(FmError::Permission);
+                let issued = self.issue_write(fh, escrow);
+                let mut state = self.state.lock();
+                // A `Remove`, or this client's own later fetch, may have
+                // taken the reservation meanwhile.
+                let reserved = state.writers.get_mut(&fh).filter(|w| w.client == client);
+                let (cap, attrs) = match issued {
+                    Ok(issued) => issued,
+                    Err(e) => {
+                        if reserved.is_some() {
+                            state.end_write(fh);
+                        }
+                        return Err(e);
+                    }
+                };
+                if let Some(w) = reserved {
+                    w.base_size = attrs.size;
+                    w.expires = cap.public.expires;
                 }
-                let cap = core.grant(
-                    fh,
-                    Rights::READ | Rights::WRITE | Rights::GETATTR | Rights::RESIZE,
-                    ByteRange::new(0, attrs.size + escrow),
-                )?;
                 // "The file manager no longer knows that a write operation
                 // arrived at a drive so must inform clients as soon as a
                 // write may occur": break callbacks at issue time.
-                let mut state = self.state.lock();
                 state.break_callbacks(fh, client);
-                state.writers.insert(
-                    fh,
-                    WriterGrant {
-                        client,
-                        escrow,
-                        base_size: attrs.size,
-                        expires: cap.public.expires,
-                    },
-                );
-                state.used += escrow;
                 Ok(AfsResponse::Granted(Box::new(cap), attrs))
             }
             AfsRequest::Relinquish { client, fh, write } => {
@@ -295,12 +309,12 @@ impl NasdAfs {
                     let size = core.attrs(fh).map(|a| a.size);
                     let mut state = self.state.lock();
                     let grant = match state.writers.get(&fh) {
-                        Some(w) if w.client == client => state.writers.remove(&fh),
+                        Some(w) if w.client == client => state.end_write(fh),
                         _ => None,
                     };
                     if let Some(grant) = grant {
                         let grown = size.map_or(0, |s| s.saturating_sub(grant.base_size));
-                        state.used = state.used.saturating_sub(grant.escrow) + grown;
+                        state.used += grown;
                         *state.charged.entry(fh).or_default() += grown;
                     }
                 } else if let Some(holders) = self.state.lock().callbacks.get_mut(&fh) {
@@ -332,9 +346,9 @@ impl NasdAfs {
                 state.break_callbacks(dir, u64::MAX);
                 // The victim's bytes, and any escrow still out on it, go
                 // back to the volume; nobody can hold a callback on it.
-                let freed = state.charged.remove(&gone).unwrap_or(0)
-                    + state.writers.remove(&gone).map_or(0, |w| w.escrow);
+                let freed = state.charged.remove(&gone).unwrap_or(0);
                 state.used = state.used.saturating_sub(freed);
+                state.end_write(gone);
                 state.callbacks.remove(&gone);
                 Ok(AfsResponse::Ok)
             }
@@ -345,12 +359,28 @@ impl NasdAfs {
         }
     }
 
-    /// Serve in-process: each call runs on its caller's thread, one at a
-    /// time.
+    /// A write capability for `fh` with `escrow` bytes of growth room,
+    /// and the attributes it was cut from.
+    fn issue_write(&self, fh: FileHandle, escrow: u64) -> Result<(Capability, FmAttrs), FmError> {
+        let attrs = self.core.attrs(fh)?;
+        // Directory objects are written by the manager alone.
+        if attrs.file_type == FileType::Directory {
+            return Err(FmError::Permission);
+        }
+        let cap = self.core.grant(
+            fh,
+            Rights::READ | Rights::WRITE | Rights::GETATTR | Rights::RESIZE,
+            ByteRange::new(0, attrs.size + escrow),
+        )?;
+        Ok((cap, attrs))
+    }
+
+    /// Serve in-process: each call runs on its caller's thread,
+    /// concurrently with other callers'; the manager's own state lock
+    /// and the core's locks order them.
     #[must_use]
     pub fn spawn(self) -> (Rpc<AfsRequest, AfsResponse>, ServiceHandle) {
-        let fm = Arc::new(self);
-        spawn_service(move |req| fm.handle(req))
+        spawn_service(move |req| self.handle(req))
     }
 }
 
@@ -596,9 +626,10 @@ impl std::fmt::Debug for AfsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::DEFAULT_TTL;
+    use nasd_net::{FaultConfig, FaultPlan};
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;
+    use std::time::Duration;
 
     fn setup(quota: u64) -> (Rpc<AfsRequest, AfsResponse>, Arc<DriveFleet>) {
         let fleet = Arc::new(
@@ -677,13 +708,16 @@ mod tests {
     fn writer_block_bounded_by_expiry() {
         let (rpc, fleet) = setup(1 << 20);
         let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
-        let b = AfsClient::attach(2, Channel::in_proc(rpc), Arc::clone(&fleet)).unwrap();
+        let b = AfsClient::attach(2, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
         let fh = a.create(a.root(), "expiring").unwrap();
         let _ = a.fetch_write(fh, 4096).unwrap();
         assert!(b.fetch_read(fh).is_err());
-        // After the capability's lifetime passes, the block lifts.
+        // After the capability's lifetime passes, the block lifts and
+        // the lapsed writer's escrow returns to the volume.
         fleet.advance_clock(DEFAULT_TTL + 1);
         assert!(b.fetch_read(fh).is_ok());
+        let stat = rpc.call_with(AfsRequest::VolumeStat, &CallOptions::blocking());
+        assert!(matches!(stat, Ok(AfsResponse::Volume(_, 0))), "{stat:?}");
     }
 
     #[test]
@@ -722,6 +756,104 @@ mod tests {
             Err(FmError::QuotaExceeded)
         ));
         assert!(a.fetch_write(fh, 3_000).is_ok());
+    }
+
+    /// Clients `0..n` each send `req(client)`, all at once; the replies
+    /// in client order.
+    fn all_at_once(
+        rpc: &Rpc<AfsRequest, AfsResponse>,
+        n: u64,
+        req: impl Fn(u64) -> AfsRequest + Sync,
+    ) -> Vec<AfsResponse> {
+        let start = std::sync::Barrier::new(n as usize);
+        std::thread::scope(|s| {
+            let calls: Vec<_> = (0..n)
+                .map(|client| {
+                    let (start, req) = (&start, &req);
+                    s.spawn(move || {
+                        start.wait();
+                        rpc.call_with(req(client), &CallOptions::blocking())
+                    })
+                })
+                .collect();
+            calls
+                .into_iter()
+                .map(|call| call.join().unwrap().unwrap())
+                .collect()
+        })
+    }
+
+    /// Every drive request waits on the wire: fetches started together
+    /// are all inside the manager at once.
+    fn slow_drives(fleet: &DriveFleet) {
+        let delayed = FaultConfig::delay_only(1.0, Duration::from_millis(20));
+        fleet.set_faults(&FaultPlan::new(5), delayed);
+    }
+
+    fn volume_used(rpc: &Rpc<AfsRequest, AfsResponse>) -> u64 {
+        match rpc.call_with(AfsRequest::VolumeStat, &CallOptions::blocking()) {
+            Ok(AfsResponse::Volume(_, used)) => used,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn racing_writers_of_one_file_get_one_grant_and_one_escrow() {
+        let (rpc, fleet) = setup(1 << 20);
+        let a = AfsClient::attach(100, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
+        let files: Vec<_> = (0..3)
+            .map(|i| a.create(a.root(), &format!("f{i}")).unwrap())
+            .collect();
+        slow_drives(&fleet);
+        for (round, fh) in (1..).zip(files) {
+            let replies = all_at_once(&rpc, 8, |client| AfsRequest::FetchWrite {
+                client,
+                fh,
+                escrow: 1_000,
+            });
+            let granted = replies
+                .iter()
+                .filter(|r| matches!(r, AfsResponse::Granted(..)))
+                .count();
+            let blocked = replies
+                .iter()
+                .filter(|r| matches!(r, AfsResponse::Blocked { .. }))
+                .count();
+            assert_eq!((granted, blocked), (1, 7), "{replies:?}");
+            assert_eq!(volume_used(&rpc), round * 1_000);
+        }
+    }
+
+    #[test]
+    fn racing_writers_of_two_files_cannot_escrow_past_the_quota() {
+        let (rpc, fleet) = setup(10_000);
+        let a = AfsClient::attach(100, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
+        let files = [
+            a.create(a.root(), "x").unwrap(),
+            a.create(a.root(), "y").unwrap(),
+        ];
+        slow_drives(&fleet);
+        let fetch = |client: u64| AfsRequest::FetchWrite {
+            client,
+            fh: files[client as usize],
+            escrow: 6_000,
+        };
+        for _ in 0..3 {
+            let replies = all_at_once(&rpc, 2, fetch);
+            let refused = replies
+                .iter()
+                .filter(|r| matches!(r, AfsResponse::Err(FmError::QuotaExceeded)))
+                .count();
+            assert_eq!(refused, 1, "{replies:?}");
+            assert_eq!(volume_used(&rpc), 6_000);
+            // Nothing was written: relinquishing returns the escrow.
+            for (client, fh) in (0..).zip(files) {
+                let write = true;
+                let relinquish = AfsRequest::Relinquish { client, fh, write };
+                rpc.call_with(relinquish, &CallOptions::blocking()).unwrap();
+            }
+            assert_eq!(volume_used(&rpc), 0);
+        }
     }
 
     #[test]

@@ -36,15 +36,16 @@ pub trait FmConnect {
         fleet: Arc<DriveFleet>,
     ) -> Result<NfsClient, FmError>;
 
-    /// Connect an NFS-style client across `fms` file-manager shards
-    /// (from [`NasdNfs::spawn_sharded`](crate::NasdNfs::spawn_sharded)):
-    /// requests route by handle hash, and the client-side
-    /// capability-issue cache is enabled so repeated opens skip the
-    /// manager entirely.
+    /// [`Self::nfs`] over the first of `fms` (handles to one manager, as
+    /// [`NasdNfs::spawn_sharded`](crate::NasdNfs::spawn_sharded) returns
+    /// them), with the client-side capability-issue cache enabled so
+    /// repeated opens skip the manager. Kept only because the repository
+    /// benchmark still calls it; new code calls [`Self::nfs`] and
+    /// [`NfsClient::enable_cap_cache`].
     ///
     /// # Errors
     ///
-    /// Transport failures, a manager error, or an empty shard list.
+    /// Transport failures, a manager error, or an empty list.
     fn nfs_sharded(
         &self,
         fms: Vec<Rpc<NfsRequest, NfsResponse>>,
@@ -79,8 +80,8 @@ impl FmConnect for Connector {
         fms: Vec<Rpc<NfsRequest, NfsResponse>>,
         fleet: Arc<DriveFleet>,
     ) -> Result<NfsClient, FmError> {
-        let channels = fms.into_iter().map(|rpc| self.in_proc(rpc)).collect();
-        let mut client = NfsClient::attach_sharded(channels, fleet)?;
+        let fm = fms.into_iter().next().ok_or(FmError::Transport)?;
+        let mut client = self.nfs(fm, fleet)?;
         client.enable_cap_cache(None);
         Ok(client)
     }
@@ -99,7 +100,7 @@ impl FmConnect for Connector {
 mod tests {
     use super::*;
     use crate::{NasdAfs, NasdNfs};
-    use nasd_net::{FaultConfig, FaultPlan};
+    use nasd_net::{FaultConfig, FaultPlan, ServiceHandle};
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;
 
@@ -124,6 +125,35 @@ mod tests {
         assert!(matches!(
             lossy.afs(1, afs, fleet),
             Err(FmError::Unavailable { attempts: 3 })
+        ));
+    }
+
+    #[test]
+    fn nfs_sharded_is_a_cached_client_of_one_manager() {
+        let fleet = Arc::new(
+            DriveFleet::spawn_memory(2, DriveConfig::small(), PartitionId(1), 16 << 20).unwrap(),
+        );
+        let connector = Connector::new();
+        for n in [1, 3] {
+            let (rpcs, handles) = NasdNfs::new(Arc::clone(&fleet)).unwrap().spawn_sharded(n);
+            assert_eq!((rpcs.len(), handles.len()), (n, 1));
+            let last = rpcs.last().cloned().unwrap();
+            let client = connector.nfs_sharded(rpcs, Arc::clone(&fleet)).unwrap();
+            client.create("/f", 0o644, 0).unwrap();
+            client.open("/f", false).unwrap();
+            client.open("/f", false).unwrap();
+            assert_eq!(client.cap_cache_stats().hits, 1, "{n} handles");
+            // Every handle reaches the one manager, and its one handle
+            // stops them all.
+            let other = connector.nfs(last, Arc::clone(&fleet)).unwrap();
+            let f = client.open("/f", false).unwrap().fh;
+            assert_eq!(other.open("/f", false).unwrap().fh, f);
+            handles.into_iter().for_each(ServiceHandle::shutdown);
+            assert!(matches!(other.readdir("/"), Err(FmError::Transport)));
+        }
+        assert!(matches!(
+            connector.nfs_sharded(Vec::new(), fleet),
+            Err(FmError::Transport)
         ));
     }
 }

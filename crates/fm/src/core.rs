@@ -11,10 +11,11 @@
 //! directory object, stamps or reads policy attributes, touches the
 //! version table, or mints a capability.
 //!
-//! Any number of shards and personalities may share one core. Every
-//! directory read-modify-write cycle runs under that directory's stripe
-//! lock; paths that need two directories (rename, directory remove)
-//! take both stripes in stripe order (`shard.rs`).
+//! Any number of personalities may share one core, and each takes its
+//! callers' requests concurrently. Every directory read-modify-write
+//! cycle runs under that directory's stripe lock; paths that need two
+//! directories (rename, directory remove) take both stripes in stripe
+//! order (`stripes.rs`).
 //!
 //! Because the core is the only writer of directory objects, it keeps
 //! the directories it read or wrote, decoded, in a write-through cache:
@@ -25,7 +26,7 @@
 use crate::dirfmt::{decode_dir, encode_dir, DirRecord};
 use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
-use crate::shard::{DirLocks, VersionTable};
+use crate::stripes::{DirLocks, VersionTable};
 use bytes::Bytes;
 use nasd_proto::{ByteRange, Capability, NasdStatus, RequestBody, Rights};
 use parking_lot::Mutex;
@@ -43,13 +44,13 @@ const DIR_CACHE_CAPACITY: usize = 4_096;
 /// A directory's decoded listing, shared between the cache and readers.
 pub(crate) type Listing = Arc<[DirRecord]>;
 
-/// State and mechanism shared by every personality and shard of one
-/// file manager.
+/// State and mechanism shared by every personality of one file manager
+/// and every call it serves.
 pub(crate) struct FmCore {
     fleet: Arc<DriveFleet>,
     root: FileHandle,
     /// Revocation versions: a capability is always minted at the latest,
-    /// no matter which shard or personality revoked.
+    /// no matter which call or personality revoked.
     versions: VersionTable,
     dir_locks: DirLocks,
     /// Write-through cache of directory listings, filled and updated
@@ -207,7 +208,7 @@ impl FmCore {
         }
     }
 
-    /// List `dir`. Reads take the stripe lock so another shard's
+    /// List `dir`. Reads take the stripe lock so another call's
     /// read-modify-write cycle is never observed half-done.
     pub(crate) fn list(&self, dir: FileHandle) -> Result<Listing, FmError> {
         let _g = self.dir_locks.lock(dir);
@@ -247,7 +248,7 @@ impl FmCore {
         uid: u32,
     ) -> Result<FileHandle, FmError> {
         // The whole read-check-create-write cycle runs under the
-        // directory's stripe lock: another shard creating the same name
+        // directory's stripe lock: another call creating the same name
         // must lose, not corrupt the directory.
         let _g = self.dir_locks.lock(dir);
         let listing = self.read_dir(dir)?;
@@ -370,8 +371,8 @@ impl FmCore {
     /// Change `fh`'s mode bits and revoke its outstanding capabilities
     /// so clients re-fetch under the new policy.
     pub(crate) fn set_mode(&self, fh: FileHandle, mode: u16) -> Result<(), FmError> {
-        // Serialize concurrent policy updates to one object across
-        // shards (stripe table reused by file handle).
+        // Serialize concurrent policy updates to one object (stripe
+        // table reused by file handle).
         let _g = self.dir_locks.lock(fh);
         let mut attrs = self.attrs(fh)?;
         attrs.mode = mode;
@@ -520,18 +521,17 @@ mod tests {
         }
     }
 
-    /// A seeded run of mkdir, create, remove and rename through two NFS
-    /// shards and an AFS personality over one core, the cache checked
+    /// A seeded run of mkdir, create, remove and rename through an NFS
+    /// client and an AFS personality over one core, the cache checked
     /// against the drives after every operation. Returns how many failed
     /// operations left fewer directories cached (a failed directory
     /// write evicts).
     fn coherence_run(seed: u64, lossy: bool) -> usize {
         let fleet = fleet_of(3, DriveConfig::small());
         let core = Arc::new(FmCore::new(Arc::clone(&fleet)).unwrap());
-        let (shards, _nfs) = NasdNfs::over(Arc::clone(&core)).spawn_sharded(2);
-        let nfs = Connector::new()
-            .nfs_sharded(shards, Arc::clone(&fleet))
-            .unwrap();
+        let (nfs_rpc, _nfs) = NasdNfs::over(Arc::clone(&core)).spawn();
+        let mut nfs = Connector::new().nfs(nfs_rpc, Arc::clone(&fleet)).unwrap();
+        nfs.enable_cap_cache(None);
         let (afs, _afs) = NasdAfs::over(Arc::clone(&core), 1 << 30).spawn();
         let plan = FaultPlan::new(seed);
         plan.set_enabled(false);

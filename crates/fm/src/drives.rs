@@ -24,6 +24,7 @@ use nasd_proto::{
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -429,6 +430,32 @@ impl DriveEndpoint {
     }
 }
 
+/// A service that takes `&mut` (an in-process drive, `NfsServer`) as the
+/// closure [`spawn_service`] takes: each call holds the service's own
+/// lock. A panicking call kills the service before it releases the lock,
+/// so a waiting caller reads [`RpcError::Disconnected`] rather than run a
+/// half-updated service (the lock shim silently recovers a poisoned lock).
+pub(crate) fn exclusive<S: Send, Req, Resp>(
+    service: S,
+    call: impl Fn(&mut S, Req) -> Resp + Send + Sync,
+) -> impl Fn(Req) -> Resp + Send + Sync {
+    let slot = Mutex::new(Some(service));
+    move |req| {
+        let mut slot = slot.lock();
+        let Some(service) = slot.as_mut() else {
+            // An earlier call died mid-update.
+            panic::resume_unwind(Box::new(RpcError::Disconnected));
+        };
+        match panic::catch_unwind(AssertUnwindSafe(|| call(service, req))) {
+            Ok(resp) => resp,
+            Err(payload) => {
+                *slot = None;
+                panic::resume_unwind(payload)
+            }
+        }
+    }
+}
+
 /// The drive service body, in-proc and over sockets alike: apply the
 /// shared `clock` (modelling loosely synchronized drive clocks), then
 /// serve the request.
@@ -443,10 +470,12 @@ fn serve_request<D: nasd_disk::BlockDevice>(
 }
 
 fn spawn_rpc<D: nasd_disk::BlockDevice + 'static>(
-    mut drive: NasdDrive<D>,
+    drive: NasdDrive<D>,
     clock: Arc<AtomicU64>,
 ) -> (Rpc<Request, Reply>, ServiceHandle) {
-    spawn_service(move |req: Request| serve_request(&mut drive, &clock, &req))
+    spawn_service(exclusive(drive, move |drive, req: Request| {
+        serve_request(drive, &clock, &req)
+    }))
 }
 
 /// Serve `drive` in-process: each call runs it on the caller's thread,
@@ -768,6 +797,40 @@ mod tests {
 
     fn fleet(n: usize) -> DriveFleet {
         DriveFleet::spawn_memory(n, DriveConfig::small(), PartitionId(1), 16 << 20).unwrap()
+    }
+
+    #[test]
+    fn a_caller_waiting_on_a_panicked_exclusive_service_reads_disconnected() {
+        // A failing call updates the service, then panics before it
+        // finishes, once the other call is on its way to the lock.
+        let (entered_tx, entered_rx) = crossbeam::channel::unbounded::<()>();
+        let (inside_tx, inside_rx) = crossbeam::channel::unbounded::<()>();
+        let service = exclusive(0u64, move |calls, fail: bool| {
+            *calls += 1;
+            if fail {
+                entered_tx.send(()).unwrap();
+                inside_rx.recv().unwrap();
+                panic!("half-updated");
+            }
+            *calls
+        });
+        let (rpc, handle) = spawn_service(move |fail: bool| {
+            if !fail {
+                inside_tx.send(()).unwrap();
+            }
+            service(fail)
+        });
+        let call = |fail| {
+            let rpc = rpc.clone();
+            std::thread::spawn(move || rpc.call_with(fail, &CallOptions::blocking()))
+        };
+        let failing = call(true);
+        entered_rx.recv().unwrap();
+        let waiting = call(false);
+        assert_eq!(failing.join().unwrap(), Err(RpcError::Disconnected));
+        assert_eq!(waiting.join().unwrap(), Err(RpcError::Disconnected));
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| handle.shutdown()));
+        assert!(err.is_err(), "shutdown should re-raise the service panic");
     }
 
     #[test]

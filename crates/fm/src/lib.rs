@@ -23,8 +23,9 @@
 //!
 //! All managers and drives run as in-process services over the
 //! `nasd-net` transport — a call runs the service on the caller's
-//! thread, one request at a time per service, so none owns a thread;
-//! every data byte a NASD client reads flows drive → client without
+//! thread, so none owns a thread; a drive locks itself, and a manager's
+//! concurrent calls are ordered by its own locks (the core's stripes).
+//! Every data byte a NASD client reads flows drive → client without
 //! touching the file manager. The core is the only writer of directory
 //! objects (no client is granted write rights on one), so it answers
 //! lookups from a write-through cache of the directories it wrote, and
@@ -44,7 +45,7 @@ mod handle;
 mod link;
 mod nfs;
 mod server;
-mod shard;
+mod stripes;
 
 pub use afs::{AfsClient, AfsRequest, AfsResponse, CallbackEvent, NasdAfs};
 pub use capcache::{CapCacheStats, LeaseCache, CAP_CACHE_CAPACITY};

@@ -11,8 +11,7 @@ use nasd_net::{CallOptions, Channel, RetryPolicy, RpcError};
 
 /// A client's call policy towards its manager: the [`CallOptions`] every
 /// manager exchange runs under, and the mapping from transport failures
-/// to [`FmError`]. One link serves however many channels the client
-/// holds (an NFS client keeps one per file-manager shard).
+/// to [`FmError`].
 #[derive(Debug, Clone)]
 pub struct ManagerLink {
     opts: CallOptions,

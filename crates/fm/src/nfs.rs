@@ -16,7 +16,7 @@ use crate::link::ManagerLink;
 use bytes::{ByteRope, Bytes};
 use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
 use nasd_obs::Registry;
-use nasd_proto::{route_hash, shard_index, ByteRange, Capability, RetryClass, Rights};
+use nasd_proto::{ByteRange, Capability, RetryClass, Rights};
 use std::sync::Arc;
 
 /// Requests a client sends to the NFS file manager.
@@ -123,11 +123,8 @@ pub enum NfsResponse {
 /// core (`core.rs`) — this wire enum, and the rule that a capability
 /// rides on the `lookup`/`create` reply.
 ///
-/// One instance can serve any number of shards: all coherent state
-/// lives in the core, so [`spawn_sharded`](Self::spawn_sharded) is just
-/// N locks over the same manager, each admitting one call at a time.
-/// Clients route requests by handle hash; see
-/// [`FmConnect::nfs_sharded`](crate::FmConnect::nfs_sharded).
+/// It holds no lock of its own: concurrent calls run at once, ordered
+/// where they must be by the core's per-directory stripe locks.
 pub struct NasdNfs {
     core: Arc<FmCore>,
 }
@@ -233,35 +230,24 @@ impl NasdNfs {
         })
     }
 
-    /// One shard over the shared manager — what every shard (and the
-    /// unsharded manager, which is one shard) serves.
-    fn serve(self: Arc<Self>) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
+    /// Serve the manager in-process: each call runs on its caller's
+    /// thread, concurrently with other callers'.
+    #[must_use]
+    pub fn spawn(self) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
         spawn_service(move |req| self.handle(req))
     }
 
-    /// Serve the manager in-process: each call runs on its caller's
-    /// thread, one at a time.
-    #[must_use]
-    pub fn spawn(self) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
-        Arc::new(self).serve()
-    }
-
-    /// Serve the manager as `shards` independent shards sharing one
-    /// namespace (striped directory locks and a shared revocation table
-    /// keep them coherent — see `core.rs`). A shard is one lock, not a
-    /// thread: it admits one call at a time. Clients route requests
-    /// across the returned handles by handle hash, so capability issue
-    /// from concurrent clients fans out instead of serializing on one
-    /// lock.
-    ///
-    /// `shards == 0` is treated as 1.
+    /// [`Self::spawn`], with the `Rpc` cloned `shards` times (at least
+    /// once) and its one handle. Kept only because the repository
+    /// benchmark still asks for shards; every clone reaches the one
+    /// manager, which takes concurrent calls anyway.
     #[must_use]
     pub fn spawn_sharded(
         self,
         shards: usize,
     ) -> (Vec<Rpc<NfsRequest, NfsResponse>>, Vec<ServiceHandle>) {
-        let fm = Arc::new(self);
-        (0..shards.max(1)).map(|_| Arc::clone(&fm).serve()).unzip()
+        let (rpc, handle) = self.spawn();
+        (vec![rpc; shards.max(1)], vec![handle])
     }
 }
 
@@ -307,25 +293,10 @@ fn within(path: &str, top: &str) -> bool {
         .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
-/// Seedless FNV-1a of a path: the routing key of a path lookup, stable
-/// across processes like [`route_hash`].
-fn path_hash(path: &str) -> u64 {
-    path.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Client library for [`NasdNfs`]: control through the manager, data
-/// directly to the drives.
-///
-/// Holds one channel per file-manager shard and routes every request by
-/// handle hash (directory handle for namespace operations, file handle
-/// for by-handle operations) — the same partition the shards' stripe
-/// locks use, so a single directory's updates serialize no matter how
-/// many shards serve it. A path lookup, which always starts at the
-/// root, routes by the hash of its path instead.
+/// Client library for [`NasdNfs`]: control through the manager's one
+/// channel, data directly to the drives.
 pub struct NfsClient {
-    shards: Vec<Channel<NfsRequest, NfsResponse>>,
+    fm: Channel<NfsRequest, NfsResponse>,
     fleet: Arc<DriveFleet>,
     root: FileHandle,
     link: ManagerLink,
@@ -340,24 +311,14 @@ impl NfsClient {
         fm: Channel<NfsRequest, NfsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> Result<Self, FmError> {
-        Self::attach_sharded(vec![fm], fleet)
-    }
-
-    /// Attach over one channel per file-manager shard. Obtain clients
-    /// through [`FmConnect::nfs_sharded`](crate::FmConnect::nfs_sharded).
-    pub(crate) fn attach_sharded(
-        shards: Vec<Channel<NfsRequest, NfsResponse>>,
-        fleet: Arc<DriveFleet>,
-    ) -> Result<Self, FmError> {
         let link = ManagerLink::default();
-        let first = shards.first().ok_or(FmError::Transport)?;
-        let root = match link.call(first, NfsRequest::GetRoot)? {
+        let root = match link.call(&fm, NfsRequest::GetRoot)? {
             NfsResponse::Root(fh, _) => fh,
             NfsResponse::Err(e) => return Err(e),
             _ => return Err(FmError::Transport),
         };
         Ok(NfsClient {
-            shards,
+            fm,
             fleet,
             root,
             link,
@@ -379,34 +340,6 @@ impl NfsClient {
         self.cache.as_ref().map(CapCache::stats).unwrap_or_default()
     }
 
-    /// Which shard serves requests keyed on `fh`.
-    fn shard_of(&self, fh: FileHandle) -> usize {
-        shard_index(
-            route_hash(fh.drive, fh.partition, fh.object),
-            self.shards.len(),
-        )
-    }
-
-    /// Routing key per request: path lookups by their path, other
-    /// namespace operations by the directory they mutate/read, by-handle
-    /// operations by the file handle, renames by the source directory
-    /// (the stripe locks, not routing, serialize the destination).
-    fn route(&self, req: &NfsRequest) -> usize {
-        match req {
-            NfsRequest::GetRoot => 0,
-            NfsRequest::Lookup { name, .. } if !name.is_empty() => {
-                shard_index(path_hash(name), self.shards.len())
-            }
-            NfsRequest::Lookup { dir, .. }
-            | NfsRequest::Create { dir, .. }
-            | NfsRequest::Mkdir { dir, .. }
-            | NfsRequest::Remove { dir, .. }
-            | NfsRequest::Readdir { dir } => self.shard_of(*dir),
-            NfsRequest::GetAttr { fh } | NfsRequest::SetMode { fh, .. } => self.shard_of(*fh),
-            NfsRequest::Rename { from_dir, .. } => self.shard_of(*from_dir),
-        }
-    }
-
     /// The root directory handle.
     #[must_use]
     pub fn root(&self) -> FileHandle {
@@ -426,13 +359,7 @@ impl NfsClient {
     }
 
     fn call(&self, req: NfsRequest) -> Result<NfsResponse, FmError> {
-        let shard = self.route(&req);
-        let ch = self
-            .shards
-            .get(shard)
-            .or_else(|| self.shards.first())
-            .ok_or(FmError::Transport)?;
-        match self.link.call(ch, req)? {
+        match self.link.call(&self.fm, req)? {
             NfsResponse::Err(e) => Err(e),
             other => Ok(other),
         }
@@ -875,7 +802,7 @@ mod tests {
 
     #[test]
     fn cap_cache_is_keyed_by_path_and_purged_below_a_rename() {
-        let (client, _fleet) = setup_sharded(2, 2);
+        let (client, _fleet) = setup_cached(2);
         client.mkdir("/a", 0o755, 0).unwrap();
         let mut f = client.create("/a/x", 0o644, 0).unwrap();
         client.write(&mut f, 0, b"moved with its dir").unwrap();
@@ -913,8 +840,6 @@ mod tests {
         assert_eq!(canonical("/"), "");
         assert!(within("/a/b", "/a") && within("/a", "/a"));
         assert!(!within("/ab", "/a") && !within("/a", "/a/b"));
-        assert_eq!(path_hash("/a/b"), path_hash("/a/b"));
-        assert_ne!(path_hash("/a/b"), path_hash("/a/c"));
     }
 
     #[test]
@@ -966,26 +891,25 @@ mod tests {
         ));
     }
 
-    fn setup_sharded(ndrives: usize, nshards: usize) -> (NfsClient, Arc<DriveFleet>) {
+    /// A client with its capability cache on.
+    fn setup_cached(ndrives: usize) -> (NfsClient, Arc<DriveFleet>) {
         use crate::connect::FmConnect;
         use nasd_net::Connector;
         let fleet = Arc::new(
             DriveFleet::spawn_memory(ndrives, DriveConfig::small(), PartitionId(1), 16 << 20)
                 .unwrap(),
         );
-        let fm = NasdNfs::new(Arc::clone(&fleet)).unwrap();
-        // Dropping the handles leaves the shards serving; they drop with
-        // the client's channels.
-        let (rpcs, _handles) = fm.spawn_sharded(nshards);
-        let client = Connector::new()
-            .nfs_sharded(rpcs, Arc::clone(&fleet))
-            .unwrap();
+        // Dropping the handle leaves the manager serving; it drops with
+        // the client's channel.
+        let (rpc, _handle) = NasdNfs::new(Arc::clone(&fleet)).unwrap().spawn();
+        let mut client = Connector::new().nfs(rpc, Arc::clone(&fleet)).unwrap();
+        client.enable_cap_cache(None);
         (client, fleet)
     }
 
     #[test]
-    fn sharded_fm_serves_the_full_namespace() {
-        let (client, _fleet) = setup_sharded(3, 4);
+    fn cached_client_serves_the_full_namespace() {
+        let (client, _fleet) = setup_cached(3);
         client.mkdir("/a", 0o755, 0).unwrap();
         client.mkdir("/b", 0o755, 0).unwrap();
         for i in 0..12 {
@@ -994,8 +918,6 @@ mod tests {
                 .write(&mut f, 0, format!("body {i}").as_bytes())
                 .unwrap();
         }
-        // Reads route to whichever shard owns each handle; all data is
-        // visible regardless.
         for i in 0..12 {
             let mut f = client.open(&format!("/a/f{i}"), false).unwrap();
             assert_eq!(
@@ -1003,7 +925,7 @@ mod tests {
                 format!("body {i}").as_bytes()
             );
         }
-        // Cross-directory rename exercises the paired stripe locks.
+        // Cross-directory rename takes both directories' stripe locks.
         client.rename("/a/f0", "/b/moved").unwrap();
         assert!(client.open("/b/moved", false).is_ok());
         assert!(matches!(
@@ -1014,8 +936,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_creates_across_shards_never_corrupt_a_directory() {
-        let (client, fleet) = setup_sharded(4, 4);
+    fn concurrent_creates_through_one_manager_never_corrupt_a_directory() {
+        let (client, fleet) = setup_cached(4);
         client.mkdir("/shared", 0o755, 0).unwrap();
         let client = Arc::new(client);
         let mut threads = Vec::new();
@@ -1044,7 +966,7 @@ mod tests {
 
     #[test]
     fn cap_cache_serves_repeat_opens_without_fm_calls() {
-        let (client, _fleet) = setup_sharded(2, 2);
+        let (client, _fleet) = setup_cached(2);
         let mut f = client.create("/hot", 0o644, 0).unwrap();
         client.write(&mut f, 0, b"popular").unwrap();
 
@@ -1065,7 +987,7 @@ mod tests {
     #[test]
     fn cap_cache_revocation_refreshes_exactly_once_and_counts() {
         use nasd_obs::Registry;
-        let (mut client, _fleet) = setup_sharded(2, 2);
+        let (mut client, _fleet) = setup_cached(2);
         let registry = Registry::new();
         client.enable_cap_cache(Some(&registry));
 
@@ -1107,6 +1029,51 @@ mod tests {
         let mut reopened = client.open("/policy", false).unwrap();
         assert_eq!(client.cap_cache_stats().misses, misses_before + 1);
         assert_eq!(client.read(&mut reopened, 0, 2).unwrap(), b"v1");
+    }
+
+    #[test]
+    fn a_slow_drive_holds_up_only_the_calls_that_reach_it() {
+        use nasd_net::{FaultConfig, FaultPlan};
+        use std::time::Duration;
+        let (client, fleet) = setup(2);
+        // Round-robin placement: the first file lands on drive 0, the
+        // second on drive 1.
+        let mut fast = client.create("/fast", 0o644, 0).unwrap();
+        client.write(&mut fast, 0, b"quick").unwrap();
+        let slow = client.create("/slow", 0o644, 0).unwrap();
+        let slow_drive = fleet.endpoint(1);
+        assert_eq!(fast.fh.drive, fleet.endpoint(0).id());
+        assert_eq!(slow.fh.drive, slow_drive.id());
+        // Every request to drive 1 now waits on the wire, up to 300 ms:
+        // with this seed the SetMode's three requests wait 285, 84 and
+        // 261 ms.
+        let plan = FaultPlan::new(1);
+        let delayed = FaultConfig::delay_only(1.0, Duration::from_millis(300));
+        let faults = plan.channel(slow_drive.id().0, delayed);
+        slow_drive.reconnect(slow_drive.channel().with_faults(faults));
+
+        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let revoke = NfsRequest::SetMode {
+                    fh: slow.fh,
+                    mode: 0o600,
+                };
+                assert!(matches!(client.call(revoke), Ok(NfsResponse::Ok)));
+                done_tx.send("SetMode on drive 1").unwrap();
+            });
+            // The SetMode is in flight once its first drive request is.
+            while plan.trace().is_empty() {
+                std::thread::yield_now();
+            }
+            s.spawn(|| {
+                let mut f = client.open("/fast", false).unwrap();
+                assert_eq!(client.read(&mut f, 0, 5).unwrap(), b"quick");
+                done_tx.send("open + read on drive 0").unwrap();
+            });
+            assert_eq!(done_rx.recv().unwrap(), "open + read on drive 0");
+            assert_eq!(done_rx.recv().unwrap(), "SetMode on drive 1");
+        });
     }
 
     #[test]

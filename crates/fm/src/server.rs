@@ -8,6 +8,7 @@
 //! timing consequences (server CPU, NIC and bus saturation) are applied
 //! by the Figure 9 harness.
 
+use crate::drives::exclusive;
 use crate::handle::{FileType, FmAttrs, FmError};
 use bytes::Bytes;
 use nasd_disk::{MemDisk, StripedDevice};
@@ -173,8 +174,8 @@ impl NfsServer {
     /// Serve in-process, one request at a time (the single server
     /// machine).
     #[must_use]
-    pub fn spawn(mut self) -> (Rpc<ServerRequest, ServerResponse>, ServiceHandle) {
-        spawn_service(move |req| self.handle(req))
+    pub fn spawn(self) -> (Rpc<ServerRequest, ServerResponse>, ServiceHandle) {
+        spawn_service(exclusive(self, Self::handle))
     }
 }
 

@@ -1,19 +1,16 @@
 //! The striped tables behind the file-manager core (`core.rs`).
 //!
-//! A sharded [`NasdNfs`](crate::NasdNfs) is N locks over one core, each
-//! admitting one call at a time; clients route each request to a shard
-//! by handle hash ([`nasd_proto::route_hash`]) — a path lookup by the
-//! hash of its path — so the hot capability-issue path (lookups) fans
-//! out instead of serializing on one FM lock. Any
-//! shard can correctly serve any request — routing is load
-//! distribution, not ownership — because the state that must stay
-//! coherent is one per core, in these types:
+//! A file manager takes its callers' requests concurrently — each runs
+//! on its caller's thread, through any personality over one core — and
+//! these types are what orders them. Each is split into stripes chosen
+//! by handle hash ([`nasd_proto::route_hash`]), so calls about
+//! different objects rarely meet on a lock:
 //!
-//! * [`VersionTable`] — revocation versions, striped under mutexes so a
-//!   shard minting a capability always embeds the latest version no
-//!   matter which shard revoked it.
+//! * [`VersionTable`] — revocation versions, so a call minting a
+//!   capability always embeds the latest version, whichever call
+//!   revoked it.
 //! * [`DirLocks`] — a striped directory lock table. Directory updates
-//!   are read-modify-write cycles over a directory object; two shards
+//!   are read-modify-write cycles over a directory object; two calls
 //!   mutating (or renaming across) the same directory must serialize.
 //!   Stripes are acquired in index order (deduplicated), so multi-lock
 //!   paths (cross-directory rename, directory remove) cannot deadlock.
@@ -32,8 +29,8 @@ fn stripe_of(fh: FileHandle, stripes: usize) -> usize {
     shard_index(route_hash(fh.drive, fh.partition, fh.object), stripes)
 }
 
-/// Revocation versions for every object any shard has revoked
-/// (absent = `Version(0)`), striped to keep shard contention low.
+/// Revocation versions for every object the core has revoked (absent =
+/// `Version(0)`), striped to keep contention between calls low.
 ///
 /// Stripe 0 is stored out-of-band as `first` so stripe lookup is total
 /// without indexing: `shard_index` is always in range, and the
@@ -84,8 +81,8 @@ pub(crate) struct DirGuard<'a> {
     _second: Option<MutexGuard<'a, ()>>,
 }
 
-/// Striped directory locks serializing directory read-modify-write
-/// cycles across shards.
+/// Striped directory locks serializing concurrent calls' directory
+/// read-modify-write cycles.
 ///
 /// Same `first`/`rest` layout as [`VersionTable`]: stripe lookup stays
 /// total with no panicking index on a request path.

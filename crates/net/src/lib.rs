@@ -11,9 +11,9 @@
 //!   testbed.
 //! * **Functional**: a unified [`Transport`] abstraction behind the
 //!   [`Channel`] handle every client holds — with two implementations:
-//!   the in-process [`Rpc`] ([`spawn_service`]), whose calls run the
-//!   service on the caller's thread, and a real TCP/UDS socket transport
-//!   ([`serve`], [`SocketClient`]) speaking the length-prefixed wire
+//!   the in-process [`Rpc`] ([`spawn_service`]), whose concurrent calls
+//!   run the service on each caller's thread, and a real TCP/UDS socket
+//!   transport ([`serve`], [`SocketClient`]) speaking the length-prefixed wire
 //!   protocol with tagged frames, one request per connection at a time
 //!   and pipelining across pooled connections. [`Connector`] is how
 //!   endpoints are built; `call_with` ([`CallOptions`]) is the single

@@ -4,14 +4,13 @@
 //! The functional stack (file managers, Cheops, PFS, examples) runs real
 //! services — drives and managers — reached by a cloneable [`Rpc`]
 //! handle. The paper used DCE RPC over UDP/IP for the same role; here a
-//! call locks the service and runs it on the calling thread, so every
-//! request and reply still crosses as a whole `Request`/`Reply` value
-//! while the hop costs no thread switch. A service runs one request at
-//! a time, as a single-threaded server would.
+//! call runs the service on the calling thread — a whole `Request` in, a
+//! whole `Reply` out, no thread switch — concurrently with other calls,
+//! as the socket server runs them: exclusion is the service's own.
 //!
 //! The timeout contract is the socket transport's: a reply that comes
-//! back after its attempt's deadline — waiting for the service counts —
-//! is discarded and reads [`RpcError::TimedOut`], though the service's
+//! back after its attempt's deadline — waiting inside the service counts
+//! — is discarded and reads [`RpcError::TimedOut`], though the service's
 //! effect stands.
 //!
 //! [`Rpc`] carries no fault logic: seeded message loss, duplication and
@@ -23,7 +22,7 @@
 
 use crate::options::CallOptions;
 use crate::transport::{Pending, Transport};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::any::Any;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -52,17 +51,21 @@ impl fmt::Display for RpcError {
 impl std::error::Error for RpcError {}
 
 /// What an [`Rpc`] reaches: the service while it serves, the panic it
-/// died of, or nothing once shut down.
+/// died of, or nothing once shut down. Calls share the read side of the
+/// lock around it; stopping takes the write side, so it waits out every
+/// call in flight.
 enum State<Req, Resp> {
-    Serving(Box<dyn FnMut(Req) -> Resp + Send>),
-    Crashed(Box<dyn Any + Send>),
+    Serving(Box<dyn Fn(Req) -> Resp + Send + Sync>),
+    /// `Send` but not `Sync`, so behind a lock of its own.
+    Crashed(Mutex<Box<dyn Any + Send>>),
     Stopped,
 }
 
 /// Client handle to an in-process service. Cloneable; a call from any
-/// thread runs the service on that thread, one call at a time.
+/// thread runs the service on that thread, concurrently with calls from
+/// other threads.
 pub struct Rpc<Req, Resp> {
-    state: Arc<Mutex<State<Req, Resp>>>,
+    state: Arc<RwLock<State<Req, Resp>>>,
 }
 
 impl<Req, Resp> Clone for Rpc<Req, Resp> {
@@ -80,21 +83,25 @@ impl<Req, Resp> fmt::Debug for Rpc<Req, Resp> {
 }
 
 impl<Req, Resp> Rpc<Req, Resp> {
-    /// Run `req` on this thread once the service is free; returns the
-    /// reply and how long the call took, the wait for the service
-    /// included. A panicking service is stopped, and reads
-    /// [`RpcError::Disconnected`] from then on.
+    /// Run `req` on this thread; returns the reply and how long the call
+    /// took. A panicking call stops the service: it and every later call
+    /// read [`RpcError::Disconnected`].
     fn serve_here(&self, req: Req) -> Result<(Resp, Duration), RpcError> {
         // nasd-lint: allow(wall-clock, "times a real-thread call against its caller's timeout; the reading only turns a late reply into TimedOut, as a socket read timeout does")
         let start = Instant::now();
-        let mut state = self.state.lock();
-        let State::Serving(service) = &mut *state else {
+        let state = self.state.read();
+        let State::Serving(service) = &*state else {
             return Err(RpcError::Disconnected);
         };
         match panic::catch_unwind(AssertUnwindSafe(|| service(req))) {
             Ok(resp) => Ok((resp, start.elapsed())),
             Err(payload) => {
-                *state = State::Crashed(payload);
+                drop(state);
+                let mut state = self.state.write();
+                // The first panic is the one `shutdown` re-raises.
+                if let State::Serving(_) = *state {
+                    *state = State::Crashed(Mutex::new(payload));
+                }
                 Err(RpcError::Disconnected)
             }
         }
@@ -157,15 +164,15 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// Stop the service, waiting for a call in flight to finish. Clients
+    /// Stop the service, waiting for the calls in flight to finish. Clients
     /// holding [`Rpc`] clones need not drop first: their later calls
     /// return [`RpcError::Disconnected`]. Dropping the handle without
     /// calling this leaves the service serving its clients.
     ///
     /// # Panics
     ///
-    /// Re-raises the service closure's panic, if it had one — a crashed
-    /// service must not look like a clean shutdown.
+    /// Re-raises the service closure's panic, if a call had one — a
+    /// crashed service must not look like a clean shutdown.
     pub fn shutdown(self) {
         (self.stop)();
     }
@@ -178,8 +185,9 @@ impl fmt::Debug for ServiceHandle {
 }
 
 /// Make `service` callable through an [`Rpc`]: each call invokes the
-/// closure on the caller's thread, one call at a time, and returns its
-/// value to the caller. No thread is spawned.
+/// closure on the caller's thread — calls from several threads at once
+/// run at once — and returns its value to the caller. No thread is
+/// spawned. The closure type is the one [`serve`](crate::serve) takes.
 ///
 /// # Example
 ///
@@ -192,16 +200,16 @@ pub fn spawn_service<Req, Resp, F>(service: F) -> (Rpc<Req, Resp>, ServiceHandle
 where
     Req: Send + 'static,
     Resp: Send + 'static,
-    F: FnMut(Req) -> Resp + Send + 'static,
+    F: Fn(Req) -> Resp + Send + Sync + 'static,
 {
-    let state = Arc::new(Mutex::new(State::Serving(Box::new(service))));
+    let state = Arc::new(RwLock::new(State::Serving(Box::new(service))));
     let owned = Arc::clone(&state);
     let stop = move || {
-        // Taking the lock waits out a call in flight; the service is
-        // dropped after the lock is released.
-        let last = std::mem::replace(&mut *owned.lock(), State::Stopped);
+        // Taking the write side waits out the calls in flight; the
+        // service is dropped after the lock is released.
+        let last = std::mem::replace(&mut *owned.write(), State::Stopped);
         if let State::Crashed(payload) = last {
-            panic::resume_unwind(payload);
+            panic::resume_unwind(payload.into_inner());
         }
     };
     (
@@ -217,7 +225,8 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
     use crate::transport::Channel;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn call_roundtrip() {
@@ -232,11 +241,8 @@ mod tests {
     #[test]
     fn clones_share_the_service() {
         let (rpc, _h) = spawn_service({
-            let mut count = 0u64;
-            move |(): ()| {
-                count += 1;
-                count
-            }
+            let count = AtomicU64::new(0);
+            move |(): ()| count.fetch_add(1, Ordering::SeqCst) + 1
         });
         let rpc2 = rpc.clone();
         assert_eq!(rpc.call_with((), &CallOptions::blocking()).unwrap(), 1);
@@ -264,6 +270,64 @@ mod tests {
         let mut results: Vec<u64> = joins.into_iter().map(|j| j.join().unwrap()).collect();
         results.sort_unstable();
         assert_eq!(results, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+    }
+
+    #[test]
+    fn two_callers_run_inside_one_service_at_once() {
+        // Each call waits inside the service for the other: a service
+        // that admitted one call at a time would never return.
+        let (rpc, _h) = spawn_service({
+            let both_inside = Barrier::new(2);
+            move |(): ()| {
+                both_inside.wait();
+            }
+        });
+        let other = {
+            let rpc = rpc.clone();
+            std::thread::spawn(move || rpc.call_with((), &CallOptions::blocking()))
+        };
+        assert_eq!(rpc.call_with((), &CallOptions::blocking()), Ok(()));
+        assert_eq!(other.join().unwrap(), Ok(()));
+    }
+
+    #[test]
+    fn a_caller_waiting_on_a_panicked_exclusive_service_reads_disconnected() {
+        // An exclusive service: every call holds its (poisoning) lock. The
+        // failing call panics only once the other call is inside the
+        // service, on its way to that lock.
+        let (entered_tx, entered_rx) = crossbeam::channel::unbounded::<()>();
+        let (inside_tx, inside_rx) = crossbeam::channel::unbounded::<()>();
+        let (rpc, handle) = spawn_service({
+            let exclusive = std::sync::Mutex::new(0u64);
+            move |fail: bool| {
+                if !fail {
+                    inside_tx.send(()).unwrap();
+                }
+                let mut calls = exclusive.lock().unwrap();
+                *calls += 1;
+                if fail {
+                    entered_tx.send(()).unwrap();
+                    inside_rx.recv().unwrap();
+                    panic!("half-updated");
+                }
+                *calls
+            }
+        });
+        let call = |fail| {
+            let rpc = rpc.clone();
+            std::thread::spawn(move || rpc.call_with(fail, &CallOptions::blocking()))
+        };
+        let failing = call(true);
+        entered_rx.recv().unwrap();
+        let waiting = call(false);
+        assert_eq!(failing.join().unwrap(), Err(RpcError::Disconnected));
+        assert_eq!(waiting.join().unwrap(), Err(RpcError::Disconnected));
+        assert_eq!(
+            rpc.call_with(false, &CallOptions::blocking()),
+            Err(RpcError::Disconnected)
+        );
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.shutdown()));
+        assert!(err.is_err(), "shutdown should re-raise the service panic");
     }
 
     #[test]
@@ -335,11 +399,10 @@ mod tests {
     fn late_result_is_discarded_as_timeout() {
         // The service sleeps the requested milliseconds, then counts.
         let (rpc, _h) = spawn_service({
-            let mut count = 0u64;
+            let count = AtomicU64::new(0);
             move |pause: u64| {
                 std::thread::sleep(Duration::from_millis(pause));
-                count += 1;
-                count
+                count.fetch_add(1, Ordering::SeqCst) + 1
             }
         });
         let bound = Duration::from_millis(5);

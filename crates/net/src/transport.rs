@@ -350,6 +350,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
     use crate::rpc::spawn_service;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn channel_over_in_proc_roundtrips() {
@@ -421,11 +422,8 @@ mod tests {
             ..FaultConfig::none()
         };
         let (rpc, _h) = spawn_service({
-            let mut hits = 0u64;
-            move |(): ()| {
-                hits += 1;
-                hits
-            }
+            let hits = AtomicU64::new(0);
+            move |(): ()| hits.fetch_add(1, Ordering::SeqCst) + 1
         });
         let plain = Channel::in_proc(rpc);
         let faulty = plain.with_faults(plan.channel(1, config));
@@ -445,11 +443,8 @@ mod tests {
             ..FaultConfig::none()
         };
         let (rpc, _h) = spawn_service({
-            let mut hits = 0u64;
-            move |(): ()| {
-                hits += 1;
-                hits
-            }
+            let hits = AtomicU64::new(0);
+            move |(): ()| hits.fetch_add(1, Ordering::SeqCst) + 1
         });
         let plain = Channel::in_proc(rpc);
         let faulty = plain.with_faults(plan.channel(1, config));

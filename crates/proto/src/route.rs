@@ -1,12 +1,11 @@
-//! Stable shard routing over protocol identifiers.
+//! Stable routing over protocol identifiers.
 //!
-//! File-manager sharding partitions the namespace by handle hash: every
-//! party — clients picking which FM shard to call, the shards
-//! themselves picking a directory lock stripe — must agree on the
-//! mapping, and it must be stable across processes and runs (no
-//! `std::hash` `RandomState`). A 64-bit FNV-1a over the identifier
-//! triple does the job: cheap, seedless, and well distributed for the
-//! small structured inputs involved.
+//! The file-manager core spreads its version table and directory locks
+//! over stripes by handle hash, and the mapping must be stable across
+//! processes and runs (no `std::hash` `RandomState`), so which calls
+//! meet on a stripe is the same every run. A 64-bit FNV-1a over the
+//! identifier triple does the job: cheap, seedless, and well
+//! distributed for the small structured inputs involved.
 
 use crate::ids::{DriveId, ObjectId, PartitionId};
 

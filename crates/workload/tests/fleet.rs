@@ -1,4 +1,4 @@
-//! End-to-end: generated workloads against the real sharded FM stack.
+//! End-to-end: generated workloads against the real file-manager stack.
 
 use nasd_fm::{DriveFleet, FmConnect, NasdNfs};
 use nasd_net::Connector;
@@ -7,23 +7,22 @@ use nasd_proto::PartitionId;
 use nasd_workload::{driver, OpMix, RequestStream, WorkloadSpec};
 use std::sync::Arc;
 
-fn sharded_client(ndrives: usize, nshards: usize) -> (nasd_fm::NfsClient, Arc<DriveFleet>) {
+/// An NFS client with its capability cache on.
+fn cached_client(ndrives: usize) -> (nasd_fm::NfsClient, Arc<DriveFleet>) {
     let fleet = Arc::new(
         DriveFleet::spawn_memory(ndrives, DriveConfig::small(), PartitionId(1), 16 << 20).unwrap(),
     );
-    let fm = NasdNfs::new(Arc::clone(&fleet)).unwrap();
-    // Dropping the handles leaves the shards serving; they drop with
-    // the client's channels.
-    let (rpcs, _handles) = fm.spawn_sharded(nshards);
-    let client = Connector::new()
-        .nfs_sharded(rpcs, Arc::clone(&fleet))
-        .unwrap();
+    // Dropping the handle leaves the manager serving; it drops with the
+    // client's channel.
+    let (rpc, _handle) = NasdNfs::new(Arc::clone(&fleet)).unwrap().spawn();
+    let mut client = Connector::new().nfs(rpc, Arc::clone(&fleet)).unwrap();
+    client.enable_cap_cache(None);
     (client, fleet)
 }
 
 #[test]
-fn generated_stream_drives_the_sharded_stack() {
-    let (client, _fleet) = sharded_client(3, 2);
+fn generated_stream_drives_the_file_manager_stack() {
+    let (client, _fleet) = cached_client(3);
     let spec = WorkloadSpec {
         objects: 12,
         zipf_theta: 0.99,
@@ -52,7 +51,7 @@ fn generated_stream_drives_the_sharded_stack() {
 
 #[test]
 fn same_seed_produces_identical_tallies() {
-    let (client, _fleet) = sharded_client(2, 2);
+    let (client, _fleet) = cached_client(2);
     let spec = WorkloadSpec {
         objects: 8,
         zipf_theta: 0.8,

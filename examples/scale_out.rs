@@ -1,11 +1,12 @@
-//! Scale-out tour: a generated workload against a sharded file manager,
-//! then the saturation story the `scale` bench tells at full size.
+//! Scale-out tour: a generated workload against a file manager with a
+//! client-side capability-issue cache, then the saturation story the
+//! `scale` bench tells at full size.
 //!
 //! The paper's Figure 7 stops at 13 drives and ~10 clients. This
 //! example drives the two pieces that push past it: the
 //! `nasd-workload` generator (seeded zipf popularity, mixed
-//! read/write/getattr traffic) running against hash-sharded file
-//! managers with a client-side capability-issue cache.
+//! read/write/getattr traffic) and the leased capability cache that
+//! keeps repeated opens off the file manager.
 //!
 //! ```sh
 //! cargo run --example scale_out
@@ -19,19 +20,19 @@ use nasd::workload::{driver, OpMix, RequestStream, WorkloadSpec};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("== sharded FM + capability-issue cache ==");
+    println!("== file manager + capability-issue cache ==");
     let fleet = Arc::new(DriveFleet::spawn_memory(
         4,
         DriveConfig::small(),
         PartitionId(1),
         32 << 20,
     )?);
-    let fm = NasdNfs::new(Arc::clone(&fleet))?;
-    // Two shards (two locks) over one manager; clients route each
-    // request by handle hash, so hot capability issue fans out.
-    let (rpcs, _handles) = fm.spawn_sharded(2);
-    let client = Connector::new().nfs_sharded(rpcs, Arc::clone(&fleet))?;
-    println!("4 drives, 2 FM shards, one namespace");
+    // One manager takes every client's calls at once; its core's
+    // per-directory locks order them.
+    let (rpc, _handle) = NasdNfs::new(Arc::clone(&fleet))?.spawn();
+    let mut client = Connector::new().nfs(rpc, Arc::clone(&fleet))?;
+    client.enable_cap_cache(None);
+    println!("4 drives, one file manager, capability cache on");
 
     println!("\n== seeded zipf workload through the Connector API ==");
     let spec = WorkloadSpec {
@@ -53,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(report.ops(), 400, "every generated op must complete");
 
     // Zipf skew repeats hot objects constantly; the leased capability
-    // cache absorbs those opens instead of re-asking an FM shard.
+    // cache absorbs those opens instead of re-asking the file manager.
     let stats = client.cap_cache_stats();
     println!(
         "capability cache: {} hits / {} misses ({}% hit rate)",
@@ -80,7 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("cargo run --release -p nasd-bench -- scale runs the");
     println!("13/32/64/128-drive x 100/400/1000-client matrix: 13 drives");
     println!("saturate drive-side at ~220 MB/s from 400 clients; 128");
-    println!("drives reach ~1.8 GB/s; the FM shards never saturate first.");
+    println!("drives reach ~1.8 GB/s; the model's FM shards never saturate");
+    println!("first (a modelled resource: the real manager is not sharded).");
 
     println!("\nall assertions held");
     Ok(())
