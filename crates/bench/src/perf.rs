@@ -48,8 +48,9 @@ pub type AllocProbe = fn() -> (u64, u64);
 #[derive(Debug, Clone)]
 pub struct PerfRow {
     /// Workload name (`cached_read`, `seq_write`, `durable_write`, `sweep_read`,
-    /// `inproc_read`, `socket_read`, `socket_write`, `nfs_open`, `sim_step`, and the
-    /// `dispatch_{cal,heap}_{1k,100k}` old-vs-new kernel rows).
+    /// `inproc_read`, `socket_read`, `socket_write`, `nfs_open`, `sim_step`,
+    /// `scale_point`, and the `dispatch_{cal,heap}_{1k,100k}` old-vs-new
+    /// kernel rows).
     pub workload: &'static str,
     /// Payload bytes per operation (0 for `sim_step`).
     pub size: u64,
@@ -400,6 +401,15 @@ fn sim_step_op(sim: &mut Simulator, tick: &mut u64) {
     assert!(sim.step(), "completion event must run");
 }
 
+/// One 128-drive x 1000-client point of the scale matrix, set-up
+/// included: its heap bytes are an exact count of the model's
+/// per-point work (popularity tables, capability caches, event slab).
+fn scale_point(probe: Option<AllocProbe>) -> Measured {
+    measure(probe, 1, || {
+        std::hint::black_box(crate::scale::simulate(128, 1_000));
+    })
+}
+
 /// Schedule/dispatch throughput against a parked pending-event
 /// population — the tentpole measurement of the calendar-queue kernel.
 ///
@@ -508,6 +518,7 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
     ));
     rows.push(nfs_open(probe, 2_000));
     rows.push(row("sim_step", 0, &sim_step(probe, 100_000)));
+    rows.push(row("scale_point", 0, &scale_point(probe)));
     // Old-vs-new kernel dispatch at 10^3 and 10^5 pending events,
     // best-of-3 per row so the speedup ratio is noise-robust.
     rows.push(row(

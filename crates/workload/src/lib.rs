@@ -22,7 +22,9 @@
 //!   its discrete-event model).
 //!
 //! Everything is seeded; two streams built from the same spec and seed
-//! produce identical request sequences.
+//! produce identical request sequences, and so does a stream
+//! [`reseeded`](RequestStream::reseeded) from one over that spec (it
+//! shares the popularity table instead of building another).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,13 +18,16 @@ pub enum OpKind {
 /// Weighted read/write/getattr mix.
 ///
 /// Weights are relative integers (they need not sum to anything in
-/// particular); sampling is by a single uniform draw over the running
-/// total, so the mix adds no allocation to the per-request path.
+/// particular, but their sum must fit a `u32`); sampling is by a single
+/// uniform draw over the total, so the mix adds no allocation to the
+/// per-request path.
 #[derive(Debug, Clone, Copy)]
 pub struct OpMix {
     read: u32,
     write: u32,
-    getattr: u32,
+    /// `read + write + getattr`, checked once at construction; the
+    /// getattr weight is what remains.
+    total: u32,
 }
 
 impl OpMix {
@@ -32,17 +35,14 @@ impl OpMix {
     ///
     /// # Panics
     ///
-    /// Panics if every weight is zero.
+    /// Panics if every weight is zero or the weights sum past `u32::MAX`.
     pub fn new(read: u32, write: u32, getattr: u32) -> Self {
-        assert!(
-            read + write + getattr > 0,
-            "op mix needs at least one non-zero weight"
-        );
-        OpMix {
-            read,
-            write,
-            getattr,
-        }
+        let total = read
+            .checked_add(write)
+            .and_then(|sum| sum.checked_add(getattr))
+            .expect("op mix weights must sum to at most u32::MAX");
+        assert!(total > 0, "op mix needs at least one non-zero weight");
+        OpMix { read, write, total }
     }
 
     /// The paper's trace-derived default: read-dominated data traffic
@@ -59,8 +59,7 @@ impl OpMix {
 
     /// Draw an operation kind according to the weights.
     pub fn sample(&self, rng: &mut StdRng) -> OpKind {
-        let total = self.read + self.write + self.getattr;
-        let mut pick = rng.gen_range(0..total);
+        let mut pick = rng.gen_range(0..self.total);
         if pick < self.read {
             return OpKind::Read;
         }
@@ -73,12 +72,12 @@ impl OpMix {
 
     /// Fraction of requests that are data reads.
     pub fn read_fraction(&self) -> f64 {
-        self.read as f64 / (self.read + self.write + self.getattr) as f64
+        f64::from(self.read) / f64::from(self.total)
     }
 
     /// Fraction of requests that are data writes.
     pub fn write_fraction(&self) -> f64 {
-        self.write as f64 / (self.read + self.write + self.getattr) as f64
+        f64::from(self.write) / f64::from(self.total)
     }
 }
 
@@ -117,5 +116,28 @@ mod tests {
     #[should_panic(expected = "non-zero weight")]
     fn rejects_all_zero_weights() {
         let _ = OpMix::new(0, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to at most u32::MAX")]
+    fn weights_summing_to_exactly_two_to_the_32_are_refused() {
+        // A wrapping sum is 0 here, which reads as "no non-zero weight".
+        let _ = OpMix::new(u32::MAX, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to at most u32::MAX")]
+    fn weights_summing_past_u32_are_refused() {
+        // A wrapping sum is 1 here, which makes `read_fraction` ~4.3e9.
+        let _ = OpMix::new(u32::MAX, 2, 0);
+    }
+
+    #[test]
+    fn weights_summing_to_u32_max_are_a_valid_mix() {
+        let mix = OpMix::new(u32::MAX - 1, 1, 0);
+        assert!(mix.read_fraction() < 1.0);
+        assert!((mix.read_fraction() + mix.write_fraction() - 1.0).abs() < 1e-12);
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(mix.sample(&mut rng), OpKind::Read);
     }
 }

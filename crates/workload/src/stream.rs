@@ -72,6 +72,20 @@ impl RequestStream {
         }
     }
 
+    /// A stream over this one's spec, deterministic in `seed`: it draws
+    /// exactly what `RequestStream::new(&spec, seed)` draws, but shares
+    /// this stream's popularity table instead of building another.
+    #[must_use]
+    pub fn reseeded(&self, seed: u64) -> Self {
+        RequestStream {
+            zipf: self.zipf.clone(),
+            mix: self.mix,
+            read_bytes: self.read_bytes,
+            write_bytes: self.write_bytes,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
     /// Generate the next request.
     pub fn next_request(&mut self) -> Request {
         let object = self.zipf.sample(&mut self.rng);

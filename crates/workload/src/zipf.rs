@@ -1,6 +1,11 @@
 //! Zipf-distributed object popularity.
+//!
+//! A table costs O(n) time and space to build (one `powf` per rank) and
+//! is immutable afterwards, so every clone of a [`Zipf`] shares it: a
+//! population of samplers over the same `(n, θ)` pays for one table.
 
 use rand::{Rng, StdRng};
+use std::sync::Arc;
 
 /// Zipf(θ) sampler over ranks `0..n`.
 ///
@@ -10,13 +15,13 @@ use rand::{Rng, StdRng};
 /// skew used throughout the storage literature (and by YCSB).
 ///
 /// The sampler precomputes the cumulative distribution once at
-/// construction (O(n) space) and draws by binary search (O(log n) per
-/// sample, no allocation), which keeps million-object configurations
-/// cheap enough for the scale bench's request streams.
+/// construction (O(n) time and space) and draws by binary search
+/// (O(log n) per sample, no allocation). `clone` is O(1): clones share
+/// the one table and draw identically from equal generators.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     /// `cdf[i]` = P(rank <= i); last entry is exactly 1.0.
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     theta: f64,
 }
 
@@ -44,7 +49,10 @@ impl Zipf {
             *p /= total;
         }
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Zipf { cdf, theta }
+        Zipf {
+            cdf: cdf.into(),
+            theta,
+        }
     }
 
     /// Number of ranks the sampler draws from.
@@ -99,6 +107,17 @@ mod tests {
             seen[z.sample(&mut rng)] = true;
         }
         assert!(seen.iter().all(|&s| s), "seen = {seen:?}");
+    }
+
+    #[test]
+    fn clones_share_one_table_and_draw_identically() {
+        let z = Zipf::new(1024, 0.99);
+        let twin = z.clone();
+        assert!(Arc::ptr_eq(&z.cdf, &twin.cdf));
+        let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+        for _ in 0..1000 {
+            assert_eq!(z.sample(&mut a), twin.sample(&mut b));
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the zipf sampler (ISSUE 10 satellite):
-//! empirical frequencies follow rank order, and equal seeds give
-//! identical sample sequences.
+//! empirical frequencies follow rank order, equal seeds give identical
+//! sample sequences, and a stream reseeded over a shared table draws
+//! what a freshly built one does.
 
-use nasd_workload::Zipf;
+use nasd_workload::{Request, RequestStream, WorkloadSpec, Zipf};
 use proptest::prelude::*;
 use rand::{SeedableRng, StdRng};
 
@@ -84,5 +85,26 @@ proptest! {
             prop_assert_eq!(a, b, "diverged at draw {}", i);
             prop_assert!(a < n);
         }
+    }
+
+    /// `reseeded` shares the source stream's table, wherever the source
+    /// has got to, and draws exactly what `RequestStream::new` draws.
+    #[test]
+    fn reseeded_stream_matches_a_fresh_one(
+        n in 1usize..4096,
+        theta_hundredths in 0u32..=200,
+        source_seed: u64,
+        source_draws in 0usize..64,
+        seed: u64,
+    ) {
+        let spec = WorkloadSpec {
+            zipf_theta: f64::from(theta_hundredths) / 100.0,
+            ..WorkloadSpec::scale_default(n)
+        };
+        let mut source = RequestStream::new(&spec, source_seed);
+        source.by_ref().take(source_draws).for_each(drop);
+        let reseeded: Vec<Request> = source.reseeded(seed).take(1000).collect();
+        let fresh: Vec<Request> = RequestStream::new(&spec, seed).take(1000).collect();
+        prop_assert_eq!(reseeded, fresh);
     }
 }
