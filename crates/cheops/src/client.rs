@@ -458,6 +458,51 @@ mod tests {
         assert_eq!(back, data);
     }
 
+    #[test]
+    fn revoke_retires_every_capability_set_issued_before_it() {
+        use nasd_proto::{ByteRange, RetryClass};
+
+        for redundancy in [Redundancy::None, Redundancy::Mirrored, Redundancy::Parity] {
+            let fleet = Arc::new(
+                DriveFleet::spawn_memory(4, DriveConfig::small(), PartitionId(1), 32 << 20)
+                    .unwrap(),
+            );
+            let mgr = Arc::new(CheopsManager::new(Arc::clone(&fleet)));
+            let (rpc, _h) = mgr.serve();
+            let client = CheopsClient::attach(7, Channel::in_proc(rpc), Arc::clone(&fleet));
+            let id = client.create(3, 4096, redundancy).unwrap();
+            let old = client.open(id, Rights::ALL).unwrap();
+            let data: Vec<u8> = (0..40_000u32).map(|i| (i % 241) as u8).collect();
+            client.write(&old, 0, &data).unwrap();
+
+            mgr.revoke(id).unwrap();
+            // The drives refuse the whole old set, so a client holding it
+            // must go back to the manager...
+            for ((_, c), cap) in old.layout.slots().zip(&old.caps) {
+                let ep = fleet.by_id(c.drive).unwrap();
+                match ep.read(cap, 0, 1) {
+                    Err(FmError::Drive(status)) => {
+                        assert_eq!(status.retry_class(), RetryClass::Refresh);
+                    }
+                    other => panic!("{redundancy:?}: revoked {c} honoured: {other:?}"),
+                }
+            }
+            assert!(client.read(&old, 0, data.len() as u64).is_err());
+            // ...for a set that reads the same bytes.
+            let fresh = client.open(id, Rights::READ).unwrap();
+            assert_eq!(fresh.layout, old.layout);
+            let back = client.read(&fresh, 0, data.len() as u64).unwrap();
+            assert_eq!(back, data, "{redundancy:?}");
+
+            // Remove still reaches every revoked component.
+            client.remove(id).unwrap();
+            for (_, c) in old.layout.slots() {
+                let (ep, cap) = fleet.mint(c, Rights::READ, ByteRange::FULL).unwrap();
+                assert!(ep.read(&cap, 0, 1).is_err(), "{redundancy:?}: {c} survived");
+            }
+        }
+    }
+
     /// Reads a component's first `len` bytes raw, zero-padded.
     fn raw(fleet: &DriveFleet, c: crate::map::Component, len: usize) -> Vec<u8> {
         let ep = fleet.by_id(c.drive).unwrap();

@@ -19,8 +19,11 @@
 //! There is one storage manager: clients reach it over the wire enum
 //! [`CheopsRequest`], and storage management (`nasd-mgmt`) is an engine
 //! over the same `Arc<CheopsManager>` calling its typed methods, so both
-//! see one set of maps, one lease table and one capability mint
-//! ([`CheopsManager::party`]).
+//! see one set of maps and one lease table. A component is a
+//! [`nasd_fm::FileHandle`], created, minted for and revoked
+//! ([`CheopsManager::revoke`]) through the fleet's one mint and version
+//! table — the ones the file managers over the same drives use — so a
+//! revocation by any manager holds for every manager.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

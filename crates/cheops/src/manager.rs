@@ -1,9 +1,10 @@
 //! The Cheops storage manager.
 //!
 //! Keeps the logical-object maps, creates/destroys component objects on
-//! the drives, mints component capability *sets*, arbitrates multi-disk
-//! concurrency with expiring leases and records drive repairs. It is
-//! deliberately thin: data never flows through it.
+//! the drives, mints and revokes component capability *sets* through the
+//! fleet's one mint, arbitrates multi-disk concurrency with expiring
+//! leases and records drive repairs. It is deliberately thin: data never
+//! flows through it.
 //!
 //! Clients reach the state over the wire enum [`CheopsRequest`], whose
 //! arms call the typed methods; storage management (`nasd-mgmt`) holds
@@ -11,9 +12,9 @@
 //! under the state lock: clone the layout, unlock, then mint and do I/O.
 
 use crate::map::{Column, Component, ComponentSlot, Layout, LogicalObjectId, Redundancy};
-use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
+use nasd_fm::{DriveFleet, FmError};
 use nasd_net::{spawn_service, Rpc, ServiceHandle};
-use nasd_proto::{ByteRange, Capability, DriveId, NasdStatus, Rights, Version};
+use nasd_proto::{ByteRange, Capability, DriveId, NasdStatus, Rights};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -144,8 +145,6 @@ struct ManagerState {
 pub struct CheopsManager {
     fleet: Arc<DriveFleet>,
     state: Mutex<ManagerState>,
-    /// Capability lifetime issued with each Open.
-    ttl: u64,
 }
 
 impl CheopsManager {
@@ -160,7 +159,6 @@ impl CheopsManager {
                 repairs: HashMap::new(),
                 next_id: 1,
             }),
-            ttl: 3_600,
         }
     }
 
@@ -171,28 +169,21 @@ impl CheopsManager {
         redundancy: Redundancy,
     ) -> Result<Layout, FmError> {
         let n = self.fleet.len();
-        if width == 0 || width > n || stripe_unit == 0 {
-            return Err(FmError::Drive(NasdStatus::BadRequest));
-        }
-        // RAID-4-style parity needs a drive of its own.
-        if redundancy == Redundancy::Parity && width >= n {
-            return Err(FmError::Drive(NasdStatus::BadRequest));
-        }
-        let p = self.fleet.partition();
-        let expires = self.fleet.now() + self.ttl;
-        let place = |drive: usize| -> Result<Component, FmError> {
-            let ep = self.fleet.endpoint(drive);
-            Ok(Component {
-                drive: ep.id(),
-                partition: p,
-                object: ep.create_object(p, 0, None, expires)?,
-            })
+        // Parity needs a drive of its own; a mirror, a drive other than
+        // its primary's.
+        let drives = match redundancy {
+            Redundancy::None => width,
+            Redundancy::Mirrored => width.max(2),
+            Redundancy::Parity => width + 1,
         };
+        if width == 0 || drives > n || stripe_unit == 0 {
+            return Err(FmError::Drive(NasdStatus::BadRequest));
+        }
+        let place = |drive: usize| self.fleet.create(self.fleet.endpoint(drive), None);
         let mut columns = Vec::with_capacity(width);
         for col in 0..width {
             let primary = place(col)?;
-            // Mirror on the next drive (requires width < n for a distinct
-            // drive; same-drive mirroring defeats the point).
+            // Mirror on the next drive: not the primary's, as n >= 2.
             let mirror = (redundancy == Redundancy::Mirrored)
                 .then(|| place((col + 1) % n))
                 .transpose()?;
@@ -210,25 +201,16 @@ impl CheopsManager {
         })
     }
 
-    /// The drive holding `c` and a capability for `rights` on it: the one
-    /// component-capability mint, for `Open` sets, rebuild and scrub alike
-    /// ([`FmError::Transport`] when the fleet has no such drive).
-    pub fn party(
-        &self,
-        c: Component,
-        rights: Rights,
-    ) -> Result<(&DriveEndpoint, Capability), FmError> {
-        let ep = self.fleet.by_id(c.drive).ok_or(FmError::Transport)?;
-        let expires = self.fleet.now() + self.ttl;
-        let cap = ep.mint(
-            c.partition,
-            c.object,
-            Version(0),
-            rights,
-            ByteRange::FULL,
-            expires,
-        );
-        Ok((ep, cap))
+    /// Revoke every capability set issued for `id`: each component's
+    /// version moves on ([`DriveFleet::revoke`]). Every component is
+    /// tried and the first failure reported (`NotFound` for no such `id`).
+    pub fn revoke(&self, id: LogicalObjectId) -> Result<(), FmError> {
+        let layout = self.layout(id)?;
+        let mut outcome = Ok(());
+        for (_, c) in layout.slots() {
+            outcome = outcome.and(self.fleet.revoke(c));
+        }
+        outcome
     }
 
     /// Every logical object's layout, sorted by id.
@@ -238,6 +220,14 @@ impl CheopsManager {
         let mut layouts: Vec<_> = state.maps.iter().map(|(id, l)| (*id, l.clone())).collect();
         layouts.sort_by_key(|(id, _)| *id);
         layouts
+    }
+
+    /// Every drive some layout holds a component on: none is a spare.
+    #[must_use]
+    pub fn drives_in_use(&self) -> Vec<DriveId> {
+        let state = self.state.lock();
+        let components = state.maps.values().flat_map(Layout::slots);
+        components.map(|(_, c)| c.drive).collect()
     }
 
     /// The layout of `id` as it stands now ([`FmError::NotFound`] for an
@@ -366,7 +356,10 @@ impl CheopsManager {
                 let layout = self.layout(id)?;
                 let caps = layout
                     .slots()
-                    .map(|(slot, c)| Ok(self.party(c, layout.rights(slot, rights))?.1))
+                    .map(|(slot, c)| {
+                        let rights = layout.rights(slot, rights);
+                        Ok(self.fleet.mint(c, rights, ByteRange::FULL)?.1)
+                    })
                     .collect::<Result<_, FmError>>()?;
                 Ok(CheopsResponse::Opened(Box::new(layout), caps))
             }
@@ -382,8 +375,9 @@ impl CheopsManager {
                 // the first one that was not.
                 let mut outcome = Ok(());
                 for (_, c) in layout.slots() {
-                    let party = self.party(c, Rights::REMOVE);
-                    outcome = outcome.and(party.and_then(|(ep, cap)| ep.remove(&cap)));
+                    let minted = self.fleet.mint(c, Rights::REMOVE, ByteRange::FULL);
+                    outcome = outcome.and(minted.and_then(|(ep, cap)| ep.remove(&cap)));
+                    self.fleet.forget(c);
                 }
                 outcome.map(|()| CheopsResponse::Ok)
             }
@@ -553,17 +547,10 @@ mod tests {
         rpc.call_with(CheopsRequest::Remove { id }, &CallOptions::blocking())
             .unwrap();
         // Component objects are gone from the drives.
-        let c = layout.columns[0].primary;
-        let ep = fleet.by_id(c.drive).unwrap();
-        let cap = ep.mint(
-            c.partition,
-            c.object,
-            Version(0),
-            Rights::READ,
-            ByteRange::FULL,
-            fleet.now() + 10,
-        );
-        assert!(ep.read(&cap, 0, 1).is_err());
+        for (_, c) in layout.slots() {
+            let (ep, cap) = fleet.mint(c, Rights::READ, ByteRange::FULL).unwrap();
+            assert!(ep.read(&cap, 0, 1).is_err());
+        }
         // And the map is gone.
         let CheopsResponse::Err(FmError::NotFound(_)) = rpc
             .call_with(
@@ -901,6 +888,29 @@ mod tests {
                 panic!("width {width} su {su} should fail");
             };
         }
+    }
+
+    #[test]
+    fn a_mirror_needs_a_second_drive() {
+        let (mgr, _fleet) = manager(1);
+        let (rpc, _h) = mgr.serve();
+        let create = |redundancy| CheopsRequest::Create {
+            width: 1,
+            stripe_unit: 4096,
+            redundancy,
+        };
+        let opts = CallOptions::blocking();
+        let resp = rpc.call_with(create(Redundancy::Mirrored), &opts).unwrap();
+        assert!(
+            matches!(
+                resp,
+                CheopsResponse::Err(FmError::Drive(NasdStatus::BadRequest))
+            ),
+            "a one-drive fleet mirrored onto the primary's drive: {resp:?}"
+        );
+        assert!(mgr.layouts().is_empty());
+        let resp = rpc.call_with(create(Redundancy::None), &opts).unwrap();
+        assert!(matches!(resp, CheopsResponse::Created(_)), "{resp:?}");
     }
 
     #[test]

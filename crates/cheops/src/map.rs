@@ -5,10 +5,11 @@
 //! (a mirror and its primary), several are parity math. [`xor_read`] is
 //! the one read of that XOR: a degraded read returns it, a parity write
 //! folds new data into it, rebuild writes it to a spare, scrub compares
-//! and rewrites it.
+//! and rewrites it. A component is a plain [`FileHandle`], so the fleet
+//! creates it, mints for it and revokes it as it does a file's object.
 
-use nasd_fm::{DriveEndpoint, FmError};
-use nasd_proto::{Capability, DriveId, ObjectId, PartitionId, Rights};
+use nasd_fm::{DriveEndpoint, FileHandle, FmError};
+use nasd_proto::{Capability, DriveId, Rights};
 use std::borrow::Borrow;
 
 /// Name of a Cheops logical object (the "second level of objects").
@@ -22,15 +23,7 @@ impl std::fmt::Display for LogicalObjectId {
 }
 
 /// One physical NASD object backing part of a logical object.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Component {
-    /// Drive holding the component.
-    pub drive: DriveId,
-    /// Partition on that drive.
-    pub partition: PartitionId,
-    /// The component object.
-    pub object: ObjectId,
-}
+pub type Component = FileHandle;
 
 /// Redundancy scheme of a logical object. "Redundancy and striping are
 /// done within the objects accessible with the client's set of
@@ -322,6 +315,7 @@ pub fn xor_read<C: Borrow<Capability>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nasd_proto::{ObjectId, PartitionId};
 
     fn layout(n: usize, su: u64) -> Layout {
         let columns = (0..n)

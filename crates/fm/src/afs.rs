@@ -15,9 +15,10 @@
 //!   object"; on relinquish the manager examines the object's size and
 //!   settles the quota books.
 
-use crate::core::{FmCore, DEFAULT_TTL};
+use crate::core::FmCore;
 use crate::dirfmt::{decode_dir, DirRecord};
 use crate::drives::DriveFleet;
+use crate::drives::DEFAULT_TTL;
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
 use crate::link::ManagerLink;
 use bytes::Bytes;

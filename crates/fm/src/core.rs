@@ -1,5 +1,4 @@
-//! The file-manager core: one namespace, one version table, one
-//! capability mint.
+//! The file-manager core: one namespace over the fleet's one mint.
 //!
 //! §5.1 ports NFS and AFS onto the same drive-facing mechanism — names
 //! and policy attributes live in NASD objects, a capability is minted at
@@ -8,8 +7,10 @@
 //! filesystem". [`FmCore`] is that mechanism; [`NasdNfs`](crate::NasdNfs)
 //! and [`NasdAfs`](crate::NasdAfs) are personalities over it that add
 //! only policy. It is the only code in this crate that reads or writes a
-//! directory object, stamps or reads policy attributes, touches the
-//! version table, or mints a capability.
+//! directory object or stamps or reads policy attributes. Objects,
+//! capabilities and revocation go through the [`DriveFleet`]: its version
+//! table is shared with every other manager over the same drives, so a
+//! revocation by any of them holds for all.
 //!
 //! Any number of personalities may share one core, and each takes its
 //! callers' requests concurrently. Every directory read-modify-write
@@ -26,16 +27,13 @@
 use crate::dirfmt::{decode_dir, encode_dir, DirRecord};
 use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
-use crate::stripes::{DirLocks, VersionTable};
+use crate::stripes::DirLocks;
 use bytes::Bytes;
 use nasd_proto::{ByteRange, Capability, NasdStatus, RequestBody, Rights};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Default capability lifetime issued by the file manager (seconds).
-pub(crate) const DEFAULT_TTL: u64 = 3_600;
 
 /// Directories the cache holds before it is cleared (as a full
 /// [`LeaseCache`](crate::LeaseCache) is).
@@ -49,9 +47,6 @@ pub(crate) type Listing = Arc<[DirRecord]>;
 pub(crate) struct FmCore {
     fleet: Arc<DriveFleet>,
     root: FileHandle,
-    /// Revocation versions: a capability is always minted at the latest,
-    /// no matter which call or personality revoked.
-    versions: VersionTable,
     dir_locks: DirLocks,
     /// Write-through cache of directory listings, filled and updated
     /// only under the directory's stripe lock. Its own lock is never
@@ -65,17 +60,9 @@ impl FmCore {
     /// Bootstrap over `fleet`: creates the root directory object on
     /// drive 0.
     pub(crate) fn new(fleet: Arc<DriveFleet>) -> Result<Self, FmError> {
-        let p = fleet.partition();
-        let ep = fleet.endpoint(0);
-        let object = ep.create_object(p, 0, None, fleet.now() + DEFAULT_TTL)?;
         let core = FmCore {
-            root: FileHandle {
-                drive: ep.id(),
-                partition: p,
-                object,
-            },
+            root: fleet.create(fleet.endpoint(0), None)?,
             fleet,
-            versions: VersionTable::new(),
             dir_locks: DirLocks::new(),
             dirs: Mutex::new(HashMap::new()),
             next_drive: AtomicUsize::new(0),
@@ -93,25 +80,6 @@ impl FmCore {
         self.fleet.now()
     }
 
-    /// Mint at `fh`'s tracked version — the one place a capability is made.
-    fn mint(
-        &self,
-        fh: FileHandle,
-        rights: Rights,
-        region: ByteRange,
-    ) -> Result<(&Arc<DriveEndpoint>, Capability), FmError> {
-        let ep = self.fleet.resolve(fh)?;
-        let cap = ep.mint(
-            fh.partition,
-            fh.object,
-            self.versions.get(fh),
-            rights,
-            region,
-            self.fleet.now() + DEFAULT_TTL,
-        );
-        Ok((ep, cap))
-    }
-
     /// A capability for a client: `rights` over `region` of `fh`.
     pub(crate) fn grant(
         &self,
@@ -119,13 +87,13 @@ impl FmCore {
         rights: Rights,
         region: ByteRange,
     ) -> Result<Capability, FmError> {
-        Ok(self.mint(fh, rights, region)?.1)
+        Ok(self.fleet.mint(fh, rights, region)?.1)
     }
 
     /// The manager's own full-rights capability for `fh`, with the
     /// endpoint to use it on.
-    fn own_cap(&self, fh: FileHandle) -> Result<(&Arc<DriveEndpoint>, Capability), FmError> {
-        self.mint(fh, Rights::ALL, ByteRange::FULL)
+    fn own_cap(&self, fh: FileHandle) -> Result<(&DriveEndpoint, Capability), FmError> {
+        self.fleet.mint(fh, Rights::ALL, ByteRange::FULL)
     }
 
     fn write_policy(&self, fh: FileHandle, attrs: &FmAttrs) -> Result<(), FmError> {
@@ -263,12 +231,7 @@ impl FmCore {
             // Directories stay on the parent's drive for locality.
             FileType::Directory => (self.fleet.resolve(dir)?, Some(dir.object)),
         };
-        let p = self.fleet.partition();
-        let fh = FileHandle {
-            drive: ep.id(),
-            partition: p,
-            object: ep.create_object(p, 0, near, self.fleet.now() + DEFAULT_TTL)?,
-        };
+        let fh = self.fleet.create(ep, near)?;
         self.write_policy(fh, &FmAttrs::fresh(file_type, mode, uid))?;
         let mut entries: Vec<DirRecord> = listing.iter().cloned().collect();
         entries.push(DirRecord {
@@ -317,7 +280,7 @@ impl FmCore {
             // is no longer the core's to serve.
             self.cache(victim.handle, None);
             removed?;
-            self.versions.remove(victim.handle);
+            self.fleet.forget(victim.handle);
             let mut entries: Vec<DirRecord> = listing.iter().cloned().collect();
             entries.remove(idx);
             self.write_dir(dir, entries)?;
@@ -377,10 +340,7 @@ impl FmCore {
         let mut attrs = self.attrs(fh)?;
         attrs.mode = mode;
         self.write_policy(fh, &attrs)?;
-        let (ep, cap) = self.own_cap(fh)?;
-        let new_version = ep.bump_version(&cap)?;
-        self.versions.insert(fh, new_version);
-        Ok(())
+        self.fleet.revoke(fh)
     }
 }
 
@@ -422,6 +382,30 @@ mod tests {
         let (fresh, _) = afs.fetch_read(fh).unwrap();
         assert!(fresh.public.version > old.public.version);
         assert_eq!(ep.read(&fresh, 0, 13).unwrap(), b"one namespace");
+    }
+
+    #[test]
+    fn revocation_crosses_managers_over_one_fleet() {
+        // Two managers, each with its own core and namespace, over one
+        // fleet: a version moved by one is the version the other mints at.
+        let fleet = Arc::new(
+            DriveFleet::spawn_memory(2, DriveConfig::small(), PartitionId(1), 16 << 20).unwrap(),
+        );
+        let nfs = NasdNfs::new(Arc::clone(&fleet)).unwrap();
+        let (rpc, _h) = NasdAfs::new(Arc::clone(&fleet), 1 << 20).unwrap().spawn();
+        let afs = AfsClient::attach(1, Channel::in_proc(rpc), Arc::clone(&fleet)).unwrap();
+
+        let fh = afs.create(afs.root(), "shared").unwrap();
+        afs.write_file(fh, b"one fleet").unwrap();
+        let (old, _) = afs.fetch_read(fh).unwrap();
+        let resp = nfs.handle(NfsRequest::SetMode { fh, mode: 0o600 });
+        assert!(matches!(resp, NfsResponse::Ok), "{resp:?}");
+
+        let ep = fleet.resolve(fh).unwrap();
+        assert!(ep.read(&old, 0, 9).is_err(), "revoked capability honoured");
+        let (fresh, _) = afs.fetch_read(fh).unwrap();
+        assert!(fresh.public.version > old.public.version);
+        assert_eq!(ep.read(&fresh, 0, 9).unwrap(), b"one fleet");
     }
 
     fn fleet_of(n: usize, config: DriveConfig) -> Arc<DriveFleet> {

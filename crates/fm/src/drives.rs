@@ -6,9 +6,11 @@
 //! [`DriveFleet`] builds and owns several in-process drives — file
 //! managers, Cheops and the parallel filesystem are all built on these.
 //! An in-process drive owns no thread: each call runs it on the caller's
-//! thread, one request at a time.
+//! thread, one request at a time. The fleet also owns the one version
+//! table every manager over it creates, mints and revokes through.
 
 use crate::handle::{FileHandle, FmError};
+use crate::stripes::VersionTable;
 use bytes::{ByteRope, Bytes};
 use nasd_crypto::{KeyHierarchy, KeyKind, SecretKey};
 use nasd_disk::{MemDisk, SharedDisk};
@@ -30,6 +32,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 static NEXT_SIGNER: AtomicU64 = AtomicU64::new(1000);
+
+/// Lifetime of every capability a manager mints, and of the create
+/// capability behind each object it makes (seconds).
+pub(crate) const DEFAULT_TTL: u64 = 3_600;
 
 /// A connection to one drive plus the authority to mint capabilities for
 /// it (the file manager's position in the architecture).
@@ -557,12 +563,15 @@ struct DriveSlot {
 }
 
 /// A set of in-process drives sharing a clock — the storage side of a
-/// NASD installation.
+/// NASD installation — and the one capability mint over them.
 pub struct DriveFleet {
     endpoints: Vec<Arc<DriveEndpoint>>,
     slots: Vec<Mutex<DriveSlot>>,
     clock: Arc<AtomicU64>,
     partition: PartitionId,
+    /// Revocation versions: a capability is always minted at the latest,
+    /// no matter which manager revoked.
+    versions: VersionTable,
 }
 
 impl std::fmt::Debug for DriveFleet {
@@ -635,6 +644,7 @@ impl DriveFleet {
             slots,
             clock,
             partition,
+            versions: VersionTable::new(),
         })
     }
 
@@ -778,6 +788,62 @@ impl DriveFleet {
     pub fn resolve(&self, fh: FileHandle) -> Result<&Arc<DriveEndpoint>, FmError> {
         self.by_id(fh.drive)
             .ok_or_else(|| FmError::NotFound(fh.to_string()))
+    }
+
+    /// Make an empty object on `ep`, clustered `near` an existing one
+    /// when given — the one way a manager creates an object.
+    ///
+    /// # Errors
+    ///
+    /// Drive statuses and transport failures.
+    pub fn create(
+        &self,
+        ep: &DriveEndpoint,
+        near: Option<ObjectId>,
+    ) -> Result<FileHandle, FmError> {
+        let expires = self.now() + DEFAULT_TTL;
+        Ok(FileHandle {
+            drive: ep.id(),
+            partition: self.partition,
+            object: ep.create_object(self.partition, 0, near, expires)?,
+        })
+    }
+
+    /// A capability for `rights` over `region` of `fh`, minted at the
+    /// version the fleet tracks for it, with the endpoint to use it on —
+    /// the one place a manager makes a capability.
+    ///
+    /// # Errors
+    ///
+    /// [`FmError::NotFound`] for a drive outside the fleet.
+    pub fn mint(
+        &self,
+        fh: FileHandle,
+        rights: Rights,
+        region: ByteRange,
+    ) -> Result<(&DriveEndpoint, Capability), FmError> {
+        let ep = self.resolve(fh)?;
+        let version = self.versions.get(fh);
+        let expires = self.now() + DEFAULT_TTL;
+        let cap = ep.mint(fh.partition, fh.object, version, rights, region, expires);
+        Ok((ep, cap))
+    }
+
+    /// Revoke every outstanding capability for `fh`: bump the object's
+    /// version on its drive, then mint at the new one from now on.
+    ///
+    /// # Errors
+    ///
+    /// Drive statuses and transport failures (nothing is revoked).
+    pub fn revoke(&self, fh: FileHandle) -> Result<(), FmError> {
+        let (ep, cap) = self.mint(fh, Rights::ALL, ByteRange::FULL)?;
+        self.versions.insert(fh, ep.bump_version(&cap)?);
+        Ok(())
+    }
+
+    /// Drop `fh`'s tracked version once its object is removed.
+    pub fn forget(&self, fh: FileHandle) {
+        self.versions.remove(fh);
     }
 
     /// Shut down every drive (drop the endpoints first).

@@ -5,8 +5,7 @@
 //! object, and offsets in files are the same as offsets in objects."
 //!
 //! This crate implements one file-manager core (`core.rs`: the
-//! namespace in directory objects, policy attributes, the revocation
-//! version table and the capability mint) and, over it:
+//! namespace in directory objects and policy attributes) and, over it:
 //!
 //! * [`NasdNfs`] — the NFS personality: stateless, weak cache
 //!   consistency; `lookup` resolves a whole path in one call and
@@ -28,9 +27,13 @@
 //! Every data byte a NASD client reads flows drive → client without
 //! touching the file manager. The core is the only writer of directory
 //! objects (no client is granted write rights on one), so it answers
-//! lookups from a write-through cache of the directories it wrote, and
-//! a mint is one HMAC: each [`DriveEndpoint`] derives a partition's
-//! working key once.
+//! lookups from a write-through cache of the directories it wrote.
+//!
+//! Objects, capabilities and revocation belong to the [`DriveFleet`]:
+//! every manager over it (each NFS or AFS core, Cheops, storage
+//! management) creates, mints and revokes through its one version
+//! table, so a revocation by any manager holds for all. A mint is one
+//! HMAC: each [`DriveEndpoint`] derives a partition's working key once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

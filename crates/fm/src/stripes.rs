@@ -1,14 +1,14 @@
-//! The striped tables behind the file-manager core (`core.rs`).
+//! The striped tables behind the fleet's mint (`drives.rs`) and the
+//! file-manager core (`core.rs`).
 //!
-//! A file manager takes its callers' requests concurrently — each runs
-//! on its caller's thread, through any personality over one core — and
-//! these types are what orders them. Each is split into stripes chosen
-//! by handle hash ([`nasd_proto::route_hash`]), so calls about
-//! different objects rarely meet on a lock:
+//! Managers take their callers' requests concurrently — each runs on
+//! its caller's thread — and these types are what orders them. Each is
+//! split into stripes chosen by handle hash ([`nasd_proto::route_hash`]),
+//! so calls about different objects rarely meet on a lock:
 //!
-//! * [`VersionTable`] — revocation versions, so a call minting a
-//!   capability always embeds the latest version, whichever call
-//!   revoked it.
+//! * [`VersionTable`] — revocation versions, one table per fleet, so a
+//!   call minting a capability always embeds the latest version,
+//!   whichever manager revoked it.
 //! * [`DirLocks`] — a striped directory lock table. Directory updates
 //!   are read-modify-write cycles over a directory object; two calls
 //!   mutating (or renaming across) the same directory must serialize.
@@ -29,7 +29,7 @@ fn stripe_of(fh: FileHandle, stripes: usize) -> usize {
     shard_index(route_hash(fh.drive, fh.partition, fh.object), stripes)
 }
 
-/// Revocation versions for every object the core has revoked (absent =
+/// Revocation versions for every object the fleet has revoked (absent =
 /// `Version(0)`), striped to keep contention between calls low.
 ///
 /// Stripe 0 is stored out-of-band as `first` so stripe lookup is total

@@ -9,7 +9,7 @@
 //! - a [`HealthMonitor`] sweeps the fleet with short-timeout liveness
 //!   probes and declares a drive failed after a configurable number of
 //!   consecutive silent sweeps,
-//! - a [`SparePool`] holds hot spares,
+//! - a [`SparePool`] holds hot spares (drives no layout references),
 //! - the rebuild engine reconstructs every component of the failed
 //!   drive onto a spare — copying a mirror, or XORing surviving
 //!   columns with parity — and then atomically swaps the logical-object
@@ -24,8 +24,9 @@
 //!
 //! There is one storage manager (§5.2): [`NasdMgmt`] is an engine over
 //! the `Arc<CheopsManager>` whose wire enum the clients talk to, calling
-//! its typed methods directly — one set of maps, one lease table, one
-//! capability mint. The manager stays control plane only: reconstruction
+//! its typed methods directly — one set of maps, one lease table — and
+//! minting through the fleet's one mint, at the version any manager last
+//! revoked to. The manager stays control plane only: reconstruction
 //! data flows between the drives and this engine, never through it.
 
 #![forbid(unsafe_code)]

@@ -21,12 +21,11 @@
 //! all-zero chunks are skipped on write, so the spare's object reads
 //! back byte-identical: unwritten object space reads as zero.
 
-use crate::config::LEASE_TTL;
 use crate::service::{chunks, extent, MgmtError, NasdMgmt};
 use bytes::Bytes;
-use nasd_cheops::{xor_read, Component, ComponentSlot, Layout, LogicalObjectId, RepairPhase};
+use nasd_cheops::{xor_read, ComponentSlot, Layout, LogicalObjectId, RepairPhase};
 use nasd_fm::FmError;
-use nasd_proto::{DriveId, Rights};
+use nasd_proto::{ByteRange, DriveId, Rights};
 
 /// What happened to one layout slot during a rebuild.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,7 +82,10 @@ impl NasdMgmt {
         let assigned = self.mgr.repairs().into_iter().find(|r| r.drive == failed);
         let spare = match assigned.and_then(|r| r.spare) {
             Some(s) => s,
-            None => self.spares.take().ok_or(MgmtError::NoSpare)?,
+            None => self
+                .spares
+                .take(&self.mgr.drives_in_use())
+                .ok_or(MgmtError::NoSpare)?,
         };
         self.mgr
             .set_repair(failed, RepairPhase::Rebuilding, Some(spare));
@@ -129,8 +131,8 @@ impl NasdMgmt {
             |layout| !layout.slots_on_drive(failed).is_empty(),
             |id, layout| {
                 let mut fates = Vec::new();
-                for (slot, dead) in layout.slots_on_drive(failed) {
-                    fates.push((slot, self.rebuild_slot(id, layout, slot, dead, spare)?));
+                for (slot, _) in layout.slots_on_drive(failed) {
+                    fates.push((slot, self.rebuild_slot(id, layout, slot, spare)?));
                 }
                 Ok(fates)
             },
@@ -156,13 +158,12 @@ impl NasdMgmt {
     }
 
     /// Write the XOR of `slot`'s sources to a fresh object on `spare` and
-    /// swap it into the map in place of `dead`.
+    /// swap it into the map in place of the dead component.
     fn rebuild_slot(
         &self,
         id: LogicalObjectId,
         layout: &Layout,
         slot: ComponentSlot,
-        dead: Component,
         spare: DriveId,
     ) -> Result<SlotFate, MgmtError> {
         let Some(sources) = self.sources_of(layout, slot)? else {
@@ -170,13 +171,8 @@ impl NasdMgmt {
         };
         let len = extent(&sources)?;
         let spare_ep = self.fleet.by_id(spare).ok_or(FmError::Transport)?;
-        let expires = self.fleet.now() + LEASE_TTL;
-        let new = Component {
-            drive: spare,
-            object: spare_ep.create_object(dead.partition, 0, None, expires)?,
-            ..dead
-        };
-        let (ep, cap) = self.mgr.party(new, Rights::WRITE)?;
+        let new = self.fleet.create(spare_ep, None)?;
+        let (ep, cap) = self.fleet.mint(new, Rights::WRITE, ByteRange::FULL)?;
         let mut moved = 0u64;
         for (offset, n) in chunks(len, self.config.rebuild_chunk) {
             // Throttle *before* the transfer: the token bucket meters

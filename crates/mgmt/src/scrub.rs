@@ -18,7 +18,7 @@ use crate::config::SCRUB_CHUNK;
 use crate::service::{chunks, extent, MgmtError, NasdMgmt};
 use bytes::Bytes;
 use nasd_cheops::{xor_read, Component, ComponentSlot, Layout, LogicalObjectId};
-use nasd_proto::Rights;
+use nasd_proto::{ByteRange, Rights};
 
 /// What one scrub pass found and fixed.
 #[derive(Clone, Debug, Default)]
@@ -93,7 +93,7 @@ impl NasdMgmt {
             return Ok(());
         };
         let rights = Rights::READ | Rights::WRITE | Rights::GETATTR;
-        let target = [self.mgr.party(held, rights)?];
+        let target = [self.fleet.mint(held, rights, ByteRange::FULL)?];
         let len = extent(&sources)?.max(extent(&target)?);
         for (offset, n) in chunks(len, SCRUB_CHUNK) {
             self.scrub_pacer.debit(n);

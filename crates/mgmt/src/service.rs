@@ -12,7 +12,7 @@ use nasd_cheops::{CheopsManager, ComponentSlot, Layout, LeaseKind, LogicalObject
 use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
 use nasd_net::{pace, RatePacer};
 use nasd_obs::{Counter, Gauge, Registry, SimTime, TraceEvent, TraceSink, Utilization};
-use nasd_proto::{Capability, DriveId, Rights};
+use nasd_proto::{ByteRange, Capability, DriveId, Rights};
 use std::sync::Arc;
 
 /// Storage-management failures.
@@ -46,8 +46,8 @@ impl std::error::Error for MgmtError {}
 pub struct CheckReport {
     /// Drives newly declared failed this cycle.
     pub newly_failed: Vec<DriveId>,
-    /// Spares that died in reserve (dropped from the pool, no rebuild
-    /// needed — no layout references a spare).
+    /// Spares that died in reserve: dropped from the pool, no rebuild
+    /// needed (no layout references them; see [`SparePool`]).
     pub spares_lost: Vec<DriveId>,
     /// Completed reconstructions.
     pub rebuilt: Vec<(DriveId, RebuildOutcome)>,
@@ -144,10 +144,12 @@ impl NasdMgmt {
         self
     }
 
-    /// Free spares, sorted by drive id.
+    /// Free spares (pool members no layout references), sorted by id.
     #[must_use]
     pub fn spares_free(&self) -> Vec<DriveId> {
-        self.spares.free()
+        let (mut free, in_use) = (self.spares.free(), self.mgr.drives_in_use());
+        free.retain(|d| !in_use.contains(d));
+        free
     }
 
     /// Add a hot spare to the pool (also clears any failure history the
@@ -168,16 +170,15 @@ impl NasdMgmt {
             .health
             .sweep(&self.fleet, self.config.probe_timeout, PROBE_ATTEMPTS);
         for drive in newly {
-            if self.spares.remove(drive) {
-                self.trace("spare-lost", Some(drive), String::new());
-                self.obs.failures.inc();
-                report.spares_lost.push(drive);
-                continue;
-            }
-            self.mgr.set_repair(drive, RepairPhase::Failed, None);
             self.obs.failures.inc();
-            self.trace("failure", Some(drive), String::new());
-            report.newly_failed.push(drive);
+            if self.spares.remove(drive) && !self.mgr.drives_in_use().contains(&drive) {
+                self.trace("spare-lost", Some(drive), String::new());
+                report.spares_lost.push(drive);
+            } else {
+                self.mgr.set_repair(drive, RepairPhase::Failed, None);
+                self.trace("failure", Some(drive), String::new());
+                report.newly_failed.push(drive);
+            }
         }
         for record in self.mgr.repairs() {
             // `Failed` = detected, not yet attempted. `Rebuilding` = a
@@ -263,7 +264,8 @@ impl NasdMgmt {
             return Ok(None);
         };
         let held = layout.slots().filter(|(s, _)| sources.contains(s));
-        let parties = held.map(|(_, c)| self.mgr.party(c, Rights::READ | Rights::GETATTR));
+        let rights = Rights::READ | Rights::GETATTR;
+        let parties = held.map(|(_, c)| self.fleet.mint(c, rights, ByteRange::FULL));
         Ok(Some(parties.collect::<Result<_, _>>()?))
     }
 
@@ -283,7 +285,7 @@ impl NasdMgmt {
 }
 
 /// One component as a party to redundancy I/O: its drive and a
-/// capability for it ([`CheopsManager::party`]).
+/// capability for it ([`DriveFleet::mint`]).
 pub(crate) type Party<'a> = (&'a DriveEndpoint, Capability);
 
 /// The longest of the parties' current sizes: how far their XOR extends.
@@ -597,6 +599,87 @@ mod tests {
         assert!(report.newly_failed.is_empty());
         assert!(mgmt.spares_free().is_empty());
         assert!(mgr.repairs().is_empty(), "no repair record for a spare");
+    }
+
+    /// Six drives with ids 5 and 6 in the pool, and a width-4 parity
+    /// object whose parity lands on drive 5: a pool member in use.
+    fn parity_on_a_pool_member() -> (Arc<DriveFleet>, CheopsClient, NasdMgmt, Vec<u8>) {
+        let (fleet, mgr, client) = setup(6);
+        let id = client.create(4, 16 << 10, Redundancy::Parity).unwrap();
+        let file = client.open(id, Rights::READ | Rights::WRITE).unwrap();
+        let data = pattern(200 << 10, 4);
+        client.write(&file, 0, &data).unwrap();
+        let pool = vec![fleet.endpoint(4).id(), fleet.endpoint(5).id()];
+        assert_eq!(file.layout.parity.map(|p| p.drive), Some(pool[0]));
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, pool, quick_config());
+        (fleet, client, mgmt, data)
+    }
+
+    /// Every layout keeps each component on a drive of its own, and
+    /// reads back `data`.
+    fn assert_intact(mgmt: &NasdMgmt, client: &CheopsClient, data: &[u8]) {
+        for (id, layout) in mgmt.mgr.layouts() {
+            let drives: std::collections::HashSet<_> =
+                layout.slots().map(|(_, c)| c.drive).collect();
+            assert_eq!(drives.len(), layout.slots().count(), "{id}: {layout:?}");
+            let file = client.open(id, Rights::READ).unwrap();
+            assert_eq!(client.read(&file, 0, data.len() as u64).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn a_pool_member_holding_parity_is_rebuilt_when_it_dies() {
+        let (fleet, client, mgmt, data) = parity_on_a_pool_member();
+        let (parity, spare) = (fleet.endpoint(4).id(), fleet.endpoint(5).id());
+        fleet.crash(4);
+        let report = detect_and_rebuild(&mgmt);
+        assert!(report.spares_lost.is_empty(), "{report:?}");
+        assert_eq!(report.newly_failed, vec![parity]);
+        assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
+        assert_eq!(report.rebuilt[0].1.spare, Some(spare));
+        assert!(mgmt
+            .mgr
+            .layouts()
+            .iter()
+            .all(|(_, l)| l.slots_on_drive(parity).is_empty()));
+        assert!(mgmt.spares_free().is_empty());
+        assert_intact(&mgmt, &client, &data);
+    }
+
+    #[test]
+    fn a_column_is_never_rebuilt_onto_its_objects_parity_drive() {
+        let (fleet, client, mgmt, data) = parity_on_a_pool_member();
+        fleet.crash(0);
+        let report = detect_and_rebuild(&mgmt);
+        assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
+        assert_eq!(report.rebuilt[0].1.spare, Some(fleet.endpoint(5).id()));
+        assert!(mgmt.spares_free().is_empty(), "drive 5 is in use");
+        assert_intact(&mgmt, &client, &data);
+    }
+
+    #[test]
+    fn a_revoked_object_is_rebuilt_at_its_current_version() {
+        let (fleet, mgr, client) = setup(5);
+        let id = client.create(3, 32 << 10, Redundancy::Parity).unwrap();
+        let file = client.open(id, Rights::READ | Rights::WRITE).unwrap();
+        let data = pattern(300 << 10, 6);
+        client.write(&file, 0, &data).unwrap();
+        mgr.revoke(id).unwrap();
+
+        fleet.crash(1);
+        let spare = vec![fleet.endpoint(4).id()];
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, spare, quick_config());
+        let report = detect_and_rebuild(&mgmt);
+        assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
+        assert_eq!(report.rebuilt[0].1.components, 1);
+        let file = client.open(id, Rights::READ).unwrap();
+        assert!(file
+            .layout
+            .slots_on_drive(fleet.endpoint(1).id())
+            .is_empty());
+        let back = client.read(&file, 0, data.len() as u64).unwrap();
+        assert_eq!(back, data, "rebuilt reads must be byte-identical");
+        assert_eq!(mgmt.scrub().unwrap().mismatches, 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The hot-spare pool.
+//! The hot-spare pool: drives no layout references.
 
 use nasd_proto::DriveId;
 use parking_lot::Mutex;
 
-/// Drives held in reserve for reconstruction targets. Spares are
-/// ordinary fleet members that no layout references; taking one hands
-/// it to the rebuild engine, which fills it with reconstructed
-/// components and swaps it into the logical-object maps.
+/// Drives held in reserve for reconstruction targets: fleet members no
+/// layout references (a pool member one does is a live drive, never
+/// taken, rebuilt when it dies). Taking one hands it to the rebuild
+/// engine, which fills it and swaps it into the logical-object maps.
 #[derive(Debug)]
 pub struct SparePool {
     free: Mutex<Vec<DriveId>>,
@@ -21,12 +21,12 @@ impl SparePool {
         }
     }
 
-    /// Claim a spare (lowest drive id first, for determinism), or
-    /// `None` when the pool is exhausted.
-    pub fn take(&self) -> Option<DriveId> {
+    /// Claim a spare outside `in_use` (lowest drive id first, for
+    /// determinism), or `None` when the pool has none.
+    pub fn take(&self, in_use: &[DriveId]) -> Option<DriveId> {
         let mut free = self.free.lock();
-        let min = free.iter().enumerate().min_by_key(|(_, d)| d.0);
-        let idx = min.map(|(i, _)| i)?;
+        let spares = free.iter().enumerate().filter(|(_, d)| !in_use.contains(d));
+        let (idx, _) = spares.min_by_key(|(_, d)| d.0)?;
         Some(free.swap_remove(idx))
     }
 
@@ -70,14 +70,22 @@ mod tests {
     fn take_is_deterministic_and_exhaustible() {
         let p = SparePool::new(vec![DriveId(9), DriveId(4), DriveId(7)]);
         assert_eq!(p.available(), 3);
-        assert_eq!(p.take(), Some(DriveId(4)), "lowest id first");
-        assert_eq!(p.take(), Some(DriveId(7)));
-        assert_eq!(p.take(), Some(DriveId(9)));
-        assert_eq!(p.take(), None);
+        assert_eq!(p.take(&[]), Some(DriveId(4)), "lowest id first");
+        assert_eq!(p.take(&[]), Some(DriveId(7)));
+        assert_eq!(p.take(&[]), Some(DriveId(9)));
+        assert_eq!(p.take(&[]), None);
         p.put(DriveId(7));
         p.put(DriveId(7));
         assert_eq!(p.available(), 1, "put is idempotent");
         assert!(p.remove(DriveId(7)));
         assert!(!p.remove(DriveId(7)));
+    }
+
+    #[test]
+    fn a_member_in_use_is_never_taken() {
+        let p = SparePool::new(vec![DriveId(5), DriveId(6)]);
+        assert_eq!(p.take(&[DriveId(5)]), Some(DriveId(6)));
+        assert_eq!(p.take(&[DriveId(5)]), None);
+        assert_eq!(p.free(), vec![DriveId(5)]);
     }
 }

@@ -37,6 +37,10 @@
 //!   `call_timeout` / `call_retry` methods must not be redefined in the
 //!   transport crate; every caller goes through
 //!   `call_with(&CallOptions)`.
+//! - **M1 one mint** — in the manager crates (`fm`, `cheops`, `mgmt`,
+//!   `pfs`) a capability is minted only through `fleet.mint(..)`, at the
+//!   version the fleet's one table tracks; any other `.mint(` outside
+//!   `crates/fm/src/drives.rs` is a finding.
 //!
 //! The analyzer runs in two passes: pass 1 lexes every source file,
 //! builds a symbol table of `fn` definitions and an over-approximated
@@ -147,6 +151,7 @@ pub fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
         rules::check_h1(src, &mut raw);
         rules::check_f1(src, &mut raw);
         rules::check_a1(src, &mut raw);
+        rules::check_m1(src, &mut raw);
         casts::check_c1(src, &mut raw);
     }
     wire::check_w1(&sources, &mut raw);
@@ -421,6 +426,16 @@ pub const RULES: &[RuleInfo] = &[
                     implementations; redefining the deleted call/call_timeout/\
                     call_retry methods in crates/net would fork retry/timeout \
                     policy away from CallOptions again. Unsuppressable.",
+    },
+    RuleInfo {
+        id: "M1",
+        title: "one capability mint",
+        allow: None,
+        rationale: "Revocation is a version bump (§4.1), and it only holds if \
+                    every manager mints at the version the fleet's one table \
+                    tracks. In crates fm, cheops, mgmt and pfs, a `.mint(` call \
+                    outside crates/fm/src/drives.rs that is not `fleet.mint(..)` \
+                    signs around that table. Unsuppressable.",
     },
     RuleInfo {
         id: "S0",

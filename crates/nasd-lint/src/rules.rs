@@ -1,6 +1,7 @@
 //! Token-scan rules: D1 determinism, P1 panic-free request paths, H1
 //! hot-path copy discipline, E1 swallowed results, C1 cast/arithmetic
-//! safety (in `casts.rs`), and F1 forbid-unsafe.
+//! safety (in `casts.rs`), F1 forbid-unsafe, A1 one call surface and M1
+//! one mint.
 
 use crate::lexer::{Tok, Token};
 use crate::{crate_of, RawFinding, Source};
@@ -381,6 +382,45 @@ pub(crate) fn check_a1(src: &Source, out: &mut Vec<RawFinding>) {
                 allow: None,
             });
         }
+    }
+}
+
+/// Crates whose managers hand out capabilities.
+const M1_CRATES: &[&str] = &["fm", "cheops", "mgmt", "pfs"];
+
+/// The file holding the fleet's mint, the one place a capability is signed.
+const M1_MINT_FILE: &str = "crates/fm/src/drives.rs";
+
+/// M1: one mint. A manager makes a capability only through
+/// `fleet.mint(..)`, which signs at the version the fleet's one table
+/// tracks. Any other `.mint(` call in a manager crate's non-test code
+/// (an endpoint's, a `CapabilityPublic`'s, a private helper) can sign at
+/// a version a revocation already retired. Unsuppressable.
+pub(crate) fn check_m1(src: &Source, out: &mut Vec<RawFinding>) {
+    let manager_src = crate_of(&src.path)
+        .is_some_and(|c| M1_CRATES.contains(&c) && src.path.contains(&format!("crates/{c}/src/")));
+    if !manager_src || src.path.ends_with(M1_MINT_FILE) {
+        return;
+    }
+    let toks = &src.lexed.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        let mint_call = t.is_punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.is_ident("mint"))
+            && toks.get(i + 2).is_some_and(|n| n.is_punct('('));
+        let receiver = i.checked_sub(1).and_then(|r| toks.get(r));
+        if !mint_call || t.in_test || receiver.is_some_and(|r| r.is_ident("fleet")) {
+            continue;
+        }
+        out.push(RawFinding {
+            rule: "M1",
+            file: src.path.clone(),
+            line: t.line,
+            message: "`.mint(` outside the fleet signs at a version the fleet's \
+                      table may have revoked; mint through `fleet.mint(fh, rights, \
+                      region)` instead"
+                .to_owned(),
+            allow: None,
+        });
     }
 }
 

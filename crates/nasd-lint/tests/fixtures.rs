@@ -278,3 +278,22 @@ fn a1_resurrected_call_surface_is_reported() {
         "the finding should point at the one surviving surface\n{stdout}"
     );
 }
+
+#[test]
+fn m1_a_mint_around_the_fleet_is_reported() {
+    expect_bad("bad-m1", "M1");
+    let out = run_on("bad-m1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let flagged: Vec<&str> = stdout.lines().filter(|l| l.contains("[M1]")).collect();
+    assert_eq!(
+        flagged.len(),
+        1,
+        "only the endpoint mint outside the fleet is flagged: not `fleet.mint`, \
+         not test code, not the fleet's own file\n{stdout}"
+    );
+    assert!(
+        flagged[0].contains("cheops/src/manager.rs:9"),
+        "the finding names the raw mint's line\n{stdout}"
+    );
+    assert!(stdout.contains("1 finding"), "nothing else fires\n{stdout}");
+}
