@@ -108,10 +108,8 @@ pub fn run() -> Vec<BackupRow> {
     );
     let registry = Registry::new();
     let config = StoreConfig {
-        partition: fleet.partition(),
         pack_target_bytes: 4 << 20,
         compress: true,
-        cap_lifetime: 1 << 30,
     };
     let store = ChunkStore::open(Arc::clone(&fleet), config, &registry).unwrap();
     let params = ChunkerParams {

@@ -17,7 +17,7 @@
 
 use nasd::cheops::{CheopsClient, CheopsConnect, CheopsFile, CheopsManager, Redundancy};
 use nasd::fm::DriveFleet;
-use nasd::mgmt::{MgmtConfig, NasdMgmt};
+use nasd::mgmt::NasdMgmt;
 use nasd::net::Connector;
 use nasd::object::DriveConfig;
 use nasd::proto::{PartitionId, Rights};
@@ -102,8 +102,7 @@ fn measure(setting: &'static str, rate: Option<u64>) -> RebuildRow {
         };
     };
 
-    let config = MgmtConfig::standard().rebuild_rate(rate);
-    let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, vec![spare], config);
+    let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, vec![spare], rate);
     let done = Arc::new(AtomicBool::new(false));
     let rebuilder = {
         let done = Arc::clone(&done);

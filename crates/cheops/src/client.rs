@@ -10,7 +10,7 @@ use crate::manager::{CheopsRequest, CheopsResponse, LeaseKind};
 use crate::map::{xor_read, ColumnRun, ComponentSlot, Layout, LogicalObjectId, Redundancy};
 use bytes::{ByteRope, Bytes};
 use nasd_fm::{DriveEndpoint, DriveFleet, FmError, ManagerLink, Started};
-use nasd_net::{CallOptions, Channel, RetryPolicy};
+use nasd_net::Channel;
 use nasd_proto::{Capability, NasdStatus, RequestBody, Rights};
 use std::sync::Arc;
 
@@ -48,18 +48,6 @@ impl CheopsClient {
             fleet,
             link: ManagerLink::default(),
         }
-    }
-
-    /// Replace the manager-path retry policy (any attached call stats
-    /// are kept).
-    pub fn set_retry(&mut self, policy: RetryPolicy) {
-        self.link.set_retry(policy);
-    }
-
-    /// Replace the full manager-path call options (policy, per-attempt
-    /// timeout and stats) in one shot.
-    pub fn set_call_options(&mut self, opts: CallOptions) {
-        self.link.set_call_options(opts);
     }
 
     fn call_mgr(&self, req: CheopsRequest) -> Result<CheopsResponse, FmError> {

@@ -179,7 +179,7 @@ impl CheopsManager {
         if width == 0 || drives > n || stripe_unit == 0 {
             return Err(FmError::Drive(NasdStatus::BadRequest));
         }
-        let place = |drive: usize| self.fleet.create(self.fleet.endpoint(drive), None);
+        let place = |drive: usize| self.fleet.create(self.fleet.endpoint(drive), None, 0);
         let mut columns = Vec::with_capacity(width);
         for col in 0..width {
             let primary = place(col)?;

@@ -32,7 +32,8 @@ use crate::error::DedupError;
 use crate::index::ChunkDigest;
 use crate::store::{AppendGuard, ChunkLoc, ChunkStore, PackState};
 use bytes::Bytes;
-use nasd_proto::ObjectId;
+use nasd_fm::FmError;
+use nasd_proto::{NasdStatus, ObjectId, Rights};
 use std::collections::BTreeSet;
 
 /// Live fraction below which a pack is compacted.
@@ -144,9 +145,8 @@ impl ChunkStore {
                 .collect()
         };
         let mut moved = 0u64;
-        let ep = self.endpoint(drive)?;
         for (digest, old) in victims {
-            let src_cap = self.ro_cap(&ep, old.object);
+            let (ep, src_cap) = self.access(drive, old.object, Rights::READ)?;
             let frame = ep
                 .read(&src_cap, old.offset, u64::from(old.frame_len))?
                 .to_vec();
@@ -221,16 +221,14 @@ impl ChunkStore {
         };
         let mut removed = 0u64;
         for (drive, object) in doomed {
-            let ep = self.endpoint(drive)?;
-            let cap = self.rw_cap(&ep, object);
             // Idempotence: the pack may already be gone if a previous
             // GC crashed between dropping it from state and removing
             // the object — open() re-adopts such packs as empty, and
             // this pass removes them again.
-            match ep.remove(&cap) {
+            match self.remove(drive, object) {
                 Ok(()) => removed += 1,
-                Err(nasd_fm::FmError::Drive(nasd_proto::NasdStatus::NoSuchObject)) => {}
-                Err(e) => return Err(e.into()),
+                Err(DedupError::Fm(FmError::Drive(NasdStatus::NoSuchObject))) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(removed)
@@ -244,8 +242,7 @@ impl ChunkStore {
         frame: &[u8],
     ) -> Result<(AppendGuard<'_>, u64), DedupError> {
         let pack = self.open_pack_for_append(drive)?;
-        let ep = self.endpoint(drive)?;
-        let cap = self.rw_cap(&ep, pack.object);
+        let (ep, cap) = self.access(drive, pack.object, Rights::WRITE)?;
         let offset = ep.append(&cap, Bytes::from(frame.to_vec()))?;
         Ok((pack, offset))
     }
@@ -257,7 +254,7 @@ mod tests {
     use nasd_fm::DriveFleet;
     use nasd_object::DriveConfig;
     use nasd_obs::Registry;
-    use nasd_proto::PartitionId;
+    use nasd_proto::{PartitionId, Rights};
     use std::sync::Arc;
 
     #[test]
@@ -267,10 +264,8 @@ mod tests {
         );
         let registry = Registry::new();
         let config = StoreConfig {
-            partition: PartitionId(1),
             pack_target_bytes: 1 << 10,
             compress: false,
-            cap_lifetime: 1 << 30,
         };
         let store = ChunkStore::open(Arc::clone(&fleet), config, &registry).unwrap();
 
@@ -288,8 +283,7 @@ mod tests {
         // Pins are gone, so everything sweeps; reap must still spare
         // the victim while the append slot is held...
         store.gc().unwrap();
-        let ep = store.endpoint(0).unwrap();
-        let cap = store.ro_cap(&ep, victim);
+        let (ep, cap) = store.access(0, victim, Rights::GETATTR).unwrap();
         assert!(
             ep.get_attr(&cap).is_ok(),
             "reap removed a pack with an in-flight append"

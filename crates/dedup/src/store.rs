@@ -31,13 +31,10 @@ use crate::index::ChunkDigest;
 use crate::manifest::SnapshotManifest;
 use bytes::Bytes;
 use nasd_crypto::Sha256;
-use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
+use nasd_fm::{DriveEndpoint, DriveFleet, FileHandle};
 use nasd_obs::Registry;
 use nasd_proto::wire::{DecodeError, WireReader, WireWriter};
-use nasd_proto::{
-    ByteRange, NasdStatus, ObjectId, PartitionId, ReplyBody, RequestBody, Rights, Version,
-    FS_SPECIFIC_ATTR_LEN,
-};
+use nasd_proto::{ByteRange, Capability, ObjectId, Rights, FS_SPECIFIC_ATTR_LEN};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,27 +52,22 @@ const INDEX_MAGIC: u32 = 0x4449_4458;
 const MAX_INDEX_CHUNKS: u32 = 1 << 24;
 const MAX_PACKS: u32 = 1 << 16;
 
-/// Store layout and behaviour knobs.
+/// Store layout and behaviour knobs. Store objects live in the fleet's
+/// partition, under capabilities the fleet mints.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Partition holding all store objects on every drive.
-    pub partition: PartitionId,
     /// Roll to a fresh pack object once the current one covers this
     /// many bytes.
     pub pack_target_bytes: u64,
     /// RLE-compress chunk payloads when that is smaller.
     pub compress: bool,
-    /// Capability lifetime in seconds (drive clock).
-    pub cap_lifetime: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            partition: PartitionId(1),
             pack_target_bytes: 8 << 20,
             compress: true,
-            cap_lifetime: 3600,
         }
     }
 }
@@ -257,7 +249,7 @@ impl std::fmt::Debug for ChunkStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkStore")
             .field("drives", &self.fleet.len())
-            .field("partition", &self.config.partition)
+            .field("partition", &self.fleet.partition())
             .finish_non_exhaustive()
     }
 }
@@ -353,8 +345,7 @@ impl ChunkStore {
         // and only the in-flight registration keeps reap off it.
         let pack = self.open_pack_for_append(drive)?;
         let object = pack.object;
-        let ep = self.endpoint(drive)?;
-        let cap = self.rw_cap(&ep, object);
+        let (ep, cap) = self.access(drive, object, Rights::WRITE)?;
         let offset = ep.append(&cap, Bytes::from(frame))?;
         let loc = ChunkLoc {
             drive,
@@ -397,8 +388,7 @@ impl ChunkStore {
                 .get(digest)
                 .ok_or(DedupError::MissingChunk(*digest))?
         };
-        let ep = self.endpoint(loc.drive)?;
-        let cap = self.ro_cap(&ep, loc.object);
+        let (ep, cap) = self.access(loc.drive, loc.object, Rights::READ)?;
         let rope = ep.read(&cap, loc.offset, u64::from(loc.frame_len))?;
         // nasd-lint: allow(hot-path-copy, "frame decode needs one contiguous chunk-sized buffer off the rope")
         let decoded = blob::decode(&rope.to_vec())?;
@@ -438,21 +428,15 @@ impl ChunkStore {
         }
         let wire = manifest.to_wire_checksummed();
         let drive = self.place(Sha256::digest(manifest.name.as_bytes()).as_bytes());
-        let ep = self.endpoint(drive)?;
-        let object = ep.create_object(
-            self.config.partition,
-            wire.len() as u64,
-            None,
-            self.expiry(),
-        )?;
-        let cap = self.rw_cap(&ep, object);
+        let object = self.create(drive, wire.len() as u64)?;
+        let (ep, cap) = self.access(drive, object, Rights::WRITE | Rights::SETATTR)?;
         ep.write(&cap, 0, Bytes::from(wire))?;
         ep.set_fs_specific(&cap, Self::tag(ROLE_MANIFEST, 0))?;
         let mut inner = self.inner.lock();
         if inner.manifests.contains_key(&manifest.name) {
             // Lost a publish race: drop our copy, keep the winner.
             drop(inner);
-            let _removed = ep.remove(&cap);
+            let _removed = self.remove(drive, object);
             return Err(DedupError::SnapshotExists(manifest.name.clone()));
         }
         inner
@@ -499,10 +483,7 @@ impl ChunkStore {
                 .ok_or_else(|| DedupError::NoSuchSnapshot(name.to_owned()))?;
             (drive, object)
         };
-        let ep = self.endpoint(drive)?;
-        let cap = self.rw_cap(&ep, object);
-        ep.remove(&cap)?;
-        Ok(())
+        self.remove(drive, object)
     }
 
     // ------------------------------------------------------------------
@@ -536,14 +517,11 @@ impl ChunkStore {
             .index_objects
             .push((drive, object, generation));
         for (sdrive, sobject, _) in stale {
-            if let Ok(sep) = self.endpoint(sdrive) {
-                let scap = self.rw_cap(&sep, sobject);
-                // Best-effort: a failure leaves a stale index object
-                // that loses the generation race forever; the next
-                // successful flush retries the removal.
-                if sep.remove(&scap).is_err() {
-                    self.inner.lock().index_objects.push((sdrive, sobject, 0));
-                }
+            // Best-effort: a failure leaves a stale index object that
+            // loses the generation race forever; the next successful
+            // flush retries the removal.
+            if self.remove(sdrive, sobject).is_err() {
+                self.inner.lock().index_objects.push((sdrive, sobject, 0));
             }
         }
         Ok(generation)
@@ -556,14 +534,8 @@ impl ChunkStore {
         generation: u64,
     ) -> Result<(u32, ObjectId), DedupError> {
         let drive = self.place(&generation.to_be_bytes());
-        let ep = self.endpoint(drive)?;
-        let object = ep.create_object(
-            self.config.partition,
-            wire.len() as u64,
-            None,
-            self.expiry(),
-        )?;
-        let cap = self.rw_cap(&ep, object);
+        let object = self.create(drive, wire.len() as u64)?;
+        let (ep, cap) = self.access(drive, object, Rights::WRITE | Rights::SETATTR)?;
         ep.write(&cap, 0, Bytes::from(wire))?;
         ep.set_fs_specific(&cap, Self::tag(ROLE_INDEX, generation))?;
         Ok((drive, object))
@@ -576,17 +548,10 @@ impl ChunkStore {
         let mut indexes: Vec<(u32, ObjectId, u64)> = Vec::new();
         let mut manifest_objs: Vec<(u32, ObjectId)> = Vec::new();
         for (di, ep) in self.fleet.endpoints().iter().enumerate() {
-            let list_cap = ep.mint_partition(self.config.partition, Rights::GETATTR, self.expiry());
-            let list = RequestBody::ListObjects {
-                partition: self.config.partition,
-            };
             // A drive error aborts open: recovery must never silently
             // proceed with a partial view of the store.
-            let ReplyBody::Objects(ids) = ep.call(&list_cap, list, Bytes::new())? else {
-                return Err(FmError::Drive(NasdStatus::DriveError).into());
-            };
-            for id in ids {
-                let cap = self.ro_cap(ep, id);
+            for id in self.fleet.list(ep)? {
+                let (ep, cap) = self.access(di as u32, id, Rights::GETATTR)?;
                 let attrs = ep.get_attr(&cap)?;
                 let Some((role, generation)) = Self::parse_tag(&attrs.fs_specific) else {
                     continue;
@@ -645,8 +610,7 @@ impl ChunkStore {
         }
         // Load the snapshot catalog; a torn manifest write is skipped.
         for (di, id) in manifest_objs {
-            let ep = self.endpoint(di)?;
-            let cap = self.ro_cap(&ep, id);
+            let (ep, cap) = self.access(di, id, Rights::READ | Rights::GETATTR)?;
             let attrs = ep.get_attr(&cap)?;
             let rope = ep.read(&cap, 0, attrs.size)?;
             // nasd-lint: allow(hot-path-copy, "manifests are small and decoded once per discovery")
@@ -674,8 +638,7 @@ impl ChunkStore {
         drive: u32,
         pack: PackState,
     ) -> Result<(), DedupError> {
-        let ep = self.endpoint(drive)?;
-        let cap = self.ro_cap(&ep, pack.object);
+        let (ep, cap) = self.access(drive, pack.object, Rights::READ | Rights::GETATTR)?;
         let size = match ep.get_attr(&cap) {
             Ok(attrs) => attrs.size,
             Err(nasd_fm::FmError::Drive(nasd_proto::NasdStatus::NoSuchObject)) => {
@@ -770,8 +733,7 @@ impl ChunkStore {
 
     /// Load and verify one persisted index object.
     fn load_index(&self, drive: u32, object: ObjectId) -> Result<Inner, DedupError> {
-        let ep = self.endpoint(drive)?;
-        let cap = self.ro_cap(&ep, object);
+        let (ep, cap) = self.access(drive, object, Rights::READ | Rights::GETATTR)?;
         let size = ep.get_attr(&cap)?.size;
         // nasd-lint: allow(hot-path-copy, "the persisted index is decoded once per open; decode needs contiguous bytes")
         let buf = ep.read(&cap, 0, size)?.to_vec();
@@ -860,38 +822,51 @@ impl ChunkStore {
         (h % self.fleet.len().max(1) as u64) as u32
     }
 
-    pub(crate) fn endpoint(&self, drive: u32) -> Result<Arc<DriveEndpoint>, DedupError> {
+    /// Fleet drive `drive` (an index into the fleet, as in [`ChunkLoc`]).
+    fn drive(&self, drive: u32) -> Result<&DriveEndpoint, DedupError> {
         self.fleet
             .endpoints()
             .get(drive as usize)
-            .cloned()
+            .map(|ep| &**ep)
             .ok_or(DedupError::Corrupt("chunk placed on unknown drive"))
     }
 
-    fn expiry(&self) -> u64 {
-        self.fleet.now().saturating_add(self.config.cap_lifetime)
+    /// `object` on fleet drive `drive`.
+    fn handle(&self, drive: u32, object: ObjectId) -> Result<FileHandle, DedupError> {
+        Ok(FileHandle {
+            drive: self.drive(drive)?.id(),
+            partition: self.fleet.partition(),
+            object,
+        })
     }
 
-    pub(crate) fn rw_cap(&self, ep: &DriveEndpoint, object: ObjectId) -> nasd_proto::Capability {
-        ep.mint(
-            self.config.partition,
-            object,
-            Version(0),
-            Rights::READ | Rights::WRITE | Rights::GETATTR | Rights::SETATTR | Rights::REMOVE,
-            ByteRange::FULL,
-            self.expiry(),
-        )
+    /// A fresh object of `preallocate` bytes on fleet drive `drive`.
+    fn create(&self, drive: u32, preallocate: u64) -> Result<ObjectId, DedupError> {
+        let fh = self.fleet.create(self.drive(drive)?, None, preallocate)?;
+        Ok(fh.object)
     }
 
-    pub(crate) fn ro_cap(&self, ep: &DriveEndpoint, object: ObjectId) -> nasd_proto::Capability {
-        ep.mint(
-            self.config.partition,
-            object,
-            Version(0),
-            Rights::READ | Rights::GETATTR,
-            ByteRange::FULL,
-            self.expiry(),
-        )
+    /// A capability for `rights` over all of `object` on fleet drive
+    /// `drive`, minted by the fleet at the version it tracks, with the
+    /// endpoint to use it on.
+    pub(crate) fn access(
+        &self,
+        drive: u32,
+        object: ObjectId,
+        rights: Rights,
+    ) -> Result<(&DriveEndpoint, Capability), DedupError> {
+        let fh = self.handle(drive, object)?;
+        Ok(self.fleet.mint(fh, rights, ByteRange::FULL)?)
+    }
+
+    /// Remove `object` from fleet drive `drive`, then drop the version
+    /// the fleet tracks for it.
+    pub(crate) fn remove(&self, drive: u32, object: ObjectId) -> Result<(), DedupError> {
+        let fh = self.handle(drive, object)?;
+        let (ep, cap) = self.fleet.mint(fh, Rights::REMOVE, ByteRange::FULL)?;
+        ep.remove(&cap)?;
+        self.fleet.forget(fh);
+        Ok(())
     }
 
     /// The open pack on `drive`, rolling to a fresh object when the
@@ -917,14 +892,8 @@ impl ChunkStore {
                 });
             }
         }
-        let ep = self.endpoint(drive)?;
-        let object = ep.create_object(
-            self.config.partition,
-            self.config.pack_target_bytes,
-            None,
-            self.expiry(),
-        )?;
-        let cap = self.rw_cap(&ep, object);
+        let object = self.create(drive, self.config.pack_target_bytes)?;
+        let (ep, cap) = self.access(drive, object, Rights::SETATTR)?;
         ep.set_fs_specific(&cap, Self::tag(ROLE_PACK, 0))?;
         let mut inner = self.inner.lock();
         if inner.packs.len() <= drive as usize {
@@ -1013,6 +982,7 @@ impl ChunkStore {
 mod tests {
     use super::*;
     use nasd_object::DriveConfig;
+    use nasd_proto::PartitionId;
 
     #[test]
     fn failed_flush_keeps_stale_index_objects_tracked() {

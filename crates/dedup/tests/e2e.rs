@@ -3,7 +3,7 @@
 use nasd_dedup::{
     ArchiveSource, BackupClient, ChunkStore, ChunkerParams, DedupError, PruneOptions, StoreConfig,
 };
-use nasd_fm::DriveFleet;
+use nasd_fm::{DriveFleet, FileHandle};
 use nasd_object::DriveConfig;
 use nasd_obs::Registry;
 use nasd_proto::PartitionId;
@@ -13,10 +13,8 @@ const P1: PartitionId = PartitionId(1);
 
 fn small_store_config() -> StoreConfig {
     StoreConfig {
-        partition: P1,
         pack_target_bytes: 64 << 10,
         compress: true,
-        cap_lifetime: 1 << 30,
     }
 }
 
@@ -399,4 +397,48 @@ fn compaction_moves_survivors_and_removes_packs() {
     // Survivor restores fine after its chunks moved.
     let r = client.restore("b").unwrap();
     assert_eq!(r[0].data, data(120_000, 4));
+}
+
+#[test]
+fn chunks_read_back_after_every_store_object_is_revoked() {
+    let fleet = spawn(2);
+    let store =
+        ChunkStore::open(Arc::clone(&fleet), small_store_config(), &Registry::new()).unwrap();
+    let mut session = store.pin_session();
+    let chunk = data(10_000, 11);
+    let (digest, _) = store.insert(&mut session, &chunk).unwrap();
+    store.flush().unwrap();
+
+    // Any manager over the fleet may revoke: the store mints at the
+    // version the fleet tracks, so its capabilities follow.
+    for ep in fleet.endpoints() {
+        for object in fleet.list(ep).unwrap() {
+            let partition = fleet.partition();
+            let drive = ep.id();
+            fleet
+                .revoke(FileHandle {
+                    drive,
+                    partition,
+                    object,
+                })
+                .unwrap();
+        }
+    }
+    assert_eq!(store.read_chunk(&digest).unwrap(), chunk);
+    let reopened =
+        ChunkStore::open(Arc::clone(&fleet), small_store_config(), &Registry::new()).unwrap();
+    assert_eq!(reopened.read_chunk(&digest).unwrap(), chunk);
+}
+
+#[test]
+fn the_default_config_stores_in_the_fleets_partition() {
+    let fleet = Arc::new(
+        DriveFleet::spawn_memory(2, DriveConfig::small(), PartitionId(2), 64 << 20).unwrap(),
+    );
+    let store =
+        ChunkStore::open(Arc::clone(&fleet), StoreConfig::default(), &Registry::new()).unwrap();
+    let mut session = store.pin_session();
+    let chunk = data(10_000, 12);
+    let (digest, _) = store.insert(&mut session, &chunk).unwrap();
+    assert_eq!(store.read_chunk(&digest).unwrap(), chunk);
 }

@@ -23,7 +23,7 @@ use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
 use crate::link::ManagerLink;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
+use nasd_net::{spawn_service, Channel, Rpc, ServiceHandle};
 use nasd_proto::{ByteRange, Capability, Rights};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -446,18 +446,6 @@ impl AfsClient {
         self.root
     }
 
-    /// Replace the control-path retry policy (any attached call stats
-    /// are kept).
-    pub fn set_retry(&mut self, policy: RetryPolicy) {
-        self.link.set_retry(policy);
-    }
-
-    /// Replace the full control-path call options (policy, per-attempt
-    /// timeout and stats) in one shot.
-    pub fn set_call_options(&mut self, opts: CallOptions) {
-        self.link.set_call_options(opts);
-    }
-
     fn call_fm(&self, req: AfsRequest) -> Result<AfsResponse, FmError> {
         self.link.call(&self.fm, req)
     }
@@ -627,6 +615,7 @@ impl std::fmt::Debug for AfsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nasd_net::CallOptions;
     use nasd_net::{FaultConfig, FaultPlan};
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;

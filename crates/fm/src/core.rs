@@ -61,7 +61,7 @@ impl FmCore {
     /// drive 0.
     pub(crate) fn new(fleet: Arc<DriveFleet>) -> Result<Self, FmError> {
         let core = FmCore {
-            root: fleet.create(fleet.endpoint(0), None)?,
+            root: fleet.create(fleet.endpoint(0), None, 0)?,
             fleet,
             dir_locks: DirLocks::new(),
             dirs: Mutex::new(HashMap::new()),
@@ -231,7 +231,7 @@ impl FmCore {
             // Directories stay on the parent's drive for locality.
             FileType::Directory => (self.fleet.resolve(dir)?, Some(dir.object)),
         };
-        let fh = self.fleet.create(ep, near)?;
+        let fh = self.fleet.create(ep, near, 0)?;
         self.write_policy(fh, &FmAttrs::fresh(file_type, mode, uid))?;
         let mut entries: Vec<DirRecord> = listing.iter().cloned().collect();
         entries.push(DirRecord {

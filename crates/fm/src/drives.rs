@@ -790,8 +790,9 @@ impl DriveFleet {
             .ok_or_else(|| FmError::NotFound(fh.to_string()))
     }
 
-    /// Make an empty object on `ep`, clustered `near` an existing one
-    /// when given — the one way a manager creates an object.
+    /// Make an empty object on `ep` with `preallocate` bytes reserved,
+    /// clustered `near` an existing one when given — the one way a
+    /// manager creates an object.
     ///
     /// # Errors
     ///
@@ -800,13 +801,31 @@ impl DriveFleet {
         &self,
         ep: &DriveEndpoint,
         near: Option<ObjectId>,
+        preallocate: u64,
     ) -> Result<FileHandle, FmError> {
         let expires = self.now() + DEFAULT_TTL;
         Ok(FileHandle {
             drive: ep.id(),
             partition: self.partition,
-            object: ep.create_object(self.partition, 0, near, expires)?,
+            object: ep.create_object(self.partition, preallocate, near, expires)?,
         })
+    }
+
+    /// Every object in the fleet's partition on `ep`.
+    ///
+    /// # Errors
+    ///
+    /// Drive statuses and transport failures.
+    pub fn list(&self, ep: &DriveEndpoint) -> Result<Vec<ObjectId>, FmError> {
+        let expires = self.now() + DEFAULT_TTL;
+        let cap = ep.mint_partition(self.partition, Rights::GETATTR, expires);
+        let list = RequestBody::ListObjects {
+            partition: self.partition,
+        };
+        match ep.call(&cap, list, Bytes::new())? {
+            ReplyBody::Objects(ids) => Ok(ids),
+            _ => Err(FmError::Drive(NasdStatus::DriveError)),
+        }
     }
 
     /// A capability for `rights` over `region` of `fh`, minted at the

@@ -27,13 +27,6 @@ impl Default for ManagerLink {
 }
 
 impl ManagerLink {
-    /// Replace the retry policy (any attached call stats are kept).
-    pub fn set_retry(&mut self, policy: RetryPolicy) {
-        let stats = self.opts.stats.take();
-        self.opts = CallOptions::retry(policy);
-        self.opts.stats = stats;
-    }
-
     /// Replace the full call options (policy, per-attempt timeout and
     /// stats) in one shot.
     pub fn set_call_options(&mut self, opts: CallOptions) {
@@ -69,12 +62,11 @@ mod tests {
     use nasd_obs::Registry;
 
     #[test]
-    fn set_retry_keeps_attached_stats() {
+    fn attached_stats_count_calls() {
         let registry = Registry::new();
         let (rpc, _h) = spawn_service(|x: u64| x);
         let mut link = ManagerLink::default();
         link.set_call_options(CallOptions::blocking().with_registry(&registry, "mgr"));
-        link.set_retry(RetryPolicy::control());
         link.call(&Channel::in_proc(rpc), 7).unwrap();
         assert_eq!(registry.counter("mgr/calls").value(), 1);
     }

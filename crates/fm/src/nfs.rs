@@ -14,7 +14,7 @@ use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
 use crate::link::ManagerLink;
 use bytes::{ByteRope, Bytes};
-use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, ServiceHandle};
+use nasd_net::{spawn_service, CallOptions, Channel, Rpc, ServiceHandle};
 use nasd_obs::Registry;
 use nasd_proto::{ByteRange, Capability, RetryClass, Rights};
 use std::sync::Arc;
@@ -346,12 +346,6 @@ impl NfsClient {
         self.root
     }
 
-    /// Replace the control-path retry policy (any attached call stats
-    /// are kept).
-    pub fn set_retry(&mut self, policy: RetryPolicy) {
-        self.link.set_retry(policy);
-    }
-
     /// Replace the full control-path call options (policy, per-attempt
     /// timeout and stats) in one shot.
     pub fn set_call_options(&mut self, opts: CallOptions) {
@@ -652,6 +646,7 @@ impl std::fmt::Debug for NfsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nasd_net::RetryPolicy;
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;
 

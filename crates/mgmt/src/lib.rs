@@ -7,8 +7,8 @@
 //! fallback); this crate is the half that *repairs* one:
 //!
 //! - a [`HealthMonitor`] sweeps the fleet with short-timeout liveness
-//!   probes and declares a drive failed after a configurable number of
-//!   consecutive silent sweeps,
+//!   probes and declares a drive failed after two consecutive silent
+//!   sweeps,
 //! - a [`SparePool`] holds hot spares (drives no layout references),
 //! - the rebuild engine reconstructs every component of the failed
 //!   drive onto a spare — copying a mirror, or XORing surviving
@@ -39,7 +39,6 @@ mod scrub;
 mod service;
 mod spare;
 
-pub use config::MgmtConfig;
 pub use health::{DriveHealth, HealthMonitor};
 pub use rebuild::{RebuildOutcome, SlotFate};
 pub use scrub::ScrubOutcome;

@@ -21,6 +21,7 @@
 //! all-zero chunks are skipped on write, so the spare's object reads
 //! back byte-identical: unwritten object space reads as zero.
 
+use crate::config::REBUILD_CHUNK;
 use crate::service::{chunks, extent, MgmtError, NasdMgmt};
 use bytes::Bytes;
 use nasd_cheops::{xor_read, ComponentSlot, Layout, LogicalObjectId, RepairPhase};
@@ -171,10 +172,10 @@ impl NasdMgmt {
         };
         let len = extent(&sources)?;
         let spare_ep = self.fleet.by_id(spare).ok_or(FmError::Transport)?;
-        let new = self.fleet.create(spare_ep, None)?;
+        let new = self.fleet.create(spare_ep, None, 0)?;
         let (ep, cap) = self.fleet.mint(new, Rights::WRITE, ByteRange::FULL)?;
         let mut moved = 0u64;
-        for (offset, n) in chunks(len, self.config.rebuild_chunk) {
+        for (offset, n) in chunks(len, REBUILD_CHUNK) {
             // Throttle *before* the transfer: the token bucket meters
             // reconstruction progress, foreground traffic fills the gaps.
             self.rebuild_pacer.debit(n);

@@ -11,8 +11,8 @@
 //! Each object is scrubbed under a short exclusive lease, on the layout
 //! as it stands under that lease, so a racing writer's read-modify-write
 //! can't read as a latent error; objects whose lease stays busy are
-//! skipped and picked up by the next pass. Scrub I/O is throttled
-//! through its own [`nasd_net::RatePacer`].
+//! skipped and picked up by the next pass. Scrub I/O is not throttled;
+//! only rebuild is (see [`crate::NasdMgmt::new`]).
 
 use crate::config::SCRUB_CHUNK;
 use crate::service::{chunks, extent, MgmtError, NasdMgmt};
@@ -96,7 +96,6 @@ impl NasdMgmt {
         let target = [self.fleet.mint(held, rights, ByteRange::FULL)?];
         let len = extent(&sources)?.max(extent(&target)?);
         for (offset, n) in chunks(len, SCRUB_CHUNK) {
-            self.scrub_pacer.debit(n);
             let mut expect = vec![0u8; n as usize];
             xor_read(&mut expect, &sources, offset)?;
             let mut actual = vec![0u8; n as usize];

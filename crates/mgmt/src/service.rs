@@ -3,7 +3,8 @@
 //! scrubber.
 
 use crate::config::{
-    MgmtConfig, LEASE_RETRIES, LEASE_RETRY_PAUSE, LEASE_TTL, MGMT_CLIENT_ID, PROBE_ATTEMPTS,
+    FAILURE_THRESHOLD, LEASE_RETRIES, LEASE_RETRY_PAUSE, LEASE_TTL, MGMT_CLIENT_ID, PROBE_ATTEMPTS,
+    PROBE_TIMEOUT,
 };
 use crate::health::HealthMonitor;
 use crate::rebuild::RebuildOutcome;
@@ -96,11 +97,9 @@ impl MgmtObs {
 pub struct NasdMgmt {
     pub(crate) fleet: Arc<DriveFleet>,
     pub(crate) mgr: Arc<CheopsManager>,
-    pub(crate) config: MgmtConfig,
     pub(crate) health: HealthMonitor,
     pub(crate) spares: SparePool,
     pub(crate) rebuild_pacer: RatePacer,
-    pub(crate) scrub_pacer: RatePacer,
     pub(crate) obs: MgmtObs,
 }
 
@@ -114,25 +113,25 @@ impl std::fmt::Debug for NasdMgmt {
 
 impl NasdMgmt {
     /// Storage management for `mgr`'s logical objects on `fleet` (the
-    /// fleet `mgr` was built over), with `spares` held in reserve. Metrics
-    /// go to a private registry until [`NasdMgmt::observed`] rewires them.
+    /// fleet `mgr` was built over), with `spares` held in reserve and
+    /// rebuild I/O throttled to `rebuild_rate` bytes/second (`0` =
+    /// unthrottled). Metrics go to a private registry until
+    /// [`NasdMgmt::observed`] rewires them.
     #[must_use]
     pub fn new(
         fleet: Arc<DriveFleet>,
         mgr: Arc<CheopsManager>,
         spares: Vec<DriveId>,
-        config: MgmtConfig,
+        rebuild_rate: u64,
     ) -> Self {
         let registry = Registry::new();
         NasdMgmt {
             fleet,
-            health: HealthMonitor::new(config.failure_threshold),
+            health: HealthMonitor::new(FAILURE_THRESHOLD),
             spares: SparePool::new(spares),
-            rebuild_pacer: RatePacer::with_rate(config.rebuild_rate),
-            scrub_pacer: RatePacer::with_rate(config.scrub_rate),
+            rebuild_pacer: RatePacer::with_rate(rebuild_rate),
             obs: MgmtObs::wire(&registry, None),
             mgr,
-            config,
         }
     }
 
@@ -168,7 +167,7 @@ impl NasdMgmt {
         let mut report = CheckReport::default();
         let newly = self
             .health
-            .sweep(&self.fleet, self.config.probe_timeout, PROBE_ATTEMPTS);
+            .sweep(&self.fleet, PROBE_TIMEOUT, PROBE_ATTEMPTS);
         for drive in newly {
             self.obs.failures.inc();
             if self.spares.remove(drive) && !self.mgr.drives_in_use().contains(&drive) {
@@ -330,15 +329,11 @@ mod tests {
             .collect()
     }
 
-    fn quick_config() -> MgmtConfig {
-        MgmtConfig::standard().probe_timeout(Duration::from_millis(30))
-    }
-
     /// Detect-then-rebuild after `threshold` sweeps; returns the last
     /// report (the one that carried the rebuild).
     fn detect_and_rebuild(mgmt: &NasdMgmt) -> CheckReport {
         let mut last = CheckReport::default();
-        for _ in 0..mgmt.config.failure_threshold {
+        for _ in 0..FAILURE_THRESHOLD {
             last = mgmt.check_once();
         }
         last
@@ -357,12 +352,7 @@ mod tests {
         fleet.crash(1);
 
         let spare = fleet.endpoint(4).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Arc::clone(&mgr),
-            vec![spare],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![spare], 0);
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.newly_failed, vec![failed]);
         assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
@@ -409,12 +399,7 @@ mod tests {
         let failed = fleet.endpoint(1).id();
         fleet.crash(1);
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Arc::clone(&mgr),
-            vec![spare],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![spare], 0);
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
         assert_eq!(report.rebuilt[0].1.components, 2, "primary + mirror slot");
@@ -448,7 +433,7 @@ mod tests {
         pep.write(&pcap, 4_000, Bytes::from(vec![0xAA; 2_000]))
             .unwrap();
 
-        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], 0);
         let outcome = mgmt.scrub().unwrap();
         assert_eq!(outcome.objects, 1);
         assert!(outcome.mismatches >= 1, "corruption must be found");
@@ -485,7 +470,7 @@ mod tests {
         );
         mep.write(&mcap, 100, Bytes::from(vec![0x55; 300])).unwrap();
 
-        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], 0);
         let outcome = mgmt.scrub().unwrap();
         assert!(outcome.mismatches >= 1);
         // The mirror again matches the primary: kill the primary's drive
@@ -507,7 +492,7 @@ mod tests {
 
         let failed = fleet.endpoint(1).id();
         fleet.crash(1);
-        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], 0);
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.newly_failed, vec![failed]);
         assert!(report.rebuilt.is_empty());
@@ -547,12 +532,7 @@ mod tests {
         let failed = fleet.endpoint(1).id();
         fleet.crash(1);
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Arc::clone(&mgr),
-            vec![spare],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![spare], 0);
         let outcome = mgmt.rebuild_drive(failed).unwrap();
         assert_eq!(outcome.busy, vec![held]);
         assert_eq!((outcome.objects, outcome.components), (2, 1));
@@ -587,12 +567,7 @@ mod tests {
     fn failed_spare_is_dropped_not_rebuilt() {
         let (fleet, mgr, _client) = setup(3);
         let spare = fleet.endpoint(2).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Arc::clone(&mgr),
-            vec![spare],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![spare], 0);
         fleet.crash(2);
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.spares_lost, vec![spare]);
@@ -611,7 +586,7 @@ mod tests {
         client.write(&file, 0, &data).unwrap();
         let pool = vec![fleet.endpoint(4).id(), fleet.endpoint(5).id()];
         assert_eq!(file.layout.parity.map(|p| p.drive), Some(pool[0]));
-        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, pool, quick_config());
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, pool, 0);
         (fleet, client, mgmt, data)
     }
 
@@ -668,7 +643,7 @@ mod tests {
 
         fleet.crash(1);
         let spare = vec![fleet.endpoint(4).id()];
-        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, spare, quick_config());
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr, spare, 0);
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
         assert_eq!(report.rebuilt[0].1.components, 1);
@@ -690,7 +665,7 @@ mod tests {
         client.write(&file, 0, &pattern(32 << 10, 1)).unwrap();
 
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], quick_config());
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![], 0);
         mgmt.add_spare(spare);
         assert_eq!(mgmt.spares_free(), vec![spare]);
         assert!(mgr.repairs().is_empty());
@@ -721,12 +696,7 @@ mod tests {
         let spare = fleet.endpoint(3).id();
         // Column 1 holds ~256 KiB; at 1 MiB/s the rebuild must take
         // roughly 250 ms (wall-clock assertions stay loose).
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Arc::clone(&mgr),
-            vec![spare],
-            quick_config().rebuild_rate(1 << 20).rebuild_chunk(32 << 10),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![spare], 1 << 20);
         let t0 = std::time::Instant::now();
         let outcome = mgmt.rebuild_drive(failed).unwrap();
         let elapsed = t0.elapsed();
@@ -750,13 +720,8 @@ mod tests {
         let registry = Registry::new();
         let trace = TraceSink::new(256);
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Arc::clone(&mgr),
-            vec![spare],
-            quick_config(),
-        )
-        .observed(&registry, Some(Arc::clone(&trace)));
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![spare], 0)
+            .observed(&registry, Some(Arc::clone(&trace)));
         fleet.crash(1);
         detect_and_rebuild(&mgmt);
         assert_eq!(registry.counter("mgmt/failures").value(), 1);

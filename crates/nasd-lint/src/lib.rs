@@ -38,8 +38,9 @@
 //!   transport crate; every caller goes through
 //!   `call_with(&CallOptions)`.
 //! - **M1 one mint** — in the manager crates (`fm`, `cheops`, `mgmt`,
-//!   `pfs`) a capability is minted only through `fleet.mint(..)`, at the
-//!   version the fleet's one table tracks; any other `.mint(` outside
+//!   `pfs`) and the backup store (`dedup`) a capability is minted only
+//!   through `fleet.mint(..)`, at the version the fleet's one table
+//!   tracks; any other `.mint(`, and any `.mint_partition(`, outside
 //!   `crates/fm/src/drives.rs` is a finding.
 //!
 //! The analyzer runs in two passes: pass 1 lexes every source file,
@@ -433,9 +434,11 @@ pub const RULES: &[RuleInfo] = &[
         allow: None,
         rationale: "Revocation is a version bump (§4.1), and it only holds if \
                     every manager mints at the version the fleet's one table \
-                    tracks. In crates fm, cheops, mgmt and pfs, a `.mint(` call \
-                    outside crates/fm/src/drives.rs that is not `fleet.mint(..)` \
-                    signs around that table. Unsuppressable.",
+                    tracks. In crates fm, cheops, mgmt, pfs and dedup, a `.mint(` \
+                    call outside crates/fm/src/drives.rs that is not \
+                    `fleet.mint(..)` signs around that table, and a \
+                    `.mint_partition(` there signs for a partition other than \
+                    the fleet's. Unsuppressable.",
     },
     RuleInfo {
         id: "S0",

@@ -385,8 +385,8 @@ pub(crate) fn check_a1(src: &Source, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// Crates whose managers hand out capabilities.
-const M1_CRATES: &[&str] = &["fm", "cheops", "mgmt", "pfs"];
+/// Crates whose managers (and the backup store) use capabilities.
+const M1_CRATES: &[&str] = &["fm", "cheops", "mgmt", "pfs", "dedup"];
 
 /// The file holding the fleet's mint, the one place a capability is signed.
 const M1_MINT_FILE: &str = "crates/fm/src/drives.rs";
@@ -395,7 +395,9 @@ const M1_MINT_FILE: &str = "crates/fm/src/drives.rs";
 /// `fleet.mint(..)`, which signs at the version the fleet's one table
 /// tracks. Any other `.mint(` call in a manager crate's non-test code
 /// (an endpoint's, a `CapabilityPublic`'s, a private helper) can sign at
-/// a version a revocation already retired. Unsuppressable.
+/// a version a revocation already retired, and a `.mint_partition(`
+/// there signs for a partition the caller picked rather than the
+/// fleet's. Unsuppressable.
 pub(crate) fn check_m1(src: &Source, out: &mut Vec<RawFinding>) {
     let manager_src = crate_of(&src.path)
         .is_some_and(|c| M1_CRATES.contains(&c) && src.path.contains(&format!("crates/{c}/src/")));
@@ -404,21 +406,32 @@ pub(crate) fn check_m1(src: &Source, out: &mut Vec<RawFinding>) {
     }
     let toks = &src.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
-        let mint_call = t.is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_ident("mint"))
-            && toks.get(i + 2).is_some_and(|n| n.is_punct('('));
-        let receiver = i.checked_sub(1).and_then(|r| toks.get(r));
-        if !mint_call || t.in_test || receiver.is_some_and(|r| r.is_ident("fleet")) {
+        if t.in_test {
             continue;
         }
+        let called = |name| {
+            t.is_punct('.')
+                && toks.get(i + 1).is_some_and(|n| n.is_ident(name))
+                && toks.get(i + 2).is_some_and(|n| n.is_punct('('))
+        };
+        let receiver = i.checked_sub(1).and_then(|r| toks.get(r));
+        let via_fleet = receiver.is_some_and(|r| r.is_ident("fleet"));
+        let message = if called("mint") && !via_fleet {
+            "`.mint(` outside the fleet signs at a version the fleet's \
+             table may have revoked; mint through `fleet.mint(fh, rights, \
+             region)` instead"
+        } else if called("mint_partition") {
+            "`.mint_partition(` outside the fleet signs for a partition of \
+             the caller's choosing; list and create through `fleet.list(ep)` \
+             and `fleet.create(ep, near, preallocate)` instead"
+        } else {
+            continue;
+        };
         out.push(RawFinding {
             rule: "M1",
             file: src.path.clone(),
             line: t.line,
-            message: "`.mint(` outside the fleet signs at a version the fleet's \
-                      table may have revoked; mint through `fleet.mint(fh, rights, \
-                      region)` instead"
-                .to_owned(),
+            message: message.to_owned(),
             allow: None,
         });
     }

@@ -287,13 +287,26 @@ fn m1_a_mint_around_the_fleet_is_reported() {
     let flagged: Vec<&str> = stdout.lines().filter(|l| l.contains("[M1]")).collect();
     assert_eq!(
         flagged.len(),
-        1,
-        "only the endpoint mint outside the fleet is flagged: not `fleet.mint`, \
+        3,
+        "only the raw mints outside the fleet are flagged: not `fleet.mint`, \
          not test code, not the fleet's own file\n{stdout}"
     );
+    for line in [
+        "cheops/src/manager.rs:9",
+        "dedup/src/store.rs:7",
+        "dedup/src/store.rs:12",
+    ] {
+        assert!(
+            flagged.iter().any(|f| f.contains(line)),
+            "the findings name the raw mint at {line}\n{stdout}"
+        );
+    }
     assert!(
-        flagged[0].contains("cheops/src/manager.rs:9"),
-        "the finding names the raw mint's line\n{stdout}"
+        flagged.iter().any(|f| f.contains("mint_partition")),
+        "a partition mint is named as such\n{stdout}"
     );
-    assert!(stdout.contains("1 finding"), "nothing else fires\n{stdout}");
+    assert!(
+        stdout.contains("3 findings"),
+        "nothing else fires\n{stdout}"
+    );
 }

@@ -264,13 +264,6 @@ impl DriveBuilder {
         self
     }
 
-    /// Enable WAL commit-before-ack (see [`DriveConfig::durable_writes`]).
-    #[must_use]
-    pub fn durable(mut self) -> Self {
-        self.config.durable_writes = true;
-        self
-    }
-
     /// Root the key hierarchy at `seed` instead of the default test seed.
     #[must_use]
     pub fn master_seed(mut self, seed: [u8; 32]) -> Self {
@@ -1352,7 +1345,9 @@ mod tests {
 
     #[test]
     fn setkey_survives_power_cycle() {
-        let mut d = NasdDrive::builder(1).durable().build();
+        let mut d = NasdDrive::builder(1)
+            .config(DriveConfig::small().durable())
+            .build();
         d.admin_create_partition(P, 16 << 20).unwrap();
         let obj = d.admin_create_object(P, 0).unwrap();
         let old = d.issue_capability(P, obj, Rights::READ | Rights::WRITE, 1_000);
@@ -1367,7 +1362,7 @@ mod tests {
         let device = d.store().cache().device().clone();
         drop(d);
         let mut d2 = NasdDrive::builder(1)
-            .durable()
+            .config(DriveConfig::small().durable())
             .open(device)
             .expect("remount");
         assert_eq!(
@@ -1383,7 +1378,7 @@ mod tests {
         let device = d2.store().cache().device().clone();
         drop(d2);
         let mut d3 = NasdDrive::builder(1)
-            .durable()
+            .config(DriveConfig::small().durable())
             .open(device)
             .expect("remount");
         assert_eq!(c.read(&mut d3, 0, 5).unwrap(), b"keyed");
@@ -1396,7 +1391,9 @@ mod tests {
     /// changes no logical state.
     #[test]
     fn acked_mutations_reach_the_log() {
-        let mut d = NasdDrive::builder(1).durable().build();
+        let mut d = NasdDrive::builder(1)
+            .config(DriveConfig::small().durable())
+            .build();
         // The first commit formats the device with a checkpoint.
         d.admin_create_partition(P, 16 << 20).unwrap();
         let obj = d.admin_create_object(P, 0).unwrap();

@@ -94,12 +94,6 @@ impl DriveSecurity {
         }
     }
 
-    /// Whether verification is active.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Install the key set for a partition (done over the administrative
     /// channel when the partition is created).
     pub fn install_partition_keys(&mut self, p: PartitionId, keys: DriveKeys) {

@@ -63,10 +63,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?);
     let registry = Registry::new();
     let config = StoreConfig {
-        partition: fleet.partition(),
         pack_target_bytes: 2 << 20,
         compress: true,
-        cap_lifetime: 1 << 30,
     };
     let store = ChunkStore::open(Arc::clone(&fleet), config, &registry)?;
     let client = BackupClient::with_params(

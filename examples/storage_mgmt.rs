@@ -10,12 +10,11 @@
 use nasd::cheops::CheopsConnect;
 use nasd::cheops::{CheopsManager, Redundancy, RepairPhase};
 use nasd::fm::DriveFleet;
-use nasd::mgmt::{MgmtConfig, NasdMgmt};
+use nasd::mgmt::NasdMgmt;
 use nasd::net::Connector;
 use nasd::object::DriveConfig;
 use nasd::proto::{ByteRange, PartitionId, Rights, Version};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Five drives: three data columns + parity, and one hot spare that
@@ -54,14 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // alive; only transport silence counts), claims the spare, rebuilds
     // the lost column at 4 MiB/s, and swaps the map atomically.
     let spare = fleet.endpoint(4).id();
-    let mgmt = NasdMgmt::new(
-        Arc::clone(&fleet),
-        Arc::clone(&mgr),
-        vec![spare],
-        MgmtConfig::standard()
-            .probe_timeout(Duration::from_millis(30))
-            .rebuild_rate(4 << 20),
-    );
+    let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&mgr), vec![spare], 4 << 20);
     let mut report = mgmt.check_once();
     while report.rebuilt.is_empty() {
         report = mgmt.check_once(); // strikes accumulate to the threshold

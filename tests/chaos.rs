@@ -16,7 +16,7 @@ use nasd::cheops::CheopsConnect;
 use nasd::cheops::{CheopsManager, Redundancy, RepairPhase};
 use nasd::fm::FmConnect;
 use nasd::fm::{AfsClient, DriveFleet, FmError, NasdAfs, NasdNfs};
-use nasd::mgmt::{MgmtConfig, NasdMgmt};
+use nasd::mgmt::NasdMgmt;
 use nasd::mining::parallel::parallel_frequent_items;
 use nasd::mining::{apriori, TransactionGenerator, TransactionReader};
 use nasd::net::Connector;
@@ -543,13 +543,8 @@ fn rebuild_scenario(seed: u64, chaos: bool, crashed: usize) -> Vec<u8> {
         let spare = fleet.endpoint(4).id();
         let at_crash = reads.load(Ordering::SeqCst);
         fleet.crash(crashed);
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Arc::clone(&storage),
-            vec![spare],
-            MgmtConfig::standard().probe_timeout(Duration::from_millis(30)),
-        );
-        // Detection needs `failure_threshold` silent sweeps; rebuilds
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), Arc::clone(&storage), vec![spare], 0);
+        // Detection needs two silent sweeps; rebuilds
         // interrupted by injected faults resume on the next cycle.
         let mut rebuilt = false;
         for _ in 0..12 {
@@ -1351,10 +1346,8 @@ fn dedup_gc_backup_drive_crash_storm() {
 
     fn config() -> StoreConfig {
         StoreConfig {
-            partition: P1,
             pack_target_bytes: 32 << 10,
             compress: true,
-            cap_lifetime: 1 << 30,
         }
     }
 
