@@ -1,8 +1,8 @@
 //! Functional block devices: where the bytes actually live.
 //!
 //! The timing plane ([`crate::DiskModel`]) answers *when*; these devices
-//! answer *what*. The NASD object system and the FFS baseline store real
-//! data through this interface.
+//! answer *what*. The NASD object system stores real data through this
+//! interface.
 
 use std::fmt;
 use std::sync::Arc;
@@ -395,96 +395,6 @@ impl<D: BlockDevice> BlockDevice for CrashDisk<D> {
     }
 }
 
-/// RAID-0 striping across block devices, block-granular: block `b` lives
-/// on device `b % n` at local block `b / n`.
-///
-/// This is the functional twin of [`crate::StripedModel`] — the paper's
-/// prototype ran its object system over exactly such a striping driver.
-pub struct StripedDevice<D> {
-    members: Vec<D>,
-    block_size: usize,
-    num_blocks: u64,
-}
-
-impl<D: BlockDevice> StripedDevice<D> {
-    /// Stripe over `members`, which must share block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty or block sizes differ.
-    #[must_use]
-    // nasd-lint: allow(transitive-panic, "constructor contract: non-empty members asserted first and documented under Panics")
-    pub fn new(members: Vec<D>) -> Self {
-        assert!(!members.is_empty(), "need at least one member device");
-        let block_size = members[0].block_size();
-        assert!(
-            members.iter().all(|m| m.block_size() == block_size),
-            "member block sizes differ"
-        );
-        let num_blocks = members.iter().map(BlockDevice::num_blocks).sum();
-        StripedDevice {
-            members,
-            block_size,
-            num_blocks,
-        }
-    }
-
-    /// Number of member devices.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.members.len()
-    }
-
-    fn locate(&self, block: u64) -> (usize, u64) {
-        let n = self.members.len() as u64;
-        ((block % n) as usize, block / n)
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for StripedDevice<D> {
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    fn num_blocks(&self) -> u64 {
-        self.num_blocks
-    }
-
-    // nasd-lint: allow(transitive-panic, "locate() maps any in-range block to a valid member index; out-of-range blocks are rejected above it")
-    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
-        if block >= self.num_blocks {
-            return Err(DiskError::OutOfRange {
-                block,
-                device_blocks: self.num_blocks,
-            });
-        }
-        let (member, local) = self.locate(block);
-        self.members[member].read_block(local, buf)
-    }
-
-    // nasd-lint: allow(transitive-panic, "locate() maps any in-range block to a valid member index; out-of-range blocks are rejected above it")
-    fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
-        if block >= self.num_blocks {
-            return Err(DiskError::OutOfRange {
-                block,
-                device_blocks: self.num_blocks,
-            });
-        }
-        let (member, local) = self.locate(block);
-        self.members[member].write_block(local, data)
-    }
-}
-
-impl<D: BlockDevice> fmt::Debug for StripedDevice<D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StripedDevice")
-            .field("width", &self.members.len())
-            .field("block_size", &self.block_size)
-            .field("num_blocks", &self.num_blocks)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,41 +437,6 @@ mod tests {
         ));
         let mut small = vec![0u8; 100];
         assert!(d.read_block(0, &mut small).is_err());
-    }
-
-    #[test]
-    fn striped_maps_blocks_round_robin() {
-        let members = vec![MemDisk::new(512, 4), MemDisk::new(512, 4)];
-        let mut s = StripedDevice::new(members);
-        assert_eq!(s.num_blocks(), 8);
-        assert_eq!(s.width(), 2);
-        for b in 0..8u64 {
-            s.write_block(b, &vec![b as u8; 512]).unwrap();
-        }
-        let mut buf = vec![0u8; 512];
-        for b in 0..8u64 {
-            s.read_block(b, &mut buf).unwrap();
-            assert_eq!(buf[0], b as u8);
-        }
-        // Even blocks landed on member 0, odd on member 1.
-        s.members[0].read_block(1, &mut buf).unwrap();
-        assert_eq!(buf[0], 2);
-        s.members[1].read_block(1, &mut buf).unwrap();
-        assert_eq!(buf[0], 3);
-    }
-
-    #[test]
-    fn striped_bounds() {
-        let mut s = StripedDevice::new(vec![MemDisk::new(512, 2)]);
-        let mut buf = vec![0u8; 512];
-        assert!(s.read_block(2, &mut buf).is_err());
-        assert!(s.write_block(2, &buf).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "block sizes differ")]
-    fn striped_rejects_mixed_block_sizes() {
-        let _ = StripedDevice::new(vec![MemDisk::new(512, 2), MemDisk::new(1024, 2)]);
     }
 
     #[test]

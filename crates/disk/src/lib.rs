@@ -3,8 +3,8 @@
 //! Two planes live here:
 //!
 //! * **Functional**: [`BlockDevice`] and its implementations ([`MemDisk`],
-//!   [`StripedDevice`]) store real bytes for the object system and the
-//!   FFS baseline.
+//!   [`SharedDisk`], [`CrashDisk`]) store real bytes for the object
+//!   system.
 //! * **Timing**: [`DiskModel`] is a mechanical disk simulation — seeks,
 //!   rotation, media transfer, an on-drive segment cache with readahead,
 //!   and write-behind — parameterized by a [`DiskSpec`] from the
@@ -22,6 +22,6 @@ mod device;
 mod model;
 pub mod specs;
 
-pub use device::{BlockDevice, CrashDisk, DiskError, MemDisk, SharedDisk, StripedDevice};
+pub use device::{BlockDevice, CrashDisk, DiskError, MemDisk, SharedDisk};
 pub use model::{DiskModel, DiskOp, StripedModel};
 pub use specs::DiskSpec;

@@ -1,37 +1,12 @@
-//! An FFS-like local filesystem — the baseline of Figure 6.
+//! Empty: the FFS-like local filesystem that used to live here is gone.
 //!
-//! The paper compares its NASD object system against "the local
-//! filesystem (a variant of Berkeley's FFS)" \[McKusick84\]. This crate is
-//! a compact but real fast-file-system: an on-disk layout with a
-//! superblock, inode and block bitmaps, an inode table, directories, and
-//! direct/single-indirect/double-indirect block pointers; cylinder-group
-//! style placement (directories spread across groups, file data clustered
-//! near its inode's group); and FFS's famous write acknowledgement
-//! behaviour ("it acknowledges immediately for writes of up to 64 KB
-//! (write-behind), and otherwise waits for disk media to be updated" —
-//! Figure 6's caption) modelled in the timing harness.
-//!
-//! Everything persists: format, write, [`Ffs::sync`], re-mount from the
-//! same device, read back.
-//!
-//! # Example
-//!
-//! ```
-//! use nasd_disk::MemDisk;
-//! use nasd_ffs::Ffs;
-//!
-//! let mut fs = Ffs::format(MemDisk::new(8192, 2048), 256)?;
-//! fs.mkdir("/docs")?;
-//! let ino = fs.create("/docs/paper.txt")?;
-//! fs.write(ino, 0, b"network attached secure disks")?;
-//! assert_eq!(&fs.read(ino, 8, 8)?[..], b"attached");
-//! # Ok::<(), nasd_ffs::FfsError>(())
-//! ```
+//! Every server-attached baseline number (Figure 6's FFS curves,
+//! Figure 9's NFS server, the Andrew NFS column) comes from a cost
+//! model in `nasd-bench`, so no code read this crate's functional
+//! filesystem. The package stays, empty, only because the frozen
+//! benchmark package's lock file records `nasd → nasd-ffs` and
+//! `nasd-fm → nasd-ffs`; the change that next opens `benchmark/`
+//! removes the package and both dependency edges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod fs;
-mod layout;
-
-pub use fs::{DirEntry, Ffs, FfsError, FileKind, InodeNo, Stat};

@@ -436,11 +436,12 @@ impl DriveEndpoint {
     }
 }
 
-/// A service that takes `&mut` (an in-process drive, `NfsServer`) as the
-/// closure [`spawn_service`] takes: each call holds the service's own
-/// lock. A panicking call kills the service before it releases the lock,
-/// so a waiting caller reads [`RpcError::Disconnected`] rather than run a
-/// half-updated service (the lock shim silently recovers a poisoned lock).
+/// A drive, which takes `&mut`, as the closure [`spawn_service`] and
+/// socket `serve` take: each call holds the drive's own lock. A
+/// panicking call kills the drive before it releases the lock, so a
+/// waiting caller reads [`RpcError::Disconnected`] rather than run a
+/// half-updated drive (the lock shim silently recovers a poisoned lock),
+/// over either transport.
 pub(crate) fn exclusive<S: Send, Req, Resp>(
     service: S,
     call: impl Fn(&mut S, Req) -> Resp + Send + Sync,
@@ -522,10 +523,10 @@ impl DriveEndpoint {
 
 /// Serve `drive` over a real TCP/UDS socket and return the running
 /// server plus an endpoint dialed back to it through `connector` — the
-/// paper's drive-on-the-network shape. The drive itself stays
-/// single-threaded behind a mutex (its request handling is serialized
-/// by design); the win is that framing, decode and socket I/O for many
-/// connections overlap freely around it.
+/// paper's drive-on-the-network shape. The drive runs one request at a
+/// time under its own lock, as in-process (a drive that panicked
+/// mid-update is never served again); the win is that framing, decode
+/// and socket I/O for many connections overlap freely around it.
 ///
 /// # Errors
 ///
@@ -539,10 +540,13 @@ pub fn serve_drive_socket<D: nasd_disk::BlockDevice + 'static>(
 ) -> std::io::Result<(WireServer, DriveEndpoint)> {
     let id = drive.id();
     let hierarchy = drive.hierarchy().clone();
-    let guarded = Mutex::new(drive);
-    let server = nasd_net::serve(addr, workers, move |req: Request| {
-        serve_request(&mut guarded.lock(), &clock, &req)
-    })?;
+    let server = nasd_net::serve(
+        addr,
+        workers,
+        exclusive(drive, move |drive, req: Request| {
+            serve_request(drive, &clock, &req)
+        }),
+    )?;
     let channel = connector.dial(server.addr())?;
     Ok((server, DriveEndpoint::over(id, channel, hierarchy)))
 }

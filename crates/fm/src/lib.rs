@@ -1,4 +1,4 @@
-//! File managers for NASD (§5.1) and the traditional-NFS baseline.
+//! File managers for NASD (§5.1).
 //!
 //! "In a NASD-adapted filesystem, files and directories are stored in
 //! NASD objects... each file and each directory occupies exactly one NASD
@@ -16,9 +16,6 @@
 //! * [`NasdAfs`] — the AFS personality: explicit capability
 //!   fetch/relinquish RPCs, callbacks broken when a write capability is
 //!   issued, and per-volume quota enforced by byte-range escrow.
-//! * [`NfsServer`] — the traditional store-and-forward NFS server
-//!   baseline (over the `nasd-ffs` filesystem) that Figure 9 compares
-//!   against.
 //!
 //! All managers and drives run as in-process services over the
 //! `nasd-net` transport — a call runs the service on the caller's
@@ -47,7 +44,6 @@ mod drives;
 mod handle;
 mod link;
 mod nfs;
-mod server;
 mod stripes;
 
 pub use afs::{AfsClient, AfsRequest, AfsResponse, CallbackEvent, NasdAfs};
@@ -58,4 +54,3 @@ pub use drives::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet, Sta
 pub use handle::{FileHandle, FileType, FmAttrs, FmError};
 pub use link::ManagerLink;
 pub use nfs::{NasdNfs, NfsClient, NfsFile, NfsRequest, NfsResponse};
-pub use server::{NfsServer, ServerRequest, ServerResponse};

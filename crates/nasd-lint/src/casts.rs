@@ -30,7 +30,7 @@ pub(crate) const C1_FILES: &[&str] = &[
 
 /// Path prefixes in C1 scope: the whole wire codec, and the checker
 /// itself (self-check — nasd-lint decodes untrusted source text).
-const C1_PREFIXES: &[&str] = &["crates/proto/src/", "crates/nasd-lint/src/"];
+pub(crate) const C1_PREFIXES: &[&str] = &["crates/proto/src/", "crates/nasd-lint/src/"];
 
 /// Target types for which `as` narrows (from the wider wire/disk types).
 const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];

@@ -543,4 +543,32 @@ mod tests {
         assert_eq!(crate_of("crates/object/src/store.rs"), Some("object"));
         assert_eq!(crate_of("shims/rand/src/lib.rs"), None);
     }
+
+    /// A scope entry naming a file or crate that no longer exists is
+    /// ignored silently, so a rule would quietly stop covering code that
+    /// moved. Every entry must resolve against the workspace root.
+    #[test]
+    fn every_scope_entry_names_something_that_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let crates = rules::D1_CRATES.iter().chain(rules::M1_CRATES);
+        let mut paths: Vec<String> = crates.map(|c| format!("crates/{c}")).collect();
+        paths.extend(
+            [
+                rules::P1_FILES,
+                rules::E1_FILES,
+                rules::H1_FILES,
+                casts::C1_FILES,
+                casts::C1_PREFIXES,
+                &[rules::M1_MINT_FILE],
+            ]
+            .concat()
+            .iter()
+            .map(|p| (*p).to_owned()),
+        );
+        let missing: Vec<&String> = paths.iter().filter(|p| !root.join(p).exists()).collect();
+        assert!(
+            missing.is_empty(),
+            "scope entries naming nothing: {missing:?}"
+        );
+    }
 }

@@ -27,7 +27,6 @@ pub(crate) const P1_FILES: &[&str] = &[
     "crates/object/src/wal.rs",
     "crates/object/src/cache.rs",
     "crates/object/src/security.rs",
-    "crates/fm/src/server.rs",
     "crates/fm/src/drives.rs",
     "crates/fm/src/core.rs",
     "crates/fm/src/nfs.rs",
@@ -206,7 +205,6 @@ pub(crate) const E1_FILES: &[&str] = &[
     "crates/object/src/wal.rs",
     "crates/cheops/src/manager.rs",
     "crates/cheops/src/client.rs",
-    "crates/fm/src/server.rs",
     "crates/fm/src/drives.rs",
     "crates/fm/src/core.rs",
     "crates/fm/src/nfs.rs",
@@ -386,10 +384,10 @@ pub(crate) fn check_a1(src: &Source, out: &mut Vec<RawFinding>) {
 }
 
 /// Crates whose managers (and the backup store) use capabilities.
-const M1_CRATES: &[&str] = &["fm", "cheops", "mgmt", "pfs", "dedup"];
+pub(crate) const M1_CRATES: &[&str] = &["fm", "cheops", "mgmt", "pfs", "dedup"];
 
 /// The file holding the fleet's mint, the one place a capability is signed.
-const M1_MINT_FILE: &str = "crates/fm/src/drives.rs";
+pub(crate) const M1_MINT_FILE: &str = "crates/fm/src/drives.rs";
 
 /// M1: one mint. A manager makes a capability only through
 /// `fleet.mint(..)`, which signs at the version the fleet's one table

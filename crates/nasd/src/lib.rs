@@ -18,8 +18,7 @@
 //! | [`net`] | switched-network model; in-process (caller's-thread) and socket transports |
 //! | [`sim`] | deterministic discrete-event simulation kernel |
 //! | [`obs`] | sim-clock metrics registry, trace sink and bench reports |
-//! | [`ffs`] | the FFS-like local filesystem baseline |
-//! | [`fm`] | NASD-NFS, NASD-AFS and the store-and-forward NFS server |
+//! | [`fm`] | NASD-NFS and NASD-AFS file managers over one drive fleet |
 //! | [`cheops`] | striped/mirrored logical objects over drive fleets |
 //! | [`mgmt`] | storage management: failure detection, hot spares, rebuild, scrub |
 //! | [`pfs`] | the SIO-style parallel filesystem |
@@ -56,7 +55,6 @@ pub use nasd_cost as cost;
 pub use nasd_crypto as crypto;
 pub use nasd_dedup as dedup;
 pub use nasd_disk as disk;
-pub use nasd_ffs as ffs;
 pub use nasd_fm as fm;
 pub use nasd_mgmt as mgmt;
 pub use nasd_mining as mining;

@@ -49,6 +49,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -287,7 +288,10 @@ fn send_reply(
 
 /// One server connection: read a request, run the service under a
 /// permit, write the reply, repeat. Malformed payloads get an in-band
-/// `BadRequest` reply; framing and write errors end the connection.
+/// `BadRequest` reply; framing and write errors end the connection, and
+/// so does a panicking service call, after its permit is returned: the
+/// caller reads the closed connection as `Disconnected`, and every other
+/// connection is served on.
 fn serve_connection<F>(mut stream: Stream, shared: &Shared<F>)
 where
     F: Fn(Request) -> Reply,
@@ -301,11 +305,14 @@ where
                 if shared.permits.0.send(()).is_err() {
                     break;
                 }
-                let reply = (shared.service)(req);
+                let reply = panic::catch_unwind(AssertUnwindSafe(|| (shared.service)(req)));
                 if shared.permits.1.recv().is_err() {
                     break;
                 }
-                reply
+                match reply {
+                    Ok(reply) => reply,
+                    Err(_) => break,
+                }
             }
             Err(_) => {
                 shared.stats.decode_errors.inc();
@@ -335,9 +342,10 @@ pub struct WireServer {
 ///
 /// The service function sees whole decoded [`Request`]s and returns
 /// whole [`Reply`]s; framing, decoding and tagging are the server's
-/// business. Drive services wrap `NasdDrive::handle` here (behind a
-/// mutex — the drive itself is single-threaded by design, the
+/// business. Drive services wrap `NasdDrive::handle` here (behind the
+/// drive's own lock — the drive itself is single-threaded by design, the
 /// concurrency win is overlapping I/O and framing across connections).
+/// A call that panics closes only its own connection.
 ///
 /// # Errors
 ///
@@ -820,6 +828,99 @@ mod tests {
         }
         drop(hog);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_duplicate_never_overtakes_its_original() {
+        // Every message is duplicated. The first copy of a message into
+        // the service holds it for up to 200 ms waiting for the other: if
+        // the copy were sent before the original's reply is read, it
+        // would arrive on its own connection and both would be inside
+        // together.
+        type Copies = HashMap<ObjectId, (u32, u32)>; // (arrived, inside)
+        let copies = Arc::new(Mutex::new(Copies::new()));
+        let overlapped = Arc::new(AtomicBool::new(false));
+        let service = {
+            let (copies, overlapped) = (Arc::clone(&copies), Arc::clone(&overlapped));
+            move |req: Request| {
+                let mark = req.body.object().unwrap();
+                let first = {
+                    let mut copies = copies.lock();
+                    let (arrived, inside) = copies.entry(mark).or_default();
+                    *arrived += 1;
+                    *inside += 1;
+                    if *inside > 1 {
+                        overlapped.store(true, Ordering::SeqCst);
+                    }
+                    *arrived == 1
+                };
+                for _ in 0..200 {
+                    if !first || copies.lock()[&mark].0 > 1 {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                copies.lock().entry(mark).or_default().1 -= 1;
+                echo(req)
+            }
+        };
+        let server = serve(&BindAddr::uds_temp("dup-order"), 2, service).unwrap();
+        let config = FaultConfig {
+            duplicate: 1.0,
+            ..FaultConfig::none()
+        };
+        let ch = Connector::new()
+            .faults(FaultPlan::new(1).channel(1, config))
+            .dial(server.addr())
+            .unwrap();
+        let timeout = Duration::from_secs(5);
+        let reply = ch.call_with(request(1, vec![1; 8]), &CallOptions::once(timeout));
+        assert_eq!(reply.map(|r| reply_data(&r)), Ok(vec![1; 8]));
+        let pending = ch.call_async(request(2, vec![2; 8])).unwrap();
+        assert_eq!(
+            pending.wait(Some(timeout)).map(|r| reply_data(&r)),
+            Ok(vec![2; 8])
+        );
+        // Both copies of each message arrive.
+        let arrived = |mark| copies.lock().get(&ObjectId(mark)).map_or(0, |c| c.0);
+        for _ in 0..500 {
+            if arrived(1) == 2 && arrived(2) == 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!((arrived(1), arrived(2)), (2, 2));
+        assert!(
+            !overlapped.load(Ordering::SeqCst),
+            "a copy ran beside its original"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_call_closes_only_its_own_connection() {
+        // One permit. The call for object 1 panics: its caller must read
+        // the closed connection at once, the next call must be served,
+        // and shutdown must return — each wait bounded, nothing asserted
+        // until the server is shut down, so a failure never hangs.
+        let service = |req: Request| {
+            assert_ne!(req.body.object(), Some(ObjectId(1)), "service bug");
+            echo(req)
+        };
+        let server = serve(&BindAddr::uds_temp("panicky"), 1, service).unwrap();
+        let client = SocketClient::dial(server.addr(), 1).unwrap();
+        let timeout = Some(Duration::from_secs(2));
+        let bad = client.attempt(request(1, vec![1; 8]), timeout);
+        let next = client.attempt(request(2, vec![2; 8]), timeout);
+        let (done_tx, done_rx) = bounded(1);
+        std::thread::spawn(move || {
+            server.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        let shut_down = done_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        assert_eq!(bad.map(|r| reply_data(&r)), Err(RpcError::Disconnected));
+        assert_eq!(next.map(|r| reply_data(&r)), Ok(vec![2; 8]));
+        assert!(shut_down, "shutdown did not return within 5 s");
     }
 
     #[test]

@@ -299,13 +299,16 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp>
                 Err(RpcError::TimedOut)
             }
             FaultAction::Duplicate => {
-                // Two independent deliveries of the same message; the
-                // caller listens to the first. For signed drive traffic
-                // the second delivery trips the replay window.
-                let first = self.inner.call_async(req.clone())?;
-                // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller waits on the first delivery")
+                // Two deliveries of the same message; the caller listens
+                // to the first, and the copy goes out only once that
+                // reply is read, so it can never overtake the original
+                // (over a socket each copy rides its own connection).
+                // For signed drive traffic the copy trips the replay
+                // window.
+                let reply = self.inner.call_async(req.clone())?.wait(timeout);
+                // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller has the first delivery's reply")
                 let _ = self.inner.call_async(req);
-                first.wait(timeout)
+                reply
             }
         }
     }
@@ -318,10 +321,18 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp>
                 self.inner.call_async(req)
             }
             FaultAction::Duplicate => {
+                // As in `attempt`: the copy follows the original's reply.
                 let first = self.inner.call_async(req.clone())?;
-                // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller waits on the first delivery")
-                let _ = self.inner.call_async(req);
-                Ok(first)
+                let inner = Arc::clone(&self.inner);
+                let mut copy = Some(req);
+                Ok(Pending::new(move |timeout| {
+                    let reply = first.wait(timeout);
+                    if let Some(req) = copy.take() {
+                        // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller has the first delivery's reply")
+                        let _ = inner.call_async(req);
+                    }
+                    reply
+                }))
             }
             // Never sent: the pending reply can never arrive.
             FaultAction::DropRequest => Ok(Pending::lost()),

@@ -245,33 +245,3 @@ proptest! {
         }
     }
 }
-
-// ----------------------------------------------------------------- FFS
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-    /// FFS files match a reference model through write/read/persist.
-    #[test]
-    fn ffs_matches_reference_model(
-        writes in proptest::collection::vec(
-            (0u64..150_000, 1usize..20_000, any::<u8>()),
-            1..10
-        )
-    ) {
-        use nasd::ffs::Ffs;
-        let mut fs = Ffs::format(MemDisk::new(8_192, 8_192), 64).unwrap();
-        let ino = fs.create("/f").unwrap();
-        let mut model: Vec<u8> = Vec::new();
-        for (offset, len, byte) in writes {
-            fs.write(ino, offset, &vec![byte; len]).unwrap();
-            let end = offset as usize + len;
-            if model.len() < end {
-                model.resize(end, 0);
-            }
-            model[offset as usize..end].fill(byte);
-        }
-        let got = fs.read(ino, 0, model.len() as u64).unwrap();
-        prop_assert_eq!(&got[..], &model[..]);
-        prop_assert_eq!(fs.stat(ino).unwrap().size, model.len() as u64);
-    }
-}
