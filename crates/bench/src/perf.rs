@@ -33,7 +33,6 @@ use nasd::net::{
 use nasd::object::{ClientHandle, DriveConfig, NasdDrive};
 use nasd::obs::{datapath, Registry};
 use nasd::proto::{ByteRange, PartitionId, Reply, Request, RequestBody, Rights, Version};
-use nasd::sim::baseline::HeapSimulator;
 use nasd::sim::{SimTime, Simulator};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,8 +48,7 @@ pub type AllocProbe = fn() -> (u64, u64);
 pub struct PerfRow {
     /// Workload name (`cached_read`, `seq_write`, `durable_write`, `sweep_read`,
     /// `inproc_read`, `socket_read`, `socket_write`, `nfs_open`, `sim_step`,
-    /// `scale_point`, and the `dispatch_{cal,heap}_{1k,100k}` old-vs-new
-    /// kernel rows).
+    /// `scale_point`, `dispatch_100k`).
     pub workload: &'static str,
     /// Payload bytes per operation (0 for `sim_step`).
     pub size: u64,
@@ -68,7 +66,7 @@ pub struct PerfRow {
     /// counter).
     pub bytes_copied_per_op: f64,
     /// Simulator event-infrastructure allocations per operation (the
-    /// `sim/event_allocs` counter; only `sim_step` exercises it).
+    /// `sim/event_allocs` counter; only the simulator rows exercise it).
     pub event_allocs_per_op: f64,
     /// Exact per-operation counts only this workload measures, each
     /// reported as the derived value `<workload>_<name>` (`nfs_open`:
@@ -373,15 +371,17 @@ fn nfs_open(probe: Option<AllocProbe>, ops: u64) -> PerfRow {
     }
 }
 
-/// Steady-state simulator stepping: each operation runs one completion
-/// event that cancels its paired timeout — the I/O-with-timeout pattern
-/// every simulated drive request follows.
+/// Steady-state simulator stepping with 10⁵ cancelled timeouts kept in
+/// the queue: each operation schedules a 1 ms timeout and a completion
+/// 10 ns out, and runs the completion, which cancels the timeout. No
+/// simulation in the repository cancels an event; this row prices the
+/// kernel's cancel path and its stale entries.
 ///
 /// The warmup must cross the full timeout window at least once: with a
 /// 1 ms timeout and a 10 ns completion pace the kernel carries ~100 k
-/// cancelled-timeout zombies at steady state, and the slab only reaches
+/// cancelled-timeout entries at steady state, and the heap only reaches
 /// its final size after that population has built up. A short warmup
-/// would bill the one-time slab growth to the measured window.
+/// would bill the one-time growth to the measured window.
 fn sim_step(probe: Option<AllocProbe>, ops: u64) -> Measured {
     let mut sim = Simulator::new();
     let mut tick = 0u64;
@@ -410,20 +410,19 @@ fn scale_point(probe: Option<AllocProbe>) -> Measured {
     })
 }
 
-/// Schedule/dispatch throughput against a parked pending-event
-/// population — the tentpole measurement of the calendar-queue kernel.
+/// Events parked far in the future under `dispatch_parked`.
+const PARKED: u64 = 100_000;
+
+/// Schedule/dispatch cost against a parked pending-event population:
+/// the loop the benchmark rig times as `sim.dispatch_ns_100k`.
 ///
-/// `pending` long-lived events (outstanding I/O deadlines, lease
-/// expiries) sit far in the future while the measured loop schedules
-/// and steps one near-term event per op. The old `BinaryHeap` kernel
-/// pays O(log pending) twice per op — the near-term push sifts to the
-/// top of the whole population and the pop sifts back down through it —
-/// while the calendar queue keeps parked events out of the hot path
-/// entirely and dispatches in amortized O(1).
-fn dispatch_parked(probe: Option<AllocProbe>, pending: u64, ops: u64) -> Measured {
-    let mut sim = Simulator::with_capacity(pending as usize + 64);
-    for i in 0..pending {
-        sim.schedule_at(park_time(i, pending), |_s| {});
+/// [`PARKED`] long-lived events sit far in the future while the measured
+/// loop schedules and steps one near-term event per op, so each op's
+/// push and pop sift through the whole parked heap.
+fn dispatch_parked(probe: Option<AllocProbe>, ops: u64) -> Measured {
+    let mut sim = Simulator::with_capacity(PARKED as usize + 64);
+    for i in 0..PARKED {
+        sim.schedule_at(park_time(i), |_s| {});
     }
     let op = |sim: &mut Simulator| {
         sim.schedule_in(SimTime::from_nanos(100), |_s| {});
@@ -435,51 +434,16 @@ fn dispatch_parked(probe: Option<AllocProbe>, pending: u64, ops: u64) -> Measure
     measure(probe, ops, || op(&mut sim))
 }
 
-/// The identical workload on the preserved pre-calendar-queue kernel
-/// (`nasd::sim::baseline`) — the old-vs-new comparison rows.
-fn dispatch_parked_heap(probe: Option<AllocProbe>, pending: u64, ops: u64) -> Measured {
-    let mut sim = HeapSimulator::with_capacity(pending as usize + 64);
-    for i in 0..pending {
-        sim.schedule_at(park_time(i, pending), |_s| {});
-    }
-    let op = |sim: &mut HeapSimulator| {
-        sim.schedule_in(SimTime::from_nanos(100), |_s| {});
-        assert!(sim.step(), "near-term event must run");
-    };
-    for _ in 0..2_000 {
-        op(&mut sim);
-    }
-    measure(probe, ops, || op(&mut sim))
-}
-
-/// Best-of-`n` wrapper: re-run a whole measurement and keep the
-/// fastest batch. Micro-benchmark noise (scheduler preemption, a
-/// neighbouring tenant's cache pressure) only ever adds time, so the
-/// minimum is the robust estimator — it keeps the CI speedup gate
-/// from tripping on a noisy run rather than a real regression.
-fn best_of(n: u32, mut measurement: impl FnMut() -> Measured) -> Measured {
-    let mut best = measurement();
-    for _ in 1..n {
-        let m = measurement();
-        if m.nanos < best.nanos {
-            best = m;
-        }
-    }
-    best
-}
-
 /// Deadline of the `i`th parked event: spread over \[100 s, 100 s +
-/// pending µs) — far enough out that no measured op ever dispatches one.
+/// `PARKED` µs) — far enough out that no measured op ever dispatches one.
 ///
 /// The deadlines are visited in a scrambled order (a fixed odd stride
-/// walks the residues mod `pending`): real outstanding-deadline
-/// populations are not insertion-sorted, and feeding the heap a
-/// pre-sorted stream would hand its sift paths perfectly predictable
-/// branches the production kernel never sees.
-fn park_time(i: u64, pending: u64) -> SimTime {
-    // 7919 is prime and coprime with every population size used here,
-    // so `i * 7919 % pending` is a permutation of 0..pending.
-    SimTime::from_secs(100) + SimTime::from_micros(i * 7919 % pending)
+/// walks the residues mod `PARKED`): feeding the heap a pre-sorted
+/// stream would hand its sift paths perfectly predictable branches.
+fn park_time(i: u64) -> SimTime {
+    // 7919 is prime and coprime with `PARKED`, so `i * 7919 % PARKED` is
+    // a permutation of 0..PARKED.
+    SimTime::from_secs(100) + SimTime::from_micros(i * 7919 % PARKED)
 }
 
 /// Run every perf workload and return the measured rows.
@@ -519,28 +483,7 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
     rows.push(nfs_open(probe, 2_000));
     rows.push(row("sim_step", 0, &sim_step(probe, 100_000)));
     rows.push(row("scale_point", 0, &scale_point(probe)));
-    // Old-vs-new kernel dispatch at 10^3 and 10^5 pending events,
-    // best-of-3 per row so the speedup ratio is noise-robust.
-    rows.push(row(
-        "dispatch_cal_1k",
-        0,
-        &best_of(3, || dispatch_parked(probe, 1_000, 100_000)),
-    ));
-    rows.push(row(
-        "dispatch_heap_1k",
-        0,
-        &best_of(3, || dispatch_parked_heap(probe, 1_000, 100_000)),
-    ));
-    rows.push(row(
-        "dispatch_cal_100k",
-        0,
-        &best_of(3, || dispatch_parked(probe, 100_000, 100_000)),
-    ));
-    rows.push(row(
-        "dispatch_heap_100k",
-        0,
-        &best_of(3, || dispatch_parked_heap(probe, 100_000, 100_000)),
-    ));
+    rows.push(row("dispatch_100k", 0, &dispatch_parked(probe, 100_000)));
     rows
 }
 
@@ -598,29 +541,12 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_parked_runs_on_both_kernels() {
-        // Small population keeps this a smoke test; the ns/op
-        // comparison lives in the release-mode CI gate.
-        let cal = dispatch_parked(None, 512, 256);
-        let heap = dispatch_parked_heap(None, 512, 256);
-        assert_eq!(cal.ops, 256);
-        assert_eq!(heap.ops, 256);
-        // Steady-state calendar dispatch grows no event infrastructure.
+    fn dispatch_100k_steady_state_allocates_no_event_infrastructure() {
+        let m = dispatch_parked(None, 1_000);
+        assert_eq!(m.ops, 1_000);
         assert_eq!(
-            cal.event_allocs, 0,
-            "calendar dispatch allocated in steady state"
-        );
-    }
-
-    #[test]
-    fn calendar_dispatch_beats_heap_at_scale() {
-        let cal = dispatch_parked(None, 50_000, 20_000);
-        let heap = dispatch_parked_heap(None, 50_000, 20_000);
-        assert!(
-            (cal.nanos as f64) < heap.nanos as f64,
-            "calendar {} ns vs heap {} ns over 20k ops at 50k pending",
-            cal.nanos,
-            heap.nanos
+            m.event_allocs, 0,
+            "dispatch against 10^5 parked events grew the slab or the heap"
         );
     }
 

@@ -4,6 +4,7 @@
 //! answer *what*. The NASD object system stores real data through this
 //! interface.
 
+use nasd_sim::splitmix64;
 use std::fmt;
 use std::sync::Arc;
 
@@ -249,16 +250,6 @@ impl fmt::Debug for SharedDisk {
     }
 }
 
-/// splitmix-style finalizer: the same seeded-decision discipline the
-/// drive-level fault injector uses, so a crash schedule is a pure
-/// function of `(seed, write index)`.
-fn crash_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A power-failure fault wrapper: the first `budget` writes reach the
 /// inner device, then the power "fails".
 ///
@@ -382,7 +373,7 @@ impl<D: BlockDevice> BlockDevice for CrashDisk<D> {
                     if data.len() == bs && block < self.inner.num_blocks() {
                         let mut old = vec![0u8; bs];
                         self.inner.read_block(block, &mut old)?;
-                        let keep = (crash_mix(self.seed ^ self.writes) as usize % bs).max(1);
+                        let keep = (splitmix64(self.seed ^ self.writes) as usize % bs).max(1);
                         let mut mixed = data.to_vec();
                         mixed[keep..].copy_from_slice(&old[keep..]);
                         self.inner.write_block(block, &mixed)?;

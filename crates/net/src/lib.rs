@@ -33,9 +33,7 @@ mod socket;
 mod transport;
 
 pub use connect::Connector;
-pub use fault::{
-    splitmix64, ChannelFaults, FaultAction, FaultConfig, FaultEvent, FaultPlan, RetryPolicy,
-};
+pub use fault::{ChannelFaults, FaultAction, FaultConfig, FaultEvent, FaultPlan, RetryPolicy};
 pub use frame::{
     classify_io, read_frame, write_frames, Frame, FrameBuf, FrameError, HEADER_LEN, MAX_FRAME_LEN,
 };

@@ -24,6 +24,7 @@ use nasd_proto::{
     ProtectionLevel, Reply, ReplyBody, Request, RequestBody, Rights, Scope, Version,
     WELL_KNOWN_OBJECT_LIST,
 };
+use nasd_sim::splitmix64;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -127,24 +128,17 @@ enum DriveFault {
     SlowMicros(u64),
 }
 
-fn fault_mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl DriveFaultState {
     fn next(&mut self) -> Option<DriveFault> {
         let seq = self.seq;
         self.seq += 1;
-        let base = fault_mix(self.seed ^ seq.wrapping_mul(0xa076_1d64_78bd_642f));
+        let base = splitmix64(self.seed ^ seq.wrapping_mul(0xa076_1d64_78bd_642f));
         let roll = (base >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         if roll < self.config.busy {
             Some(DriveFault::Busy)
         } else if roll < self.config.busy + self.config.slow_io && self.config.max_slow_micros > 0 {
             Some(DriveFault::SlowMicros(
-                fault_mix(base) % self.config.max_slow_micros + 1,
+                splitmix64(base) % self.config.max_slow_micros + 1,
             ))
         } else {
             None

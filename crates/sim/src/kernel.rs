@@ -1,75 +1,22 @@
-//! The event loop: a hierarchical calendar queue (timer wheel + overflow
-//! heap) behind the same deterministic `Simulator` API.
+//! The event loop: one binary heap of `(time, seq)` keys over a slab of
+//! generation-tagged event slots.
 //!
-//! # Structure
+//! The heap orders small `Copy` entries, never closures; `seq` is a
+//! global schedule counter, so ties run in schedule order and identical
+//! runs replay byte for byte. Cancelling drops the closure, bumps the
+//! slot's generation and frees the slot at once; the stale heap entry is
+//! skipped when it surfaces, so [`Simulator::step`] is one pop plus a
+//! generation check. Schedule and pop are O(log n) in the pending set,
+//! which in every simulation here is at most one completion per
+//! closed-loop actor (DESIGN §15 has the measurements).
 //!
-//! Pending events live in a slot slab with a free-list; what the
-//! scheduler orders are small `Copy` entries or intrusive links, never
-//! the closures themselves. An event at absolute time `at` maps to the
-//! *absolute bucket* `at >> bucket_ns_log2` and lands in one of three
-//! places:
-//!
-//! * **the wheel** — a ring of [`WheelParams::buckets`] singly-linked
-//!   lists threaded through the slab (`Slot::next`), covering absolute
-//!   buckets `(cursor, wheel_limit)`. Scheduling here is O(1) and
-//!   allocation-free: the slot is the list node.
-//! * **the current heap** — a small binary heap holding the bucket being
-//!   consumed (absolute buckets `<= cursor`). Cascades — events an
-//!   executing event schedules at or near `now` — go straight here.
-//! * **the overflow heap** — events beyond the wheel horizon
-//!   (`>= wheel_limit`). When the wheel and current heap drain, the
-//!   overflow is *lazily re-bucketed*: the cursor jumps to the earliest
-//!   overflow event and everything inside the new horizon moves into
-//!   wheel buckets, each paying its O(log n) heap pop exactly once.
-//!
-//! Steady-state dispatch — schedule a near-term event into a reused
-//! slot, step, cancel — is amortized O(1) and performs no allocation
-//! regardless of how many far-future events sit parked in the overflow
-//! heap; the old single `BinaryHeap` kernel (kept as
-//! [`crate::baseline::HeapSimulator`] for benchmarking and equivalence
-//! testing) paid O(log n) sifts against the whole pending set on every
-//! schedule and pop. Infrastructure growth (new slab slots, heap
-//! doubling) is counted in [`nasd_obs::datapath::event_allocs`] so the
-//! perf harness can prove the steady state stays allocation-free; the
-//! only per-event allocation left is the closure box itself.
-//!
-//! # Wheel parameters
-//!
-//! [`WheelParams`] fixes two knobs, both powers of two:
-//!
-//! * `bucket_ns_log2` — log₂ of the bucket width in nanoseconds
-//!   (default 16, i.e. ~65.5 µs per bucket). Narrower buckets mean
-//!   fewer events share a bucket (cheaper current-heap operations) but
-//!   more empty buckets to skip.
-//! * `buckets` — the ring size (default 1024), giving a horizon of
-//!   `buckets << bucket_ns_log2` (~67 ms by default). Events inside the
-//!   horizon schedule in O(1); events beyond it take one overflow-heap
-//!   round trip.
-//!
-//! # Determinism
-//!
-//! Execution order is exactly ascending `(time, seq)`, identical to the
-//! baseline heap kernel, because the partition is order-preserving:
-//!
-//! * Entries in the current heap all have absolute bucket `<= cursor`,
-//!   wheel entries `> cursor` and `< wheel_limit`, overflow entries
-//!   `>= wheel_limit` — so every current-heap entry precedes every
-//!   wheel entry, which precedes every overflow entry, in time.
-//! * The cursor only advances when the current heap is empty, and a
-//!   bucket is drained *entirely* into the current heap before anything
-//!   from it runs; within the heap the comparator is the same
-//!   `(time, seq)` order the baseline used. Bucket-list order (LIFO)
-//!   therefore never influences execution order.
-//! * `seq` is a global schedule counter, so ties still execute in
-//!   schedule order, and re-bucketing (which moves entries without
-//!   touching `(time, seq)`) cannot reorder anything.
-//!
-//! The equivalence property suite (`crates/sim/tests/equivalence.rs`)
-//! replays seeded random schedule/cancel/step scripts against both
-//! kernels and asserts identical execution traces.
+//! Infrastructure growth (new slab slots, heap doubling) is counted in
+//! [`nasd_obs::datapath::event_allocs`] so the perf harness can prove the
+//! steady state stays allocation-free; the only per-event allocation left
+//! is the closure box itself.
 
 use nasd_obs::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -86,103 +33,22 @@ pub struct EventId {
 
 type EventFn = Box<dyn FnOnce(&mut Simulator)>;
 
-/// Sentinel for "no next slot" in the intrusive bucket lists.
-const NONE: u32 = u32::MAX;
-
-/// Where a pending entry physically lives (drives cancel/reclaim
-/// policy: standalone heap entries free their slot immediately on
-/// cancel, linked wheel entries defer reclaim to the bucket drain).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Home {
-    /// Not scheduled (slot free or closure already taken).
-    Idle,
-    /// Linked into a wheel bucket via `Slot::next`.
-    Wheel,
-    /// A standalone entry in the current heap.
-    Current,
-    /// A standalone entry in the overflow heap.
-    Overflow,
-}
-
 /// One slab slot: the closure of the event currently occupying it (if
-/// any), the generation that entries / ids must match, the `(time, seq)`
-/// key (needed when the slot is drained out of a bucket list), and the
-/// intrusive bucket-list link.
+/// any) and the generation that heap entries and ids must match.
 struct Slot {
     gen: u32,
     run: Option<EventFn>,
-    at: SimTime,
-    seq: u64,
-    next: u32,
-    home: Home,
 }
 
-/// What the heaps order: 24 bytes, `Copy`, no drop glue — heap sifts
-/// move these, never the closures.
-#[derive(Clone, Copy)]
-struct HeapEntry {
+/// What the heap orders: 24 bytes, `Copy`, no drop glue. The derived
+/// order is `(at, seq)` (`seq` is unique, so `slot` and `gen` never
+/// decide), wrapped in `Reverse` so the max-heap pops the earliest.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
     at: SimTime,
     seq: u64,
     slot: u32,
     gen: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. The sequence number breaks ties deterministically in
-        // schedule order.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Calendar-queue geometry: bucket width and ring size (see the module
-/// docs for the trade-offs). Both are powers of two so bucket indexing
-/// is a shift and a mask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WheelParams {
-    /// log₂ of the bucket width in nanoseconds.
-    pub bucket_ns_log2: u32,
-    /// Number of buckets in the ring (rounded up to a power of two).
-    pub buckets: usize,
-}
-
-impl WheelParams {
-    /// Default geometry: 2¹⁶ ns (~65.5 µs) buckets, 1024 of them
-    /// (~67 ms horizon) — sized so sub-millisecond completion events
-    /// land within a few buckets of the cursor while multi-millisecond
-    /// timeouts still schedule O(1) into the ring.
-    #[must_use]
-    pub fn default_params() -> Self {
-        WheelParams {
-            bucket_ns_log2: 16,
-            buckets: 1024,
-        }
-    }
-
-    fn normalized(self) -> Self {
-        WheelParams {
-            bucket_ns_log2: self.bucket_ns_log2.min(40),
-            buckets: self.buckets.clamp(2, 1 << 20).next_power_of_two(),
-        }
-    }
-}
-
-impl Default for WheelParams {
-    fn default() -> Self {
-        Self::default_params()
-    }
 }
 
 /// A deterministic discrete-event simulator.
@@ -209,33 +75,9 @@ impl Default for WheelParams {
 /// ```
 pub struct Simulator {
     now: SimTime,
+    heap: BinaryHeap<Reverse<Entry>>,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Head slot index per wheel bucket (`NONE` = empty).
-    buckets: Vec<u32>,
-    /// Occupancy bitmap over `buckets`, one bit per bucket, so cursor
-    /// advances skip empty runs a word at a time.
-    occupied: Vec<u64>,
-    /// Physical entries linked into wheel buckets (live or cancelled).
-    wheel_count: usize,
-    /// The bucket being consumed plus cascades at/behind the cursor.
-    /// `front` caches its earliest entry (`front` is `None` iff the
-    /// current set is empty; the heap holds everything behind it), so
-    /// the common singleton case — one near-term completion in flight —
-    /// schedules and pops without touching heap sift machinery.
-    front: Option<HeapEntry>,
-    current: BinaryHeap<HeapEntry>,
-    /// Events beyond the wheel horizon, re-bucketed lazily.
-    overflow: BinaryHeap<HeapEntry>,
-    /// Absolute bucket index being consumed (monotonic).
-    cursor: u64,
-    /// Exclusive absolute-bucket bound of wheel coverage;
-    /// `wheel_limit - cursor <= buckets.len()` always.
-    wheel_limit: u64,
-    bucket_ns_log2: u32,
-    /// Physical pending entries (wheel + current + overflow, including
-    /// cancelled ones not yet reaped).
-    entries: usize,
     next_seq: u64,
     events_run: u64,
 }
@@ -244,7 +86,7 @@ impl fmt::Debug for Simulator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
-            .field("pending", &self.entries)
+            .field("pending", &self.heap.len())
             .field("events_run", &self.events_run)
             .finish()
     }
@@ -257,49 +99,25 @@ impl Default for Simulator {
 }
 
 impl Simulator {
-    /// Create a simulator at time zero with no pending events, using the
-    /// default [`WheelParams`].
+    /// Create a simulator at time zero with no pending events.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_params(WheelParams::default_params())
-    }
-
-    /// Create a simulator with explicit calendar-queue geometry.
-    #[must_use]
-    pub fn with_params(params: WheelParams) -> Self {
-        let params = params.normalized();
-        let nb = params.buckets;
-        Simulator {
-            now: SimTime::ZERO,
-            slots: Vec::new(),
-            free: Vec::new(),
-            buckets: vec![NONE; nb],
-            occupied: vec![0u64; nb.div_ceil(64)],
-            wheel_count: 0,
-            front: None,
-            current: BinaryHeap::new(),
-            overflow: BinaryHeap::new(),
-            cursor: 0,
-            wheel_limit: nb as u64,
-            bucket_ns_log2: params.bucket_ns_log2,
-            entries: 0,
-            next_seq: 0,
-            events_run: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Create a simulator pre-sized for `events` concurrently pending
-    /// events, so no slab or heap growth happens until that bound is
-    /// crossed (wheel scheduling never allocates; the pre-sizing covers
-    /// the slab and the two heaps).
+    /// events, so neither the slab nor the heap grows until that bound
+    /// is crossed.
     #[must_use]
     pub fn with_capacity(events: usize) -> Self {
-        let mut sim = Self::with_params(WheelParams::default_params());
-        sim.slots = Vec::with_capacity(events);
-        sim.free = Vec::with_capacity(events);
-        sim.current = BinaryHeap::with_capacity(events);
-        sim.overflow = BinaryHeap::with_capacity(events);
-        sim
+        Simulator {
+            now: SimTime::ZERO,
+            heap: BinaryHeap::with_capacity(events),
+            slots: Vec::with_capacity(events),
+            free: Vec::with_capacity(events),
+            next_seq: 0,
+            events_run: 0,
+        }
     }
 
     /// The current simulated time.
@@ -318,74 +136,7 @@ impl Simulator {
     /// reaped).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.entries
-    }
-
-    /// Absolute bucket index of `at`.
-    fn abs_bucket(&self, at: SimTime) -> u64 {
-        at.as_nanos() >> self.bucket_ns_log2
-    }
-
-    /// Whether `entry` still refers to a live (scheduled, uncancelled,
-    /// unrun) event.
-    fn is_live(&self, entry: HeapEntry) -> bool {
-        self.slots
-            .get(entry.slot as usize)
-            .is_some_and(|s| s.gen == entry.gen && s.run.is_some())
-    }
-
-    fn push_current(&mut self, entry: HeapEntry) {
-        match self.front {
-            None => self.front = Some(entry),
-            Some(f) => {
-                // Inverted `Ord`: greater = earlier (time, seq).
-                let demoted = if entry > f {
-                    self.front = Some(entry);
-                    f
-                } else {
-                    entry
-                };
-                if self.current.len() == self.current.capacity() {
-                    nasd_obs::datapath::record_event_allocs(1);
-                }
-                self.current.push(demoted);
-            }
-        }
-    }
-
-    /// Consume the earliest current entry, promoting the heap top into
-    /// the `front` cache.
-    fn current_pop(&mut self) -> Option<HeapEntry> {
-        let out = self.front.take();
-        if out.is_some() {
-            self.front = self.current.pop();
-        }
-        out
-    }
-
-    fn push_overflow(&mut self, entry: HeapEntry) {
-        if self.overflow.len() == self.overflow.capacity() {
-            nasd_obs::datapath::record_event_allocs(1);
-        }
-        self.overflow.push(entry);
-    }
-
-    /// Link `slot` into the wheel bucket for absolute bucket `ab`.
-    fn link_bucket(&mut self, ab: u64, slot: u32) {
-        debug_assert!(ab > self.cursor && ab < self.wheel_limit);
-        let mask = self.buckets.len() as u64 - 1;
-        let idx = (ab & mask) as usize;
-        if let Some(s) = self.slots.get_mut(slot as usize) {
-            s.home = Home::Wheel;
-            s.next = self.buckets.get(idx).copied().unwrap_or(NONE);
-        }
-        if let Some(head) = self.buckets.get_mut(idx) {
-            *head = slot;
-        }
-        if let Some(word) = self.occupied.get_mut(idx / 64) {
-            *word |= 1u64 << (idx % 64);
-        }
-        self.wheel_count += 1;
+        self.heap.len()
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -407,49 +158,26 @@ impl Simulator {
             None => {
                 // Slab growth: a genuinely new slot.
                 nasd_obs::datapath::record_event_allocs(1);
-                self.slots.push(Slot {
-                    gen: 0,
-                    run: None,
-                    at: SimTime::ZERO,
-                    seq: 0,
-                    next: NONE,
-                    home: Home::Idle,
-                });
+                self.slots.push(Slot { gen: 0, run: None });
                 u32::try_from(self.slots.len() - 1).expect("more than u32::MAX live events")
             }
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let ab = self.abs_bucket(at);
-        // Destination first, so the slot is written exactly once.
-        // `ab <= cursor` is the cursor's own bucket (or, after run_until
-        // advanced the clock without consuming events, an earlier one):
-        // it goes straight into the current set, which orders by
-        // (time, seq).
-        let home = if ab >= self.wheel_limit {
-            Home::Overflow
-        } else if ab <= self.cursor {
-            Home::Current
-        } else {
-            Home::Wheel
         };
         let gen = {
             let s = &mut self.slots[slot as usize];
             debug_assert!(s.run.is_none(), "free-list slot still occupied");
             s.run = Some(Box::new(event));
-            s.at = at;
-            s.seq = seq;
-            s.next = NONE;
-            s.home = home;
             s.gen
         };
-        let entry = HeapEntry { at, seq, slot, gen };
-        match home {
-            Home::Overflow => self.push_overflow(entry),
-            Home::Current => self.push_current(entry),
-            _ => self.link_bucket(ab, slot),
+        if self.heap.len() == self.heap.capacity() {
+            nasd_obs::datapath::record_event_allocs(1);
         }
-        self.entries += 1;
+        self.heap.push(Reverse(Entry {
+            at,
+            seq: self.next_seq,
+            slot,
+            gen,
+        }));
+        self.next_seq += 1;
         EventId { slot, gen }
     }
 
@@ -464,174 +192,14 @@ impl Simulator {
     /// Cancel a pending event. Cancelling an already-run or already-
     /// cancelled event is a no-op.
     ///
-    /// The closure is dropped immediately. A standalone heap entry's
-    /// slot recycles at once (the stale entry is skipped when it
-    /// surfaces); a wheel-linked slot stays linked — unreusable but
-    /// closure-free — until its bucket drains.
+    /// The closure is dropped and the slot recycled at once; the heap
+    /// entry is skipped when it surfaces.
     pub fn cancel(&mut self, id: EventId) {
         if let Some(s) = self.slots.get_mut(id.slot as usize) {
             if s.gen == id.gen && s.run.take().is_some() {
                 s.gen = s.gen.wrapping_add(1);
-                if s.home != Home::Wheel {
-                    s.home = Home::Idle;
-                    self.free.push(id.slot);
-                }
+                self.free.push(id.slot);
             }
-        }
-    }
-
-    /// Drain the cursor's bucket list into the current heap, reaping
-    /// cancelled slots on the way.
-    fn drain_cursor_bucket(&mut self) {
-        let mask = self.buckets.len() as u64 - 1;
-        let idx = (self.cursor & mask) as usize;
-        let mut head = match self.buckets.get_mut(idx) {
-            Some(h) => std::mem::replace(h, NONE),
-            None => return,
-        };
-        if let Some(word) = self.occupied.get_mut(idx / 64) {
-            *word &= !(1u64 << (idx % 64));
-        }
-        while head != NONE {
-            let (next, entry) = {
-                let Some(s) = self.slots.get_mut(head as usize) else {
-                    break;
-                };
-                let next = std::mem::replace(&mut s.next, NONE);
-                self.wheel_count -= 1;
-                if s.run.is_some() {
-                    s.home = Home::Current;
-                    (
-                        next,
-                        Some(HeapEntry {
-                            at: s.at,
-                            seq: s.seq,
-                            slot: head,
-                            gen: s.gen,
-                        }),
-                    )
-                } else {
-                    // Cancelled while linked: reap now.
-                    s.home = Home::Idle;
-                    (next, None)
-                }
-            };
-            match entry {
-                Some(e) => self.push_current(e),
-                None => {
-                    self.free.push(head);
-                    self.entries -= 1;
-                }
-            }
-            head = next;
-        }
-    }
-
-    /// Index of the next occupied bucket strictly after ring position
-    /// `after`, scanning the occupancy bitmap word-wise (with wrap).
-    fn find_next_set(&self, after: usize) -> Option<usize> {
-        let nwords = self.occupied.len();
-        let nb = self.buckets.len();
-        let start = (after + 1) % nb;
-        let mut w = start / 64;
-        let mut mask = !0u64 << (start % 64);
-        for _ in 0..=nwords {
-            let bits = self.occupied.get(w).copied().unwrap_or(0) & mask;
-            if bits != 0 {
-                let bit = w * 64 + bits.trailing_zeros() as usize;
-                if bit < nb {
-                    return Some(bit);
-                }
-            }
-            w = (w + 1) % nwords.max(1);
-            mask = !0;
-        }
-        None
-    }
-
-    /// Advance the cursor to the next occupied wheel bucket.
-    fn advance_cursor(&mut self) {
-        let nb = self.buckets.len() as u64;
-        let cur_rel = (self.cursor & (nb - 1)) as usize;
-        if let Some(rel) = self.find_next_set(cur_rel) {
-            let delta = ((rel as u64 + nb - cur_rel as u64 - 1) & (nb - 1)) + 1;
-            self.cursor += delta;
-            debug_assert!(self.cursor < self.wheel_limit, "cursor passed wheel limit");
-        }
-    }
-
-    /// Move everything inside the new horizon out of the overflow heap
-    /// into wheel buckets; called only when the wheel and current heap
-    /// are empty. Jumps the cursor to the earliest overflow event.
-    fn rebucket(&mut self) {
-        debug_assert!(self.wheel_count == 0 && self.front.is_none());
-        // Reap stale overflow heads first so the cursor jumps to a live
-        // event's bucket when possible.
-        while let Some(&top) = self.overflow.peek() {
-            if self.is_live(top) {
-                break;
-            }
-            self.overflow.pop();
-            self.entries -= 1;
-        }
-        let Some(&top) = self.overflow.peek() else {
-            return;
-        };
-        let nb = self.buckets.len() as u64;
-        self.cursor = self.abs_bucket(top.at);
-        self.wheel_limit = self.cursor + nb;
-        while let Some(&e) = self.overflow.peek() {
-            let ab = self.abs_bucket(e.at);
-            if ab >= self.wheel_limit {
-                break;
-            }
-            self.overflow.pop();
-            if !self.is_live(e) {
-                self.entries -= 1;
-                continue;
-            }
-            if ab <= self.cursor {
-                if let Some(s) = self.slots.get_mut(e.slot as usize) {
-                    s.home = Home::Current;
-                }
-                self.push_current(e);
-            } else {
-                self.link_bucket(ab, e.slot);
-            }
-        }
-    }
-
-    /// Position the next live event at the top of the current heap and
-    /// return it (without consuming it). This is both the pop path's
-    /// front end and the stale-reaping peek `run_until` needs.
-    fn ensure_next(&mut self) -> Option<HeapEntry> {
-        loop {
-            while let Some(top) = self.front {
-                if self.is_live(top) {
-                    return Some(top);
-                }
-                // Stale (cancelled) entry: its slot was already freed.
-                self.current_pop();
-                self.entries -= 1;
-            }
-            if self.wheel_count > 0 {
-                // Outside this loop the cursor's bucket is always empty
-                // (`link_bucket` only takes `ab > cursor`, and `rebucket`
-                // puts the cursor-bucket events straight into the current
-                // set), so the drain happens exactly at cursor advance.
-                self.advance_cursor();
-                self.drain_cursor_bucket();
-                continue;
-            }
-            if !self.overflow.is_empty() {
-                let before = (self.cursor, self.entries);
-                self.rebucket();
-                if (self.cursor, self.entries) == before && self.overflow.is_empty() {
-                    continue;
-                }
-                continue;
-            }
-            return None;
         }
     }
 
@@ -650,48 +218,24 @@ impl Simulator {
     /// assert!(!sim.step(), "queue is now empty");
     /// ```
     pub fn step(&mut self) -> bool {
-        // Fast path: a live front entry dispatches with a single slot
-        // borrow (liveness check and closure take fused). A generation
-        // match implies the closure is present — cancel and dispatch
-        // both bump the generation — so `take()` returning `None` means
-        // stale, handled by the slow path's reaping.
-        if let Some(top) = self.front {
-            if let Some(s) = self.slots.get_mut(top.slot as usize) {
-                if s.gen == top.gen {
-                    if let Some(run) = s.run.take() {
-                        s.gen = s.gen.wrapping_add(1);
-                        s.home = Home::Idle;
-                        self.front = self.current.pop();
-                        self.entries -= 1;
-                        debug_assert!(top.at >= self.now, "event queue went backwards");
-                        self.now = top.at;
-                        self.events_run += 1;
-                        self.free.push(top.slot);
-                        run(self);
-                        return true;
-                    }
-                }
+        while let Some(Reverse(top)) = self.heap.pop() {
+            // One slot borrow decides liveness and takes the closure:
+            // cancel and dispatch both bump the generation, so a stale
+            // entry (its event cancelled) never matches.
+            let s = &mut self.slots[top.slot as usize];
+            if s.gen != top.gen {
+                continue;
             }
-        }
-        if let Some(top) = self.ensure_next() {
-            self.current_pop();
-            self.entries -= 1;
+            let run = s.run.take().expect("a matching generation holds a closure");
+            s.gen = s.gen.wrapping_add(1);
+            self.free.push(top.slot);
             debug_assert!(top.at >= self.now, "event queue went backwards");
             self.now = top.at;
             self.events_run += 1;
-            let run = {
-                let s = &mut self.slots[top.slot as usize];
-                let run = s.run.take().expect("live event closure present");
-                s.gen = s.gen.wrapping_add(1);
-                s.home = Home::Idle;
-                run
-            };
-            self.free.push(top.slot);
             run(self);
-            true
-        } else {
-            false
+            return true;
         }
+        false
     }
 
     /// Run until the event queue is empty.
@@ -704,13 +248,17 @@ impl Simulator {
     /// run. A deadline at or before the current time runs nothing and
     /// leaves the clock where it is (time never goes backwards).
     pub fn run_until(&mut self, deadline: SimTime) {
-        // `ensure_next` reaps stale heads first: a cancelled event inside
-        // the window must not cause the event *after* the deadline to run.
-        while let Some(ev) = self.ensure_next() {
-            if ev.at > deadline {
+        while let Some(&Reverse(top)) = self.heap.peek() {
+            // Reap a stale head before comparing: a cancelled event
+            // inside the window must not let the event *after* the
+            // deadline run.
+            if self.slots[top.slot as usize].gen != top.gen {
+                self.heap.pop();
+            } else if top.at > deadline {
                 break;
+            } else {
+                self.step();
             }
-            self.step();
         }
         if self.now < deadline {
             self.now = deadline;
@@ -1043,24 +591,5 @@ mod tests {
         });
         sim.run();
         assert_eq!(*log.borrow(), vec!["early", "late"]);
-    }
-
-    #[test]
-    fn tiny_wheel_geometry_still_orders_correctly() {
-        // A 4-bucket, 1µs-bucket wheel forces constant wrap + rebucket
-        // traffic; order must be unaffected by geometry.
-        let mut sim = Simulator::with_params(WheelParams {
-            bucket_ns_log2: 10,
-            buckets: 4,
-        });
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for t in [90u64, 3, 47, 12, 300, 5, 151, 46, 2, 999] {
-            let log = log.clone();
-            sim.schedule_at(SimTime::from_micros(t), move |_| log.borrow_mut().push(t));
-        }
-        sim.run();
-        let mut want = vec![90u64, 3, 47, 12, 300, 5, 151, 46, 2, 999];
-        want.sort_unstable();
-        assert_eq!(*log.borrow(), want);
     }
 }

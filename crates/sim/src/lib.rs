@@ -12,11 +12,10 @@
 //!
 //! Events are ordered by `(time, sequence)` so identical runs replay
 //! byte-for-byte; all experiment randomness comes from seeded PRNGs
-//! upstream. Scheduling uses a hierarchical calendar queue (timer wheel
-//! plus overflow heap — see the module docs in `kernel.rs`) so dispatch
-//! stays amortized O(1) with 10⁵–10⁶ events pending; the previous
-//! single-`BinaryHeap` kernel is preserved as
-//! [`baseline::HeapSimulator`] for benchmarking and equivalence tests.
+//! upstream, and every seeded fault or crash decision is a
+//! [`splitmix64`] of a seed and a counter. Scheduling is one binary heap
+//! over a slab of generation-tagged event slots (see the module docs in
+//! `kernel.rs`).
 //!
 //! # Example
 //!
@@ -38,13 +37,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 mod kernel;
 mod resource;
 
-pub use kernel::{EventId, Simulator, WheelParams};
+pub use kernel::{EventId, Simulator};
 pub use resource::{BandwidthShare, CpuModel, FifoResource};
 // `SimTime` and the single-owner throughput meter moved to `nasd-obs`
 // (the observability layer sits below the kernel so metrics can be keyed
 // on simulated time); re-exported here so downstream code is unchanged.
 pub use nasd_obs::{SimTime, Throughput};
+
+/// SplitMix64 finalizer: one 64-bit hash step. Message faults
+/// (`nasd-net`), drive faults (`nasd-object`) and torn-write crash points
+/// (`nasd-disk`) are each this function of a seed and a counter, so a
+/// fault or crash schedule replays per seed.
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -1,23 +1,22 @@
-//! Trace-equivalence property suite: the calendar-queue kernel and the
-//! baseline `BinaryHeap` kernel must execute identical schedule/cancel
-//! scripts in byte-identical order.
+//! Model check: the kernel must execute seeded schedule/cancel scripts
+//! exactly as a reference model does.
 //!
 //! A script is generated from a seeded PRNG: a mix of schedules (with
-//! delays spanning sub-bucket to far-beyond-horizon), cancels of random
+//! delays spanning nanoseconds to tens of seconds), cancels of random
 //! earlier events, steps, and `run_until` windows. Each executed event
-//! appends `(script index, fire time)` to a trace; the two kernels'
-//! traces must match exactly, across seeds and wheel geometries.
+//! appends `(script index, fire time)` to a trace. The reference model
+//! keeps its pending events in a plain list and runs the `(time, seq)`
+//! minimum each step; the kernel's trace must match it exactly.
 
 use nasd_obs::SimTime;
-use nasd_sim::baseline::{HeapEventId, HeapSimulator};
-use nasd_sim::{EventId, Simulator, WheelParams};
+use nasd_sim::{EventId, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// One step of a schedule/cancel script, interpreted identically by
-/// both kernels.
+/// the kernel and the model.
 #[derive(Clone, Debug)]
 enum Op {
     /// Schedule event number `idx` at `delay` past the current clock;
@@ -37,10 +36,9 @@ enum Op {
     RunUntil { window: SimTime },
 }
 
-/// Delays chosen to straddle every interesting boundary of the default
-/// wheel geometry (65.5 µs buckets, 67 ms horizon): same-bucket,
-/// adjacent-bucket, mid-wheel, just-inside/outside the horizon, and far
-/// overflow. Zero hits the "cascade at now" path.
+/// Delays over six orders of magnitude, from sub-microsecond cascades to
+/// events parked tens of seconds out. Zero hits the "cascade at now"
+/// path.
 fn random_delay(rng: &mut StdRng) -> SimTime {
     match rng.gen_range(0..6u32) {
         0 => SimTime::from_nanos(rng.gen_range(0..1_000)),
@@ -146,28 +144,49 @@ fn run_on_kernel(script: &[Op]) -> Vec<(u32, u64)> {
     out
 }
 
-fn run_on_baseline(script: &[Op]) -> Vec<(u32, u64)> {
-    let trace: Trace = Rc::new(RefCell::new(Vec::new()));
-    let mut sim = HeapSimulator::new();
-    let mut ids: Vec<HeapEventId> = Vec::new();
+/// The reference model: pending `(at, seq, tag)` entries in a plain
+/// list, the minimum found by a scan on every step. `tag` is the trace
+/// tag `idx | depth << 24`; `chains[idx]` is script event `idx`'s
+/// `(chain, chain_delay)`.
+#[derive(Default)]
+struct Model {
+    now: u64,
+    seq: u64,
+    pending: Vec<(u64, u64, u32)>,
+    chains: Vec<(u8, u64)>,
+    trace: Vec<(u32, u64)>,
+}
 
-    fn chained(
-        trace: Trace,
-        idx: u32,
-        depth: u8,
-        chain: u8,
-        delay: SimTime,
-    ) -> impl FnOnce(&mut HeapSimulator) + 'static {
-        move |sim: &mut HeapSimulator| {
-            trace
-                .borrow_mut()
-                .push((idx | (u32::from(depth) << 24), sim.now().as_nanos()));
-            if depth < chain {
-                sim.schedule_in(delay, chained(trace, idx, depth + 1, chain, delay));
-            }
-        }
+impl Model {
+    fn schedule(&mut self, at: u64, tag: u32) -> u64 {
+        self.seq += 1;
+        self.pending.push((at, self.seq, tag));
+        self.seq
     }
 
+    fn earliest(&self) -> Option<(u64, u64, u32)> {
+        self.pending.iter().min().copied()
+    }
+
+    fn step(&mut self) -> bool {
+        let Some(e @ (at, _, tag)) = self.earliest() else {
+            return false;
+        };
+        self.pending.retain(|p| *p != e);
+        self.now = at;
+        self.trace.push((tag, at));
+        let (idx, depth) = (tag & 0xff_ffff, tag >> 24);
+        let (chain, delay) = self.chains[idx as usize];
+        if depth < u32::from(chain) {
+            self.schedule(at + delay, idx | ((depth + 1) << 24));
+        }
+        true
+    }
+}
+
+fn run_on_model(script: &[Op]) -> Vec<(u32, u64)> {
+    let mut m = Model::default();
+    let mut ids = Vec::new();
     for op in script {
         match *op {
             Op::Schedule {
@@ -176,119 +195,62 @@ fn run_on_baseline(script: &[Op]) -> Vec<(u32, u64)> {
                 chain,
                 chain_delay,
             } => {
-                let id = sim.schedule_in(delay, chained(trace.clone(), idx, 0, chain, chain_delay));
-                ids.push(id);
+                m.chains.push((chain, chain_delay.as_nanos()));
+                ids.push(m.schedule(m.now + delay.as_nanos(), idx));
             }
             Op::Cancel { nth } => {
-                if let Some(&id) = ids.get(nth) {
-                    sim.cancel(id);
+                if let Some(&seq) = ids.get(nth) {
+                    m.pending.retain(|p| p.1 != seq);
                 }
             }
             Op::Step { n } => {
                 for _ in 0..n {
-                    if !sim.step() {
+                    if !m.step() {
                         break;
                     }
                 }
             }
             Op::RunUntil { window } => {
-                let deadline = sim.now() + window;
-                sim.run_until(deadline);
+                let deadline = m.now + window.as_nanos();
+                while m.earliest().is_some_and(|(at, _, _)| at <= deadline) {
+                    m.step();
+                }
+                m.now = m.now.max(deadline);
             }
         }
     }
-    sim.run();
-    let out = trace.borrow().clone();
-    out
+    while m.step() {}
+    m.trace
 }
 
 #[test]
-fn calendar_queue_matches_heap_baseline_across_seeds() {
-    for seed in [0x5eed_0001u64, 0x5eed_0002, 0x5eed_0003] {
-        let script = random_script(seed, 2_000);
-        let wheel = run_on_kernel(&script);
-        let heap = run_on_baseline(&script);
+fn kernel_matches_reference_model_across_seeds() {
+    for (seed, len) in [
+        (0x5eed_0001u64, 2_000),
+        (0x5eed_0002, 2_000),
+        (0x5eed_0003, 2_000),
+        (0xfeed_beef, 1_500),
+    ] {
+        let script = random_script(seed, len);
+        let kernel = run_on_kernel(&script);
+        let model = run_on_model(&script);
         assert_eq!(
-            wheel.len(),
-            heap.len(),
-            "seed {seed:#x}: kernels ran different event counts"
+            kernel.len(),
+            model.len(),
+            "seed {seed:#x}: kernel and model ran different event counts"
         );
-        for (i, (w, h)) in wheel.iter().zip(heap.iter()).enumerate() {
+        for (i, (k, m)) in kernel.iter().zip(model.iter()).enumerate() {
             assert_eq!(
-                w, h,
-                "seed {seed:#x}: traces diverge at dispatch {i}: wheel {w:?} vs heap {h:?}"
+                k, m,
+                "seed {seed:#x}: traces diverge at dispatch {i}: kernel {k:?} vs model {m:?}"
             );
         }
     }
 }
 
 #[test]
-fn equivalence_holds_under_stress_geometry() {
-    // A deliberately hostile wheel (4 one-µs buckets) forces constant
-    // wrap and re-bucket traffic; the trace must not change.
-    let script = random_script(0xfeed_beef, 1_500);
-    let baseline = run_on_baseline(&script);
-
-    let trace: Trace = Rc::new(RefCell::new(Vec::new()));
-    let mut sim = Simulator::with_params(WheelParams {
-        bucket_ns_log2: 10,
-        buckets: 4,
-    });
-    let mut ids: Vec<EventId> = Vec::new();
-
-    fn chained(
-        trace: Trace,
-        idx: u32,
-        depth: u8,
-        chain: u8,
-        delay: SimTime,
-    ) -> impl FnOnce(&mut Simulator) + 'static {
-        move |sim: &mut Simulator| {
-            trace
-                .borrow_mut()
-                .push((idx | (u32::from(depth) << 24), sim.now().as_nanos()));
-            if depth < chain {
-                sim.schedule_in(delay, chained(trace, idx, depth + 1, chain, delay));
-            }
-        }
-    }
-
-    for op in &script {
-        match *op {
-            Op::Schedule {
-                idx,
-                delay,
-                chain,
-                chain_delay,
-            } => {
-                let id = sim.schedule_in(delay, chained(trace.clone(), idx, 0, chain, chain_delay));
-                ids.push(id);
-            }
-            Op::Cancel { nth } => {
-                if let Some(&id) = ids.get(nth) {
-                    sim.cancel(id);
-                }
-            }
-            Op::Step { n } => {
-                for _ in 0..n {
-                    if !sim.step() {
-                        break;
-                    }
-                }
-            }
-            Op::RunUntil { window } => {
-                let deadline = sim.now() + window;
-                sim.run_until(deadline);
-            }
-        }
-    }
-    sim.run();
-    assert_eq!(*trace.borrow(), baseline);
-}
-
-#[test]
 fn identical_seeds_produce_identical_traces() {
-    // Determinism of the wheel kernel itself: same script, same trace.
+    // Determinism of the kernel itself: same script, same trace.
     let script = random_script(42, 1_000);
     assert_eq!(run_on_kernel(&script), run_on_kernel(&script));
 }
