@@ -15,7 +15,7 @@
 //! superblock load, bitmap cross-check, and log replay.
 
 use nasd::disk::{MemDisk, SharedDisk};
-use nasd::object::{IoTrace, ObjectStore};
+use nasd::object::ObjectStore;
 use nasd::proto::PartitionId;
 use std::time::Instant;
 
@@ -42,7 +42,7 @@ pub struct RecoveryRow {
     pub records: u64,
     /// Bytes of write-ahead log those operations occupy.
     pub wal_bytes: u64,
-    /// Wall-clock milliseconds for one `open` (mean of [`ITERS`] runs).
+    /// Wall-clock milliseconds for one `open` (mean of `ITERS` runs).
     pub open_ms: f64,
     /// Replay cost per logged operation, in microseconds.
     pub us_per_record: f64,
@@ -56,22 +56,21 @@ pub struct RecoveryRow {
 fn media_with_log(records: u64) -> (SharedDisk, u64) {
     let media = SharedDisk::new(MemDisk::new(BS, BLOCKS));
     let mut store = ObjectStore::new(media.clone(), 64);
-    let mut t = IoTrace::default();
     store.create_partition(P, 16 << 20).unwrap();
     let mut objects = Vec::new();
     for _ in 0..NOBJECTS {
-        objects.push(store.create_object(P, 0, None, 0, &mut t).unwrap());
+        objects.push(store.create_object(P, 0, None, 0).unwrap());
     }
     // Everything up to here is checkpointed state: the swept log
     // contains only the `records` writes that follow.
-    store.checkpoint(&mut t).unwrap();
+    store.checkpoint().unwrap();
     store.enable_wal(true);
     let payload = [0x5a; WRITE_BYTES];
     for i in 0..records {
         let o = objects[(i % NOBJECTS) as usize];
         let offset = (i / NOBJECTS) * WRITE_BYTES as u64;
-        store.write(P, o, offset, &payload, 0, &mut t).unwrap();
-        store.wal_commit(&mut t).unwrap();
+        store.write(P, o, offset, &payload, 0).unwrap();
+        store.wal_commit().unwrap();
     }
     let wal_bytes = store.wal_durable_bytes();
     (media, wal_bytes)
@@ -144,7 +143,7 @@ mod tests {
         let (media, wal_bytes) = media_with_log(64);
         assert!(wal_bytes > 0);
         let mut store = ObjectStore::open(media.clone(), 64).unwrap();
-        store.checkpoint(&mut IoTrace::default()).unwrap();
+        store.checkpoint().unwrap();
         drop(store);
         let reopened = ObjectStore::open(media, 64).unwrap();
         assert_eq!(reopened.wal_durable_bytes(), 0);

@@ -115,7 +115,7 @@ fn measure(op: &str, cache: &str, size: u64, registry: &Arc<Registry>) -> (f64, 
         } else {
             OpKind::Write
         };
-        let cold_blocks = report.trace.misses.max(meter.cold_blocks_for(size));
+        let cold_blocks = report.misses.max(meter.cold_blocks_for(size));
         let cost = meter.estimate(kind, size.max(1), cold_blocks);
         (cost.total(), cost.pct_comm())
     } else {

@@ -85,7 +85,7 @@ impl ChunkerParams {
     /// Clamp the fields into a usable shape: `avg` is rounded down to a
     /// power of two and the bounds are ordered `min <= avg <= max`,
     /// with `min` at least the window size (a boundary decision needs a
-    /// full window). Because `min` can never go below [`WINDOW`], `avg`
+    /// full window). Because `min` can never go below `WINDOW`, `avg`
     /// is floored at the next power of two above it — a sub-window
     /// average would force `min > avg`.
     #[must_use]

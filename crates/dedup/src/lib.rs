@@ -12,14 +12,14 @@
 //!   rolling Buzhash, so an insertion near the front of a stream moves
 //!   only O(1) chunk boundaries; [`FixedChunker`] covers block images,
 //! - every chunk is framed as a checksummed, optionally compressed
-//!   [`blob`](crate::blob) and stored once in a [`ChunkStore`]: a
+//!   [`blob`] and stored once in a [`ChunkStore`]: a
 //!   content-addressed map from SHA-256 digest to an extent of an
 //!   append-only *pack object* on some drive (the drive-side `Append`
 //!   request serializes concurrent writers),
 //! - archives are described by [`FixedIndex`]/[`DynamicIndex`] digest
 //!   lists, bundled into versioned [`SnapshotManifest`]s with canonical
 //!   wire codecs (the `nasd-proto` conventions),
-//! - [`prune`](crate::prune) implements keep-last/keep-daily retention
+//! - [`prune`] implements keep-last/keep-daily retention
 //!   and [`ChunkStore::gc`] is a mark-and-sweep collector that is safe
 //!   against concurrent backups (sessions pin their chunks), idempotent
 //!   and restartable after a drive crash,

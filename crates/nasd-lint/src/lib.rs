@@ -7,7 +7,7 @@
 //!   clocks, real entropy, or sleep real threads; all time comes from the
 //!   simulated clock so chaos runs stay replayable.
 //! - **P1 panic-free request paths** — drive / file-manager / Cheops
-//!   request handling must return [`NasdStatus`]-style errors, never
+//!   request handling must return `NasdStatus`-style errors, never
 //!   `unwrap()`, `expect()`, `panic!` or bare slice indexing.
 //! - **H1 hot-path copy discipline** — data-path modules (drive, store,
 //!   cache, wire codec, file-manager and striping clients) must not copy
@@ -58,8 +58,8 @@
 //! A suppression without a reason string is itself a finding (S0), as is a
 //! suppression that no longer matches anything (S1).
 //!
-//! [`NasdStatus`]: https://www.pdl.cmu.edu/NASD/ — status codes from the
-//! NASD drive interface (Gibson et al., ASPLOS '98).
+//! `NasdStatus` is the status-code enum of the NASD drive interface
+//! (Gibson et al., ASPLOS '98, <https://www.pdl.cmu.edu/NASD/>).
 
 #![forbid(unsafe_code)]
 

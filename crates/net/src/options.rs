@@ -51,18 +51,15 @@ impl CallStats {
 ///
 /// The three legacy entry points map onto options like this:
 ///
-/// | legacy                  | options                       |
-/// |-------------------------|-------------------------------|
-/// | `call(req)`             | [`CallOptions::blocking()`]   |
-/// | `call_timeout(req, t)`  | [`CallOptions::once(t)`]      |
-/// | `call_retry(req, p)`    | [`CallOptions::retry(p)`]     |
+/// | legacy                  | options                                         |
+/// |-------------------------|-------------------------------------------------|
+/// | `call(req)`             | [`CallOptions::blocking()`]                     |
+/// | `call_timeout(req, t)`  | [`CallOptions::once(t)`](CallOptions::once)     |
+/// | `call_retry(req, p)`    | [`CallOptions::retry(p)`](CallOptions::retry)   |
 #[derive(Debug, Clone)]
 pub struct CallOptions {
-    /// Attempt count and backoff schedule.
+    /// Attempt count, per-attempt timeout and backoff schedule.
     pub policy: RetryPolicy,
-    /// Per-attempt reply timeout; `None` blocks until the reply arrives
-    /// or the service disconnects (only sensible with a single attempt).
-    pub attempt_timeout: Option<Duration>,
     /// Optional counters recording this call's traffic.
     pub stats: Option<CallStats>,
 }
@@ -73,7 +70,6 @@ impl CallOptions {
     pub fn blocking() -> CallOptions {
         CallOptions {
             policy: RetryPolicy::once(Duration::MAX),
-            attempt_timeout: None,
             stats: None,
         }
     }
@@ -83,7 +79,6 @@ impl CallOptions {
     pub fn once(timeout: Duration) -> CallOptions {
         CallOptions {
             policy: RetryPolicy::once(timeout),
-            attempt_timeout: Some(timeout),
             stats: None,
         }
     }
@@ -93,10 +88,17 @@ impl CallOptions {
     #[must_use]
     pub fn retry(policy: RetryPolicy) -> CallOptions {
         CallOptions {
-            attempt_timeout: Some(policy.timeout),
             policy,
             stats: None,
         }
+    }
+
+    /// Per-attempt reply timeout: the policy's, or `None` when that is
+    /// [`Duration::MAX`], which blocks until the reply arrives or the
+    /// service disconnects (only sensible with a single attempt).
+    #[must_use]
+    pub fn attempt_timeout(&self) -> Option<Duration> {
+        (self.policy.timeout != Duration::MAX).then_some(self.policy.timeout)
     }
 
     /// Attach a [`CallStats`] bundle (fluent).
@@ -121,16 +123,16 @@ mod tests {
     fn constructors_map_legacy_semantics() {
         let blocking = CallOptions::blocking();
         assert_eq!(blocking.policy.max_attempts, 1);
-        assert_eq!(blocking.attempt_timeout, None);
+        assert_eq!(blocking.attempt_timeout(), None);
 
         let once = CallOptions::once(Duration::from_millis(5));
         assert_eq!(once.policy.max_attempts, 1);
-        assert_eq!(once.attempt_timeout, Some(Duration::from_millis(5)));
+        assert_eq!(once.attempt_timeout(), Some(Duration::from_millis(5)));
 
         let policy = RetryPolicy::standard();
         let retry = CallOptions::retry(policy);
         assert_eq!(retry.policy, policy);
-        assert_eq!(retry.attempt_timeout, Some(policy.timeout));
+        assert_eq!(retry.attempt_timeout(), Some(policy.timeout));
     }
 
     #[test]

@@ -789,11 +789,7 @@ mod tests {
             let in_proc = Connector::new()
                 .faults(proc_plan.channel(1, config))
                 .in_proc(rpc);
-            let opts = CallOptions {
-                policy: crate::RetryPolicy::standard(),
-                attempt_timeout: Some(Duration::from_millis(200)),
-                stats: None,
-            };
+            let opts = CallOptions::retry(crate::RetryPolicy::standard());
             for i in 0..16u64 {
                 let req = request(i, vec![(i as u8) | 0x40; 512]);
                 let a = socket.call_with(req.clone(), &opts).unwrap();

@@ -157,7 +157,7 @@ pub(crate) fn retry_loop<Req: Clone, Resp>(
         if let Some(stats) = &opts.stats {
             stats.attempts.inc();
         }
-        match attempt(req.clone(), opts.attempt_timeout) {
+        match attempt(req.clone(), opts.attempt_timeout()) {
             Ok(resp) => return Ok(resp),
             Err(RpcError::TimedOut) => {
                 if let Some(stats) = &opts.stats {

@@ -6,11 +6,11 @@
 //! **authorize** (the request's row of [`RequestBody::authority`] against
 //! its capability or key and the object's current state), **execute**
 //! (object-store calls only), commit (ack implies durable), account. It
-//! returns both the wire [`Reply`] and a [`ServiceReport`] (instruction
-//! cost + physical I/O trace) that the simulation harnesses replay
-//! against CPU and disk models.
+//! returns both the wire [`Reply`] and a [`ServiceReport`]: the
+//! request's instruction cost and the block-cache hits and misses it
+//! caused, read as the change in the cache's
+//! [`CacheStats`](crate::CacheStats) across execute and commit.
 
-use crate::cache::IoTrace;
 use crate::cost::{CostMeter, OpCost, OpKind};
 use crate::security::DriveSecurity;
 use crate::store::{ObjectStore, StoreError};
@@ -201,16 +201,18 @@ fn op_kind(body: &RequestBody) -> OpKind {
     }
 }
 
-/// What one request cost: instruction accounting plus the physical I/O
-/// performed, for replay against timing models.
+/// What one request cost: instruction accounting plus the block-cache
+/// lookups it made. A request with no misses ran the warm code path.
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
     /// Kind of operation (for aggregation).
     pub kind: OpKind,
     /// Instruction cost split into comm / object-system work.
     pub cost: OpCost,
-    /// Physical device accesses performed.
-    pub trace: IoTrace,
+    /// Block lookups the cache satisfied.
+    pub hits: u64,
+    /// Block lookups that read the device.
+    pub misses: u64,
 }
 
 /// A complete NASD drive over block device `D`.
@@ -379,8 +381,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
     ///
     /// Propagates [`StoreError`] from the checkpoint.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        let mut trace = IoTrace::default();
-        self.store.checkpoint(&mut trace)
+        self.store.checkpoint()
     }
 
     /// This drive's identity.
@@ -433,15 +434,14 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         if let Some(bounced) = self.inject_fault() {
             return bounced;
         }
-        let mut trace = IoTrace::default();
+        let before = self.store.cache().stats();
         // 2. Authorize, then 3. execute. A request refused before it was
         // authorized touched nothing and is accounted as a bare control
         // exchange.
         let (mut reply, kind) = match self.authorize(req) {
             Err(refused) => (Reply::error(refused), OpKind::Control),
             Ok(()) => (
-                self.execute(req, &mut trace)
-                    .map_or_else(Reply::error, Reply::ok),
+                self.execute(req).map_or_else(Reply::error, Reply::ok),
                 op_kind(&req.body),
             ),
         };
@@ -457,13 +457,19 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
         // first commit on a fresh device writes a full checkpoint
         // instead, formatting the superblock. A drive that is not
         // durable logged nothing, and the commit returns at once.
-        if reply.status.is_ok() && req.body.mutates() && self.store.wal_commit(&mut trace).is_err()
-        {
+        if reply.status.is_ok() && req.body.mutates() && self.store.wal_commit().is_err() {
             reply = Reply::error(NasdStatus::DriveError);
         }
         // 5. Account.
-        let cost = self.meter.estimate(kind, bytes, trace.misses);
-        let report = ServiceReport { kind, cost, trace };
+        let after = self.store.cache().stats();
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        let cost = self.meter.estimate(kind, bytes, misses);
+        let report = ServiceReport {
+            kind,
+            cost,
+            hits,
+            misses,
+        };
         self.account(&reply, &report, bytes);
         (reply, report)
     }
@@ -487,7 +493,8 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
                 let report = ServiceReport {
                     kind: OpKind::Control,
                     cost: self.meter.estimate(OpKind::Control, 0, 0),
-                    trace: IoTrace::default(),
+                    hits: 0,
+                    misses: 0,
                 };
                 Some((Reply::error(NasdStatus::Busy), report))
             }
@@ -522,7 +529,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
     }
 
     /// Phase 3: the authorized operation itself — store calls only.
-    fn execute(&mut self, req: &Request, trace: &mut IoTrace) -> Result<ReplyBody, NasdStatus> {
+    fn execute(&mut self, req: &Request) -> Result<ReplyBody, NasdStatus> {
         let (p, now) = (req.body.partition(), self.clock);
         Ok(match &req.body {
             // "Objects with well-known names... enable filesystems to
@@ -554,16 +561,14 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
                 offset,
                 len,
                 ..
-            } => ReplyBody::Data(self.store.read(p, *object, *offset, *len, now, trace)?),
-            RequestBody::Write { object, offset, .. } => ReplyBody::Written(
-                self.store
-                    .write(p, *object, *offset, &req.data, now, trace)?,
-            ),
+            } => ReplyBody::Data(self.store.read(p, *object, *offset, *len, now)?),
+            RequestBody::Write { object, offset, .. } => {
+                ReplyBody::Written(self.store.write(p, *object, *offset, &req.data, now)?)
+            }
             RequestBody::Append { object, .. } => {
                 // The drive chooses the offset: current end of data.
                 let offset = self.store.peek_attr(p, *object)?.size;
-                self.store
-                    .write(p, *object, offset, &req.data, now, trace)?;
+                self.store.write(p, *object, offset, &req.data, now)?;
                 ReplyBody::Appended(offset)
             }
             RequestBody::GetAttr { object, .. } => {
@@ -585,7 +590,6 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
                     *preallocated,
                     *cluster_with,
                     now,
-                    trace,
                 )?;
                 ReplyBody::Empty
             }
@@ -593,28 +597,27 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
                 preallocate,
                 cluster_with,
                 ..
-            } => ReplyBody::Created(self.store.create_object(
-                p,
-                *preallocate,
-                *cluster_with,
-                now,
-                trace,
-            )?),
+            } => {
+                ReplyBody::Created(
+                    self.store
+                        .create_object(p, *preallocate, *cluster_with, now)?,
+                )
+            }
             RequestBody::Remove { object, .. } => {
-                self.store.remove_object(p, *object, trace)?;
+                self.store.remove_object(p, *object)?;
                 ReplyBody::Empty
             }
             RequestBody::Resize {
                 object, new_size, ..
             } => {
-                self.store.resize(p, *object, *new_size, now, trace)?;
+                self.store.resize(p, *object, *new_size, now)?;
                 ReplyBody::Empty
             }
             RequestBody::Snapshot { object, .. } => {
-                ReplyBody::Created(self.store.snapshot(p, *object, now, trace)?)
+                ReplyBody::Created(self.store.snapshot(p, *object, now)?)
             }
             RequestBody::Flush { .. } => {
-                self.store.flush(trace)?;
+                self.store.flush()?;
                 ReplyBody::Empty
             }
             RequestBody::ListObjects { .. } => ReplyBody::Objects(self.store.list_objects(p)?),
@@ -672,8 +675,8 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
             OpKind::Write => obs.bytes_written.add(bytes),
             OpKind::GetAttr | OpKind::Control => {}
         }
-        obs.cache_hits.add(report.trace.hits);
-        obs.cache_misses.add(report.trace.misses);
+        obs.cache_hits.add(report.hits);
+        obs.cache_misses.add(report.misses);
         obs.instructions.record(report.cost.total() as u64);
         obs.request_bytes.record(bytes);
         if let Some(sink) = &obs.sink {
@@ -1180,7 +1183,67 @@ mod tests {
         // Warm 64 KB read: Table 1 says ~224k instructions, ~97% comm.
         assert!(report.cost.total() > 150_000.0);
         assert!(report.cost.pct_comm() > 90.0);
-        assert!(report.trace.is_warm());
+        assert_eq!(report.misses, 0, "warm read");
+        assert_eq!(report.hits, 8, "one hit per 8 KiB block");
+    }
+
+    #[test]
+    fn per_request_cache_counts_sum_to_the_cache_stats() {
+        // An 8-block cache: one 64 KiB object fills it, so writing a
+        // second evicts the first and its next read is cold.
+        let registry = Arc::new(Registry::new());
+        let small = DriveConfig {
+            cache_blocks: 8,
+            ..DriveConfig::small()
+        };
+        for (n, config) in [(1u64, small.clone()), (2, small.durable())] {
+            let mut d = NasdDrive::builder(n)
+                .config(config)
+                .metrics(Arc::clone(&registry))
+                .build();
+            d.admin_create_partition(P, 16 << 20).unwrap();
+            let [a, b] = [0, 1].map(|_| {
+                let obj = d.admin_create_object(P, 0).unwrap();
+                d.client(d.issue_capability(P, obj, Rights::READ | Rights::WRITE, 100))
+            });
+            a.write(&mut d, 0, &[1u8; 65_536]).unwrap();
+            b.write(&mut d, 0, &[2u8; 65_536]).unwrap();
+
+            let start = d.store().cache().stats();
+            let read = |c: &ClientHandle| {
+                c.build(
+                    RequestBody::read(&c.capability.public, 0, 8_192),
+                    Bytes::new(),
+                )
+            };
+            let write = a.build(
+                RequestBody::write(&a.capability.public, 0, 8_192),
+                Bytes::from(vec![3u8; 8_192]),
+            );
+            let mut sum = (0, 0);
+            // (hits, misses) per request.
+            for (what, req, expected) in [
+                ("cold read", read(&a), (0, 1)),
+                ("warm read", read(&a), (1, 0)),
+                ("write", write, (1, 0)),
+            ] {
+                let (reply, report) = d.handle(&req);
+                assert!(reply.status.is_ok(), "drive {n} {what}: {:?}", reply.status);
+                let got = (report.hits, report.misses);
+                assert_eq!(got, expected, "drive {n} {what}");
+                sum = (sum.0 + report.hits, sum.1 + report.misses);
+            }
+            let end = d.store().cache().stats();
+            assert_eq!(sum, (end.hits - start.hits, end.misses - start.misses));
+            // Every request went through `handle`, so the counters hold
+            // the cache's whole history.
+            let counter = |leaf: &str| registry.counter(&format!("drive/{n}/{leaf}")).value();
+            assert_eq!(
+                (counter("cache_hits"), counter("cache_misses")),
+                (end.hits, end.misses),
+                "drive {n}"
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod store;
 mod wal;
 
 pub use alloc::{Allocator, Extent};
-pub use cache::{BlockCache, CacheStats, IoRecord, IoTrace};
+pub use cache::{BlockCache, CacheStats};
 pub use cost::{CostMeter, OpCost, OpKind};
 pub use drive::{
     ClientHandle, DriveBuilder, DriveConfig, DriveFaultConfig, NasdDrive, ServiceReport,

@@ -15,8 +15,8 @@
 //!    rather than trusting disk state;
 //! 4. verify the persisted allocation bitmap bit-for-bit against that
 //!    recomputation — a cheap structural self-check against corruption;
-//! 5. replay the write-ahead log ([`crate::wal`]) idempotently to the
-//!    last complete record.
+//! 5. replay the write-ahead log (its [`WalRecord`](crate::WalRecord)s)
+//!    idempotently to the last complete record.
 //!
 //! Checkpoints are atomic by construction: the bitmap and index are
 //! written to the *other* epoch-parity copy, and only the final
@@ -30,7 +30,7 @@
 //! written multi-gigabyte contiguous object costs one inline extent.
 
 use crate::alloc::Allocator;
-use crate::cache::{BlockCache, IoRecord, IoTrace};
+use crate::cache::BlockCache;
 use crate::layout::{bit_set, Superblock};
 use crate::layout::{checksum64, read_bitmap, read_region, write_bitmap, write_region, Layout};
 use crate::store::{ObjectMeta, ObjectStore, Partition, StoreError};
@@ -277,12 +277,12 @@ impl<D: BlockDevice> ObjectStore<D> {
     ///
     /// [`StoreError::NoSpace`] if the device cannot hold its metadata
     /// or the index outgrew its area; device errors.
-    pub fn checkpoint(&mut self, trace: &mut IoTrace) -> Result<(), StoreError> {
+    pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         if !self.layout.fits() {
             return Err(StoreError::NoSpace);
         }
         // Data first: the checkpoint must describe durable contents.
-        self.cache.flush(trace)?;
+        self.cache.flush()?;
 
         let payload = encode_store(self);
         if payload.len() > self.layout.index_bytes() {
@@ -307,15 +307,6 @@ impl<D: BlockDevice> ObjectStore<D> {
             checkpoint_crc: checksum64(&payload),
         };
         sb.store(device)?;
-        trace.records.push(IoRecord::Write {
-            block: layout.bitmap_copy_start(epoch),
-            count: layout.bitmap_blocks,
-        });
-        trace.records.push(IoRecord::Write {
-            block: layout.index_copy_start(epoch),
-            count: (payload.len() as u64).div_ceil(layout.block_size as u64),
-        });
-        trace.records.push(IoRecord::Write { block: 0, count: 2 });
         self.checkpoint_seq = epoch;
         self.formatted = true;
         self.wal.reset(epoch);
@@ -408,9 +399,8 @@ impl<D: BlockDevice> ObjectStore<D> {
                 "allocation bitmap disagrees with the object index",
             ));
         }
-        let mut trace = IoTrace::default();
         for rec in log_records {
-            store.apply_wal(rec, &mut trace)?;
+            store.apply_wal(rec)?;
         }
         Ok(store)
     }
@@ -425,55 +415,35 @@ mod tests {
     const BS: usize = 8_192;
     const P: PartitionId = PartitionId(1);
 
-    fn t() -> IoTrace {
-        IoTrace::default()
-    }
-
     #[test]
     fn checkpoint_and_remount_roundtrip() {
         let mut store = ObjectStore::new(MemDisk::new(BS, 4_096), 64);
         store.create_partition(P, 64 << 20).unwrap();
-        let a = store.create_object(P, 0, None, 10, &mut t()).unwrap();
-        let b = store
-            .create_object(P, 4 * BS as u64, Some(a), 11, &mut t())
-            .unwrap();
+        let a = store.create_object(P, 0, None, 10).unwrap();
+        let b = store.create_object(P, 4 * BS as u64, Some(a), 11).unwrap();
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        store.write(P, a, 0, &data, 12, &mut t()).unwrap();
-        store
-            .write(P, b, 7, b"clustered neighbour", 13, &mut t())
-            .unwrap();
+        store.write(P, a, 0, &data, 12).unwrap();
+        store.write(P, b, 7, b"clustered neighbour", 13).unwrap();
         let mut fs = [0u8; nasd_proto::FS_SPECIFIC_ATTR_LEN];
         fs[0] = 0xcd;
         store
-            .set_attr(
-                P,
-                a,
-                SetAttrMask::fs_specific_only(),
-                &fs,
-                0,
-                None,
-                14,
-                &mut t(),
-            )
+            .set_attr(P, a, SetAttrMask::fs_specific_only(), &fs, 0, None, 14)
             .unwrap();
         let free_before = store.free_blocks();
 
-        store.checkpoint(&mut t()).unwrap();
+        store.checkpoint().unwrap();
         let device = store.cache().device().clone();
         drop(store);
 
         let mut re = ObjectStore::open(device, 64).unwrap();
         assert_eq!(re.free_blocks(), free_before, "allocator reconstructed");
-        assert_eq!(re.read(P, a, 0, 100_000, 20, &mut t()).unwrap(), &data[..]);
-        assert_eq!(
-            re.read(P, b, 7, 19, 20, &mut t()).unwrap(),
-            b"clustered neighbour"
-        );
+        assert_eq!(re.read(P, a, 0, 100_000, 20).unwrap(), &data[..]);
+        assert_eq!(re.read(P, b, 7, 19, 20).unwrap(), b"clustered neighbour");
         let attrs = re.get_attr(P, a, 21).unwrap();
         assert_eq!(attrs.fs_specific[0], 0xcd);
         assert_eq!(attrs.create_time, 10);
         // New allocations continue from the persisted name counter.
-        let c = re.create_object(P, 0, None, 22, &mut t()).unwrap();
+        let c = re.create_object(P, 0, None, 22).unwrap();
         assert!(c > b);
     }
 
@@ -481,22 +451,20 @@ mod tests {
     fn snapshots_survive_remount() {
         let mut store = ObjectStore::new(MemDisk::new(BS, 4_096), 64);
         store.create_partition(P, 64 << 20).unwrap();
-        let o = store.create_object(P, 0, None, 0, &mut t()).unwrap();
-        store
-            .write(P, o, 0, &vec![7u8; 3 * BS], 0, &mut t())
-            .unwrap();
-        let snap = store.snapshot(P, o, 1, &mut t()).unwrap();
-        store.checkpoint(&mut t()).unwrap();
+        let o = store.create_object(P, 0, None, 0).unwrap();
+        store.write(P, o, 0, &vec![7u8; 3 * BS], 0).unwrap();
+        let snap = store.snapshot(P, o, 1).unwrap();
+        store.checkpoint().unwrap();
         let device = store.cache().device().clone();
         drop(store);
 
         let mut re = ObjectStore::open(device, 64).unwrap();
         // COW still works after remount: write to the original, snapshot
         // unchanged.
-        re.write(P, o, 0, &[9u8; 10], 2, &mut t()).unwrap();
-        let frozen = re.read(P, snap, 0, 10, 3, &mut t()).unwrap().to_vec();
+        re.write(P, o, 0, &[9u8; 10], 2).unwrap();
+        let frozen = re.read(P, snap, 0, 10, 3).unwrap().to_vec();
         assert!(frozen.iter().all(|&x| x == 7));
-        let fresh = re.read(P, o, 0, 10, 3, &mut t()).unwrap().to_vec();
+        let fresh = re.read(P, o, 0, 10, 3).unwrap().to_vec();
         assert!(fresh.iter().all(|&x| x == 9));
     }
 
@@ -512,15 +480,15 @@ mod tests {
     fn checkpoint_is_idempotent_and_updatable() {
         let mut store = ObjectStore::new(MemDisk::new(BS, 2_048), 64);
         store.create_partition(P, 16 << 20).unwrap();
-        let o = store.create_object(P, 0, None, 0, &mut t()).unwrap();
-        store.write(P, o, 0, b"v1", 0, &mut t()).unwrap();
-        store.checkpoint(&mut t()).unwrap();
-        store.write(P, o, 0, b"v2", 1, &mut t()).unwrap();
-        store.checkpoint(&mut t()).unwrap();
+        let o = store.create_object(P, 0, None, 0).unwrap();
+        store.write(P, o, 0, b"v1", 0).unwrap();
+        store.checkpoint().unwrap();
+        store.write(P, o, 0, b"v2", 1).unwrap();
+        store.checkpoint().unwrap();
         let device = store.cache().device().clone();
         drop(store);
         let mut re = ObjectStore::open(device, 8).unwrap();
-        assert_eq!(re.read(P, o, 0, 2, 2, &mut t()).unwrap(), b"v2");
+        assert_eq!(re.read(P, o, 0, 2, 2).unwrap(), b"v2");
         assert_eq!(re.checkpoint_seq, 2, "one epoch per checkpoint");
     }
 
@@ -530,15 +498,11 @@ mod tests {
         store.create_partition(P, 64 << 20).unwrap();
         // Interleave two objects' writes so each ends up with many
         // non-contiguous single-block extents — more than NDIRECT.
-        let a = store.create_object(P, 0, None, 0, &mut t()).unwrap();
-        let b = store.create_object(P, 0, None, 0, &mut t()).unwrap();
+        let a = store.create_object(P, 0, None, 0).unwrap();
+        let b = store.create_object(P, 0, None, 0).unwrap();
         for i in 0..(NDIRECT as u64 + 4) {
-            store
-                .write(P, a, i * BS as u64, &vec![1u8; BS], 0, &mut t())
-                .unwrap();
-            store
-                .write(P, b, i * BS as u64, &vec![2u8; BS], 0, &mut t())
-                .unwrap();
+            store.write(P, a, i * BS as u64, &vec![1u8; BS], 0).unwrap();
+            store.write(P, b, i * BS as u64, &vec![2u8; BS], 0).unwrap();
         }
         let a_blocks = {
             let part = store.partitions.get(&P).unwrap();
@@ -548,20 +512,20 @@ mod tests {
             block_runs(&a_blocks).len() > NDIRECT,
             "test must actually exercise the indirect path: {a_blocks:?}"
         );
-        store.checkpoint(&mut t()).unwrap();
+        store.checkpoint().unwrap();
         let device = store.cache().device().clone();
         drop(store);
 
         let mut re = ObjectStore::open(device, 64).unwrap();
         let n = (NDIRECT as u64 + 4) * BS as u64;
         assert!(re
-            .read(P, a, 0, n, 1, &mut t())
+            .read(P, a, 0, n, 1)
             .unwrap()
             .to_vec()
             .iter()
             .all(|&x| x == 1));
         assert!(re
-            .read(P, b, 0, n, 1, &mut t())
+            .read(P, b, 0, n, 1)
             .unwrap()
             .to_vec()
             .iter()
@@ -577,9 +541,9 @@ mod tests {
     fn corrupt_index_checkpoint_is_rejected() {
         let mut store = ObjectStore::new(MemDisk::new(BS, 2_048), 64);
         store.create_partition(P, 16 << 20).unwrap();
-        let o = store.create_object(P, 0, None, 0, &mut t()).unwrap();
-        store.write(P, o, 0, b"payload", 0, &mut t()).unwrap();
-        store.checkpoint(&mut t()).unwrap();
+        let o = store.create_object(P, 0, None, 0).unwrap();
+        store.write(P, o, 0, b"payload", 0).unwrap();
+        store.checkpoint().unwrap();
         let epoch = store.checkpoint_seq;
         let layout = *store.layout();
         let mut device = store.cache().device().clone();
@@ -641,7 +605,7 @@ mod tests {
         // from the hostile value.
         let mut store = ObjectStore::new(MemDisk::new(BS, 2_048), 64);
         store.create_partition(P, 16 << 20).unwrap();
-        store.checkpoint(&mut t()).unwrap();
+        store.checkpoint().unwrap();
         let epoch = store.checkpoint_seq;
         let layout = *store.layout();
         let mut device = store.cache().device().clone();
@@ -691,9 +655,9 @@ mod tests {
         let mut store = ObjectStore::new(MemDisk::new(512, 16), 4);
         store.create_partition(P, 1 << 20).unwrap();
         assert_eq!(
-            store.create_object(P, 512, None, 0, &mut t()).unwrap_err(),
+            store.create_object(P, 512, None, 0).unwrap_err(),
             StoreError::NoSpace
         );
-        assert_eq!(store.checkpoint(&mut t()).unwrap_err(), StoreError::NoSpace);
+        assert_eq!(store.checkpoint().unwrap_err(), StoreError::NoSpace);
     }
 }

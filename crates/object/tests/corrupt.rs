@@ -8,7 +8,7 @@
 //! never a panic and never silently serving damaged state.
 
 use nasd_disk::{BlockDevice, MemDisk, SharedDisk};
-use nasd_object::{checksum64, IoTrace, Layout, ObjectStore, StoreError};
+use nasd_object::{checksum64, Layout, ObjectStore, StoreError};
 use nasd_proto::{ObjectId, PartitionId};
 use proptest::prelude::*;
 
@@ -28,25 +28,23 @@ const SB_BYTES: usize = 8 + 4 + 4 + 8 * 10 + 8;
 fn formatted_media() -> SharedDisk {
     let media = SharedDisk::new(MemDisk::new(BS, BLOCKS));
     let mut store = ObjectStore::new(media.clone(), 32);
-    let mut t = IoTrace::default();
     store.create_partition(P, 1 << 20).unwrap();
     for i in 0..3u8 {
-        let o = store.create_object(P, 0, None, 0, &mut t).unwrap();
+        let o = store.create_object(P, 0, None, 0).unwrap();
         let fill = vec![0x40 + i; 700 + 300 * i as usize];
-        store.write(P, o, 0, &fill, 0, &mut t).unwrap();
+        store.write(P, o, 0, &fill, 0).unwrap();
     }
-    store.checkpoint(&mut t).unwrap();
+    store.checkpoint().unwrap();
     media
 }
 
 /// Digest of the full logical state, for "fallback preserved everything"
 /// assertions.
 fn state_digest(store: &mut ObjectStore<SharedDisk>) -> u64 {
-    let mut t = IoTrace::default();
     let mut h = 0u64;
     for o in store.list_objects(P).unwrap() {
         let len = store.get_attr(P, o, 0).unwrap().size;
-        let data = store.read(P, o, 0, len, 0, &mut t).unwrap().to_vec();
+        let data = store.read(P, o, 0, len, 0).unwrap().to_vec();
         h = checksum64(&data) ^ h.rotate_left(9) ^ o.0;
     }
     h
@@ -206,10 +204,9 @@ fn bitmap_damage_detected_even_with_wal_tail_pending() {
     {
         let mut store = ObjectStore::open(media.clone(), 32).unwrap();
         store.enable_wal(true);
-        let mut t = IoTrace::default();
-        let o = store.create_object(P, 0, None, 0, &mut t).unwrap();
-        store.write(P, o, 0, &[0x77; 300], 0, &mut t).unwrap();
-        store.wal_commit(&mut t).unwrap();
+        let o = store.create_object(P, 0, None, 0).unwrap();
+        store.write(P, o, 0, &[0x77; 300], 0).unwrap();
+        store.wal_commit().unwrap();
         assert!(store.wal_durable_bytes() > 0);
     }
     let mut media = media;
@@ -286,12 +283,11 @@ fn state_digest_tracks_content() {
 
     let c = SharedDisk::new(MemDisk::new(BS, BLOCKS));
     let mut store = ObjectStore::new(c.clone(), 32);
-    let mut t = IoTrace::default();
     store.create_partition(P, 1 << 20).unwrap();
-    let o = store.create_object(P, 0, None, 0, &mut t).unwrap();
+    let o = store.create_object(P, 0, None, 0).unwrap();
     assert_eq!(o, ObjectId(nasd_object::FIRST_DYNAMIC_OBJECT));
-    store.write(P, o, 0, &[1, 2, 3], 0, &mut t).unwrap();
-    store.checkpoint(&mut t).unwrap();
+    store.write(P, o, 0, &[1, 2, 3], 0).unwrap();
+    store.checkpoint().unwrap();
     let dc = state_digest(&mut ObjectStore::open(c, 32).unwrap());
     assert_ne!(da, dc);
 }

@@ -6,7 +6,7 @@
 //! created by writes past end-of-object.
 
 use nasd_disk::MemDisk;
-use nasd_object::{IoTrace, ObjectStore};
+use nasd_object::ObjectStore;
 use nasd_proto::{ObjectId, PartitionId};
 use proptest::prelude::*;
 
@@ -20,13 +20,10 @@ fn seeded_store(
     let mut store = ObjectStore::new(MemDisk::new(bs, 4096), cache_blocks);
     let p = PartitionId(1);
     store.create_partition(p, 1 << 30).unwrap();
-    let mut t = IoTrace::default();
-    let obj = store.create_object(p, 0, None, 0, &mut t).unwrap();
+    let obj = store.create_object(p, 0, None, 0).unwrap();
     let mut model: Vec<u8> = Vec::new();
     for &(offset, len, byte) in writes {
-        store
-            .write(p, obj, offset, &vec![byte; len], 0, &mut t)
-            .unwrap();
+        store.write(p, obj, offset, &vec![byte; len], 0).unwrap();
         let end = offset as usize + len;
         if model.len() < end {
             // Writes past end-of-object leave a zero-filled gap, same
@@ -59,9 +56,8 @@ proptest! {
     ) {
         let bs = BLOCK_SIZES[bs_sel];
         let (mut store, p, obj, model) = seeded_store(bs, 16, &writes);
-        let mut t = IoTrace::default();
         for (offset, len) in reads {
-            let got = store.read(p, obj, offset, len, 1, &mut t).unwrap();
+            let got = store.read(p, obj, offset, len, 1).unwrap();
             let start = (offset as usize).min(model.len());
             let end = (offset as usize).saturating_add(len as usize).min(model.len());
             prop_assert_eq!(
@@ -88,14 +84,15 @@ proptest! {
         // Cache big enough to hold the whole object: no eviction, so
         // the second read finds every block resident.
         let (mut store, p, obj, model) = seeded_store(bs, 128, &[(0, size, fill)]);
-        let mut t = IoTrace::default();
-        let cold = store.read(p, obj, offset, len, 1, &mut t).unwrap();
+        let cold = store.read(p, obj, offset, len, 1).unwrap();
         let before = bytes::stats::bytes_copied();
-        let warm = store.read(p, obj, offset, len, 2, &mut t).unwrap();
+        let misses = store.cache().stats().misses;
+        let warm = store.read(p, obj, offset, len, 2).unwrap();
         prop_assert_eq!(
             bytes::stats::bytes_copied(), before,
             "warm read of a resident range must not copy payload bytes"
         );
+        prop_assert_eq!(store.cache().stats().misses, misses, "warm read misses nothing");
         prop_assert_eq!(cold.to_vec(), warm.to_vec());
         let start = (offset as usize).min(model.len());
         let end = (offset as usize).saturating_add(len as usize).min(model.len());

@@ -16,7 +16,7 @@
 
 use nasd_crypto::KeyKind;
 use nasd_disk::{BlockDevice, MemDisk, SharedDisk};
-use nasd_object::{IoTrace, ObjectStore, FIRST_DYNAMIC_OBJECT};
+use nasd_object::{ObjectStore, FIRST_DYNAMIC_OBJECT};
 use nasd_proto::{ObjectId, PartitionId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -93,7 +93,6 @@ fn key_slot(kind: KeyKind) -> ObjectId {
 /// Apply one op to the durable store and the model. Slot indices pick
 /// among live objects; ops against an empty store fall back to Create.
 fn step(store: &mut ObjectStore<SharedDisk>, model: &mut Model, op: &Op) {
-    let mut t = IoTrace::default();
     let live: Vec<ObjectId> = model
         .keys()
         .copied()
@@ -106,7 +105,7 @@ fn step(store: &mut ObjectStore<SharedDisk>, model: &mut Model, op: &Op) {
             model.insert(key_slot(*kind), vec![*fill; 32]);
         }
         (Op::Create, _) | (_, true) => {
-            let id = store.create_object(P, 0, None, 0, &mut t).unwrap();
+            let id = store.create_object(P, 0, None, 0).unwrap();
             model.insert(id, Vec::new());
         }
         (
@@ -119,9 +118,7 @@ fn step(store: &mut ObjectStore<SharedDisk>, model: &mut Model, op: &Op) {
             _,
         ) => {
             let o = pick(*slot);
-            store
-                .write(P, o, *offset, &vec![*fill; *len], 0, &mut t)
-                .unwrap();
+            store.write(P, o, *offset, &vec![*fill; *len], 0).unwrap();
             let data = model.get_mut(&o).unwrap();
             let end = *offset as usize + len;
             if data.len() < end {
@@ -131,17 +128,17 @@ fn step(store: &mut ObjectStore<SharedDisk>, model: &mut Model, op: &Op) {
         }
         (Op::Resize { slot, new_size }, _) => {
             let o = pick(*slot);
-            store.resize(P, o, *new_size, 0, &mut t).unwrap();
+            store.resize(P, o, *new_size, 0).unwrap();
             model.get_mut(&o).unwrap().resize(*new_size as usize, 0);
         }
         (Op::Remove { slot }, _) => {
             let o = pick(*slot);
-            store.remove_object(P, o, &mut t).unwrap();
+            store.remove_object(P, o).unwrap();
             model.remove(&o);
         }
         (Op::Snapshot { slot }, _) => {
             let o = pick(*slot);
-            let id = store.snapshot(P, o, 0, &mut t).unwrap();
+            let id = store.snapshot(P, o, 0).unwrap();
             let data = model[&o].clone();
             model.insert(id, data);
         }
@@ -160,13 +157,13 @@ fn seeded_run(ops: &[Op], committed: usize) -> (SharedDisk, Vec<Model>, u64) {
     store.create_partition(P, 1 << 20).unwrap();
     // First commit formats the device (superblock + checkpoint), so even
     // a zero-op run has durable state to remount.
-    store.wal_commit(&mut IoTrace::default()).unwrap();
+    store.wal_commit().unwrap();
     let mut model = Model::new();
     let mut prefixes = vec![model.clone()];
     for (i, op) in ops.iter().enumerate() {
         step(&mut store, &mut model, op);
         if i < committed {
-            store.wal_commit(&mut IoTrace::default()).unwrap();
+            store.wal_commit().unwrap();
             prefixes.push(model.clone());
         }
     }
@@ -177,11 +174,10 @@ fn seeded_run(ops: &[Op], committed: usize) -> (SharedDisk, Vec<Model>, u64) {
 
 /// Read a store's full logical state back into a model.
 fn observed(store: &mut ObjectStore<SharedDisk>) -> Model {
-    let mut t = IoTrace::default();
     let mut out = Model::new();
     for o in store.list_objects(P).unwrap() {
         let len = store.get_attr(P, o, 0).unwrap().size;
-        let data = store.read(P, o, 0, len, 0, &mut t).unwrap().to_vec();
+        let data = store.read(P, o, 0, len, 0).unwrap().to_vec();
         out.insert(o, data);
     }
     for (kind, key) in store.rotated_keys(P) {

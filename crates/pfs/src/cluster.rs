@@ -184,20 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn read_list_gathers_extents() {
-        let c = cluster(2);
-        let client = c.client(0);
-        let f = client.create("/l", 2).unwrap();
-        client.write_at(&f, 0, &vec![7u8; 200_000]).unwrap();
-        let parts = client
-            .read_list(&f, &[(0, 1000), (100_000, 1000), (199_000, 1000)])
-            .unwrap();
-        assert_eq!(parts.len(), 3);
-        assert!(parts.iter().all(|p| p.len() == 1000));
-        assert!(parts.iter().all(|p| p.to_vec().iter().all(|&b| b == 7)));
-    }
-
-    #[test]
     fn names_are_directory_entries() {
         let c = cluster(2);
         let client = c.client(0);

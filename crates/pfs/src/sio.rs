@@ -204,23 +204,6 @@ impl PfsClient {
         Ok(self.storage.write(&file.inner, offset, data)?)
     }
 
-    /// List-directed read (SIO's `listio`): fetch several extents in one
-    /// call; each extent's request pipeline runs concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Storage failures (first failure wins).
-    pub fn read_list(
-        &self,
-        file: &PfsFile,
-        extents: &[(u64, u64)],
-    ) -> Result<Vec<ByteRope>, PfsError> {
-        extents
-            .iter()
-            .map(|&(offset, len)| self.read_at(file, offset, len))
-            .collect()
-    }
-
     /// Current file size.
     ///
     /// # Errors

@@ -4,7 +4,7 @@
 //! window vs a naive oracle.
 
 use nasd::disk::MemDisk;
-use nasd::object::{Allocator, Extent, IoTrace, ObjectStore, ReplayWindow};
+use nasd::object::{Allocator, Extent, ObjectStore, ReplayWindow};
 use nasd::proto::wire::{WireDecode, WireEncode};
 use nasd::proto::{ByteRange, Nonce, ObjectAttributes, ObjectId, PartitionId, Rights, Version};
 use proptest::prelude::*;
@@ -118,13 +118,12 @@ proptest! {
         let mut store = ObjectStore::new(MemDisk::new(8_192, 8_192), 64);
         let p = PartitionId(1);
         store.create_partition(p, 1 << 30).unwrap();
-        let mut t = IoTrace::default();
-        let obj = store.create_object(p, 0, None, 0, &mut t).unwrap();
+        let obj = store.create_object(p, 0, None, 0).unwrap();
 
         let mut model: Vec<u8> = Vec::new();
         for (offset, len, byte) in writes {
             let data = vec![byte; len];
-            store.write(p, obj, offset, &data, 0, &mut t).unwrap();
+            store.write(p, obj, offset, &data, 0).unwrap();
             let end = offset as usize + len;
             if model.len() < end {
                 model.resize(end, 0);
@@ -132,7 +131,7 @@ proptest! {
             model[offset as usize..end].fill(byte);
         }
         // Whole-object read matches.
-        let got = store.read(p, obj, 0, model.len() as u64, 0, &mut t).unwrap();
+        let got = store.read(p, obj, 0, model.len() as u64, 0).unwrap();
         prop_assert_eq!(got.to_vec(), model.clone());
         // Size matches.
         prop_assert_eq!(
@@ -150,15 +149,14 @@ proptest! {
         let mut store = ObjectStore::new(MemDisk::new(8_192, 8_192), 64);
         let p = PartitionId(1);
         store.create_partition(p, 1 << 30).unwrap();
-        let mut t = IoTrace::default();
-        let obj = store.create_object(p, 0, None, 0, &mut t).unwrap();
-        store.write(p, obj, 0, &base, 0, &mut t).unwrap();
-        let snap = store.snapshot(p, obj, 1, &mut t).unwrap();
+        let obj = store.create_object(p, 0, None, 0).unwrap();
+        store.write(p, obj, 0, &base, 0).unwrap();
+        let snap = store.snapshot(p, obj, 1).unwrap();
 
         for (offset, len) in overwrites {
-            store.write(p, obj, offset, &vec![0xEE; len], 2, &mut t).unwrap();
+            store.write(p, obj, offset, &vec![0xEE; len], 2).unwrap();
         }
-        let frozen = store.read(p, snap, 0, base.len() as u64, 3, &mut t).unwrap();
+        let frozen = store.read(p, snap, 0, base.len() as u64, 3).unwrap();
         prop_assert_eq!(frozen.to_vec(), base);
     }
 }
