@@ -1,10 +1,80 @@
 //! HMAC-SHA-256 per RFC 2104 / FIPS 198-1.
 
 use crate::sha256::{Digest, Sha256};
+use std::fmt;
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
+
+/// An HMAC-SHA-256 key schedule: the SHA-256 midstates after the ipad
+/// and opad blocks of one key.
+///
+/// Deriving it costs the two pad compressions; every MAC started from it
+/// ([`HmacSha256::keyed`]) skips them, so a MAC of a message that fits
+/// one block is 2 compressions instead of 4. NASD keeps one per key it
+/// uses repeatedly: each working and administrative key, each minted
+/// capability's private field, and each capability a drive has verified.
+///
+/// `Debug` redacts the midstates: they are key material.
+///
+/// # Example
+///
+/// ```
+/// use nasd_crypto::{hmac_sha256, HmacKey, HmacSha256};
+///
+/// let key = HmacKey::new(b"drive-secret");
+/// let mut mac = HmacSha256::keyed(&key);
+/// mac.update(b"request");
+/// assert_eq!(mac.finalize(), hmac_sha256(b"drive-secret", b"request"));
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Derive the key schedule for `key`.
+    ///
+    /// Keys longer than the 64-byte SHA-256 block are first hashed, per
+    /// RFC 2104.
+    #[must_use]
+    // nasd-lint: allow(transitive-panic, "RFC 2104 fixed-block math: every index is bounded by the BLOCK and digest-size constants")
+    pub fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(Sha256::digest(key).as_bytes());
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+
+        let mut ipad = [0u8; BLOCK];
+        let mut opad = [0u8; BLOCK];
+        for i in 0..BLOCK {
+            ipad[i] = k[i] ^ IPAD;
+            opad[i] = k[i] ^ OPAD;
+        }
+        HmacKey {
+            inner: Sha256::block_midstate(&ipad),
+            outer: Sha256::block_midstate(&opad),
+        }
+    }
+
+    /// MAC `message` under this key.
+    #[must_use]
+    pub fn mac(&self, message: &[u8]) -> Digest {
+        let mut mac = HmacSha256::keyed(self);
+        mac.update(message);
+        mac.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
 
 /// Incremental HMAC-SHA-256.
 ///
@@ -25,36 +95,25 @@ const OPAD: u8 = 0x5c;
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer: Sha256,
+    /// The opad midstate; the outer hash starts from it at finalize.
+    outer: [u32; 8],
 }
 
 impl HmacSha256 {
-    /// Create an HMAC context for `key`.
-    ///
-    /// Keys longer than the 64-byte SHA-256 block are first hashed, per
-    /// RFC 2104.
+    /// Create an HMAC context for `key`: derive its [`HmacKey`] and start
+    /// from it.
     #[must_use]
-    // nasd-lint: allow(transitive-panic, "RFC 2104 fixed-block math: every index is bounded by the BLOCK and digest-size constants")
     pub fn new(key: &[u8]) -> Self {
-        let mut k = [0u8; BLOCK];
-        if key.len() > BLOCK {
-            k[..32].copy_from_slice(Sha256::digest(key).as_bytes());
-        } else {
-            k[..key.len()].copy_from_slice(key);
-        }
+        Self::keyed(&HmacKey::new(key))
+    }
 
-        let mut ipad = [0u8; BLOCK];
-        let mut opad = [0u8; BLOCK];
-        for i in 0..BLOCK {
-            ipad[i] = k[i] ^ IPAD;
-            opad[i] = k[i] ^ OPAD;
+    /// Start a MAC from a derived key schedule — no compressions.
+    #[must_use]
+    pub fn keyed(key: &HmacKey) -> Self {
+        HmacSha256 {
+            inner: Sha256::resume(key.inner, BLOCK as u64),
+            outer: key.outer,
         }
-
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        HmacSha256 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -64,10 +123,11 @@ impl HmacSha256 {
 
     /// Finish and produce the MAC.
     #[must_use]
-    pub fn finalize(mut self) -> Digest {
+    pub fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
-        self.outer.update(inner_digest.as_bytes());
-        self.outer.finalize()
+        let mut outer = Sha256::resume(self.outer, BLOCK as u64);
+        outer.update(inner_digest.as_bytes());
+        outer.finalize()
     }
 }
 
@@ -81,9 +141,7 @@ impl HmacSha256 {
 /// ```
 #[must_use]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut mac = HmacSha256::new(key);
-    mac.update(message);
-    mac.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 #[cfg(test)]

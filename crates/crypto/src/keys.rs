@@ -19,7 +19,7 @@
 //! HMAC so tests are deterministic, but `SecretKey::random_from` supports
 //! independently chosen keys as real deployments would use.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
 use std::fmt;
 
 /// Which working key a capability was minted under.
@@ -65,17 +65,23 @@ impl fmt::Display for KeyKind {
     }
 }
 
-/// A 256-bit secret key.
+/// A 256-bit secret key, with its HMAC key schedule derived once.
 ///
 /// `Debug` deliberately redacts the key material.
 #[derive(Clone, PartialEq, Eq)]
-pub struct SecretKey([u8; 32]);
+pub struct SecretKey {
+    bytes: [u8; 32],
+    hmac: HmacKey,
+}
 
 impl SecretKey {
     /// Construct from raw bytes.
     #[must_use]
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        SecretKey(bytes)
+        SecretKey {
+            bytes,
+            hmac: HmacKey::new(&bytes),
+        }
     }
 
     /// Derive a child key as `HMAC(self, label)`.
@@ -90,26 +96,33 @@ impl SecretKey {
     /// ```
     #[must_use]
     pub fn derive(&self, label: &[u8]) -> SecretKey {
-        SecretKey(hmac_sha256(&self.0, label).into_bytes())
+        SecretKey::from_bytes(self.mac(label).into_bytes())
     }
 
     /// Derive a key from a seed and counter — a tiny deterministic PRF used
     /// where deployments would use an RNG.
     #[must_use]
     pub fn random_from(seed: &[u8], counter: u64) -> SecretKey {
-        SecretKey(hmac_sha256(seed, &counter.to_be_bytes()).into_bytes())
+        SecretKey::from_bytes(hmac_sha256(seed, &counter.to_be_bytes()).into_bytes())
     }
 
     /// View the raw key bytes. Needed by the MAC layer only.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
+        &self.bytes
+    }
+
+    /// This key's HMAC key schedule: MACs started from it skip the two
+    /// pad compressions.
+    #[must_use]
+    pub fn hmac_key(&self) -> &HmacKey {
+        &self.hmac
     }
 
     /// MAC `message` under this key.
     #[must_use]
     pub fn mac(&self, message: &[u8]) -> crate::Digest {
-        hmac_sha256(&self.0, message)
+        self.hmac.mac(message)
     }
 }
 

@@ -31,7 +31,7 @@ mod hmac;
 mod keys;
 mod sha256;
 
-pub use hmac::{hmac_sha256, HmacSha256};
+pub use hmac::{hmac_sha256, HmacKey, HmacSha256};
 pub use keys::{DriveKeys, KeyHierarchy, KeyKind, SecretKey};
 pub use sha256::{Digest, Sha256};
 

@@ -244,18 +244,41 @@ impl Sha256 {
         }
     }
 
+    /// Resume hashing from a midstate: `state` is the chaining value
+    /// after absorbing `len` bytes, a whole number of blocks.
+    pub(crate) fn resume(state: [u32; 8], len: u64) -> Self {
+        debug_assert_eq!(len % 64, 0, "a midstate sits on a block boundary");
+        Sha256 {
+            state,
+            len,
+            buf: [0u8; 64],
+            buf_len: 0,
+        }
+    }
+
+    /// The chaining value after absorbing the one block `block` from the
+    /// initial value: the midstate [`Self::resume`] continues from.
+    pub(crate) fn block_midstate(block: &[u8; 64]) -> [u32; 8] {
+        let mut h = Sha256::new();
+        h.compress(block);
+        h.state
+    }
+
     /// Finish hashing and produce the digest.
     #[must_use]
-    // nasd-lint: allow(transitive-panic, "FIPS 180-4 fixed-block math: padding leaves buf_len at 56 and the 8-state words fill exactly 32 bytes")
+    // nasd-lint: allow(transitive-panic, "FIPS 180-4 fixed-block math: buf_len < 64 bounds the pad byte, the length fills bytes 56..64 and the 8 state words fill exactly 32 bytes")
     pub fn finalize(mut self) -> Digest {
         let bit_len = (self.len + self.buf_len as u64) * 8;
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Append the length by hand so `len` bookkeeping stays consistent.
+        // Padding: 0x80, zeros, 64-bit big-endian length — written into
+        // the block in place, spilling into a second block when the
+        // length no longer fits behind the tail.
         let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
@@ -370,6 +393,45 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
         let d = Sha256::digest(b"abc");
         assert_eq!(format!("{d}").len(), 64);
         assert_eq!(d.to_u64(), 0xba7816bf8f01cfea);
+    }
+
+    /// The one-write padding equals FIPS 180-4 §5.1.1 spelled out: the
+    /// message, `0x80`, zeros to 56 mod 64, the 64-bit bit length —
+    /// hashed as whole blocks — for every tail length on both sides of
+    /// the one-block/two-block split.
+    #[test]
+    fn finalize_matches_explicit_padding() {
+        for len in 0usize..=200 {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut padded = data.clone();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&((len as u64) * 8).to_be_bytes());
+            let mut h = Sha256::new();
+            h.update(&padded);
+            assert_eq!(h.buf_len, 0);
+            let want: Vec<u8> = h.state.iter().flat_map(|w| w.to_be_bytes()).collect();
+            assert_eq!(Sha256::digest(&data).as_bytes()[..], want[..], "len {len}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Resuming from the midstate after whole blocks equals hashing
+        /// the prefix and the rest in one pass.
+        #[test]
+        fn resume_from_midstate_equals_one_pass(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+            blocks in 0usize..7,
+        ) {
+            let cut = (blocks * 64).min(data.len() / 64 * 64);
+            let mut h = Sha256::new();
+            h.update(&data[..cut]);
+            let mut resumed = Sha256::resume(h.state, cut as u64);
+            resumed.update(&data[cut..]);
+            proptest::prop_assert_eq!(resumed.finalize(), Sha256::digest(&data));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the cryptographic primitives.
 
-use nasd_crypto::{ct_eq, hmac_sha256, HmacSha256, SecretKey, Sha256};
+use nasd_crypto::{ct_eq, hmac_sha256, HmacKey, HmacSha256, SecretKey, Sha256};
 use proptest::prelude::*;
 
 proptest! {
@@ -34,6 +34,31 @@ proptest! {
         m.update(&data[..cut]);
         m.update(&data[cut..]);
         prop_assert_eq!(m.finalize(), hmac_sha256(&key, &data));
+    }
+
+    /// A MAC started from a kept key schedule equals the one-shot HMAC,
+    /// for keys on both sides of the 64-byte block (longer ones are
+    /// hashed first) and however the message is split; a schedule is
+    /// reusable, and a key's own schedule is the one it MACs with.
+    #[test]
+    fn keyed_context_equals_oneshot(
+        key in proptest::collection::vec(any::<u8>(), 0..201),
+        data in proptest::collection::vec(any::<u8>(), 0..512),
+        other in proptest::collection::vec(any::<u8>(), 0..128),
+        cut in 0usize..512,
+        secret: [u8; 32],
+    ) {
+        let schedule = HmacKey::new(&key);
+        let cut = cut % (data.len() + 1);
+        let mut m = HmacSha256::keyed(&schedule);
+        m.update(&data[..cut]);
+        m.update(&data[cut..]);
+        prop_assert_eq!(m.finalize(), hmac_sha256(&key, &data));
+        prop_assert_eq!(schedule.mac(&other), hmac_sha256(&key, &other));
+        prop_assert_eq!(schedule.mac(&data), hmac_sha256(&key, &data));
+        let secret_key = SecretKey::from_bytes(secret);
+        prop_assert_eq!(secret_key.hmac_key(), &HmacKey::new(&secret));
+        prop_assert_eq!(secret_key.mac(&data), hmac_sha256(&secret, &data));
     }
 
     /// A single flipped bit anywhere in the message changes the digest

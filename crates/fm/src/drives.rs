@@ -44,7 +44,9 @@ pub struct DriveEndpoint {
     channel: RwLock<Channel<Request, Reply>>,
     hierarchy: KeyHierarchy,
     /// Each partition's generation-0 gold working key, derived on the
-    /// partition's first mint: every later mint is one HMAC.
+    /// partition's first mint. The key keeps its HMAC key schedule, so a
+    /// later mint is 2 compressions for the private field plus 2 for the
+    /// capability's own schedule.
     gold: RwLock<HashMap<PartitionId, SecretKey>>,
     signer: u64,
     counter: AtomicU64,
@@ -168,8 +170,8 @@ impl DriveEndpoint {
 
     /// Sign `body` + `data` under `cap` with a fresh nonce.
     fn sign(&self, cap: &Capability, body: RequestBody, data: Bytes) -> Request {
-        Request::signed(
-            cap.private.as_bytes(),
+        Request::signed_by(
+            cap.hmac_key(),
             Some(cap.public.clone()),
             ProtectionLevel::ArgsIntegrity,
             self.next_nonce(),
@@ -262,8 +264,8 @@ impl DriveEndpoint {
     /// Build an administratively signed request (drive-key authority)
     /// without sending it.
     fn sign_admin(&self, body: &RequestBody) -> Request {
-        Request::signed(
-            self.hierarchy.drive().as_bytes(),
+        Request::signed_by(
+            self.hierarchy.drive().hmac_key(),
             None,
             ProtectionLevel::ArgsIntegrity,
             self.next_nonce(),

@@ -741,7 +741,7 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
     fn keyed_request(&self, signer: u64, key: &SecretKey, body: RequestBody) -> Request {
         let nonce = Nonce::new(signer, self.issue_nonce.replace(self.issue_nonce.get() + 1));
         let protection = ProtectionLevel::ArgsIntegrity;
-        Request::signed(key.as_bytes(), None, protection, nonce, body, Bytes::new())
+        Request::signed_by(key.hmac_key(), None, protection, nonce, body, Bytes::new())
     }
 
     /// Build a drive-key-authorized administrative request.
@@ -870,8 +870,8 @@ impl ClientHandle {
     #[must_use]
     pub fn build(&self, body: RequestBody, data: Bytes) -> Request {
         let nonce = Nonce::new(self.client_id, self.counter.replace(self.counter.get() + 1));
-        Request::signed(
-            self.capability.private.as_bytes(),
+        Request::signed_by(
+            self.capability.hmac_key(),
             Some(self.capability.public.clone()),
             self.protection,
             nonce,
@@ -1117,6 +1117,22 @@ mod tests {
         let (reply, _) = d.handle(&req);
         assert!(reply.status.is_ok(), "{:?}", reply.status);
         assert_eq!(c.read(&mut d, 0, 0).unwrap_err(), NasdStatus::AccessDenied);
+    }
+
+    #[test]
+    fn remove_partition_empties_the_verified_capability_cache() {
+        let mut d = drive();
+        let q = PartitionId(2);
+        d.admin_create_partition(q, 1 << 20).unwrap();
+        let list = d.issue_partition_capability(q, Rights::GETATTR, 100);
+        let c = d.client(list);
+        let body = RequestBody::ListObjects { partition: q };
+        assert!(c.call(&mut d, body.clone(), Bytes::new()).is_ok());
+        assert_eq!(d.security().verified_len(), 1);
+        let remove = d.admin_request(RequestBody::RemovePartition { partition: q });
+        assert!(d.handle(&remove).0.status.is_ok());
+        assert_eq!(d.security().verified_len(), 0);
+        assert!(c.call(&mut d, body, Bytes::new()).is_err());
     }
 
     #[test]

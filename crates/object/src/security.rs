@@ -5,7 +5,14 @@
 //! knows the current version number of the object, it can compute the
 //! client's private field... If any field has been changed, including the
 //! object version number, the access fails and the client is sent back to
-//! the file manager." No per-capability state is stored.
+//! the file manager." Nothing per capability is exchanged with the file
+//! manager. The drive does remember capabilities it has verified: a
+//! bounded, soft cache from a capability's public portion to its private
+//! field's key schedule, which spares a warm request the recomputation
+//! (one HMAC). Every structural check still runs on every request; an
+//! entry goes in only after a request under it has verified; installing,
+//! removing or rotating any key empties the cache, so a revocation by
+//! version bump or key rotation takes effect exactly as without it.
 //!
 //! *What* a request needs is declared once, in `nasd-proto`
 //! ([`RequestBody::authority`]: a capability with these rights over this
@@ -18,12 +25,17 @@
 //!
 //! [`RequestBody::authority`]: nasd_proto::RequestBody::authority
 
-use nasd_crypto::{DriveKeys, KeyKind, SecretKey};
-use nasd_proto::wire::WireEncode;
+use nasd_crypto::{DriveKeys, HmacKey, KeyKind, SecretKey};
+use nasd_proto::wire::{WireEncode, WireWriter};
 use nasd_proto::{
-    Authority, DriveId, NasdStatus, ObjectAttributes, PartitionId, Request, RequestDigest, Version,
+    Authority, CapabilityPublic, DriveId, NasdStatus, ObjectAttributes, PartitionId, Request,
+    RequestDigest, Version,
 };
 use std::collections::HashMap;
+
+/// Most verified capabilities a drive remembers. A capability verified
+/// while the cache is full empties it first.
+const VERIFIED_CAPACITY: usize = 1024;
 
 /// Anti-replay window for one client, IPsec-style: a high-water counter
 /// plus a 64-entry bitmap for bounded reordering.
@@ -72,6 +84,11 @@ pub struct DriveSecurity {
     drive_id: DriveId,
     drive_key: SecretKey,
     partition_keys: HashMap<PartitionId, DriveKeys>,
+    /// Capabilities whose requests verified, each with its private
+    /// field's key schedule; see the module docs.
+    verified: HashMap<CapabilityPublic, HmacKey>,
+    /// The request body's wire encoding, reused across requests.
+    args: Vec<u8>,
     replay: HashMap<u64, ReplayWindow>,
     enabled: bool,
 }
@@ -89,6 +106,8 @@ impl DriveSecurity {
             drive_id,
             drive_key,
             partition_keys: HashMap::new(),
+            verified: HashMap::new(),
+            args: Vec::new(),
             replay: HashMap::new(),
             enabled,
         }
@@ -98,11 +117,13 @@ impl DriveSecurity {
     /// channel when the partition is created).
     pub fn install_partition_keys(&mut self, p: PartitionId, keys: DriveKeys) {
         self.partition_keys.insert(p, keys);
+        self.verified.clear();
     }
 
     /// Remove a partition's keys.
     pub fn remove_partition_keys(&mut self, p: PartitionId) {
         self.partition_keys.remove(&p);
+        self.verified.clear();
     }
 
     /// The working key for (partition, kind), if the partition is known.
@@ -128,6 +149,7 @@ impl DriveSecurity {
             .get_mut(&p)
             .ok_or(NasdStatus::NoSuchPartition)?;
         keys.set_working(kind, key);
+        self.verified.clear();
         Ok(())
     }
 
@@ -158,8 +180,10 @@ impl DriveSecurity {
         if !self.enabled {
             return Ok(());
         }
-        let private;
-        let key: &[u8] = match (authority, &req.capability) {
+        // A capability this request is the first to prove, and its key
+        // schedule: remembered once the digest verifies.
+        let mut fresh = None;
+        let key: &HmacKey = match (authority, &req.capability) {
             (
                 Authority::Capability {
                     rights,
@@ -186,34 +210,48 @@ impl DriveSecurity {
                         return Err(NasdStatus::RangeViolation);
                     }
                 }
-                // Recompute the private field the client signed with.
-                let working = self
-                    .working_key(cap.partition, cap.key_kind)
-                    .ok_or(NasdStatus::NoSuchPartition)?;
-                private = cap.private_under(working);
-                private.as_bytes()
+                if let Some(key) = self.verified.get(cap) {
+                    key
+                } else {
+                    // Recompute the private field the client signed with.
+                    let working = self
+                        .working_key(cap.partition, cap.key_kind)
+                        .ok_or(NasdStatus::NoSuchPartition)?;
+                    let private = cap.private_under(working);
+                    &fresh.insert((cap, HmacKey::new(private.as_bytes()))).1
+                }
             }
             (Authority::Capability { .. }, None) => return Err(NasdStatus::AccessDenied),
             (Authority::DriveKey | Authority::PartitionKey, Some(_)) => {
                 return Err(NasdStatus::BadRequest)
             }
-            (Authority::DriveKey, None) => self.drive_key.as_bytes(),
+            (Authority::DriveKey, None) => self.drive_key.hmac_key(),
             (Authority::PartitionKey, None) => self
                 .partition_keys
                 .get(&req.body.partition())
                 .ok_or(NasdStatus::NoSuchPartition)?
                 .partition
-                .as_bytes(),
+                .hmac_key(),
         };
+        let mut args = WireWriter::from(std::mem::take(&mut self.args));
+        req.body.encode(&mut args);
         let expected = RequestDigest::compute(
             key,
             req.header.nonce,
-            &req.body.to_wire(),
+            args.as_slice(),
             &req.data,
             req.header.protection,
         );
+        self.args = args.into_vec();
+        self.args.clear();
         if !expected.verify(&req.digest) {
             return Err(NasdStatus::AccessDenied);
+        }
+        if let Some((cap, key)) = fresh {
+            if self.verified.len() >= VERIFIED_CAPACITY {
+                self.verified.clear();
+            }
+            self.verified.insert(cap.clone(), key);
         }
         let window = self.replay.entry(req.header.nonce.client).or_default();
         if !window.accept(req.header.nonce.counter) {
@@ -226,6 +264,150 @@ impl DriveSecurity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use nasd_crypto::{Digest, KeyHierarchy};
+    use nasd_proto::{
+        ByteRange, Capability, Nonce, ObjectId, ProtectionLevel, RequestBody, Rights,
+    };
+
+    impl DriveSecurity {
+        /// How many verified capabilities the drive remembers.
+        pub(crate) fn verified_len(&self) -> usize {
+            self.verified.len()
+        }
+    }
+
+    const P: PartitionId = PartitionId(1);
+
+    fn hierarchy() -> KeyHierarchy {
+        KeyHierarchy::new(SecretKey::from_bytes([3u8; 32]), 1)
+    }
+
+    fn security() -> DriveSecurity {
+        let h = hierarchy();
+        let mut s = DriveSecurity::new(DriveId(1), h.drive().clone(), true);
+        s.install_partition_keys(P, h.partition_keys(P.0, 0));
+        s
+    }
+
+    fn read_cap(object: u64) -> Capability {
+        let gold = hierarchy().partition_keys(P.0, 0).gold;
+        CapabilityPublic::gold(
+            DriveId(1),
+            P,
+            ObjectId(object),
+            Version(0),
+            Rights::READ,
+            ByteRange::FULL,
+            100,
+        )
+        .mint(&gold)
+    }
+
+    /// A read of `public`'s object signed under `key` with nonce `counter`.
+    fn read(key: &HmacKey, public: &CapabilityPublic, counter: u64) -> Request {
+        let body = RequestBody::Read {
+            partition: P,
+            object: public.object,
+            offset: 0,
+            len: 8,
+        };
+        let protection = ProtectionLevel::ArgsIntegrity;
+        let nonce = Nonce::new(5, counter);
+        Request::signed_by(
+            key,
+            Some(public.clone()),
+            protection,
+            nonce,
+            body,
+            Bytes::new(),
+        )
+    }
+
+    /// A read signed by `cap`'s holder.
+    fn genuine(cap: &Capability, counter: u64) -> Request {
+        read(cap.hmac_key(), &cap.public, counter)
+    }
+
+    /// Authorize `req` against an object at `version`.
+    fn check(s: &mut DriveSecurity, req: &Request, version: u64) -> Result<(), NasdStatus> {
+        let attrs = ObjectAttributes {
+            version: Version(version),
+            ..ObjectAttributes::default()
+        };
+        s.authorize(req, req.body.authority(), Some(&attrs), 0)
+    }
+
+    #[test]
+    fn forged_digest_under_a_cached_capability_is_refused() {
+        let mut s = security();
+        let cap = read_cap(7);
+        assert_eq!(check(&mut s, &genuine(&cap, 1), 0), Ok(()));
+        assert_eq!(s.verified_len(), 1);
+
+        let mut forged = genuine(&cap, 2);
+        forged.digest = RequestDigest(Digest::from([0u8; 32]));
+        assert_eq!(check(&mut s, &forged, 0), Err(NasdStatus::AccessDenied));
+        let guessed = read(&HmacKey::new(b"a guessed private field"), &cap.public, 2);
+        assert_eq!(check(&mut s, &guessed, 0), Err(NasdStatus::AccessDenied));
+        // Neither forgery consumed the nonce the genuine holder uses next.
+        assert_eq!(check(&mut s, &genuine(&cap, 2), 0), Ok(()));
+    }
+
+    #[test]
+    fn forged_request_under_an_uncached_capability_leaves_no_entry() {
+        let mut s = security();
+        let cap = read_cap(7);
+        let guessed = read(&HmacKey::new(b"a guessed private field"), &cap.public, 1);
+        assert_eq!(check(&mut s, &guessed, 0), Err(NasdStatus::AccessDenied));
+        // A genuine private field under an edited public portion.
+        let mut widened = cap.public.clone();
+        widened.object = ObjectId(8);
+        let edited = read(cap.hmac_key(), &widened, 2);
+        assert_eq!(check(&mut s, &edited, 0), Err(NasdStatus::AccessDenied));
+        assert_eq!(s.verified_len(), 0);
+    }
+
+    #[test]
+    fn version_bump_revokes_a_cached_capability() {
+        let mut s = security();
+        let cap = read_cap(7);
+        assert_eq!(check(&mut s, &genuine(&cap, 1), 0), Ok(()));
+        assert_eq!(s.verified_len(), 1);
+        let again = genuine(&cap, 2);
+        assert_eq!(check(&mut s, &again, 1), Err(NasdStatus::AccessDenied));
+    }
+
+    #[test]
+    fn every_key_change_empties_the_cache() {
+        let mut s = security();
+        let warm = |s: &mut DriveSecurity, counter| {
+            let cap = read_cap(7);
+            assert_eq!(check(s, &genuine(&cap, counter), 0), Ok(()));
+            assert_eq!(s.verified_len(), 1);
+        };
+        warm(&mut s, 1);
+        let rotated = SecretKey::random_from(b"rotation", 1);
+        s.set_working_key(P, KeyKind::Black, rotated).unwrap();
+        assert_eq!(s.verified_len(), 0);
+        warm(&mut s, 2);
+        s.install_partition_keys(PartitionId(2), hierarchy().partition_keys(2, 0));
+        assert_eq!(s.verified_len(), 0);
+        warm(&mut s, 3);
+        s.remove_partition_keys(PartitionId(2));
+        assert_eq!(s.verified_len(), 0);
+    }
+
+    #[test]
+    fn cache_never_exceeds_its_capacity() {
+        let mut s = security();
+        for i in 0..VERIFIED_CAPACITY as u64 + 100 {
+            let cap = read_cap(100 + i);
+            assert_eq!(check(&mut s, &genuine(&cap, i + 1), 0), Ok(()));
+            assert!(s.verified_len() <= VERIFIED_CAPACITY);
+        }
+        assert!(s.verified_len() >= 1);
+    }
 
     #[test]
     fn replay_window_monotone_accepts() {

@@ -7,13 +7,20 @@
 //! over a secure channel. The client proves possession by MACing each
 //! request (and a nonce) with the private portion; the drive, knowing its
 //! working keys, recomputes the private portion from the public fields it
-//! received and verifies the request digest. No per-capability state is
-//! exchanged between issuer (file manager) and validator (drive).
+//! received and verifies the request digest. Nothing is exchanged between
+//! issuer (file manager) and validator (drive) beyond the capability
+//! itself; the drive may remember capabilities it has already verified,
+//! in a bounded cache that is soft (a miss only costs the recomputation)
+//! and emptied by every key change.
+//!
+//! Every request MAC starts from an [`HmacKey`]: a minted [`Capability`]
+//! carries the key schedule of its private field, so signing a request
+//! costs no pad compressions.
 
 use crate::ids::{ByteRange, DriveId, Nonce, ObjectId, PartitionId, Version};
 use crate::rights::Rights;
 use crate::wire::{DecodeError, WireDecode, WireEncode, WireReader, WireWriter};
-use nasd_crypto::{Digest, KeyKind, SecretKey};
+use nasd_crypto::{Digest, HmacKey, KeyKind, SecretKey};
 use std::fmt;
 
 /// Minimum protection the issuer demands for requests under a capability.
@@ -54,7 +61,7 @@ impl ProtectionLevel {
 }
 
 /// The public portion of a capability.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CapabilityPublic {
     /// Drive the capability is valid for.
     pub drive: DriveId,
@@ -111,11 +118,13 @@ impl CapabilityPublic {
         working_key.mac(&self.to_wire())
     }
 
-    /// Mint a complete capability under `working_key`.
+    /// Mint a complete capability under `working_key` — the only way to
+    /// make one. The capability keeps its private field's key schedule.
     #[must_use]
     pub fn mint(self, working_key: &SecretKey) -> Capability {
         let private = self.private_under(working_key);
         Capability {
+            key: HmacKey::new(private.as_bytes()),
             public: self,
             private,
         }
@@ -177,17 +186,19 @@ impl WireDecode for CapabilityPublic {
 pub struct Capability {
     /// The public portion, sent with every request.
     pub public: CapabilityPublic,
-    /// The private portion, used to key request digests.
+    /// The private portion. Request digests are keyed by it through
+    /// [`Capability::hmac_key`], its key schedule as of the mint.
     pub private: Digest,
+    /// `private`'s key schedule, derived at mint.
+    key: HmacKey,
 }
 
 impl Capability {
-    /// Compute the digest for a request under this capability:
-    /// `HMAC(private, nonce || args)`.
+    /// The key schedule of the private field: what request digests under
+    /// this capability are computed from.
     #[must_use]
-    pub fn sign_request(&self, nonce: Nonce, args: &[u8]) -> RequestDigest {
-        let protection = ProtectionLevel::ArgsIntegrity;
-        RequestDigest::compute(self.private.as_bytes(), nonce, args, &[], protection)
+    pub fn hmac_key(&self) -> &HmacKey {
+        &self.key
     }
 }
 
@@ -207,18 +218,18 @@ pub struct RequestDigest(pub Digest);
 
 impl RequestDigest {
     /// The request MAC of Figure 5: `HMAC(key, nonce || args [|| data])`.
-    /// Data is covered when the protection level demands it. `key` is a
-    /// capability's private field, or the drive / partition key for
-    /// administrative requests.
+    /// Data is covered when the protection level demands it. `key` is the
+    /// schedule of a capability's private field, or of the drive /
+    /// partition key for administrative requests.
     #[must_use]
     pub fn compute(
-        key: &[u8],
+        key: &HmacKey,
         nonce: Nonce,
         args: &[u8],
         data: &[u8],
         protection: ProtectionLevel,
     ) -> Self {
-        let mut mac = nasd_crypto::HmacSha256::new(key);
+        let mut mac = nasd_crypto::HmacSha256::keyed(key);
         // Identical bytes to `nonce.to_wire()` (two big-endian u64s),
         // absorbed from the stack so the hot path does not allocate.
         mac.update(&nonce.client.to_be_bytes());
@@ -343,15 +354,27 @@ mod tests {
         assert_ne!(p.private_under(&k1), p.private_under(&k2));
     }
 
+    /// A capability's request digest under its kept key schedule.
+    fn sign(cap: &Capability, nonce: Nonce, args: &[u8]) -> RequestDigest {
+        let protection = ProtectionLevel::ArgsIntegrity;
+        RequestDigest::compute(cap.hmac_key(), nonce, args, &[], protection)
+    }
+
     #[test]
-    fn sign_request_changes_with_nonce_and_args() {
+    fn request_digest_changes_with_nonce_and_args() {
         let cap = sample_public().mint(&SecretKey::from_bytes([7u8; 32]));
-        let d1 = cap.sign_request(Nonce::new(1, 1), b"args");
-        let d2 = cap.sign_request(Nonce::new(1, 2), b"args");
-        let d3 = cap.sign_request(Nonce::new(1, 1), b"argz");
+        let d1 = sign(&cap, Nonce::new(1, 1), b"args");
+        let d2 = sign(&cap, Nonce::new(1, 2), b"args");
+        let d3 = sign(&cap, Nonce::new(1, 1), b"argz");
         assert!(!d1.verify(&d2));
         assert!(!d1.verify(&d3));
-        assert!(d1.verify(&cap.sign_request(Nonce::new(1, 1), b"args")));
+        assert!(d1.verify(&sign(&cap, Nonce::new(1, 1), b"args")));
+    }
+
+    #[test]
+    fn minted_key_schedule_is_the_private_fields() {
+        let cap = sample_public().mint(&SecretKey::from_bytes([7u8; 32]));
+        assert_eq!(cap.hmac_key(), &HmacKey::new(cap.private.as_bytes()));
     }
 
     #[test]
@@ -362,16 +385,14 @@ mod tests {
         let key = SecretKey::from_bytes([9u8; 32]);
         let cap = sample_public().mint(&key);
         let nonce = Nonce::new(3, 17);
-        let digest = cap.sign_request(nonce, b"read 0..4096");
+        let digest = sign(&cap, nonce, b"read 0..4096");
 
         // Drive side:
-        let recomputed_private = cap.public.private_under(&key);
-        let reconstructed = Capability {
-            public: cap.public.clone(),
-            private: recomputed_private,
-        };
-        assert!(digest.verify(&reconstructed.sign_request(nonce, b"read 0..4096")));
-        assert!(!digest.verify(&reconstructed.sign_request(nonce, b"read 0..8192")));
+        let recomputed = HmacKey::new(cap.public.private_under(&key).as_bytes());
+        let protection = ProtectionLevel::ArgsIntegrity;
+        let check = |args: &[u8]| RequestDigest::compute(&recomputed, nonce, args, &[], protection);
+        assert!(digest.verify(&check(b"read 0..4096")));
+        assert!(!digest.verify(&check(b"read 0..8192")));
     }
 
     #[test]
@@ -392,7 +413,7 @@ mod tests {
     #[test]
     fn request_digest_roundtrip() {
         let cap = sample_public().mint(&SecretKey::from_bytes([7u8; 32]));
-        let d = cap.sign_request(Nonce::new(0, 0), b"x");
+        let d = sign(&cap, Nonce::new(0, 0), b"x");
         assert_eq!(RequestDigest::from_wire(&d.to_wire()).unwrap(), d);
     }
 

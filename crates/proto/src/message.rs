@@ -12,7 +12,7 @@ use crate::rights::Rights;
 use crate::status::NasdStatus;
 use crate::wire::{DecodeError, OwnedReader, WireDecode, WireEncode, WireReader, WireWriter};
 use bytes::{ByteRope, Bytes};
-use nasd_crypto::KeyKind;
+use nasd_crypto::{HmacKey, KeyKind};
 
 /// Object id of the well-known per-partition object listing all allocated
 /// object names ("a complete list of allocated object names", §4.1).
@@ -664,13 +664,39 @@ pub struct Request {
 }
 
 impl Request {
-    /// Sign and assemble a request — the one place a [`SecurityHeader`],
-    /// digest and [`Request`] are put together. `key` is the capability's
-    /// private field when `capability` is given, the drive or partition
-    /// key for administrative requests that carry none.
+    /// Sign and assemble a request under raw key bytes: derives the key
+    /// schedule, then [`Self::signed_by`].
     #[must_use]
     pub fn signed(
         key: &[u8],
+        capability: Option<CapabilityPublic>,
+        protection: ProtectionLevel,
+        nonce: Nonce,
+        body: RequestBody,
+        data: Bytes,
+    ) -> Self {
+        Self::signed_by(
+            &HmacKey::new(key),
+            capability,
+            protection,
+            nonce,
+            body,
+            data,
+        )
+    }
+
+    /// Sign and assemble a request — the one place a [`SecurityHeader`],
+    /// digest and [`Request`] are put together. `key` is the schedule of
+    /// the capability's private field ([`Capability::hmac_key`]) when
+    /// `capability` is given, of the drive or partition key
+    /// ([`SecretKey::hmac_key`]) for administrative requests that carry
+    /// none.
+    ///
+    /// [`Capability::hmac_key`]: crate::Capability::hmac_key
+    /// [`SecretKey::hmac_key`]: nasd_crypto::SecretKey::hmac_key
+    #[must_use]
+    pub fn signed_by(
+        key: &HmacKey,
         capability: Option<CapabilityPublic>,
         protection: ProtectionLevel,
         nonce: Nonce,

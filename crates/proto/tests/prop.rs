@@ -2,7 +2,7 @@
 //! canonical wire encoding, and capabilities sign/verify consistently.
 
 use bytes::Bytes;
-use nasd_crypto::{Digest, KeyKind, SecretKey};
+use nasd_crypto::{Digest, HmacKey, KeyKind, SecretKey};
 use nasd_proto::wire::{WireDecode, WireEncode};
 use nasd_proto::{
     ByteRange, CapabilityPublic, DriveId, NasdStatus, Nonce, ObjectAttributes, ObjectId,
@@ -236,16 +236,17 @@ proptest! {
         let secret = SecretKey::from_bytes(key);
         let minted = cap.clone().mint(&secret);
         let n = Nonce::new(nonce.0, nonce.1);
-        let d1 = minted.sign_request(n, &args);
+        let protection = ProtectionLevel::ArgsIntegrity;
+        let d1 = RequestDigest::compute(minted.hmac_key(), n, &args, &[], protection);
 
         // Validator side: recompute the private field from the public
         // portion that crossed the wire.
         let wired = CapabilityPublic::from_wire(&cap.to_wire()).unwrap();
-        let revalidated = wired.mint(&secret);
-        prop_assert!(d1.verify(&revalidated.sign_request(n, &args)));
+        let revalidated = HmacKey::new(wired.private_under(&secret).as_bytes());
+        prop_assert!(d1.verify(&RequestDigest::compute(&revalidated, n, &args, &[], protection)));
 
         let other = Nonce::new(nonce.0, nonce.1.wrapping_add(1));
-        prop_assert!(!d1.verify(&revalidated.sign_request(other, &args)));
+        prop_assert!(!d1.verify(&RequestDigest::compute(&revalidated, other, &args, &[], protection)));
     }
 
     /// Full request messages round-trip, and every strict prefix of the
