@@ -110,8 +110,9 @@ pub struct MemDisk {
     block_size: usize,
     num_blocks: u64,
     // Arc'd blocks make cloning a device (e.g. for snapshots in tests)
-    // cheap; copy-on-write happens on block writes.
-    blocks: std::collections::HashMap<u64, Arc<Vec<u8>>>,
+    // cheap. A block write copies into the stored block when no clone
+    // shares it, and into a fresh one (copy-on-write) when one does.
+    blocks: std::collections::HashMap<u64, Arc<[u8]>>,
 }
 
 impl MemDisk {
@@ -173,7 +174,15 @@ impl BlockDevice for MemDisk {
 
     fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
         self.check(block, data.len())?;
-        self.blocks.insert(block, Arc::new(data.to_vec()));
+        match self.blocks.get_mut(&block) {
+            Some(stored) => match Arc::get_mut(stored) {
+                Some(bytes) => bytes.copy_from_slice(data),
+                None => *stored = Arc::from(data),
+            },
+            None => {
+                self.blocks.insert(block, Arc::from(data));
+            }
+        }
         Ok(())
     }
 }
@@ -409,6 +418,21 @@ mod tests {
         assert_eq!(buf, data);
         assert_eq!(d.resident_blocks(), 1);
         assert_eq!(d.capacity_bytes(), 4096);
+    }
+
+    #[test]
+    fn memdisk_clone_never_sees_a_later_write() {
+        let mut d = MemDisk::new(512, 8);
+        d.write_block(2, &[1u8; 512]).unwrap();
+        let snap = d.clone();
+        // The first write after the clone copies; the second is in place.
+        d.write_block(2, &[2u8; 512]).unwrap();
+        d.write_block(2, &[3u8; 512]).unwrap();
+        let mut buf = vec![0u8; 512];
+        snap.read_block(2, &mut buf).unwrap();
+        assert_eq!(buf, vec![1u8; 512], "the clone keeps its bytes");
+        d.read_block(2, &mut buf).unwrap();
+        assert_eq!(buf, vec![3u8; 512]);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! count of cache traffic: the drive reads them before and after each
 //! request, and the miss delta decides whether the request ran the
 //! paper's *cold* or *warm* code path (Table 1).
+//!
+//! Every per-block step is O(1) and allocation-free once the cache is
+//! full: recency is a doubly linked list threaded through a `Vec` by
+//! index (a hit moves its node to the tail, the victim is the head), a
+//! miss reads the device straight into the block's shared allocation,
+//! and an evicted block nobody else still holds is kept as the buffer
+//! for the next block brought in.
 
 use bytes::Bytes;
 use nasd_disk::{BlockDevice, DiskError};
@@ -44,8 +51,8 @@ struct Entry {
     /// copy-on-write when such a view is still alive.
     data: Arc<[u8]>,
     dirty: bool,
-    /// Index of this block's pair in [`BlockCache::recency`].
-    slot: usize,
+    /// This block's node in [`BlockCache::recency`].
+    slot: u32,
 }
 
 impl Entry {
@@ -58,6 +65,120 @@ impl Entry {
         }
         // nasd-lint: allow(panic, "the arc above was just re-created with refcount 1")
         Arc::get_mut(&mut self.data).expect("freshly cloned block is unshared")
+    }
+}
+
+/// "No node": the end of a [`Recency`] link.
+const NIL: u32 = u32::MAX;
+
+/// One resident block's place in the [`Recency`] order.
+struct Node {
+    block: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// The resident blocks in order of last use, least recent at the head:
+/// a doubly linked list over a `Vec` of nodes addressed by index, with a
+/// free list so a removed node's slot is reused. Every operation is O(1).
+struct Recency {
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl Recency {
+    fn new() -> Self {
+        Recency {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    /// The least recently used block.
+    fn lru(&self) -> Option<u64> {
+        self.nodes.get(self.head as usize).map(|n| n.block)
+    }
+
+    /// Add `block` as the most recently used; returns its node's slot.
+    fn push(&mut self, block: u64) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                if let Some(n) = self.nodes.get_mut(slot as usize) {
+                    n.block = block;
+                }
+                slot
+            }
+            None => {
+                // Slots never outnumber the cache's capacity, which
+                // `BlockCache::new` bounds below `NIL`.
+                self.nodes.push(Node {
+                    block,
+                    prev: NIL,
+                    next: NIL,
+                });
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        // `link_tail` sets both links.
+        self.link_tail(slot);
+        slot
+    }
+
+    /// Mark `slot`'s block the most recently used.
+    fn touch(&mut self, slot: u32) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_tail(slot);
+        }
+    }
+
+    /// Drop `slot`'s node; its slot is reused by a later push.
+    fn remove(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.free.push(slot);
+    }
+
+    fn link_tail(&mut self, slot: u32) {
+        let prev = self.tail;
+        if let Some(n) = self.nodes.get_mut(slot as usize) {
+            n.prev = prev;
+            n.next = NIL;
+        }
+        match self.nodes.get_mut(prev as usize) {
+            Some(p) => p.next = slot,
+            None => self.head = slot,
+        }
+        self.tail = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Some(&Node { prev, next, .. }) = self.nodes.get(slot as usize) else {
+            return;
+        };
+        match self.nodes.get_mut(prev as usize) {
+            Some(p) => p.next = next,
+            None => self.head = next,
+        }
+        match self.nodes.get_mut(next as usize) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
+        }
+    }
+}
+
+/// Replace the block `target` holds with `data`, the write ingest copy:
+/// in place when no reader shares the allocation, otherwise into a fresh
+/// one so the readers' view stays as it was.
+fn overwrite(target: &mut Arc<[u8]>, data: &[u8]) {
+    bytes::stats::record_copy(data.len());
+    match Arc::get_mut(target) {
+        // nasd-lint: allow(hot-path-copy, "write ingest: the one mandated copy into the cache block")
+        Some(d) => d.copy_from_slice(data),
+        None => *target = Arc::from(data),
     }
 }
 
@@ -81,13 +202,13 @@ pub struct BlockCache<D> {
     device: D,
     capacity_blocks: usize,
     entries: HashMap<u64, Entry>,
-    /// `(last use, block)` for every resident block, densely packed so
-    /// that finding the LRU victim scans one contiguous array, not the
-    /// map: a 64 KiB write into a full thousand-block cache evicts eight
-    /// times.
-    recency: Vec<(u64, u64)>,
-    /// LRU clock: larger = more recent; every use gets a fresh value.
-    clock: u64,
+    /// Every resident block in order of last use; the head is the
+    /// eviction victim. A 64 KiB write into a full thousand-block cache
+    /// evicts eight times, each O(1).
+    recency: Recency,
+    /// An evicted block's allocation that no reader still shares, kept
+    /// so the next block brought in reuses it instead of allocating.
+    spare: Option<Arc<[u8]>>,
     stats: CacheStats,
 }
 
@@ -96,16 +217,21 @@ impl<D: BlockDevice> BlockCache<D> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_blocks` is zero.
+    /// Panics if `capacity_blocks` is zero or does not fit the `u32`
+    /// recency slots.
     #[must_use]
     pub fn new(device: D, capacity_blocks: usize) -> Self {
         assert!(capacity_blocks > 0, "cache needs at least one block");
+        assert!(
+            capacity_blocks < NIL as usize,
+            "cache capacity must fit u32 recency slots"
+        );
         BlockCache {
             device,
             capacity_blocks,
             entries: HashMap::new(),
-            recency: Vec::new(),
-            clock: 0,
+            recency: Recency::new(),
+            spare: None,
             stats: CacheStats::default(),
         }
     }
@@ -150,57 +276,53 @@ impl<D: BlockDevice> BlockCache<D> {
         self.entries.contains_key(&block)
     }
 
-    fn touch(&mut self, block: u64) {
-        self.clock += 1;
-        if let Some(e) = self.entries.get(&block) {
-            if let Some(r) = self.recency.get_mut(e.slot) {
-                r.0 = self.clock;
-            }
-        }
-    }
-
     /// Make `block`, which is not resident, resident with `data` as the
     /// most recently used.
     fn insert(&mut self, block: u64, data: Arc<[u8]>, dirty: bool) {
         debug_assert!(!self.entries.contains_key(&block));
-        self.clock += 1;
-        let slot = self.recency.len();
-        self.recency.push((self.clock, block));
+        let slot = self.recency.push(block);
         self.entries.insert(block, Entry { data, dirty, slot });
     }
 
-    /// Drop `block`'s entry, keeping `recency` dense: the last pair moves
-    /// into the freed slot.
-    fn remove(&mut self, block: u64) -> Option<Entry> {
-        let entry = self.entries.remove(&block)?;
-        if entry.slot < self.recency.len() {
-            self.recency.swap_remove(entry.slot);
+    /// Drop `block`'s entry and its recency node; returns whether it was
+    /// resident. Its allocation becomes the spare unless a
+    /// [`Self::read_shared`] view still holds it.
+    fn remove(&mut self, block: u64) -> bool {
+        let Some(mut entry) = self.entries.remove(&block) else {
+            return false;
+        };
+        self.recency.remove(entry.slot);
+        if Arc::get_mut(&mut entry.data).is_some() {
+            self.spare = Some(entry.data);
         }
-        if let Some(&(_, moved)) = self.recency.get(entry.slot) {
-            if let Some(e) = self.entries.get_mut(&moved) {
-                e.slot = entry.slot;
-            }
-        }
-        Some(entry)
+        true
     }
 
-    /// Make room for one more entry, evicting the LRU entry if full.
+    /// An unshared block-sized buffer for a block being brought in: the
+    /// spare if there is one, else a fresh (zeroed) allocation.
+    fn buffer(&mut self) -> Arc<[u8]> {
+        self.spare
+            .take()
+            .unwrap_or_else(|| std::iter::repeat_n(0u8, self.device.block_size()).collect())
+    }
+
+    /// Make room for one more entry, evicting the LRU entry if full. A
+    /// dirty victim is written back *before* it leaves the cache: if the
+    /// write fails it stays resident and dirty, so no acknowledged byte
+    /// is lost, and the error comes back.
     fn evict_if_full(&mut self) -> Result<(), DiskError> {
         while self.entries.len() >= self.capacity_blocks {
-            // An empty cache can only be "full" at capacity zero; there is
-            // nothing to evict then. Clock values are unique, so the
-            // victim does not depend on the array's order.
-            let Some(&(_, victim)) = self.recency.iter().min_by_key(|(used, _)| *used) else {
+            let Some(victim) = self.recency.lru() else {
                 break;
             };
-            let Some(entry) = self.remove(victim) else {
-                break;
-            };
-            self.stats.evictions += 1;
-            if entry.dirty {
-                self.device.write_block(victim, &entry.data)?;
+            if let Some(e) = self.entries.get(&victim).filter(|e| e.dirty) {
+                self.device.write_block(victim, &e.data)?;
                 self.stats.writebacks += 1;
             }
+            if !self.remove(victim) {
+                break;
+            }
+            self.stats.evictions += 1;
         }
         Ok(())
     }
@@ -227,7 +349,8 @@ impl<D: BlockDevice> BlockCache<D> {
     /// Read one block through the cache as an O(1) shared view of the
     /// cached allocation — the zero-copy read path. The view stays valid
     /// (and immutable) even if the block is later written or evicted:
-    /// writes to a shared block go copy-on-write.
+    /// writes to a shared block go copy-on-write, and an evicted block
+    /// is reused only when no view of it is alive.
     ///
     /// # Errors
     ///
@@ -245,18 +368,23 @@ impl<D: BlockDevice> BlockCache<D> {
 
     /// Ensure `block` is resident, reading it from the device on a miss.
     fn fill(&mut self, block: u64) -> Result<(), DiskError> {
-        if self.entries.contains_key(&block) {
+        if let Some(e) = self.entries.get(&block) {
             self.stats.hits += 1;
-            self.touch(block);
+            self.recency.touch(e.slot);
         } else {
             self.evict_if_full()?;
-            let mut buf = vec![0u8; self.device.block_size()];
-            self.device.read_block(block, &mut buf)?;
-            // Vec -> Arc<[u8]> moves the bytes into the refcounted
-            // allocation: a real (cold-path) copy, so the ledger sees it.
-            bytes::stats::record_copy(buf.len());
+            // The device reads straight into the allocation the entry
+            // keeps (and `read_shared` later shares): no staging copy.
+            let mut data = self.buffer();
+            // `buffer` hands out only unshared allocations; report rather
+            // than panic mid-request.
+            let buf = Arc::get_mut(&mut data).ok_or(DiskError::OutOfRange {
+                block,
+                device_blocks: self.device.num_blocks(),
+            })?;
+            self.device.read_block(block, buf)?;
             self.stats.misses += 1;
-            self.insert(block, Arc::from(buf), false);
+            self.insert(block, data, false);
         }
         Ok(())
     }
@@ -276,26 +404,18 @@ impl<D: BlockDevice> BlockCache<D> {
             });
         }
         if let Some(e) = self.entries.get_mut(&block) {
-            // Full-block overwrite: one ingest copy either way. In place
-            // when the block is unshared; otherwise a fresh allocation so
-            // readers keep their (old) view untouched.
-            bytes::stats::record_copy(data.len());
-            match Arc::get_mut(&mut e.data) {
-                // nasd-lint: allow(hot-path-copy, "write ingest: the one mandated copy into the cache block")
-                Some(d) => d.copy_from_slice(data),
-                None => e.data = Arc::from(data),
-            }
+            overwrite(&mut e.data, data);
             e.dirty = true;
-            self.stats.hits += 1;
-            self.touch(block);
+            self.recency.touch(e.slot);
         } else {
             self.evict_if_full()?;
-            bytes::stats::record_copy(data.len());
-            self.insert(block, Arc::from(data), true);
-            // A full-block overwrite needs no device read; count it as a
-            // (write) hit for Table 1's warm/cold distinction.
-            self.stats.hits += 1;
+            let mut fresh = self.buffer();
+            overwrite(&mut fresh, data);
+            self.insert(block, fresh, true);
         }
+        // A full-block overwrite needs no device read; count it as a
+        // (write) hit for Table 1's warm/cold distinction.
+        self.stats.hits += 1;
         Ok(())
     }
 
@@ -419,6 +539,30 @@ mod tests {
             writes: Vec::new(),
         };
         BlockCache::new(disk, cap)
+    }
+
+    /// A [`MemDisk`] whose next write fails when `fail_next` is set.
+    struct Flaky {
+        disk: MemDisk,
+        fail_next: bool,
+    }
+
+    impl BlockDevice for Flaky {
+        fn block_size(&self) -> usize {
+            self.disk.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.disk.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+            self.disk.read_block(block, buf)
+        }
+        fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
+            if std::mem::take(&mut self.fail_next) {
+                return Err(DiskError::PowerFailure);
+            }
+            self.disk.write_block(block, data)
+        }
     }
 
     fn hits_misses<D: BlockDevice>(c: &BlockCache<D>) -> (u64, u64) {
@@ -601,5 +745,59 @@ mod tests {
         let mut buf = vec![0u8; 512];
         c.device().read_block(1, &mut buf).unwrap();
         assert_eq!(buf[0], 1, "writeback must carry the block contents");
+    }
+
+    #[test]
+    fn failed_writeback_keeps_the_acked_block() {
+        let disk = Flaky {
+            disk: MemDisk::new(512, 64),
+            fail_next: false,
+        };
+        let mut c = BlockCache::new(disk, 2);
+        c.write(1, &[1u8; 512]).unwrap();
+        c.write(2, &[2u8; 512]).unwrap();
+        c.device_mut().fail_next = true;
+        // Block 1 is the dirty LRU victim; its writeback fails.
+        assert_eq!(c.write(3, &[3u8; 512]), Err(DiskError::PowerFailure));
+        assert!(c.contains(1), "the victim stays resident");
+        assert_eq!((c.stats().evictions, c.stats().writebacks), (0, 0));
+        let misses = c.stats().misses;
+        assert_eq!(c.read(1).unwrap(), &[1u8; 512][..], "the acked bytes");
+        assert_eq!(c.stats().misses, misses, "served from the cache");
+        // Still dirty: the next flush writes it.
+        c.flush().unwrap();
+        let mut buf = vec![0u8; 512];
+        c.device().disk.read_block(1, &mut buf).unwrap();
+        assert_eq!(buf, vec![1u8; 512]);
+    }
+
+    #[test]
+    fn eviction_reuses_an_unshared_block_allocation() {
+        let mut c = cache(1);
+        c.write(1, &[1u8; 512]).unwrap();
+        let first = c.read_shared(1).unwrap().as_ref().as_ptr();
+        c.write(2, &[2u8; 512]).unwrap(); // evicts 1, whose view is gone
+        let second = c.read_shared(2).unwrap();
+        assert_eq!(second.as_ref().as_ptr(), first, "the spare was reused");
+        assert_eq!(&second[..], &[2u8; 512][..]);
+    }
+
+    #[test]
+    fn a_held_view_survives_eviction_and_spare_reuse() {
+        let mut c = cache(2);
+        c.write(1, &[1u8; 512]).unwrap();
+        let view = c.read_shared(1).unwrap();
+        // Evicts 1 (shared: never the spare), then 2 and 3, whose
+        // allocations 4 and 5 reuse.
+        for b in 2..6u64 {
+            c.write(b, &[b as u8; 512]).unwrap();
+        }
+        assert!(!c.contains(1));
+        assert_eq!(&view[..], &[1u8; 512][..], "the view kept its bytes");
+        for b in 4..6u64 {
+            let now = c.read_shared(b).unwrap();
+            assert_ne!(now.as_ref().as_ptr(), view.as_ref().as_ptr());
+            assert_eq!(&now[..], &[b as u8; 512][..]);
+        }
     }
 }

@@ -388,7 +388,6 @@ impl<D: BlockDevice> ObjectStore<D> {
             partitions: state.partitions,
             refcounts: state.refcounts,
             block_size: bs,
-            read_scratch: Vec::new(),
             layout,
             wal,
             checkpoint_seq: sb.checkpoint_seq,

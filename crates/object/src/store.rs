@@ -193,9 +193,6 @@ pub struct ObjectStore<D> {
     /// Blocks absent from the map have refcount 1.
     pub(crate) refcounts: HashMap<u64, u32>,
     pub(crate) block_size: usize,
-    /// Reusable block-number list for `read`, so steady-state reads do
-    /// not allocate a fresh copy of the object's block map.
-    pub(crate) read_scratch: Vec<u64>,
     /// On-disk region geometry (see [`crate::layout`]).
     pub(crate) layout: Layout,
     /// The write-ahead log; disabled unless the drive runs durable.
@@ -232,7 +229,6 @@ impl<D: BlockDevice> ObjectStore<D> {
             partitions: HashMap::new(),
             refcounts: HashMap::new(),
             block_size,
-            read_scratch: Vec::new(),
             wal: Wal::new(&layout),
             layout,
             checkpoint_seq: 0,
@@ -540,11 +536,25 @@ impl<D: BlockDevice> ObjectStore<D> {
         for l in first_l..=last_l {
             self.cow_block(p, o, l)?;
         }
-        let blocks = {
-            let meta = self.object_mut(p, o)?;
-            meta.blocks.clone()
-        };
         let zeros = vec![0u8; bs];
+        self.write_through(p, o, from, to, |_, take| zeros.get(..take))
+    }
+
+    /// Write object bytes `[from, to)` through the cache, one device
+    /// block at a time: whole blocks as full-block writes, partial ones
+    /// as read-modify-write. `piece(at, len)` gives the `len` bytes that
+    /// go `at` bytes into the range. The block map is borrowed from the
+    /// partition table while the cache is driven, not copied.
+    fn write_through<'a>(
+        &mut self,
+        p: PartitionId,
+        o: ObjectId,
+        from: u64,
+        to: u64,
+        piece: impl Fn(usize, usize) -> Option<&'a [u8]>,
+    ) -> Result<(), StoreError> {
+        let bs = self.block_size;
+        let blocks = &object_in(&mut self.partitions, p, o)?.blocks;
         let mut pos = from;
         while pos < to {
             let lblock = (pos / bs as u64) as usize;
@@ -553,9 +563,8 @@ impl<D: BlockDevice> ObjectStore<D> {
             let dev_block = *blocks
                 .get(lblock)
                 .ok_or(StoreError::Internal("object block map shorter than size"))?;
-            let chunk = zeros
-                .get(..take)
-                .ok_or(StoreError::Internal("zero chunk longer than a block"))?;
+            let chunk = piece((pos - from) as usize, take)
+                .ok_or(StoreError::Internal("write source shorter than extent"))?;
             if within == 0 && take == bs {
                 self.cache.write(dev_block, chunk)?;
             } else {
@@ -691,26 +700,10 @@ impl<D: BlockDevice> ObjectStore<D> {
         now: u64,
     ) -> Result<ByteRope, StoreError> {
         let bs = self.block_size;
-        // Borrow dance: the cache borrow below conflicts with the object
-        // metadata borrow, so the block list is staged in a reusable
-        // scratch vector (no allocation once it has grown to fit).
-        let mut blocks = std::mem::take(&mut self.read_scratch);
-        blocks.clear();
-        let size = {
-            let meta = match self.object_mut(p, o) {
-                Ok(meta) => meta,
-                Err(e) => {
-                    self.read_scratch = blocks;
-                    return Err(e);
-                }
-            };
-            meta.attrs.access_time = now;
-            // nasd-lint: allow(hot-path-copy, "block-number list staging, not payload bytes")
-            blocks.extend_from_slice(&meta.blocks);
-            meta.attrs.size
-        };
+        let meta = object_in(&mut self.partitions, p, o)?;
+        meta.attrs.access_time = now;
+        let (size, blocks) = (meta.attrs.size, &meta.blocks);
         if offset >= size || len == 0 {
-            self.read_scratch = blocks;
             return Ok(ByteRope::new());
         }
         // Wire integers: the window is clamped to the object anyway, so
@@ -733,9 +726,6 @@ impl<D: BlockDevice> ObjectStore<D> {
             out.push(data.slice(within..within + take));
             pos += take as u64;
         }
-        // Error paths above drop the scratch (it regrows on the next
-        // read); the steady-state happy path hands it back.
-        self.read_scratch = blocks;
         Ok(out)
     }
 
@@ -817,30 +807,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             self.cow_block(p, o, l)?;
         }
 
-        let blocks = {
-            let meta = self.object_mut(p, o)?;
-            meta.blocks.clone()
-        };
-        let mut pos = offset;
-        let mut src = 0usize;
-        while pos < end {
-            let lblock = (pos / bs as u64) as usize;
-            let within = (pos % bs as u64) as usize;
-            let take = (bs - within).min((end - pos) as usize);
-            let dev_block = *blocks
-                .get(lblock)
-                .ok_or(StoreError::Internal("object block map shorter than size"))?;
-            let chunk = data
-                .get(src..src + take)
-                .ok_or(StoreError::Internal("write source shorter than extent"))?;
-            if within == 0 && take == bs {
-                self.cache.write(dev_block, chunk)?;
-            } else {
-                self.cache.write_partial(dev_block, within, chunk)?;
-            }
-            pos += take as u64;
-            src += take;
-        }
+        self.write_through(p, o, offset, end, |at, take| data.get(at..at + take))?;
 
         let meta = self.object_mut(p, o)?;
         meta.attrs.size = meta.attrs.size.max(end);
@@ -1094,12 +1061,21 @@ impl<D: BlockDevice> ObjectStore<D> {
     }
 
     fn object_mut(&mut self, p: PartitionId, o: ObjectId) -> Result<&mut ObjectMeta, StoreError> {
-        let part = self
-            .partitions
-            .get_mut(&p)
-            .ok_or(StoreError::NoSuchPartition(p))?;
-        part.objects.get_mut(&o).ok_or(StoreError::NoSuchObject(o))
+        object_in(&mut self.partitions, p, o)
     }
+}
+
+/// Object `o`'s metadata, borrowed from the partition table alone so the
+/// caller can drive the store's cache while it holds the block map.
+fn object_in(
+    partitions: &mut HashMap<PartitionId, Partition>,
+    p: PartitionId,
+    o: ObjectId,
+) -> Result<&mut ObjectMeta, StoreError> {
+    let part = partitions
+        .get_mut(&p)
+        .ok_or(StoreError::NoSuchPartition(p))?;
+    part.objects.get_mut(&o).ok_or(StoreError::NoSuchObject(o))
 }
 
 impl<D: BlockDevice> fmt::Debug for ObjectStore<D> {
