@@ -24,6 +24,7 @@
 //! the report) to turn it into a CI gate.
 
 use bytes::Bytes;
+use nasd::crypto;
 use nasd::disk::MemDisk;
 use nasd::fm::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet, FmConnect, NasdNfs};
 use nasd::net::{
@@ -70,7 +71,8 @@ pub struct PerfRow {
     pub event_allocs_per_op: f64,
     /// Exact per-operation counts only this workload measures, each
     /// reported as the derived value `<workload>_<name>` (`nfs_open`:
-    /// `fm_calls`, `drive_requests`).
+    /// `fm_calls`, `drive_requests`, `compressions`; `inproc_read`:
+    /// `compressions`).
     pub counters: Vec<(&'static str, f64)>,
 }
 
@@ -81,11 +83,22 @@ struct Measured {
     alloc_bytes: u64,
     bytes_copied: u64,
     event_allocs: u64,
+    /// SHA-256 compressions on this thread, the drive's included when
+    /// it runs in process.
+    compressions: u64,
+}
+
+impl Measured {
+    /// SHA-256 compressions per operation, as a row counter.
+    fn compressions(&self) -> (&'static str, f64) {
+        ("compressions", self.compressions as f64 / self.ops as f64)
+    }
 }
 
 fn measure(probe: Option<AllocProbe>, ops: u64, mut op: impl FnMut()) -> Measured {
     datapath::reset();
     let (a0, b0) = probe.map_or((0, 0), |p| p());
+    let c0 = crypto::stats::compressions();
     let t0 = Instant::now();
     for _ in 0..ops {
         op();
@@ -99,6 +112,7 @@ fn measure(probe: Option<AllocProbe>, ops: u64, mut op: impl FnMut()) -> Measure
         alloc_bytes: b1 - b0,
         bytes_copied: datapath::bytes_copied(),
         event_allocs: datapath::event_allocs(),
+        compressions: crypto::stats::compressions() - c0,
     }
 }
 
@@ -366,7 +380,11 @@ fn nfs_open(probe: Option<AllocProbe>, ops: u64) -> PerfRow {
         fleet.shutdown();
     }
     PerfRow {
-        counters: vec![("fm_calls", fm_calls), ("drive_requests", drive_requests)],
+        counters: vec![
+            ("fm_calls", fm_calls),
+            ("drive_requests", drive_requests),
+            m.compressions(),
+        ],
         ..row("nfs_open", 0, &m)
     }
 }
@@ -465,11 +483,11 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
         let ops = (1 << 27) / size; // ~128 MB of payload per point
         rows.push(row("sweep_read", size, &cached_read(probe, size, ops)));
     }
-    rows.push(row(
-        "inproc_read",
-        65_536,
-        &inproc_read(probe, 65_536, 2_000),
-    ));
+    let inproc = inproc_read(probe, 65_536, 2_000);
+    rows.push(PerfRow {
+        counters: vec![inproc.compressions()],
+        ..row("inproc_read", 65_536, &inproc)
+    });
     rows.push(row(
         "socket_read",
         65_536,
@@ -511,6 +529,8 @@ mod tests {
         let m = inproc_read(None, 65_536, 8);
         assert_eq!(m.ops, 8);
         assert_eq!(m.bytes_copied, 0, "in-process cached reads copy no payload");
+        // Client and drive each MAC once from a kept key schedule.
+        assert_eq!(m.compressions(), ("compressions", 4.0));
     }
 
     #[test]
@@ -528,9 +548,15 @@ mod tests {
     fn nfs_open_is_one_manager_call_and_one_drive_request() {
         let row = nfs_open(None, 32);
         assert_eq!(row.ops, 32);
+        // A repeated mint and a repeated verify do no MAC work: the
+        // drive request's signature and its check are all there is.
         assert_eq!(
             row.counters,
-            vec![("fm_calls", 1.0), ("drive_requests", 1.0)]
+            vec![
+                ("fm_calls", 1.0),
+                ("drive_requests", 1.0),
+                ("compressions", 4.0)
+            ]
         );
     }
 

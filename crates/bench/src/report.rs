@@ -317,6 +317,9 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
                 cached.bytes_copied_per_op,
             );
     }
+    if let Some(seq) = rows.iter().find(|r| r.workload == "seq_write") {
+        r = r.with_derived("seq_write_bytes_copied_per_op", seq.bytes_copied_per_op);
+    }
     if let Some(durable) = rows.iter().find(|r| r.workload == "durable_write") {
         r = r.with_derived(
             "durable_write_alloc_bytes_per_op",

@@ -30,6 +30,7 @@
 mod hmac;
 mod keys;
 mod sha256;
+pub mod stats;
 
 pub use hmac::{hmac_sha256, HmacKey, HmacSha256};
 pub use keys::{DriveKeys, KeyHierarchy, KeyKind, SecretKey};

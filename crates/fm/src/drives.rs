@@ -44,10 +44,18 @@ pub struct DriveEndpoint {
     channel: RwLock<Channel<Request, Reply>>,
     hierarchy: KeyHierarchy,
     /// Each partition's generation-0 gold working key, derived on the
-    /// partition's first mint. The key keeps its HMAC key schedule, so a
-    /// later mint is 2 compressions for the private field plus 2 for the
-    /// capability's own schedule.
+    /// partition's first mint. The key keeps its HMAC key schedule, so
+    /// minting a capability not minted before is 2 compressions for the
+    /// private field plus 2 for the capability's own schedule.
     gold: RwLock<HashMap<PartitionId, SecretKey>>,
+    /// Capabilities already minted, by public portion: a mint is a pure
+    /// function of the public fields and the generation-0 gold key, so
+    /// a repeat is the same bytes without the MAC work. Every field —
+    /// version, rights, region, expiry — is part of the key, so a
+    /// revocation or a new expiry mints afresh. At most as many as one
+    /// client's capability cache holds; emptied when full, like that
+    /// [`LeaseCache`](crate::LeaseCache).
+    minted: RwLock<HashMap<CapabilityPublic, Capability>>,
     signer: u64,
     counter: AtomicU64,
     retry: RwLock<RetryPolicy>,
@@ -228,8 +236,18 @@ impl DriveEndpoint {
         region: ByteRange,
         expires: u64,
     ) -> Capability {
-        CapabilityPublic::gold(self.id, partition, object, version, rights, region, expires)
-            .mint(&self.gold_key(partition))
+        let public =
+            CapabilityPublic::gold(self.id, partition, object, version, rights, region, expires);
+        if let Some(cap) = self.minted.read().get(&public) {
+            return cap.clone();
+        }
+        let cap = public.mint(&self.gold_key(partition));
+        let mut minted = self.minted.write();
+        if minted.len() >= crate::CAP_CACHE_CAPACITY {
+            minted.clear();
+        }
+        minted.insert(cap.public.clone(), cap.clone());
+        cap
     }
 
     /// `partition`'s generation-0 gold working key, derived once.
@@ -516,6 +534,7 @@ impl DriveEndpoint {
             channel: RwLock::new(channel),
             hierarchy,
             gold: RwLock::new(HashMap::new()),
+            minted: RwLock::new(HashMap::new()),
             signer: NEXT_SIGNER.fetch_add(1, Ordering::Relaxed),
             counter: AtomicU64::new(1),
             retry: RwLock::new(RetryPolicy::standard()),
@@ -976,6 +995,63 @@ mod tests {
                 }
             }
         }
+        f.shutdown();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// A remembered mint is the capability a fresh mint makes, byte
+        /// for byte, and repeating it costs no SHA-256 work.
+        #[test]
+        fn a_remembered_mint_is_a_fresh_mint(
+            grants in proptest::collection::vec(
+                (0u64..4, 0u16..=0xff, 0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 40),
+                1..48,
+            ),
+        ) {
+            let f = fleet(1);
+            let ep = f.endpoint(0);
+            let p = f.partition();
+            let gold = KeyHierarchy::new(SecretKey::from_bytes(FLEET_MASTER_SEED), ep.id().0)
+                .partition_keys(p.0, 0)
+                .gold;
+            for &(version, bits, start, len, expires) in &grants {
+                let rights = Rights::from_bits(bits).unwrap();
+                let region = ByteRange::new(start, start + len);
+                let fresh = CapabilityPublic::gold(
+                    ep.id(), p, ObjectId(7), Version(version), rights, region, expires,
+                )
+                .mint(&gold);
+                let first = ep.mint(p, ObjectId(7), Version(version), rights, region, expires);
+                let before = nasd_crypto::stats::compressions();
+                let again = ep.mint(p, ObjectId(7), Version(version), rights, region, expires);
+                proptest::prop_assert_eq!(nasd_crypto::stats::compressions(), before);
+                // `Capability` equality covers the kept key schedule too.
+                proptest::prop_assert_eq!(&first, &fresh);
+                proptest::prop_assert_eq!(&again, &fresh);
+            }
+            f.shutdown();
+        }
+    }
+
+    /// A mint after a revocation carries the bumped version, not the
+    /// capability remembered from before it, and the drive refuses the
+    /// old one.
+    #[test]
+    fn a_mint_after_revoke_carries_the_new_version() {
+        let f = fleet(1);
+        let fh = f.create(f.endpoint(0), None, 0).unwrap();
+        let (ep, old) = f.mint(fh, Rights::READ, ByteRange::FULL).unwrap();
+        assert!(ep.read(&old, 0, 0).is_ok());
+        f.revoke(fh).unwrap();
+        let (ep, new) = f.mint(fh, Rights::READ, ByteRange::FULL).unwrap();
+        assert_eq!(new.public.version, Version(old.public.version.0 + 1));
+        assert_eq!(
+            ep.read(&old, 0, 0).unwrap_err(),
+            FmError::Drive(NasdStatus::AccessDenied)
+        );
+        assert!(ep.read(&new, 0, 0).is_ok());
         f.shutdown();
     }
 

@@ -26,16 +26,19 @@
 //! [`RequestBody::authority`]: nasd_proto::RequestBody::authority
 
 use nasd_crypto::{DriveKeys, HmacKey, KeyKind, SecretKey};
-use nasd_proto::wire::{WireEncode, WireWriter};
+use nasd_proto::wire::WireEncode;
 use nasd_proto::{
     Authority, CapabilityPublic, DriveId, NasdStatus, ObjectAttributes, PartitionId, Request,
     RequestDigest, Version,
 };
 use std::collections::HashMap;
 
-/// Most verified capabilities a drive remembers. A capability verified
-/// while the cache is full empties it first.
-const VERIFIED_CAPACITY: usize = 1024;
+/// Most verified capabilities a drive remembers: as many as one client
+/// may hold (the file manager's `CAP_CACHE_CAPACITY`), so a control
+/// path's working set — each object's manager capability plus its read
+/// and write grants — stays resident. A capability verified while the
+/// cache is full empties it first.
+const VERIFIED_CAPACITY: usize = 4096;
 
 /// Anti-replay window for one client, IPsec-style: a high-water counter
 /// plus a 64-entry bitmap for bounded reordering.
@@ -87,8 +90,6 @@ pub struct DriveSecurity {
     /// Capabilities whose requests verified, each with its private
     /// field's key schedule; see the module docs.
     verified: HashMap<CapabilityPublic, HmacKey>,
-    /// The request body's wire encoding, reused across requests.
-    args: Vec<u8>,
     replay: HashMap<u64, ReplayWindow>,
     enabled: bool,
 }
@@ -107,7 +108,6 @@ impl DriveSecurity {
             drive_key,
             partition_keys: HashMap::new(),
             verified: HashMap::new(),
-            args: Vec::new(),
             replay: HashMap::new(),
             enabled,
         }
@@ -233,17 +233,15 @@ impl DriveSecurity {
                 .partition
                 .hmac_key(),
         };
-        let mut args = WireWriter::from(std::mem::take(&mut self.args));
-        req.body.encode(&mut args);
-        let expected = RequestDigest::compute(
-            key,
-            req.header.nonce,
-            args.as_slice(),
-            &req.data,
-            req.header.protection,
-        );
-        self.args = args.into_vec();
-        self.args.clear();
+        let expected = req.body.with_wire(|args| {
+            RequestDigest::compute(
+                key,
+                req.header.nonce,
+                args,
+                &req.data,
+                req.header.protection,
+            )
+        });
         if !expected.verify(&req.digest) {
             return Err(NasdStatus::AccessDenied);
         }
@@ -407,6 +405,43 @@ mod tests {
             assert!(s.verified_len() <= VERIFIED_CAPACITY);
         }
         assert!(s.verified_len() >= 1);
+    }
+
+    /// The verified cache holds a control path's working set: cycled
+    /// twice through `VERIFIED_CAPACITY - 1` capabilities, the second
+    /// pass recomputes no private field — each request costs only its
+    /// digest's 2 compressions. The set is never smaller than what a
+    /// `meta_mix` drive cycles: 512 objects, each under the manager's
+    /// own capability and a read and a write grant.
+    #[test]
+    fn the_verified_cache_holds_its_working_set() {
+        const CONTROL_PATH_WORKING_SET: usize = 512 * 3;
+        let n = (VERIFIED_CAPACITY - 1).max(CONTROL_PATH_WORKING_SET);
+        let mut s = security();
+        let caps: Vec<Capability> = (0..n as u64).map(read_cap).collect();
+        let mut counter = 0;
+        for pass in 0..2 {
+            let requests: Vec<Request> = caps
+                .iter()
+                .map(|cap| {
+                    counter += 1;
+                    genuine(cap, counter)
+                })
+                .collect();
+            let before = nasd_crypto::stats::compressions();
+            for req in &requests {
+                assert_eq!(check(&mut s, req, 0), Ok(()));
+            }
+            let spent = nasd_crypto::stats::compressions() - before;
+            if pass == 1 {
+                assert_eq!(
+                    spent,
+                    2 * requests.len() as u64,
+                    "a private field was recomputed"
+                );
+            }
+        }
+        assert_eq!(s.verified_len(), caps.len());
     }
 
     #[test]

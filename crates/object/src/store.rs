@@ -17,6 +17,7 @@ use nasd_disk::{BlockDevice, DiskError};
 use nasd_proto::{NasdStatus, ObjectAttributes, ObjectId, PartitionId, SetAttrMask, Version};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// First object id handed to drive-assigned objects; smaller ids are
 /// reserved for well-known control objects (§4.1).
@@ -473,6 +474,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             .and_then(|c| part.objects.get(&c))
             .and_then(|m| m.blocks.first().copied());
         let blocks = self.allocate_blocks(nblocks, hint)?;
+        self.zero_blocks(blocks.iter().copied())?;
 
         let part = self.partition_mut(p)?;
         let id = part.claim(logged);
@@ -491,6 +493,10 @@ impl<D: BlockDevice> ObjectStore<D> {
         Ok(id)
     }
 
+    /// Allocate `nblocks` device blocks near `hint`. Recycled blocks
+    /// still hold whatever a freed object left behind: the caller
+    /// overwrites or [zeroes](Self::zero_blocks) each one before it
+    /// joins an object's readable bytes.
     fn allocate_blocks(&mut self, nblocks: u64, hint: Option<u64>) -> Result<Vec<u64>, StoreError> {
         if nblocks == 0 {
             return Ok(Vec::new());
@@ -503,14 +509,21 @@ impl<D: BlockDevice> ObjectStore<D> {
         for e in extents {
             blocks.extend(e.start..e.end());
         }
-        // Recycled blocks still hold whatever a freed object left behind;
-        // zero them in cache so gaps and extensions read back as zeros and
-        // log replay reproduces the exact bytes the live run exposed.
-        let zeros = vec![0u8; self.block_size];
-        for &b in &blocks {
+        Ok(blocks)
+    }
+
+    /// Zero `blocks` in cache, so gaps and extensions over fresh blocks
+    /// read back as zeros and log replay reproduces the exact bytes the
+    /// live run exposed.
+    fn zero_blocks(&mut self, blocks: impl IntoIterator<Item = u64>) -> Result<(), StoreError> {
+        // Sized on the first block: a write covering every new block
+        // allocates nothing here.
+        let mut zeros = Vec::new();
+        for b in blocks {
+            zeros.resize(self.block_size, 0);
             self.cache.write(b, &zeros)?;
         }
-        Ok(blocks)
+        Ok(())
     }
 
     /// Zero object bytes `[from, to)` on media. Called when the logical
@@ -657,7 +670,7 @@ impl<D: BlockDevice> ObjectStore<D> {
     ) -> Result<(), StoreError> {
         // Grow preallocation first (may fail on quota).
         if mask.preallocated {
-            self.ensure_capacity(p, o, preallocated)?;
+            self.ensure_capacity(p, o, preallocated, 0..0)?;
         }
         let meta = self.object_mut(p, o)?;
         if mask.fs_specific {
@@ -730,11 +743,14 @@ impl<D: BlockDevice> ObjectStore<D> {
     }
 
     /// Ensure the object has capacity (allocated blocks) for `bytes`.
+    /// New blocks are zeroed, except those lying wholly inside
+    /// `overwritten`: object bytes the caller writes next.
     fn ensure_capacity(
         &mut self,
         p: PartitionId,
         o: ObjectId,
         bytes: u64,
+        overwritten: Range<u64>,
     ) -> Result<(), StoreError> {
         let bs = self.block_size as u64;
         let need_blocks = bytes.div_ceil(bs);
@@ -755,6 +771,13 @@ impl<D: BlockDevice> ObjectStore<D> {
             return Err(StoreError::NoSpace);
         }
         let new_blocks = self.allocate_blocks(grow, hint)?;
+        let covered = |l: u64| overwritten.start <= l * bs && (l + 1) * bs <= overwritten.end;
+        self.zero_blocks(
+            (have..)
+                .zip(&new_blocks)
+                .filter(|&(l, _)| !covered(l))
+                .map(|(_, &b)| b),
+        )?;
         let part = self.partition_mut(p)?;
         part.used += grow * bs;
         let meta = part.objects.get_mut(&o).ok_or(StoreError::Internal(
@@ -792,9 +815,10 @@ impl<D: BlockDevice> ObjectStore<D> {
             let meta = self.object_mut(p, o)?;
             (meta.attrs.size, meta.blocks.len() as u64 * bs as u64)
         };
-        self.ensure_capacity(p, o, end)?;
+        self.ensure_capacity(p, o, end, offset..end)?;
         // Pre-existing capacity inside the gap may hold stale bytes; the
-        // gap must read back as zeros (newly allocated blocks already do).
+        // gap must read back as zeros (newly allocated blocks outside the
+        // write already do).
         if offset > old_size {
             self.zero_range(p, o, old_size, offset.min(old_cap))?;
         }
@@ -883,7 +907,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             (meta.attrs.size, meta.blocks.len() as u64 * bs)
         };
         if new_size > old_size {
-            self.ensure_capacity(p, o, new_size)?;
+            self.ensure_capacity(p, o, new_size, 0..0)?;
             // Bytes the extension exposes inside pre-existing capacity
             // (a shrunk-then-regrown tail) must read back as zeros.
             self.zero_range(p, o, old_size, new_size.min(old_cap))?;

@@ -115,7 +115,7 @@ impl CapabilityPublic {
     /// `HMAC(working_key, encode(public))`.
     #[must_use]
     pub fn private_under(&self, working_key: &SecretKey) -> Digest {
-        working_key.mac(&self.to_wire())
+        self.with_wire(|public| working_key.mac(public))
     }
 
     /// Mint a complete capability under `working_key` — the only way to

@@ -703,7 +703,8 @@ impl Request {
         body: RequestBody,
         data: Bytes,
     ) -> Self {
-        let digest = RequestDigest::compute(key, nonce, &body.to_wire(), &data, protection);
+        let digest =
+            body.with_wire(|args| RequestDigest::compute(key, nonce, args, &data, protection));
         Request {
             header: SecurityHeader { protection, nonce },
             capability,

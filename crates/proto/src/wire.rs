@@ -385,6 +385,11 @@ impl OwnedReader {
     }
 }
 
+thread_local! {
+    /// The buffer [`WireEncode::with_wire`] encodes into.
+    static WIRE_SCRATCH: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
 /// Types with a canonical wire encoding.
 pub trait WireEncode {
     /// Append this value's canonical encoding to `w`.
@@ -395,6 +400,25 @@ pub trait WireEncode {
         let mut w = WireWriter::new();
         self.encode(&mut w);
         w.into_vec()
+    }
+
+    /// Run `f` over this value's canonical encoding, built in a
+    /// per-thread buffer that every call reuses: how a MAC absorbs a
+    /// message's arguments or a capability's public portion without a
+    /// heap allocation per request.
+    fn with_wire<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R
+    where
+        Self: Sized,
+    {
+        // Taken out of the cell while `f` runs, so a nested call
+        // encodes into a fresh buffer instead of this one.
+        let mut w = WireWriter::from(WIRE_SCRATCH.take());
+        self.encode(&mut w);
+        let out = f(w.as_slice());
+        let mut buf = w.into_vec();
+        buf.clear();
+        WIRE_SCRATCH.set(buf);
+        out
     }
 
     /// Size of the canonical encoding in bytes.
