@@ -294,13 +294,15 @@ fn socket_read(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
     m
 }
 
-/// Sequential writes over the real socket transport.
+/// Sequential writes over the real socket transport. The payload is
+/// built once; each op sends an O(1) clone of it, so the row's copies
+/// and allocations are the system's, not the harness's.
 fn socket_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
     let (server, ep, cap) = socket_fixture(size);
-    let payload = vec![0x5Au8; size as usize];
+    let payload = Bytes::from(vec![0x5Au8; size as usize]);
     let mut offset = 0u64;
     let m = measure(probe, ops, || {
-        ep.write(&cap, offset, Bytes::from(payload.clone()))
+        ep.write(&cap, offset, payload.clone())
             .expect("socket write");
         offset = (offset + size) % (1 << 25);
     });

@@ -15,9 +15,10 @@
 //!   resource; shards scale with the fleet (one per 16 drives). A
 //!   capability-cache *miss* costs a trip through the object's home
 //!   shard before the drive transfer can start; a *hit* goes straight
-//!   to the drive. The cache is the real `NfsClient` policy
-//!   ([`LeaseCache`]: capacity, epoch eviction, hit/miss counters)
-//!   instantiated over object indices.
+//!   to the drive. Each client's cache is a set of object indices, one
+//!   bit per object: the same policy as
+//!   [`LeaseCache`](nasd::fm::LeaseCache), pinned op for op by
+//!   `tests::cap_sets_answer_as_lease_caches_do`.
 //! * **Generated traffic.** Each client is a closed-loop user from
 //!   `nasd-workload`: zipf-popular objects (θ = 0.99), the paper's
 //!   read/getattr-heavy op mix, exponential think times. Zipf skew is
@@ -32,7 +33,7 @@
 
 use crate::fig7;
 use crate::testbed::{self, DataPath};
-use nasd::fm::{LeaseCache, CAP_CACHE_CAPACITY};
+use nasd::fm::CAP_CACHE_CAPACITY;
 use nasd::object::{CostMeter, OpKind as DriveOp};
 use nasd::sim::{FifoResource, SimTime};
 use nasd::workload::{ClosedLoop, OpKind, RequestStream, WorkloadSpec};
@@ -97,15 +98,74 @@ pub struct ScaleRow {
 struct Client {
     stream: RequestStream,
     think: ClosedLoop,
-    /// Objects this client holds a capability for. The simulated
-    /// capabilities never expire inside the 2 s window.
-    caps: LeaseCache<usize, ()>,
+}
+
+/// The objects each client holds a capability for: one bit per object
+/// of the namespace per client, all clients in one allocation.
+///
+/// The simulated capabilities never expire inside the 2 s window, so
+/// this is [`LeaseCache`](nasd::fm::LeaseCache)'s policy for leases
+/// that never run out: a lookup hits exactly when the object's bit is
+/// set, and a `put` at [`CAP_CACHE_CAPACITY`] live entries clears the
+/// client's set first.
+struct CapSets {
+    /// `words` words per client, client after client.
+    bits: Vec<u64>,
+    words: usize,
+    /// Set bits per client.
+    live: Vec<usize>,
+    /// Lookups over every client that found their object's bit set.
+    hits: u64,
+    /// Lookups over every client that did not.
+    misses: u64,
+}
+
+impl CapSets {
+    /// Empty sets for `clients` clients over `objects` objects.
+    fn new(clients: usize, objects: usize) -> Self {
+        let words = objects.div_ceil(64);
+        CapSets {
+            bits: vec![0; clients * words],
+            words,
+            live: vec![0; clients],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Whether `client` holds a capability for `object`; counts a hit
+    /// or a miss.
+    fn get(&mut self, client: usize, object: usize) -> bool {
+        let held = self.bits[client * self.words + object / 64] & (1 << (object % 64)) != 0;
+        if held {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        held
+    }
+
+    /// Give `client` a capability for `object`, clearing a full set
+    /// first.
+    fn put(&mut self, client: usize, object: usize) {
+        let set = &mut self.bits[client * self.words..][..self.words];
+        if self.live[client] >= CAP_CACHE_CAPACITY {
+            set.fill(0);
+            self.live[client] = 0;
+        }
+        let (word, bit) = (&mut set[object / 64], 1 << (object % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.live[client] += 1;
+        }
+    }
 }
 
 struct World {
     path: DataPath,
     fm_shard: Vec<FifoResource>,
     clients: Vec<Client>,
+    caps: CapSets,
     drive_service_read: SimTime,
     drive_service_write: SimTime,
     drive_service_attr: SimTime,
@@ -145,10 +205,10 @@ fn step(w: &mut World, now: SimTime, client: usize, _seq: u64) -> (SimTime, u64)
     // Capability check: a miss detours through the object's home
     // FM shard before the drive will accept the request.
     let mut start = now;
-    if c.caps.get(&object, 0).is_none() {
+    if !w.caps.get(client, object) {
         let (_, issued) = w.fm_shard[place(object, nshards)].reserve(now, w.cap_issue);
         start = issued;
-        c.caps.put(object, (), u64::MAX);
+        w.caps.put(client, object);
     }
 
     let drive = place(object, ndrives);
@@ -167,6 +227,18 @@ fn step(w: &mut World, now: SimTime, client: usize, _seq: u64) -> (SimTime, u64)
     (done, req.bytes)
 }
 
+/// Capability sets for `clients` clients over `objects` objects, each
+/// holding its [`CAP_PREWARM`] hottest ranks.
+fn prewarmed(clients: usize, objects: usize) -> CapSets {
+    let mut caps = CapSets::new(clients, objects);
+    for c in 0..clients {
+        for rank in 0..CAP_PREWARM.min(objects) {
+            caps.put(c, object_of(c, rank, objects));
+        }
+    }
+    caps
+}
+
 /// Simulate one matrix point.
 #[must_use]
 pub fn simulate(ndrives: usize, nclients: usize) -> ScaleRow {
@@ -183,19 +255,12 @@ pub fn simulate(ndrives: usize, nclients: usize) -> ScaleRow {
             .map(|i| FifoResource::new(format!("fm-shard-{i}")))
             .collect(),
         clients: (0..nclients)
-            .map(|c| {
-                let caps = LeaseCache::new(CAP_CACHE_CAPACITY, None);
-                caps.put_all(
-                    (0..CAP_PREWARM.min(spec.objects))
-                        .map(|rank| (object_of(c, rank, spec.objects), (), u64::MAX)),
-                );
-                Client {
-                    stream: streams.reseeded(0x5CA1_E000 + c as u64),
-                    think: ClosedLoop::new(think_mean(), 0x7417_0000 + c as u64),
-                    caps,
-                }
+            .map(|c| Client {
+                stream: streams.reseeded(0x5CA1_E000 + c as u64),
+                think: ClosedLoop::new(think_mean(), 0x7417_0000 + c as u64),
             })
             .collect(),
+        caps: prewarmed(nclients, spec.objects),
         drive_service_read: meter
             .estimate(DriveOp::Read, TRANSFER, 0)
             .time_on(&drive_cpu),
@@ -239,10 +304,7 @@ pub fn simulate(ndrives: usize, nclients: usize) -> ScaleRow {
         .copied()
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("five classes");
-    let (cap_hits, cap_lookups) = w.clients.iter().fold((0, 0), |(hits, lookups), c| {
-        let stats = c.caps.stats();
-        (hits + stats.hits, lookups + stats.hits + stats.misses)
-    });
+    let (cap_hits, cap_lookups) = (w.caps.hits, w.caps.hits + w.caps.misses);
 
     ScaleRow {
         drives: ndrives,
@@ -317,6 +379,62 @@ mod tests {
             assert_ne!(row.bottleneck, "fm-shard", "{row:?}");
             assert!(row.bottleneck_util_pct > 0.0);
         }
+    }
+
+    #[test]
+    fn cap_sets_answer_as_lease_caches_do() {
+        use nasd::fm::LeaseCache;
+        use rand::{Rng, SeedableRng, StdRng};
+        // The largest point's namespace is twice the capacity, so a set
+        // fills and the clear-when-full rule runs.
+        let (clients, objects) = (3, 128 * OBJECTS_PER_DRIVE);
+        let mut sets = prewarmed(clients, objects);
+        let caches: Vec<LeaseCache<usize, ()>> = (0..clients)
+            .map(|c| {
+                let cache = LeaseCache::new(CAP_CACHE_CAPACITY, None);
+                for rank in 0..CAP_PREWARM {
+                    cache.put(object_of(c, rank, objects), (), u64::MAX);
+                }
+                cache
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut clears = vec![0; clients];
+        for op in 0..90_000 {
+            let c = rng.gen_range(0..clients);
+            // Half the keys from a hot range, so hits and misses both
+            // come often.
+            let object = if rng.gen_bool(0.5) {
+                rng.gen_range(0..256)
+            } else {
+                rng.gen_range(0..objects)
+            };
+            let live = sets.live[c];
+            if rng.gen_bool(0.8) {
+                // What `step` does: look up, and fill on a miss.
+                let held = sets.get(c, object);
+                let cached = caches[c].get(&object, 0).is_some();
+                assert_eq!(held, cached, "op {op}: client {c}, object {object}");
+                if held {
+                    continue;
+                }
+            }
+            // The rest are bare puts, which may repeat a held key.
+            sets.put(c, object);
+            caches[c].put(object, (), u64::MAX);
+            if sets.live[c] < live {
+                clears[c] += 1;
+            }
+        }
+        let lease = caches.iter().fold((0, 0), |(hits, misses), cache| {
+            let s = cache.stats();
+            (hits + s.hits, misses + s.misses)
+        });
+        assert_eq!((sets.hits, sets.misses), lease);
+        assert!(
+            clears.iter().all(|&n| n > 0),
+            "clears per client {clears:?}"
+        );
     }
 
     #[test]

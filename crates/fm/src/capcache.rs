@@ -1,9 +1,12 @@
 //! The client-side capability-cache policy, generic over what is cached.
 //!
 //! [`NfsClient`](crate::NfsClient) instantiates it over
-//! `(path, want_write)` → open file; the `nasd-bench` scale
-//! matrix instantiates it over object indices, so a change to the
-//! policy here moves the simulated hit rates too.
+//! `(path, want_write)` → open file. The `nasd-bench` scale matrix
+//! gives each simulated client a bitset over object indices instead:
+//! the same policy as `LeaseCache`, pinned op for op by
+//! `scale::tests::cap_sets_answer_as_lease_caches_do`, so a change to
+//! the policy here fails that test until the simulated hit rates move
+//! with it.
 
 use nasd_obs::{Counter, Registry};
 use parking_lot::Mutex;
@@ -94,22 +97,6 @@ impl<K: Hash + Eq, V: Clone> LeaseCache<K, V> {
         map.insert(key, (value, expires));
     }
 
-    /// Cache every `(key, value, expires)` of `entries` in order, as
-    /// that many [`Self::put`]s would (a full cache is cleared before an
-    /// insert), under one lock and one reservation of the iterator's
-    /// lower size bound (at most the capacity). Counts no hit or miss.
-    pub fn put_all(&self, entries: impl IntoIterator<Item = (K, V, u64)>) {
-        let entries = entries.into_iter();
-        let mut map = self.map.lock();
-        map.reserve(entries.size_hint().0.min(self.capacity));
-        for (key, value, expires) in entries {
-            if map.len() >= self.capacity {
-                map.clear();
-            }
-            map.insert(key, (value, expires));
-        }
-    }
-
     /// Keep only the entries `keep` accepts.
     pub(crate) fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) {
         self.map.lock().retain(|key, (value, _)| keep(key, value));
@@ -128,26 +115,5 @@ impl<K: Hash + Eq, V: Clone> LeaseCache<K, V> {
             misses: self.misses.value(),
             refreshes: self.refreshes.value(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn put_all_fills_as_puts_do_and_counts_nothing() {
-        let entries = || (0..40u64).map(|k| (k, k * 10, 100 + k));
-        let (bulk, single) = (LeaseCache::new(16, None), LeaseCache::new(16, None));
-        bulk.put_all(entries());
-        for (key, value, expires) in entries() {
-            single.put(key, value, expires);
-        }
-        assert_eq!(bulk.stats(), CapCacheStats::default());
-        assert_eq!(bulk.map.lock().len(), single.map.lock().len());
-        for key in 0..40 {
-            assert_eq!(bulk.get(&key, 0), single.get(&key, 0), "key {key}");
-        }
-        assert_eq!(bulk.stats(), single.stats());
     }
 }

@@ -450,35 +450,64 @@ impl Drop for WireServer {
     }
 }
 
+/// A client connection and the timeout last set on it.
+#[derive(Debug)]
+struct Conn {
+    stream: Stream,
+    /// `None` until the first [`Conn::set_timeout`], so a freshly
+    /// dialed connection always gets its timeout set once.
+    timeout: Option<Option<Duration>>,
+}
+
+impl Conn {
+    fn dial(addr: &BindAddr) -> io::Result<Conn> {
+        Ok(Conn {
+            stream: Stream::dial(addr)?,
+            timeout: None,
+        })
+    }
+
+    /// [`Stream::set_timeout`], skipped when `timeout` is the value
+    /// already set: a pooled connection reused under one timeout costs
+    /// no `setsockopt` per exchange.
+    fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), RpcError> {
+        if self.timeout != Some(timeout) {
+            self.stream.set_timeout(timeout)?;
+            self.timeout = Some(timeout);
+        }
+        Ok(())
+    }
+}
+
 /// A client's connections to one address, idle between exchanges.
 #[derive(Debug)]
 struct Pool {
     addr: BindAddr,
     /// Idle connections kept; one beyond this is closed on check-in.
     keep: usize,
-    idle: Mutex<Vec<Stream>>,
+    idle: Mutex<Vec<Conn>>,
 }
 
 impl Pool {
     /// An idle connection, or a freshly dialed one when none is.
-    fn check_out(&self) -> Result<Stream, RpcError> {
-        if let Some(stream) = self.idle.lock().pop() {
-            return Ok(stream);
+    fn check_out(&self) -> Result<Conn, RpcError> {
+        if let Some(conn) = self.idle.lock().pop() {
+            return Ok(conn);
         }
-        Stream::dial(&self.addr).map_err(|e| classify_io(e.kind()))
+        Conn::dial(&self.addr).map_err(|e| classify_io(e.kind()))
     }
 
-    /// Read the reply to request `tag` off `stream`; only after a clean
+    /// Read the reply to request `tag` off `conn`; only after a clean
     /// exchange does the connection go back to the pool.
-    fn finish(&self, mut stream: Stream, tag: u64) -> Result<Reply, RpcError> {
-        let frame = read_frame(&mut stream).map_err(|e| e.to_rpc())?;
+    fn finish(&self, mut conn: Conn, tag: u64) -> Result<Reply, RpcError> {
+        let frame = read_frame(&mut conn.stream).map_err(|e| e.to_rpc())?;
         if frame.tag != tag {
             return Err(RpcError::Disconnected);
         }
         let reply = Reply::from_wire_shared(frame.payload).map_err(|_| RpcError::Disconnected)?;
         let mut idle = self.idle.lock();
         if idle.len() < self.keep {
-            idle.push(stream);
+            idle.push(conn);
         }
         Ok(reply)
     }
@@ -506,7 +535,7 @@ impl SocketClient {
     ///
     /// The dial failure, verbatim.
     pub fn dial(addr: &BindAddr, pool: usize) -> io::Result<SocketClient> {
-        let first = Stream::dial(addr)?;
+        let first = Conn::dial(addr)?;
         Ok(SocketClient {
             pool: Arc::new(Pool {
                 addr: addr.clone(),
@@ -525,32 +554,32 @@ impl SocketClient {
 
     /// Write `req` on a checked-out connection whose reads and writes
     /// `timeout` bounds; returns the connection and the request's tag.
-    fn send(&self, req: &Request, timeout: Option<Duration>) -> Result<(Stream, u64), RpcError> {
+    fn send(&self, req: &Request, timeout: Option<Duration>) -> Result<(Conn, u64), RpcError> {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let out = frame(tag, |h, s| req.encode_frame(h, s)).map_err(|e| e.to_rpc())?;
-        let mut stream = self.pool.check_out()?;
-        stream.set_timeout(timeout)?;
-        write_frames(&mut stream, std::slice::from_ref(&out)).map_err(|e| e.to_rpc())?;
-        Ok((stream, tag))
+        let mut conn = self.pool.check_out()?;
+        conn.set_timeout(timeout)?;
+        write_frames(&mut conn.stream, std::slice::from_ref(&out)).map_err(|e| e.to_rpc())?;
+        Ok((conn, tag))
     }
 }
 
 impl Transport<Request, Reply> for SocketClient {
     fn attempt(&self, req: Request, timeout: Option<Duration>) -> Result<Reply, RpcError> {
-        let (stream, tag) = self.send(&req, timeout)?;
-        self.pool.finish(stream, tag)
+        let (conn, tag) = self.send(&req, timeout)?;
+        self.pool.finish(conn, tag)
     }
 
     fn call_async(&self, req: Request) -> Result<Pending<Reply>, RpcError> {
-        let (stream, tag) = self.send(&req, None)?;
+        let (conn, tag) = self.send(&req, None)?;
         let pool = Arc::clone(&self.pool);
-        let mut unread = Some(stream);
+        let mut unread = Some(conn);
         Ok(Pending::new(move |timeout| {
             // The first wait owns the exchange; a timed-out read left
             // the connection mid-frame, so it is not read again.
-            let stream = unread.take().ok_or(RpcError::Disconnected)?;
-            stream.set_timeout(timeout)?;
-            pool.finish(stream, tag)
+            let mut conn = unread.take().ok_or(RpcError::Disconnected)?;
+            conn.set_timeout(timeout)?;
+            pool.finish(conn, tag)
         }))
     }
 
@@ -977,6 +1006,27 @@ mod tests {
                 .attempt(request(i, vec![1; 16]), Some(Duration::from_secs(5)))
                 .unwrap();
         }
+        assert_eq!(server.stats().connections.value(), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_shorter_timeout_on_a_reused_connection_takes_effect() {
+        // Requests marked `1` stall well past the second call's timeout.
+        let service = |req: Request| {
+            if req.body.object() == Some(ObjectId(1)) {
+                std::thread::sleep(Duration::from_millis(500));
+            }
+            echo(req)
+        };
+        let server = serve(&BindAddr::uds_temp("retimeout"), 1, service).unwrap();
+        let client = SocketClient::dial(server.addr(), 1).unwrap();
+        client
+            .attempt(request(2, vec![2; 16]), Some(Duration::from_secs(5)))
+            .unwrap();
+        let stalled = client.attempt(request(1, vec![1; 16]), Some(Duration::from_millis(50)));
+        assert_eq!(stalled.map(|r| reply_data(&r)), Err(RpcError::TimedOut));
+        // Both calls rode the one connection dialed up front.
         assert_eq!(server.stats().connections.value(), 1);
         server.shutdown();
     }
