@@ -423,7 +423,7 @@ fn sim_step_op(sim: &mut Simulator, tick: &mut u64) {
 
 /// One 128-drive x 1000-client point of the scale matrix, set-up
 /// included: its heap bytes are an exact count of the model's
-/// per-point work (popularity tables, capability caches, event slab).
+/// per-point work (popularity table, capability sets, completion heap).
 fn scale_point(probe: Option<AllocProbe>) -> Measured {
     measure(probe, 1, || {
         std::hint::black_box(crate::scale::simulate(128, 1_000));

@@ -341,7 +341,9 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
         r = r.with_derived("socket_write_bytes_copied_per_op", sock.bytes_copied_per_op);
     }
     if let Some(point) = rows.iter().find(|r| r.workload == "scale_point") {
-        r = r.with_derived("scale_point_alloc_bytes_per_op", point.alloc_bytes_per_op);
+        r = r
+            .with_derived("scale_point_allocs_per_op", point.allocs_per_op)
+            .with_derived("scale_point_alloc_bytes_per_op", point.alloc_bytes_per_op);
     }
     if let Some(open) = rows.iter().find(|r| r.workload == "nfs_open") {
         r = r

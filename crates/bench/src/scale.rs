@@ -84,8 +84,9 @@ pub struct ScaleRow {
     pub aggregate_mb_s: f64,
     /// Completed operations per simulated second.
     pub ops_per_sec: f64,
-    /// Kernel events dispatched per wall-clock second of the closed
-    /// loop (host measure; building the world is not timed).
+    /// Closed-loop events (first issues and completions) run per
+    /// wall-clock second of the loop (host measure; building the world
+    /// is not timed).
     pub events_per_wall_sec: f64,
     /// Capability-cache hit fraction across all clients.
     pub cap_hit_rate: f64,

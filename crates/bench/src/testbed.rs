@@ -17,9 +17,9 @@
 //! else it models (disks, FM shards, capability caches) and a step
 //! function saying what one operation reserves.
 
-use nasd::sim::{BandwidthShare, CpuModel, FifoResource, SimTime, Simulator, Throughput};
-use std::cell::RefCell;
-use std::rc::Rc;
+use nasd::sim::{BandwidthShare, CpuModel, FifoResource, SimTime, Throughput};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// OC-3 ATM payload rate, bytes per second (every testbed link).
 pub(crate) const OC3_BYTES_PER_SEC: f64 = 155.0e6 / 8.0;
@@ -52,15 +52,9 @@ pub(crate) struct Run<W> {
     pub(crate) world: W,
     /// Bytes and operations completed inside the window.
     pub(crate) delivered: Throughput,
-    /// Kernel events dispatched.
+    /// Events run: every actor's first issue plus each completion
+    /// inside the window.
     pub(crate) events_run: u64,
-}
-
-struct Loop<W, F> {
-    world: W,
-    step: F,
-    window: SimTime,
-    delivered: Throughput,
 }
 
 /// Run `actors` closed-loop actors against `world` for `window` of
@@ -70,57 +64,41 @@ struct Loop<W, F> {
 /// actor's `seq`-th operation issued at `now` and returns its
 /// `(completion time, bytes delivered)`. An operation that completes
 /// inside the window is counted and its actor issues the next one.
-pub(crate) fn closed_loop<W, F>(world: W, actors: usize, window: SimTime, step: F) -> Run<W>
+///
+/// The loop owns one heap of pending completions, one per actor, keyed
+/// `(time, schedule seq)` as the event kernel keys its events: ties run
+/// in schedule order. A completion's successor overwrites it in place
+/// at the head, so an event costs one sift and no allocation.
+pub(crate) fn closed_loop<W, F>(mut world: W, actors: usize, window: SimTime, mut step: F) -> Run<W>
 where
-    W: 'static,
-    F: FnMut(&mut W, SimTime, usize, u64) -> (SimTime, u64) + 'static,
+    F: FnMut(&mut W, SimTime, usize, u64) -> (SimTime, u64),
 {
-    fn issue<W, F>(sim: &mut Simulator, lp: &Rc<RefCell<Loop<W, F>>>, actor: usize, seq: u64)
-    where
-        W: 'static,
-        F: FnMut(&mut W, SimTime, usize, u64) -> (SimTime, u64) + 'static,
-    {
-        let (completion, bytes) = {
-            let l = &mut *lp.borrow_mut();
-            (l.step)(&mut l.world, sim.now(), actor, seq)
-        };
-        let lp = Rc::clone(lp);
-        sim.schedule_at(completion, move |sim| {
-            let now = sim.now();
-            {
-                let mut l = lp.borrow_mut();
-                if now > l.window {
-                    return;
-                }
-                l.delivered.record(now, bytes);
-            }
-            issue(sim, &lp, actor, seq + 1);
-        });
-    }
-
-    let lp = Rc::new(RefCell::new(Loop {
-        world,
-        step,
-        window,
-        delivered: Throughput::new(),
-    }));
-    let mut sim = Simulator::with_capacity(actors + 16);
+    // (completion, schedule seq, actor, op seq, bytes)
+    let mut pending = BinaryHeap::with_capacity(actors);
+    let mut next_seq = 0u64;
     for actor in 0..actors {
-        let lp = Rc::clone(&lp);
-        sim.schedule_at(SimTime::ZERO, move |sim| issue(sim, &lp, actor, 0));
+        let (at, bytes) = step(&mut world, SimTime::ZERO, actor, 0);
+        pending.push(Reverse((at, next_seq, actor, 0u64, bytes)));
+        next_seq += 1;
     }
-    sim.run_until(window);
-    let events_run = sim.events_run();
-    // Completions past the window are still pending and hold the loop.
-    drop(sim);
-    let Ok(lp) = Rc::try_unwrap(lp) else {
-        unreachable!("every pending completion died with the simulator");
-    };
-    let lp = lp.into_inner();
+    let mut delivered = Throughput::new();
+    let mut completions = 0u64;
+    while let Some(mut head) = pending.peek_mut() {
+        let Reverse((now, _, actor, seq, bytes)) = *head;
+        if now > window {
+            break;
+        }
+        delivered.record(now, bytes);
+        completions += 1;
+        let (at, bytes) = step(&mut world, now, actor, seq + 1);
+        assert!(at >= now, "an operation completed before it was issued");
+        *head = Reverse((at, next_seq, actor, seq + 1, bytes));
+        next_seq += 1;
+    }
     Run {
-        world: lp.world,
-        delivered: lp.delivered,
-        events_run,
+        world,
+        delivered,
+        events_run: actors as u64 + completions,
     }
 }
 
@@ -196,4 +174,100 @@ pub(crate) fn mean_utilization<'a>(
 /// [`mean_utilization`] of a class of links.
 pub(crate) fn mean_link_utilization(links: &[BandwidthShare], elapsed: SimTime) -> f64 {
     mean_utilization(links.iter().map(BandwidthShare::fifo), elapsed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nasd::sim::Simulator;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The closed loop as the event kernel runs it: one boxed closure
+    /// per completion, ties broken by the kernel's schedule order.
+    fn kernel_loop<W: 'static>(
+        world: W,
+        actors: usize,
+        window: SimTime,
+        step: impl FnMut(&mut W, SimTime, usize, u64) -> (SimTime, u64) + 'static,
+    ) -> Run<W> {
+        type Step<W> = dyn FnMut(&mut W, SimTime, usize, u64) -> (SimTime, u64);
+        struct Loop<W> {
+            world: W,
+            step: Box<Step<W>>,
+            delivered: Throughput,
+        }
+        fn issue<W: 'static>(
+            sim: &mut Simulator,
+            lp: &Rc<RefCell<Loop<W>>>,
+            actor: usize,
+            seq: u64,
+        ) {
+            let (completion, bytes) = {
+                let l = &mut *lp.borrow_mut();
+                (l.step)(&mut l.world, sim.now(), actor, seq)
+            };
+            let lp = Rc::clone(lp);
+            sim.schedule_at(completion, move |sim| {
+                lp.borrow_mut().delivered.record(sim.now(), bytes);
+                issue(sim, &lp, actor, seq + 1);
+            });
+        }
+
+        let lp = Rc::new(RefCell::new(Loop {
+            world,
+            step: Box::new(step),
+            delivered: Throughput::new(),
+        }));
+        let mut sim = Simulator::new();
+        for actor in 0..actors {
+            let lp = Rc::clone(&lp);
+            sim.schedule_at(SimTime::ZERO, move |sim| issue(sim, &lp, actor, 0));
+        }
+        sim.run_until(window);
+        let events_run = sim.events_run();
+        drop(sim);
+        let lp = Rc::try_unwrap(lp)
+            .ok()
+            .expect("the simulator held the rest")
+            .into_inner();
+        Run {
+            world: lp.world,
+            delivered: lp.delivered,
+            events_run,
+        }
+    }
+
+    /// A toy world that logs every step call. Operations last 0-3 ms
+    /// in whole milliseconds, so completions tie constantly and some
+    /// complete the instant they are issued.
+    fn toy_step(
+        log: &mut Vec<(SimTime, usize, u64)>,
+        now: SimTime,
+        actor: usize,
+        seq: u64,
+    ) -> (SimTime, u64) {
+        log.push((now, actor, seq));
+        let ms = (actor as u64 * 7 + seq * 3 + seq / 5) % 4;
+        (now + SimTime::from_millis(ms), 1000 * actor as u64 + seq)
+    }
+
+    #[test]
+    fn closed_loop_runs_in_the_kernels_order() {
+        for (actors, window_ms) in [(1, 20), (5, 0), (9, 60), (32, 40)] {
+            let window = SimTime::from_millis(window_ms);
+            let ours = closed_loop(Vec::new(), actors, window, toy_step);
+            let kernel = kernel_loop(Vec::new(), actors, window, toy_step);
+            let ties = ours.world.windows(2).filter(|w| w[0].0 == w[1].0).count();
+            assert!(ties >= ours.world.len() / 3, "the toy world must tie often");
+            assert_eq!(
+                ours.world, kernel.world,
+                "{actors} actors: step calls differ"
+            );
+            assert_eq!(ours.delivered.bytes(), kernel.delivered.bytes());
+            assert_eq!(ours.delivered.operations(), kernel.delivered.operations());
+            assert_eq!(ours.delivered.last_event(), kernel.delivered.last_event());
+            assert_eq!(ours.events_run, kernel.events_run);
+        }
+    }
 }

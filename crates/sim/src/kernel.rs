@@ -6,9 +6,9 @@
 //! runs replay byte for byte. Cancelling drops the closure, bumps the
 //! slot's generation and frees the slot at once; the stale heap entry is
 //! skipped when it surfaces, so [`Simulator::step`] is one pop plus a
-//! generation check. Schedule and pop are O(log n) in the pending set,
-//! which in every simulation here is at most one completion per
-//! closed-loop actor (DESIGN §15 has the measurements).
+//! generation check. Schedule and pop are O(log n) in the pending set
+//! (DESIGN §15 has the measurements). The testbed's closed loop, whose
+//! events are all one kind, keeps its own typed heap instead (DESIGN §3).
 //!
 //! Infrastructure growth (new slab slots, heap doubling) is counted in
 //! [`nasd_obs::datapath::event_allocs`] so the perf harness can prove the

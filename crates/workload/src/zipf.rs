@@ -14,15 +14,23 @@ use std::sync::Arc;
 /// θ = 0 degenerates to uniform; θ ≈ 0.99 is the classic "web-like"
 /// skew used throughout the storage literature (and by YCSB).
 ///
-/// The sampler precomputes the cumulative distribution once at
-/// construction (O(n) time and space) and draws by binary search
-/// (O(log n) per sample, no allocation). `clone` is O(1): clones share
-/// the one table and draw identically from equal generators.
+/// The sampler precomputes the cumulative distribution and its guide
+/// table once at construction (O(n) time and space) and draws in
+/// expected O(1) time per sample, with no allocation. `clone` is O(1):
+/// clones share the tables and draw identically from equal generators.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     /// `cdf[i]` = P(rank <= i); last entry is exactly 1.0.
     cdf: Arc<[f64]>,
+    /// Chen and Asau's guide table: `guide[k]` = how many `cdf` entries
+    /// fall in a [`bucket`] below `k`, for `k` in `0..=n`.
+    guide: Arc<[u32]>,
     theta: f64,
+}
+
+/// Which of `n` equal buckets of `[0, 1)` holds `p`; monotone in `p`.
+fn bucket(p: f64, n: usize) -> usize {
+    (p * n as f64) as usize
 }
 
 impl Zipf {
@@ -49,8 +57,17 @@ impl Zipf {
             *p /= total;
         }
         *cdf.last_mut().expect("n > 0") = 1.0;
+        let mut guide = Vec::with_capacity(n + 1);
+        let mut i = 0;
+        for k in 0..=n {
+            while i < n && bucket(cdf[i], n) < k {
+                i += 1;
+            }
+            guide.push(u32::try_from(i).expect("zipf over more than u32::MAX ranks"));
+        }
         Zipf {
             cdf: cdf.into(),
+            guide: guide.into(),
             theta,
         }
     }
@@ -72,9 +89,19 @@ impl Zipf {
 
     /// Draw a rank in `0..len()`; rank 0 is the most popular.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen();
-        // First index whose cumulative probability covers u.
-        self.cdf.partition_point(|&p| p < u).min(self.cdf.len() - 1)
+        self.sample_u(rng.gen())
+    }
+
+    /// `cdf.partition_point(|p| p < u)`, capped at the last rank. Every
+    /// entry before `u`'s guide entry lies in a lower bucket, so is below
+    /// `u`; the scan from there is expected O(1).
+    pub(crate) fn sample_u(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        let mut i = self.guide[bucket(u, n).min(n)] as usize;
+        while i < n - 1 && self.cdf[i] < u {
+            i += 1;
+        }
+        i
     }
 
     /// Probability mass assigned to `rank`.
@@ -117,6 +144,25 @@ mod tests {
         let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
         for _ in 0..1000 {
             assert_eq!(z.sample(&mut a), twin.sample(&mut b));
+        }
+    }
+
+    #[test]
+    fn guided_draw_equals_partition_point() {
+        let mut rng = StdRng::seed_from_u64(42);
+        for n in [1, 2, 7, 832, 8192] {
+            for theta in [0.0, 0.99, 3.0] {
+                let z = Zipf::new(n, theta);
+                let mut us = vec![0.0, 1.0f64.next_down()];
+                for &p in z.cdf.iter() {
+                    us.extend([p.next_down(), p, p.next_up()]);
+                }
+                us.extend((0..100_000).map(|_| rng.gen::<f64>()));
+                for u in us {
+                    let want = z.cdf.partition_point(|&p| p < u).min(n - 1);
+                    assert_eq!(z.sample_u(u), want, "n {n}, theta {theta}, u {u:e}");
+                }
+            }
         }
     }
 
