@@ -28,8 +28,8 @@ use nasd::crypto;
 use nasd::disk::MemDisk;
 use nasd::fm::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet, FmConnect, NasdNfs};
 use nasd::net::{
-    BindAddr, CallOptions, CallStats, Channel, Connector, Pending, RetryPolicy, RpcError,
-    Transport, WireServer,
+    syscall_counts, BindAddr, CallOptions, CallStats, Channel, Connector, Pending, RetryPolicy,
+    RpcError, SyscallCounts, Transport, WireServer,
 };
 use nasd::object::{ClientHandle, DriveConfig, NasdDrive};
 use nasd::obs::{datapath, Registry};
@@ -72,7 +72,8 @@ pub struct PerfRow {
     /// Exact per-operation counts only this workload measures, each
     /// reported as the derived value `<workload>_<name>` (`nfs_open`:
     /// `fm_calls`, `drive_requests`, `compressions`; `inproc_read`:
-    /// `compressions`).
+    /// `compressions`; `socket_read` and `socket_write`: `reads`,
+    /// `writevs`, `setsockopts`).
     pub counters: Vec<(&'static str, f64)>,
 }
 
@@ -86,6 +87,9 @@ struct Measured {
     /// SHA-256 compressions on this thread, the drive's included when
     /// it runs in process.
     compressions: u64,
+    /// Socket syscalls made in the window, by every thread of the
+    /// process: client and server alike.
+    syscalls: SyscallCounts,
 }
 
 impl Measured {
@@ -93,18 +97,32 @@ impl Measured {
     fn compressions(&self) -> (&'static str, f64) {
         ("compressions", self.compressions as f64 / self.ops as f64)
     }
+
+    /// Socket `read`, `writev` and `setsockopt` calls per operation, as
+    /// row counters.
+    fn syscalls(&self) -> Vec<(&'static str, f64)> {
+        let ops = self.ops as f64;
+        let s = self.syscalls;
+        vec![
+            ("reads", s.reads as f64 / ops),
+            ("writevs", s.writevs as f64 / ops),
+            ("setsockopts", s.setsockopts as f64 / ops),
+        ]
+    }
 }
 
 fn measure(probe: Option<AllocProbe>, ops: u64, mut op: impl FnMut()) -> Measured {
     datapath::reset();
     let (a0, b0) = probe.map_or((0, 0), |p| p());
     let c0 = crypto::stats::compressions();
+    let s0 = syscall_counts();
     let t0 = Instant::now();
     for _ in 0..ops {
         op();
     }
     let nanos = t0.elapsed().as_nanos() as u64;
     let (a1, b1) = probe.map_or((0, 0), |p| p());
+    let s1 = syscall_counts();
     Measured {
         ops,
         nanos,
@@ -113,6 +131,11 @@ fn measure(probe: Option<AllocProbe>, ops: u64, mut op: impl FnMut()) -> Measure
         bytes_copied: datapath::bytes_copied(),
         event_allocs: datapath::event_allocs(),
         compressions: crypto::stats::compressions() - c0,
+        syscalls: SyscallCounts {
+            reads: s1.reads - s0.reads,
+            writevs: s1.writevs - s0.writevs,
+            setsockopts: s1.setsockopts - s0.setsockopts,
+        },
     }
 }
 
@@ -490,16 +513,15 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
         counters: vec![inproc.compressions()],
         ..row("inproc_read", 65_536, &inproc)
     });
-    rows.push(row(
-        "socket_read",
-        65_536,
-        &socket_read(probe, 65_536, 1_000),
-    ));
-    rows.push(row(
-        "socket_write",
-        65_536,
-        &socket_write(probe, 65_536, 200),
-    ));
+    for (workload, m) in [
+        ("socket_read", socket_read(probe, 65_536, 1_000)),
+        ("socket_write", socket_write(probe, 65_536, 200)),
+    ] {
+        rows.push(PerfRow {
+            counters: m.syscalls(),
+            ..row(workload, 65_536, &m)
+        });
+    }
     rows.push(nfs_open(probe, 2_000));
     rows.push(row("sim_step", 0, &sim_step(probe, 100_000)));
     rows.push(row("scale_point", 0, &scale_point(probe)));

@@ -334,11 +334,15 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
     if let Some(sock) = rows.iter().find(|r| r.workload == "socket_read") {
         r = r
             .with_derived("socket_read_allocs_per_op", sock.allocs_per_op)
+            .with_derived("socket_read_alloc_bytes_per_op", sock.alloc_bytes_per_op)
             .with_derived("socket_read_bytes_copied_per_op", sock.bytes_copied_per_op)
             .with_derived("socket_read_ns_per_op", sock.ns_per_op);
     }
     if let Some(sock) = rows.iter().find(|r| r.workload == "socket_write") {
-        r = r.with_derived("socket_write_bytes_copied_per_op", sock.bytes_copied_per_op);
+        r = r
+            .with_derived("socket_write_allocs_per_op", sock.allocs_per_op)
+            .with_derived("socket_write_alloc_bytes_per_op", sock.alloc_bytes_per_op)
+            .with_derived("socket_write_bytes_copied_per_op", sock.bytes_copied_per_op);
     }
     if let Some(point) = rows.iter().find(|r| r.workload == "scale_point") {
         r = r

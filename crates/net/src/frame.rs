@@ -16,11 +16,12 @@
 //!
 //! Copy discipline: the receive path reads each frame into exactly one
 //! buffer and hands it out as [`Bytes`], so decoders can take O(1)
-//! slice views of it ([`Reply::from_wire_shared`]). The send path never
-//! glues: [`FrameBuf`] carries the 12-byte header, the encoded head and
-//! the payload segments as separate pieces, and [`write_frames`] pushes
-//! them through a single vectored [`Write::write_vectored`] call per
-//! syscall round.
+//! slice views of it ([`Reply::from_wire_shared`]); a connection reuses
+//! that buffer for its next frame once no view of it is left. The send
+//! path never glues: [`FrameBuf`] carries the 12-byte header, the
+//! encoded head and the payload segments as separate pieces, and
+//! [`write_frames`] pushes them through a single vectored
+//! [`Write::write_vectored`] call per syscall round.
 
 use crate::rpc::RpcError;
 use bytes::Bytes;
@@ -141,9 +142,10 @@ fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8], at_boundary: bool) -> Resul
     Ok(())
 }
 
-/// Read one complete frame. The payload lands in a single allocation
-/// returned as [`Bytes`], so the decoder can alias it instead of
-/// copying.
+/// Read one complete frame into a buffer of its own. The payload
+/// lands in a single allocation returned as [`Bytes`], so the decoder
+/// can alias it instead of copying. The transport's connections, which
+/// read frame after frame, reuse one buffer instead (`RecvBuf`).
 ///
 /// # Errors
 ///
@@ -152,31 +154,79 @@ fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8], at_boundary: bool) -> Resul
 /// [`FrameError::Oversized`] for a hostile length prefix, and
 /// [`FrameError::Io`] for OS failures.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_or(r, &mut header, true)?;
-    let mut rd = WireReader::new(&header);
-    // A 12-byte buffer always satisfies u32+u64 — decode cannot fail.
-    let len = rd.u32().map_err(|_| FrameError::Torn {
-        got: 0,
-        needed: HEADER_LEN,
-    })?;
-    let tag = rd.u64().map_err(|_| FrameError::Torn {
-        got: 4,
-        needed: HEADER_LEN,
-    })?;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
+    RecvBuf::default().read_frame(r)
+}
+
+/// The largest receive buffer a connection keeps between frames (1 MiB,
+/// well above a 64 KiB block's frame). A larger frame gets a buffer of
+/// its own that is never retained.
+const RETAIN_MAX: usize = 1 << 20;
+
+/// One connection's spare receive buffer, reused frame after frame.
+///
+/// A frame lands in the spare only when no [`Bytes`] still views it,
+/// the frame fits, and it fills at least half of it — so a payload a
+/// caller holds never pins more than twice its own bytes. Otherwise
+/// the frame gets a fresh, zero-filled buffer of exactly its size, and
+/// the connection keeps whichever of the two buffers is the better
+/// spare: the old one while it is free and at least as large, else the
+/// new one if it is at most [`RETAIN_MAX`].
+#[derive(Debug, Default)]
+pub(crate) struct RecvBuf {
+    spare: Option<Arc<[u8]>>,
+}
+
+impl RecvBuf {
+    /// Read one complete frame (see [`read_frame`]), reusing the spare
+    /// buffer when it is free and the right size.
+    pub(crate) fn read_frame<R: Read>(&mut self, r: &mut R) -> Result<Frame, FrameError> {
+        let mut header = [0u8; HEADER_LEN];
+        read_exact_or(r, &mut header, true)?;
+        let mut rd = WireReader::new(&header);
+        // A 12-byte buffer always satisfies u32+u64 — decode cannot fail.
+        let len = rd.u32().map_err(|_| FrameError::Torn {
+            got: 0,
+            needed: HEADER_LEN,
+        })?;
+        let tag = rd.u64().map_err(|_| FrameError::Torn {
+            got: 4,
+            needed: HEADER_LEN,
+        })?;
+        if len > MAX_FRAME_LEN {
+            return Err(FrameError::Oversized(len));
+        }
+        let len = len as usize;
+        let mut old = self.spare.take();
+        // The spare's size, when no `Bytes` still views it.
+        let free = old.as_mut().and_then(Arc::get_mut).map(|b| b.len());
+        let mut buf = match old {
+            Some(spare) if free.is_some_and(|cap| cap >= len && len.saturating_mul(2) >= cap) => {
+                spare
+            }
+            old => {
+                if free.is_some_and(|cap| cap >= len) {
+                    self.spare = old;
+                }
+                // Read straight into the allocation the returned `Bytes`
+                // shares: `Bytes::from(Vec)` would memcpy the whole
+                // payload once more.
+                std::iter::repeat_n(0u8, len).collect()
+            }
+        };
+        // A reused spare was just found free and a fresh buffer has no
+        // other owner, so this cannot fail.
+        let dst = Arc::get_mut(&mut buf)
+            .and_then(|b| b.get_mut(..len))
+            .ok_or(FrameError::Io(io::ErrorKind::Other))?;
+        read_exact_or(r, dst, false)?;
+        if self.spare.is_none() && buf.len() <= RETAIN_MAX {
+            self.spare = Some(Arc::clone(&buf));
+        }
+        Ok(Frame {
+            tag,
+            payload: Bytes::from_arc(buf).slice(..len),
+        })
     }
-    // Read straight into the allocation the returned `Bytes` shares:
-    // `Bytes::from(Vec)` would memcpy the whole payload once more.
-    let mut payload: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
-    // A just-collected `Arc` has no other owner, so this cannot fail.
-    let buf = Arc::get_mut(&mut payload).ok_or(FrameError::Io(io::ErrorKind::Other))?;
-    read_exact_or(r, buf, false)?;
-    Ok(Frame {
-        tag,
-        payload: Bytes::from_arc(payload),
-    })
 }
 
 /// An encoded frame staged for vectored transmission: header, encoded
@@ -234,20 +284,19 @@ impl FrameBuf {
         total
     }
 
-    /// Append this frame's pieces (skipping empty ones) to a flat slice
-    /// list for vectored write.
-    fn extend_slices<'a>(&'a self, out: &mut Vec<&'a [u8]>) {
-        out.push(&self.header);
-        if !self.head.is_empty() {
-            out.push(&self.head);
-        }
-        for s in &self.segments {
-            if !s.is_empty() {
-                out.push(s.as_ref());
-            }
-        }
+    /// This frame's non-empty pieces, in wire order.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        [self.header.as_slice(), self.head.as_slice()]
+            .into_iter()
+            .chain(self.segments.iter().map(Bytes::as_ref))
+            .filter(|p| !p.is_empty())
     }
 }
+
+/// `IoSlice`s [`write_frames`] stages on the stack before it falls
+/// back to the heap: a frame's header and head plus a 64 KiB cached
+/// read's 8 block segments, with room to spare.
+const STACK_SLICES: usize = 16;
 
 /// Write frames with vectored I/O and flush once: every piece of every
 /// frame goes out in as few syscalls as the OS allows. The transport
@@ -258,65 +307,38 @@ impl FrameBuf {
 /// [`FrameError::Io`] for OS failures (a zero-length vectored write is
 /// reported as `WriteZero`).
 pub fn write_frames<W: Write>(w: &mut W, frames: &[FrameBuf]) -> Result<(), FrameError> {
-    let mut slices: Vec<&[u8]> = Vec::with_capacity(frames.len().saturating_mul(3));
-    for f in frames {
-        f.extend_slices(&mut slices);
-    }
-    write_all_slices(w, &slices)?;
+    let pieces = || frames.iter().flat_map(FrameBuf::pieces);
+    let count = pieces().count();
+    let mut stack = [IoSlice::new(&[]); STACK_SLICES];
+    let mut heap: Vec<IoSlice<'_>>;
+    let iov = match stack.get_mut(..count) {
+        Some(iov) => {
+            for (slot, piece) in iov.iter_mut().zip(pieces()) {
+                *slot = IoSlice::new(piece);
+            }
+            iov
+        }
+        None => {
+            heap = pieces().map(IoSlice::new).collect();
+            heap.as_mut_slice()
+        }
+    };
+    write_all_slices(w, iov)?;
     w.flush().map_err(|e| FrameError::Io(e.kind()))
 }
 
-/// Drive `write_vectored` to completion over a slice list, re-slicing
-/// after partial writes. The cursor is (slice index, offset into that
-/// slice).
-fn write_all_slices<W: Write>(w: &mut W, slices: &[&[u8]]) -> Result<(), FrameError> {
-    let mut idx = 0usize;
-    let mut off = 0usize;
-    loop {
-        // Skip exhausted slices.
-        while slices.get(idx).is_some_and(|s| off >= s.len()) {
-            idx = idx.saturating_add(1);
-            off = 0;
-        }
-        if idx >= slices.len() {
-            return Ok(());
-        }
-        let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(slices.len().saturating_sub(idx));
-        if let Some(first) = slices.get(idx) {
-            iov.push(IoSlice::new(first.get(off..).unwrap_or(&[])));
-        }
-        for s in slices.get(idx.saturating_add(1)..).unwrap_or(&[]) {
-            if !s.is_empty() {
-                iov.push(IoSlice::new(s));
-            }
-        }
-        match w.write_vectored(&iov) {
+/// Drive `write_vectored` to completion, advancing past whatever each
+/// call wrote.
+fn write_all_slices<W: Write>(w: &mut W, mut iov: &mut [IoSlice<'_>]) -> Result<(), FrameError> {
+    while !iov.is_empty() {
+        match w.write_vectored(iov) {
             Ok(0) => return Err(FrameError::Io(io::ErrorKind::WriteZero)),
-            Ok(mut n) => {
-                // Advance the cursor across however many pieces `n`
-                // covers.
-                while n > 0 {
-                    let Some(s) = slices.get(idx) else { break };
-                    let avail = s.len().saturating_sub(off);
-                    if n < avail {
-                        off = off.saturating_add(n);
-                        n = 0;
-                    } else {
-                        n = n.saturating_sub(avail);
-                        idx = idx.saturating_add(1);
-                        off = 0;
-                        // Step over empty slices so the next outer
-                        // iteration starts on real bytes.
-                        while slices.get(idx).is_some_and(|s| s.is_empty()) {
-                            idx = idx.saturating_add(1);
-                        }
-                    }
-                }
-            }
+            Ok(n) => IoSlice::advance_slices(&mut iov, n),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e.kind())),
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -521,6 +543,78 @@ mod tests {
         let f = read_frame(&mut wire.as_slice()).unwrap();
         assert_eq!(bytes::stats::bytes_copied() - before, 0);
         assert_eq!(f.payload.as_ref(), &[0x3c; 64 << 10][..]);
+    }
+
+    /// Where a payload's bytes live, for telling buffers apart.
+    fn addr(f: &Frame) -> usize {
+        f.payload.as_ptr() as usize
+    }
+
+    #[test]
+    fn a_held_payload_keeps_its_bytes_as_later_frames_arrive() {
+        let mut wire = frame_bytes(1, &[0xaa; 4096]);
+        wire.extend_from_slice(&frame_bytes(2, &[0xbb; 4096]));
+        wire.extend_from_slice(&frame_bytes(3, &[0xcc; 4096]));
+        let mut r = wire.as_slice();
+        let mut recv = RecvBuf::default();
+        let held = recv.read_frame(&mut r).unwrap();
+        let second = recv.read_frame(&mut r).unwrap();
+        drop(second);
+        let third = recv.read_frame(&mut r).unwrap();
+        assert_eq!(held.payload.as_ref(), &[0xaa; 4096][..]);
+        assert_ne!(addr(&third), addr(&held));
+        assert_eq!(third.payload.as_ref(), &[0xcc; 4096][..]);
+    }
+
+    #[test]
+    fn equal_frames_reuse_one_buffer() {
+        let mut wire = Vec::new();
+        for tag in 0..8u8 {
+            wire.extend_from_slice(&frame_bytes(u64::from(tag), &[tag; 65_600]));
+        }
+        let mut r = wire.as_slice();
+        let mut recv = RecvBuf::default();
+        let first = recv.read_frame(&mut r).unwrap();
+        let at = addr(&first);
+        drop(first);
+        for tag in 1..8u8 {
+            let f = recv.read_frame(&mut r).unwrap();
+            assert_eq!(addr(&f), at, "frame {tag} landed in a new buffer");
+            assert_eq!(f.payload.as_ref(), &[tag; 65_600][..]);
+        }
+    }
+
+    #[test]
+    fn a_small_frame_does_not_land_in_a_large_buffer() {
+        let mut wire = frame_bytes(1, &[1; 65_600]);
+        wire.extend_from_slice(&frame_bytes(2, &[2; 200]));
+        wire.extend_from_slice(&frame_bytes(3, &[3; 65_000]));
+        let mut r = wire.as_slice();
+        let mut recv = RecvBuf::default();
+        let large = recv.read_frame(&mut r).unwrap();
+        let at = addr(&large);
+        drop(large);
+        let small = recv.read_frame(&mut r).unwrap();
+        assert_ne!(addr(&small), at);
+        assert_eq!(small.payload.as_ref(), &[2; 200][..]);
+        // The small one pins only its own bytes; the large buffer is
+        // still the spare, and the next large frame reuses it.
+        drop(small);
+        let again = recv.read_frame(&mut r).unwrap();
+        assert_eq!(addr(&again), at);
+        assert_eq!(again.payload.as_ref(), &[3; 65_000][..]);
+    }
+
+    #[test]
+    fn a_frame_above_the_retention_bound_is_not_retained() {
+        let wire = frame_bytes(1, &vec![7; RETAIN_MAX + 1]);
+        let mut recv = RecvBuf::default();
+        let f = recv.read_frame(&mut wire.as_slice()).unwrap();
+        assert_eq!(f.payload.len(), RETAIN_MAX + 1);
+        assert!(recv.spare.is_none());
+        let wire = frame_bytes(2, &vec![8; RETAIN_MAX]);
+        recv.read_frame(&mut wire.as_slice()).unwrap();
+        assert_eq!(recv.spare.as_ref().map(|b| b.len()), Some(RETAIN_MAX));
     }
 
     #[test]

@@ -41,5 +41,7 @@ pub use model::RpcCostModel;
 pub use options::{CallOptions, CallStats};
 pub use pacing::{pace, RatePacer};
 pub use rpc::{spawn_service, Rpc, RpcError, ServiceHandle};
-pub use socket::{serve, BindAddr, ServerStats, SocketClient, WireServer};
+pub use socket::{
+    serve, syscall_counts, BindAddr, ServerStats, SocketClient, SyscallCounts, WireServer,
+};
 pub use transport::{Channel, Pending, Transport};

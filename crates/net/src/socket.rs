@@ -35,7 +35,7 @@
 //! memcpied on the send side must be zero, and the perf harness holds
 //! that line.
 
-use crate::frame::{classify_io, read_frame, write_frames, FrameBuf, FrameError};
+use crate::frame::{classify_io, write_frames, FrameBuf, FrameError, RecvBuf};
 use crate::rpc::RpcError;
 use crate::transport::{Pending, Transport};
 use bytes::stats as byte_stats;
@@ -100,6 +100,35 @@ impl BindAddr {
     }
 }
 
+// Process-wide counts of the socket syscalls the transport makes:
+// `read`s, `writev`s (a plain `write` counts as one) and `setsockopt`s.
+static READS: AtomicU64 = AtomicU64::new(0);
+static WRITEVS: AtomicU64 = AtomicU64::new(0);
+static SETSOCKOPTS: AtomicU64 = AtomicU64::new(0);
+
+/// Socket syscalls made by every connection of this process, clients
+/// and servers alike, since it started: take the difference of two
+/// readings for a window's cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SyscallCounts {
+    /// `read` calls.
+    pub reads: u64,
+    /// `writev` (and `write`) calls.
+    pub writevs: u64,
+    /// `setsockopt` calls (two per timeout change: read and write).
+    pub setsockopts: u64,
+}
+
+/// The process's [`SyscallCounts`] so far.
+#[must_use]
+pub fn syscall_counts() -> SyscallCounts {
+    SyscallCounts {
+        reads: READS.load(Ordering::Relaxed),
+        writevs: WRITEVS.load(Ordering::Relaxed),
+        setsockopts: SETSOCKOPTS.load(Ordering::Relaxed),
+    }
+}
+
 /// A connected stream of either flavor. `write_vectored` MUST delegate
 /// (the default `Write` impl falls back to plain `write`, which would
 /// silently defeat the `writev` path this transport is built on).
@@ -129,6 +158,7 @@ impl Stream {
         // std refuses a zero timeout (the OS reads it as "block"); the
         // shortest real one stands in.
         let timeout = timeout.map(|t| t.max(Duration::from_nanos(1)));
+        SETSOCKOPTS.fetch_add(2, Ordering::Relaxed);
         let set = match self {
             Stream::Tcp(s) => s
                 .set_read_timeout(timeout)
@@ -153,6 +183,7 @@ impl Stream {
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        READS.fetch_add(1, Ordering::Relaxed);
         match self {
             Stream::Tcp(s) => s.read(buf),
             Stream::Uds(s) => s.read(buf),
@@ -162,6 +193,7 @@ impl Read for Stream {
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        WRITEVS.fetch_add(1, Ordering::Relaxed);
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Uds(s) => s.write(buf),
@@ -169,6 +201,7 @@ impl Write for Stream {
     }
 
     fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        WRITEVS.fetch_add(1, Ordering::Relaxed);
         match self {
             Stream::Tcp(s) => s.write_vectored(bufs),
             Stream::Uds(s) => s.write_vectored(bufs),
@@ -296,7 +329,8 @@ fn serve_connection<F>(mut stream: Stream, shared: &Shared<F>)
 where
     F: Fn(Request) -> Reply,
 {
-    while let Ok(frame) = read_frame(&mut stream) {
+    let mut recv = RecvBuf::default();
+    while let Ok(frame) = recv.read_frame(&mut stream) {
         let reply = match Request::from_wire_shared(frame.payload) {
             Ok(req) => {
                 shared.stats.frames_in.inc();
@@ -450,10 +484,12 @@ impl Drop for WireServer {
     }
 }
 
-/// A client connection and the timeout last set on it.
+/// A client connection, its spare receive buffer and the timeout last
+/// set on it.
 #[derive(Debug)]
 struct Conn {
     stream: Stream,
+    recv: RecvBuf,
     /// `None` until the first [`Conn::set_timeout`], so a freshly
     /// dialed connection always gets its timeout set once.
     timeout: Option<Option<Duration>>,
@@ -463,6 +499,7 @@ impl Conn {
     fn dial(addr: &BindAddr) -> io::Result<Conn> {
         Ok(Conn {
             stream: Stream::dial(addr)?,
+            recv: RecvBuf::default(),
             timeout: None,
         })
     }
@@ -500,7 +537,10 @@ impl Pool {
     /// Read the reply to request `tag` off `conn`; only after a clean
     /// exchange does the connection go back to the pool.
     fn finish(&self, mut conn: Conn, tag: u64) -> Result<Reply, RpcError> {
-        let frame = read_frame(&mut conn.stream).map_err(|e| e.to_rpc())?;
+        let frame = conn
+            .recv
+            .read_frame(&mut conn.stream)
+            .map_err(|e| e.to_rpc())?;
         if frame.tag != tag {
             return Err(RpcError::Disconnected);
         }
@@ -596,6 +636,7 @@ impl Transport<Request, Reply> for SocketClient {
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan};
+    use crate::frame::read_frame;
     use crate::options::CallOptions;
     use crate::Connector;
     use bytes::ByteRope;

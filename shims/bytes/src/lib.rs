@@ -82,11 +82,13 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer (no allocation: an empty `Arc<[u8]>` from
+    /// `Default` shares one static, where `Arc::from(&[][..])` would
+    /// allocate a refcount header).
     #[must_use]
     pub fn new() -> Self {
         Bytes {
-            data: Arc::from(&[][..]),
+            data: Arc::default(),
             start: 0,
             end: 0,
         }

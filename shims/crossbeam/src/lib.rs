@@ -3,7 +3,10 @@
 //! Provides the `channel` module subset the workspace uses: mpmc
 //! `bounded`/`unbounded` channels with cloneable senders *and* receivers,
 //! disconnect detection, `try_recv`, and `recv_timeout`. Built on
-//! `Mutex` + `Condvar`; correctness over throughput.
+//! `Mutex` + `Condvar`; correctness over throughput, except that a
+//! `send` or `recv` wakes the other side only when a thread of it is
+//! parked: `Condvar::notify_one` is a `FUTEX_WAKE` syscall whether or
+//! not anyone waits.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +27,20 @@ pub mod channel {
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Senders waiting on `not_full`, counted under the lock from
+        /// before they wait until they hold it again.
+        parked_senders: usize,
+        /// Receivers waiting on `not_empty`, counted likewise.
+        parked_receivers: usize,
+    }
+
+    impl<T> State<T> {
+        /// Take the front message, and whether a parked sender needs
+        /// waking for the room it leaves.
+        fn pop(&mut self) -> Option<(T, bool)> {
+            let item = self.items.pop_front()?;
+            Some((item, self.parked_senders > 0))
+        }
     }
 
     /// Sending half of a channel. Cloneable.
@@ -125,6 +142,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                parked_senders: 0,
+                parked_receivers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -161,18 +180,23 @@ pub mod channel {
                 }
                 match state.cap {
                     Some(cap) if state.items.len() >= cap => {
+                        state.parked_senders += 1;
                         state = self
                             .shared
                             .not_full
                             .wait(state)
                             .unwrap_or_else(|e| e.into_inner());
+                        state.parked_senders -= 1;
                     }
                     _ => break,
                 }
             }
             state.items.push_back(value);
+            let wake = state.parked_receivers > 0;
             drop(state);
-            self.shared.not_empty.notify_one();
+            if wake {
+                self.shared.not_empty.notify_one();
+            }
             Ok(())
         }
     }
@@ -206,28 +230,30 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(item) = state.items.pop_front() {
+                if let Some((item, wake)) = state.pop() {
                     drop(state);
-                    self.shared.not_full.notify_one();
+                    self.wake_sender(wake);
                     return Ok(item);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.parked_receivers += 1;
                 state = self
                     .shared
                     .not_empty
                     .wait(state)
                     .unwrap_or_else(|e| e.into_inner());
+                state.parked_receivers -= 1;
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(item) = state.items.pop_front() {
+            if let Some((item, wake)) = state.pop() {
                 drop(state);
-                self.shared.not_full.notify_one();
+                self.wake_sender(wake);
                 return Ok(item);
             }
             if state.senders == 0 {
@@ -242,9 +268,9 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut state = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(item) = state.items.pop_front() {
+                if let Some((item, wake)) = state.pop() {
                     drop(state);
-                    self.shared.not_full.notify_one();
+                    self.wake_sender(wake);
                     return Ok(item);
                 }
                 if state.senders == 0 {
@@ -254,12 +280,22 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.parked_receivers += 1;
                 let (guard, _timeout_result) = self
                     .shared
                     .not_empty
                     .wait_timeout(state, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 state = guard;
+                state.parked_receivers -= 1;
+            }
+        }
+
+        /// Wake one parked sender after a receive made room, if
+        /// [`State::pop`] found one parked.
+        fn wake_sender(&self, wake: bool) {
+            if wake {
+                self.shared.not_full.notify_one();
             }
         }
 
@@ -404,6 +440,137 @@ pub mod channel {
                 .collect();
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
+        }
+
+        /// Run `f` on its own thread and return its result, failing the
+        /// test if it is not done within `secs`: a lost wake-up parks a
+        /// thread forever, and must fail the test, not hang it.
+        fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let runner = thread::spawn(move || done_tx.send(f()));
+            let result = done_rx
+                .recv_timeout(Duration::from_secs(secs))
+                .expect("a parked thread was never woken");
+            runner.join().unwrap().unwrap();
+            result
+        }
+
+        /// Spin until at least `n` receivers of `rx`'s channel are parked.
+        fn await_parked_receivers<T>(rx: &Receiver<T>, n: usize) {
+            while rx.shared.queue.lock().unwrap().parked_receivers < n {
+                thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn bounded_ping_pong_parks_and_wakes_both_sides() {
+            // Each thread sends on one `bounded(1)` channel and receives
+            // on the other, so each side parks as a receiver waiting for
+            // the reply and as a sender one message ahead of the peer.
+            const N: u32 = 100_000;
+            within(120, || {
+                let (a_tx, a_rx) = bounded(1);
+                let (b_tx, b_rx) = bounded(1);
+                let peer = thread::spawn(move || {
+                    for i in 0..N {
+                        b_tx.send(i).unwrap();
+                        assert_eq!(a_rx.recv(), Ok(i));
+                    }
+                });
+                for i in 0..N {
+                    a_tx.send(i).unwrap();
+                    assert_eq!(b_rx.recv(), Ok(i));
+                }
+                peer.join().unwrap();
+            });
+        }
+
+        #[test]
+        fn parked_receivers_fed_by_senders_get_every_message() {
+            const PER_SENDER: u32 = 5_000;
+            let all = within(120, || {
+                let (tx, rx) = bounded(1);
+                let receivers: Vec<_> = (0..4)
+                    .map(|_| {
+                        let rx = rx.clone();
+                        thread::spawn(move || {
+                            let mut got = Vec::new();
+                            while let Ok(v) = rx.recv() {
+                                got.push(v);
+                            }
+                            got
+                        })
+                    })
+                    .collect();
+                // Every receiver parks on the empty channel first.
+                await_parked_receivers(&rx, 4);
+                drop(rx);
+                let senders: Vec<_> = (0..4u32)
+                    .map(|s| {
+                        let tx = tx.clone();
+                        thread::spawn(move || {
+                            for i in 0..PER_SENDER {
+                                tx.send(s * PER_SENDER + i).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                for s in senders {
+                    s.join().unwrap();
+                }
+                let mut all: Vec<u32> = receivers
+                    .into_iter()
+                    .flat_map(|r| r.join().unwrap())
+                    .collect();
+                all.sort_unstable();
+                all
+            });
+            assert_eq!(all, (0..4 * PER_SENDER).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn a_send_racing_an_expiring_recv_timeout_is_delivered() {
+            // Each message is sent while the receiver is parked in a
+            // short `recv_timeout`, after a delay that lands on either
+            // side of its expiry. A wait that runs out must leave the
+            // parked count right, so the message is received either by
+            // the wait it raced or by the next one.
+            const N: u32 = 500;
+            let timeouts = within(120, || {
+                let (tx, rx) = unbounded();
+                let (go_tx, go_rx) = bounded::<()>(1);
+                let watched = rx.clone();
+                let sender = thread::spawn(move || {
+                    for i in 0..N {
+                        go_rx.recv().unwrap();
+                        await_parked_receivers(&watched, 1);
+                        thread::sleep(Duration::from_micros(u64::from(i % 7) * 50));
+                        tx.send(i).unwrap();
+                    }
+                });
+                let mut timeouts = 0u32;
+                for i in 0..N {
+                    go_tx.send(()).unwrap();
+                    loop {
+                        match rx.recv_timeout(Duration::from_micros(150)) {
+                            Ok(v) => {
+                                assert_eq!(v, i);
+                                break;
+                            }
+                            Err(RecvTimeoutError::Timeout) => timeouts += 1,
+                            Err(RecvTimeoutError::Disconnected) => panic!("sender gone"),
+                        }
+                    }
+                }
+                sender.join().unwrap();
+                let state = rx.shared.queue.lock().unwrap();
+                assert!(state.items.is_empty());
+                assert_eq!((state.parked_senders, state.parked_receivers), (0, 0));
+                timeouts
+            });
+            // Some waits must have run out for the race to have happened.
+            assert!(timeouts > 0, "no recv_timeout expired");
         }
     }
 }
