@@ -25,7 +25,7 @@
 
 use bytes::Bytes;
 use nasd::crypto;
-use nasd::disk::MemDisk;
+use nasd::disk::{BlockDevice, DiskError, MemDisk};
 use nasd::fm::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet, FmConnect, NasdNfs};
 use nasd::net::{
     syscall_counts, BindAddr, CallOptions, CallStats, Channel, Connector, Pending, RetryPolicy,
@@ -35,6 +35,7 @@ use nasd::object::{ClientHandle, DriveConfig, NasdDrive};
 use nasd::obs::{datapath, Registry};
 use nasd::proto::{ByteRange, PartitionId, Reply, Request, RequestBody, Rights, Version};
 use nasd::sim::{SimTime, Simulator};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -73,7 +74,8 @@ pub struct PerfRow {
     /// reported as the derived value `<workload>_<name>` (`nfs_open`:
     /// `fm_calls`, `drive_requests`, `compressions`; `inproc_read`:
     /// `compressions`; `socket_read` and `socket_write`: `reads`,
-    /// `writevs`, `setsockopts`).
+    /// `writevs`, `setsockopts`; `durable_write`: `dev_writes`,
+    /// `dev_bytes_per_user_byte`).
     pub counters: Vec<(&'static str, f64)>,
 }
 
@@ -179,7 +181,13 @@ fn perf_drive() -> NasdDrive<MemDisk> {
 /// A drive of `config` holding one empty object, and a full-rights
 /// client for it.
 fn drive_with_object(config: DriveConfig) -> (NasdDrive<MemDisk>, ClientHandle) {
-    let mut drive = NasdDrive::builder(1).config(config).build();
+    let device = MemDisk::new(config.block_size, config.capacity_blocks);
+    drive_on(config, device)
+}
+
+/// [`drive_with_object`] over `device`.
+fn drive_on<D: BlockDevice>(config: DriveConfig, device: D) -> (NasdDrive<D>, ClientHandle) {
+    let mut drive = NasdDrive::builder(1).config(config).build_on(device);
     let p = PartitionId(1);
     drive.admin_create_partition(p, 1 << 26).expect("partition");
     let obj = drive.admin_create_object(p, 0).expect("object");
@@ -213,27 +221,77 @@ fn seq_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
     })
 }
 
+/// A [`MemDisk`] that counts the device I/O asked of it.
+struct CountingDisk {
+    disk: MemDisk,
+    writes: u64,
+    /// Bytes read and written.
+    bytes: Cell<u64>,
+}
+
+impl BlockDevice for CountingDisk {
+    fn block_size(&self) -> usize {
+        self.disk.block_size()
+    }
+
+    fn num_blocks(&self) -> u64 {
+        self.disk.num_blocks()
+    }
+
+    fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+        self.bytes.set(self.bytes.get() + buf.len() as u64);
+        self.disk.read_block(block, buf)
+    }
+
+    fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
+        self.writes += 1;
+        self.bytes.set(self.bytes.get() + data.len() as u64);
+        self.disk.write_block(block, data)
+    }
+}
+
 /// Overwrites of a laid-down, fully cached 4 MiB span on a durable
-/// drive: every op is logged and group-committed to the `MemDisk`
-/// before it returns, and the 1 MiB log fills into a checkpoint every
-/// ~15 ops at 64 KiB. Overwriting keeps `seq_write`'s block allocation
-/// out of the row, so it prices the log path alone.
-fn durable_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> Measured {
+/// drive: every op's blocks and log record reach the device before it
+/// returns. The row's counters are the device's: writes per op, and
+/// bytes read and written per payload byte.
+fn durable_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> PerfRow {
     const SPAN: u64 = 4 << 20;
-    let (mut drive, client) = drive_with_object(perf_config().durable());
+    let config = perf_config().durable();
+    let device = CountingDisk {
+        disk: MemDisk::new(config.block_size, config.capacity_blocks),
+        writes: 0,
+        bytes: Cell::new(0),
+    };
+    let (mut drive, client) = drive_on(config, device);
     let payload = vec![0x5Au8; size as usize];
     for offset in (0..SPAN).step_by(size as usize) {
         client
             .write(&mut drive, offset, &payload)
             .expect("lay down");
     }
+    let io = |drive: &NasdDrive<CountingDisk>| {
+        let disk = drive.store().cache().device();
+        (disk.writes, disk.bytes.get())
+    };
+    let (writes0, bytes0) = io(&drive);
     let mut offset = 0u64;
-    measure(probe, ops, || {
+    let m = measure(probe, ops, || {
         client
             .write(&mut drive, offset, &payload)
             .expect("durable write");
         offset = (offset + size) % SPAN;
-    })
+    });
+    let (writes1, bytes1) = io(&drive);
+    PerfRow {
+        counters: vec![
+            ("dev_writes", (writes1 - writes0) as f64 / ops as f64),
+            (
+                "dev_bytes_per_user_byte",
+                (bytes1 - bytes0) as f64 / (ops * size) as f64,
+            ),
+        ],
+        ..row("durable_write", size, &m)
+    }
 }
 
 /// Provision the drive behind `ep`: a partition and a full-rights
@@ -498,11 +556,7 @@ pub fn run(probe: Option<AllocProbe>) -> Vec<PerfRow> {
     let mut rows = vec![
         row("cached_read", 65_536, &cached_read(probe, 65_536, 2_000)),
         row("seq_write", 65_536, &seq_write(probe, 65_536, 400)),
-        row(
-            "durable_write",
-            65_536,
-            &durable_write(probe, 65_536, 2_000),
-        ),
+        durable_write(probe, 65_536, 2_000),
     ];
     for size in [8_192u64, 32_768, 131_072, 262_144] {
         let ops = (1 << 27) / size; // ~128 MB of payload per point
@@ -606,10 +660,23 @@ mod tests {
         let rows = [
             row("cached_read", 4_096, &cached_read(None, 4_096, 4)),
             row("seq_write", 4_096, &seq_write(None, 4_096, 4)),
-            row("durable_write", 4_096, &durable_write(None, 4_096, 4)),
+            durable_write(None, 4_096, 4),
             row("sim_step", 0, &sim_step(None, 16)),
         ];
         assert!(rows.iter().all(|r| r.ops > 0));
         assert_eq!(rows[3].mb_s, 0.0);
+    }
+
+    #[test]
+    fn a_durable_write_touches_each_block_once() {
+        // A 64 KiB overwrite on 8 KiB blocks: its eight fresh blocks and
+        // the log's tail block (two when its record crosses into the
+        // next block), no payload in the log and no device read.
+        let r = durable_write(None, 65_536, 64);
+        let [("dev_writes", writes), ("dev_bytes_per_user_byte", bytes)] = r.counters[..] else {
+            panic!("counters {:?}", r.counters);
+        };
+        assert!((9.0..9.1).contains(&writes), "{writes} writes per op");
+        assert_eq!(bytes, writes * 8_192.0 / 65_536.0);
     }
 }

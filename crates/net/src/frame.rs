@@ -162,22 +162,32 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
 /// its own that is never retained.
 const RETAIN_MAX: usize = 1 << 20;
 
-/// One connection's spare receive buffer, reused frame after frame.
+/// One connection's spare receive buffers, reused frame after frame:
+/// one for frames of at most [`SMALL_MAX`] bytes and one for larger
+/// frames, so a connection that alternates small requests with large
+/// ones keeps a buffer for each.
 ///
-/// A frame lands in the spare only when no [`Bytes`] still views it,
-/// the frame fits, and it fills at least half of it — so a payload a
-/// caller holds never pins more than twice its own bytes. Otherwise
-/// the frame gets a fresh, zero-filled buffer of exactly its size, and
-/// the connection keeps whichever of the two buffers is the better
+/// A frame lands in its class's spare only when no [`Bytes`] still
+/// views it, the frame fits, and it fills at least half of it — so a
+/// payload a caller holds never pins more than twice its own bytes.
+/// Otherwise the frame gets a fresh, zero-filled buffer of exactly its
+/// size, and the class keeps whichever of the two buffers is the better
 /// spare: the old one while it is free and at least as large, else the
 /// new one if it is at most [`RETAIN_MAX`].
 #[derive(Debug, Default)]
 pub(crate) struct RecvBuf {
+    /// The spare for frames above [`SMALL_MAX`] bytes.
     spare: Option<Arc<[u8]>>,
+    /// The spare for frames of at most [`SMALL_MAX`] bytes.
+    small: Option<Arc<[u8]>>,
 }
 
+/// The largest frame that goes to a connection's small spare (one page:
+/// a request without a payload, or a reply without data).
+const SMALL_MAX: usize = 4096;
+
 impl RecvBuf {
-    /// Read one complete frame (see [`read_frame`]), reusing the spare
+    /// Read one complete frame (see [`read_frame`]), reusing a spare
     /// buffer when it is free and the right size.
     pub(crate) fn read_frame<R: Read>(&mut self, r: &mut R) -> Result<Frame, FrameError> {
         let mut header = [0u8; HEADER_LEN];
@@ -196,7 +206,12 @@ impl RecvBuf {
             return Err(FrameError::Oversized(len));
         }
         let len = len as usize;
-        let mut old = self.spare.take();
+        let slot = if len <= SMALL_MAX {
+            &mut self.small
+        } else {
+            &mut self.spare
+        };
+        let mut old = slot.take();
         // The spare's size, when no `Bytes` still views it.
         let free = old.as_mut().and_then(Arc::get_mut).map(|b| b.len());
         let mut buf = match old {
@@ -205,7 +220,7 @@ impl RecvBuf {
             }
             old => {
                 if free.is_some_and(|cap| cap >= len) {
-                    self.spare = old;
+                    *slot = old;
                 }
                 // Read straight into the allocation the returned `Bytes`
                 // shares: `Bytes::from(Vec)` would memcpy the whole
@@ -219,8 +234,8 @@ impl RecvBuf {
             .and_then(|b| b.get_mut(..len))
             .ok_or(FrameError::Io(io::ErrorKind::Other))?;
         read_exact_or(r, dst, false)?;
-        if self.spare.is_none() && buf.len() <= RETAIN_MAX {
-            self.spare = Some(Arc::clone(&buf));
+        if slot.is_none() && buf.len() <= RETAIN_MAX {
+            *slot = Some(Arc::clone(&buf));
         }
         Ok(Frame {
             tag,
@@ -603,6 +618,37 @@ mod tests {
         let again = recv.read_frame(&mut r).unwrap();
         assert_eq!(addr(&again), at);
         assert_eq!(again.payload.as_ref(), &[3; 65_000][..]);
+    }
+
+    #[test]
+    fn alternating_large_and_small_frames_reuse_two_buffers() {
+        // A drive connection's traffic: 64 KiB writes between ~135 B
+        // read requests. Once each size has been seen, every frame lands
+        // in the buffer its size class kept: no receive buffer is
+        // allocated.
+        let mut wire = Vec::new();
+        for round in 0..6u8 {
+            wire.extend_from_slice(&frame_bytes(1, &[round; 65_600]));
+            wire.extend_from_slice(&frame_bytes(2, &[!round; 135]));
+        }
+        let mut r = wire.as_slice();
+        let mut recv = RecvBuf::default();
+        let kept = |slot: &Option<Arc<[u8]>>| slot.as_ref().map(|b| b.as_ptr() as usize);
+        for round in 0..6u8 {
+            let before = kept(&recv.spare);
+            let large = recv.read_frame(&mut r).unwrap();
+            assert_eq!(large.payload.as_ref(), &[round; 65_600][..]);
+            if round > 0 {
+                assert_eq!(Some(addr(&large)), before, "large frame {round}");
+            }
+            drop(large);
+            let before = kept(&recv.small);
+            let small = recv.read_frame(&mut r).unwrap();
+            assert_eq!(small.payload.as_ref(), &[!round; 135][..]);
+            if round > 0 {
+                assert_eq!(Some(addr(&small)), before, "small frame {round}");
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use nasd_obs::Counter;
 use nasd_proto::wire::WireWriter;
-use nasd_proto::{NasdStatus, Reply, Request};
+use nasd_proto::{NasdStatus, Reply, ReplyBody, Request};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -250,15 +250,37 @@ impl Listener {
     }
 }
 
-/// Stage a message's `encode_frame` output as one frame under `tag`.
+/// Room reserved for a frame's encoded head. A signed request with a
+/// capability — security header, capability, arguments, digest and the
+/// payload's length — needs about 200 bytes; a reply head other than an
+/// object list needs far less.
+const HEAD_RESERVE: usize = 256;
+
+/// Stage a message's `encode_frame` output as one frame under `tag`,
+/// into a head of [`HEAD_RESERVE`] bytes and a segment list sized for
+/// the `segments` payload pieces the message carries.
 fn frame(
     tag: u64,
+    segments: usize,
     encode: impl FnOnce(&mut WireWriter, &mut Vec<Bytes>),
 ) -> Result<FrameBuf, FrameError> {
-    let mut head = WireWriter::new();
-    let mut segments = Vec::new();
-    encode(&mut head, &mut segments);
-    FrameBuf::new(tag, head.into_vec(), segments)
+    let mut head = WireWriter::with_capacity(HEAD_RESERVE);
+    let mut pieces = Vec::with_capacity(segments);
+    encode(&mut head, &mut pieces);
+    FrameBuf::new(tag, head.into_vec(), pieces)
+}
+
+/// Payload pieces `req`'s frame carries: its data, if any.
+fn request_segments(req: &Request) -> usize {
+    usize::from(!req.data.is_empty())
+}
+
+/// Payload pieces `reply`'s frame carries: one per segment of its data.
+fn reply_segments(reply: &Reply) -> usize {
+    match &reply.body {
+        ReplyBody::Data(data) => data.segments().len(),
+        _ => 0,
+    }
 }
 
 /// Server-side counters, readable while the server runs.
@@ -306,8 +328,8 @@ fn send_reply(
     let before = byte_stats::bytes_copied();
     // A reply too large to frame becomes an in-band error; the error
     // reply itself is tiny and cannot fail to frame.
-    let out = frame(tag, |h, s| reply.encode_frame(h, s)).or_else(|_| {
-        frame(tag, |h, s| {
+    let out = frame(tag, reply_segments(reply), |h, s| reply.encode_frame(h, s)).or_else(|_| {
+        frame(tag, 0, |h, s| {
             Reply::error(NasdStatus::DriveError).encode_frame(h, s);
         })
     })?;
@@ -596,7 +618,8 @@ impl SocketClient {
     /// `timeout` bounds; returns the connection and the request's tag.
     fn send(&self, req: &Request, timeout: Option<Duration>) -> Result<(Conn, u64), RpcError> {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let out = frame(tag, |h, s| req.encode_frame(h, s)).map_err(|e| e.to_rpc())?;
+        let out = frame(tag, request_segments(req), |h, s| req.encode_frame(h, s))
+            .map_err(|e| e.to_rpc())?;
         let mut conn = self.pool.check_out()?;
         conn.set_timeout(timeout)?;
         write_frames(&mut conn.stream, std::slice::from_ref(&out)).map_err(|e| e.to_rpc())?;
@@ -682,7 +705,7 @@ mod tests {
 
     /// `req` staged as a frame under `tag`, for raw-socket peers.
     fn request_frame(tag: u64, req: &Request) -> FrameBuf {
-        frame(tag, |h, s| req.encode_frame(h, s)).unwrap()
+        frame(tag, request_segments(req), |h, s| req.encode_frame(h, s)).unwrap()
     }
 
     fn uds_path(addr: &BindAddr) -> PathBuf {
@@ -1024,7 +1047,10 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             let asked = read_frame(&mut stream).unwrap();
             let reply = Reply::ok(ReplyBody::Data(ByteRope::from(vec![3u8; 8])));
-            let out = frame(asked.tag + 1, |h, s| reply.encode_frame(h, s)).unwrap();
+            let out = frame(asked.tag + 1, reply_segments(&reply), |h, s| {
+                reply.encode_frame(h, s)
+            })
+            .unwrap();
             write_frames(&mut stream, std::slice::from_ref(&out)).unwrap();
         });
         let client = SocketClient::dial(&addr, 1).unwrap();

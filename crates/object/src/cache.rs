@@ -419,6 +419,43 @@ impl<D: BlockDevice> BlockCache<D> {
         Ok(())
     }
 
+    /// Move `from`'s entry, if it is resident, to block `to`: the cached
+    /// bytes stay where they are and now stand for `to`, whose own entry
+    /// is dropped. A dirty `from` is first written back, so the media
+    /// still holds what `from` last held.
+    ///
+    /// # Errors
+    ///
+    /// Device errors from the writeback; nothing moves then.
+    pub fn rename(&mut self, from: u64, to: u64) -> Result<(), DiskError> {
+        self.write_back(from)?;
+        let Some(entry) = self.entries.remove(&from) else {
+            return Ok(());
+        };
+        self.remove(to);
+        if let Some(node) = self.recency.nodes.get_mut(entry.slot as usize) {
+            node.block = to;
+        }
+        self.recency.touch(entry.slot);
+        self.entries.insert(to, entry);
+        Ok(())
+    }
+
+    /// Write `block` to the device now if it is resident and dirty, and
+    /// mark it clean.
+    ///
+    /// # Errors
+    ///
+    /// Device errors; the block then stays dirty.
+    pub fn write_back(&mut self, block: u64) -> Result<(), DiskError> {
+        if let Some(e) = self.entries.get_mut(&block).filter(|e| e.dirty) {
+            self.device.write_block(block, &e.data)?;
+            e.dirty = false;
+            self.stats.writebacks += 1;
+        }
+        Ok(())
+    }
+
     /// Read-modify-write a partial block.
     ///
     /// # Errors
@@ -478,14 +515,7 @@ impl<D: BlockDevice> BlockCache<D> {
             .collect();
         dirty.sort_unstable(); // elevator order
         for block in dirty {
-            // A block listed dirty a moment ago but now gone has nothing
-            // left to write back.
-            let Some(e) = self.entries.get_mut(&block) else {
-                continue;
-            };
-            self.device.write_block(block, &e.data)?;
-            e.dirty = false;
-            self.stats.writebacks += 1;
+            self.write_back(block)?;
         }
         Ok(())
     }

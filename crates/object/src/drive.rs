@@ -450,10 +450,10 @@ impl<D: nasd_disk::BlockDevice> NasdDrive<D> {
             ReplyBody::Written(_) | ReplyBody::Appended(_) => req.data.len() as u64,
             _ => 0,
         };
-        // 4. Commit. Ack implies durable: group-commit the op's
-        // write-ahead log records (write payloads travel inside their
-        // records, so replay regenerates the data blocks) before the
-        // reply leaves the drive. A failed commit voids the ack. The
+        // 4. Commit. Ack implies durable: write the blocks the op
+        // redirected, then group-commit its write-ahead log records,
+        // which name those blocks, before the reply leaves the drive.
+        // A failed commit voids the ack. The
         // first commit on a fresh device writes a full checkpoint
         // instead, formatting the superblock. A drive that is not
         // durable logged nothing, and the commit returns at once.

@@ -30,8 +30,13 @@ pub const SB_MAGIC: u64 = 0x4e41_5344_5342_4c4b;
 /// On-disk layout version this code reads and writes. Version 3 added
 /// the per-partition rotated working keys to the index checkpoint and
 /// the `SetKey` record to the log; version 4 changed [`checksum64`], and
-/// with it every checksum on the device, so nothing older can be read.
-pub const LAYOUT_VERSION: u32 = 4;
+/// with it every checksum on the device. Version 5 logs block maps
+/// instead of payloads (a write's record names the blocks it rewrote,
+/// and a record that allocates names its blocks) and drops the
+/// reference counts from the index checkpoint, which `open` derives from
+/// the extent maps. Nothing older can be read: a v4 log's payload-carrying
+/// records cannot be replayed without writing data blocks.
+pub const LAYOUT_VERSION: u32 = 5;
 
 /// Per-bitmap-block trailer: epoch (8) + block index (8) + crc (8).
 const BITMAP_TRAILER: usize = 24;

@@ -59,4 +59,4 @@ pub use drive::{
 pub use layout::{checksum64, Layout};
 pub use security::{DriveSecurity, ReplayWindow};
 pub use store::{ObjectStore, PartitionStats, StoreError, FIRST_DYNAMIC_OBJECT};
-pub use wal::WalRecord;
+pub use wal::{BlockRuns, WalRecord};

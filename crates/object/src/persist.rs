@@ -2,21 +2,25 @@
 //!
 //! The paper's prototype kept its object-system metadata in kernel
 //! memory; a production drive must survive power cycles *at any
-//! instant*. This module writes the drive's metadata — partitions,
-//! object tables (attributes + extent maps), and copy-on-write
-//! refcounts — as an inode-style index checkpoint inside the on-disk
-//! layout of [`crate::layout`], and rebuilds the store on open:
+//! instant*. This module writes the drive's metadata — partitions and
+//! object tables (attributes + extent maps) — as an inode-style index
+//! checkpoint inside the on-disk layout of [`crate::layout`], and
+//! rebuilds the store on open:
 //!
 //! 1. load the superblock (primary copy, falling back to the
 //!    secondary);
 //! 2. read the index checkpoint of the recorded epoch and verify its
 //!    checksum;
-//! 3. *recompute* the free-space allocator from the object extent maps
-//!    rather than trusting disk state;
-//! 4. verify the persisted allocation bitmap bit-for-bit against that
-//!    recomputation — a cheap structural self-check against corruption;
-//! 5. replay the write-ahead log (its [`WalRecord`](crate::WalRecord)s)
-//!    idempotently to the last complete record.
+//! 3. verify the persisted allocation bitmap bit-for-bit against the
+//!    blocks the checkpoint's extent maps name — a cheap structural
+//!    self-check against corruption;
+//! 4. replay the write-ahead log (its [`WalRecord`](crate::WalRecord)s)
+//!    to the last complete record, which sets block maps only;
+//! 5. *recompute* the free-space allocator, the copy-on-write
+//!    reference counts and each partition's usage from the final extent
+//!    maps rather than trusting disk state.
+//!
+//! Nothing on the way reads a block outside the metadata area.
 //!
 //! Checkpoints are atomic by construction: the bitmap and index are
 //! written to the *other* epoch-parity copy, and only the final
@@ -29,7 +33,7 @@
 //! spilled to an indirect region referenced by byte offset — a freshly
 //! written multi-gigabyte contiguous object costs one inline extent.
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Extent};
 use crate::cache::BlockCache;
 use crate::layout::{bit_set, Superblock};
 use crate::layout::{checksum64, read_bitmap, read_region, write_bitmap, write_region, Layout};
@@ -164,14 +168,6 @@ fn encode_store<D: BlockDevice>(store: &ObjectStore<D>) -> Vec<u8> {
             encode_extents(&mut main, &mut overflow, &meta.blocks);
         }
     }
-    // COW refcounts.
-    let mut refs: Vec<(u64, u32)> = store.refcounts.iter().map(|(&b, &c)| (b, c)).collect();
-    refs.sort_unstable();
-    // nasd-lint: allow(cast, "encode direction: in-memory refcount table is far below u32::MAX")
-    main.u32(refs.len() as u32);
-    for (block, count) in refs {
-        main.u64(block).u32(count);
-    }
 
     let mut payload = WireWriter::with_capacity(
         8usize
@@ -185,16 +181,14 @@ fn encode_store<D: BlockDevice>(store: &ObjectStore<D>) -> Vec<u8> {
     payload.into_vec()
 }
 
-struct DecodedState {
-    partitions: HashMap<PartitionId, Partition>,
-    refcounts: HashMap<u64, u32>,
-}
-
 /// Capacity hints for containers sized by wire-decoded counts: a
 /// hostile count must cost a failed decode, not a giant pre-allocation.
 const DECODE_CAPACITY_HINT: usize = 1_024;
 
-fn decode_store(payload: &[u8], max_blocks: u64) -> Result<DecodedState, DecodeError> {
+fn decode_store(
+    payload: &[u8],
+    max_blocks: u64,
+) -> Result<HashMap<PartitionId, Partition>, DecodeError> {
     let mut head = WireReader::new(payload);
     // Saturating on 32-bit targets: `raw` rejects any length beyond the
     // buffer, and a saturated length certainly is.
@@ -230,40 +224,30 @@ fn decode_store(payload: &[u8], max_blocks: u64) -> Result<DecodedState, DecodeE
             },
         );
     }
-    let nrefs = usize::try_from(r.u32()?).unwrap_or(usize::MAX);
-    let mut refcounts = HashMap::with_capacity(nrefs.min(DECODE_CAPACITY_HINT));
-    for _ in 0..nrefs {
-        let block = r.u64()?;
-        let count = r.u32()?;
-        refcounts.insert(block, count);
-    }
     r.finish()?;
-    Ok(DecodedState {
-        partitions,
-        refcounts,
-    })
+    Ok(partitions)
+}
+
+/// The in-use bit per device block: the metadata area plus every block
+/// referenced by any object's extent map. This is both what the
+/// checkpoint persists and what `open` recomputes to verify it.
+fn in_use_bits(layout: &Layout, partitions: &HashMap<PartitionId, Partition>) -> Vec<u8> {
+    // nasd-lint: allow(cast, "geometry is validated against the device in Superblock::load, not taken from the wire")
+    let mut bits = vec![0u8; (layout.total_blocks.div_ceil(8)) as usize];
+    for b in 0..layout.data_start {
+        bit_set(&mut bits, b);
+    }
+    for part in partitions.values() {
+        for meta in part.objects.values() {
+            for &b in &meta.blocks {
+                bit_set(&mut bits, b);
+            }
+        }
+    }
+    bits
 }
 
 impl<D: BlockDevice> ObjectStore<D> {
-    /// The in-use bit per device block: the metadata area plus every
-    /// block referenced by any object's extent map. This is both what
-    /// the checkpoint persists and what `open` recomputes to verify it.
-    fn in_use_bits(&self) -> Vec<u8> {
-        // nasd-lint: allow(cast, "geometry is validated against the device in Superblock::load, not taken from the wire")
-        let mut bits = vec![0u8; (self.layout.total_blocks.div_ceil(8)) as usize];
-        for b in 0..self.layout.data_start {
-            bit_set(&mut bits, b);
-        }
-        for part in self.partitions.values() {
-            for meta in part.objects.values() {
-                for &b in &meta.blocks {
-                    bit_set(&mut bits, b);
-                }
-            }
-        }
-        bits
-    }
-
     /// Flush all data and write a full metadata checkpoint, making the
     /// store recoverable with [`ObjectStore::open`] and logically
     /// truncating the write-ahead log (its epoch moves on).
@@ -272,6 +256,9 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// bitmap and index into the *inactive* epoch-parity copies, then
     /// both superblocks — the atomic switch. A crash before the
     /// superblock write leaves the previous checkpoint fully intact.
+    /// On a durable store the only dirty data is what the records not
+    /// yet committed name; once the switch is made, the blocks those
+    /// records dropped rejoin the allocator.
     ///
     /// # Errors
     ///
@@ -289,7 +276,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             return Err(StoreError::NoSpace);
         }
         let epoch = self.checkpoint_seq + 1;
-        let bits = self.in_use_bits();
+        let bits = in_use_bits(&self.layout, &self.partitions);
         let layout = self.layout;
         let device = self.cache.device_mut();
         write_bitmap(device, &layout, epoch, &bits)?;
@@ -310,12 +297,15 @@ impl<D: BlockDevice> ObjectStore<D> {
         self.checkpoint_seq = epoch;
         self.formatted = true;
         self.wal.reset(epoch);
+        self.unsynced.clear();
+        self.release_freed();
         Ok(())
     }
 
     /// Remount a formatted device: superblock, index checkpoint,
-    /// recomputed allocator, bitmap self-check, then idempotent log
-    /// replay to the last complete record.
+    /// bitmap self-check, log replay to the last complete record, then
+    /// the allocator and reference counts recomputed from the block maps.
+    /// Reads only the metadata area.
     ///
     /// The write-ahead log is left *disabled*; a durable drive enables
     /// it after open so replayed operations never re-log themselves.
@@ -324,11 +314,10 @@ impl<D: BlockDevice> ObjectStore<D> {
     ///
     /// [`StoreError::NotFormatted`] when no superblock copy carries the
     /// magic; [`StoreError::Corrupt`] when metadata is present but
-    /// fails a checksum or the bitmap self-check; [`StoreError::Disk`]
-    /// on device errors.
+    /// fails a checksum or the bitmap self-check, or is another layout
+    /// version's; [`StoreError::Disk`] on device errors.
     pub fn open(device: D, cache_blocks: usize) -> Result<Self, StoreError> {
         let bs = device.block_size();
-        let total_blocks = device.num_blocks();
         let sb = Superblock::load(&device)?;
         let layout = sb.layout;
         // `checkpoint_len` is raw disk state the geometry check does not
@@ -348,60 +337,89 @@ impl<D: BlockDevice> ObjectStore<D> {
         if checksum64(&payload) != sb.checkpoint_crc {
             return Err(StoreError::Corrupt("index checkpoint checksum mismatch"));
         }
-        let state = decode_store(&payload, layout.total_blocks)
+        let partitions = decode_store(&payload, layout.total_blocks)
             .map_err(|_| StoreError::Corrupt("index checkpoint garbled"))?;
+        if in_use_bits(&layout, &partitions) != read_bitmap(&device, &layout, sb.checkpoint_seq)? {
+            return Err(StoreError::Corrupt(
+                "allocation bitmap disagrees with the object index",
+            ));
+        }
 
-        // Rebuild the allocator from first principles: reserve the
-        // metadata area, then carve out every block referenced by any
-        // object (shared blocks once).
-        let mut allocator = Allocator::new(total_blocks);
+        let log = Wal::read_log(&device, &layout)?;
+        let (wal, log_records) = Wal::recover(&log, &layout, sb.checkpoint_seq);
+        let mut store = ObjectStore {
+            cache: BlockCache::new(device, cache_blocks),
+            allocator: Allocator::new(0),
+            partitions,
+            refcounts: HashMap::new(),
+            block_size: bs,
+            layout,
+            wal,
+            checkpoint_seq: sb.checkpoint_seq,
+            formatted: true,
+            unsynced: Vec::new(),
+            freed: Vec::new(),
+        };
+        for rec in log_records {
+            store.apply_wal(rec)?;
+        }
+        store.rebuild_allocation()?;
+        Ok(store)
+    }
+
+    /// Recompute the allocator, the copy-on-write reference counts and
+    /// each partition's usage from first principles: reserve the
+    /// metadata area, then carve out every block some object's extent
+    /// map names, counting the objects that share one. A partition is
+    /// charged for every block of every object it holds, a snapshot's
+    /// shared ones included.
+    fn rebuild_allocation(&mut self) -> Result<(), StoreError> {
+        let layout = self.layout;
+        let bs = layout.block_size as u64;
+        for part in self.partitions.values_mut() {
+            part.used = part
+                .objects
+                .values()
+                .map(|m| (m.blocks.len() as u64).saturating_mul(bs))
+                .fold(0, u64::saturating_add);
+        }
+        let mut allocator = Allocator::new(layout.total_blocks);
         if layout.data_start > 0 {
             allocator
                 .allocate(layout.data_start, Some(0))
                 .ok_or(StoreError::Internal("metadata reservation failed"))?;
         }
-        let mut in_use: Vec<u64> = state
+        let mut in_use: Vec<u64> = self
             .partitions
             .values()
             .flat_map(|p| p.objects.values())
             .flat_map(|m| m.blocks.iter().copied())
             .collect();
         in_use.sort_unstable();
+        if in_use.last().is_some_and(|&b| b >= layout.total_blocks) {
+            return Err(StoreError::Corrupt(
+                "object index references out-of-range or doubly-used blocks",
+            ));
+        }
+        let mut refcounts = HashMap::new();
+        for shared in in_use.chunk_by(|a, b| a == b).filter(|c| c.len() > 1) {
+            if let Some(&b) = shared.first() {
+                refcounts.insert(b, u32::try_from(shared.len()).unwrap_or(u32::MAX));
+            }
+        }
         in_use.dedup();
-        for b in in_use {
+        for run in in_use.chunk_by(|a, b| a.checked_add(1) == Some(*b)) {
+            let start = run.first().copied().unwrap_or_default();
             allocator
-                .allocate(1, Some(b))
-                .filter(|e| e.start == b)
+                .allocate(run.len() as u64, Some(start))
+                .filter(|e| *e == Extent::new(start, run.len() as u64))
                 .ok_or(StoreError::Corrupt(
                     "object index references out-of-range or doubly-used blocks",
                 ))?;
         }
-
-        // Construct early enough to reuse `in_use_bits`, but verify the
-        // persisted bitmap before replay mutates anything.
-        let log = Wal::read_log(&device, &layout)?;
-        let (wal, log_records) = Wal::recover(&log, &layout, sb.checkpoint_seq);
-        let store_bits_stored = read_bitmap(&device, &layout, sb.checkpoint_seq)?;
-        let mut store = ObjectStore {
-            cache: BlockCache::new(device, cache_blocks),
-            allocator,
-            partitions: state.partitions,
-            refcounts: state.refcounts,
-            block_size: bs,
-            layout,
-            wal,
-            checkpoint_seq: sb.checkpoint_seq,
-            formatted: true,
-        };
-        if store.in_use_bits() != store_bits_stored {
-            return Err(StoreError::Corrupt(
-                "allocation bitmap disagrees with the object index",
-            ));
-        }
-        for rec in log_records {
-            store.apply_wal(rec)?;
-        }
-        Ok(store)
+        self.allocator = allocator;
+        self.refcounts = refcounts;
+        Ok(())
     }
 }
 
@@ -465,6 +483,122 @@ mod tests {
         assert!(frozen.iter().all(|&x| x == 7));
         let fresh = re.read(P, o, 0, 10, 3).unwrap().to_vec();
         assert!(fresh.iter().all(|&x| x == 9));
+    }
+
+    /// A [`MemDisk`] noting the highest block it was asked to read.
+    struct ReadWatch {
+        disk: MemDisk,
+        highest: std::cell::Cell<Option<u64>>,
+    }
+
+    impl BlockDevice for ReadWatch {
+        fn block_size(&self) -> usize {
+            self.disk.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.disk.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), nasd_disk::DiskError> {
+            self.highest.set(self.highest.get().max(Some(block)));
+            self.disk.read_block(block, buf)
+        }
+        fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), nasd_disk::DiskError> {
+            self.disk.write_block(block, data)
+        }
+    }
+
+    #[test]
+    fn replay_reads_no_data_block_and_the_log_holds_no_payload() {
+        let mut store = ObjectStore::new(MemDisk::new(BS, 4_096), 64);
+        store.enable_wal(true);
+        store.create_partition(P, 64 << 20).unwrap();
+        store.wal_commit().unwrap();
+        let epoch = store.checkpoint_seq;
+        let a = store.create_object(P, 4 * BS as u64, None, 1).unwrap();
+        let b = store.create_object(P, 0, Some(a), 2).unwrap();
+        let mut want_a: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut written = 0;
+        let mut put = |store: &mut ObjectStore<MemDisk>, o, at: usize, bytes: &[u8]| {
+            store.write(P, o, at as u64, bytes, 3).unwrap();
+            store.wal_commit().unwrap();
+            written += bytes.len();
+        };
+        put(&mut store, a, 0, &want_a.clone());
+        put(&mut store, a, 5_000, &[0xee; 20_000]);
+        want_a[5_000..25_000].fill(0xee);
+        put(&mut store, b, 30_000, b"past a gap");
+        let snap = store.snapshot(P, a, 4).unwrap();
+        let want_snap = want_a.clone();
+        put(&mut store, a, 8_190, &[0x11; 9]);
+        want_a[8_190..8_199].fill(0x11);
+        store.resize(P, b, 12_345, 5).unwrap();
+        store.resize(P, b, 40_000, 6).unwrap();
+        let prealloc = SetAttrMask {
+            fs_specific: false,
+            preallocated: true,
+            cluster_with: false,
+            bump_version: false,
+        };
+        let fs = [0; nasd_proto::FS_SPECIFIC_ATTR_LEN];
+        store
+            .set_attr(P, b, prealloc, &fs, 9 * BS as u64, None, 7)
+            .unwrap();
+        store.wal_commit().unwrap();
+        assert_eq!(store.checkpoint_seq, epoch, "everything rides the log");
+        assert!(
+            store.wal_durable_bytes() * 20 < written as u64,
+            "{} log bytes for {written} written",
+            store.wal_durable_bytes()
+        );
+        let (free, stats) = (store.free_blocks(), store.partition_stats(P).unwrap());
+        let device = store.cache().device().clone();
+        drop(store);
+
+        let watch = ReadWatch {
+            disk: device,
+            highest: std::cell::Cell::new(None),
+        };
+        let mut re = ObjectStore::open(watch, 64).unwrap();
+        let data_start = re.layout().data_start;
+        let highest = re.cache().device().highest.get().unwrap();
+        assert!(highest < data_start, "open read block {highest}");
+        assert_eq!(re.free_blocks(), free, "allocator rebuilt");
+        assert_eq!(re.partition_stats(P).unwrap(), stats, "usage rebuilt");
+        assert_eq!(re.read(P, a, 0, 100_000, 8).unwrap(), &want_a[..]);
+        // The shrink dropped the bytes past the gap; the regrowth reads
+        // back as zeros.
+        assert_eq!(re.read(P, b, 0, 50_000, 8).unwrap(), &[0u8; 40_000][..]);
+        assert_eq!(re.read(P, snap, 0, 100_000, 8).unwrap(), &want_snap[..]);
+        assert_eq!(re.peek_attr(P, b).unwrap().preallocated, 9 * BS as u64);
+    }
+
+    #[test]
+    fn a_block_redirected_twice_in_one_commit_keeps_each_records_bytes() {
+        // Two writes to one block in one commit group: the first record
+        // names a block the second write displaces. Torn after the first
+        // record, the log must replay to the first write's bytes.
+        let mut store = ObjectStore::new(MemDisk::new(BS, 4_096), 64);
+        store.enable_wal(true);
+        store.create_partition(P, 64 << 20).unwrap();
+        let o = store.create_object(P, 0, None, 1).unwrap();
+        store.wal_commit().unwrap();
+        store.write(P, o, 0, &[1u8; 100], 2).unwrap();
+        store.write(P, o, 50, &[2u8; 100], 3).unwrap();
+        store.wal_commit().unwrap();
+        let (end, layout) = (store.wal_durable_bytes(), *store.layout());
+        let mut device = store.cache().device().clone();
+        drop(store);
+
+        // Flip a byte of the second record's checksum trailer.
+        let at = end - 3;
+        let block = layout.log_start + at / BS as u64;
+        let mut buf = vec![0u8; BS];
+        device.read_block(block, &mut buf).unwrap();
+        buf[(at % BS as u64) as usize] ^= 0x10;
+        device.write_block(block, &buf).unwrap();
+
+        let mut re = ObjectStore::open(device, 64).unwrap();
+        assert_eq!(re.read(P, o, 0, 200, 4).unwrap(), &[1u8; 100][..]);
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! versions, and short reads at end-of-object. All data moves through the
 //! write-behind [`BlockCache`], whose [`CacheStats`](crate::CacheStats)
 //! count the hits and misses the drive's cost accounting reads.
+//!
+//! A durable store (write-ahead log on) never writes a block in place:
+//! every block a write touches is redirected to a freshly allocated one,
+//! written to the media before the log record that names it, and the
+//! displaced block is reused only after that record is durable. So each
+//! acked byte reaches the media once, and the log holds block maps
+//! rather than payloads.
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Extent};
 use crate::cache::BlockCache;
 use crate::layout::Layout;
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{BlockRuns, Wal, WalRecord};
 use bytes::ByteRope;
 use nasd_crypto::KeyKind;
 use nasd_disk::{BlockDevice, DiskError};
@@ -203,6 +210,14 @@ pub struct ObjectStore<D> {
     /// Whether a superblock exists on disk yet. A fresh store is
     /// unformatted until its first checkpoint.
     pub(crate) formatted: bool,
+    /// Durable stores: blocks written since the last commit, which must
+    /// reach the media before the records naming them.
+    pub(crate) unsynced: Vec<u64>,
+    /// Durable stores: blocks whose last reference a record not yet
+    /// durable dropped. The log or the last checkpoint may still name
+    /// them, so they rejoin the allocator only once that record is
+    /// committed or checkpointed ([`Self::release_freed`]).
+    pub(crate) freed: Vec<u64>,
 }
 
 impl<D: BlockDevice> ObjectStore<D> {
@@ -234,6 +249,8 @@ impl<D: BlockDevice> ObjectStore<D> {
             layout,
             checkpoint_seq: 0,
             formatted: false,
+            unsynced: Vec::new(),
+            freed: Vec::new(),
         }
     }
 
@@ -280,6 +297,11 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// request — once it returns, a crash at any later instant replays
     /// the operation.
     ///
+    /// Data first: every block the pending records name is written, in
+    /// elevator order, before the records are. Then the blocks those
+    /// records dropped rejoin the allocator. A failed commit frees
+    /// nothing; the next one retries the same records.
+    ///
     /// # Errors
     ///
     /// Device errors; [`StoreError::NoSpace`] when the first commit must
@@ -292,24 +314,43 @@ impl<D: BlockDevice> ObjectStore<D> {
         // very first commit checkpoints once to put a superblock on disk
         // (which also empties the pending buffer into that checkpoint).
         if !self.formatted {
-            self.checkpoint()?;
-            return Ok(());
+            return self.checkpoint();
         }
+        self.unsynced.sort_unstable();
+        for &b in &self.unsynced {
+            self.cache.write_back(b)?;
+        }
+        self.unsynced.clear();
         self.wal.commit(self.cache.device_mut())?;
+        self.release_freed();
         Ok(())
     }
 
-    /// Append a record for an operation that just succeeded. When the
-    /// log area is full, fall back to a checkpoint — it captures the
-    /// operation's effect directly and logically empties the log.
+    /// Return the blocks dropped by records that are now durable to the
+    /// allocator.
+    pub(crate) fn release_freed(&mut self) {
+        for b in self.freed.drain(..) {
+            self.cache.discard(b);
+            self.allocator.free(Extent::new(b, 1));
+        }
+    }
+
+    /// Append a record for an operation that just succeeded (see
+    /// [`Self::checkpoint_unless`]).
     fn wal_log(&mut self, rec: &WalRecord<'_>) -> Result<(), StoreError> {
-        if !self.wal.enabled {
-            return Ok(());
+        let appended = self.wal.append(rec)?;
+        self.checkpoint_unless(appended)
+    }
+
+    /// When the log area had no room for an operation's record, fall back
+    /// to a checkpoint — it captures the operation's effect directly and
+    /// logically empties the log.
+    fn checkpoint_unless(&mut self, appended: bool) -> Result<(), StoreError> {
+        if appended {
+            Ok(())
+        } else {
+            self.checkpoint()
         }
-        if !self.wal.append(rec)? {
-            self.checkpoint()?;
-        }
-        Ok(())
     }
 
     // ----- partitions -------------------------------------------------
@@ -449,47 +490,42 @@ impl<D: BlockDevice> ObjectStore<D> {
         cluster_with: Option<ObjectId>,
         now: u64,
     ) -> Result<ObjectId, StoreError> {
-        self.create_as(None, p, preallocate, cluster_with, now)
-    }
-
-    /// The one create body. Live calls pass `logged: None` and the drive
-    /// assigns the next name; WAL replay passes the logged name, skips
-    /// an object that already exists, and never re-issues that name.
-    fn create_as(
-        &mut self,
-        logged: Option<ObjectId>,
-        p: PartitionId,
-        preallocate: u64,
-        cluster_with: Option<ObjectId>,
-        now: u64,
-    ) -> Result<ObjectId, StoreError> {
         let bs = self.block_size as u64;
         let nblocks = preallocate.div_ceil(bs);
         let part = self.partition_mut(p)?;
-        if let Some(id) = logged.filter(|id| part.objects.contains_key(id)) {
-            return Ok(part.claim(Some(id)));
-        }
         let used = part.used_after(nblocks, bs)?;
         let hint = cluster_with
             .and_then(|c| part.objects.get(&c))
             .and_then(|m| m.blocks.first().copied());
         let blocks = self.allocate_blocks(nblocks, hint)?;
-        self.zero_blocks(blocks.iter().copied())?;
+        // A durable store leaves preallocated blocks as they are: no byte
+        // of them is readable before a write or a resize rewrites it.
+        if !self.wal.enabled {
+            self.zero_blocks(blocks.iter().copied())?;
+        }
 
-        let part = self.partition_mut(p)?;
-        let id = part.claim(logged);
+        let part = self
+            .partitions
+            .get_mut(&p)
+            .ok_or(StoreError::NoSuchPartition(p))?;
+        let id = part.claim(None);
         let mut attrs = ObjectAttributes::new_at(now);
         attrs.preallocated = preallocate;
         attrs.cluster_with = cluster_with;
         part.used = used;
-        part.objects.insert(id, ObjectMeta { attrs, blocks });
-        self.wal_log(&WalRecord::Create {
+        let meta = part
+            .objects
+            .entry(id)
+            .or_insert(ObjectMeta { attrs, blocks });
+        let appended = self.wal.append(&WalRecord::Create {
             p,
             id,
             preallocate,
             cluster_with,
             now,
+            blocks: BlockRuns::new(&meta.blocks),
         })?;
+        self.checkpoint_unless(appended)?;
         Ok(id)
     }
 
@@ -500,6 +536,11 @@ impl<D: BlockDevice> ObjectStore<D> {
     fn allocate_blocks(&mut self, nblocks: u64, hint: Option<u64>) -> Result<Vec<u64>, StoreError> {
         if nblocks == 0 {
             return Ok(Vec::new());
+        }
+        // One contiguous extent when there is one, as the fragmented
+        // allocation would find first, without its list of extents.
+        if let Some(e) = self.allocator.allocate(nblocks, hint) {
+            return Ok((e.start..e.end()).collect());
         }
         let extents = self
             .allocator
@@ -606,6 +647,8 @@ impl<D: BlockDevice> ObjectStore<D> {
         Ok(())
     }
 
+    /// Drop one reference to `b`; the last one frees it — at once, or on
+    /// a durable store once the dropping record is durable.
     fn release_block(&mut self, b: u64) {
         match self.refcounts.get_mut(&b) {
             Some(rc) if *rc > 1 => {
@@ -616,8 +659,12 @@ impl<D: BlockDevice> ObjectStore<D> {
             }
             _ => {
                 self.refcounts.remove(&b);
-                self.cache.discard(b);
-                self.allocator.free(crate::alloc::Extent::new(b, 1));
+                if self.wal.enabled {
+                    self.freed.push(b);
+                } else {
+                    self.cache.discard(b);
+                    self.allocator.free(Extent::new(b, 1));
+                }
             }
         }
     }
@@ -651,6 +698,18 @@ impl<D: BlockDevice> ObjectStore<D> {
         Ok(&meta.attrs)
     }
 
+    /// The device blocks holding the object's logical blocks, in order
+    /// (preallocated capacity included), for diagnostics and tests.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSuchObject`] / [`StoreError::NoSuchPartition`].
+    pub fn object_blocks(&self, p: PartitionId, o: ObjectId) -> Result<&[u64], StoreError> {
+        let part = self.partition(p)?;
+        let meta = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
+        Ok(&meta.blocks)
+    }
+
     /// Apply a `SetAttr` request: update the fields selected by `mask`.
     ///
     /// # Errors
@@ -668,26 +727,21 @@ impl<D: BlockDevice> ObjectStore<D> {
         cluster_with: Option<ObjectId>,
         now: u64,
     ) -> Result<(), StoreError> {
+        let had = self.object_mut(p, o)?.blocks.len();
         // Grow preallocation first (may fail on quota).
         if mask.preallocated {
             self.ensure_capacity(p, o, preallocated, 0..0)?;
         }
-        let meta = self.object_mut(p, o)?;
-        if mask.fs_specific {
-            // nasd-lint: allow(hot-path-copy, "fixed-size fs-specific attribute block, not payload")
-            meta.attrs.fs_specific.copy_from_slice(fs_specific);
-        }
-        if mask.preallocated {
-            meta.attrs.preallocated = preallocated;
-        }
-        if mask.cluster_with {
-            meta.attrs.cluster_with = cluster_with;
-        }
-        if mask.bump_version {
-            meta.attrs.version = meta.attrs.version.bumped();
-        }
-        meta.attrs.attr_modify_time = now;
-        self.wal_log(&WalRecord::SetAttr {
+        let meta = object_in(&mut self.partitions, p, o)?;
+        set_attrs(
+            &mut meta.attrs,
+            mask,
+            fs_specific,
+            preallocated,
+            cluster_with,
+            now,
+        );
+        let appended = self.wal.append(&WalRecord::SetAttr {
             p,
             o,
             mask,
@@ -695,7 +749,9 @@ impl<D: BlockDevice> ObjectStore<D> {
             preallocated,
             cluster_with,
             now,
-        })
+            blocks: BlockRuns::new(meta.blocks.get(had..).unwrap_or_default()),
+        })?;
+        self.checkpoint_unless(appended)
     }
 
     /// Read up to `len` bytes at `offset`. Reads past end-of-object are
@@ -744,7 +800,8 @@ impl<D: BlockDevice> ObjectStore<D> {
 
     /// Ensure the object has capacity (allocated blocks) for `bytes`.
     /// New blocks are zeroed, except those lying wholly inside
-    /// `overwritten`: object bytes the caller writes next.
+    /// `overwritten`: object bytes the caller writes next. A durable
+    /// store zeroes none: it rewrites a block before exposing any byte.
     fn ensure_capacity(
         &mut self,
         p: PartitionId,
@@ -772,12 +829,14 @@ impl<D: BlockDevice> ObjectStore<D> {
         }
         let new_blocks = self.allocate_blocks(grow, hint)?;
         let covered = |l: u64| overwritten.start <= l * bs && (l + 1) * bs <= overwritten.end;
-        self.zero_blocks(
-            (have..)
-                .zip(&new_blocks)
-                .filter(|&(l, _)| !covered(l))
-                .map(|(_, &b)| b),
-        )?;
+        if !self.wal.enabled {
+            self.zero_blocks(
+                (have..)
+                    .zip(&new_blocks)
+                    .filter(|&(l, _)| !covered(l))
+                    .map(|(_, &b)| b),
+            )?;
+        }
         let part = self.partition_mut(p)?;
         part.used += grow * bs;
         let meta = part.objects.get_mut(&o).ok_or(StoreError::Internal(
@@ -815,6 +874,23 @@ impl<D: BlockDevice> ObjectStore<D> {
             let meta = self.object_mut(p, o)?;
             (meta.attrs.size, meta.blocks.len() as u64 * bs as u64)
         };
+        if self.wal.enabled {
+            // A gap past the end reads back as zeros.
+            let (first, blocks) = self.redirect(p, o, offset.min(old_size), offset, data)?;
+            let meta = self.object_mut(p, o)?;
+            meta.attrs.size = meta.attrs.size.max(end);
+            meta.attrs.data_modify_time = now;
+            let size = meta.attrs.size;
+            self.wal_log(&WalRecord::Write {
+                p,
+                o,
+                size,
+                first,
+                blocks: BlockRuns::new(&blocks),
+                now,
+            })?;
+            return Ok(data.len() as u64);
+        }
         self.ensure_capacity(p, o, end, offset..end)?;
         // Pre-existing capacity inside the gap may hold stale bytes; the
         // gap must read back as zeros (newly allocated blocks outside the
@@ -836,14 +912,141 @@ impl<D: BlockDevice> ObjectStore<D> {
         let meta = self.object_mut(p, o)?;
         meta.attrs.size = meta.attrs.size.max(end);
         meta.attrs.data_modify_time = now;
-        self.wal_log(&WalRecord::Write {
-            p,
-            o,
-            offset,
-            data,
-            now,
-        })?;
         Ok(data.len() as u64)
+    }
+
+    /// The durable write path: rewrite object bytes `[from, offset +
+    /// data.len())` — zeros up to `offset`, then `data` — into freshly
+    /// allocated blocks, so no block the log or the last checkpoint may
+    /// name is ever overwritten. Bytes below the object's size that
+    /// share a block with the range are carried over into the fresh
+    /// block (read-modify-write). The displaced blocks are released.
+    ///
+    /// Returns the first rewritten logical block and the fresh blocks,
+    /// for the caller's log record. [`StoreError::NoSpace`] when the
+    /// quota or the device cannot supply the blocks; then nothing has
+    /// changed.
+    fn redirect(
+        &mut self,
+        p: PartitionId,
+        o: ObjectId,
+        from: u64,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<(u64, Vec<u64>), StoreError> {
+        let bs = self.block_size as u64;
+        let first = from / bs;
+        let last = offset.saturating_add(data.len() as u64).div_ceil(bs);
+        let (size, have, quota_room) = {
+            let part = self.partition(p)?;
+            let meta = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
+            (
+                meta.attrs.size,
+                meta.blocks.len() as u64,
+                part.quota - part.used,
+            )
+        };
+        let grow = last.saturating_sub(have);
+        if grow.saturating_mul(bs) > quota_room {
+            return Err(StoreError::NoSpace);
+        }
+        // First fit from the device's start: the blocks the last commits
+        // released are taken again first, so the set of blocks in use
+        // stays compact instead of sweeping the whole device.
+        let fresh = self.allocate_blocks(last.saturating_sub(first), None)?;
+        if let Err(e) = self.fill_fresh(p, o, first, &fresh, from, offset, data, size) {
+            for &b in &fresh {
+                self.cache.discard(b);
+                self.allocator.free(Extent::new(b, 1));
+            }
+            return Err(e);
+        }
+        for (l, &b) in (first as usize..).zip(&fresh) {
+            let blocks = &mut object_in(&mut self.partitions, p, o)?.blocks;
+            match blocks.get_mut(l) {
+                Some(slot) => {
+                    let old = std::mem::replace(slot, b);
+                    self.release_block(old);
+                }
+                None => blocks.push(b),
+            }
+        }
+        self.partition_mut(p)?.used += grow * bs;
+        self.unsynced.extend(&fresh);
+        Ok((first, fresh))
+    }
+
+    /// Fill the `fresh` blocks of a [redirect](Self::redirect), which
+    /// hold logical blocks `first..` of an object of `size` bytes.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_fresh(
+        &mut self,
+        p: PartitionId,
+        o: ObjectId,
+        first: u64,
+        fresh: &[u64],
+        from: u64,
+        offset: u64,
+        data: &[u8],
+        size: u64,
+    ) -> Result<(), StoreError> {
+        let bs = self.block_size as u64;
+        let end = offset.saturating_add(data.len() as u64);
+        let mut zeros = Vec::new();
+        for (l, &to) in (first..).zip(fresh) {
+            let (start, stop) = (l * bs, (l + 1) * bs);
+            let (ds, de) = (offset.max(start), end.min(stop));
+            let (at, chunk) = if ds < de {
+                let chunk = data
+                    .get((ds - offset) as usize..(de - offset) as usize)
+                    .ok_or(StoreError::Internal("write source shorter than extent"))?;
+                ((ds - start) as usize, chunk)
+            } else {
+                (0, <&[u8]>::default())
+            };
+            let old = match usize::try_from(l) {
+                Ok(l) => object_in(&mut self.partitions, p, o)?
+                    .blocks
+                    .get(l)
+                    .copied(),
+                Err(_) => None,
+            };
+            let shared = old.is_some_and(|b| self.refcounts.get(&b).copied().unwrap_or(1) > 1);
+            // Old bytes below the size, outside the rewritten range.
+            let carried = start < from.min(size) || end < stop.min(size);
+            match old {
+                // A snapshot keeps the old block: copy it, as `cow_block`
+                // does.
+                Some(old) if carried && shared => {
+                    let bytes = self.cache.read_shared(old)?;
+                    self.cache.write(to, &bytes)?;
+                }
+                Some(old) if carried => {
+                    self.cache.read(old)?;
+                    self.cache.rename(old, to)?;
+                }
+                // Unshared and not carried: a resident old block's cache
+                // entry becomes the fresh block's buffer.
+                Some(old) if !shared => self.cache.rename(old, to)?,
+                _ => {}
+            }
+            let (zs, ze) = (from.max(start), offset.min(stop));
+            if carried && zs < ze {
+                zeros.resize(self.block_size, 0);
+                let gap = zeros.get(..(ze - zs) as usize).unwrap_or_default();
+                self.cache.write_partial(to, (zs - start) as usize, gap)?;
+            } else if !carried && chunk.len() < self.block_size {
+                // Zeros around the data, the gap's included.
+                zeros.resize(self.block_size, 0);
+                self.cache.write(to, &zeros)?;
+            }
+            if chunk.len() == self.block_size {
+                self.cache.write(to, chunk)?;
+            } else if !chunk.is_empty() {
+                self.cache.write_partial(to, at, chunk)?;
+            }
+        }
+        Ok(())
     }
 
     /// Re-home logical block `l` of the object if its device block is
@@ -870,16 +1073,7 @@ impl<D: BlockDevice> ObjectStore<D> {
         // unavoidable copy-on-write ingest happens inside `cache.write`.
         let old = self.cache.read_shared(dev_block)?;
         self.cache.write(new_block, &old)?;
-        // Drop one reference from the old block.
-        match self.refcounts.get_mut(&dev_block) {
-            Some(rc) => {
-                *rc -= 1;
-                if *rc == 1 {
-                    self.refcounts.remove(&dev_block);
-                }
-            }
-            None => return Err(StoreError::Internal("shared block missing its refcount")),
-        }
+        self.release_block(dev_block);
         let meta = self.object_mut(p, o)?;
         *meta
             .blocks
@@ -906,7 +1100,10 @@ impl<D: BlockDevice> ObjectStore<D> {
             let meta = self.object_mut(p, o)?;
             (meta.attrs.size, meta.blocks.len() as u64 * bs)
         };
-        if new_size > old_size {
+        let (mut first, mut fresh) = (0, Vec::new());
+        if new_size > old_size && self.wal.enabled {
+            (first, fresh) = self.redirect(p, o, old_size, new_size, &[])?;
+        } else if new_size > old_size {
             self.ensure_capacity(p, o, new_size, 0..0)?;
             // Bytes the extension exposes inside pre-existing capacity
             // (a shrunk-then-regrown tail) must read back as zeros.
@@ -941,6 +1138,8 @@ impl<D: BlockDevice> ObjectStore<D> {
             p,
             o,
             new_size,
+            first,
+            blocks: BlockRuns::new(&fresh),
             now,
         })?;
         Ok(())
@@ -961,29 +1160,13 @@ impl<D: BlockDevice> ObjectStore<D> {
         o: ObjectId,
         now: u64,
     ) -> Result<ObjectId, StoreError> {
-        self.snapshot_as(None, p, o, now)
-    }
-
-    /// The one snapshot body; `logged` as in [`Self::create_as`].
-    fn snapshot_as(
-        &mut self,
-        logged: Option<ObjectId>,
-        p: PartitionId,
-        o: ObjectId,
-        now: u64,
-    ) -> Result<ObjectId, StoreError> {
         let bs = self.block_size as u64;
         let part = self.partition_mut(p)?;
-        if let Some(id) = logged.filter(|id| part.objects.contains_key(id)) {
-            return Ok(part.claim(Some(id)));
-        }
         let src = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
         let (mut attrs, blocks) = (src.attrs.clone(), src.blocks.clone());
         part.used = part.used_after(blocks.len() as u64, bs)?;
-        let id = part.claim(logged);
-        attrs.create_time = now;
-        attrs.attr_modify_time = now;
-        attrs.version = Version(0);
+        let id = part.claim(None);
+        snapshot_attrs(&mut attrs, now);
         for &b in &blocks {
             *self.refcounts.entry(b).or_insert(1) += 1;
         }
@@ -1019,21 +1202,35 @@ impl<D: BlockDevice> ObjectStore<D> {
 
     // ----- write-ahead log replay -------------------------------------
 
-    /// Re-apply one logged operation during recovery. Replay is
-    /// idempotent: operations whose effect is already present (object
-    /// exists, partition gone, ...) are skipped, and absolute operations
-    /// (write, setattr, resize) converge on re-application — so a log
-    /// prefix replayed any number of times lands on the same state.
+    /// Re-apply one logged operation during recovery, on top of the
+    /// checkpoint of its epoch. Replay only sets metadata — names,
+    /// attributes and block maps as the record gives them. It allocates
+    /// nothing: the allocator, the snapshot reference counts and each
+    /// partition's usage are rebuilt from the final block maps once the
+    /// log is replayed. And it
+    /// reads no data block: every block a record names reached the media
+    /// before the record did. A record whose partition or object is gone
+    /// is skipped.
     ///
     /// # Errors
     ///
-    /// Device and internal errors propagate; state-mismatch errors are
-    /// the skips described above, not failures.
-    pub(crate) fn apply_wal(&mut self, rec: WalRecord<'_>) -> Result<(), StoreError> {
+    /// [`StoreError::Corrupt`] for a record no live run could have
+    /// written (more blocks than the device holds, a splice past the end
+    /// of a block map).
+    pub(crate) fn apply_wal<'r>(&mut self, rec: WalRecord<'r>) -> Result<(), StoreError> {
+        let bs = self.block_size as u64;
+        let device_blocks = self.layout.total_blocks;
+        let listed = |blocks: BlockRuns<'r>| {
+            if blocks.len() > device_blocks {
+                return Err(StoreError::Corrupt(
+                    "log record names more blocks than the device holds",
+                ));
+            }
+            Ok(blocks.iter())
+        };
         let benign = |r: Result<(), StoreError>| match r {
             Err(
                 StoreError::NoSuchPartition(_)
-                | StoreError::NoSuchObject(_)
                 | StoreError::PartitionExists(_)
                 | StoreError::PartitionNotEmpty(_)
                 | StoreError::QuotaBelowUsage { .. },
@@ -1041,21 +1238,39 @@ impl<D: BlockDevice> ObjectStore<D> {
             other => other,
         };
         match rec {
-            WalRecord::CreatePartition { p, quota } => benign(self.create_partition(p, quota)),
-            WalRecord::ResizePartition { p, quota } => benign(self.resize_partition(p, quota)),
-            WalRecord::RemovePartition { p } => benign(self.remove_partition(p)),
-            WalRecord::SetKey { p, kind, key } => benign(self.set_working_key(p, kind, key)),
+            WalRecord::CreatePartition { p, quota } => {
+                return benign(self.create_partition(p, quota));
+            }
+            WalRecord::ResizePartition { p, quota } => {
+                return benign(self.resize_partition(p, quota));
+            }
+            WalRecord::RemovePartition { p } => return benign(self.remove_partition(p)),
+            WalRecord::SetKey { p, kind, key } => {
+                return benign(self.set_working_key(p, kind, key));
+            }
             WalRecord::Create {
                 p,
                 id,
                 preallocate,
                 cluster_with,
                 now,
-            } => benign(
-                self.create_as(Some(id), p, preallocate, cluster_with, now)
-                    .map(|_| ()),
-            ),
-            WalRecord::Remove { p, o } => benign(self.remove_object(p, o)),
+                blocks,
+            } => {
+                let blocks = listed(blocks)?.collect();
+                let Some(part) = self.partitions.get_mut(&p) else {
+                    return Ok(());
+                };
+                part.claim(Some(id));
+                let mut attrs = ObjectAttributes::new_at(now);
+                attrs.preallocated = preallocate;
+                attrs.cluster_with = cluster_with;
+                part.objects.insert(id, ObjectMeta { attrs, blocks });
+            }
+            WalRecord::Remove { p, o } => {
+                if let Some(part) = self.partitions.get_mut(&p) {
+                    part.objects.remove(&o);
+                }
+            }
             WalRecord::SetAttr {
                 p,
                 o,
@@ -1064,29 +1279,119 @@ impl<D: BlockDevice> ObjectStore<D> {
                 preallocated,
                 cluster_with,
                 now,
-            } => benign(self.set_attr(p, o, mask, fs_specific, preallocated, cluster_with, now)),
+                blocks,
+            } => {
+                let blocks = listed(blocks)?;
+                let Some(part) = self.partitions.get_mut(&p) else {
+                    return Ok(());
+                };
+                if let Some(meta) = part.objects.get_mut(&o) {
+                    set_attrs(
+                        &mut meta.attrs,
+                        mask,
+                        fs_specific,
+                        preallocated,
+                        cluster_with,
+                        now,
+                    );
+                    meta.blocks.extend(blocks);
+                }
+            }
             WalRecord::Write {
                 p,
                 o,
-                offset,
-                data,
+                size,
+                first,
+                blocks,
                 now,
-            } => benign(self.write(p, o, offset, data, now).map(|_| ())),
-            WalRecord::Resize {
+            }
+            | WalRecord::Resize {
                 p,
                 o,
-                new_size,
+                new_size: size,
+                first,
+                blocks,
                 now,
-            } => benign(self.resize(p, o, new_size, now)),
+            } => {
+                let blocks = listed(blocks)?;
+                let Some(part) = self.partitions.get_mut(&p) else {
+                    return Ok(());
+                };
+                let Some(meta) = part.objects.get_mut(&o) else {
+                    return Ok(());
+                };
+                let had = meta.blocks.len();
+                let first = usize::try_from(first).ok().filter(|&l| l <= had).ok_or(
+                    StoreError::Corrupt("log record splices past the end of a block map"),
+                )?;
+                for (l, b) in (first..).zip(blocks) {
+                    match meta.blocks.get_mut(l) {
+                        Some(slot) => *slot = b,
+                        None => meta.blocks.push(b),
+                    }
+                }
+                if size < meta.attrs.size {
+                    // A shrink keeps the blocks under the size and the
+                    // preallocation, as `resize` does.
+                    let keep = size.max(meta.attrs.preallocated).div_ceil(bs);
+                    meta.blocks
+                        .truncate(usize::try_from(keep).unwrap_or(usize::MAX));
+                }
+                meta.attrs.size = size;
+                meta.attrs.data_modify_time = now;
+            }
             WalRecord::Snapshot { p, o, id, now } => {
-                benign(self.snapshot_as(Some(id), p, o, now).map(|_| ()))
+                let Some(part) = self.partitions.get_mut(&p) else {
+                    return Ok(());
+                };
+                let Some(src) = part.objects.get(&o) else {
+                    return Ok(());
+                };
+                let (mut attrs, blocks) = (src.attrs.clone(), src.blocks.clone());
+                snapshot_attrs(&mut attrs, now);
+                part.claim(Some(id));
+                part.objects.insert(id, ObjectMeta { attrs, blocks });
             }
         }
+        Ok(())
     }
 
     fn object_mut(&mut self, p: PartitionId, o: ObjectId) -> Result<&mut ObjectMeta, StoreError> {
         object_in(&mut self.partitions, p, o)
     }
+}
+
+/// Apply a `SetAttr`'s selected fields, as the live request and its
+/// replay both do.
+fn set_attrs(
+    attrs: &mut ObjectAttributes,
+    mask: SetAttrMask,
+    fs_specific: &[u8; nasd_proto::FS_SPECIFIC_ATTR_LEN],
+    preallocated: u64,
+    cluster_with: Option<ObjectId>,
+    now: u64,
+) {
+    if mask.fs_specific {
+        // nasd-lint: allow(hot-path-copy, "fixed-size fs-specific attribute block, not payload")
+        attrs.fs_specific.copy_from_slice(fs_specific);
+    }
+    if mask.preallocated {
+        attrs.preallocated = preallocated;
+    }
+    if mask.cluster_with {
+        attrs.cluster_with = cluster_with;
+    }
+    if mask.bump_version {
+        attrs.version = attrs.version.bumped();
+    }
+    attrs.attr_modify_time = now;
+}
+
+/// A snapshot's attributes: its source's, as a new version made `now`.
+fn snapshot_attrs(attrs: &mut ObjectAttributes, now: u64) {
+    attrs.create_time = now;
+    attrs.attr_modify_time = now;
+    attrs.version = Version(0);
 }
 
 /// Object `o`'s metadata, borrowed from the partition table alone so the
@@ -1414,6 +1719,169 @@ mod tests {
         let warm = s.cache().stats();
         assert_eq!(warm.misses, cold.misses);
         assert_eq!(warm.hits - cold.hits, 1);
+    }
+
+    /// A [`MemDisk`] whose writes to blocks below `fail_below` fail.
+    struct Failing {
+        disk: MemDisk,
+        fail_below: u64,
+    }
+
+    impl BlockDevice for Failing {
+        fn block_size(&self) -> usize {
+            self.disk.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.disk.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+            self.disk.read_block(block, buf)
+        }
+        fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
+            if block < self.fail_below {
+                return Err(DiskError::PowerFailure);
+            }
+            self.disk.write_block(block, data)
+        }
+    }
+
+    /// A formatted durable store over `blocks` blocks.
+    fn durable(blocks: u64) -> ObjectStore<Failing> {
+        let disk = Failing {
+            disk: MemDisk::new(BS, blocks),
+            fail_below: 0,
+        };
+        let mut s = ObjectStore::new(disk, 64);
+        s.enable_wal(true);
+        s.create_partition(P, 64 << 20).unwrap();
+        s.wal_commit().unwrap();
+        s
+    }
+
+    fn blocks_of<D: BlockDevice>(s: &ObjectStore<D>, o: ObjectId) -> Vec<u64> {
+        s.partitions[&P].objects[&o].blocks.clone()
+    }
+
+    fn on_media(s: &ObjectStore<Failing>, block: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; BS];
+        s.cache().device().disk.read_block(block, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn a_durable_write_lands_in_fresh_blocks_before_its_record() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; 3 * BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let old = blocks_of(&s, o);
+        // Unaligned: a partial head block, a whole one, a partial tail.
+        s.write(P, o, 100, &vec![2u8; 2 * BS], 2).unwrap();
+        let new = blocks_of(&s, o);
+        assert!(new.iter().all(|b| !old.contains(b)), "{old:?} -> {new:?}");
+        assert_eq!(on_media(&s, old[0]), vec![1u8; BS], "old block untouched");
+        s.wal_commit().unwrap();
+        let mut want = vec![1u8; 3 * BS];
+        want[100..100 + 2 * BS].fill(2);
+        for (i, &b) in new.iter().enumerate() {
+            assert_eq!(on_media(&s, b), want[i * BS..(i + 1) * BS], "block {i}");
+        }
+        assert_eq!(s.read(P, o, 0, 3 * BS as u64, 3).unwrap(), &want[..]);
+        assert_eq!(s.free_blocks(), 4096 - s.layout.data_start - 3);
+    }
+
+    #[test]
+    fn a_displaced_block_is_reused_only_after_its_record_commits() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; 2 * BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let free0 = s.free_blocks();
+        let old = blocks_of(&s, o)[0];
+        s.write(P, o, 0, &vec![2u8; BS], 2).unwrap();
+        assert_ne!(blocks_of(&s, o)[0], old, "redirected");
+        assert_eq!(
+            s.free_blocks(),
+            free0 - 1,
+            "held until the record is durable"
+        );
+        // The data block lands; the log write fails.
+        s.cache.device_mut().fail_below = s.layout.data_start;
+        assert!(s.wal_commit().is_err());
+        assert_eq!(s.free_blocks(), free0 - 1, "a failed commit frees nothing");
+        assert_eq!(on_media(&s, old), vec![1u8; BS]);
+        s.cache.device_mut().fail_below = 0;
+        s.wal_commit().unwrap();
+        assert_eq!(s.free_blocks(), free0, "the commit returned it");
+        assert!(s.freed.is_empty());
+    }
+
+    #[test]
+    fn a_durable_overwrite_without_fresh_blocks_is_refused_whole() {
+        // A filler preallocates all but 40 data blocks; an object of 30
+        // leaves 10 free, too few to redirect a 16-block overwrite.
+        let mut s = durable(4096);
+        let data_blocks = s.free_blocks();
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        let filler = s
+            .create_object(P, (data_blocks - 40) * BS as u64, None, 0)
+            .unwrap();
+        s.write(P, o, 0, &vec![1u8; 30 * BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let (blocks, free, used) = (
+            blocks_of(&s, o),
+            s.free_blocks(),
+            s.partition_stats(P).unwrap().used,
+        );
+        let (logged, attrs) = (s.wal_durable_bytes(), s.peek_attr(P, o).unwrap().clone());
+        assert_eq!(
+            s.write(P, o, 5, &vec![2u8; 16 * BS - 10], 2),
+            Err(StoreError::NoSpace)
+        );
+        assert_eq!(s.peek_attr(P, o).unwrap(), &attrs);
+        assert_eq!(blocks_of(&s, o), blocks);
+        assert_eq!(s.free_blocks(), free);
+        assert_eq!(s.partition_stats(P).unwrap().used, used);
+        assert!(!s.wal.has_pending() && s.unsynced.is_empty() && s.freed.is_empty());
+        s.wal_commit().unwrap();
+        assert_eq!(s.wal_durable_bytes(), logged, "nothing was logged");
+        assert_eq!(
+            s.read(P, o, 0, 30 * BS as u64, 3).unwrap(),
+            &[1u8; 30 * BS][..]
+        );
+        // A smaller overwrite still fits.
+        s.write(P, o, 5, &vec![2u8; 8 * BS], 4).unwrap();
+        s.remove_object(P, filler).unwrap();
+    }
+
+    #[test]
+    fn a_durable_overwrite_leaves_the_snapshot_its_block() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        s.write(P, o, 0, &vec![7u8; 2 * BS], 0).unwrap();
+        let snap = s.snapshot(P, o, 1).unwrap();
+        s.wal_commit().unwrap();
+        let shared = blocks_of(&s, o);
+        assert_eq!(blocks_of(&s, snap), shared);
+        s.write(P, o, 10, &[9u8; 20], 2).unwrap();
+        s.wal_commit().unwrap();
+        assert_eq!(
+            blocks_of(&s, snap),
+            shared,
+            "the snapshot keeps both blocks"
+        );
+        assert_ne!(blocks_of(&s, o)[0], shared[0]);
+        assert!(!s.refcounts.contains_key(&shared[0]), "one reference left");
+        assert_eq!(s.refcounts.get(&shared[1]), Some(&2));
+        assert!(s
+            .read(P, snap, 0, 2 * BS as u64, 3)
+            .unwrap()
+            .to_vec()
+            .iter()
+            .all(|&b| b == 7));
+        let mut want = [7u8; 40];
+        want[10..30].fill(9);
+        assert_eq!(s.read(P, o, 0, 40, 3).unwrap(), &want[..]);
     }
 
     #[test]

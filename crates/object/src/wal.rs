@@ -1,9 +1,16 @@
 //! The checksummed write-ahead log.
 //!
-//! Every mutating operation appends its *intent* as a [`WalRecord`]
-//! before the drive acknowledges it; on reopen, [`ObjectStore::open`]
-//! replays the log idempotently on top of the last checkpoint, so a
-//! crash at any instant loses nothing that was acked.
+//! Every mutating operation appends its effect on the drive's metadata
+//! as a [`WalRecord`] before the drive acknowledges it; on reopen,
+//! [`ObjectStore::open`] replays the log on top of the last checkpoint,
+//! so a crash at any instant loses nothing that was acked.
+//!
+//! The log carries block maps, never payloads. A durable drive writes
+//! object data redirect-on-write: every block a request writes goes to
+//! a freshly allocated block, which reaches the media *before* the
+//! record naming it (see [`ObjectStore::wal_commit`]). Replay therefore
+//! only sets block maps; it never allocates and never reads a data
+//! block.
 //!
 //! Record frame, appended as a byte stream over the log area:
 //!
@@ -25,12 +32,8 @@
 //! block is rewritten from an in-memory image rather than
 //! read-modified.
 //!
-//! Copy budget: a logged payload is copied once, from the caller's
-//! buffer into the commit buffer as its frame is encoded there, summed
-//! once in place, and written once — whole blocks go to the device
-//! straight out of the commit buffer.
-//!
 //! [`ObjectStore::open`]: crate::store::ObjectStore::open
+//! [`ObjectStore::wal_commit`]: crate::store::ObjectStore::wal_commit
 
 use crate::layout::{checksum64, Layout};
 use crate::store::StoreError;
@@ -43,9 +46,122 @@ use nasd_proto::{ObjectId, PartitionId, SetAttrMask, FS_SPECIFIC_ATTR_LEN};
 /// + crc (8).
 const FRAME_OVERHEAD: usize = 28;
 
+/// The device blocks a record assigns to consecutive logical blocks of
+/// an object, in logical order. On the log they are runs of consecutive
+/// device blocks — `u32` run count, then `u64 start, u64 len` per run —
+/// so a contiguous allocation costs 16 bytes however long it is.
+/// Logging borrows the store's block list; replay reads the runs out of
+/// the log image.
+#[derive(Clone, Copy)]
+pub struct BlockRuns<'a>(Runs<'a>);
+
+#[derive(Clone, Copy)]
+enum Runs<'a> {
+    Blocks(&'a [u64]),
+    /// Exactly [`RUN_BYTES`] per run.
+    Encoded(&'a [u8]),
+}
+
+/// Encoded bytes per run: start (8) + length (8).
+const RUN_BYTES: usize = 16;
+
+impl<'a> BlockRuns<'a> {
+    /// No blocks.
+    pub const NONE: BlockRuns<'static> = BlockRuns(Runs::Blocks(&[]));
+
+    /// The runs of `blocks`.
+    #[must_use]
+    pub fn new(blocks: &'a [u64]) -> Self {
+        BlockRuns(Runs::Blocks(blocks))
+    }
+
+    /// `(start, len)` of each run of consecutive device blocks.
+    fn runs(&self) -> RunIter<'a> {
+        RunIter(self.0)
+    }
+
+    /// Every block, in logical order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + 'a {
+        self.runs()
+            .flat_map(|(start, len)| start..start.saturating_add(len))
+    }
+
+    /// How many blocks the runs cover (saturating: a hostile run length
+    /// reads as more blocks than any device holds).
+    pub(crate) fn len(&self) -> u64 {
+        self.runs().fold(0, |n, (_, len)| n.saturating_add(len))
+    }
+
+    fn encoded_len(&self) -> usize {
+        4usize.saturating_add(self.runs().count().saturating_mul(RUN_BYTES))
+    }
+
+    fn encode(&self, w: &mut WireWriter) {
+        // nasd-lint: allow(cast, "encode direction: a record's runs are far below u32::MAX")
+        w.u32(self.runs().count() as u32);
+        for (start, len) in self.runs() {
+            w.u64(start).u64(len);
+        }
+    }
+
+    fn decode(r: &mut WireReader<'a>) -> Result<Self, DecodeError> {
+        let runs = usize::try_from(r.u32()?).unwrap_or(usize::MAX);
+        let bytes = r.raw(runs.saturating_mul(RUN_BYTES))?;
+        Ok(BlockRuns(Runs::Encoded(bytes)))
+    }
+}
+
+/// Iterator over a [`BlockRuns`]' `(start, len)` runs.
+struct RunIter<'a>(Runs<'a>);
+
+impl Iterator for RunIter<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        match &mut self.0 {
+            Runs::Blocks(blocks) => {
+                let (&start, _) = blocks.split_first()?;
+                let len = blocks
+                    .iter()
+                    .zip(start..)
+                    .take_while(|(&b, want)| b == *want)
+                    .count();
+                *blocks = blocks.get(len..).unwrap_or_default();
+                Some((start, len as u64))
+            }
+            Runs::Encoded(bytes) => {
+                let (run, rest) = bytes.split_first_chunk::<RUN_BYTES>()?;
+                *bytes = rest;
+                let (start, len) = run.split_at(8);
+                let word = |b: &[u8]| b.try_into().map_or(0, u64::from_be_bytes);
+                Some((word(start), word(len)))
+            }
+        }
+    }
+}
+
+impl PartialEq for BlockRuns<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs().eq(other.runs())
+    }
+}
+
+impl Eq for BlockRuns<'_> {}
+
+impl std::fmt::Debug for BlockRuns<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(
+                self.runs()
+                    .map(|(start, len)| start..start.saturating_add(len)),
+            )
+            .finish()
+    }
+}
+
 /// One logged mutation. Carries everything needed to re-apply the
-/// operation absolutely (assigned ids included), so replaying a record
-/// twice is a no-op.
+/// operation absolutely (assigned ids and block numbers included), so
+/// replay decides nothing the live run did not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalRecord<'a> {
     /// `create_partition`.
@@ -79,6 +195,8 @@ pub enum WalRecord<'a> {
         cluster_with: Option<ObjectId>,
         /// Operation timestamp.
         now: u64,
+        /// The blocks preallocated for the object.
+        blocks: BlockRuns<'a>,
     },
     /// `remove_object`.
     Remove {
@@ -103,23 +221,29 @@ pub enum WalRecord<'a> {
         cluster_with: Option<ObjectId>,
         /// Operation timestamp.
         now: u64,
+        /// Blocks a grown preallocation appended to the object.
+        blocks: BlockRuns<'a>,
     },
-    /// `write` — the record borrows the payload: logging encodes it
-    /// straight into the commit buffer, replay reads it out of the log
-    /// image.
+    /// `write`. The payload is not in the record: it is already in
+    /// `blocks`, the freshly allocated blocks that now hold logical
+    /// blocks `first..` of the object.
     Write {
         /// Partition id.
         p: PartitionId,
         /// Object id.
         o: ObjectId,
-        /// Byte offset.
-        offset: u64,
-        /// Payload.
-        data: &'a [u8],
+        /// Object size after the write.
+        size: u64,
+        /// First logical block the write rewrote.
+        first: u64,
+        /// The blocks now holding logical blocks `first..`.
+        blocks: BlockRuns<'a>,
         /// Operation timestamp.
         now: u64,
     },
-    /// `resize`.
+    /// `resize`. Growing rewrites the newly exposed bytes as zeros into
+    /// fresh `blocks`, as a write does; shrinking drops the blocks past
+    /// the new size and the preallocation, and names none.
     Resize {
         /// Partition id.
         p: PartitionId,
@@ -127,6 +251,10 @@ pub enum WalRecord<'a> {
         o: ObjectId,
         /// New object size in bytes.
         new_size: u64,
+        /// First logical block the resize rewrote.
+        first: u64,
+        /// The blocks now holding logical blocks `first..`.
+        blocks: BlockRuns<'a>,
         /// Operation timestamp.
         now: u64,
     },
@@ -215,13 +343,22 @@ impl<'a> WalRecord<'a> {
             WalRecord::CreatePartition { .. }
             | WalRecord::ResizePartition { .. }
             | WalRecord::Remove { .. } => 8,
-            WalRecord::Resize { .. } | WalRecord::Snapshot { .. } => 24,
+            WalRecord::Snapshot { .. } => 24,
             WalRecord::SetKey { .. } => 33,
-            WalRecord::Create { cluster_with, .. } => 24 + opt_id_len(cluster_with),
-            WalRecord::SetAttr { cluster_with, .. } => {
-                25 + FS_SPECIFIC_ATTR_LEN + opt_id_len(cluster_with)
+            WalRecord::Create {
+                cluster_with,
+                blocks,
+                ..
+            } => (24usize + opt_id_len(cluster_with)).saturating_add(blocks.encoded_len()),
+            WalRecord::SetAttr {
+                cluster_with,
+                blocks,
+                ..
+            } => (25 + FS_SPECIFIC_ATTR_LEN + opt_id_len(cluster_with))
+                .saturating_add(blocks.encoded_len()),
+            WalRecord::Write { blocks, .. } | WalRecord::Resize { blocks, .. } => {
+                32usize.saturating_add(blocks.encoded_len())
             }
-            WalRecord::Write { data, .. } => 28usize.saturating_add(data.len()),
         }
     }
 
@@ -243,10 +380,12 @@ impl<'a> WalRecord<'a> {
                 preallocate,
                 cluster_with,
                 now,
+                blocks,
             } => {
                 w.u8(TAG_CREATE).u16(p.0).u64(id.0).u64(*preallocate);
                 encode_opt_id(w, *cluster_with);
                 w.u64(*now);
+                blocks.encode(w);
             }
             WalRecord::Remove { p, o } => {
                 w.u8(TAG_REMOVE).u16(p.0).u64(o.0);
@@ -259,6 +398,7 @@ impl<'a> WalRecord<'a> {
                 preallocated,
                 cluster_with,
                 now,
+                blocks,
             } => {
                 w.u8(TAG_SET_ATTR).u16(p.0).u64(o.0);
                 mask.encode(w);
@@ -266,25 +406,32 @@ impl<'a> WalRecord<'a> {
                 w.u64(*preallocated);
                 encode_opt_id(w, *cluster_with);
                 w.u64(*now);
+                blocks.encode(w);
             }
             WalRecord::Write {
                 p,
                 o,
-                offset,
-                data,
+                size,
+                first,
+                blocks,
                 now,
-            } => {
-                w.u8(TAG_WRITE).u16(p.0).u64(o.0).u64(*offset);
-                w.bytes(data);
-                w.u64(*now);
             }
-            WalRecord::Resize {
+            | WalRecord::Resize {
                 p,
                 o,
-                new_size,
+                new_size: size,
+                first,
+                blocks,
                 now,
             } => {
-                w.u8(TAG_RESIZE).u16(p.0).u64(o.0).u64(*new_size).u64(*now);
+                let tag = if matches!(self, WalRecord::Write { .. }) {
+                    TAG_WRITE
+                } else {
+                    TAG_RESIZE
+                };
+                w.u8(tag).u16(p.0).u64(o.0).u64(*size).u64(*first);
+                blocks.encode(w);
+                w.u64(*now);
             }
             WalRecord::Snapshot { p, o, id, now } => {
                 w.u8(TAG_SNAPSHOT).u16(p.0).u64(o.0).u64(id.0).u64(*now);
@@ -322,6 +469,7 @@ impl<'a> WalRecord<'a> {
                 preallocate: r.u64()?,
                 cluster_with: decode_opt_id(&mut r)?,
                 now: r.u64()?,
+                blocks: BlockRuns::decode(&mut r)?,
             },
             TAG_REMOVE => WalRecord::Remove {
                 p: PartitionId(r.u16()?),
@@ -344,19 +492,23 @@ impl<'a> WalRecord<'a> {
                     preallocated: r.u64()?,
                     cluster_with: decode_opt_id(&mut r)?,
                     now: r.u64()?,
+                    blocks: BlockRuns::decode(&mut r)?,
                 }
             }
             TAG_WRITE => WalRecord::Write {
                 p: PartitionId(r.u16()?),
                 o: ObjectId(r.u64()?),
-                offset: r.u64()?,
-                data: r.bytes()?,
+                size: r.u64()?,
+                first: r.u64()?,
+                blocks: BlockRuns::decode(&mut r)?,
                 now: r.u64()?,
             },
             TAG_RESIZE => WalRecord::Resize {
                 p: PartitionId(r.u16()?),
                 o: ObjectId(r.u64()?),
                 new_size: r.u64()?,
+                first: r.u64()?,
+                blocks: BlockRuns::decode(&mut r)?,
                 now: r.u64()?,
             },
             TAG_SNAPSHOT => WalRecord::Snapshot {
@@ -484,30 +636,65 @@ impl Wal {
     ///
     /// The blocks covering `[durable_bytes - tail.len(), ...)` are
     /// written in order: the partial tail block completed from the head
-    /// of `pending`, whole blocks straight out of `pending`, and a new
-    /// partial tail block — only the two partial ones are staged.
+    /// of `pending`, then whole blocks straight out of `pending`, the
+    /// last one zero-padded in place. A failed commit leaves the log as
+    /// it was, so the next commit rewrites the same blocks.
     pub(crate) fn commit<D: BlockDevice>(&mut self, device: &mut D) -> Result<(), StoreError> {
         if self.pending.is_empty() {
             return Ok(());
         }
+        let (kept, queued) = (self.tail.len(), self.pending.len());
+        let written = self.write_pending(device);
+        self.pending.truncate(queued);
+        if let Err(e) = written {
+            self.tail.truncate(kept);
+            return Err(e);
+        }
+        // The new tail: the stream's bytes in its last, partial block —
+        // the old tail and all of `pending` while that block is still
+        // the old one, else the end of `pending`.
+        let partial = (kept + queued) % self.block_size;
+        if partial > queued {
+            self.tail.truncate(partial);
+        } else {
+            let last = self.pending.get(queued - partial..).unwrap_or_default();
+            self.tail.clear();
+            // nasd-lint: allow(hot-path-copy, "log serializer: keeping the partial tail block's image for the next commit")
+            self.tail.extend_from_slice(last);
+        }
+        self.durable_bytes += queued as u64;
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// The device writes of [`Self::commit`]. Leaves `tail[..kept]` and
+    /// `pending[..queued]` as they were, padding included past them.
+    fn write_pending<D: BlockDevice>(&mut self, device: &mut D) -> Result<(), StoreError> {
         let bs = self.block_size;
         let mut block = self.log_start + self.durable_bytes / bs as u64;
-        let mut rest = self.pending.as_slice();
+        let mut from = 0;
         if !self.tail.is_empty() {
-            let (fill, after) = rest.split_at(rest.len().min(bs - self.tail.len()));
-            rest = after;
-            block += stage_block(device, block, &mut self.tail, fill, bs)?;
+            from = self.pending.len().min(bs - self.tail.len());
+            let fill = self.pending.get(..from).unwrap_or_default();
+            // nasd-lint: allow(hot-path-copy, "log serializer: completing the partial tail block's sector image")
+            self.tail.extend_from_slice(fill);
+            self.tail.resize(bs, 0);
+            device.write_block(block, &self.tail)?;
+            block += 1;
         }
-        let (whole, partial) = rest.split_at(rest.len() - rest.len() % bs);
-        for chunk in whole.chunks_exact(bs) {
+        let partial = (self.pending.len() - from) % bs;
+        if partial > 0 {
+            self.pending.resize(self.pending.len() + bs - partial, 0);
+        }
+        for chunk in self
+            .pending
+            .get(from..)
+            .unwrap_or_default()
+            .chunks_exact(bs)
+        {
             device.write_block(block, chunk)?;
             block += 1;
         }
-        if !partial.is_empty() {
-            stage_block(device, block, &mut self.tail, partial, bs)?;
-        }
-        self.durable_bytes += self.pending.len() as u64;
-        self.pending.clear();
         Ok(())
     }
 
@@ -533,7 +720,7 @@ impl Wal {
     ///
     /// Returns the recovered `Wal` (positioned after the last valid
     /// record, disabled) and the records to re-apply, in order; they
-    /// borrow their payloads from `image`.
+    /// borrow their block runs from `image`.
     pub(crate) fn recover<'a>(
         image: &'a [u8],
         layout: &Layout,
@@ -598,26 +785,6 @@ impl Wal {
     }
 }
 
-/// Append `bytes` to the partial-block image `tail`, write it to `block`
-/// zero-padded to `bs`, and leave `tail` holding what a later commit
-/// must rewrite: nothing once the block is full. Returns how many
-/// blocks were completed (0 or 1).
-fn stage_block<D: BlockDevice>(
-    device: &mut D,
-    block: u64,
-    tail: &mut Vec<u8>,
-    bytes: &[u8],
-    bs: usize,
-) -> Result<u64, StoreError> {
-    // nasd-lint: allow(hot-path-copy, "log serializer: staging a partial block into its zero-padded sector image")
-    tail.extend_from_slice(bytes);
-    let valid = tail.len();
-    tail.resize(bs, 0);
-    device.write_block(block, tail)?;
-    tail.truncate(valid % bs);
-    Ok((valid / bs) as u64)
-}
-
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
@@ -635,15 +802,8 @@ mod tests {
     use super::*;
     use nasd_disk::MemDisk;
 
-    const PAYLOAD: [u8; 300] = {
-        let mut bytes = [0u8; 300];
-        let mut i = 0;
-        while i < bytes.len() {
-            bytes[i] = (i % 251) as u8;
-            i += 1;
-        }
-        bytes
-    };
+    /// Blocks of a fragmented allocation: runs of 3, 1 and 2.
+    const BLOCKS: [u64; 6] = [500, 501, 502, 900, 40, 41];
 
     fn sample_records() -> Vec<WalRecord<'static>> {
         let p = PartitionId(1);
@@ -656,12 +816,14 @@ mod tests {
                 preallocate: 4096,
                 cluster_with: None,
                 now: 10,
+                blocks: BlockRuns::new(&BLOCKS[..1]),
             },
             WalRecord::Write {
                 p,
                 o,
-                offset: 7,
-                data: &PAYLOAD,
+                size: 3 << 20,
+                first: 7,
+                blocks: BlockRuns::new(&BLOCKS),
                 now: 11,
             },
             WalRecord::SetAttr {
@@ -677,11 +839,14 @@ mod tests {
                 preallocated: 0,
                 cluster_with: Some(ObjectId(0x101)),
                 now: 12,
+                blocks: BlockRuns::NONE,
             },
             WalRecord::Resize {
                 p,
                 o,
                 new_size: 99,
+                first: 0,
+                blocks: BlockRuns::NONE,
                 now: 13,
             },
             WalRecord::Snapshot {
@@ -796,6 +961,65 @@ mod tests {
         assert_eq!(all, &recs[..2]);
     }
 
+    /// A [`MemDisk`] whose write number `fail_at` (from 0) fails.
+    struct FailAt {
+        disk: MemDisk,
+        writes: u64,
+        fail_at: u64,
+    }
+
+    impl BlockDevice for FailAt {
+        fn block_size(&self) -> usize {
+            self.disk.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.disk.num_blocks()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), nasd_disk::DiskError> {
+            self.disk.read_block(block, buf)
+        }
+        fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), nasd_disk::DiskError> {
+            self.writes += 1;
+            if self.writes - 1 == self.fail_at {
+                return Err(nasd_disk::DiskError::PowerFailure);
+            }
+            self.disk.write_block(block, data)
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_is_retried_whole() {
+        // A commit that completes the old tail block, writes whole
+        // blocks and stages a new tail fails at each of its writes in
+        // turn; the next commit must land the same stream, byte-exact.
+        let recs = sample_records();
+        for fail_at in 0..4 {
+            let (layout, _, mut wal) = fresh(4);
+            let mut d = FailAt {
+                disk: MemDisk::new(512, 2048),
+                writes: 0,
+                fail_at: u64::MAX,
+            };
+            assert!(wal.append(&recs[0]).unwrap());
+            wal.commit(&mut d).unwrap();
+            let mut appended = vec![recs[0]];
+            while wal.pending.len() < 3 * 512 {
+                for rec in &recs[1..] {
+                    assert!(wal.append(rec).unwrap());
+                    appended.push(*rec);
+                }
+            }
+            d.fail_at = d.writes + fail_at;
+            assert!(wal.commit(&mut d).is_err(), "write {fail_at} fails");
+            wal.commit(&mut d).unwrap();
+            let log = Wal::read_log(&d.disk, &layout).unwrap();
+            let (rewal, replayed) = Wal::recover(&log, &layout, 4);
+            assert_eq!(replayed, appended, "failed at write {fail_at}");
+            assert_eq!(rewal.durable_bytes(), wal.durable_bytes());
+            assert_eq!(rewal.tail, wal.tail);
+        }
+    }
+
     #[test]
     fn torn_tail_is_ignored() {
         let (layout, mut d, mut wal) = fresh(2);
@@ -814,34 +1038,61 @@ mod tests {
         assert_eq!(replayed, &recs[..recs.len() - 1], "valid prefix survives");
     }
 
+    /// A `Write` record naming `runs` one-block runs (every other
+    /// block, so no two are consecutive).
+    fn scattered(runs: u64) -> Vec<u64> {
+        (0..runs).map(|i| 100 + 2 * i).collect()
+    }
+
+    fn write_naming(blocks: &[u64]) -> WalRecord<'_> {
+        WalRecord::Write {
+            p: PartitionId(1),
+            o: ObjectId(0x100),
+            size: 1 << 20,
+            first: 3,
+            blocks: BlockRuns::new(blocks),
+            now: 2,
+        }
+    }
+
     #[test]
-    fn damage_anywhere_in_a_64k_write_frame_stops_replay_before_it() {
-        // 8 KiB blocks: the default 1024-block log holds the frame.
-        let layout = Layout::compute(8_192, 65_536);
-        let mut d = MemDisk::new(8_192, 65_536);
-        let mut wal = Wal::new(&layout);
-        wal.enabled = true;
-        wal.reset(6);
-        let payload: Vec<u8> = (0..65_536u32).map(|i| (i * 31 % 253) as u8).collect();
+    fn damage_anywhere_in_the_largest_frame_stops_replay_before_it() {
+        // An 8-block log of 512 B blocks: 4096 bytes. After one small
+        // record, the largest frame the log can still take is a write
+        // naming as many scattered blocks as fit; one more run would
+        // not. Every byte of that frame is damaged in turn.
+        let layout = Layout::compute(512, 64);
+        let capacity = (layout.log_blocks * 512) as usize;
         let before = WalRecord::Resize {
             p: PartitionId(1),
             o: ObjectId(0x100),
             new_size: 5,
+            first: 0,
+            blocks: BlockRuns::NONE,
             now: 1,
         };
-        let big = WalRecord::Write {
-            p: PartitionId(1),
-            o: ObjectId(0x100),
-            offset: 4096,
-            data: &payload,
-            now: 2,
+        let frame_start = before.body_len() + FRAME_OVERHEAD;
+        let fixed = write_naming(&[]).body_len() + FRAME_OVERHEAD;
+        let runs = ((capacity - frame_start - fixed) / RUN_BYTES) as u64;
+        let log_with = |runs: u64| {
+            let mut wal = Wal::new(&layout);
+            wal.enabled = true;
+            wal.reset(6);
+            assert!(wal.append(&before).unwrap());
+            let blocks = scattered(runs);
+            let fitted = wal.append(&write_naming(&blocks)).unwrap();
+            (wal, fitted)
         };
-        assert!(wal.append(&before).unwrap());
-        let frame_start = wal.pending.len();
-        assert!(wal.append(&big).unwrap());
+        assert!(!log_with(runs + 1).1, "one more run would not fit");
+        let (mut wal, fitted) = log_with(runs);
+        assert!(fitted, "the largest frame fits");
+        let mut d = MemDisk::new(512, 64);
         wal.commit(&mut d).unwrap();
         let frame_end = wal.durable_bytes() as usize;
+        assert!(capacity - frame_end < RUN_BYTES, "the frame fills the log");
         let log = Wal::read_log(&d, &layout).unwrap();
+        let blocks = scattered(runs);
+        let big = write_naming(&blocks);
         let (_, intact) = Wal::recover(&log, &layout, 6);
         assert_eq!(intact, [before, big]);
 
@@ -851,11 +1102,7 @@ mod tests {
             assert_eq!(rewal.durable_bytes(), frame_start as u64, "{what} at {at}");
             assert_eq!(rewal.tail, &log[..frame_start], "{what} at {at}");
         };
-        // Every byte of the head and trailer, then a stride through the body.
-        let positions = (frame_start..frame_start + 40)
-            .chain((frame_start + 40..frame_end - 40).step_by(509))
-            .chain(frame_end - 40..frame_end);
-        for at in positions {
+        for at in frame_start..frame_end {
             let mut flipped = log.clone();
             flipped[at] ^= 1 << (at % 8);
             stops_before_the_frame(&flipped, "bit flip", at);
@@ -865,6 +1112,28 @@ mod tests {
             stops_before_the_frame(&torn, "zeroed tail", at);
             // ...or the area itself ends there.
             stops_before_the_frame(&log[..at], "short area", at);
+        }
+    }
+
+    #[test]
+    fn a_write_record_names_blocks_and_carries_no_payload() {
+        // A 64 KiB write on 8 KiB blocks, even scattered over eight
+        // runs, logs a frame of its block map alone.
+        let blocks = scattered(8);
+        let rec = write_naming(&blocks);
+        let mut w = WireWriter::new();
+        rec.encode(&mut w);
+        assert_eq!(w.len(), rec.body_len());
+        assert_eq!(rec.body_len(), 35 + 4 + 8 * RUN_BYTES);
+        let contiguous: Vec<u64> = (500..508).collect();
+        let one_run = write_naming(&contiguous);
+        assert_eq!(one_run.body_len(), 35 + 4 + RUN_BYTES);
+        match WalRecord::decode(&w.into_vec()).unwrap() {
+            WalRecord::Write { blocks: got, .. } => {
+                assert_eq!(got.iter().collect::<Vec<_>>(), blocks);
+                assert_eq!(got.len(), 8);
+            }
+            other => panic!("decoded {other:?}"),
         }
     }
 
@@ -903,19 +1172,15 @@ mod tests {
         let mut wal = Wal::new(&layout);
         wal.enabled = true;
         wal.reset(0);
-        let rec = WalRecord::Write {
-            p: PartitionId(1),
-            o: ObjectId(0x100),
-            offset: 0,
-            data: &[0u8; 1024],
-            now: 0,
-        };
+        let blocks = scattered(60);
+        let rec = write_naming(&blocks);
         let mut appended = 0;
         while wal.append(&rec).unwrap() {
             appended += 1;
             assert!(appended < 100, "append never refused");
         }
-        assert_eq!(appended, 3, "4096 bytes hold three 1083-byte frames");
+        assert_eq!(rec.body_len() + FRAME_OVERHEAD, 1_027);
+        assert_eq!(appended, 3, "4096 bytes hold three 1027-byte frames");
         // A refusal leaves no trace of the refused frame.
         assert_eq!(wal.pending.len(), 3 * (rec.body_len() + FRAME_OVERHEAD));
         assert_eq!(wal.next_lsn, 3);

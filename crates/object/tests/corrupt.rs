@@ -237,38 +237,62 @@ fn device_image(media: &SharedDisk) -> Vec<u8> {
     image
 }
 
+/// Stamp `version` into both superblock copies of `media`, summed with
+/// `sum`, then check the device is refused as `Corrupt` by the store and
+/// by a durable drive — never `NotFormatted` (which invites a reformat)
+/// — and that not one byte of it is rewritten.
+fn refused_untouched(mut media: SharedDisk, version: u32, sum: fn(&[u8]) -> u64) {
+    let mut sb = vec![0u8; BS];
+    media.read_block(0, &mut sb).unwrap();
+    assert_eq!(sb[8..12], nasd_object::layout::LAYOUT_VERSION.to_be_bytes());
+    sb[8..12].copy_from_slice(&version.to_be_bytes());
+    let crc = sum(&sb[..SB_BYTES - 8]);
+    sb[SB_BYTES - 8..SB_BYTES].copy_from_slice(&crc.to_be_bytes());
+    media.write_block(0, &sb).unwrap();
+    media.write_block(1, &sb).unwrap();
+    let before = device_image(&media);
+
+    assert!(matches!(
+        ObjectStore::open(media.clone(), 32),
+        Err(StoreError::Corrupt(_))
+    ));
+    let drive = nasd_object::NasdDrive::builder(1)
+        .config(nasd_object::DriveConfig::small().durable())
+        .open(media.clone());
+    assert!(matches!(drive, Err(StoreError::Corrupt(_))));
+    assert!(
+        device_image(&media) == before,
+        "a refused device was written"
+    );
+}
+
 /// A device formatted under layout version 3 — every checksum on it is
-/// the old function's — is refused as `Corrupt` by the store and by the
-/// drive: never `NotFormatted` (which invites a reformat), and not one
-/// byte of it is rewritten. So is a superblock that claims version 3
-/// under the current checksum: the version alone refuses it.
+/// the old function's — is refused and left untouched. So is a
+/// superblock that claims version 3 under the current checksum: the
+/// version alone refuses it.
 #[test]
 fn layout_version_3_device_is_refused_and_left_untouched() {
     for sum in [v3_checksum64, checksum64] {
-        let mut media = formatted_media();
-        let mut sb = vec![0u8; BS];
-        media.read_block(0, &mut sb).unwrap();
-        assert_eq!(sb[8..12], nasd_object::layout::LAYOUT_VERSION.to_be_bytes());
-        sb[8..12].copy_from_slice(&3u32.to_be_bytes());
-        let crc = sum(&sb[..SB_BYTES - 8]);
-        sb[SB_BYTES - 8..SB_BYTES].copy_from_slice(&crc.to_be_bytes());
-        media.write_block(0, &sb).unwrap();
-        media.write_block(1, &sb).unwrap();
-        let before = device_image(&media);
-
-        assert!(matches!(
-            ObjectStore::open(media.clone(), 32),
-            Err(StoreError::Corrupt(_))
-        ));
-        let drive = nasd_object::NasdDrive::builder(1)
-            .config(nasd_object::DriveConfig::small().durable())
-            .open(media.clone());
-        assert!(matches!(drive, Err(StoreError::Corrupt(_))));
-        assert!(
-            device_image(&media) == before,
-            "a refused device was written"
-        );
+        refused_untouched(formatted_media(), 3, sum);
     }
+}
+
+/// A layout-v4 device carries the current checksum but logs payloads,
+/// which replay could only apply by writing data blocks: it is refused
+/// and left untouched, its log included.
+#[test]
+fn layout_version_4_device_is_refused_and_left_untouched() {
+    let media = SharedDisk::new(MemDisk::new(BS, BLOCKS));
+    let mut store = ObjectStore::new(media.clone(), 32);
+    store.enable_wal(true);
+    store.create_partition(P, 1 << 20).unwrap();
+    store.wal_commit().unwrap();
+    let o = store.create_object(P, 0, None, 0).unwrap();
+    store.write(P, o, 0, &[0x5a; 3_000], 0).unwrap();
+    store.wal_commit().unwrap();
+    assert!(store.wal_durable_bytes() > 0, "the log holds records");
+    drop(store);
+    refused_untouched(media, 4, checksum64);
 }
 
 /// Sanity anchor for the digest helper: distinct formatted devices agree,

@@ -847,6 +847,13 @@ mod crash_sweep {
         Remove {
             o: ObjectId,
         },
+        /// An overwrite the drive must refuse with `NoSpace`: it needs
+        /// more fresh blocks than the device has free.
+        Overfill {
+            o: ObjectId,
+            offset: u64,
+            len: u64,
+        },
     }
 
     /// What the client believes the drive holds: only state whose ack it
@@ -903,6 +910,7 @@ mod crash_sweep {
                 SweepOp::Remove { o } => {
                     self.objects.remove(&o).expect("script bug: remove target");
                 }
+                SweepOp::Overfill { .. } => {}
             }
         }
     }
@@ -1060,6 +1068,15 @@ mod crash_sweep {
                 let (reply, _) = drive.handle(&req);
                 reply.status.is_ok().then_some(()).ok_or(reply.status)
             }
+            SweepOp::Overfill { o, offset, len } => {
+                let cap = drive.issue_capability(P1, o, Rights::ALL, 3_600);
+                let c = drive.client(cap);
+                match c.write(drive, offset, &vec![0xEE; len as usize]) {
+                    Err(NasdStatus::NoSpace) => Ok(()),
+                    Ok(n) => panic!("an overwrite past the free space acked {n} bytes"),
+                    Err(e) => Err(e),
+                }
+            }
         }
     }
 
@@ -1182,15 +1199,12 @@ mod crash_sweep {
 
     /// One crash run: arm the disk to fail at write `budget`, run the
     /// workload, remount, and verify no acked state was lost.
-    fn crash_run(seed: u64, ops: &[SweepOp], budget: u64, torn: bool) {
-        let media = SharedDisk::new(MemDisk::new(
-            sweep_config().block_size,
-            sweep_config().capacity_blocks,
-        ));
+    fn crash_run(config: &DriveConfig, seed: u64, ops: &[SweepOp], budget: u64, torn: bool) {
+        let media = SharedDisk::new(MemDisk::new(config.block_size, config.capacity_blocks));
         let mut disk = CrashDisk::new(media.clone(), seed);
         disk.arm(budget, torn);
         let mut drive = NasdDrive::builder(DRIVE_NO)
-            .config(sweep_config())
+            .config(config.clone())
             .build_on(disk);
         let (acked, inflight, failed_at) = run_workload(&mut drive, ops);
         assert!(
@@ -1208,7 +1222,7 @@ mod crash_sweep {
         };
 
         let mut reopened = match NasdDrive::builder(DRIVE_NO)
-            .config(sweep_config())
+            .config(config.clone())
             .open(media.clone())
         {
             Ok(d) => d,
@@ -1249,7 +1263,7 @@ mod crash_sweep {
         // Replay must be idempotent at the system level: remounting the
         // same media again yields the identical logical state.
         let mut second = NasdDrive::builder(DRIVE_NO)
-            .config(sweep_config())
+            .config(config.clone())
             .open(media)
             .unwrap_or_else(|e| fail(format!("second remount failed: {e}")));
         let second_digest = state_digest(&mut second);
@@ -1263,14 +1277,11 @@ mod crash_sweep {
     /// Fault-free pass: learns the total device write count and proves
     /// the workload script acks end-to-end, and that the final state
     /// matches the shadow exactly.
-    fn count_writes(seed: u64, ops: &[SweepOp]) -> u64 {
-        let media = SharedDisk::new(MemDisk::new(
-            sweep_config().block_size,
-            sweep_config().capacity_blocks,
-        ));
+    fn count_writes(config: &DriveConfig, seed: u64, ops: &[SweepOp]) -> u64 {
+        let media = SharedDisk::new(MemDisk::new(config.block_size, config.capacity_blocks));
         let disk = CrashDisk::new(media.clone(), seed);
         let mut drive = NasdDrive::builder(DRIVE_NO)
-            .config(sweep_config())
+            .config(config.clone())
             .build_on(disk);
         let (acked, inflight, _) = run_workload(&mut drive, ops);
         assert!(inflight.is_none(), "fault-free run must ack every op");
@@ -1278,7 +1289,7 @@ mod crash_sweep {
         assert!(writes > 0, "workload performed no durable writes");
         drop(drive);
         let mut reopened = NasdDrive::builder(DRIVE_NO)
-            .config(sweep_config())
+            .config(config.clone())
             .open(media)
             .expect("fault-free remount");
         assert_eq!(
@@ -1294,11 +1305,12 @@ mod crash_sweep {
     /// write whole — remount, and verify.
     #[test]
     fn crash_point_sweep_loses_no_acked_write() {
+        let config = sweep_config();
         for &seed in &SEEDS {
             let ops = script(seed);
-            let writes = count_writes(seed, &ops);
+            let writes = count_writes(&config, seed, &ops);
             for budget in 0..writes {
-                crash_run(seed, &ops, budget, false);
+                crash_run(&config, seed, &ops, budget, false);
             }
         }
     }
@@ -1308,13 +1320,211 @@ mod crash_sweep {
     /// back cleanly.
     #[test]
     fn crash_point_sweep_survives_torn_final_sector() {
+        let config = sweep_config();
         for &seed in &SEEDS {
             let ops = script(seed);
-            let writes = count_writes(seed, &ops);
+            let writes = count_writes(&config, seed, &ops);
             for budget in 0..writes {
-                crash_run(seed, &ops, budget, true);
+                crash_run(&config, seed, &ops, budget, true);
             }
         }
+    }
+
+    /// The long script's drive: 512 blocks of 512 B, so its 4 KiB log
+    /// fills within the script and its 484 data blocks can be filled.
+    fn long_sweep_config() -> DriveConfig {
+        DriveConfig {
+            capacity_blocks: 512,
+            cache_blocks: 16,
+            ..sweep_config()
+        }
+    }
+
+    /// The long seeded script: a fixed prologue that overwrites a block
+    /// a snapshot shares, frees blocks an append then reuses, and fills
+    /// the device until an overwrite is refused with `NoSpace`; then
+    /// enough seeded small ops to fill the log into a checkpoint.
+    fn long_script(seed: u64) -> Vec<SweepOp> {
+        let a = ObjectId(FIRST_DYNAMIC_OBJECT);
+        let b = ObjectId(FIRST_DYNAMIC_OBJECT + 1);
+        let filler = ObjectId(FIRST_DYNAMIC_OBJECT + 3);
+        let mut ops = vec![
+            SweepOp::CreatePartition { quota: 1 << 20 },
+            SweepOp::Create { preallocate: 0 },
+            SweepOp::Write {
+                o: a,
+                offset: 0,
+                len: 6_000,
+                fill: 0x11,
+            },
+            SweepOp::Create { preallocate: 0 },
+            SweepOp::Write {
+                o: b,
+                offset: 0,
+                len: 3_000,
+                fill: 0x22,
+            },
+            // Object 3 shares all of a's blocks.
+            SweepOp::Snapshot { o: a },
+            SweepOp::Write {
+                o: a,
+                offset: 1_000,
+                len: 700,
+                fill: 0x33,
+            },
+            // Frees two of b's blocks; a's append takes them again.
+            SweepOp::Write {
+                o: b,
+                offset: 512,
+                len: 1_024,
+                fill: 0x44,
+            },
+            SweepOp::Write {
+                o: a,
+                offset: 6_000,
+                len: 1_500,
+                fill: 0x55,
+            },
+            // 25 data blocks are in use (the snapshot's 12, the 7 of
+            // a's 15 written since it, b's 6): this leaves 10 of the 484
+            // free, too few to rewrite a's 15.
+            SweepOp::Create {
+                preallocate: 449 * 512,
+            },
+            SweepOp::Overfill {
+                o: a,
+                offset: 0,
+                len: 7_500,
+            },
+            SweepOp::Remove { o: filler },
+        ];
+        let live = [a, b, ObjectId(FIRST_DYNAMIC_OBJECT + 2)];
+        for i in 0..60u64 {
+            let r = mix(seed, i);
+            let o = live[(r as usize >> 8) % live.len()];
+            ops.push(match r % 4 {
+                0 => SweepOp::SetAttr {
+                    o,
+                    tag: (r >> 16) as u8 | 1,
+                },
+                1 => SweepOp::Resize {
+                    o,
+                    new_size: (r >> 16) % 9_000,
+                },
+                _ => SweepOp::Write {
+                    o,
+                    offset: (r >> 16) % 8_000,
+                    len: (r >> 32) % 1_500 + 1,
+                    fill: (r >> 56) as u8 | 1,
+                },
+            });
+        }
+        ops
+    }
+
+    /// What the long script's fault-free pass saw happen, counted from
+    /// the drive's own state around each op.
+    #[derive(Debug, Default)]
+    struct Events {
+        /// Ops whose record did not fit the log, so the drive
+        /// checkpointed (the committed log shrank).
+        log_full_checkpoints: u32,
+        /// Writes into blocks another object also holds.
+        shared_overwrites: u32,
+        /// Blocks an op took that an earlier op had dropped.
+        reused_blocks: u32,
+        /// Overwrites refused with `NoSpace`.
+        refused: u32,
+    }
+
+    fn long_script_events(seed: u64, ops: &[SweepOp]) -> Events {
+        let media = SharedDisk::new(MemDisk::new(512, long_sweep_config().capacity_blocks));
+        let mut drive = NasdDrive::builder(DRIVE_NO)
+            .config(long_sweep_config())
+            .build_on(CrashDisk::new(media, seed));
+        let maps = |drive: &NasdDrive<CrashDisk<SharedDisk>>| {
+            let store = drive.store();
+            let ids = store.list_objects(P1).unwrap_or_default();
+            ids.into_iter()
+                .map(|o| (o, store.object_blocks(P1, o).unwrap().to_vec()))
+                .collect::<BTreeMap<_, _>>()
+        };
+        let mut events = Events::default();
+        let mut released = std::collections::BTreeSet::new();
+        let mut next_oid = FIRST_DYNAMIC_OBJECT;
+        for op in ops {
+            let before = maps(&drive);
+            let logged = drive.store().wal_durable_bytes();
+            if let SweepOp::Write { o, offset, len, .. } = *op {
+                let first = (offset / 512) as usize;
+                let last = ((offset + len).div_ceil(512) as usize).min(before[&o].len());
+                let others: Vec<u64> = before
+                    .iter()
+                    .filter(|(id, _)| **id != o)
+                    .flat_map(|(_, blocks)| blocks.iter().copied())
+                    .collect();
+                if before[&o][first.min(last)..last]
+                    .iter()
+                    .any(|b| others.contains(b))
+                {
+                    events.shared_overwrites += 1;
+                }
+            }
+            perform(&mut drive, op, next_oid).expect("fault-free run acks every op");
+            if matches!(op, SweepOp::Create { .. } | SweepOp::Snapshot { .. }) {
+                next_oid += 1;
+            }
+            if matches!(op, SweepOp::Overfill { .. }) {
+                events.refused += 1;
+            }
+            if drive.store().wal_durable_bytes() < logged {
+                events.log_full_checkpoints += 1;
+            }
+            let held = |m: &BTreeMap<ObjectId, Vec<u64>>| {
+                m.values()
+                    .flatten()
+                    .copied()
+                    .collect::<std::collections::BTreeSet<u64>>()
+            };
+            let (was, now) = (held(&before), held(&maps(&drive)));
+            events.reused_blocks += now.intersection(&released).count() as u32;
+            released.retain(|b| !now.contains(b));
+            released.extend(was.difference(&now));
+        }
+        events
+    }
+
+    /// The long script reaches what the 18-op one cannot: a log-full
+    /// checkpoint, an overwrite of a snapshot-shared block, reuse of a
+    /// block an earlier op freed, and an overwrite refused for want of
+    /// space — then is power-cut at every device write, clean and torn.
+    fn long_sweep(torn: bool) {
+        let config = long_sweep_config();
+        for &seed in &SEEDS {
+            let ops = long_script(seed);
+            let events = long_script_events(seed, &ops);
+            assert!(
+                events.log_full_checkpoints > 0,
+                "seed {seed:#x}: {events:?}"
+            );
+            assert!(events.shared_overwrites > 0, "seed {seed:#x}: {events:?}");
+            assert!(events.reused_blocks > 0, "seed {seed:#x}: {events:?}");
+            assert!(events.refused > 0, "seed {seed:#x}: {events:?}");
+            let writes = count_writes(&config, seed, &ops);
+            for budget in 0..writes {
+                crash_run(&config, seed, &ops, budget, torn);
+            }
+        }
+    }
+
+    #[test]
+    fn long_crash_point_sweep_loses_no_acked_write() {
+        long_sweep(false);
+    }
+
+    #[test]
+    fn long_crash_point_sweep_survives_torn_final_sector() {
+        long_sweep(true);
     }
 }
 
