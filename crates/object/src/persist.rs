@@ -42,7 +42,7 @@ use crate::wal::{decode_working_key, Wal};
 use nasd_disk::BlockDevice;
 use nasd_proto::wire::{DecodeError, WireDecode, WireEncode, WireReader, WireWriter};
 use nasd_proto::{ObjectAttributes, ObjectId, PartitionId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Extents stored inline in an object's index record before spilling to
 /// the indirect overflow region.
@@ -298,7 +298,7 @@ impl<D: BlockDevice> ObjectStore<D> {
         self.formatted = true;
         self.wal.reset(epoch);
         self.unsynced.clear();
-        self.release_freed();
+        self.settle();
         Ok(())
     }
 
@@ -359,6 +359,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             formatted: true,
             unsynced: Vec::new(),
             freed: Vec::new(),
+            hidden: HashSet::new(),
         };
         for rec in log_records {
             store.apply_wal(rec)?;
@@ -599,6 +600,27 @@ mod tests {
 
         let mut re = ObjectStore::open(device, 64).unwrap();
         assert_eq!(re.read(P, o, 0, 200, 4).unwrap(), &[1u8; 100][..]);
+    }
+
+    #[test]
+    fn a_quota_cut_after_a_checkpoint_replays() {
+        // The object's blocks count against the checkpoint's usage; the
+        // cut is accepted only once the removal has returned them.
+        let mut store = ObjectStore::new(MemDisk::new(BS, 4_096), 64);
+        store.enable_wal(true);
+        store.create_partition(P, 64 << 20).unwrap();
+        let o = store.create_object(P, 0, None, 1).unwrap();
+        store.write(P, o, 0, &vec![1u8; 4 * BS], 2).unwrap();
+        store.checkpoint().unwrap();
+        store.remove_object(P, o).unwrap();
+        store.resize_partition(P, BS as u64).unwrap();
+        store.wal_commit().unwrap();
+        let device = store.cache().device().clone();
+        drop(store);
+
+        let re = ObjectStore::open(device, 64).unwrap();
+        let stats = re.partition_stats(P).unwrap();
+        assert_eq!((stats.quota, stats.used, stats.objects), (BS as u64, 0, 0));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use bytes::ByteRope;
 use nasd_crypto::KeyKind;
 use nasd_disk::{BlockDevice, DiskError};
 use nasd_proto::{NasdStatus, ObjectAttributes, ObjectId, PartitionId, SetAttrMask, Version};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
 
@@ -138,6 +138,21 @@ pub(crate) struct ObjectMeta {
     pub(crate) blocks: Vec<u64>,
 }
 
+impl ObjectMeta {
+    /// After a shrink to `attrs.size`, drop and return the blocks past
+    /// both the size and the preallocation, as the live request and its
+    /// replay both do.
+    fn trim(&mut self, bs: u64) -> Vec<u64> {
+        let keep = self.attrs.size.max(self.attrs.preallocated).div_ceil(bs);
+        let keep = usize::try_from(keep).unwrap_or(usize::MAX);
+        if self.blocks.len() > keep {
+            self.blocks.split_off(keep)
+        } else {
+            Vec::new()
+        }
+    }
+}
+
 pub(crate) struct Partition {
     pub(crate) quota: u64,
     pub(crate) used: u64,
@@ -216,8 +231,14 @@ pub struct ObjectStore<D> {
     /// Durable stores: blocks whose last reference a record not yet
     /// durable dropped. The log or the last checkpoint may still name
     /// them, so they rejoin the allocator only once that record is
-    /// committed or checkpointed ([`Self::release_freed`]).
+    /// committed or checkpointed ([`Self::settle`]).
     pub(crate) freed: Vec<u64>,
+    /// Durable stores: blocks that stay mapped but that a record not yet
+    /// durable hid from a reader — a shrink left them past the new
+    /// size, or a dropped reference left them to fewer objects. The
+    /// durable state may still read them, so [`Self::redirect`] does not
+    /// write them in place until that record is durable.
+    pub(crate) hidden: HashSet<u64>,
 }
 
 impl<D: BlockDevice> ObjectStore<D> {
@@ -251,6 +272,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             formatted: false,
             unsynced: Vec::new(),
             freed: Vec::new(),
+            hidden: HashSet::new(),
         }
     }
 
@@ -322,17 +344,19 @@ impl<D: BlockDevice> ObjectStore<D> {
         }
         self.unsynced.clear();
         self.wal.commit(self.cache.device_mut())?;
-        self.release_freed();
+        self.settle();
         Ok(())
     }
 
-    /// Return the blocks dropped by records that are now durable to the
-    /// allocator.
-    pub(crate) fn release_freed(&mut self) {
+    /// Every record logged so far is durable: the blocks those records
+    /// dropped rejoin the allocator, and those they hid may be written
+    /// in place again.
+    pub(crate) fn settle(&mut self) {
         for b in self.freed.drain(..) {
             self.cache.discard(b);
             self.allocator.free(Extent::new(b, 1));
         }
+        self.hidden.clear();
     }
 
     /// Append a record for an operation that just succeeded (see
@@ -656,6 +680,9 @@ impl<D: BlockDevice> ObjectStore<D> {
                 if *rc == 1 {
                     self.refcounts.remove(&b);
                 }
+                if self.wal.enabled {
+                    self.hidden.insert(b);
+                }
             }
             _ => {
                 self.refcounts.remove(&b);
@@ -916,16 +943,20 @@ impl<D: BlockDevice> ObjectStore<D> {
     }
 
     /// The durable write path: rewrite object bytes `[from, offset +
-    /// data.len())` — zeros up to `offset`, then `data` — into freshly
-    /// allocated blocks, so no block the log or the last checkpoint may
-    /// name is ever overwritten. Bytes below the object's size that
-    /// share a block with the range are carried over into the fresh
-    /// block (read-modify-write). The displaced blocks are released.
+    /// data.len())` — zeros up to `offset`, then `data` — so that no
+    /// byte the log or the last checkpoint may read is overwritten. A
+    /// block holding bytes below the object's size, shared with a
+    /// snapshot or [hidden](Self::hidden) goes to a freshly allocated
+    /// block; its bytes outside the range are carried over
+    /// (read-modify-write) and the displaced block is released. Any
+    /// other mapped block — preallocated capacity, or a tail an earlier
+    /// shrink left — no reader sees before the record lands, so it is
+    /// written in place and named again.
     ///
-    /// Returns the first rewritten logical block and the fresh blocks,
-    /// for the caller's log record. [`StoreError::NoSpace`] when the
-    /// quota or the device cannot supply the blocks; then nothing has
-    /// changed.
+    /// Returns the first rewritten logical block and the blocks that now
+    /// hold the range, for the caller's log record.
+    /// [`StoreError::NoSpace`] when the quota or the device cannot supply
+    /// the fresh blocks; then nothing has changed.
     fn redirect(
         &mut self,
         p: PartitionId,
@@ -937,13 +968,15 @@ impl<D: BlockDevice> ObjectStore<D> {
         let bs = self.block_size as u64;
         let first = from / bs;
         let last = offset.saturating_add(data.len() as u64).div_ceil(bs);
-        let (size, have, quota_room) = {
+        let (size, have, quota_room, needed) = {
             let part = self.partition(p)?;
             let meta = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
+            let moved = (first..last).filter(|&l| self.in_place(meta, l).is_none());
             (
                 meta.attrs.size,
                 meta.blocks.len() as u64,
                 part.quota - part.used,
+                moved.count() as u64,
             )
         };
         let grow = last.saturating_sub(have);
@@ -953,17 +986,30 @@ impl<D: BlockDevice> ObjectStore<D> {
         // First fit from the device's start: the blocks the last commits
         // released are taken again first, so the set of blocks in use
         // stays compact instead of sweeping the whole device.
-        let fresh = self.allocate_blocks(last.saturating_sub(first), None)?;
-        if let Err(e) = self.fill_fresh(p, o, first, &fresh, from, offset, data, size) {
-            for &b in &fresh {
-                self.cache.discard(b);
-                self.allocator.free(Extent::new(b, 1));
+        let mut targets = self.allocate_blocks(needed, None)?;
+        if needed < last - first {
+            // The blocks written in place keep their places.
+            let part = self.partition(p)?;
+            let meta = part.objects.get(&o).ok_or(StoreError::NoSuchObject(o))?;
+            let mut fresh = targets.into_iter();
+            targets = (first..last)
+                .filter_map(|l| self.in_place(meta, l).or_else(|| fresh.next()))
+                .collect();
+        }
+        if let Err(e) = self.fill_fresh(p, o, first, &targets, from, offset, data, size) {
+            let blocks = &object_in(&mut self.partitions, p, o)?.blocks;
+            for (l, &b) in (first as usize..).zip(&targets) {
+                if blocks.get(l) != Some(&b) {
+                    self.cache.discard(b);
+                    self.allocator.free(Extent::new(b, 1));
+                }
             }
             return Err(e);
         }
-        for (l, &b) in (first as usize..).zip(&fresh) {
+        for (l, &b) in (first as usize..).zip(&targets) {
             let blocks = &mut object_in(&mut self.partitions, p, o)?.blocks;
             match blocks.get_mut(l) {
+                Some(slot) if *slot == b => {}
                 Some(slot) => {
                     let old = std::mem::replace(slot, b);
                     self.release_block(old);
@@ -972,12 +1018,23 @@ impl<D: BlockDevice> ObjectStore<D> {
             }
         }
         self.partition_mut(p)?.used += grow * bs;
-        self.unsynced.extend(&fresh);
-        Ok((first, fresh))
+        self.unsynced.extend(&targets);
+        Ok((first, targets))
+    }
+
+    /// The device block of logical block `l` of `meta`, if a
+    /// [redirect](Self::redirect) may rewrite it in place: it lies
+    /// wholly at or past the object's size, and neither a snapshot nor
+    /// a reader of the durable state sees it.
+    fn in_place(&self, meta: &ObjectMeta, l: u64) -> Option<u64> {
+        let b = *meta.blocks.get(usize::try_from(l).ok()?)?;
+        let unseen = !self.refcounts.contains_key(&b) && !self.hidden.contains(&b);
+        (l * self.block_size as u64 >= meta.attrs.size && unseen).then_some(b)
     }
 
     /// Fill the `fresh` blocks of a [redirect](Self::redirect), which
-    /// hold logical blocks `first..` of an object of `size` bytes.
+    /// hold logical blocks `first..` of an object of `size` bytes. A
+    /// block written in place is its own fresh block.
     #[allow(clippy::too_many_arguments)]
     fn fill_fresh(
         &mut self,
@@ -1015,6 +1072,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             // Old bytes below the size, outside the rewritten range.
             let carried = start < from.min(size) || end < stop.min(size);
             match old {
+                Some(old) if old == to => {}
                 // A snapshot keeps the old block: copy it, as `cow_block`
                 // does.
                 Some(old) if carried && shared => {
@@ -1100,33 +1158,26 @@ impl<D: BlockDevice> ObjectStore<D> {
             let meta = self.object_mut(p, o)?;
             (meta.attrs.size, meta.blocks.len() as u64 * bs)
         };
-        let (mut first, mut fresh) = (0, Vec::new());
+        let (mut first, mut named) = (0, Vec::new());
         if new_size > old_size && self.wal.enabled {
-            (first, fresh) = self.redirect(p, o, old_size, new_size, &[])?;
+            (first, named) = self.redirect(p, o, old_size, new_size, &[])?;
         } else if new_size > old_size {
             self.ensure_capacity(p, o, new_size, 0..0)?;
             // Bytes the extension exposes inside pre-existing capacity
             // (a shrunk-then-regrown tail) must read back as zeros.
             self.zero_range(p, o, old_size, new_size.min(old_cap))?;
         }
-        let prealloc = {
-            let meta = self.object_mut(p, o)?;
-            meta.attrs.size = new_size;
-            meta.attrs.data_modify_time = now;
-            meta.attrs.preallocated
-        };
+        let meta = object_in(&mut self.partitions, p, o)?;
+        meta.attrs.size = new_size;
+        meta.attrs.data_modify_time = now;
         if new_size < old_size {
-            // Free whole blocks beyond max(new_size, preallocated).
-            let keep_bytes = new_size.max(prealloc);
-            let keep_blocks = keep_bytes.div_ceil(bs) as usize;
-            let freed: Vec<u64> = {
-                let meta = self.object_mut(p, o)?;
-                if meta.blocks.len() > keep_blocks {
-                    meta.blocks.split_off(keep_blocks)
-                } else {
-                    Vec::new()
-                }
-            };
+            let freed = meta.trim(bs);
+            if self.wal.enabled {
+                // Kept blocks that held bytes below the old size.
+                let (from, to) = (new_size.div_ceil(bs), old_size.div_ceil(bs));
+                let kept = meta.blocks.iter().skip(from as usize);
+                self.hidden.extend(kept.take((to - from) as usize));
+            }
             let nfreed = freed.len() as u64;
             for b in freed {
                 self.release_block(b);
@@ -1139,7 +1190,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             o,
             new_size,
             first,
-            blocks: BlockRuns::new(&fresh),
+            blocks: BlockRuns::new(&named),
             now,
         })?;
         Ok(())
@@ -1232,8 +1283,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             Err(
                 StoreError::NoSuchPartition(_)
                 | StoreError::PartitionExists(_)
-                | StoreError::PartitionNotEmpty(_)
-                | StoreError::QuotaBelowUsage { .. },
+                | StoreError::PartitionNotEmpty(_),
             ) => Ok(()),
             other => other,
         };
@@ -1241,8 +1291,13 @@ impl<D: BlockDevice> ObjectStore<D> {
             WalRecord::CreatePartition { p, quota } => {
                 return benign(self.create_partition(p, quota));
             }
+            // Only a quota the live drive accepted is logged. Usage is
+            // not tracked until the log is replayed, so it is not
+            // checked again.
             WalRecord::ResizePartition { p, quota } => {
-                return benign(self.resize_partition(p, quota));
+                if let Some(part) = self.partitions.get_mut(&p) {
+                    part.quota = quota;
+                }
             }
             WalRecord::RemovePartition { p } => return benign(self.remove_partition(p)),
             WalRecord::SetKey { p, kind, key } => {
@@ -1330,15 +1385,12 @@ impl<D: BlockDevice> ObjectStore<D> {
                         None => meta.blocks.push(b),
                     }
                 }
-                if size < meta.attrs.size {
-                    // A shrink keeps the blocks under the size and the
-                    // preallocation, as `resize` does.
-                    let keep = size.max(meta.attrs.preallocated).div_ceil(bs);
-                    meta.blocks
-                        .truncate(usize::try_from(keep).unwrap_or(usize::MAX));
-                }
+                let shrunk = size < meta.attrs.size;
                 meta.attrs.size = size;
                 meta.attrs.data_modify_time = now;
+                if shrunk {
+                    meta.trim(bs);
+                }
             }
             WalRecord::Snapshot { p, o, id, now } => {
                 let Some(part) = self.partitions.get_mut(&p) else {
@@ -1721,10 +1773,12 @@ mod tests {
         assert_eq!(warm.hits - cold.hits, 1);
     }
 
-    /// A [`MemDisk`] whose writes to blocks below `fail_below` fail.
+    /// A [`MemDisk`] whose writes to blocks below `fail_below` fail, and
+    /// whose reads fail while `fail_reads` is set.
     struct Failing {
         disk: MemDisk,
         fail_below: u64,
+        fail_reads: bool,
     }
 
     impl BlockDevice for Failing {
@@ -1735,6 +1789,9 @@ mod tests {
             self.disk.num_blocks()
         }
         fn read_block(&self, block: u64, buf: &mut [u8]) -> Result<(), DiskError> {
+            if self.fail_reads {
+                return Err(DiskError::PowerFailure);
+            }
             self.disk.read_block(block, buf)
         }
         fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
@@ -1750,6 +1807,7 @@ mod tests {
         let disk = Failing {
             disk: MemDisk::new(BS, blocks),
             fail_below: 0,
+            fail_reads: false,
         };
         let mut s = ObjectStore::new(disk, 64);
         s.enable_wal(true);
@@ -1882,6 +1940,100 @@ mod tests {
         let mut want = [7u8; 40];
         want[10..30].fill(9);
         assert_eq!(s.read(P, o, 0, 40, 3).unwrap(), &want[..]);
+    }
+
+    #[test]
+    fn a_durable_write_fills_preallocated_blocks_in_place() {
+        // 20 preallocated blocks, 5 free: growing into the reservation
+        // takes no block from the device.
+        let mut s = durable(4096);
+        let o = s.create_object(P, 20 * BS as u64, None, 0).unwrap();
+        let filler = s.free_blocks() - 5;
+        s.create_object(P, filler * BS as u64, None, 0).unwrap();
+        s.wal_commit().unwrap();
+        let reserved = blocks_of(&s, o);
+        let data: Vec<u8> = (0..12 * BS - 100).map(|i| (i % 251) as u8).collect();
+        s.write(P, o, 100, &data, 1).unwrap();
+        s.resize(P, o, 16 * BS as u64, 2).unwrap();
+        s.wal_commit().unwrap();
+        assert_eq!(blocks_of(&s, o), reserved);
+        assert_eq!(s.free_blocks(), 5);
+        let mut want = vec![0u8; 16 * BS];
+        want[100..12 * BS].copy_from_slice(&data);
+        let mut re = ObjectStore::open(s.cache().device().disk.clone(), 64).unwrap();
+        assert_eq!(re.read(P, o, 0, 16 * BS as u64, 3).unwrap(), &want[..]);
+    }
+
+    #[test]
+    fn a_failed_redirect_keeps_the_blocks_it_would_write_in_place() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 2 * BS as u64, None, 0).unwrap();
+        s.write(P, o, 0, &[1u8; 100], 1).unwrap();
+        s.wal_commit().unwrap();
+        let disk = Failing {
+            disk: s.cache().device().disk.clone(),
+            fail_below: 0,
+            fail_reads: false,
+        };
+        let mut s = ObjectStore::open(disk, 64).unwrap();
+        s.enable_wal(true);
+        let (blocks, free) = (blocks_of(&s, o), s.free_blocks());
+        // Block 0 must be read to carry its first 50 bytes over; block 1
+        // would be written in place.
+        s.cache.device_mut().fail_reads = true;
+        assert!(s.write(P, o, 50, &vec![2u8; BS], 2).is_err());
+        s.cache.device_mut().fail_reads = false;
+        assert_eq!(blocks_of(&s, o), blocks);
+        assert_eq!(s.free_blocks(), free, "block 1 stays the object's");
+    }
+
+    #[test]
+    fn a_block_an_uncommitted_shrink_hid_is_not_written_in_place() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 2 * BS as u64, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; 2 * BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let old = blocks_of(&s, o);
+        // The shrink's commit fails: the durable object still reads both
+        // blocks, though the live one keeps them past its size.
+        s.resize(P, o, 0, 2).unwrap();
+        s.cache.device_mut().fail_below = s.layout.data_start;
+        assert!(s.wal_commit().is_err());
+        s.write(P, o, BS as u64, &vec![2u8; BS], 3).unwrap();
+        assert!(blocks_of(&s, o).iter().all(|b| !old.contains(b)));
+        assert!(s.wal_commit().is_err());
+        let mut re = ObjectStore::open(s.cache().device().disk.clone(), 64).unwrap();
+        assert_eq!(
+            re.read(P, o, 0, 2 * BS as u64, 4).unwrap(),
+            &[1u8; 2 * BS][..]
+        );
+        s.cache.device_mut().fail_below = 0;
+        s.wal_commit().unwrap();
+        assert!(s.hidden.is_empty());
+        // Once the shrink is durable, its tail is written in place.
+        s.resize(P, o, 0, 5).unwrap();
+        s.wal_commit().unwrap();
+        let tail = blocks_of(&s, o);
+        s.write(P, o, 0, &[3u8; 10], 6).unwrap();
+        assert_eq!(blocks_of(&s, o), tail);
+    }
+
+    #[test]
+    fn a_block_a_removed_snapshot_still_holds_durably_is_not_written_in_place() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 2 * BS as u64, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; 2 * BS], 1).unwrap();
+        let snap = s.snapshot(P, o, 2).unwrap();
+        s.resize(P, o, 0, 3).unwrap();
+        s.wal_commit().unwrap();
+        let old = blocks_of(&s, o);
+        // The snapshot's removal drops the last other reference, but
+        // until it is durable the snapshot still reads both blocks.
+        s.remove_object(P, snap).unwrap();
+        s.write(P, o, 0, &vec![2u8; 2 * BS], 4).unwrap();
+        assert!(blocks_of(&s, o).iter().all(|b| !old.contains(b)));
+        assert_eq!(on_media(&s, old[0]), vec![1u8; BS]);
+        s.wal_commit().unwrap();
     }
 
     #[test]
