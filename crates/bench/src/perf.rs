@@ -250,10 +250,12 @@ impl BlockDevice for CountingDisk {
     }
 }
 
-/// Overwrites of a laid-down, fully cached 4 MiB span on a durable
-/// drive: every op's blocks and log record reach the device before it
-/// returns. The row's counters are the device's: writes per op, and
-/// bytes read and written per payload byte.
+/// Overwrites of a laid-down 4 MiB span on a durable drive: every op's
+/// blocks and log record reach the device before it returns. Whole
+/// blocks go around the cache, so the span is not cached: an op copies
+/// its payload once, into the request, and the device write is the
+/// block's one copy. The row's counters are the device's: writes per
+/// op, and bytes read and written per payload byte.
 fn durable_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> PerfRow {
     const SPAN: u64 = 4 << 20;
     let config = perf_config().durable();

@@ -321,10 +321,15 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
         r = r.with_derived("seq_write_bytes_copied_per_op", seq.bytes_copied_per_op);
     }
     if let Some(durable) = rows.iter().find(|r| r.workload == "durable_write") {
-        r = r.with_derived(
-            "durable_write_alloc_bytes_per_op",
-            durable.alloc_bytes_per_op,
-        );
+        r = r
+            .with_derived(
+                "durable_write_alloc_bytes_per_op",
+                durable.alloc_bytes_per_op,
+            )
+            .with_derived(
+                "durable_write_bytes_copied_per_op",
+                durable.bytes_copied_per_op,
+            );
     }
     if let Some(inproc) = rows.iter().find(|r| r.workload == "inproc_read") {
         r = r

@@ -295,6 +295,9 @@ pub struct CrashDisk<D> {
     /// Whether the crash-point write is torn (partial sector) instead of
     /// dropped whole.
     torn: bool,
+    /// The one write that fails transiently: the attempt after this many
+    /// completed writes. The power stays on.
+    transient: Option<u64>,
     writes: u64,
     tripped: bool,
 }
@@ -308,6 +311,7 @@ impl<D: BlockDevice> CrashDisk<D> {
             seed,
             budget: None,
             torn: false,
+            transient: None,
             writes: 0,
             tripped: false,
         }
@@ -320,6 +324,14 @@ impl<D: BlockDevice> CrashDisk<D> {
         self.budget = Some(budget);
         self.torn = torn;
         self.tripped = false;
+    }
+
+    /// Fail exactly one write, dropped whole: the attempt made after
+    /// `completed` writes have reached the device. Later writes go
+    /// through (until an [armed](Self::arm) crash point, which counts
+    /// completed writes only).
+    pub fn fail_once(&mut self, completed: u64) {
+        self.transient = Some(completed);
     }
 
     /// Writes that fully reached the inner device so far.
@@ -362,6 +374,10 @@ impl<D: BlockDevice> BlockDevice for CrashDisk<D> {
 
     // nasd-lint: allow(transitive-panic, "crash-injection harness: `keep` is `% bs` so both slices stay inside the bs-length buffers")
     fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
+        if self.transient == Some(self.writes) && !self.tripped {
+            self.transient = None;
+            return Err(DiskError::PowerFailure);
+        }
         match self.budget {
             None => {
                 self.inner.write_block(block, data)?;
@@ -516,6 +532,23 @@ mod tests {
         let keep = buf.iter().take_while(|&&b| b == 0xbb).count();
         assert!(keep >= 1, "at least one new byte must land");
         assert!(buf[keep..].iter().all(|&b| b == 0xaa));
+    }
+
+    #[test]
+    fn crash_disk_fails_one_write_and_lets_later_ones_through() {
+        let mut d = CrashDisk::new(MemDisk::new(512, 8), 3);
+        d.fail_once(1);
+        d.arm(2, false);
+        d.write_block(0, &[1u8; 512]).unwrap();
+        assert_eq!(d.write_block(1, &[2u8; 512]), Err(DiskError::PowerFailure));
+        assert!(!d.tripped(), "a transient fault is not the crash");
+        let mut buf = vec![0xffu8; 512];
+        d.read_block(1, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0), "dropped whole");
+        d.write_block(1, &[2u8; 512]).unwrap();
+        assert_eq!(d.write_block(2, &[3u8; 512]), Err(DiskError::PowerFailure));
+        assert!(d.tripped());
+        assert_eq!(d.writes_completed(), 2);
     }
 
     #[test]

@@ -419,15 +419,32 @@ impl<D: BlockDevice> BlockCache<D> {
         Ok(())
     }
 
-    /// Move `from`'s entry, if it is resident, to block `to`: the cached
-    /// bytes stay where they are and now stand for `to`, whose own entry
-    /// is dropped. A dirty `from` is first written back, so the media
-    /// still holds what `from` last held.
+    /// Write one full block around the cache: `data` goes to the device
+    /// now, its one copy, and any resident entry for `block` is dropped
+    /// (a [`Self::read_shared`] view keeps the bytes it saw). Counted as
+    /// a (write) hit, as [`Self::write`] is.
     ///
     /// # Errors
     ///
-    /// Device errors from the writeback; nothing moves then.
+    /// The device's ([`DiskError::BadBufferSize`] if `data` is not
+    /// exactly one block); the cache is then unchanged.
+    pub fn write_direct(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
+        self.device.write_block(block, data)?;
+        self.remove(block);
+        self.stats.hits += 1;
+        Ok(())
+    }
+
+    /// Move `from`'s entry to block `to`, reading `from` in on a miss:
+    /// the cached bytes stay where they are and now stand for `to`, whose
+    /// own entry is dropped. A dirty `from` is first written back, so the
+    /// media still holds what `from` last held.
+    ///
+    /// # Errors
+    ///
+    /// Device errors from the read or the writeback; nothing moves then.
     pub fn rename(&mut self, from: u64, to: u64) -> Result<(), DiskError> {
+        self.fill(from)?;
         self.write_back(from)?;
         let Some(entry) = self.entries.remove(&from) else {
             return Ok(());
@@ -620,6 +637,23 @@ mod tests {
         assert_eq!(hits_misses(&c), (1, 0), "a full-block write is a hit");
         // Data readable through cache.
         assert_eq!(c.read(3).unwrap()[0], 9);
+    }
+
+    #[test]
+    fn a_direct_write_goes_around_the_cache() {
+        let mut c = recording(4);
+        c.write(3, &[1u8; 512]).unwrap();
+        let view = c.read_shared(3).unwrap();
+        c.write_direct(3, &[2u8; 512]).unwrap();
+        assert_eq!(c.device().writes.len(), 1, "the device written now");
+        assert!(!c.contains(3), "the stale entry dropped, dirty or not");
+        assert_eq!(hits_misses(&c), (3, 0), "a direct write is a hit");
+        assert_eq!(&view[..], &[1u8; 512][..], "a held view keeps its bytes");
+        assert_eq!(c.read(3).unwrap()[0], 2, "read back from the device");
+        c.write_direct(5, &[5u8; 512]).unwrap();
+        assert!(!c.contains(5), "a direct write brings nothing in");
+        c.flush().unwrap();
+        assert_eq!(c.device().writes.len(), 2, "nothing left to write back");
     }
 
     #[test]

@@ -255,7 +255,10 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// The write order is the crash-safety argument: data, then the
     /// bitmap and index into the *inactive* epoch-parity copies, then
     /// both superblocks — the atomic switch. A crash before the
-    /// superblock write leaves the previous checkpoint fully intact.
+    /// superblock write leaves the previous checkpoint fully intact. A
+    /// superblock write that failed may have landed its primary copy, so
+    /// the next checkpoint stores that superblock again, both copies,
+    /// before it overwrites the index copy the one before it names.
     /// On a durable store the only dirty data is what the records not
     /// yet committed name; once the switch is made, the blocks those
     /// records dropped rejoin the allocator.
@@ -265,6 +268,7 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// [`StoreError::NoSpace`] if the device cannot hold its metadata
     /// or the index outgrew its area; device errors.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
+        self.checkpointed = false;
         if !self.layout.fits() {
             return Err(StoreError::NoSpace);
         }
@@ -275,10 +279,16 @@ impl<D: BlockDevice> ObjectStore<D> {
         if payload.len() > self.layout.index_bytes() {
             return Err(StoreError::NoSpace);
         }
-        let epoch = self.checkpoint_seq + 1;
+        let last = self
+            .unpublished
+            .map_or(self.checkpoint_seq, |sb| sb.checkpoint_seq);
+        let epoch = last + 1;
         let bits = in_use_bits(&self.layout, &self.partitions);
         let layout = self.layout;
         let device = self.cache.device_mut();
+        if let Some(sb) = self.unpublished {
+            sb.store(device)?;
+        }
         write_bitmap(device, &layout, epoch, &bits)?;
         write_region(
             device,
@@ -293,9 +303,11 @@ impl<D: BlockDevice> ObjectStore<D> {
             checkpoint_len: payload.len() as u64,
             checkpoint_crc: checksum64(&payload),
         };
-        sb.store(device)?;
+        sb.store(device)
+            .inspect_err(|_| self.unpublished = Some(sb))?;
+        self.unpublished = None;
         self.checkpoint_seq = epoch;
-        self.formatted = true;
+        self.checkpointed = true;
         self.wal.reset(epoch);
         self.unsynced.clear();
         self.settle();
@@ -356,7 +368,8 @@ impl<D: BlockDevice> ObjectStore<D> {
             layout,
             wal,
             checkpoint_seq: sb.checkpoint_seq,
-            formatted: true,
+            checkpointed: true,
+            unpublished: None,
             unsynced: Vec::new(),
             freed: Vec::new(),
             hidden: HashSet::new(),

@@ -16,7 +16,7 @@
 
 use crate::alloc::{Allocator, Extent};
 use crate::cache::BlockCache;
-use crate::layout::Layout;
+use crate::layout::{Layout, Superblock};
 use crate::wal::{BlockRuns, Wal, WalRecord};
 use bytes::ByteRope;
 use nasd_crypto::KeyKind;
@@ -222,11 +222,19 @@ pub struct ObjectStore<D> {
     pub(crate) wal: Wal,
     /// Epoch of the last checkpoint on disk (0 before the first one).
     pub(crate) checkpoint_seq: u64,
-    /// Whether a superblock exists on disk yet. A fresh store is
-    /// unformatted until its first checkpoint.
-    pub(crate) formatted: bool,
-    /// Durable stores: blocks written since the last commit, which must
-    /// reach the media before the records naming them.
+    /// Whether the last checkpoint completed. Until one has, every
+    /// commit checkpoints instead of appending to the log: a fresh store
+    /// has no superblock yet, and the operation a failed checkpoint was
+    /// for is in no record, so a later record must not commit (and free
+    /// the blocks it displaced) around it.
+    pub(crate) checkpointed: bool,
+    /// A checkpoint's superblock whose write failed: the media may hold
+    /// it, so the next checkpoint stores it again before it reuses the
+    /// other index copy.
+    pub(crate) unpublished: Option<Superblock>,
+    /// Durable stores: blocks filled in the cache since the last commit
+    /// (partial, zero-padded or copied), which must reach the media
+    /// before the records naming them. Whole blocks are there already.
     pub(crate) unsynced: Vec<u64>,
     /// Durable stores: blocks whose last reference a record not yet
     /// durable dropped. The log or the last checkpoint may still name
@@ -269,7 +277,8 @@ impl<D: BlockDevice> ObjectStore<D> {
             wal: Wal::new(&layout),
             layout,
             checkpoint_seq: 0,
-            formatted: false,
+            checkpointed: false,
+            unpublished: None,
             unsynced: Vec::new(),
             freed: Vec::new(),
             hidden: HashSet::new(),
@@ -319,23 +328,24 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// request — once it returns, a crash at any later instant replays
     /// the operation.
     ///
-    /// Data first: every block the pending records name is written, in
-    /// elevator order, before the records are. Then the blocks those
-    /// records dropped rejoin the allocator. A failed commit frees
-    /// nothing; the next one retries the same records.
+    /// Data first: the blocks the pending records name that wait in the
+    /// cache (`unsynced`) are written back, in elevator order,
+    /// before the records are. Then the blocks those records dropped
+    /// rejoin the allocator. A failed commit frees nothing; the next one
+    /// retries the same records.
     ///
     /// # Errors
     ///
-    /// Device errors; [`StoreError::NoSpace`] when the first commit must
-    /// format the device and the device cannot hold its metadata.
+    /// Device errors; [`StoreError::NoSpace`] when the commit must
+    /// checkpoint and the device cannot hold its metadata.
     pub fn wal_commit(&mut self) -> Result<(), StoreError> {
         if !self.wal.has_pending() {
             return Ok(());
         }
-        // The log is only meaningful relative to a checkpoint epoch: the
-        // very first commit checkpoints once to put a superblock on disk
-        // (which also empties the pending buffer into that checkpoint).
-        if !self.formatted {
+        // The log is only meaningful relative to a completed checkpoint:
+        // until there is one (the very first puts a superblock on disk),
+        // a commit checkpoints, which empties the pending buffer into it.
+        if !self.checkpointed {
             return self.checkpoint();
         }
         self.unsynced.sort_unstable();
@@ -1018,7 +1028,12 @@ impl<D: BlockDevice> ObjectStore<D> {
             }
         }
         self.partition_mut(p)?.used += grow * bs;
-        self.unsynced.extend(&targets);
+        // The blocks `data` does not wholly cover wait in the cache.
+        let end = offset.saturating_add(data.len() as u64);
+        let cached = (first..)
+            .zip(&targets)
+            .filter(|&(l, _)| l * bs < offset || end < (l + 1) * bs);
+        self.unsynced.extend(cached.map(|(_, &b)| b));
         Ok((first, targets))
     }
 
@@ -1061,13 +1076,8 @@ impl<D: BlockDevice> ObjectStore<D> {
             } else {
                 (0, <&[u8]>::default())
             };
-            let old = match usize::try_from(l) {
-                Ok(l) => object_in(&mut self.partitions, p, o)?
-                    .blocks
-                    .get(l)
-                    .copied(),
-                Err(_) => None,
-            };
+            let blocks = &object_in(&mut self.partitions, p, o)?.blocks;
+            let old = usize::try_from(l).ok().and_then(|l| blocks.get(l).copied());
             let shared = old.is_some_and(|b| self.refcounts.get(&b).copied().unwrap_or(1) > 1);
             // Old bytes below the size, outside the rewritten range.
             let carried = start < from.min(size) || end < stop.min(size);
@@ -1079,13 +1089,9 @@ impl<D: BlockDevice> ObjectStore<D> {
                     let bytes = self.cache.read_shared(old)?;
                     self.cache.write(to, &bytes)?;
                 }
-                Some(old) if carried => {
-                    self.cache.read(old)?;
-                    self.cache.rename(old, to)?;
-                }
-                // Unshared and not carried: a resident old block's cache
-                // entry becomes the fresh block's buffer.
-                Some(old) if !shared => self.cache.rename(old, to)?,
+                Some(old) if carried => self.cache.rename(old, to)?,
+                // Not carried: no byte of the old block is read again. Its
+                // entry, if any, goes when the commit frees it (`settle`).
                 _ => {}
             }
             let (zs, ze) = (from.max(start), offset.min(stop));
@@ -1099,7 +1105,9 @@ impl<D: BlockDevice> ObjectStore<D> {
                 self.cache.write(to, &zeros)?;
             }
             if chunk.len() == self.block_size {
-                self.cache.write(to, chunk)?;
+                // Around the cache: the request's bytes reach the device
+                // now, before the record naming them is appended.
+                self.cache.write_direct(to, chunk)?;
             } else if !chunk.is_empty() {
                 self.cache.write_partial(to, at, chunk)?;
             }
@@ -1773,12 +1781,15 @@ mod tests {
         assert_eq!(warm.hits - cold.hits, 1);
     }
 
-    /// A [`MemDisk`] whose writes to blocks below `fail_below` fail, and
-    /// whose reads fail while `fail_reads` is set.
+    /// A [`MemDisk`] whose writes to blocks below `fail_below` fail, as
+    /// does the next write to `fail_block`, and whose reads fail while
+    /// `fail_reads` is set. `written` logs the blocks written.
     struct Failing {
         disk: MemDisk,
         fail_below: u64,
+        fail_block: Option<u64>,
         fail_reads: bool,
+        written: Vec<u64>,
     }
 
     impl BlockDevice for Failing {
@@ -1795,9 +1806,10 @@ mod tests {
             self.disk.read_block(block, buf)
         }
         fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
-            if block < self.fail_below {
+            if block < self.fail_below || self.fail_block.take_if(|&mut b| b == block).is_some() {
                 return Err(DiskError::PowerFailure);
             }
+            self.written.push(block);
             self.disk.write_block(block, data)
         }
     }
@@ -1807,7 +1819,9 @@ mod tests {
         let disk = Failing {
             disk: MemDisk::new(BS, blocks),
             fail_below: 0,
+            fail_block: None,
             fail_reads: false,
+            written: Vec::new(),
         };
         let mut s = ObjectStore::new(disk, 64);
         s.enable_wal(true);
@@ -1973,7 +1987,9 @@ mod tests {
         let disk = Failing {
             disk: s.cache().device().disk.clone(),
             fail_below: 0,
+            fail_block: None,
             fail_reads: false,
+            written: Vec::new(),
         };
         let mut s = ObjectStore::open(disk, 64).unwrap();
         s.enable_wal(true);
@@ -2034,6 +2050,175 @@ mod tests {
         assert!(blocks_of(&s, o).iter().all(|b| !old.contains(b)));
         assert_eq!(on_media(&s, old[0]), vec![1u8; BS]);
         s.wal_commit().unwrap();
+    }
+
+    #[test]
+    fn a_whole_block_durable_write_goes_around_the_cache_before_its_record() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; 3 * BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let _ = s.read(P, o, 0, BS as u64, 2).unwrap();
+        let resident: Vec<bool> = (0..4096).map(|b| s.cache().contains(b)).collect();
+        s.cache.device_mut().written.clear();
+        s.write(P, o, 0, &vec![2u8; 3 * BS], 3).unwrap();
+        let new = blocks_of(&s, o);
+        let now: Vec<bool> = (0..4096).map(|b| s.cache().contains(b)).collect();
+        assert_eq!(now, resident, "cache residency moved");
+        assert_eq!(
+            s.cache().device().written,
+            new,
+            "written by the write itself"
+        );
+        for &b in &new {
+            assert_eq!(on_media(&s, b), vec![2u8; BS]);
+        }
+        assert!(
+            s.unsynced.is_empty(),
+            "nothing left for the commit to write back"
+        );
+        s.cache.device_mut().written.clear();
+        s.wal_commit().unwrap();
+        let data_start = s.layout.data_start;
+        assert!(s.cache().device().written.iter().all(|&b| b < data_start));
+        assert_eq!(
+            s.read(P, o, 0, 3 * BS as u64, 4).unwrap(),
+            &[2u8; 3 * BS][..]
+        );
+    }
+
+    #[test]
+    fn a_cached_block_overwritten_in_place_reads_back_the_new_bytes() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 2 * BS as u64, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; 2 * BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let view = s.read(P, o, BS as u64, BS as u64, 2).unwrap();
+        // Once the shrink is durable, preallocated block 1 lies past the
+        // size and is rewritten in place while the cache holds it.
+        s.resize(P, o, BS as u64, 3).unwrap();
+        s.wal_commit().unwrap();
+        let tail = blocks_of(&s, o)[1];
+        assert!(s.cache().contains(tail));
+        s.write(P, o, BS as u64, &vec![2u8; BS], 4).unwrap();
+        assert_eq!(blocks_of(&s, o)[1], tail, "written in place");
+        assert_eq!(
+            s.read(P, o, BS as u64, BS as u64, 5).unwrap(),
+            &[2u8; BS][..]
+        );
+        assert_eq!(view, &[1u8; BS][..], "a view taken before keeps its bytes");
+    }
+
+    #[test]
+    fn a_whole_block_write_whose_device_write_fails_is_refused_whole() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; 3 * BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let (blocks, free, used) = (
+            blocks_of(&s, o),
+            s.free_blocks(),
+            s.partition_stats(P).unwrap().used,
+        );
+        let (logged, attrs) = (s.wal_durable_bytes(), s.peek_attr(P, o).unwrap().clone());
+        // First fit: the overwrite takes the three blocks after the
+        // object's; the second of them fails.
+        assert_eq!(blocks, [0, 1, 2].map(|i| s.layout.data_start + i));
+        s.cache.device_mut().fail_block = Some(s.layout.data_start + 4);
+        assert!(s.write(P, o, 0, &vec![2u8; 4 * BS], 2).is_err());
+        assert_eq!(s.cache().device().fail_block, None, "the write was tried");
+        assert_eq!(s.peek_attr(P, o).unwrap(), &attrs);
+        assert_eq!(blocks_of(&s, o), blocks);
+        assert_eq!(s.free_blocks(), free);
+        assert_eq!(s.partition_stats(P).unwrap().used, used);
+        assert!(!s.wal.has_pending() && s.unsynced.is_empty() && s.freed.is_empty());
+        s.wal_commit().unwrap();
+        assert_eq!(s.wal_durable_bytes(), logged, "nothing was logged");
+        let mut re = ObjectStore::open(s.cache().device().disk.clone(), 64).unwrap();
+        assert_eq!(
+            re.read(P, o, 0, 4 * BS as u64, 3).unwrap(),
+            &[1u8; 3 * BS][..]
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_whose_superblock_may_have_landed_is_finished_first() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        s.write(P, o, 0, &[1u8; 100], 1).unwrap();
+        s.wal_commit().unwrap();
+        // The primary superblock lands, the secondary does not: the media
+        // now names the new checkpoint, though the store's log has not
+        // moved to its epoch.
+        s.cache.device_mut().fail_block = Some(1);
+        assert!(s.checkpoint().is_err());
+        s.write(P, o, 100, &[2u8; 100], 2).unwrap();
+        s.wal_commit().unwrap();
+        let mut want = [1u8; 200];
+        want[100..].fill(2);
+        let mut re = ObjectStore::open(s.cache().device().disk.clone(), 64).unwrap();
+        assert_eq!(re.read(P, o, 0, 200, 3).unwrap(), &want[..]);
+    }
+
+    #[test]
+    fn no_record_commits_around_an_operation_whose_checkpoint_failed() {
+        let mut s = durable(4096);
+        let o = s.create_object(P, 0, None, 0).unwrap();
+        let other = s.create_object(P, 0, None, 0).unwrap();
+        s.write(P, o, 0, &vec![1u8; BS], 1).unwrap();
+        s.wal_commit().unwrap();
+        let old = blocks_of(&s, o)[0];
+        // Fill the log with records for no object (replay skips them)
+        // until a one-block write's record no longer fits and a record
+        // naming no block still does. Each run adds the same bytes.
+        let filler = |s: &mut ObjectStore<Failing>, runs: u64| {
+            let blocks: Vec<u64> = (0..runs).map(|i| 2 * i).collect();
+            let before = s.wal_durable_bytes();
+            let rec = WalRecord::Write {
+                p: P,
+                o: ObjectId(u64::MAX),
+                size: 0,
+                first: 0,
+                blocks: BlockRuns::new(&blocks),
+                now: 0,
+            };
+            assert!(s.wal.append(&rec).unwrap());
+            s.wal_commit().unwrap();
+            s.wal_durable_bytes() - before
+        };
+        let bare = filler(&mut s, 0);
+        let run = filler(&mut s, 1) - bare;
+        let capacity = s.layout.log_blocks * BS as u64;
+        loop {
+            // Records of at most ~1,000 runs stay inside the device.
+            let runs = (capacity - s.wal_durable_bytes() - 2 * bare) / run;
+            filler(&mut s, if runs > 1_010 { 1_000 } else { runs });
+            if runs <= 1_010 {
+                break;
+            }
+        }
+        let left = capacity - s.wal_durable_bytes();
+        assert!((bare..bare + run).contains(&left), "{left} B left");
+        // The write's record does not fit, and its checkpoint fails: the
+        // write is in memory and in no record.
+        s.cache.device_mut().fail_below = s.layout.data_start;
+        assert!(s.write(P, o, 0, &vec![2u8; BS], 2).is_err());
+        s.cache.device_mut().fail_below = 0;
+        // A record that fits is committed. Then a write fills the block
+        // the failed write displaced; if its record does not fit either,
+        // its checkpoint fails too.
+        s.resize(P, other, 0, 3).unwrap();
+        s.wal_commit().unwrap();
+        s.cache.device_mut().fail_below = s.layout.data_start;
+        let _ = s.write(P, other, 0, &vec![3u8; BS], 4);
+        assert_eq!(blocks_of(&s, other), [old], "first fit");
+        let mut re = ObjectStore::open(s.cache().device().disk.clone(), 64).unwrap();
+        let back = re.read(P, o, 0, BS as u64, 5).unwrap().to_vec();
+        assert!(
+            back == [1u8; BS] || back == [2u8; BS],
+            "object reads {}s",
+            back[0]
+        );
     }
 
     #[test]

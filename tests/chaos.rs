@@ -867,13 +867,25 @@ mod crash_sweep {
     }
 
     impl Shadow {
-        fn apply(&mut self, op: &SweepOp) {
+        /// Before the first op: no partition, no object.
+        fn start() -> Shadow {
+            Shadow {
+                partition: false,
+                objects: BTreeMap::new(),
+                next_oid: FIRST_DYNAMIC_OBJECT,
+            }
+        }
+
+        /// This state with `op` applied; `None` if the object `op`
+        /// names does not exist in it.
+        fn applied(&self, op: &SweepOp) -> Option<Shadow> {
+            let mut next = self.clone();
             match *op {
-                SweepOp::CreatePartition { .. } => self.partition = true,
+                SweepOp::CreatePartition { .. } => next.partition = true,
                 SweepOp::Create { .. } => {
-                    self.objects
-                        .insert(ObjectId(self.next_oid), (Vec::new(), 0));
-                    self.next_oid += 1;
+                    next.objects
+                        .insert(ObjectId(next.next_oid), (Vec::new(), 0));
+                    next.next_oid += 1;
                 }
                 SweepOp::Write {
                     o,
@@ -881,7 +893,7 @@ mod crash_sweep {
                     len,
                     fill,
                 } => {
-                    let (data, _) = self.objects.get_mut(&o).expect("script bug: write target");
+                    let (data, _) = next.objects.get_mut(&o)?;
                     let end = (offset + len) as usize;
                     if data.len() < end {
                         data.resize(end, 0);
@@ -889,29 +901,20 @@ mod crash_sweep {
                     data[offset as usize..end].fill(fill);
                 }
                 SweepOp::Resize { o, new_size } => {
-                    let (data, _) = self.objects.get_mut(&o).expect("script bug: resize target");
-                    data.resize(new_size as usize, 0);
+                    next.objects.get_mut(&o)?.0.resize(new_size as usize, 0);
                 }
-                SweepOp::SetAttr { o, tag } => {
-                    self.objects
-                        .get_mut(&o)
-                        .expect("script bug: setattr target")
-                        .1 = tag;
-                }
+                SweepOp::SetAttr { o, tag } => next.objects.get_mut(&o)?.1 = tag,
                 SweepOp::Snapshot { o } => {
-                    let src = self
-                        .objects
-                        .get(&o)
-                        .expect("script bug: snapshot src")
-                        .clone();
-                    self.objects.insert(ObjectId(self.next_oid), src);
-                    self.next_oid += 1;
+                    let src = next.objects.get(&o)?.clone();
+                    next.objects.insert(ObjectId(next.next_oid), src);
+                    next.next_oid += 1;
                 }
                 SweepOp::Remove { o } => {
-                    self.objects.remove(&o).expect("script bug: remove target");
+                    next.objects.remove(&o)?;
                 }
                 SweepOp::Overfill { .. } => {}
             }
+            Some(next)
         }
     }
 
@@ -978,19 +981,30 @@ mod crash_sweep {
         ops
     }
 
-    /// Execute one op through the drive's full signed request path.
+    /// Execute one op through the drive's full signed request path,
+    /// checking the name a created object gets.
     fn perform(
         drive: &mut NasdDrive<CrashDisk<SharedDisk>>,
         op: &SweepOp,
         predicted_oid: u64,
     ) -> Result<(), NasdStatus> {
+        if let Some(id) = perform_op(drive, op)? {
+            assert_eq!(id.0, predicted_oid, "object names must be deterministic");
+        }
+        Ok(())
+    }
+
+    /// Execute one op; returns the name of the object it created, if any.
+    fn perform_op(
+        drive: &mut NasdDrive<CrashDisk<SharedDisk>>,
+        op: &SweepOp,
+    ) -> Result<Option<ObjectId>, NasdStatus> {
+        let done = |status: NasdStatus| status.is_ok().then_some(None).ok_or(status);
         match *op {
-            SweepOp::CreatePartition { quota } => drive.admin_create_partition(P1, quota),
-            SweepOp::Create { preallocate } => {
-                let id = drive.admin_create_object(P1, preallocate)?;
-                assert_eq!(id.0, predicted_oid, "object names must be deterministic");
-                Ok(())
+            SweepOp::CreatePartition { quota } => {
+                drive.admin_create_partition(P1, quota).map(|()| None)
             }
+            SweepOp::Create { preallocate } => drive.admin_create_object(P1, preallocate).map(Some),
             SweepOp::Write {
                 o,
                 offset,
@@ -1001,7 +1015,7 @@ mod crash_sweep {
                 let c = drive.client(cap);
                 let n = c.write(drive, offset, &vec![fill; len as usize])?;
                 assert_eq!(n, len, "short write acked");
-                Ok(())
+                Ok(None)
             }
             SweepOp::Resize { o, new_size } => {
                 let cap = drive.issue_capability(P1, o, Rights::ALL, 3_600);
@@ -1014,8 +1028,7 @@ mod crash_sweep {
                     },
                     Bytes::new(),
                 );
-                let (reply, _) = drive.handle(&req);
-                reply.status.is_ok().then_some(()).ok_or(reply.status)
+                done(drive.handle(&req).0.status)
             }
             SweepOp::SetAttr { o, tag } => {
                 let cap = drive.issue_capability(P1, o, Rights::ALL, 3_600);
@@ -1033,8 +1046,7 @@ mod crash_sweep {
                     },
                     Bytes::new(),
                 );
-                let (reply, _) = drive.handle(&req);
-                reply.status.is_ok().then_some(()).ok_or(reply.status)
+                done(drive.handle(&req).0.status)
             }
             SweepOp::Snapshot { o } => {
                 let cap = drive.issue_capability(P1, o, Rights::ALL, 3_600);
@@ -1048,10 +1060,7 @@ mod crash_sweep {
                 );
                 let (reply, _) = drive.handle(&req);
                 match (reply.status, reply.body) {
-                    (NasdStatus::Ok, ReplyBody::Created(id)) => {
-                        assert_eq!(id.0, predicted_oid, "snapshot names must be deterministic");
-                        Ok(())
-                    }
+                    (NasdStatus::Ok, ReplyBody::Created(id)) => Ok(Some(id)),
                     (s, _) => Err(s),
                 }
             }
@@ -1065,14 +1074,13 @@ mod crash_sweep {
                     },
                     Bytes::new(),
                 );
-                let (reply, _) = drive.handle(&req);
-                reply.status.is_ok().then_some(()).ok_or(reply.status)
+                done(drive.handle(&req).0.status)
             }
             SweepOp::Overfill { o, offset, len } => {
                 let cap = drive.issue_capability(P1, o, Rights::ALL, 3_600);
                 let c = drive.client(cap);
                 match c.write(drive, offset, &vec![0xEE; len as usize]) {
-                    Err(NasdStatus::NoSpace) => Ok(()),
+                    Err(NasdStatus::NoSpace) => Ok(None),
                     Ok(n) => panic!("an overwrite past the free space acked {n} bytes"),
                     Err(e) => Err(e),
                 }
@@ -1087,14 +1095,9 @@ mod crash_sweep {
         drive: &mut NasdDrive<CrashDisk<SharedDisk>>,
         ops: &[SweepOp],
     ) -> (Shadow, Option<Shadow>, usize) {
-        let mut acked = Shadow {
-            partition: false,
-            objects: BTreeMap::new(),
-            next_oid: FIRST_DYNAMIC_OBJECT,
-        };
+        let mut acked = Shadow::start();
         for (i, op) in ops.iter().enumerate() {
-            let mut next = acked.clone();
-            next.apply(op);
+            let next = acked.applied(op).expect("script bug: no such object");
             match perform(drive, op, acked.next_oid) {
                 Ok(()) => acked = next,
                 Err(_) => return (acked, Some(next), i),
@@ -1177,18 +1180,17 @@ mod crash_sweep {
     }
 
     /// On failure, persist everything needed to replay the crash by hand
-    /// and return the path for the panic message.
-    fn dump_trace(seed: u64, budget: u64, torn: bool, ops: &[SweepOp], detail: &str) -> String {
+    /// and return the path for the panic message. `faults` names the
+    /// run's device faults, as in the file name (`n5-torn`: the power
+    /// fails after 5 completed writes, the sixth landing torn; `f3-n5`:
+    /// the write after 3 completed ones fails once first).
+    fn dump_trace(seed: u64, faults: &str, ops: &[SweepOp], detail: &str) -> String {
         let dir = std::path::Path::new("target/recovery-traces");
         std::fs::create_dir_all(dir).expect("create trace dir");
-        let path = dir.join(format!(
-            "seed-{seed:#x}-n{budget}{}.txt",
-            if torn { "-torn" } else { "" }
-        ));
+        let path = dir.join(format!("seed-{seed:#x}-{faults}.txt"));
         let mut f = std::fs::File::create(&path).expect("create trace file");
         writeln!(f, "seed: {seed:#x}").unwrap();
-        writeln!(f, "crash budget (writes allowed): {budget}").unwrap();
-        writeln!(f, "torn final sector: {torn}").unwrap();
+        writeln!(f, "device faults: {faults}").unwrap();
         writeln!(f, "failure: {detail}").unwrap();
         writeln!(f, "workload script:").unwrap();
         for (i, op) in ops.iter().enumerate() {
@@ -1212,50 +1214,51 @@ mod crash_sweep {
             "budget {budget} never tripped — sweep bound is stale"
         );
         drop(drive);
-
-        let fail = |detail: String| -> ! {
-            let path = dump_trace(seed, budget, torn, ops, &detail);
+        // The in-flight op may have become durable without its ack
+        // escaping the drive — that is the other legal outcome.
+        let legal: Vec<Shadow> = std::iter::once(acked).chain(inflight).collect();
+        if let Err(detail) = check_recovered(config, media, &legal) {
+            let faults = format!("n{budget}{}", if torn { "-torn" } else { "" });
+            let path = dump_trace(seed, &faults, ops, &detail);
             panic!(
                 "seed {seed:#x} crash at write {budget} (torn={torn}, op {failed_at}): \
                  {detail}\n  trace: {path}"
             );
-        };
+        }
+    }
 
+    /// Remount `media` and check that it holds one of the `legal` states
+    /// (the acked one first), and the same one again on a second
+    /// remount. Returns the divergence found.
+    fn check_recovered(
+        config: &DriveConfig,
+        media: SharedDisk,
+        legal: &[Shadow],
+    ) -> Result<(), String> {
         let mut reopened = match NasdDrive::builder(DRIVE_NO)
             .config(config.clone())
             .open(media.clone())
         {
             Ok(d) => d,
+            // Legal only if nothing was ever acknowledged: the crash beat
+            // the very first commit (which formats the device).
+            Err(StoreError::NotFormatted) if legal.contains(&Shadow::start()) => return Ok(()),
             Err(StoreError::NotFormatted) => {
-                // Legal only if nothing was ever acknowledged: the crash
-                // beat the very first commit (which formats the device).
-                if acked
-                    != (Shadow {
-                        partition: false,
-                        objects: BTreeMap::new(),
-                        next_oid: FIRST_DYNAMIC_OBJECT,
-                    })
-                {
-                    fail(format!("device unformatted but ops were acked: {acked:?}"));
-                }
-                return;
+                return Err(format!("device unformatted but ops were acked: {legal:?}"))
             }
-            Err(e) => fail(format!("remount failed: {e}")),
+            Err(e) => return Err(format!("remount failed: {e}")),
         };
-
-        if let Some(d) = diff_state(&mut reopened, &acked) {
-            // The in-flight op may have become durable without its ack
-            // escaping the drive — that is the other legal outcome.
-            match &inflight {
-                Some(committed) => {
-                    if let Some(d2) = diff_state(&mut reopened, committed) {
-                        fail(format!(
-                            "matches neither acked state ({d}) nor acked+in-flight ({d2})"
-                        ));
-                    }
-                }
-                None => fail(format!("acked state lost: {d}")),
+        let mut diffs = Vec::new();
+        for want in legal {
+            match diff_state(&mut reopened, want) {
+                Some(d) => diffs.push(d),
+                None => break,
             }
+        }
+        match diffs.len() {
+            n if n < legal.len() => {}
+            1 => return Err(format!("acked state lost: {}", diffs[0])),
+            _ => return Err(format!("matches no legal state: {}", diffs.join("; "))),
         }
         let digest = state_digest(&mut reopened);
         drop(reopened);
@@ -1265,13 +1268,14 @@ mod crash_sweep {
         let mut second = NasdDrive::builder(DRIVE_NO)
             .config(config.clone())
             .open(media)
-            .unwrap_or_else(|e| fail(format!("second remount failed: {e}")));
+            .map_err(|e| format!("second remount failed: {e}"))?;
         let second_digest = state_digest(&mut second);
         if digest != second_digest {
-            fail(format!(
+            return Err(format!(
                 "double-remount digest diverged: {digest:#x} != {second_digest:#x}"
             ));
         }
+        Ok(())
     }
 
     /// Fault-free pass: learns the total device write count and proves
@@ -1525,6 +1529,128 @@ mod crash_sweep {
     #[test]
     fn long_crash_point_sweep_survives_torn_final_sector() {
         long_sweep(true);
+    }
+
+    /// Writes past a transient fault at which the power is cut in turn.
+    const TRANSIENT_WINDOW: u64 = 12;
+
+    /// Run `ops` on a drive whose device fails one write transiently,
+    /// retrying once the op that saw it. An op whose attempt failed may
+    /// or may not have taken effect, so from then on the media may hold
+    /// either state; an ack that names a created object tells them
+    /// apart. Returns every state the media may hold when the power
+    /// fails (or the script ends) and the index of the op it cut.
+    fn run_with_retry(
+        drive: &mut NasdDrive<CrashDisk<SharedDisk>>,
+        ops: &[SweepOp],
+    ) -> (Vec<Shadow>, usize) {
+        // `op` applied to every state, less those whose next object
+        // name is not the one the drive gave.
+        let advance = |states: &[Shadow], op: &SweepOp, created: Option<ObjectId>| {
+            let mut next: Vec<Shadow> = Vec::new();
+            for s in states {
+                if created.is_some_and(|id| id.0 != s.next_oid) {
+                    continue;
+                }
+                if let Some(n) = s.applied(op).filter(|n| !next.contains(n)) {
+                    next.push(n);
+                }
+            }
+            next
+        };
+        let either = |states: &[Shadow], op: &SweepOp| {
+            let mut both = states.to_vec();
+            both.extend(
+                advance(states, op, None)
+                    .into_iter()
+                    .filter(|n| !states.contains(n)),
+            );
+            both
+        };
+        let mut legal = vec![Shadow::start()];
+        let mut retried = false;
+        for (i, op) in ops.iter().enumerate() {
+            let mut outcome = perform_op(drive, op);
+            if outcome.is_err() && !retried && !drive.store().cache().device().tripped() {
+                retried = true;
+                legal = either(&legal, op);
+                outcome = perform_op(drive, op);
+            }
+            match outcome {
+                Ok(created) => legal = advance(&legal, op, created),
+                Err(_) if drive.store().cache().device().tripped() => {
+                    return (either(&legal, op), i);
+                }
+                // Refused on the retry (a removed object is gone, a
+                // created partition exists): the failed attempt's effect
+                // is the one in doubt.
+                Err(_) => {}
+            }
+            assert!(
+                !legal.is_empty(),
+                "op {i}: no state explains the drive's reply"
+            );
+        }
+        (legal, ops.len())
+    }
+
+    /// One transient-fault run: the write attempted after `fault`
+    /// completed writes fails once, the op that saw it is retried, and
+    /// the power fails after `budget` completed writes (never if `None`).
+    fn transient_run(
+        config: &DriveConfig,
+        seed: u64,
+        ops: &[SweepOp],
+        fault: u64,
+        budget: Option<u64>,
+    ) {
+        let media = SharedDisk::new(MemDisk::new(config.block_size, config.capacity_blocks));
+        let mut disk = CrashDisk::new(media.clone(), seed);
+        disk.fail_once(fault);
+        if let Some(budget) = budget {
+            disk.arm(budget, false);
+        }
+        let mut drive = NasdDrive::builder(DRIVE_NO)
+            .config(config.clone())
+            .build_on(disk);
+        let (legal, cut_at) = run_with_retry(&mut drive, ops);
+        drop(drive);
+        if let Err(detail) = check_recovered(config, media, &legal) {
+            let faults = match budget {
+                Some(budget) => format!("f{fault}-n{budget}"),
+                None => format!("f{fault}"),
+            };
+            let path = dump_trace(seed, &faults, ops, &detail);
+            panic!(
+                "seed {seed:#x} write {fault} failed once, crash at write {budget:?} \
+                 (op {cut_at}): {detail}\n  trace: {path}"
+            );
+        }
+    }
+
+    /// The crash sweeps never commit again after a failed write: their
+    /// device fails every write from the crash point on. Here one write
+    /// of the long script fails and the drive carries on — for every
+    /// write of the fault-free run — and the failed op is retried once;
+    /// then the power fails at each of the next `TRANSIENT_WINDOW`
+    /// writes, and once not at all. A block a failed op displaced must
+    /// not be reused while the durable state still reads it. A debug
+    /// build takes every seventh write as the fault, a release build
+    /// (the CI step) every one, some 10,000 runs.
+    #[test]
+    fn transient_fault_sweep_loses_no_acked_write() {
+        let config = long_sweep_config();
+        let stride = if cfg!(debug_assertions) { 7 } else { 1 };
+        for &seed in &SEEDS {
+            let ops = long_script(seed);
+            let writes = count_writes(&config, seed, &ops);
+            for fault in (0..writes).step_by(stride) {
+                for budget in fault..fault + TRANSIENT_WINDOW {
+                    transient_run(&config, seed, &ops, fault, Some(budget));
+                }
+                transient_run(&config, seed, &ops, fault, None);
+            }
+        }
     }
 }
 
