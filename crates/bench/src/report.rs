@@ -318,7 +318,10 @@ pub fn perf_report(rows: &[perf::PerfRow], probe_installed: bool) -> BenchReport
             );
     }
     if let Some(seq) = rows.iter().find(|r| r.workload == "seq_write") {
-        r = r.with_derived("seq_write_bytes_copied_per_op", seq.bytes_copied_per_op);
+        r = r
+            .with_derived("seq_write_allocs_per_op", seq.allocs_per_op)
+            .with_derived("seq_write_alloc_bytes_per_op", seq.alloc_bytes_per_op)
+            .with_derived("seq_write_bytes_copied_per_op", seq.bytes_copied_per_op);
     }
     if let Some(durable) = rows.iter().find(|r| r.workload == "durable_write") {
         r = r

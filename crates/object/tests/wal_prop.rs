@@ -29,7 +29,8 @@ const P: PartitionId = PartitionId(1);
 /// store and the flat model.
 #[derive(Clone, Debug)]
 enum Op {
-    Create,
+    /// Bytes of capacity to preallocate.
+    Create(u64),
     Write {
         slot: usize,
         offset: u64,
@@ -54,7 +55,7 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        Just(Op::Create),
+        (0u64..=3).prop_map(|blocks| Op::Create(blocks * BS as u64)),
         (0usize..8, 0u64..2_500, 1usize..1_200, any::<u8>()).prop_map(
             |(slot, offset, len, fill)| Op::Write {
                 slot,
@@ -90,8 +91,8 @@ fn key_slot(kind: KeyKind) -> ObjectId {
     ObjectId(u64::from(kind.to_byte()))
 }
 
-/// Apply one op to the durable store and the model. Slot indices pick
-/// among live objects; ops against an empty store fall back to Create.
+/// Apply one op to the store and the model. Slot indices pick among
+/// live objects; ops against an empty store fall back to Create.
 fn step(store: &mut ObjectStore<SharedDisk>, model: &mut Model, op: &Op) {
     let live: Vec<ObjectId> = model
         .keys()
@@ -104,7 +105,11 @@ fn step(store: &mut ObjectStore<SharedDisk>, model: &mut Model, op: &Op) {
             store.set_working_key(P, *kind, [*fill; 32]).unwrap();
             model.insert(key_slot(*kind), vec![*fill; 32]);
         }
-        (Op::Create, _) | (_, true) => {
+        (Op::Create(preallocate), _) => {
+            let id = store.create_object(P, *preallocate, None, 0).unwrap();
+            model.insert(id, Vec::new());
+        }
+        (_, true) => {
             let id = store.create_object(P, 0, None, 0).unwrap();
             model.insert(id, Vec::new());
         }
@@ -204,6 +209,26 @@ proptest! {
         // Replay the same prefix a second time: byte-identical state.
         let mut twice = ObjectStore::open(media, 32).unwrap();
         prop_assert_eq!(&observed(&mut twice), prefixes.last().unwrap());
+    }
+
+    /// A store that never logs runs the same write path: it reads back
+    /// the model after every op, and after a checkpoint and a remount.
+    #[test]
+    fn an_unlogged_store_reads_back_the_model(
+        ops in proptest::collection::vec(arb_op(), 1..16),
+    ) {
+        let media = SharedDisk::new(MemDisk::new(BS, BLOCKS));
+        let mut store = ObjectStore::new(media.clone(), 32);
+        store.create_partition(P, 1 << 20).unwrap();
+        let mut model = Model::new();
+        for op in &ops {
+            step(&mut store, &mut model, op);
+            prop_assert_eq!(&observed(&mut store), &model);
+        }
+        store.checkpoint().unwrap();
+        drop(store);
+        let mut reopened = ObjectStore::open(media, 32).unwrap();
+        prop_assert_eq!(&observed(&mut reopened), &model);
     }
 
     /// Operations logged but never committed are invisible after a
