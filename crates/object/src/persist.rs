@@ -260,8 +260,8 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// the next checkpoint stores that superblock again, both copies,
     /// before it overwrites the index copy the one before it names.
     /// On a durable store the only dirty data is what the records not
-    /// yet committed name; once the switch is made, the blocks those
-    /// records dropped rejoin the allocator.
+    /// yet committed name; once the switch is made, the blocks the
+    /// records since the last checkpoint dropped rejoin the allocator.
     ///
     /// # Errors
     ///
@@ -372,6 +372,7 @@ impl<D: BlockDevice> ObjectStore<D> {
             unpublished: None,
             unsynced: Vec::new(),
             freed: Vec::new(),
+            discarded: 0,
             hidden: HashSet::new(),
         };
         for rec in log_records {
@@ -387,6 +388,12 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// map names, counting the objects that share one. A partition is
     /// charged for every block of every object it holds, a snapshot's
     /// shared ones included.
+    ///
+    /// The blocks replayed records dropped or hid (`freed`, as
+    /// [`Self::apply_wal`] left it) may be read by the state before
+    /// them, which a later remount recovers if one of those records is
+    /// damaged. Until the next checkpoint the unmapped ones stay carved
+    /// out, in `freed`, and the mapped ones are `hidden`.
     fn rebuild_allocation(&mut self) -> Result<(), StoreError> {
         let layout = self.layout;
         let bs = layout.block_size as u64;
@@ -410,11 +417,6 @@ impl<D: BlockDevice> ObjectStore<D> {
             .flat_map(|m| m.blocks.iter().copied())
             .collect();
         in_use.sort_unstable();
-        if in_use.last().is_some_and(|&b| b >= layout.total_blocks) {
-            return Err(StoreError::Corrupt(
-                "object index references out-of-range or doubly-used blocks",
-            ));
-        }
         let mut refcounts = HashMap::new();
         for shared in in_use.chunk_by(|a, b| a == b).filter(|c| c.len() > 1) {
             if let Some(&b) = shared.first() {
@@ -422,7 +424,24 @@ impl<D: BlockDevice> ObjectStore<D> {
             }
         }
         in_use.dedup();
-        for run in in_use.chunk_by(|a, b| a.checked_add(1) == Some(*b)) {
+        let mut dropped = std::mem::take(&mut self.freed);
+        dropped.sort_unstable();
+        dropped.dedup();
+        let (hidden, held): (Vec<u64>, Vec<u64>) = dropped
+            .into_iter()
+            .partition(|b| in_use.binary_search(b).is_ok());
+        self.hidden = hidden.into_iter().collect();
+        self.freed = held;
+        self.discarded = self.freed.len();
+        let mut carved = in_use;
+        carved.extend_from_slice(&self.freed);
+        carved.sort_unstable();
+        if carved.last().is_some_and(|&b| b >= layout.total_blocks) {
+            return Err(StoreError::Corrupt(
+                "object index references out-of-range or doubly-used blocks",
+            ));
+        }
+        for run in carved.chunk_by(|a, b| a.checked_add(1) == Some(*b)) {
             let start = run.first().copied().unwrap_or_default();
             allocator
                 .allocate(run.len() as u64, Some(start))
