@@ -39,6 +39,10 @@
 //! The text a run prints is [`table::render_report`] of the same report
 //! `--json` writes, so the two cannot disagree.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benchmarks time the functional stack by the wall clock; no simulated result reads it"
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -15,6 +15,11 @@
 //! bound or an unknown key exits non-zero. `--drives`/`--clients`
 //! truncate the `scale` matrix for CI's smoke run.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "reports each run's wall_secs; no simulated result reads it"
+)]
+
 use nasd::obs::{BenchReport, Json};
 use nasd_bench::report::{Experiment, Gate, RunArgs, REGISTRY};
 use nasd_bench::table;

@@ -10,7 +10,7 @@
 //! Three instruments:
 //!
 //! * wall-clock time per operation (`std::time::Instant` — this crate is
-//!   not simulation-visible, so nasd-lint D1 does not apply);
+//!   not simulation-visible, and its root excuses it from D1);
 //! * a counting global allocator, installed only by the `nasd-bench`
 //!   *binary* (a `#[global_allocator]` needs `unsafe`, which library
 //!   crates forbid) and handed in as an [`AllocProbe`];
@@ -255,12 +255,20 @@ impl BlockDevice for CountingDisk {
 /// blocks go around the cache, so the span is not cached: an op copies
 /// its payload once, into the request, and the device write is the
 /// block's one copy. The row's counters are the device's: writes per
-/// op, and bytes read and written per payload byte.
+/// op, and bytes read and written per payload byte. Every device block
+/// is written once before the drive is built, so the allocation
+/// counters measure the store, not `MemDisk` materializing a block on
+/// its first write.
 fn durable_write(probe: Option<AllocProbe>, size: u64, ops: u64) -> PerfRow {
     const SPAN: u64 = 4 << 20;
     let config = perf_config().durable();
+    let mut disk = MemDisk::new(config.block_size, config.capacity_blocks);
+    let zeros = vec![0u8; config.block_size];
+    for block in 0..config.capacity_blocks {
+        disk.write_block(block, &zeros).expect("pre-write");
+    }
     let device = CountingDisk {
-        disk: MemDisk::new(config.block_size, config.capacity_blocks),
+        disk,
         writes: 0,
         bytes: Cell::new(0),
     };

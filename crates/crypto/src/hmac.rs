@@ -40,7 +40,10 @@ impl HmacKey {
     /// Keys longer than the 64-byte SHA-256 block are first hashed, per
     /// RFC 2104.
     #[must_use]
-    // nasd-lint: allow(transitive-panic, "RFC 2104 fixed-block math: every index is bounded by the BLOCK and digest-size constants")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "RFC 2104 fixed-block math: every index is bounded by the BLOCK and digest-size constants"
+    )]
     pub fn new(key: &[u8]) -> Self {
         let mut k = [0u8; BLOCK];
         if key.len() > BLOCK {

@@ -130,6 +130,10 @@ impl Digest {
     /// Fold the digest down to a `u64` (used for cheap fingerprints in
     /// tests and replay caches; not a security boundary).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "a digest is 32 bytes, so its first 8 always make a u64"
+    )]
     pub fn to_u64(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().expect("digest is 32 bytes"))
     }
@@ -214,7 +218,11 @@ impl Sha256 {
     }
 
     /// Absorb `data` into the hash state.
-    // nasd-lint: allow(transitive-panic, "FIPS 180-4 fixed-block math: every slice is bounded by the 64-byte block invariant (buf_len < 64, data.len() >= 64 guards)")
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "FIPS 180-4 fixed-block math: every slice is bounded by the 64-byte block invariant (buf_len < 64, data.len() >= 64 guards)"
+    )]
     pub fn update(&mut self, data: &[u8]) {
         let mut data = data;
         // Fill the partial block first.
@@ -266,7 +274,10 @@ impl Sha256 {
 
     /// Finish hashing and produce the digest.
     #[must_use]
-    // nasd-lint: allow(transitive-panic, "FIPS 180-4 fixed-block math: buf_len < 64 bounds the pad byte, the length fills bytes 56..64 and the 8 state words fill exactly 32 bytes")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "FIPS 180-4 fixed-block math: buf_len < 64 bounds the pad byte, the length fills bytes 56..64 and the 8 state words fill exactly 32 bytes"
+    )]
     pub fn finalize(mut self) -> Digest {
         let bit_len = (self.len + self.buf_len as u64) * 8;
         // Padding: 0x80, zeros, 64-bit big-endian length — written into
@@ -289,6 +300,11 @@ impl Sha256 {
         Digest(out)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "FIPS 180-4 fixed-block math: the schedule and K have 64 entries, every index is below 64 and every chunk of the 64-byte block is 4 bytes"
+    )]
     fn compress(&mut self, block: &[u8; 64]) {
         crate::stats::record_compression();
         let mut w = [0u32; 64];

@@ -19,6 +19,8 @@
 //! the content digest, so every chunk read is integrity-checked
 //! end-to-end before it reaches a restore.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::error::DedupError;
 use nasd_crypto::Sha256;
 use nasd_proto::wire::{DecodeError, WireReader, WireWriter};
@@ -61,12 +63,16 @@ pub fn encode(digest: &[u8; 32], payload: &[u8], try_compress: bool) -> Vec<u8> 
     };
     let csum = payload_csum(&body);
     let mut w = WireWriter::with_capacity(HEADER_LEN + body.len());
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "chunk length is bounded by the chunker's max size (4 MiB), far below \
+                  u32::MAX, and the encoded length never exceeds it (compression is only \
+                  kept when smaller)"
+    )]
     w.u32(MAGIC)
         .u32(flags)
         .raw(digest)
-        // nasd-lint: allow(cast, "chunk length is bounded by the chunker's max size (4 MiB), far below u32::MAX")
         .u32(payload.len() as u32)
-        // nasd-lint: allow(cast, "encoded length never exceeds the raw chunk length (compression is only kept when smaller)")
         .u32(body.len() as u32)
         .u64(csum)
         .raw(&body);

@@ -23,6 +23,10 @@ pub const WINDOW: usize = 48;
 /// chunks identically.
 const TABLE: [u64; 256] = buzhash_table();
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-eval table fill; `i < 256` is the loop bound of this 256-entry array"
+)]
 const fn buzhash_table() -> [u64; 256] {
     let mut table = [0u64; 256];
     let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -33,7 +37,6 @@ const fn buzhash_table() -> [u64; 256] {
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        // nasd-lint: allow(panic, "const-eval table fill; `i < 256` is the loop bound of this 256-entry array")
         table[i] = z ^ (z >> 31);
         i += 1;
     }
@@ -42,8 +45,11 @@ const fn buzhash_table() -> [u64; 256] {
 
 /// The Buzhash value for one byte.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "TABLE has 256 entries; a u8 index is always in range"
+)]
 fn tbl(b: u8) -> u64 {
-    // nasd-lint: allow(panic, "TABLE has 256 entries; a u8 index is always in range")
     TABLE[usize::from(b)]
 }
 

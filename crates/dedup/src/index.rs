@@ -14,6 +14,8 @@
 //! length-checked) and reject structurally impossible indexes at decode
 //! time — a corrupt index is an error, never a garbled restore.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use nasd_proto::wire::{DecodeError, WireDecode, WireEncode, WireReader, WireWriter};
 
 /// SHA-256 content address of one chunk.
@@ -164,7 +166,10 @@ fn read_digest(r: &mut WireReader<'_>) -> Result<ChunkDigest, DecodeError> {
 impl WireEncode for FixedIndex {
     fn encode(&self, w: &mut WireWriter) {
         w.u8(TAG_FIXED).u64(self.chunk_size).u64(self.total_len);
-        // nasd-lint: allow(cast, "chunk counts are bounded by MAX_CHUNKS (1<<22), far below u32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "chunk counts are bounded by MAX_CHUNKS (1<<22), far below u32::MAX"
+        )]
         w.u32(self.digests.len() as u32);
         for d in &self.digests {
             w.raw(d);
@@ -206,7 +211,10 @@ impl WireDecode for FixedIndex {
 impl WireEncode for DynamicIndex {
     fn encode(&self, w: &mut WireWriter) {
         w.u8(TAG_DYNAMIC);
-        // nasd-lint: allow(cast, "chunk counts are bounded by MAX_CHUNKS (1<<22), far below u32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "chunk counts are bounded by MAX_CHUNKS (1<<22), far below u32::MAX"
+        )]
         w.u32(self.entries.len() as u32);
         for (end, d) in &self.entries {
             w.u64(*end).raw(d);

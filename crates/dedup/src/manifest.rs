@@ -13,6 +13,8 @@
 //! snapshot. The version byte-gates format evolution: readers reject
 //! versions they do not understand instead of misparsing them.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::error::DedupError;
 use crate::index::ArchiveIndex;
 use nasd_crypto::Sha256;
@@ -56,7 +58,10 @@ impl SnapshotManifest {
         let mut w = WireWriter::new();
         w.u32(MAGIC).u32(MANIFEST_VERSION);
         w.bytes(self.name.as_bytes()).u64(self.created);
-        // nasd-lint: allow(cast, "snapshots hold at most MAX_ARCHIVES (4096) archives, far below u32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "snapshots hold at most MAX_ARCHIVES (4096) archives, far below u32::MAX"
+        )]
         w.u32(self.archives.len() as u32);
         for a in &self.archives {
             w.bytes(a.name.as_bytes());

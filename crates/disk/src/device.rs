@@ -372,7 +372,10 @@ impl<D: BlockDevice> BlockDevice for CrashDisk<D> {
         self.inner.read_block(block, buf)
     }
 
-    // nasd-lint: allow(transitive-panic, "crash-injection harness: `keep` is `% bs` so both slices stay inside the bs-length buffers")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "crash-injection harness: `keep` is `% bs` so both slices stay inside the bs-length buffers"
+    )]
     fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), DiskError> {
         if self.transient == Some(self.writes) && !self.tripped {
             self.transient = None;

@@ -269,7 +269,10 @@ impl StripedModel {
     }
 
     /// Read across the stripe; completion is the slowest member's.
-    // nasd-lint: allow(transitive-panic, "split() yields member indices inside the stripe by construction")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "split() yields member indices inside the stripe by construction"
+    )]
     pub fn read(&mut self, now: SimTime, offset: u64, len: u64) -> SimTime {
         let mut done = now;
         for (disk, local, run_len) in self.split(offset, len) {
@@ -279,7 +282,10 @@ impl StripedModel {
     }
 
     /// Write across the stripe; completion is the slowest member's ack.
-    // nasd-lint: allow(transitive-panic, "split() yields member indices inside the stripe by construction")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "split() yields member indices inside the stripe by construction"
+    )]
     pub fn write(&mut self, now: SimTime, offset: u64, len: u64) -> SimTime {
         let mut done = now;
         for (disk, local, run_len) in self.split(offset, len) {

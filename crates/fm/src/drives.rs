@@ -226,7 +226,6 @@ impl DriveEndpoint {
     /// the object's current logical version. Always under the
     /// partition's generation-0 gold key.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn mint(
         &self,
         partition: PartitionId,
@@ -689,7 +688,10 @@ impl DriveFleet {
     /// the media (a [`SharedDisk`]) survives for [`DriveFleet::restart`].
     /// Clients observe disconnections/timeouts until the restart.
     pub fn crash(&self, idx: usize) {
-        // nasd-lint: allow(panic, "chaos-harness API: a bogus drive index is a test bug, not a request-path input")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chaos-harness API: a bogus drive index is a test bug, not a request-path input"
+        )]
         let handle = self.slots[idx].lock().handle.take();
         if let Some(h) = handle {
             h.shutdown();
@@ -698,8 +700,11 @@ impl DriveFleet {
 
     /// Whether drive `idx` is up (not crashed).
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chaos-harness API: a bogus drive index is a test bug, not a request-path input"
+    )]
     pub fn is_up(&self, idx: usize) -> bool {
-        // nasd-lint: allow(panic, "chaos-harness API: a bogus drive index is a test bug, not a request-path input")
         self.slots[idx].lock().handle.is_some()
     }
 
@@ -713,12 +718,18 @@ impl DriveFleet {
     /// media holds no usable checkpoint (the drive never persisted —
     /// see [`DriveConfig::durable`]).
     pub fn restart(&self, idx: usize) -> Result<(), FmError> {
-        // nasd-lint: allow(panic, "chaos-harness API: a bogus drive index is a test bug, not a request-path input")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chaos-harness API: a bogus drive index is a test bug, not a request-path input"
+        )]
         let mut slot = self.slots[idx].lock();
         if slot.handle.is_some() {
             return Ok(());
         }
-        // nasd-lint: allow(panic, "chaos-harness API: a bogus drive index is a test bug, not a request-path input")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chaos-harness API: a bogus drive index is a test bug, not a request-path input"
+        )]
         let ep = &self.endpoints[idx];
         let mut builder = NasdDrive::builder(ep.id().0)
             .config(slot.config.clone())
@@ -760,8 +771,11 @@ impl DriveFleet {
 
     /// Endpoint by index.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "chaos-harness API: a bogus drive index is a test bug, not a request-path input"
+    )]
     pub fn endpoint(&self, idx: usize) -> &Arc<DriveEndpoint> {
-        // nasd-lint: allow(panic, "chaos-harness API: a bogus drive index is a test bug, not a request-path input")
         &self.endpoints[idx]
     }
 

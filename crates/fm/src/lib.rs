@@ -33,6 +33,16 @@
 //! HMAC: each [`DriveEndpoint`] derives a partition's working key once.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 mod afs;

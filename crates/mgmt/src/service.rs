@@ -303,6 +303,10 @@ pub(crate) fn chunks(len: u64, chunk: u64) -> impl Iterator<Item = (u64, u64)> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times a rate-limited rebuild on real threads"
+)]
 mod tests {
     use super::*;
     use bytes::Bytes;

@@ -1,11 +1,10 @@
-//! Fixture: C1 violations. A wire-decoded integer narrowed with `as`
-//! and combined with unchecked `+` — both silent-corruption shapes the
-//! rule exists to catch.
+//! Fixture: C1 violation. A wire-decoded integer combined with unchecked
+//! `+` — the silent-corruption shape the rule's arithmetic half exists to
+//! catch.
 
 /// Decode a frame header; `len` comes straight off the wire.
-pub fn decode_header(r: &mut WireReader) -> (u16, u64) {
+pub fn decode_header(r: &mut WireReader) -> u64 {
     let len = r.u32();
-    let short = len as u16;
     let total = len + 8;
-    (short, u64::from(total))
+    u64::from(total)
 }

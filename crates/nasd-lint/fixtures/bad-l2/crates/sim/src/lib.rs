@@ -3,6 +3,16 @@
 //! every contender on that lock for the whole call.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 impl Drive {
     /// Two violations: device I/O and a pace while `state` is held.

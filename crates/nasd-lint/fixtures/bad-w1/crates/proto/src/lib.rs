@@ -4,6 +4,17 @@
 //! report W1 for each and exit nonzero.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+#![deny(clippy::cast_possible_truncation)]
 
 /// Wire status codes.
 pub enum NasdStatus {

@@ -1,8 +1,17 @@
-//! Fixture: a clean sim-visible crate root. Deterministic, panic-free,
-//! forbids unsafe, and its one wall-clock site carries a reasoned
-//! suppression — nasd-lint must exit 0 on this tree.
+//! Fixture: a clean request-path crate root. It forbids unsafe code and
+//! hands panic-freedom to clippy — nasd-lint must exit 0 on this tree.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::time::Duration;
 
@@ -15,20 +24,5 @@ impl Clock {
     /// Advance by `d`, saturating.
     pub fn advance(&mut self, d: Duration) {
         self.now_ns = self.now_ns.saturating_add(d.as_nanos() as u64);
-    }
-
-    /// Pace a real thread while an interactive demo runs.
-    pub fn demo_pace(&self, d: Duration) {
-        // nasd-lint: allow(wall-clock, "demo-only pacing, never sim-visible")
-        std::thread::sleep(d);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    // Test code is exempt from D1: wall-clock here must not be flagged.
-    #[test]
-    fn timer_smoke() {
-        let _ = std::time::Instant::now();
     }
 }

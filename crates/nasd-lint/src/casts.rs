@@ -1,11 +1,11 @@
-//! C1: cast and arithmetic safety on wire-decoded / on-disk integers.
-//!
-//! Two sub-rules over the codec and replay modules:
+//! C1: cast and arithmetic safety on wire-decoded / on-disk integers,
+//! over the codec and replay modules. Two halves:
 //!
 //! - **narrowing `as` casts** — `x as u32`, `x as usize`, … silently
 //!   truncate; a hostile frame length survives the cast and corrupts the
-//!   replay cursor. Sites must use `try_from` (mapping the error to a
-//!   typed `Corrupt`/`Malformed` status) or carry `allow(cast, "…")`.
+//!   replay cursor. Clippy holds this half: each module (or, for a
+//!   prefix, its crate root) denies `clippy::cast_possible_truncation`,
+//!   and C1 requires that line, so deleting it cannot drop the rule.
 //! - **unchecked `+`/`*` on tainted values** — a single forward pass
 //!   marks `let` bindings whose initializer reads wire/disk integers
 //!   (`.u32()`, `read_u64(..)`, `from_be_bytes`, or another tainted
@@ -13,7 +13,7 @@
 //!   be `checked_add`/`checked_mul` or carry `allow(arith, "…")`.
 
 use crate::lexer::{Tok, Token};
-use crate::rules::in_file_scope;
+use crate::rules::{in_file_scope, inner_lints};
 use crate::{RawFinding, Source};
 use std::collections::BTreeSet;
 
@@ -32,9 +32,6 @@ pub(crate) const C1_FILES: &[&str] = &[
 /// itself (self-check — nasd-lint decodes untrusted source text).
 pub(crate) const C1_PREFIXES: &[&str] = &["crates/proto/src/", "crates/nasd-lint/src/"];
 
-/// Target types for which `as` narrows (from the wider wire/disk types).
-const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
 /// Methods/functions whose result is wire- or disk-derived.
 const TAINT_SOURCES: &[&str] = &[
     "u8",
@@ -47,47 +44,29 @@ const TAINT_SOURCES: &[&str] = &[
     "from_le_bytes",
 ];
 
-pub(crate) fn in_c1_scope(path: &str) -> bool {
-    in_file_scope(path, C1_FILES, false) || C1_PREFIXES.iter().any(|p| path.contains(p))
-}
-
+/// C1 over one file: a C1 module, or a crate root under a C1 prefix, must
+/// deny `clippy::cast_possible_truncation` (the narrowing half is
+/// clippy's); every file in scope gets the arithmetic half.
 pub(crate) fn check_c1(src: &Source, out: &mut Vec<RawFinding>) {
-    if !in_c1_scope(&src.path) {
-        return;
-    }
+    let module = in_file_scope(&src.path, C1_FILES, false);
+    let prefix = C1_PREFIXES.iter().find(|p| src.path.contains(*p));
+    let root =
+        prefix.is_some_and(|p| matches!(src.path.rsplit_once(*p), Some((_, "lib.rs" | "main.rs"))));
     let toks = &src.lexed.tokens;
-    check_narrowing(src, toks, out);
-    check_taint_arith(src, toks, out);
-}
-
-fn check_narrowing(src: &Source, toks: &[Token], out: &mut Vec<RawFinding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test || !t.is_ident("as") {
-            continue;
-        }
-        // `use x as y` renames rather than casts, but a rename target is
-        // never a primitive type name, so the NARROW_TYPES check below
-        // already excludes it.
-        let Some(ty_tok) = toks.get(i + 1) else {
-            continue;
-        };
-        let Some(ty) = ty_tok.ident() else {
-            continue;
-        };
-        if !NARROW_TYPES.contains(&ty) {
-            continue;
-        }
+    if (module || root) && !inner_lints(toks, "deny").contains("cast_possible_truncation") {
         out.push(RawFinding {
             rule: "C1",
             file: src.path.clone(),
-            line: ty_tok.line,
-            message: format!(
-                "narrowing `as {ty}` can silently truncate a wire/on-disk \
-                 integer; use {ty}::try_from(..) mapped to a typed error, or \
-                 justify with allow(cast)"
-            ),
-            allow: Some("cast"),
+            line: 1,
+            message: "C1 module does not deny clippy::cast_possible_truncation; \
+                      clippy holds its narrowing casts only through that \
+                      `#![deny(..)]` line"
+                .to_owned(),
+            allow: None,
         });
+    }
+    if module || prefix.is_some() {
+        check_taint_arith(src, toks, out);
     }
 }
 
@@ -227,13 +206,6 @@ mod tests {
         let mut out = Vec::new();
         check_c1(&src, &mut out);
         out
-    }
-
-    #[test]
-    fn narrowing_cast_flagged_widening_not() {
-        let out = run("fn f(x: u64) -> u32 { let a = x as u32; let b = x as u64; a }");
-        assert_eq!(out.len(), 1);
-        assert!(out.first().is_some_and(|f| f.message.contains("as u32")));
     }
 
     #[test]

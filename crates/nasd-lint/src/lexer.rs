@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn comments_are_collected_with_lines() {
-        let lexed = lex("let a = 1;\n// nasd-lint: allow(panic, \"x\")\nlet b = 2;\n");
+        let lexed = lex("let a = 1;\n// nasd-lint: allow(arith, \"x\")\nlet b = 2;\n");
         assert_eq!(lexed.comments.len(), 1);
         assert_eq!(lexed.comments[0].line, 2);
         assert!(lexed.comments[0].text.contains("nasd-lint"));

@@ -1,58 +1,21 @@
 //! nasd-lint: workspace invariant checker.
 //!
-//! Statically enforces the invariants the NASD reproduction relies on but
-//! the compiler cannot check:
-//!
-//! - **D1 determinism** — simulation-visible crates must not read wall
-//!   clocks, real entropy, or sleep real threads; all time comes from the
-//!   simulated clock so chaos runs stay replayable.
-//! - **P1 panic-free request paths** — drive / file-manager / Cheops
-//!   request handling must return `NasdStatus`-style errors, never
-//!   `unwrap()`, `expect()`, `panic!` or bare slice indexing.
-//! - **H1 hot-path copy discipline** — data-path modules (drive, store,
-//!   cache, wire codec, file-manager and striping clients) must not copy
-//!   payload bytes casually: `.to_vec()`, `.copy_from_slice(..)`,
-//!   `.extend_from_slice(..)` and `Bytes::copy_from_slice` each need a
-//!   reasoned `allow(hot-path-copy)` explaining why the copy is the point.
-//! - **P2 transitive panic-freedom** — the same panic patterns reachable
-//!   *through helpers* from request entry points, found by BFS over a
-//!   workspace call graph (pass 1 of the two-pass analyzer, `graph.rs`).
-//! - **C1 cast/arithmetic safety** — narrowing `as` casts and unchecked
-//!   `+`/`*` on wire-decoded or on-disk integers in the codec and replay
-//!   modules must use `try_from`/`checked_*` or carry a reasoned allow.
-//! - **E1 swallowed results** — `let _ = …` and statement-level `.ok()`
-//!   on ack/durability/repair paths must handle, propagate or count the
-//!   error in an obs metric.
-//! - **W1 wire exhaustiveness** — every `RequestBody`, `ReplyBody` and
-//!   `NasdStatus` variant must appear in the wire encode arms, the wire
-//!   decode arms, the fault-injection matrices and (requests) the
-//!   authority table.
-//! - **L1 lock order** — nested `Mutex::lock()` acquisitions must form an
-//!   acyclic global order.
-//! - **L2 guard-across-blocking** — no lock guard may be held across
-//!   `pace(..)`, `.observe(..)` or device I/O.
-//! - **F1 forbid-unsafe** — every crate root must carry
-//!   `#![forbid(unsafe_code)]`.
-//! - **A1 one call surface** — the deleted `Rpc::call` /
-//!   `call_timeout` / `call_retry` methods must not be redefined in the
-//!   transport crate; every caller goes through
-//!   `call_with(&CallOptions)`.
-//! - **M1 one mint** — in the manager crates (`fm`, `cheops`, `mgmt`,
-//!   `pfs`) and the backup store (`dedup`) a capability is minted only
-//!   through `fleet.mint(..)`, at the version the fleet's one table
-//!   tracks; any other `.mint(`, and any `.mint_partition(`, outside
-//!   `crates/fm/src/drives.rs` is a finding.
-//!
-//! The analyzer runs in two passes: pass 1 lexes every source file,
-//! builds a symbol table of `fn` definitions and an over-approximated
-//! name-resolved call graph (pruned by crate dependencies parsed from
-//! the workspace `Cargo.toml` manifests); pass 2 runs the per-file rules
-//! plus the graph-based P2 over it.
+//! Statically enforces the invariants the NASD reproduction relies on
+//! that clippy cannot check: H1 hot-path copies, C1 arithmetic on
+//! wire-decoded integers, E1 swallowed results, W1 wire exhaustiveness
+//! (decode arms match a tag byte), L1 lock order, L2 guards held across
+//! blocking calls, F1 crate-root lint lines, A1 one call surface and M1
+//! one mint. [`RULES`] holds each rule's rationale, and `nasd-lint
+//! explain <rule>` prints it. The rules clippy can hold — P1/P2
+//! panic-free request paths, D1 determinism and C1's narrowing casts —
+//! are clippy lints set in the crate roots and `clippy.toml`; F1 and C1
+//! require the lines that set them, so deleting one cannot quietly drop
+//! a rule (DESIGN §8 maps every rule to its enforcer).
 //!
 //! Findings can be suppressed at a site with a reasoned comment:
 //!
 //! ```text
-//! // nasd-lint: allow(wall-clock, "real-thread RPC pacing, not sim-visible")
+//! // nasd-lint: allow(hot-path-copy, "the frame owns its payload")
 //! ```
 //!
 //! A suppression without a reason string is itself a finding (S0), as is a
@@ -62,11 +25,21 @@
 //! (Gibson et al., ASPLOS '98, <https://www.pdl.cmu.edu/NASD/>).
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod lexer;
 
 mod casts;
-mod graph;
 mod locks;
 mod rules;
 mod wire;
@@ -122,32 +95,20 @@ struct Suppression {
     used: bool,
 }
 
-/// Run every rule over `(path, contents)` pairs and return the findings
-/// that survive suppression, plus any suppression-hygiene findings.
-///
-/// Paths ending in `Cargo.toml` are treated as workspace manifests: they
-/// feed the call graph's crate-dependency map (pruning cross-crate P2
-/// edges) and are not lexed as Rust. Without manifests every call-graph
-/// edge resolves, which is what small fixture trees want.
+/// Run every rule over `(path, contents)` pairs of Rust sources and
+/// return the findings that survive suppression, plus any
+/// suppression-hygiene findings.
 pub fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
-    let mut manifests: Vec<(String, String)> = Vec::new();
-    let mut sources: Vec<Source> = Vec::new();
-    for (p, s) in files {
-        let path = p.replace('\\', "/");
-        if path.ends_with("Cargo.toml") {
-            manifests.push((path, s.clone()));
-        } else {
-            sources.push(Source {
-                path,
-                lexed: lexer::lex(s),
-            });
-        }
-    }
+    let sources: Vec<Source> = files
+        .iter()
+        .map(|(p, s)| Source {
+            path: p.replace('\\', "/"),
+            lexed: lexer::lex(s),
+        })
+        .collect();
 
     let mut raw: Vec<RawFinding> = Vec::new();
     for src in &sources {
-        rules::check_d1(src, &mut raw);
-        rules::check_p1(src, &mut raw);
         rules::check_e1(src, &mut raw);
         rules::check_h1(src, &mut raw);
         rules::check_f1(src, &mut raw);
@@ -157,8 +118,6 @@ pub fn check_sources(files: &[(String, String)]) -> Vec<Finding> {
     }
     wire::check_w1(&sources, &mut raw);
     locks::check_l1(&sources, &mut raw);
-    let call_graph = graph::build(&sources, &manifests);
-    graph::check_p2(&sources, &call_graph, &mut raw);
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut supps: Vec<Suppression> = Vec::new();
@@ -331,41 +290,15 @@ pub struct RuleInfo {
 /// Every rule the analyzer runs, in report order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "D1",
-        title: "determinism in sim-visible crates",
-        allow: Some("wall-clock"),
-        rationale: "Chaos runs replay from a seed; any wall clock, OS entropy or \
-                    real-thread sleep in a sim-visible crate makes replays diverge. \
-                    All time comes from the simulated clock; real-thread pacing goes \
-                    through nasd_net::pace.",
-    },
-    RuleInfo {
-        id: "P1",
-        title: "panic-free request paths (direct)",
-        allow: Some("panic"),
-        rationale: "A drive promises every request completes or returns a typed \
-                    NasdStatus error; unwrap/expect/panic!/bare indexing in a request \
-                    module breaks the acknowledgement promise the chaos suite checks.",
-    },
-    RuleInfo {
-        id: "P2",
-        title: "panic-free request paths (transitive, call-graph)",
-        allow: Some("transitive-panic"),
-        rationale: "P1 is module-local; a helper two hops away can still panic on \
-                    behalf of a request. Pass 1 builds a workspace call graph (name- \
-                    resolved, so trait-method calls over-approximate to every impl, \
-                    pruned by crate dependencies); P2 BFS-reaches helpers from the \
-                    request entry modules and flags panic sites there, each with an \
-                    example call path.",
-    },
-    RuleInfo {
         id: "C1",
-        title: "cast/arithmetic safety on wire and on-disk integers",
-        allow: Some("cast / arith"),
-        rationale: "A hostile frame length survives a narrowing `as` cast and \
-                    corrupts the replay cursor silently; unchecked +/* on decoded \
-                    offsets overflows the same way. Decode paths use try_from and \
-                    checked_add/checked_mul mapped to typed Corrupt errors.",
+        title: "arithmetic safety on wire and on-disk integers",
+        allow: Some("arith"),
+        rationale: "Unchecked +/* on a decoded offset or length overflows and \
+                    corrupts the replay cursor silently; decode paths use \
+                    checked_add/checked_mul mapped to typed Corrupt errors. The \
+                    narrowing-cast half is clippy's cast_possible_truncation, \
+                    which each C1 module denies; a module missing that line is an \
+                    unsuppressable finding.",
     },
     RuleInfo {
         id: "E1",
@@ -412,11 +345,15 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "F1",
-        title: "forbid unsafe code",
+        title: "crate-root lint lines",
         allow: None,
         rationale: "Every crate root carries #![forbid(unsafe_code)]; the \
-                    reproduction needs no unsafe and allowing any would undermine \
-                    the panic-freedom analysis. Unsuppressable.",
+                    reproduction needs no unsafe. Each request-path crate root \
+                    also denies clippy's unwrap_used, expect_used, panic, \
+                    unreachable, todo, unimplemented, indexing_slicing and \
+                    allow_attributes_without_reason: a drive returns a status, \
+                    never a panic, and clippy holds that only where the line is. \
+                    Unsuppressable.",
     },
     RuleInfo {
         id: "A1",
@@ -460,11 +397,9 @@ pub const RULES: &[RuleInfo] = &[
 /// Registry lookup by rule id (case-insensitive) or allow class.
 #[must_use]
 pub fn rule_info(query: &str) -> Option<&'static RuleInfo> {
-    RULES.iter().find(|r| {
-        r.id.eq_ignore_ascii_case(query)
-            || r.allow
-                .is_some_and(|a| a.split('/').any(|c| c.trim() == query))
-    })
+    RULES
+        .iter()
+        .find(|r| r.id.eq_ignore_ascii_case(query) || r.allow == Some(query))
 }
 
 /// Build the machine-readable findings report (`nasd-lint-report/v1`),
@@ -523,17 +458,17 @@ mod tests {
     #[test]
     fn parse_suppression_forms() {
         assert_eq!(
-            parse_suppression("// nasd-lint: allow(wall-clock, \"rpc pacing\")"),
-            Some(("wall-clock".into(), Some("rpc pacing".into())))
+            parse_suppression("// nasd-lint: allow(hot-path-copy, \"frame owns it\")"),
+            Some(("hot-path-copy".into(), Some("frame owns it".into())))
         );
         assert_eq!(
-            parse_suppression("// nasd-lint: allow(panic)"),
-            Some(("panic".into(), None))
+            parse_suppression("// nasd-lint: allow(arith)"),
+            Some(("arith".into(), None))
         );
         assert_eq!(parse_suppression("// nasd-lint: allow()"), None);
-        assert_eq!(parse_suppression("// nasd-lint allow(panic)"), None);
+        assert_eq!(parse_suppression("// nasd-lint allow(arith)"), None);
         assert_eq!(
-            parse_suppression("// nasd-lint: allow(panic, reason)"),
+            parse_suppression("// nasd-lint: allow(arith, reason)"),
             None
         );
     }
@@ -550,11 +485,10 @@ mod tests {
     #[test]
     fn every_scope_entry_names_something_that_exists() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let crates = rules::D1_CRATES.iter().chain(rules::M1_CRATES);
+        let crates = rules::P_CRATES.iter().chain(rules::M1_CRATES);
         let mut paths: Vec<String> = crates.map(|c| format!("crates/{c}")).collect();
         paths.extend(
             [
-                rules::P1_FILES,
                 rules::E1_FILES,
                 rules::H1_FILES,
                 casts::C1_FILES,

@@ -119,7 +119,6 @@ fn check_l2(src: &Source, line: u32, what: &str, guards: &[Guard], out: &mut Vec
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn scan_body(
     src: &Source,
     krate: &str,
@@ -278,7 +277,6 @@ fn find_cycles<'a>(adj: &BTreeMap<&'a str, Vec<&'a str>>) -> Vec<Vec<&'a str>> {
     cycles
 }
 
-#[allow(clippy::too_many_arguments)]
 fn dfs<'a>(
     start: &'a str,
     node: &'a str,

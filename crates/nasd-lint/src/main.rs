@@ -5,13 +5,23 @@
 //!   `cargo run -p nasd-lint -- explain <rule-or-allow-class>`
 //!
 //! `check` scans `crates/*/src/**/*.rs`, every shim crate root and the
-//! umbrella `src/lib.rs` (plus the `crates/*/Cargo.toml` manifests, which
-//! feed the call graph's crate-dependency map), prints findings as
-//! `file:line: [RULE] message`, optionally writes the machine-readable
+//! umbrella `src/lib.rs`, prints findings as `file:line: [RULE] message`,
+//! optionally writes the machine-readable
 //! `nasd-lint-report/v1` JSON, and exits nonzero if any finding survives
 //! suppression. `explain` prints a rule's rationale and allow syntax.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+#![deny(clippy::cast_possible_truncation)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -64,13 +74,6 @@ fn check<'a>(mut it: impl Iterator<Item = &'a String>) -> ExitCode {
     if umbrella.is_file() {
         paths.push(umbrella);
     }
-    // Manifests prune cross-crate call-graph edges; not lexed as Rust.
-    for krate in list_dir(&root.join("crates")) {
-        let m = krate.join("Cargo.toml");
-        if m.is_file() {
-            paths.push(m);
-        }
-    }
     paths.sort();
 
     let mut files: Vec<(String, String)> = Vec::new();
@@ -83,7 +86,6 @@ fn check<'a>(mut it: impl Iterator<Item = &'a String>) -> ExitCode {
             }
         }
     }
-    let rs_count = files.iter().filter(|(p, _)| p.ends_with(".rs")).count();
 
     let findings = nasd_lint::check_sources(&files);
     for f in &findings {
@@ -91,13 +93,13 @@ fn check<'a>(mut it: impl Iterator<Item = &'a String>) -> ExitCode {
     }
     println!(
         "nasd-lint: {} files checked, {} finding{}",
-        rs_count,
+        files.len(),
         findings.len(),
         if findings.len() == 1 { "" } else { "s" }
     );
 
     if let Some(path) = json_out {
-        let report = nasd_lint::report_json(rs_count, &findings);
+        let report = nasd_lint::report_json(files.len(), &findings);
         let mut text = report.to_pretty_string();
         text.push('\n');
         if let Err(e) = std::fs::write(&path, text) {
@@ -133,9 +135,7 @@ fn explain<'a>(mut it: impl Iterator<Item = &'a String>) -> ExitCode {
     match rule.allow {
         Some(class) => {
             println!("suppress a reviewed site with (reason string required):");
-            for c in class.split('/') {
-                println!("  // nasd-lint: allow({}, \"why this is safe\")", c.trim());
-            }
+            println!("  // nasd-lint: allow({class}, \"why this is safe\")");
         }
         None => println!("this rule is unsuppressable."),
     }

@@ -1,65 +1,45 @@
-//! Token-scan rules: D1 determinism, P1 panic-free request paths, H1
-//! hot-path copy discipline, E1 swallowed results, C1 cast/arithmetic
-//! safety (in `casts.rs`), F1 forbid-unsafe, A1 one call surface and M1
-//! one mint.
+//! Token-scan rules: H1 hot-path copy discipline, E1 swallowed results,
+//! F1 crate-root lint lines, A1 one call surface and M1 one mint (C1's
+//! arithmetic half is in `casts.rs`).
 
-use crate::lexer::{Tok, Token};
+use crate::lexer::{matching, Tok, Token};
 use crate::{crate_of, RawFinding, Source};
+use std::collections::BTreeSet;
 
-/// Crates whose behaviour is visible to the simulation. Wall-clock time,
-/// OS entropy and real-thread sleeps in these crates would make chaos-test
-/// replays diverge. `net` is included: its pacing sleep and the
-/// in-process call's deadline check each carry an explicit suppression.
-pub(crate) const D1_CRATES: &[&str] = &[
-    "sim", "disk", "object", "proto", "cheops", "fm", "pfs", "net", "obs", "mgmt", "dedup",
-    "workload",
+/// Crates whose request paths must return status codes rather than
+/// panic: the drive, the managers and everything they call. Each crate
+/// root denies the panicking patterns ([`P_LINTS`]) to clippy, and F1
+/// requires that line, so deleting it cannot quietly drop the rule.
+pub(crate) const P_CRATES: &[&str] = &[
+    "object",
+    "fm",
+    "cheops",
+    "mgmt",
+    "obs",
+    "net",
+    "dedup",
+    "proto",
+    "crypto",
+    "disk",
+    "sim",
+    "nasd-lint",
 ];
 
-/// Request-path modules that must return `NasdStatus` errors rather than
-/// panic: a drive that panics mid-request breaks the acknowledgement
-/// promise the chaos suite verifies dynamically. These files double as
-/// the *entry points* of the P2 transitive-panic analysis (`graph.rs`).
-pub(crate) const P1_FILES: &[&str] = &[
-    "crates/object/src/drive.rs",
-    "crates/object/src/store.rs",
-    "crates/object/src/persist.rs",
-    "crates/object/src/layout.rs",
-    "crates/object/src/wal.rs",
-    "crates/object/src/cache.rs",
-    "crates/object/src/security.rs",
-    "crates/fm/src/drives.rs",
-    "crates/fm/src/core.rs",
-    "crates/fm/src/nfs.rs",
-    "crates/fm/src/afs.rs",
-    "crates/fm/src/handle.rs",
-    "crates/fm/src/dirfmt.rs",
-    "crates/cheops/src/manager.rs",
-    "crates/cheops/src/client.rs",
-    "crates/mgmt/src/service.rs",
-    "crates/mgmt/src/rebuild.rs",
-    "crates/mgmt/src/scrub.rs",
-    "crates/mgmt/src/health.rs",
-    "crates/mgmt/src/spare.rs",
-    "crates/obs/src/metrics.rs",
-    "crates/obs/src/trace.rs",
-    "crates/net/src/frame.rs",
-    "crates/net/src/rpc.rs",
-    "crates/net/src/socket.rs",
-    "crates/net/src/transport.rs",
-    "crates/net/src/connect.rs",
-    "crates/dedup/src/blob.rs",
-    "crates/dedup/src/checksum.rs",
-    "crates/dedup/src/chunker.rs",
-    "crates/dedup/src/client.rs",
-    "crates/dedup/src/error.rs",
-    "crates/dedup/src/gc.rs",
-    "crates/dedup/src/index.rs",
-    "crates/dedup/src/manifest.rs",
-    "crates/dedup/src/prune.rs",
-    "crates/dedup/src/store.rs",
+/// The clippy lints a [`P_CRATES`] root denies: P1/P2 (no unwrap,
+/// expect, panic or bare indexing in library code) and S0 for the
+/// `#[expect]`s that excuse a site (each carries a reason).
+pub(crate) const P_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "indexing_slicing",
+    "allow_attributes_without_reason",
 ];
 
-/// Path prefixes additionally swept by P1/E1 (and C1, see `casts.rs`):
+/// Path prefix additionally swept by E1 (and C1, see `casts.rs`):
 /// the checker itself must satisfy its own rules — a lint that panics on
 /// a hostile source file is no better than a drive that panics on a
 /// hostile frame.
@@ -71,117 +51,11 @@ pub(crate) fn in_file_scope(path: &str, files: &[&str], self_check: bool) -> boo
     files.iter().any(|f| path.ends_with(f)) || (self_check && path.contains(SELF_CHECK_PREFIX))
 }
 
-/// Keywords that can legitimately precede `[` without it being an index
-/// expression (slice patterns, array literals in returns, etc.).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "return", "break", "else", "match", "if", "while", "for", "loop",
-    "move", "box", "yield", "dyn", "as", "const", "static", "pub", "use", "where", "unsafe",
-    "async", "await", "impl", "fn", "enum", "struct", "trait", "type", "mod", "crate",
-];
-
 fn seq_path(toks: &[Token], i: usize, a: &str, b: &str) -> bool {
     toks.get(i).is_some_and(|t| t.is_ident(a))
         && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
         && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
         && toks.get(i + 3).is_some_and(|t| t.is_ident(b))
-}
-
-/// D1: no wall-clock, OS entropy or real-thread sleeps in sim-visible crates.
-pub(crate) fn check_d1(src: &Source, out: &mut Vec<RawFinding>) {
-    let Some(krate) = crate_of(&src.path) else {
-        return;
-    };
-    if !D1_CRATES.contains(&krate) {
-        return;
-    }
-    let toks = &src.lexed.tokens;
-    let mut push = |line: u32, what: &str| {
-        out.push(RawFinding {
-            rule: "D1",
-            file: src.path.clone(),
-            line,
-            message: format!(
-                "`{what}` in sim-visible crate `{krate}`; use the simulated \
-                 clock/rng (nasd-sim) or nasd_net::pace for real-thread pacing"
-            ),
-            allow: Some("wall-clock"),
-        });
-    };
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test {
-            continue;
-        }
-        if seq_path(toks, i, "Instant", "now") {
-            push(t.line, "Instant::now");
-        } else if t.is_ident("SystemTime") {
-            push(t.line, "SystemTime");
-        } else if t.is_ident("thread_rng") {
-            push(t.line, "thread_rng");
-        } else if seq_path(toks, i, "thread", "sleep") {
-            push(t.line, "thread::sleep");
-        }
-    }
-}
-
-/// A potential panic at token `i`: `(line, description, is_indexing)`.
-/// Shared between P1 (direct sites in request modules) and P2 (sites in
-/// helpers reachable from request modules through the call graph).
-pub(crate) fn panic_at(toks: &[Token], i: usize) -> Option<(u32, String, bool)> {
-    let t = toks.get(i)?;
-    if t.is_punct('.') && toks.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-        let next = toks.get(i + 1)?;
-        if let Some(name) = next.ident() {
-            if name == "unwrap" || name == "expect" {
-                return Some((next.line, format!("`.{name}()`"), false));
-            }
-        }
-    } else if toks.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-        if let Some(name) = t.ident() {
-            if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented") {
-                return Some((t.line, format!("`{name}!`"), false));
-            }
-        }
-    } else if t.is_punct('[') && i > 0 {
-        let indexes = match toks.get(i - 1).map(|t| &t.tok) {
-            Some(Tok::Ident(s)) => !NON_INDEX_KEYWORDS.contains(&s.as_str()),
-            Some(Tok::Punct(')')) | Some(Tok::Punct(']')) => true,
-            _ => false,
-        };
-        if indexes {
-            return Some((t.line, "bare indexing".to_owned(), true));
-        }
-    }
-    None
-}
-
-/// P1: no panics or bare indexing in request-path modules.
-pub(crate) fn check_p1(src: &Source, out: &mut Vec<RawFinding>) {
-    if !in_file_scope(&src.path, P1_FILES, true) {
-        return;
-    }
-    let toks = &src.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.in_test {
-            continue;
-        }
-        let Some((line, what, is_index)) = panic_at(toks, i) else {
-            continue;
-        };
-        let message = if is_index {
-            "bare indexing may panic on out-of-range; use .get()/.get_mut() \
-             and map None to a NasdStatus error"
-                .to_owned()
-        } else {
-            format!("{what} in request path; return a NasdStatus error instead")
-        };
-        out.push(RawFinding {
-            rule: "P1",
-            file: src.path.clone(),
-            line,
-            message,
-            allow: Some("panic"),
-        });
-    }
 }
 
 /// Ack/durability/repair paths where a silently discarded `Result` hides
@@ -435,29 +309,62 @@ pub(crate) fn check_m1(src: &Source, out: &mut Vec<RawFinding>) {
     }
 }
 
-/// F1: every crate root keeps `#![forbid(unsafe_code)]`.
-pub(crate) fn check_f1(src: &Source, out: &mut Vec<RawFinding>) {
-    if !src.path.ends_with("src/lib.rs") {
-        return;
-    }
-    let toks = &src.lexed.tokens;
-    let found = (0..toks.len()).any(|i| {
-        toks.get(i).is_some_and(|t| t.is_punct('#'))
+/// Every name inside the file's inner `#![<level>(..)]` attributes:
+/// `#![deny(clippy::panic)]` yields `clippy` and `panic`.
+pub(crate) fn inner_lints<'a>(toks: &'a [Token], level: &str) -> BTreeSet<&'a str> {
+    let mut names = BTreeSet::new();
+    for (i, t) in toks.iter().enumerate() {
+        let opens = t.is_punct('#')
             && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
             && toks.get(i + 2).is_some_and(|t| t.is_punct('['))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("forbid"))
-            && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
-            && toks.get(i + 5).is_some_and(|t| t.is_ident("unsafe_code"))
-            && toks.get(i + 6).is_some_and(|t| t.is_punct(')'))
-            && toks.get(i + 7).is_some_and(|t| t.is_punct(']'))
-    });
-    if !found {
+            && toks.get(i + 3).is_some_and(|t| t.is_ident(level))
+            && toks.get(i + 4).is_some_and(|t| t.is_punct('('));
+        let Some(close) = opens.then(|| matching(toks, i + 4, '(', ')')).flatten() else {
+            continue;
+        };
+        names.extend(
+            toks.get(i + 5..close)
+                .unwrap_or_default()
+                .iter()
+                .filter_map(Token::ident),
+        );
+    }
+    names
+}
+
+/// F1: every library crate root keeps `#![forbid(unsafe_code)]`, and a
+/// [`P_CRATES`] root, library or binary, keeps its `#![deny(..)]` of
+/// every [`P_LINTS`] lint.
+pub(crate) fn check_f1(src: &Source, out: &mut Vec<RawFinding>) {
+    let lib = src.path.ends_with("src/lib.rs");
+    let p_root = (lib || src.path.ends_with("src/main.rs"))
+        && crate_of(&src.path).is_some_and(|c| P_CRATES.contains(&c));
+    let toks = &src.lexed.tokens;
+    let mut push = |message: String| {
         out.push(RawFinding {
             rule: "F1",
             file: src.path.clone(),
             line: 1,
-            message: "crate root is missing `#![forbid(unsafe_code)]`".to_owned(),
+            message,
             allow: None,
         });
+    };
+    if lib && !inner_lints(toks, "forbid").contains("unsafe_code") {
+        push("crate root is missing `#![forbid(unsafe_code)]`".to_owned());
+    }
+    if p_root {
+        let denied = inner_lints(toks, "deny");
+        let missing: Vec<&str> = P_LINTS
+            .iter()
+            .copied()
+            .filter(|l| !denied.contains(l))
+            .collect();
+        if !missing.is_empty() {
+            push(format!(
+                "request-path crate root does not deny clippy::{}; clippy holds \
+                 its panic-freedom only through that `#![deny(..)]` line",
+                missing.join(", clippy::")
+            ));
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! The one sanctioned wall-clock sleep in the workspace. Fault-injected
 //! delays and retry backoff pause the *calling* thread — they model wire
 //! and scheduling latency, not simulated time — and every such pause must
-//! go through [`pace`] so the D1 determinism lint can keep
-//! `std::thread::sleep` out of sim-visible code, and so no caller ever
+//! go through [`pace`] so the D1 determinism rule (`clippy.toml`'s
+//! `disallowed-methods`) can keep `std::thread::sleep` out of the rest, and so no caller ever
 //! sleeps while holding a drive or store lock (callers pace before
 //! acquiring, never inside a critical section).
 
@@ -20,7 +20,10 @@ pub fn pace(d: Duration) {
     if d.is_zero() {
         return;
     }
-    // nasd-lint: allow(wall-clock, "single sanctioned real-thread pacing site; models wire latency and retry backoff, never sim-visible time")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "single sanctioned real-thread pacing site; models wire latency and retry backoff, never sim-visible time"
+    )]
     std::thread::sleep(d);
 }
 
@@ -96,6 +99,10 @@ impl RatePacer {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times real-thread pacing against its budget"
+)]
 mod tests {
     use super::*;
     use std::time::Instant;

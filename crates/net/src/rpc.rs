@@ -87,7 +87,10 @@ impl<Req, Resp> Rpc<Req, Resp> {
     /// took. A panicking call stops the service: it and every later call
     /// read [`RpcError::Disconnected`].
     fn serve_here(&self, req: Req) -> Result<(Resp, Duration), RpcError> {
-        // nasd-lint: allow(wall-clock, "times a real-thread call against its caller's timeout; the reading only turns a late reply into TimedOut, as a socket read timeout does")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times a real-thread call against its caller's timeout; the reading only turns a late reply into TimedOut, as a socket read timeout does"
+        )]
         let start = Instant::now();
         let state = self.state.read();
         let State::Serving(service) = &*state else {
@@ -221,6 +224,10 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times real-thread calls against their timeouts"
+)]
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};

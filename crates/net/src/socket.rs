@@ -656,6 +656,10 @@ impl Transport<Request, Reply> for SocketClient {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "drives real server threads: slow services and waits for them"
+)]
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan};

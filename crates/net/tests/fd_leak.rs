@@ -2,6 +2,11 @@
 //! served. In its own test binary so no concurrent test moves the
 //! process's descriptor count.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "waits on the wall clock for real server threads to close their descriptors"
+)]
+
 use bytes::Bytes;
 use nasd_crypto::Sha256;
 use nasd_net::{serve, BindAddr, SocketClient, Transport};

@@ -58,12 +58,15 @@ struct Entry {
 impl Entry {
     /// Mutable access to the block, cloning it first if a reader still
     /// holds a shared view (copy-on-write).
+    #[expect(
+        clippy::expect_used,
+        reason = "a shared block is re-created unshared first, so get_mut succeeds"
+    )]
     fn data_mut(&mut self) -> &mut [u8] {
         if Arc::get_mut(&mut self.data).is_none() {
             bytes::stats::record_copy(self.data.len());
             self.data = Arc::from(&*self.data);
         }
-        // nasd-lint: allow(panic, "the arc above was just re-created with refcount 1")
         Arc::get_mut(&mut self.data).expect("freshly cloned block is unshared")
     }
 }

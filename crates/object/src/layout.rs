@@ -21,6 +21,8 @@
 //! the superblock write (last, to both copies) is the atomic commit
 //! point that switches epochs.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::store::StoreError;
 use nasd_disk::BlockDevice;
 
@@ -44,6 +46,17 @@ const BITMAP_TRAILER: usize = 24;
 /// Encoded superblock size: magic + version + block_size + 10 u64 fields
 /// + trailing checksum.
 const SB_BYTES: usize = 8 + 4 + 4 + 8 * 10 + 8;
+
+/// The smallest block size the layout is built for: one 512-byte disk
+/// sector, the smallest device the store's tests format.
+const MIN_BLOCK_SIZE: usize = 512;
+
+// Layout v5 geometry, checked when the crate compiles: a superblock
+// fits one block, and a bitmap block's trailer (epoch, block index,
+// crc) leaves it payload.
+const _: () = assert!(SB_BYTES <= MIN_BLOCK_SIZE);
+const _: () = assert!(BITMAP_TRAILER == 3 * size_of::<u64>());
+const _: () = assert!(BITMAP_TRAILER < MIN_BLOCK_SIZE);
 
 const PRIME1: u64 = 0x9e37_79b1_85eb_ca87;
 const PRIME2: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -301,7 +314,10 @@ impl Superblock {
         let mut buf = Vec::with_capacity(l.block_size.max(SB_BYTES));
         buf.extend_from_slice(&SB_MAGIC.to_be_bytes());
         buf.extend_from_slice(&LAYOUT_VERSION.to_be_bytes());
-        // nasd-lint: allow(cast, "encode direction: block sizes are small powers of two, far below u32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode direction: block sizes are small powers of two, far below u32::MAX"
+        )]
         buf.extend_from_slice(&(l.block_size as u32).to_be_bytes());
         for field in [
             l.total_blocks,
@@ -579,6 +595,10 @@ pub(crate) fn read_region<D: BlockDevice>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "tests size their buffers and offsets from small known geometry; the rule guards decoded integers"
+)]
 mod tests {
     use super::*;
     use nasd_disk::MemDisk;

@@ -33,6 +33,8 @@
 //! spilled to an indirect region referenced by byte offset — a freshly
 //! written multi-gigabyte contiguous object costs one inline extent.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::alloc::{Allocator, Extent};
 use crate::cache::BlockCache;
 use crate::layout::{bit_set, Superblock};
@@ -75,15 +77,21 @@ fn block_runs(blocks: &[u64]) -> Vec<(u64, u64)> {
 fn encode_extents(main: &mut WireWriter, overflow: &mut WireWriter, blocks: &[u64]) {
     let runs = block_runs(blocks);
     let inline = runs.len().min(NDIRECT);
-    // nasd-lint: allow(cast, "encode direction: `inline` is at most NDIRECT = 4")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "encode direction: `inline` is at most NDIRECT = 4"
+    )]
     main.u8(inline as u8);
     for (start, len) in runs.iter().take(inline) {
         main.u64(*start).u64(*len);
     }
     if runs.len() > inline {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode direction: in-memory run counts are far below u32::MAX"
+        )]
         main.u8(1)
             .u64(overflow.as_slice().len() as u64)
-            // nasd-lint: allow(cast, "encode direction: in-memory run counts are far below u32::MAX")
             .u32((runs.len() - inline) as u32);
         for (start, len) in runs.iter().skip(inline) {
             overflow.u64(*start).u64(*len);
@@ -148,19 +156,28 @@ fn encode_store<D: BlockDevice>(store: &ObjectStore<D>) -> Vec<u8> {
     let mut overflow = WireWriter::new();
     let mut parts: Vec<_> = store.partitions.iter().collect();
     parts.sort_by_key(|(pid, _)| **pid);
-    // nasd-lint: allow(cast, "encode direction: in-memory partition count is far below u32::MAX")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "encode direction: in-memory partition count is far below u32::MAX"
+    )]
     main.u32(parts.len() as u32);
     for (pid, part) in parts {
         pid.encode(&mut main);
         main.u64(part.quota).u64(part.used).u64(part.next_object);
-        // nasd-lint: allow(cast, "encode direction: at most one rotated key per KeyKind")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode direction: at most one rotated key per KeyKind"
+        )]
         main.u8(part.rotated_keys.len() as u8);
         for (kind, key) in &part.rotated_keys {
             main.u8(kind.to_byte()).raw(key);
         }
         let mut objs: Vec<_> = part.objects.iter().collect();
         objs.sort_by_key(|(oid, _)| **oid);
-        // nasd-lint: allow(cast, "encode direction: in-memory object count is far below u32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode direction: in-memory object count is far below u32::MAX"
+        )]
         main.u32(objs.len() as u32);
         for (oid, meta) in objs {
             oid.encode(&mut main);
@@ -232,7 +249,10 @@ fn decode_store(
 /// referenced by any object's extent map. This is both what the
 /// checkpoint persists and what `open` recomputes to verify it.
 fn in_use_bits(layout: &Layout, partitions: &HashMap<PartitionId, Partition>) -> Vec<u8> {
-    // nasd-lint: allow(cast, "geometry is validated against the device in Superblock::load, not taken from the wire")
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "geometry is validated against the device in Superblock::load, not taken from the wire"
+    )]
     let mut bits = vec![0u8; (layout.total_blocks.div_ceil(8)) as usize];
     for b in 0..layout.data_start {
         bit_set(&mut bits, b);
@@ -457,6 +477,10 @@ impl<D: BlockDevice> ObjectStore<D> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "tests size their buffers and offsets from small known geometry; the rule guards decoded integers"
+)]
 mod tests {
     use super::*;
     use nasd_disk::MemDisk;

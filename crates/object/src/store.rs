@@ -699,7 +699,10 @@ impl<D: BlockDevice> ObjectStore<D> {
     ///
     /// [`StoreError::NoSuchObject`]; [`StoreError::NoSpace`] when growing
     /// the preallocation past quota.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per SetAttr request field, as the wire carries them"
+    )]
     pub fn set_attr(
         &mut self,
         p: PartitionId,
@@ -964,7 +967,10 @@ impl<D: BlockDevice> ObjectStore<D> {
     /// Fill logical blocks `blocks` of a [redirect](Self::redirect),
     /// each into its block of `targets`, or in place when `targets` is
     /// empty.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the object, the blocks and their targets, and the request's bytes"
+    )]
     fn fill_fresh(
         &mut self,
         p: PartitionId,

@@ -35,6 +35,8 @@
 //! [`ObjectStore::open`]: crate::store::ObjectStore::open
 //! [`ObjectStore::wal_commit`]: crate::store::ObjectStore::wal_commit
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::layout::{checksum64, Layout};
 use crate::store::StoreError;
 use nasd_crypto::KeyKind;
@@ -45,6 +47,7 @@ use nasd_proto::{ObjectId, PartitionId, SetAttrMask, FS_SPECIFIC_ATTR_LEN};
 /// Frame overhead around a record body: len (4) + epoch (8) + lsn (8)
 /// + crc (8).
 const FRAME_OVERHEAD: usize = 28;
+const _: () = assert!(FRAME_OVERHEAD == size_of::<u32>() + 3 * size_of::<u64>());
 
 /// The device blocks a record assigns to consecutive logical blocks of
 /// an object, in logical order. On the log they are runs of consecutive
@@ -64,6 +67,7 @@ enum Runs<'a> {
 
 /// Encoded bytes per run: start (8) + length (8).
 const RUN_BYTES: usize = 16;
+const _: () = assert!(RUN_BYTES == 2 * size_of::<u64>());
 
 impl<'a> BlockRuns<'a> {
     /// No blocks.
@@ -97,7 +101,10 @@ impl<'a> BlockRuns<'a> {
     }
 
     fn encode(&self, w: &mut WireWriter) {
-        // nasd-lint: allow(cast, "encode direction: a record's runs are far below u32::MAX")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "encode direction: a record's runs are far below u32::MAX"
+        )]
         w.u32(self.runs().count() as u32);
         for (start, len) in self.runs() {
             w.u64(start).u64(len);
@@ -798,6 +805,10 @@ impl std::fmt::Debug for Wal {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "tests size their buffers and offsets from small known geometry; the rule guards decoded integers"
+)]
 mod tests {
     use super::*;
     use nasd_disk::MemDisk;

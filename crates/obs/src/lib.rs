@@ -9,7 +9,7 @@
 //! * [`SimTime`] — the simulated clock type. It lives here (and is
 //!   re-exported by `nasd-sim`) because every metric and trace event is
 //!   keyed on simulated time, never the wall clock: observability must
-//!   not break the determinism invariant (nasd-lint rule D1) that makes
+//!   not break the determinism invariant (rule D1) that makes
 //!   chaos runs replayable.
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s, log-bucketed
 //!   [`Histogram`]s and per-resource [`Utilization`] interval sets.
@@ -24,6 +24,16 @@
 //!   in here and re-exported from `nasd-sim` for compatibility.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod datapath;

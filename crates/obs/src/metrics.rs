@@ -7,7 +7,7 @@
 //! keyed on [`SimTime`] where time is involved — never the wall clock —
 //! so enabling metrics cannot perturb a deterministic chaos replay.
 //!
-//! This file is on the nasd-lint P1 sweep: no panics, no bare indexing.
+//! Its crate denies panics and bare indexing to clippy (rule P1).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -114,7 +114,10 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
-    // nasd-lint: allow(transitive-panic, "simulated-clock arithmetic: checked_add makes overflow a deliberate abort; it means a sim bug, not hostile input")
+    #[expect(
+        clippy::expect_used,
+        reason = "simulated-clock arithmetic: checked_add makes overflow a deliberate abort; it means a sim bug, not hostile input"
+    )]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("sim time overflow"))
     }
@@ -128,6 +131,10 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "simulated-clock arithmetic: checked_sub makes underflow a deliberate abort; it means a sim bug, not hostile input"
+    )]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("sim time underflow"))
     }

@@ -7,7 +7,7 @@
 //! tracing cannot grow without limit; overflow evicts the oldest event
 //! and counts it in [`TraceSink::dropped`].
 //!
-//! This file is on the nasd-lint P1 sweep: no panics, no bare indexing.
+//! Its crate denies panics and bare indexing to clippy (rule P1).
 
 use std::collections::VecDeque;
 use std::io::Write;

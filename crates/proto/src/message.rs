@@ -775,7 +775,10 @@ impl Request {
     /// shared handle — no copy. Concatenating `head` and `segments` in
     /// order yields exactly [`WireEncode::to_wire`], so the socket
     /// transport can `writev` the pieces without gluing them first.
-    // nasd-lint: allow(transitive-panic, "encode-side length guard: a >4 GiB field is a local caller bug, never network input")
+    #[expect(
+        clippy::expect_used,
+        reason = "encode-side length guard: a >4 GiB field is a local caller bug, never network input"
+    )]
     pub fn encode_frame(&self, head: &mut WireWriter, segments: &mut Vec<Bytes>) {
         self.encode_head(head);
         head.u32(u32::try_from(self.data.len()).expect("field under 4 GiB"));
@@ -882,7 +885,10 @@ impl WireEncode for ReplyBody {
             }
             ReplyBody::Objects(ids) => {
                 w.u8(5);
-                // nasd-lint: allow(cast, "encode direction: in-memory object list is far below u32::MAX")
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "encode direction: in-memory object list is far below u32::MAX"
+                )]
                 w.u32(ids.len() as u32);
                 for id in ids {
                     id.encode(w);
@@ -1002,7 +1008,10 @@ impl Reply {
     /// Concatenating `head` and `segments` in order yields exactly
     /// [`WireEncode::to_wire`], so the socket transport can `writev` a
     /// cached-read reply without ever flattening the rope.
-    // nasd-lint: allow(transitive-panic, "encode-side length guard: a >4 GiB field is a local caller bug, never network input")
+    #[expect(
+        clippy::expect_used,
+        reason = "encode-side length guard: a >4 GiB field is a local caller bug, never network input"
+    )]
     pub fn encode_frame(&self, head: &mut WireWriter, segments: &mut Vec<Bytes>) {
         self.status.encode(head);
         if let ReplyBody::Data(d) = &self.body {

@@ -120,7 +120,10 @@ impl WireWriter {
     ///
     /// If the field exceeds the 4 GiB wire limit — a caller bug, not
     /// reachable from network input.
-    // nasd-lint: allow(transitive-panic, "encode-side length guard: a >4 GiB field is a local caller bug, never network input")
+    #[expect(
+        clippy::expect_used,
+        reason = "encode-side length guard: a >4 GiB field is a local caller bug, never network input"
+    )]
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(u32::try_from(v.len()).expect("field under 4 GiB"));
         // nasd-lint: allow(hot-path-copy, "serializer sink: building the contiguous wire image is the copy")
@@ -143,7 +146,10 @@ impl WireWriter {
     ///
     /// If the rope exceeds the 4 GiB wire limit — a caller bug, not
     /// reachable from network input.
-    // nasd-lint: allow(transitive-panic, "encode-side length guard: a >4 GiB field is a local caller bug, never network input")
+    #[expect(
+        clippy::expect_used,
+        reason = "encode-side length guard: a >4 GiB field is a local caller bug, never network input"
+    )]
     pub fn rope(&mut self, v: &bytes::ByteRope) -> &mut Self {
         self.u32(u32::try_from(v.len()).expect("field under 4 GiB"));
         for seg in v.iter_slices() {

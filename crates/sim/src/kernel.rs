@@ -144,6 +144,11 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "the slot is the free list's or the one just pushed; more than u32::MAX live events is a simulation bug, not request input"
+    )]
     pub fn schedule_at<F>(&mut self, at: SimTime, event: F) -> EventId
     where
         F: FnOnce(&mut Simulator) + 'static,
@@ -217,6 +222,11 @@ impl Simulator {
     /// assert_eq!(sim.now(), SimTime::from_millis(3));
     /// assert!(!sim.step(), "queue is now empty");
     /// ```
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "a heap entry names a slot, and slots never shrink; a live generation's slot holds its closure"
+    )]
     pub fn step(&mut self) -> bool {
         while let Some(Reverse(top)) = self.heap.pop() {
             // One slot borrow decides liveness and takes the closure:
@@ -247,6 +257,10 @@ impl Simulator {
     /// whichever comes first. Events scheduled exactly at the deadline
     /// run. A deadline at or before the current time runs nothing and
     /// leaves the clock where it is (time never goes backwards).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a heap entry names a slot, and slots never shrink"
+    )]
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(&Reverse(top)) = self.heap.peek() {
             // Reap a stale head before comparing: a cancelled event

@@ -12,6 +12,11 @@
 //! write, prints the realized fault schedule, and re-runs the same seed
 //! to show the schedule is bit-for-bit reproducible.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "paces the narrated power cut on real drive threads; the fault schedule stays seeded"
+)]
+
 use nasd::fm::DriveFleet;
 use nasd::net::{FaultAction, FaultConfig, FaultEvent, FaultPlan, RetryPolicy};
 use nasd::object::{DriveConfig, DriveFaultConfig};

@@ -12,6 +12,11 @@
 //! producer threads and one consumer each — and finally completes the
 //! Apriori passes to surface the planted association rules.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "prints the pipeline's wall time; no result depends on it"
+)]
+
 use nasd::mining::apriori;
 use nasd::mining::{parallel::parallel_frequent_items, TransactionGenerator};
 use nasd::object::DriveConfig;

@@ -189,7 +189,10 @@ impl Bytes {
     /// View as a byte slice. An inherent method (as in the real `bytes`
     /// crate) so callers resolve it without importing `AsRef`.
     #[must_use]
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "inherent, as in the real bytes crate, so callers need no AsRef import"
+    )]
     pub fn as_ref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }

@@ -8,6 +8,10 @@
 //! parked: `Condvar::notify_one` is a `FUTEX_WAKE` syscall whether or
 //! not anyone waits.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "stands in for real-thread channels: deadline waits and their tests run on real time"
+)]
 #![forbid(unsafe_code)]
 
 pub mod channel {

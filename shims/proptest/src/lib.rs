@@ -169,7 +169,13 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 macro_rules! arbitrary_ints {
     ($($t:ty),*) => {$(
         impl Arbitrary for $t {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+            // `allow`, not `expect`: the cast truncates or wraps for
+            // some of the macro's types and not for others.
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_possible_wrap,
+                reason = "keeps the low bits of a uniform u64: uniform in every narrower type"
+            )]
             fn arbitrary_with(rng: &mut TestRng) -> Self {
                 rng.next_u64() as $t
             }
@@ -213,7 +219,12 @@ macro_rules! range_strategies {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
             type Value = $t;
-            #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_possible_wrap,
+                clippy::cast_sign_loss,
+                reason = "two's-complement span arithmetic: the span of a range fits its type's width"
+            )]
             fn generate(&self, rng: &mut TestRng) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
                 let span = (self.end as i128 - self.start as i128) as u64;
@@ -222,7 +233,12 @@ macro_rules! range_strategies {
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
-            #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_possible_wrap,
+                clippy::cast_sign_loss,
+                reason = "two's-complement span arithmetic: the span of a range fits its type's width"
+            )]
             fn generate(&self, rng: &mut TestRng) -> $t {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "cannot sample empty range");
