@@ -39,6 +39,7 @@
 //! The text a run prints is [`table::render_report`] of the same report
 //! `--json` writes, so the two cannot disagree.
 
+#![deny(clippy::allow_attributes_without_reason)]
 #![expect(
     clippy::disallowed_methods,
     reason = "benchmarks time the functional stack by the wall clock; no simulated result reads it"

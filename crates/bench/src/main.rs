@@ -15,6 +15,7 @@
 //! bound or an unknown key exits non-zero. `--drives`/`--clients`
 //! truncate the `scale` matrix for CI's smoke run.
 
+#![deny(clippy::allow_attributes_without_reason)]
 #![expect(
     clippy::disallowed_methods,
     reason = "reports each run's wall_secs; no simulated result reads it"

@@ -33,8 +33,8 @@
 
 use crate::fig7;
 use crate::testbed::{self, DataPath};
-use nasd::fm::CAP_CACHE_CAPACITY;
 use nasd::object::{CostMeter, OpKind as DriveOp};
+use nasd::obs::bounded::CAPACITY;
 use nasd::sim::{FifoResource, SimTime};
 use nasd::workload::{ClosedLoop, OpKind, RequestStream, WorkloadSpec};
 
@@ -105,10 +105,10 @@ struct Client {
 /// of the namespace per client, all clients in one allocation.
 ///
 /// The simulated capabilities never expire inside the 2 s window, so
-/// this is [`LeaseCache`](nasd::fm::LeaseCache)'s policy for leases
-/// that never run out: a lookup hits exactly when the object's bit is
-/// set, and a `put` at [`CAP_CACHE_CAPACITY`] live entries clears the
-/// client's set first.
+/// this is [`LeaseCache`](nasd::fm::LeaseCache) for leases that never
+/// run out: a lookup hits exactly when the object's bit is set, and a
+/// `put` bounds the set by [`BoundedMap`](nasd::obs::BoundedMap)'s
+/// rule.
 struct CapSets {
     /// `words` words per client, client after client.
     bits: Vec<u64>,
@@ -146,11 +146,10 @@ impl CapSets {
         held
     }
 
-    /// Give `client` a capability for `object`, clearing a full set
-    /// first.
+    /// Give `client` a capability for `object`.
     fn put(&mut self, client: usize, object: usize) {
         let set = &mut self.bits[client * self.words..][..self.words];
-        if self.live[client] >= CAP_CACHE_CAPACITY {
+        if self.live[client] >= CAPACITY {
             set.fill(0);
             self.live[client] = 0;
         }
@@ -392,7 +391,7 @@ mod tests {
         let mut sets = prewarmed(clients, objects);
         let caches: Vec<LeaseCache<usize, ()>> = (0..clients)
             .map(|c| {
-                let cache = LeaseCache::new(CAP_CACHE_CAPACITY, None);
+                let cache = LeaseCache::new(None);
                 for rank in 0..CAP_PREWARM {
                     cache.put(object_of(c, rank, objects), (), u64::MAX);
                 }

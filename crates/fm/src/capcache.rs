@@ -1,23 +1,17 @@
-//! The client-side capability-cache policy, generic over what is cached.
+//! The client-side capability cache, generic over what is cached.
 //!
 //! [`NfsClient`](crate::NfsClient) instantiates it over
 //! `(path, want_write)` → open file. The `nasd-bench` scale matrix
-//! gives each simulated client a bitset over object indices instead:
-//! the same policy as `LeaseCache`, pinned op for op by
+//! gives each simulated client a bitset over object indices instead,
+//! pinned op for op to `LeaseCache` by
 //! `scale::tests::cap_sets_answer_as_lease_caches_do`, so a change to
-//! the policy here fails that test until the simulated hit rates move
-//! with it.
+//! the lease check here or to [`BoundedMap`]'s bound fails that test
+//! until the simulated hit rates move with it.
 
-use nasd_obs::{Counter, Registry};
+use nasd_obs::{BoundedMap, Counter, Registry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
-
-/// Per-client capability-cache capacity (entries): what
-/// [`NfsClient::enable_cap_cache`](crate::NfsClient::enable_cap_cache)
-/// builds and what the scale matrix simulates.
-pub const CAP_CACHE_CAPACITY: usize = 4096;
 
 /// Don't serve a cached capability within this many seconds of expiry:
 /// it could expire mid-operation and burn a refresh round trip.
@@ -35,39 +29,34 @@ pub struct CapCacheStats {
     pub refreshes: u64,
 }
 
-/// A capacity-bounded cache of leased values.
+/// A [`BoundedMap`] of leased values.
 ///
 /// Leased: an entry is served only while inside its own expiry (minus a
 /// safety margin). Revocation-safe by construction — the drive, not the
 /// cache, is the authority: a revoked cached capability is rejected at
 /// the drive, the client refreshes exactly once and purges the entry.
-/// Eviction is by epoch (a full cache is cleared): cheaper than
-/// tracking LRU order for entries that re-fill in one RPC each.
 pub struct LeaseCache<K, V> {
-    map: Mutex<HashMap<K, (V, u64)>>,
-    capacity: usize,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
+    map: Mutex<BoundedMap<K, (V, u64)>>,
     refreshes: Arc<Counter>,
 }
 
 impl<K: Hash + Eq, V: Clone> LeaseCache<K, V> {
-    /// An empty cache of at least 16 entries. With `registry`, the
-    /// `capcache/hits`, `capcache/misses` and `capcache/refreshes`
+    /// An empty cache. With `registry`, the `capcache/hits`,
+    /// `capcache/misses`, `capcache/evictions` and `capcache/refreshes`
     /// counters register there; otherwise they are private to
     /// [`Self::stats`].
     #[must_use]
-    pub fn new(capacity: usize, registry: Option<&Registry>) -> Self {
-        let counter = |name: &str| match registry {
-            Some(r) => r.counter(name),
-            None => Arc::new(Counter::new()),
+    pub fn new(registry: Option<&Registry>) -> Self {
+        let (map, refreshes) = match registry {
+            Some(r) => (
+                BoundedMap::registered(r, "capcache"),
+                r.counter("capcache/refreshes"),
+            ),
+            None => (BoundedMap::default(), Arc::default()),
         };
         LeaseCache {
-            map: Mutex::new(HashMap::new()),
-            capacity: capacity.max(16),
-            hits: counter("capcache/hits"),
-            misses: counter("capcache/misses"),
-            refreshes: counter("capcache/refreshes"),
+            map: Mutex::new(map),
+            refreshes,
         }
     }
 
@@ -76,25 +65,17 @@ impl<K: Hash + Eq, V: Clone> LeaseCache<K, V> {
     /// expired entry is dropped.
     pub fn get(&self, key: &K, now: u64) -> Option<V> {
         let mut map = self.map.lock();
-        if let Some((value, expires)) = map.get(key) {
-            if *expires > now.saturating_add(CAP_LEASE_MARGIN) {
-                self.hits.inc();
-                return Some(value.clone());
-            }
-            map.remove(key);
+        let live = |(_, expires): &(V, u64)| *expires > now.saturating_add(CAP_LEASE_MARGIN);
+        if let Some((value, _)) = map.get_if(key, live) {
+            return Some(value.clone());
         }
-        self.misses.inc();
+        map.remove(key);
         None
     }
 
-    /// Cache `value` under `key` until `expires`, clearing a full cache
-    /// first.
+    /// Cache `value` under `key` until `expires`.
     pub fn put(&self, key: K, value: V, expires: u64) {
-        let mut map = self.map.lock();
-        if map.len() >= self.capacity {
-            map.clear();
-        }
-        map.insert(key, (value, expires));
+        self.map.lock().insert(key, (value, expires));
     }
 
     /// Keep only the entries `keep` accepts.
@@ -110,9 +91,10 @@ impl<K: Hash + Eq, V: Clone> LeaseCache<K, V> {
     /// Totals so far.
     #[must_use]
     pub fn stats(&self) -> CapCacheStats {
+        let map = self.map.lock();
         CapCacheStats {
-            hits: self.hits.value(),
-            misses: self.misses.value(),
+            hits: map.hits(),
+            misses: map.misses(),
             refreshes: self.refreshes.value(),
         }
     }

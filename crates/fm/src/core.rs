@@ -29,15 +29,11 @@ use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
 use crate::stripes::DirLocks;
 use bytes::Bytes;
+use nasd_obs::BoundedMap;
 use nasd_proto::{ByteRange, Capability, NasdStatus, RequestBody, Rights};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Directories the cache holds before it is cleared (as a full
-/// [`LeaseCache`](crate::LeaseCache) is).
-const DIR_CACHE_CAPACITY: usize = 4_096;
 
 /// A directory's decoded listing, shared between the cache and readers.
 pub(crate) type Listing = Arc<[DirRecord]>;
@@ -51,7 +47,7 @@ pub(crate) struct FmCore {
     /// Write-through cache of directory listings, filled and updated
     /// only under the directory's stripe lock. Its own lock is never
     /// held across a drive call.
-    dirs: Mutex<HashMap<FileHandle, Listing>>,
+    dirs: Mutex<BoundedMap<FileHandle, Listing>>,
     /// Round-robin file placement across drives, fleet-wide.
     next_drive: AtomicUsize,
 }
@@ -64,7 +60,7 @@ impl FmCore {
             root: fleet.create(fleet.endpoint(0), None, 0)?,
             fleet,
             dir_locks: DirLocks::new(),
-            dirs: Mutex::new(HashMap::new()),
+            dirs: Mutex::new(BoundedMap::default()),
             next_drive: AtomicUsize::new(0),
         };
         core.write_policy(core.root, &FmAttrs::fresh(FileType::Directory, 0o755, 0))?;
@@ -159,17 +155,11 @@ impl FmCore {
         Ok(())
     }
 
-    /// Cache `listing` as `dir`'s, or evict `dir` on `None`. A full cache
-    /// is cleared first.
+    /// Cache `listing` as `dir`'s, or evict `dir` on `None`.
     fn cache(&self, dir: FileHandle, listing: Option<Listing>) {
         let mut dirs = self.dirs.lock();
         match listing {
-            Some(listing) => {
-                if dirs.len() >= DIR_CACHE_CAPACITY {
-                    dirs.clear();
-                }
-                dirs.insert(dir, listing);
-            }
+            Some(listing) => dirs.insert(dir, listing),
             None => {
                 dirs.remove(&dir);
             }
@@ -457,7 +447,7 @@ mod tests {
         let core = FmCore::new(Arc::clone(&fleet)).unwrap();
         let root = core.root();
         let kept = add(&core, root, "kept", FileType::Regular);
-        assert!(core.dirs.lock().contains_key(&root));
+        assert!(core.dirs.lock().get(&root).is_some());
         fleet.endpoint(0).set_retry(RetryPolicy {
             max_attempts: 1,
             timeout: Duration::from_millis(50),
@@ -469,7 +459,7 @@ mod tests {
         assert_eq!(core.lookup(root, "kept").unwrap(), kept);
         // ...until a write fails: then the drive is asked again.
         assert!(core.write_dir(root, Vec::new()).is_err());
-        assert!(!core.dirs.lock().contains_key(&root));
+        assert!(core.dirs.lock().get(&root).is_none());
         assert!(matches!(
             core.lookup(root, "kept"),
             Err(FmError::Unavailable { .. })
@@ -492,12 +482,13 @@ mod tests {
 
     /// Every cached listing equals `decode_dir` of its drive object.
     fn assert_coherent(core: &FmCore, context: &str) {
-        let cached: Vec<(FileHandle, Listing)> = core
-            .dirs
-            .lock()
-            .iter()
-            .map(|(dir, listing)| (*dir, Arc::clone(listing)))
-            .collect();
+        // The map has no iterator; a `retain` that keeps every entry
+        // visits each one.
+        let mut cached: Vec<(FileHandle, Listing)> = Vec::new();
+        core.dirs.lock().retain(|dir, listing| {
+            cached.push((*dir, Arc::clone(listing)));
+            true
+        });
         for (dir, listing) in cached {
             let (ep, cap) = core.own_cap(dir).unwrap();
             let stored = decode_dir(&ep.read(&cap, 0, u64::MAX).unwrap().flatten()).unwrap();

@@ -19,6 +19,7 @@ use nasd_net::{
     FaultPlan, Pending, RetryPolicy, Rpc, RpcError, ServiceHandle, WireServer,
 };
 use nasd_object::{DriveConfig, DriveFaultConfig, NasdDrive};
+use nasd_obs::BoundedMap;
 use nasd_proto::{
     ByteRange, Capability, CapabilityPublic, DriveId, NasdStatus, Nonce, ObjectAttributes,
     ObjectId, PartitionId, ProtectionLevel, Reply, ReplyBody, Request, RequestBody, Rights, Scope,
@@ -52,10 +53,8 @@ pub struct DriveEndpoint {
     /// function of the public fields and the generation-0 gold key, so
     /// a repeat is the same bytes without the MAC work. Every field —
     /// version, rights, region, expiry — is part of the key, so a
-    /// revocation or a new expiry mints afresh. At most as many as one
-    /// client's capability cache holds; emptied when full, like that
-    /// [`LeaseCache`](crate::LeaseCache).
-    minted: RwLock<HashMap<CapabilityPublic, Capability>>,
+    /// revocation or a new expiry mints afresh.
+    minted: RwLock<BoundedMap<CapabilityPublic, Capability>>,
     signer: u64,
     counter: AtomicU64,
     retry: RwLock<RetryPolicy>,
@@ -241,11 +240,7 @@ impl DriveEndpoint {
             return cap.clone();
         }
         let cap = public.mint(&self.gold_key(partition));
-        let mut minted = self.minted.write();
-        if minted.len() >= crate::CAP_CACHE_CAPACITY {
-            minted.clear();
-        }
-        minted.insert(cap.public.clone(), cap.clone());
+        self.minted.write().insert(cap.public.clone(), cap.clone());
         cap
     }
 
@@ -533,7 +528,7 @@ impl DriveEndpoint {
             channel: RwLock::new(channel),
             hierarchy,
             gold: RwLock::new(HashMap::new()),
-            minted: RwLock::new(HashMap::new()),
+            minted: RwLock::new(BoundedMap::default()),
             signer: NEXT_SIGNER.fetch_add(1, Ordering::Relaxed),
             counter: AtomicU64::new(1),
             retry: RwLock::new(RetryPolicy::standard()),

@@ -57,7 +57,7 @@ mod nfs;
 mod stripes;
 
 pub use afs::{AfsClient, AfsRequest, AfsResponse, CallbackEvent, NasdAfs};
-pub use capcache::{CapCacheStats, LeaseCache, CAP_CACHE_CAPACITY};
+pub use capcache::{CapCacheStats, LeaseCache};
 pub use connect::FmConnect;
 pub use dirfmt::{decode_dir, encode_dir, DirRecord};
 pub use drives::{serve_drive_socket, spawn_drive, DriveEndpoint, DriveFleet, Started};

@@ -7,7 +7,7 @@
 //! other requests are handled by the file manager. Capabilities are
 //! piggybacked on the file manager's response to lookup operations."
 
-use crate::capcache::{CapCacheStats, LeaseCache, CAP_CACHE_CAPACITY};
+use crate::capcache::{CapCacheStats, LeaseCache};
 use crate::core::FmCore;
 use crate::dirfmt::DirRecord;
 use crate::drives::{DriveEndpoint, DriveFleet};
@@ -328,10 +328,11 @@ impl NfsClient {
 
     /// Enable the client-side capability-issue cache (leased,
     /// revocation-safe). With `registry`, the `capcache/hits`,
-    /// `capcache/misses` and `capcache/refreshes` counters register
-    /// there; otherwise they are private to [`Self::cap_cache_stats`].
+    /// `capcache/misses`, `capcache/evictions` and `capcache/refreshes`
+    /// counters register there; otherwise they are private to
+    /// [`Self::cap_cache_stats`].
     pub fn enable_cap_cache(&mut self, registry: Option<&Registry>) {
-        self.cache = Some(CapCache::new(CAP_CACHE_CAPACITY, registry));
+        self.cache = Some(CapCache::new(registry));
     }
 
     /// Totals of the capability-issue cache (zeros when disabled).
@@ -985,6 +986,16 @@ mod tests {
         let (mut client, _fleet) = setup_cached(2);
         let registry = Registry::new();
         client.enable_cap_cache(Some(&registry));
+        let names: Vec<String> = registry
+            .snapshot()
+            .counters
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        for leaf in ["hits", "misses", "evictions", "refreshes"] {
+            let name = format!("capcache/{leaf}");
+            assert!(names.contains(&name), "{name} is not registered");
+        }
 
         let mut f = client.create("/policy", 0o644, 0).unwrap();
         client.write(&mut f, 0, b"v1").unwrap();

@@ -1,10 +1,9 @@
 //! Unified call options for [`Rpc`](crate::Rpc) clients.
 //!
-//! The NFS, AFS and Cheops clients each grew an identical hand-rolled
-//! retry loop around `call_timeout`; [`CallOptions`] replaces all of them
-//! with one policy object that [`Rpc::call_with`](crate::Rpc::call_with)
-//! interprets: how many attempts, how long to wait per attempt, and an
-//! optional [`CallStats`] bundle so every retry and timeout shows up in a
+//! Every client call goes through one policy object, [`CallOptions`],
+//! that [`Rpc::call_with`](crate::Rpc::call_with) interprets: how many
+//! attempts, how long to wait per attempt, and an optional
+//! [`CallStats`] bundle so every retry and timeout shows up in a
 //! metrics [`Registry`](nasd_obs::Registry).
 
 use std::sync::Arc;
@@ -48,14 +47,6 @@ impl CallStats {
 
 /// How an RPC call should be executed: attempts, pacing, per-attempt
 /// timeout, and optional metrics.
-///
-/// The three legacy entry points map onto options like this:
-///
-/// | legacy                  | options                                         |
-/// |-------------------------|-------------------------------------------------|
-/// | `call(req)`             | [`CallOptions::blocking()`]                     |
-/// | `call_timeout(req, t)`  | [`CallOptions::once(t)`](CallOptions::once)     |
-/// | `call_retry(req, p)`    | [`CallOptions::retry(p)`](CallOptions::retry)   |
 #[derive(Debug, Clone)]
 pub struct CallOptions {
     /// Attempt count, per-attempt timeout and backoff schedule.
@@ -65,7 +56,7 @@ pub struct CallOptions {
 }
 
 impl CallOptions {
-    /// One attempt, wait forever — the semantics of plain `call`.
+    /// One attempt, wait forever.
     #[must_use]
     pub fn blocking() -> CallOptions {
         CallOptions {
@@ -74,7 +65,7 @@ impl CallOptions {
         }
     }
 
-    /// One attempt bounded by `timeout` — the semantics of `call_timeout`.
+    /// One attempt bounded by `timeout`.
     #[must_use]
     pub fn once(timeout: Duration) -> CallOptions {
         CallOptions {
@@ -83,8 +74,7 @@ impl CallOptions {
         }
     }
 
-    /// Retry per `policy` with its per-attempt timeout — the semantics of
-    /// `call_retry`.
+    /// Retry per `policy` with its per-attempt timeout.
     #[must_use]
     pub fn retry(policy: RetryPolicy) -> CallOptions {
         CallOptions {

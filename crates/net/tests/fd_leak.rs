@@ -2,6 +2,7 @@
 //! served. In its own test binary so no concurrent test moves the
 //! process's descriptor count.
 
+#![deny(clippy::allow_attributes_without_reason)]
 #![expect(
     clippy::disallowed_methods,
     reason = "waits on the wall clock for real server threads to close their descriptors"

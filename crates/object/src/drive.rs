@@ -275,7 +275,8 @@ impl DriveBuilder {
     }
 
     /// Record per-request counters and histograms under
-    /// `drive/<n>/...` in `registry`.
+    /// `drive/<n>/...` in `registry`, and the verified-capability
+    /// cache's hits, misses and evictions under `drive/<n>/verified/...`.
     #[must_use]
     pub fn metrics(mut self, registry: Arc<Registry>) -> Self {
         self.metrics = Some(registry);
@@ -300,6 +301,9 @@ impl DriveBuilder {
         let hierarchy = KeyHierarchy::new(SecretKey::from_bytes(self.master_seed), id.0);
         let mut security =
             DriveSecurity::new(id, hierarchy.drive().clone(), self.config.security_enabled);
+        if let Some(registry) = &self.metrics {
+            security.count_verified_in(registry, &format!("drive/{}/verified", id.0));
+        }
         for p in store.partition_ids() {
             let mut keys = hierarchy.partition_keys(p.0, 0);
             for &(kind, key) in store.rotated_keys(p) {
@@ -1133,6 +1137,50 @@ mod tests {
         assert!(d.handle(&remove).0.status.is_ok());
         assert_eq!(d.security().verified_len(), 0);
         assert!(c.call(&mut d, body, Bytes::new()).is_err());
+    }
+
+    /// The verified-capability cache counts under `drive/<n>/verified/`:
+    /// a fresh capability is a miss, its next request a hit, and a key
+    /// change empties the cache without counting evictions.
+    #[test]
+    fn the_verified_cache_counts_in_the_drive_registry() {
+        let registry = Arc::new(Registry::new());
+        let mut d = NasdDrive::builder(3).metrics(Arc::clone(&registry)).build();
+        // (hits, misses, evictions), read from a snapshot so a counter
+        // that was never registered fails the test.
+        let counts = || {
+            let snapshot = registry.snapshot();
+            let value = |leaf: &str| {
+                let name = format!("drive/3/verified/{leaf}");
+                let found = snapshot.counters.iter().find(|(n, _)| *n == name);
+                found.map(|&(_, v)| v).expect("registered")
+            };
+            (value("hits"), value("misses"), value("evictions"))
+        };
+        assert_eq!(counts(), (0, 0, 0));
+        d.admin_create_partition(P, 16 << 20).unwrap();
+        // The create runs under a fresh partition capability.
+        let obj = d.admin_create_object(P, 0).unwrap();
+        assert_eq!(counts(), (0, 1, 0));
+        let c = d.client(d.issue_capability(P, obj, Rights::READ, 100));
+        c.read(&mut d, 0, 0).unwrap();
+        assert_eq!(counts(), (0, 2, 0), "a fresh capability misses");
+        c.read(&mut d, 0, 0).unwrap();
+        assert_eq!(counts(), (1, 2, 0), "a warm request hits");
+        assert_eq!(d.security().verified_len(), 2);
+
+        // `install_partition_keys` empties the cache...
+        d.admin_create_partition(PartitionId(2), 1 << 20).unwrap();
+        assert_eq!(d.security().verified_len(), 0);
+        c.read(&mut d, 0, 0).unwrap();
+        assert_eq!(counts(), (1, 3, 0));
+        // ...and so does `set_working_key`; neither counts an eviction.
+        let rotated = SecretKey::random_from(b"rotation", 1);
+        let req = d.setkey_request(P, KeyKind::Black, &rotated);
+        assert!(d.handle(&req).0.status.is_ok());
+        assert_eq!(d.security().verified_len(), 0);
+        c.read(&mut d, 0, 0).unwrap();
+        assert_eq!(counts(), (1, 4, 0));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! object version number, the access fails and the client is sent back to
 //! the file manager." Nothing per capability is exchanged with the file
 //! manager. The drive does remember capabilities it has verified: a
-//! bounded, soft cache from a capability's public portion to its private
-//! field's key schedule, which spares a warm request the recomputation
-//! (one HMAC). Every structural check still runs on every request; an
-//! entry goes in only after a request under it has verified; installing,
-//! removing or rotating any key empties the cache, so a revocation by
-//! version bump or key rotation takes effect exactly as without it.
+//! soft cache (a [`BoundedMap`]) from a capability's public portion to
+//! its private field's key schedule, which spares a warm request the
+//! recomputation (one HMAC). Every structural check still runs on every
+//! request; an entry goes in only after a request under it has
+//! verified; installing, removing or rotating any key empties the
+//! cache, so a revocation by version bump or key rotation takes effect
+//! exactly as without it.
 //!
 //! *What* a request needs is declared once, in `nasd-proto`
 //! ([`RequestBody::authority`]: a capability with these rights over this
@@ -26,19 +27,13 @@
 //! [`RequestBody::authority`]: nasd_proto::RequestBody::authority
 
 use nasd_crypto::{DriveKeys, HmacKey, KeyKind, SecretKey};
+use nasd_obs::{BoundedMap, Registry};
 use nasd_proto::wire::WireEncode;
 use nasd_proto::{
     Authority, CapabilityPublic, DriveId, NasdStatus, ObjectAttributes, PartitionId, Request,
     RequestDigest, Version,
 };
 use std::collections::HashMap;
-
-/// Most verified capabilities a drive remembers: as many as one client
-/// may hold (the file manager's `CAP_CACHE_CAPACITY`), so a control
-/// path's working set — each object's manager capability plus its read
-/// and write grants — stays resident. A capability verified while the
-/// cache is full empties it first.
-const VERIFIED_CAPACITY: usize = 4096;
 
 /// Anti-replay window for one client, IPsec-style: a high-water counter
 /// plus a 64-entry bitmap for bounded reordering.
@@ -89,7 +84,7 @@ pub struct DriveSecurity {
     partition_keys: HashMap<PartitionId, DriveKeys>,
     /// Capabilities whose requests verified, each with its private
     /// field's key schedule; see the module docs.
-    verified: HashMap<CapabilityPublic, HmacKey>,
+    verified: BoundedMap<CapabilityPublic, HmacKey>,
     replay: HashMap<u64, ReplayWindow>,
     enabled: bool,
 }
@@ -107,10 +102,16 @@ impl DriveSecurity {
             drive_id,
             drive_key,
             partition_keys: HashMap::new(),
-            verified: HashMap::new(),
+            verified: BoundedMap::default(),
             replay: HashMap::new(),
             enabled,
         }
+    }
+
+    /// Count the verified cache's hits, misses and evictions in
+    /// `registry` under `{prefix}/...`. Forgets what the cache holds.
+    pub(crate) fn count_verified_in(&mut self, registry: &Registry, prefix: &str) {
+        self.verified = BoundedMap::registered(registry, prefix);
     }
 
     /// Install the key set for a partition (done over the administrative
@@ -246,9 +247,6 @@ impl DriveSecurity {
             return Err(NasdStatus::AccessDenied);
         }
         if let Some((cap, key)) = fresh {
-            if self.verified.len() >= VERIFIED_CAPACITY {
-                self.verified.clear();
-            }
             self.verified.insert(cap.clone(), key);
         }
         let window = self.replay.entry(req.header.nonce.client).or_default();
@@ -264,6 +262,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use nasd_crypto::{Digest, KeyHierarchy};
+    use nasd_obs::bounded::CAPACITY;
     use nasd_proto::{
         ByteRange, Capability, Nonce, ObjectId, ProtectionLevel, RequestBody, Rights,
     };
@@ -399,16 +398,16 @@ mod tests {
     #[test]
     fn cache_never_exceeds_its_capacity() {
         let mut s = security();
-        for i in 0..VERIFIED_CAPACITY as u64 + 100 {
+        for i in 0..CAPACITY as u64 + 100 {
             let cap = read_cap(100 + i);
             assert_eq!(check(&mut s, &genuine(&cap, i + 1), 0), Ok(()));
-            assert!(s.verified_len() <= VERIFIED_CAPACITY);
+            assert!(s.verified_len() <= CAPACITY);
         }
         assert!(s.verified_len() >= 1);
     }
 
     /// The verified cache holds a control path's working set: cycled
-    /// twice through `VERIFIED_CAPACITY - 1` capabilities, the second
+    /// twice through `CAPACITY - 1` capabilities, the second
     /// pass recomputes no private field — each request costs only its
     /// digest's 2 compressions. The set is never smaller than what a
     /// `meta_mix` drive cycles: 512 objects, each under the manager's
@@ -416,7 +415,7 @@ mod tests {
     #[test]
     fn the_verified_cache_holds_its_working_set() {
         const CONTROL_PATH_WORKING_SET: usize = 512 * 3;
-        let n = (VERIFIED_CAPACITY - 1).max(CONTROL_PATH_WORKING_SET);
+        let n = (CAPACITY - 1).max(CONTROL_PATH_WORKING_SET);
         let mut s = security();
         let caps: Vec<Capability> = (0..n as u64).map(read_cap).collect();
         let mut counter = 0;

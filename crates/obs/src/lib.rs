@@ -20,6 +20,8 @@
 //! * [`BenchReport`] — the versioned machine-readable schema every
 //!   `nasd-bench` experiment emits under `--json`, built on a dependency-free
 //!   [`Json`] value type (the workspace's serde is an offline no-op shim).
+//! * [`BoundedMap`] — the one bounded map every soft cache is built
+//!   on, counting hits, misses and evictions.
 //! * [`Throughput`] — the original `nasd-sim` bandwidth meter, folded
 //!   in here and re-exported from `nasd-sim` for compatibility.
 
@@ -36,6 +38,7 @@
 )]
 #![warn(missing_docs)]
 
+pub mod bounded;
 pub mod datapath;
 pub mod json;
 mod metrics;
@@ -44,6 +47,7 @@ mod stats;
 mod time;
 mod trace;
 
+pub use bounded::BoundedMap;
 pub use json::{Json, JsonError};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, Utilization,

@@ -12,6 +12,7 @@
 //! write, prints the realized fault schedule, and re-runs the same seed
 //! to show the schedule is bit-for-bit reproducible.
 
+#![deny(clippy::allow_attributes_without_reason)]
 #![expect(
     clippy::disallowed_methods,
     reason = "paces the narrated power cut on real drive threads; the fault schedule stays seeded"

@@ -12,6 +12,7 @@
 //! producer threads and one consumer each — and finally completes the
 //! Apriori passes to surface the planted association rules.
 
+#![deny(clippy::allow_attributes_without_reason)]
 #![expect(
     clippy::disallowed_methods,
     reason = "prints the pipeline's wall time; no result depends on it"

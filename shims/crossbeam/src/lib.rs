@@ -8,6 +8,7 @@
 //! parked: `Condvar::notify_one` is a `FUTEX_WAKE` syscall whether or
 //! not anyone waits.
 
+#![deny(clippy::allow_attributes_without_reason)]
 #![expect(
     clippy::disallowed_methods,
     reason = "stands in for real-thread channels: deadline waits and their tests run on real time"

@@ -15,6 +15,7 @@
 //! from the test name and case index.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 use std::fmt;
 use std::marker::PhantomData;

@@ -12,6 +12,7 @@
 //! * errors surface cleanly once retries exhaust, and
 //! * the injected-fault trace is bit-for-bit reproducible per seed.
 
+#![deny(clippy::allow_attributes_without_reason)]
 #![expect(
     clippy::disallowed_methods,
     reason = "real drive threads: the suite waits for them by the wall clock; fault schedules stay seeded"
