@@ -66,6 +66,7 @@ fn simulate(nclients: usize) -> Fig7Row {
     // Client-side receive processing per piece.
     let client_service =
         testbed::client_cpu().time_for_instructions(client_rpc().instructions(PIECE));
+    let wire = testbed::wire_time(PIECE);
 
     let run = testbed::closed_loop(
         DataPath::new(NDRIVES, NDRIVES, nclients),
@@ -84,7 +85,7 @@ fn simulate(nclients: usize) -> Fig7Row {
                     (drive, drive),
                     client,
                     drive_service,
-                    PIECE,
+                    wire,
                     client_service,
                 );
                 done = done.max(arrived);

@@ -114,6 +114,7 @@ fn simulate_nasd(n: usize) -> f64 {
         path: DataPath::new(n, n, n),
     };
     let (drive_service, client_service) = (drive_service(), client_service());
+    let wire = testbed::wire_time(PIECE);
     // Actor `a` is producer `a % WINDOW` of client `a / WINDOW`.
     let run = testbed::closed_loop(
         world,
@@ -129,7 +130,7 @@ fn simulate_nasd(n: usize) -> f64 {
                 (drive, drive),
                 client,
                 drive_service,
-                PIECE,
+                wire,
                 client_service,
             );
             (done, PIECE)
@@ -169,9 +170,7 @@ fn simulate_nfs(ndisks: usize, single_file: bool) -> f64 {
     // per disk, each on its own replica.
     let nclients = if single_file { 10 } else { ndisks };
     let world = NfsWorld {
-        disks: (0..ndisks)
-            .map(|i| FifoResource::new(format!("disk{i}")))
-            .collect(),
+        disks: vec![FifoResource::new("disk"); ndisks],
         path: DataPath::new(1, 2, nclients),
     };
     let disk_service = if single_file {
@@ -180,6 +179,7 @@ fn simulate_nfs(ndisks: usize, single_file: bool) -> f64 {
         disk_service_sequential()
     };
     let (server_service, client_service) = (server_service(single_file), client_service());
+    let wire = testbed::wire_time(PIECE);
     let run = testbed::closed_loop(
         world,
         nclients * WINDOW,
@@ -207,7 +207,7 @@ fn simulate_nfs(ndisks: usize, single_file: bool) -> f64 {
                 (0, client % 2),
                 client,
                 server_service,
-                PIECE,
+                wire,
                 client_service,
             );
             (done, PIECE)

@@ -170,6 +170,10 @@ struct World {
     drive_service_write: SimTime,
     drive_service_attr: SimTime,
     client_service_data: SimTime,
+    /// Link time of a read's, a write's and a getattr's message.
+    wire_read: SimTime,
+    wire_write: SimTime,
+    wire_attr: SimTime,
     cap_issue: SimTime,
     nobjects: usize,
 }
@@ -212,14 +216,10 @@ fn step(w: &mut World, now: SimTime, client: usize, _seq: u64) -> (SimTime, u64)
     }
 
     let drive = place(object, ndrives);
-    let (service, wire) = match req.op {
-        OpKind::Read => (w.drive_service_read, req.bytes),
-        OpKind::Write => (w.drive_service_write, req.bytes),
-        OpKind::GetAttr => (w.drive_service_attr, ATTR_BYTES),
-    };
-    let client_service = match req.op {
-        OpKind::GetAttr => SimTime::from_micros(10),
-        _ => w.client_service_data,
+    let (service, wire, client_service) = match req.op {
+        OpKind::Read => (w.drive_service_read, w.wire_read, w.client_service_data),
+        OpKind::Write => (w.drive_service_write, w.wire_write, w.client_service_data),
+        OpKind::GetAttr => (w.drive_service_attr, w.wire_attr, SimTime::from_micros(10)),
     };
     let done = w
         .path
@@ -251,9 +251,7 @@ pub fn simulate(ndrives: usize, nclients: usize) -> ScaleRow {
     let streams = RequestStream::new(&spec, 0);
     let world = World {
         path: DataPath::new(ndrives, ndrives, nclients),
-        fm_shard: (0..nshards)
-            .map(|i| FifoResource::new(format!("fm-shard-{i}")))
-            .collect(),
+        fm_shard: vec![FifoResource::new("fm-shard"); nshards],
         clients: (0..nclients)
             .map(|c| Client {
                 stream: streams.reseeded(0x5CA1_E000 + c as u64),
@@ -270,6 +268,9 @@ pub fn simulate(ndrives: usize, nclients: usize) -> ScaleRow {
         drive_service_attr: meter.estimate(DriveOp::GetAttr, 0, 0).time_on(&drive_cpu),
         client_service_data: testbed::client_cpu()
             .time_for_instructions(fig7::client_rpc().instructions(TRANSFER)),
+        wire_read: testbed::wire_time(spec.read_bytes),
+        wire_write: testbed::wire_time(spec.write_bytes),
+        wire_attr: testbed::wire_time(ATTR_BYTES),
         // Shards run on server-class silicon (§5.2's file-manager host).
         cap_issue: testbed::server_cpu().time_for_instructions(CAP_ISSUE_INSTR),
         nobjects: spec.objects,

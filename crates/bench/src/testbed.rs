@@ -67,38 +67,83 @@ pub(crate) struct Run<W> {
 ///
 /// The loop owns one heap of pending completions, one per actor, keyed
 /// `(time, schedule seq)` as the event kernel keys its events: ties run
-/// in schedule order. A completion's successor overwrites it in place
-/// at the head, so an event costs one sift and no allocation.
+/// in schedule order. A heap entry is 16 bytes, the time and one word
+/// packing the schedule seq over the actor ([`Keys`]); each actor's op
+/// seq and bytes in flight sit in a table indexed by actor. A
+/// completion's successor overwrites it in place at the head, so an
+/// event costs one sift and no allocation.
 pub(crate) fn closed_loop<W, F>(mut world: W, actors: usize, window: SimTime, mut step: F) -> Run<W>
 where
     F: FnMut(&mut W, SimTime, usize, u64) -> (SimTime, u64),
 {
-    // (completion, schedule seq, actor, op seq, bytes)
+    let keys = Keys::for_population(actors);
+    // Per actor: (op seq, bytes) of its operation in flight.
+    let mut inflight = Vec::with_capacity(actors);
     let mut pending = BinaryHeap::with_capacity(actors);
-    let mut next_seq = 0u64;
     for actor in 0..actors {
         let (at, bytes) = step(&mut world, SimTime::ZERO, actor, 0);
-        pending.push(Reverse((at, next_seq, actor, 0u64, bytes)));
-        next_seq += 1;
+        inflight.push((0u64, bytes));
+        pending.push(Reverse((at, keys.key(actor as u64, actor))));
     }
+    let mut next_seq = actors as u64;
     let mut delivered = Throughput::new();
     let mut completions = 0u64;
     while let Some(mut head) = pending.peek_mut() {
-        let Reverse((now, _, actor, seq, bytes)) = *head;
+        let Reverse((now, key)) = *head;
         if now > window {
             break;
         }
+        let actor = keys.actor(key);
+        let (seq, bytes) = inflight[actor];
         delivered.record(now, bytes);
         completions += 1;
         let (at, bytes) = step(&mut world, now, actor, seq + 1);
         assert!(at >= now, "an operation completed before it was issued");
-        *head = Reverse((at, next_seq, actor, seq + 1, bytes));
+        inflight[actor] = (seq + 1, bytes);
+        *head = Reverse((at, keys.key(next_seq, actor)));
         next_seq += 1;
     }
     Run {
         world,
         delivered,
         events_run: actors as u64 + completions,
+    }
+}
+
+/// How [`closed_loop`] packs a pending completion's schedule seq above
+/// its actor's index in one word. Seqs are unique, so keys order as
+/// their seqs do.
+#[derive(Clone, Copy)]
+struct Keys {
+    /// Bits holding the largest actor index.
+    shift: u32,
+}
+
+impl Keys {
+    /// The packing for `actors` actors; panics past 2^32 of them.
+    fn for_population(actors: usize) -> Self {
+        let shift = usize::BITS - (actors.max(2) - 1).leading_zeros();
+        assert!(
+            shift <= 32,
+            "closed_loop packs an actor index into at most 32 bits: {actors} actors do not fit"
+        );
+        Keys { shift }
+    }
+
+    /// The key of `actor`'s completion scheduled `seq`-th; panics once
+    /// `seq` no longer fits above the actor bits.
+    fn key(self, seq: u64, actor: usize) -> u64 {
+        assert!(
+            seq >> (64 - self.shift) == 0,
+            "closed_loop packs a schedule seq into {} bits: event {seq} does not fit",
+            64 - self.shift
+        );
+        seq << self.shift | actor as u64
+    }
+
+    /// The actor a key names.
+    fn actor(self, key: u64) -> usize {
+        (key & ((1 << self.shift) - 1)) as usize
     }
 }
 
@@ -118,42 +163,45 @@ impl DataPath {
     /// Idle stages for `cpus` serving CPUs, `links` serving links and
     /// `clients` clients.
     pub(crate) fn new(cpus: usize, links: usize, clients: usize) -> Self {
-        let fifos = |class: &str, n: usize| -> Vec<FifoResource> {
-            (0..n)
-                .map(|i| FifoResource::new(format!("{class}-{i}")))
-                .collect()
-        };
-        let oc3 = |class: &str, n: usize| -> Vec<BandwidthShare> {
-            (0..n)
-                .map(|i| BandwidthShare::new(format!("{class}-{i}"), OC3_BYTES_PER_SEC))
-                .collect()
-        };
         DataPath {
-            serving_cpu: fifos("serving-cpu", cpus),
-            serving_link: oc3("serving-link", links),
-            client_link: oc3("client-link", clients),
-            client_cpu: fifos("client-cpu", clients),
+            serving_cpu: vec![FifoResource::new("serving-cpu"); cpus],
+            serving_link: vec![oc3("serving-link"); links],
+            client_link: vec![oc3("client-link"); clients],
+            client_cpu: vec![FifoResource::new("client-cpu"); clients],
         }
     }
 
-    /// Move `wire` bytes from serving machine `(cpu, link)` to `client`
-    /// starting no earlier than `start`, charging `serve` and `receive`
-    /// at the two CPUs. Returns when the client CPU is done.
+    /// Move a message occupying each link for `wire` (a [`wire_time`])
+    /// from serving machine `(cpu, link)` to `client` starting no
+    /// earlier than `start`, charging `serve` and `receive` at the two
+    /// CPUs. Returns when the client CPU is done.
     pub(crate) fn transfer(
         &mut self,
         start: SimTime,
         (cpu, link): (usize, usize),
         client: usize,
         serve: SimTime,
-        wire: u64,
+        wire: SimTime,
         receive: SimTime,
     ) -> SimTime {
         let (_, t1) = self.serving_cpu[cpu].reserve(start, serve);
-        let (_, t2) = self.serving_link[link].transfer(t1, wire);
-        let (_, t3) = self.client_link[client].transfer(t2, wire);
+        let (_, t2) = self.serving_link[link].reserve(t1, wire);
+        let (_, t3) = self.client_link[client].reserve(t2, wire);
         let (_, t4) = self.client_cpu[client].reserve(t3, receive);
         t4
     }
+}
+
+/// An idle OC-3 link of class `class`.
+fn oc3(class: &'static str) -> BandwidthShare {
+    BandwidthShare::new(class, OC3_BYTES_PER_SEC)
+}
+
+/// How long `bytes` occupy a testbed link. Every link is OC-3, so a
+/// world converts each of its message sizes once and hands
+/// [`DataPath::transfer`] the time.
+pub(crate) fn wire_time(bytes: u64) -> SimTime {
+    oc3("oc3").wire_time(bytes)
 }
 
 /// Mean utilization over `elapsed` of one resource class (0 if empty).
@@ -269,5 +317,49 @@ mod tests {
             assert_eq!(ours.delivered.last_event(), kernel.delivered.last_event());
             assert_eq!(ours.events_run, kernel.events_run);
         }
+    }
+
+    #[test]
+    fn closed_loop_keeps_the_kernels_order_with_the_actor_field_full() {
+        // 64 and 256 actors fill the key's 6 and 8 actor bits; 65 takes
+        // a seventh bit for one actor.
+        for actors in [2, 64, 65, 256] {
+            let window = SimTime::from_millis(30);
+            let ours = closed_loop(Vec::new(), actors, window, toy_step);
+            let kernel = kernel_loop(Vec::new(), actors, window, toy_step);
+            let ties = ours.world.windows(2).filter(|w| w[0].0 == w[1].0).count();
+            assert!(ties >= ours.world.len() / 2, "the toy world must tie often");
+            assert_eq!(
+                ours.world, kernel.world,
+                "{actors} actors: step calls differ"
+            );
+            assert_eq!(ours.delivered.bytes(), kernel.delivered.bytes());
+            assert_eq!(ours.events_run, kernel.events_run);
+        }
+    }
+
+    #[test]
+    fn keys_order_by_schedule_seq_up_to_the_packings_limits() {
+        // 1,000 actors take 10 bits, leaving the seq 54.
+        let keys = Keys::for_population(1_000);
+        let last = (1 << 54) - 1;
+        for seq in [0, 1, last - 1] {
+            assert!(keys.key(seq, 999) < keys.key(seq + 1, 0));
+            assert_eq!(keys.actor(keys.key(seq, 999)), 999);
+        }
+        assert_eq!(keys.actor(keys.key(last, 999)), 999);
+        assert_eq!(Keys::for_population(1 << 32).shift, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule seq into 54 bits: event 18014398509481984 does not fit")]
+    fn a_schedule_seq_past_the_packing_is_refused() {
+        let _ = Keys::for_population(1_000).key(1 << 54, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967297 actors do not fit")]
+    fn a_population_past_the_packing_is_refused() {
+        let _ = Keys::for_population((1 << 32) + 1);
     }
 }

@@ -8,7 +8,9 @@
 //! bandwidth ([`BandwidthShare`], the only link model), a CPU model that
 //! converts instruction counts to time ([`CpuModel`]), and
 //! time-weighted utilization statistics (the paper plots *client idle* and
-//! *drive CPU idle* in Figure 7).
+//! *drive CPU idle* in Figure 7). A resource is named by a static class
+//! string, so building one allocates nothing, and a link converts bytes
+//! to time in one place ([`BandwidthShare::wire_time`]).
 //!
 //! Events are ordered by `(time, sequence)` so identical runs replay
 //! byte-for-byte; all experiment randomness comes from seeded PRNGs

@@ -14,7 +14,9 @@ use std::sync::Arc;
 ///
 /// `reserve` answers "if work arrives now needing `service` time, when does
 /// it start and finish?", advancing the server's busy horizon. Total busy
-/// time is tracked for utilization reporting.
+/// time is tracked for utilization reporting. A resource is named by its
+/// class (`"scsi"`, `"client-cpu"`), a static string, so building one
+/// allocates nothing.
 ///
 /// # Example
 ///
@@ -29,7 +31,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FifoResource {
-    name: String,
+    name: &'static str,
     next_free: SimTime,
     busy: SimTime,
     jobs: u64,
@@ -37,11 +39,11 @@ pub struct FifoResource {
 }
 
 impl FifoResource {
-    /// Create an idle resource.
+    /// Create an idle resource of class `name`.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         FifoResource {
-            name: name.into(),
+            name,
             next_free: SimTime::ZERO,
             busy: SimTime::ZERO,
             jobs: 0,
@@ -49,10 +51,10 @@ impl FifoResource {
         }
     }
 
-    /// Resource name (for reports).
+    /// Resource class name (for reports).
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Mirror every reserved service interval into `utilization`
@@ -156,6 +158,11 @@ impl CpuModel {
 /// A shared serial medium (SCSI bus, PCI bus, memory bus): a FIFO resource
 /// whose service time is derived from a byte count at fixed bandwidth.
 ///
+/// [`wire_time`](Self::wire_time) is the one bytes-to-time conversion: a
+/// model that moves the same byte count many times converts it once and
+/// [`reserve`](Self::reserve)s the time, which is what
+/// [`transfer`](Self::transfer) does per call.
+///
 /// # Example
 ///
 /// ```
@@ -180,7 +187,7 @@ impl BandwidthShare {
     ///
     /// Panics if `bytes_per_sec` is not positive.
     #[must_use]
-    pub fn new(name: impl Into<String>, bytes_per_sec: f64) -> Self {
+    pub fn new(name: &'static str, bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
         BandwidthShare {
             fifo: FifoResource::new(name),
@@ -197,8 +204,19 @@ impl BandwidthShare {
     /// Reserve the bus to move `bytes`; returns the `(start, end)` of the
     /// transfer.
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> (SimTime, SimTime) {
-        let service = SimTime::from_secs_f64(bytes as f64 / self.bytes_per_sec);
-        self.fifo.reserve(now, service)
+        self.reserve(now, self.wire_time(bytes))
+    }
+
+    /// How long moving `bytes` occupies the bus.
+    #[must_use]
+    pub fn wire_time(&self, bytes: u64) -> SimTime {
+        SimTime::from_secs_f64(bytes as f64 / self.bytes_per_sec)
+    }
+
+    /// Reserve the bus for `wire`, a [`wire_time`](Self::wire_time)
+    /// computed ahead; returns the `(start, end)` of the transfer.
+    pub fn reserve(&mut self, now: SimTime, wire: SimTime) -> (SimTime, SimTime) {
+        self.fifo.reserve(now, wire)
     }
 
     /// The underlying FIFO (for utilization reports).
@@ -307,6 +325,33 @@ mod tests {
             ]
         );
         assert_eq!(u.busy_time(), r.busy_time());
+    }
+
+    #[test]
+    fn a_precomputed_wire_time_reserves_what_transfer_does() {
+        // The testbed's OC-3 rate and every byte count a model moves:
+        // the scale matrix's 512 B attribute message and 64 KiB
+        // transfer, Figure 7's and Figure 9's 512 KiB piece, then a
+        // seeded sweep of sizes up to 16 MiB.
+        let bytes_per_sec = 155.0e6 / 8.0;
+        let mut sizes = vec![0, 1, 512, 64 * 1024, 512 * 1024];
+        sizes.extend((0..2_000).map(|i| crate::splitmix64(i) % (16 << 20)));
+        let wire: Vec<SimTime> = {
+            let bus = BandwidthShare::new("oc3", bytes_per_sec);
+            sizes.iter().map(|&b| bus.wire_time(b)).collect()
+        };
+        let mut by_bytes = BandwidthShare::new("oc3", bytes_per_sec);
+        let mut by_time = BandwidthShare::new("oc3", bytes_per_sec);
+        for (i, (&bytes, &wire)) in sizes.iter().zip(&wire).enumerate() {
+            // Arrivals both behind the busy horizon and past it.
+            let now = SimTime::from_nanos(crate::splitmix64(!(i as u64)) % (1 << 40));
+            assert_eq!(
+                by_bytes.transfer(now, bytes),
+                by_time.reserve(now, wire),
+                "{bytes} bytes"
+            );
+        }
+        assert_eq!(by_bytes.fifo().busy_time(), by_time.fifo().busy_time());
     }
 
     #[test]
